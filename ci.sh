@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, tier-1 build+tests, and the vod-net
-# feature matrix (`parallel` on and off). Run from the repo root.
+# Local CI gate: formatting, lints, tier-1 build+tests, the stand-alone
+# benchmark package, and the perf-regression gates. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,8 +16,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> vod-net without the 'parallel' feature"
-cargo test -q -p vod-net --no-default-features
+echo "==> benchmark/ builds offline against the workspace crates, tree untouched"
+# The benchmark package is outside the workspace, so nothing above
+# compiles it: a removed or renamed pub item it calls, or a dependency
+# change that makes cargo rewrite benchmark/Cargo.lock, only shows here.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+git diff --quiet -- benchmark || { echo "the build modified tracked files under benchmark/" >&2; exit 1; }
 
 echo "==> benches compile (cargo bench --no-run)"
 cargo bench --no-run
@@ -25,7 +29,7 @@ cargo bench --no-run
 echo "==> trace determinism (golden JSONL test)"
 cargo test -q -p vod-integration-tests --test observability
 
-echo "==> series determinism (golden --series test, lazy vs reference kernels)"
+echo "==> series determinism (golden --series test)"
 cargo test -q -p vod-integration-tests --test series
 
 echo "==> vod-check lint (zero findings, zero stale allowlist entries)"
@@ -50,9 +54,9 @@ cargo run -q --release -p vod-bench --bin ext_chaos -- \
   --trace "$chaos_trace" --series "$chaos_series" > /dev/null
 cargo run -q --release -p vod-check -- audit --series "$chaos_series" "$chaos_trace"
 
-echo "==> E14 scale smoke (10^5 concurrent sessions, >=10x kernel speedup, trace audits clean)"
+echo "==> E14 scale smoke (10^5 concurrent sessions, trace audits clean)"
 cargo run -q --release -p vod-bench --bin scale -- \
-  --gate --baseline-budget-secs 5 --json "$scale_json" --trace "$scale_trace"
+  --gate --json "$scale_json" --trace "$scale_trace"
 cargo run -q --release -p vod-check -- audit "$scale_trace"
 
 echo "==> perf-regression gate (fresh scale run vs committed BENCH_sim.json)"
@@ -68,17 +72,18 @@ cargo run -q --release -p vod-bench --bin ext_proxy -- --json "$proxy_json" > /d
 cargo run -q --release -p vod-bench -- compare --only proxy/ BENCH_proxy.json "$proxy_json"
 
 echo "==> routing-engine perf gate (fresh bench vs committed BENCH_routing.json)"
-# The warm gnp200 row is the headline dynamic-SSSP win: its tightened
-# threshold (1.30x of the ~0.77 ms baseline ~= the 1 ms budget) fails a
-# build that silently loses sub-millisecond warm batch selection, long
-# before the 9x cliff of falling back to from-scratch Dijkstra. The
-# repair rows get a mild tightening; the rest keep the noise-tolerant
-# 1.75x default. The 500 ns floor mutes the ns-scale GRNET rows, which
-# swing 2-3x from cache pressure right after the E14 scale run — the
-# rows this gate exists for are all well above it.
+# The warm gnp200 row (one link re-read, then `select` for all 200
+# homes) is the dynamic-SSSP win: its tightened threshold (1.30x of the
+# ~0.82 ms baseline ~= 1.07 ms) fails a build that silently loses
+# ~1 ms warm re-selection, long before the cliff of falling back to
+# from-scratch Dijkstra. The repair rows get a mild tightening; the
+# rest keep the noise-tolerant 1.75x default. The 500 ns floor mutes
+# the ns-scale GRNET rows, which swing 2-3x from cache pressure right
+# after the E14 scale run — the rows this gate exists for are all well
+# above it.
 CRITERION_JSON="$routing_json" cargo bench -q --bench routing_engine > /dev/null
 cargo run -q --release -p vod-bench -- compare --only engine/ --floor-ns 500 \
-  --threshold engine/select_batch/gnp200/warm=1.30 \
+  --threshold engine/select/gnp200/warm_all_homes=1.30 \
   --threshold engine/sssp_repair/1_dirty=1.60 \
   --threshold engine/sssp_repair/8_dirty=1.60 \
   BENCH_routing.json "$routing_json"

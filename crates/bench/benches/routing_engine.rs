@@ -1,7 +1,7 @@
 //! Criterion bench: the epoch-cached [`RoutingEngine`] against the slow
 //! reference pipeline — cold vs warm cache, incremental vs full LVN
-//! rebuild, and `select_batch` thread scaling on GRNET and a 200-node
-//! random topology.
+//! rebuild, and warm re-selection plus tree repair on a 200-node random
+//! topology.
 //!
 //! Run with `CRITERION_JSON=BENCH_routing.json cargo bench --bench
 //! routing_engine` to regenerate the committed results file.
@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use vod_net::dijkstra::dijkstra_with_trace;
-use vod_net::engine::{BatchRequest, RoutingEngine};
+use vod_net::engine::RoutingEngine;
 use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::topologies::grnet::{Grnet, GrnetNode, TimeOfDay};
 use vod_net::topologies::random::connected_gnp;
@@ -101,82 +101,6 @@ fn bench_lvn_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-/// One request per node, all homes distinct, candidates fixed — the
-/// worst case for the path cache and the best case for parallelism.
-fn batch_requests(topology: &Topology, candidates: &[NodeId]) -> Vec<(NodeId, Vec<NodeId>)> {
-    topology
-        .node_ids()
-        .map(|home| (home, candidates.to_vec()))
-        .collect()
-}
-
-fn bench_batch(
-    c: &mut Criterion,
-    group_name: &str,
-    topology: &Topology,
-    snapshot: &mut TrafficSnapshot,
-) {
-    let candidates = [NodeId::new(0), NodeId::new(1)];
-    let owned = batch_requests(topology, &candidates);
-    let requests: Vec<BatchRequest<'_>> = owned
-        .iter()
-        .map(|(home, cands)| BatchRequest {
-            home: *home,
-            candidates: cands,
-        })
-        .collect();
-
-    let mut group = c.benchmark_group(group_name);
-    for &threads in &[1usize, 2, 4, 8] {
-        let mut engine = RoutingEngine::new(LvnParams::default());
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                engine.clear_cache();
-                engine
-                    .select_batch_with_threads(
-                        black_box(topology),
-                        black_box(&*snapshot),
-                        &requests,
-                        t,
-                    )
-                    .unwrap()
-            })
-        });
-    }
-
-    // The service's steady state: every tree cached, one link's SNMP
-    // reading drifting per poll — dynamic SSSP repairs the trees in
-    // place and the whole batch answers from cache.
-    let mut engine = RoutingEngine::new(LvnParams::default());
-    engine
-        .select_batch(topology, &*snapshot, &requests)
-        .unwrap();
-    let link = topology.link_ids().next().unwrap();
-    let capacity = topology.link(link).capacity();
-    let mut flip = false;
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            flip = !flip;
-            snapshot.set_used(link, capacity * if flip { 0.31 } else { 0.62 });
-            engine
-                .select_batch(black_box(topology), black_box(&*snapshot), &requests)
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
-fn bench_batch_grnet(c: &mut Criterion) {
-    let grnet = Grnet::new();
-    let mut snapshot = grnet.snapshot(TimeOfDay::T1000);
-    bench_batch(
-        c,
-        "engine/select_batch/grnet",
-        grnet.topology(),
-        &mut snapshot,
-    );
-}
-
 fn gnp200() -> (Topology, TrafficSnapshot) {
     let topology = connected_gnp(200, 0.05, 42);
     let mut snapshot = TrafficSnapshot::zero(&topology);
@@ -187,9 +111,38 @@ fn gnp200() -> (Topology, TrafficSnapshot) {
     (topology, snapshot)
 }
 
-fn bench_batch_gnp200(c: &mut Criterion) {
+/// The service's steady state at scale: every home's tree cached, one
+/// link's SNMP reading drifting per poll, then one `select` per home —
+/// dynamic SSSP repairs the 200 trees in place and every request answers
+/// from cache.
+fn bench_warm_all_homes(c: &mut Criterion) {
     let (topology, mut snapshot) = gnp200();
-    bench_batch(c, "engine/select_batch/gnp200", &topology, &mut snapshot);
+    let candidates = [NodeId::new(0), NodeId::new(1)];
+    let mut engine = RoutingEngine::new(LvnParams::default());
+    for home in topology.node_ids() {
+        engine.paths_from(&topology, &snapshot, home).unwrap();
+    }
+    let link = topology.link_ids().next().unwrap();
+    let capacity = topology.link(link).capacity();
+    let mut flip = false;
+    c.bench_function("engine/select/gnp200/warm_all_homes", |b| {
+        b.iter(|| {
+            flip = !flip;
+            snapshot.set_used(link, capacity * if flip { 0.31 } else { 0.62 });
+            for home in topology.node_ids() {
+                black_box(
+                    engine
+                        .select(
+                            black_box(&topology),
+                            black_box(&snapshot),
+                            home,
+                            &candidates,
+                        )
+                        .unwrap(),
+                );
+            }
+        })
+    });
 }
 
 /// Dynamic SSSP repair throughput: with all 200 trees cached, mutate k
@@ -227,8 +180,7 @@ criterion_group!(
     benches,
     bench_grnet_select,
     bench_lvn_rebuild,
-    bench_batch_grnet,
-    bench_batch_gnp200,
+    bench_warm_all_homes,
     bench_sssp_repair
 );
 criterion_main!(benches);

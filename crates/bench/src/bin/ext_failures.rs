@@ -16,7 +16,7 @@ use vod_bench::cli::Options;
 use vod_bench::Table;
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
-use vod_sim::SimDuration;
+use vod_sim::{FaultPlan, SimDuration};
 use vod_workload::scenario::Scenario;
 
 fn main() {
@@ -45,14 +45,14 @@ fn main() {
         for fail in [false, true] {
             let config = ServiceConfig {
                 initial_replicas: replicas,
-                failures: if fail {
-                    vec![(
+                fault_plan: if fail {
+                    FaultPlan::new().server_outage(
                         start + SimDuration::from_secs(3_600),
                         start + SimDuration::from_secs(3 * 3_600),
                         victim,
-                    )]
+                    )
                 } else {
-                    vec![]
+                    FaultPlan::new()
                 },
                 ..ServiceConfig::default()
             };

@@ -1,27 +1,21 @@
-//! Kernel-scale benchmark: the event-driven (lazy) flow kernel against
-//! the retained `O(flows)`-per-event reference kernel on the
+//! Kernel-scale benchmark: the event-driven flow kernel on the
 //! [`Scenario::scale_stress`] workload — 10⁵+ concurrent sessions on
 //! GRNET with every serve local.
 //!
-//! The lazy run goes to completion and reports throughput (events/sec)
-//! and the peak number of concurrently live sessions. The reference
-//! kernel cannot finish the same workload in reasonable time, so it runs
-//! under a wall-clock budget, stepping simulated time forward until the
-//! budget expires, and reports the throughput it managed — an optimistic
-//! baseline, since flow counts are still ramping up early in the run.
+//! The run goes to completion and reports throughput (events/sec) and
+//! the peak number of concurrently live sessions.
 //!
 //! Run with: `cargo run --release -p vod-bench --bin scale
-//! [--seed N] [--sessions N] [--baseline-budget-secs S]
-//! [--json BENCH_sim.json] [--gate] [--trace <path> --trace-sessions N]
-//! [--series <path>]`
+//! [--seed N] [--sessions N] [--json BENCH_sim.json] [--gate]
+//! [--trace <path> --trace-sessions N] [--series <path>]`
 //!
 //! `--json` writes the machine-readable results (the committed
 //! `BENCH_sim.json`). `--gate` turns the run into a CI assertion: the
-//! lazy kernel must hold ≥ 100 000 concurrent sessions and finish the
-//! full run within the wall budget. `--trace` additionally writes the
-//! JSONL event trace of a smaller (`--trace-sessions`) scale run for
-//! `vod-check audit`; `--series` writes the same smaller run's
-//! one-minute windowed time-series alongside it.
+//! full run must hold ≥ 100 000 concurrent sessions. `--trace`
+//! additionally writes the JSONL event trace of a smaller
+//! (`--trace-sessions`) scale run for `vod-check audit`; `--series`
+//! writes the same smaller run's one-minute windowed time-series
+//! alongside it.
 
 #![forbid(unsafe_code)]
 
@@ -36,13 +30,11 @@ use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::Mbps;
 use vod_obs::{JsonlWriter, TeeSink, TimeSeriesSink};
-use vod_sim::{FlowKernel, SimDuration, SimTime};
 use vod_workload::scenario::Scenario;
 
 struct Options {
     seed: u64,
     sessions: usize,
-    baseline_budget_secs: f64,
     json: Option<String>,
     gate: bool,
     trace: Option<String>,
@@ -54,7 +46,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         seed: 42,
         sessions: 102_000,
-        baseline_budget_secs: 10.0,
         json: None,
         gate: false,
         trace: None,
@@ -76,14 +67,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("invalid --sessions value: {e}"))?;
             }
-            "--baseline-budget-secs" => {
-                let value = args
-                    .next()
-                    .ok_or("--baseline-budget-secs requires a value")?;
-                opts.baseline_budget_secs = value
-                    .parse()
-                    .map_err(|e| format!("invalid --baseline-budget-secs value: {e}"))?;
-            }
             "--json" => {
                 opts.json = Some(args.next().ok_or("--json requires a path")?);
             }
@@ -104,8 +87,8 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: scale [--seed <u64>] [--sessions <n>] \
-                            [--baseline-budget-secs <f64>] [--json <path>] [--gate] \
-                            [--trace <path>] [--trace-sessions <n>] [--series <path>]"
+                            [--json <path>] [--gate] [--trace <path>] \
+                            [--trace-sessions <n>] [--series <path>]"
                     .into());
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -118,25 +101,22 @@ fn parse_args() -> Result<Options, String> {
 /// every title on every city (all serves local) and a 2 Mbps local
 /// streaming ceiling, so each session holds a live flow for most of its
 /// playout and the concurrent-flow population tracks the session count.
-fn scale_config(kernel: FlowKernel) -> ServiceConfig {
+fn scale_config() -> ServiceConfig {
     ServiceConfig {
         initial_replicas: 6,
         local_rate: Mbps::new(2.0),
-        flow_kernel: kernel,
         ..ServiceConfig::default()
     }
 }
 
 #[derive(Debug, Serialize)]
 struct KernelResult {
-    kernel: String,
-    full_run: bool,
     events: u64,
     wall_secs: f64,
     events_per_sec: f64,
     sim_secs: f64,
     peak_sessions: usize,
-    completed: Option<u64>,
+    completed: u64,
 }
 
 #[derive(Debug, Serialize)]
@@ -146,17 +126,11 @@ struct BenchReport {
     target_sessions: usize,
     arrivals: usize,
     lazy: KernelResult,
-    reference: KernelResult,
-    speedup_events_per_sec: f64,
 }
 
-/// Runs the lazy kernel to completion.
+/// Runs the scenario to completion.
 fn run_lazy(scenario: &Scenario) -> KernelResult {
-    let mut service = VodService::new(
-        scenario,
-        Box::new(Vra::default()),
-        scale_config(FlowKernel::Lazy),
-    );
+    let mut service = VodService::new(scenario, Box::new(Vra::default()), scale_config());
     let start = Instant::now();
     service.run_to_end();
     let wall = start.elapsed().as_secs_f64();
@@ -165,57 +139,12 @@ fn run_lazy(scenario: &Scenario) -> KernelResult {
     let sim_secs = service.now().as_secs_f64();
     let report = service.into_report();
     KernelResult {
-        kernel: "lazy".into(),
-        full_run: true,
         events,
         wall_secs: wall,
         events_per_sec: events as f64 / wall.max(1e-9),
         sim_secs,
         peak_sessions: peak,
-        completed: Some(report.completed.len() as u64),
-    }
-}
-
-/// Steps the reference kernel forward in simulated-time slices until the
-/// wall budget expires (or, improbably, the run finishes).
-fn run_reference(scenario: &Scenario, budget_secs: f64) -> KernelResult {
-    let mut service = VodService::new(
-        scenario,
-        Box::new(Vra::default()),
-        scale_config(FlowKernel::Reference),
-    );
-    let slice = SimDuration::from_secs(1);
-    let mut deadline = SimTime::ZERO + slice;
-    let start = Instant::now();
-    let mut full_run = false;
-    loop {
-        service.run_until(deadline);
-        match service.next_event_at() {
-            None => {
-                full_run = true;
-                break;
-            }
-            Some(at) => {
-                if start.elapsed().as_secs_f64() >= budget_secs {
-                    break;
-                }
-                // Jump straight to the next event: idle stretches (e.g.
-                // the drain after the last arrival) cost no wall time.
-                deadline = at + slice;
-            }
-        }
-    }
-    let wall = start.elapsed().as_secs_f64();
-    let events = service.events_processed();
-    KernelResult {
-        kernel: "reference".into(),
-        full_run,
-        events,
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall.max(1e-9),
-        sim_secs: service.now().as_secs_f64(),
-        peak_sessions: service.peak_sessions(),
-        completed: None,
+        completed: report.completed.len() as u64,
     }
 }
 
@@ -231,13 +160,8 @@ fn write_trace(
         None => Box::new(std::io::sink()),
     };
     let sink = TeeSink::new(JsonlWriter::new(writer), TimeSeriesSink::new());
-    let (_, _, sink) = VodService::with_sink(
-        &scenario,
-        Box::new(Vra::default()),
-        scale_config(FlowKernel::Lazy),
-        sink,
-    )
-    .run_full();
+    let (_, _, sink) =
+        VodService::with_sink(&scenario, Box::new(Vra::default()), scale_config(), sink).run_full();
     let (jsonl, series_sink) = sink.into_parts();
     jsonl.into_inner().flush()?;
     if let Some(path) = series {
@@ -268,44 +192,17 @@ fn main() {
         lazy.wall_secs,
         lazy.events_per_sec,
         lazy.peak_sessions,
-        lazy.completed.unwrap_or(0),
+        lazy.completed,
         lazy.sim_secs,
     );
 
-    let reference = run_reference(&scenario, opts.baseline_budget_secs);
-    println!(
-        "reference: {:>9} events in {:>6.2}s wall ({:>9.0} events/s), \
-         peak {} sessions, sim t={:.0}s{}",
-        reference.events,
-        reference.wall_secs,
-        reference.events_per_sec,
-        reference.peak_sessions,
-        reference.sim_secs,
-        if reference.full_run {
-            ""
-        } else {
-            " (budget expired)"
-        },
-    );
-
-    let speedup = lazy.events_per_sec / reference.events_per_sec.max(1e-9);
-    println!("speedup:   {speedup:.1}x events/sec (lazy vs reference)");
-
     if opts.gate {
-        assert!(
-            lazy.full_run,
-            "gate: lazy kernel did not drain the event queue"
-        );
         assert!(
             lazy.peak_sessions >= 100_000,
             "gate: peak sessions {} < 100000",
             lazy.peak_sessions
         );
-        assert!(
-            speedup >= 10.0,
-            "gate: lazy/reference speedup {speedup:.1}x < 10x"
-        );
-        println!("gate:      OK (>=100000 concurrent sessions, >=10x speedup)");
+        println!("gate:      OK (>=100000 concurrent sessions)");
     }
 
     let report = BenchReport {
@@ -314,8 +211,6 @@ fn main() {
         target_sessions: opts.sessions,
         arrivals: scenario.trace().len(),
         lazy,
-        reference,
-        speedup_events_per_sec: speedup,
     };
     if let Some(path) = &opts.json {
         let mut out = BufWriter::new(File::create(path).expect("create json output"));

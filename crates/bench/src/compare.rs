@@ -8,8 +8,8 @@
 //! `--bin scale --json`. This module diffs a freshly measured file
 //! against its committed baseline with per-benchmark tolerance
 //! thresholds and renders a verdict (human lines or JSON), so `ci.sh`
-//! can fail a build that quietly erodes the >100× kernel win instead
-//! of letting the bench trajectory stay silent.
+//! can fail a build that quietly erodes the event-driven kernel's
+//! throughput instead of letting the bench trajectory stay silent.
 //!
 //! Wall-clock numbers are noisy, so the default tolerance is a
 //! generous 1.75× degradation — real regressions (the injected 2×
@@ -307,40 +307,16 @@ pub fn extract_entries(text: &str) -> Result<Vec<Entry>, String> {
         }
         return Ok(entries);
     }
-    if value.get_field("lazy").is_some() {
+    if let Some(lazy) = value.get_field("lazy") {
         let mut entries = Vec::new();
-        for kernel in ["lazy", "reference"] {
-            let Some(result) = value.get_field(kernel) else {
-                continue;
-            };
-            if let Some(eps) = result.get_field("events_per_sec").and_then(Value::as_f64) {
+        for field in ["events_per_sec", "peak_sessions"] {
+            if let Some(v) = lazy.get_field(field).and_then(Value::as_f64) {
                 entries.push(Entry {
-                    id: format!("sim/{kernel}/events_per_sec"),
-                    value: eps,
+                    id: format!("sim/lazy/{field}"),
+                    value: v,
                     direction: Direction::HigherBetter,
                 });
             }
-        }
-        if let Some(peak) = value
-            .get_field("lazy")
-            .and_then(|l| l.get_field("peak_sessions"))
-            .and_then(Value::as_f64)
-        {
-            entries.push(Entry {
-                id: "sim/lazy/peak_sessions".to_string(),
-                value: peak,
-                direction: Direction::HigherBetter,
-            });
-        }
-        if let Some(speedup) = value
-            .get_field("speedup_events_per_sec")
-            .and_then(Value::as_f64)
-        {
-            entries.push(Entry {
-                id: "sim/speedup_events_per_sec".to_string(),
-                value: speedup,
-                direction: Direction::HigherBetter,
-            });
         }
         return Ok(entries);
     }
@@ -451,11 +427,8 @@ mod tests {
 
     const SIM: &str = r#"{"scenario":"scale_stress","seed":42,"target_sessions":102000,
 "arrivals":102283,
-"lazy":{"kernel":"lazy","full_run":true,"events":613698,"wall_secs":0.73,
-"events_per_sec":840682.0,"sim_secs":86400.0,"peak_sessions":102283,"completed":102283},
-"reference":{"kernel":"reference","full_run":false,"events":23000,"wall_secs":10.0,
-"events_per_sec":2300.0,"sim_secs":1000.0,"peak_sessions":21000,"completed":null},
-"speedup_events_per_sec":365.5}"#;
+"lazy":{"events":613698,"wall_secs":0.73,"events_per_sec":840682.0,"sim_secs":86400.0,
+"peak_sessions":102283,"completed":102283}}"#;
 
     fn doubled(text: &str, id: &str) -> String {
         // Injects a 2x slowdown into one criterion entry.
@@ -550,12 +523,7 @@ mod tests {
         let ids: Vec<_> = entries.iter().map(|e| e.id.as_str()).collect();
         assert_eq!(
             ids,
-            vec![
-                "sim/lazy/events_per_sec",
-                "sim/reference/events_per_sec",
-                "sim/lazy/peak_sessions",
-                "sim/speedup_events_per_sec"
-            ]
+            vec!["sim/lazy/events_per_sec", "sim/lazy/peak_sessions"]
         );
         // Halve the lazy throughput: a 2x degradation on higher-is-better.
         let slow = SIM.replace("\"events_per_sec\":840682.0", "\"events_per_sec\":420341.0");

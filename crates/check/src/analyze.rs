@@ -38,27 +38,19 @@ use crate::lint::{strip_source, test_line_mask, AllowEntry, Allowlist, Finding, 
 use crate::model::{self, PanicKind};
 
 /// The sim hot-path roots reachability starts from: the service's
-/// experiment drivers, the flow kernel's advancement entry points, and
-/// the routing engine's batch selector.
+/// experiment drivers (which reach `RoutingEngine::select`) and the
+/// flow kernel's advancement entry points.
 pub const ROOTS: &[&str] = &[
     "VodService::run_full",
     "VodService::run_to_end",
     "FlowNetwork::advance",
     "FlowNetwork::advance_into",
     "FlowNetwork::next_completion",
-    "RoutingEngine::select_batch",
 ];
 
 /// Crates exempt from the reachability and determinism passes
 /// (measurement and analysis tooling, same exemption as `L001`/`L004`).
 pub const EXEMPT_CRATES: &[&str] = &["bench", "check"];
-
-/// The only files allowed to use thread primitives: `vod-net`'s batch
-/// routing engine and its persistent worker pool, whose slot-indexed
-/// channel protocol keeps results in deterministic submission order.
-/// This is a named set, not a directory grant — a new thread site must
-/// be added here explicitly, with its determinism argument.
-pub const THREAD_EXEMPT_FILES: &[&str] = &["crates/net/src/engine.rs", "crates/net/src/pool.rs"];
 
 /// Comparator-taking sort/search functions whose key function must be
 /// a total order.
@@ -288,20 +280,17 @@ fn scan_determinism(file: &SourceFile, hash_no_ord: &BTreeSet<&str>, findings: &
         let name = t.text(&stripped);
         let called = matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Punct(b'('));
 
-        // L009: thread spawn / mpsc channels outside the batch engine
-        // and its worker pool.
-        if !THREAD_EXEMPT_FILES.contains(&file.path.as_str())
-            && ((name == "spawn" && called) || name == "mpsc")
-        {
+        // L009: thread spawn / mpsc channels anywhere in the analyzed
+        // (non-tooling) crates.
+        if (name == "spawn" && called) || name == "mpsc" {
             findings.push(Finding {
-                rule: Rule::ThreadOutsideBatch,
+                rule: Rule::ThreadPrimitive,
                 path: file.path.clone(),
                 line: t.line as usize,
                 message: format!(
-                    "`{name}` outside {}: thread scheduling order would leak \
-                     into traces; only the batch engine's deterministic \
-                     worker-pool fork/join may use threads",
-                    THREAD_EXEMPT_FILES.join(", ")
+                    "`{name}` in a simulation crate: thread scheduling order \
+                     would leak into traces; only vod-bench and vod-check \
+                     may use threads"
                 ),
             });
         }
@@ -388,15 +377,14 @@ mod tests {
         }
     }
 
-    /// Stubs for all six hot-path roots, so fixture workspaces resolve
+    /// Stubs for all five hot-path roots, so fixture workspaces resolve
     /// the anchor without dragging in the real tree. `run_full` calls
     /// `step()`, the hook each fixture hangs its violation on.
     fn roots_stub() -> SourceFile {
         file(
             "crates/core/src/roots.rs",
             "impl VodService {\n    pub fn run_full(&self) { step(); }\n    pub fn run_to_end(&self) {}\n}\n\
-             impl FlowNetwork {\n    pub fn advance(&self) {}\n    pub fn advance_into(&self) {}\n    pub fn next_completion(&self) {}\n}\n\
-             impl RoutingEngine {\n    pub fn select_batch(&self) {}\n}\n",
+             impl FlowNetwork {\n    pub fn advance(&self) {}\n    pub fn advance_into(&self) {}\n    pub fn next_completion(&self) {}\n}\n",
         )
     }
 
@@ -472,18 +460,9 @@ mod tests {
             &Allowlist::default(),
         );
         assert_eq!(codes(&out), vec!["L009"]);
-        // The batch engine and its worker pool are exempt — and nothing
-        // else in their directory is.
-        for exempt_path in THREAD_EXEMPT_FILES {
-            let out = analyze_with(
-                &[file(exempt_path, "fn f(s: &Scope) { s.spawn(|| {}); }\n")],
-                &Allowlist::default(),
-            );
-            assert!(out.findings.is_empty(), "{exempt_path}");
-        }
         let out = analyze_with(
             &[file(
-                "crates/net/src/dijkstra.rs",
+                "crates/net/src/engine.rs",
                 "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); }\n",
             )],
             &Allowlist::default(),

@@ -16,7 +16,7 @@
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// An identifier or keyword (`fn`, `impl`, `select_batch`).
+    /// An identifier or keyword (`fn`, `impl`, `select`).
     Ident,
     /// A numeric literal (`0`, `1_000`, `0xff`, `1.5e3`).
     Num,

@@ -11,8 +11,8 @@
 //!   dependency-free [`lex`]er and [`model`] item extractor feed a
 //!   [`callgraph`] whose reachability from the sim hot-path roots
 //!   scopes the panic rules (`unwrap`/`expect`/panic macros/computed
-//!   slice indexing), plus determinism dataflow rules (threads outside
-//!   the batch engine, `partial_cmp` sort keys, `Hash`-without-`Ord`
+//!   slice indexing), plus determinism dataflow rules (thread
+//!   primitives, `partial_cmp` sort keys, `Hash`-without-`Ord`
 //!   map keys) and the [`drift`] pass cross-referencing every `Event`
 //!   variant against its series/span/audit consumers.
 //!

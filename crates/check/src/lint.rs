@@ -47,8 +47,8 @@ pub enum Rule {
     /// L008: panic-family macro or computed slice index reachable from
     /// a hot-path root without an allowlist grant.
     ReachablePanic,
-    /// L009: thread/channel primitive outside `vod-net`'s batch engine.
-    ThreadOutsideBatch,
+    /// L009: thread/channel primitive outside `vod-bench`/`vod-check`.
+    ThreadPrimitive,
     /// L010: float sort key via `partial_cmp` without `total_cmp`.
     FloatSortKey,
     /// L011: `Hash`-without-`Ord` type keying an unordered map.
@@ -70,7 +70,7 @@ impl Rule {
             Rule::ReachableUnwrap => "L006",
             Rule::ReachableExpect => "L007",
             Rule::ReachablePanic => "L008",
-            Rule::ThreadOutsideBatch => "L009",
+            Rule::ThreadPrimitive => "L009",
             Rule::FloatSortKey => "L010",
             Rule::HashKeyIteration => "L011",
             Rule::ObsTaxonomyDrift => "L012",

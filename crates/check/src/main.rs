@@ -39,8 +39,8 @@ SUBCOMMANDS:
               wall-clock reads, ambient RNG, unordered collections in
               report paths, panic hygiene, missing forbid(unsafe_code).
     analyze   Semantic rules (L006-L012): call-graph panic reachability
-              from the sim hot-path roots, determinism dataflow (threads
-              outside the batch engine, partial_cmp sort keys,
+              from the sim hot-path roots, determinism dataflow (thread
+              primitives, partial_cmp sort keys,
               Hash-without-Ord map keys), and Event-taxonomy drift
               across the series/span/audit consumers.
     audit     Replays a JSONL trace against reference implementations of

@@ -105,7 +105,7 @@ impl FnDef {
     }
 
     /// Fully qualified display path
-    /// (`vod_net::engine::RoutingEngine::select_batch`).
+    /// (`vod_net::engine::RoutingEngine::select`).
     pub fn display(&self) -> String {
         let mut out = format!("vod_{}", self.krate);
         for m in &self.module {

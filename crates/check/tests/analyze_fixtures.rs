@@ -17,15 +17,14 @@ fn file(path: &str, text: &str) -> SourceFile {
     }
 }
 
-/// Stubs for all six hot-path roots, so fixture workspaces resolve the
+/// Stubs for all five hot-path roots, so fixture workspaces resolve the
 /// analyzer's anchor without dragging in the real tree. `run_full`
 /// calls `step()`, the hook each fixture hangs its violation on.
 fn roots_stub() -> SourceFile {
     file(
         "crates/core/src/roots.rs",
         "impl VodService {\n    pub fn run_full(&self) { step(); }\n    pub fn run_to_end(&self) {}\n}\n\
-         impl FlowNetwork {\n    pub fn advance(&self) {}\n    pub fn advance_into(&self) {}\n    pub fn next_completion(&self) {}\n}\n\
-         impl RoutingEngine {\n    pub fn select_batch(&self) {}\n}\n",
+         impl FlowNetwork {\n    pub fn advance(&self) {}\n    pub fn advance_into(&self) {}\n    pub fn next_completion(&self) {}\n}\n",
     )
 }
 
@@ -67,7 +66,7 @@ fn l008_reachable_panic_macro() {
 }
 
 #[test]
-fn l009_thread_outside_batch_module() {
+fn l009_thread_primitive() {
     let out = analyze_with(&[file(
         "crates/core/src/step.rs",
         "fn step() { std::thread::spawn(move || work()); }\n",

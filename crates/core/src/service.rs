@@ -34,7 +34,7 @@ use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
 use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry, NullSink, RunReport, RunSummary};
 use vod_sim::engine::{Model, Simulation};
 use vod_sim::fault::{FaultKind, FaultPlan};
-use vod_sim::flow::{FlowId, FlowKernel, FlowNetwork, COMPLETION_CHECK_SLACK};
+use vod_sim::flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
 use vod_sim::metrics::{Summary, TimeSeries};
 use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
@@ -200,17 +200,12 @@ pub struct ServiceConfig {
     /// moving average of each link's reading history instead of the
     /// latest poll — an anti-thrash ablation for the staleness problem.
     pub snmp_smoothing: Option<f64>,
-    /// Scheduled server outages, `(down_at, up_at, node)`. While down, a
-    /// server provides no titles (its catalog entries are withdrawn, its
-    /// cache is cold on recovery) and in-flight transfers from it are
-    /// re-routed — the "dynamic adjustment to server configuration
-    /// changes" the paper advertises.
-    pub failures: Vec<(SimTime, SimTime, NodeId)>,
     /// Deterministic fault-injection plan (link outages and flaps,
     /// bandwidth degradation, SNMP-poller outages, server crashes).
-    /// [`ServiceConfig::failures`] entries are folded into this plan as
-    /// [`FaultKind::ServerOutage`] windows at construction, so both
-    /// knobs share one scheduling and accounting path.
+    /// While a server is down it provides no titles (its catalog
+    /// entries are withdrawn, its cache is cold on recovery) and
+    /// in-flight transfers from it are re-routed — the "dynamic
+    /// adjustment to server configuration changes" the paper advertises.
     pub fault_plan: FaultPlan,
     /// How sessions respond to transient fetch failures (default:
     /// instant abort, the pre-retry behaviour).
@@ -218,10 +213,6 @@ pub struct ServiceConfig {
     /// Hard stop for recurring events after the last arrival (stalled
     /// zero-rate sessions past this point are reported as unfinished).
     pub drain_grace: SimDuration,
-    /// Which flow-accounting kernel the fluid network runs
-    /// ([`FlowKernel::Lazy`] by default; [`FlowKernel::Reference`] keeps
-    /// the naive `O(flows)`-per-event kernel for baselining).
-    pub flow_kernel: FlowKernel,
     /// Optional regional prefix-caching tier (`None` = paper-exact:
     /// every cluster comes from the selected origin server).
     pub prefix_tier: Option<PrefixTierConfig>,
@@ -243,11 +234,9 @@ impl Default for ServiceConfig {
             initial_replicas: 1,
             admission: None,
             snmp_smoothing: None,
-            failures: Vec::new(),
             fault_plan: FaultPlan::new(),
             retry: RetryPolicy::default(),
             drain_grace: SimDuration::from_secs(24 * 3600),
-            flow_kernel: FlowKernel::Lazy,
             prefix_tier: None,
         }
     }
@@ -2098,7 +2087,7 @@ impl<S: EventSink> VodService<S> {
             }
         }
 
-        let mut flows = FlowNetwork::with_kernel(topology.clone(), config.flow_kernel);
+        let mut flows = FlowNetwork::new(topology.clone());
         flows.set_local_rate(config.local_rate);
         scenario.background().apply(&mut flows, start);
 
@@ -2187,23 +2176,8 @@ impl<S: EventSink> VodService<S> {
         sim.scheduler_mut().schedule(snmp_next, Event::SnmpPoll);
         sim.scheduler_mut()
             .schedule(bg_next, Event::BackgroundUpdate);
-        // Scheduled faults. Legacy `failures` entries are folded into the
-        // fault plan as server-outage windows (after their historical
-        // validation), so one path schedules and accounts for everything.
-        let mut plan = sim.model().config.fault_plan.clone();
-        for &(down_at, up_at, node) in &sim.model().config.failures {
-            if down_at >= up_at {
-                return Err(CoreError::InvalidConfig(
-                    "a failure must end after it starts".into(),
-                ));
-            }
-            if !sim.model().caches.contains_key(&node) {
-                return Err(CoreError::InvalidConfig(
-                    "only video servers can fail".into(),
-                ));
-            }
-            plan = plan.server_outage(down_at, up_at, node);
-        }
+        // Scheduled faults.
+        let plan = sim.model().config.fault_plan.clone();
         plan.validate(&sim.model().topology)
             .map_err(|e| CoreError::InvalidConfig(format!("invalid fault plan: {e}")))?;
         for window in plan.windows() {
@@ -2307,11 +2281,22 @@ mod tests {
     use crate::vra::Vra;
 
     fn quick_scenario(seed: u64) -> Scenario {
-        use vod_sim::traffic::BackgroundModel;
+        let grnet = vod_net::topologies::grnet::Grnet::new();
+        quick_scenario_over(
+            grnet.topology().clone(),
+            vod_sim::traffic::BackgroundModel::grnet_table2(&grnet),
+            seed,
+        )
+    }
+
+    fn quick_scenario_over(
+        topology: Topology,
+        background: vod_sim::traffic::BackgroundModel,
+        seed: u64,
+    ) -> Scenario {
         use vod_workload::arrivals::HourlyShape;
         use vod_workload::library::{LibraryConfig, LibraryGenerator};
         use vod_workload::trace::TraceConfig;
-        let grnet = vod_net::topologies::grnet::Grnet::new();
         let library = LibraryGenerator::new(LibraryConfig {
             titles: 12,
             min_size_mb: 50.0,
@@ -2327,15 +2312,8 @@ mod tests {
             zipf_skew: 0.9,
             client_weights: None,
         }
-        .generate(grnet.topology(), &library, seed);
-        Scenario::new(
-            "quick",
-            grnet.topology().clone(),
-            library,
-            trace,
-            BackgroundModel::grnet_table2(&grnet),
-            seed,
-        )
+        .generate(&topology, &library, seed);
+        Scenario::new("quick", topology, library, trace, background, seed)
     }
 
     fn quick_config() -> ServiceConfig {
@@ -2502,11 +2480,11 @@ mod tests {
         // With 2 replicas per title, every title survives one failure.
         let config = ServiceConfig {
             initial_replicas: 2,
-            failures: vec![(
+            fault_plan: FaultPlan::new().server_outage(
                 start + SimDuration::from_secs(300),
                 start + SimDuration::from_secs(2_400),
                 victim,
-            )],
+            ),
             ..quick_config()
         };
         let report = VodService::new(&scenario, Box::new(Vra::default()), config).run();
@@ -2541,11 +2519,11 @@ mod tests {
         // Single-copy seeding: titles on the victim vanish with it.
         let config = ServiceConfig {
             initial_replicas: 1,
-            failures: vec![(
+            fault_plan: FaultPlan::new().server_outage(
                 start + SimDuration::from_secs(60),
                 start + SimDuration::from_secs(30_000),
                 victim,
-            )],
+            ),
             ..quick_config()
         };
         let n = scenario.trace().len();
@@ -2572,18 +2550,17 @@ mod tests {
         // revive the server — the enclosing window runs to +900.
         let config = ServiceConfig {
             initial_replicas: 2,
-            failures: vec![
-                (
+            fault_plan: FaultPlan::new()
+                .server_outage(
                     start + SimDuration::from_secs(60),
                     start + SimDuration::from_secs(600),
                     victim,
-                ),
-                (
+                )
+                .server_outage(
                     start + SimDuration::from_secs(120),
                     start + SimDuration::from_secs(900),
                     victim,
                 ),
-            ],
             ..quick_config()
         };
         let service = VodService::with_sink(
@@ -2803,9 +2780,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "only video servers can fail")]
     fn failing_a_non_server_is_rejected() {
-        let scenario = quick_scenario(1);
+        // A transit node is in the topology (the plan validates) but
+        // hosts no video server.
+        let mut b = vod_net::TopologyBuilder::new();
+        let a = b.add_node("a");
+        let hub = b.add_node_with_kind("hub", vod_net::node::NodeKind::Transit);
+        let c = b.add_node("c");
+        b.add_link(a, hub, Mbps::new(18.0)).unwrap();
+        b.add_link(hub, c, Mbps::new(18.0)).unwrap();
+        let background = vod_sim::traffic::BackgroundModel::uniform(2, Mbps::ZERO);
+        let scenario = quick_scenario_over(b.build(), background, 1);
         let config = ServiceConfig {
-            failures: vec![(SimTime::ZERO, SimTime::from_secs(1), NodeId::new(99))],
+            fault_plan: FaultPlan::new().server_outage(SimTime::ZERO, SimTime::from_secs(1), hub),
             ..quick_config()
         };
         let _ = VodService::new(&scenario, Box::new(Vra::default()), config);

@@ -18,7 +18,7 @@
 //! the content of the paper's Tables 4/5 and its Experiments A–D.
 
 use vod_net::dijkstra::dijkstra_with_trace;
-use vod_net::engine::{BatchRequest, RoutingEngine};
+use vod_net::engine::RoutingEngine;
 use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::trace::DijkstraTrace;
 use vod_net::{NodeId, Route, Topology, TrafficSnapshot};
@@ -95,43 +95,6 @@ impl Vra {
     /// statistics live in [`RoutingEngine::stats`]).
     pub fn engine(&self) -> &RoutingEngine {
         &self.engine
-    }
-
-    /// Overrides the engine's batch worker count — see
-    /// [`RoutingEngine::set_batch_workers`]. `None` restores the
-    /// automatic policy (clamp to hardware and batch size).
-    pub fn set_batch_workers(&mut self, workers: Option<usize>) {
-        self.engine.set_batch_workers(workers);
-    }
-
-    /// Answers many selection requests against one prepared snapshot
-    /// epoch in a single pass, fanning the distinct uncached home
-    /// servers out over the engine's persistent worker pool. Each slot
-    /// is `Some(selection)` or `None` when no candidate was reachable —
-    /// decision-for-decision identical to calling
-    /// [`ServerSelector::select`] per request (which maps the `None`
-    /// case to [`CoreError::Unreachable`] instead).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Net`] for malformed inputs (foreign nodes, snapshot
-    /// not covering the topology).
-    pub fn select_batch(
-        &mut self,
-        topology: &Topology,
-        snapshot: &TrafficSnapshot,
-        requests: &[BatchRequest<'_>],
-    ) -> Result<Vec<Option<Selection>>, CoreError> {
-        let selections = self.engine.select_batch(topology, snapshot, requests)?;
-        Ok(selections
-            .into_iter()
-            .map(|slot| {
-                slot.map(|sel| Selection {
-                    server: sel.server,
-                    route: sel.route,
-                })
-            })
-            .collect())
     }
 
     /// Computes the LVN weight table for the given network state.
@@ -467,48 +430,6 @@ mod tests {
         assert_eq!(stats.dijkstra_runs, 2);
         assert_eq!(stats.path_cache_hits, 2);
         assert_eq!(stats.weight_cache_hits, 2);
-    }
-
-    /// `Vra::select_batch` must agree with per-request `select` calls
-    /// slot for slot — including the pooled path, forced via the
-    /// worker-count override.
-    #[test]
-    fn batch_selects_match_per_request_selects() {
-        let grnet = Grnet::new();
-        let snap = grnet.snapshot(TimeOfDay::T1000);
-        let candidates = [
-            grnet.node(GrnetNode::Thessaloniki),
-            grnet.node(GrnetNode::Xanthi),
-        ];
-        let homes = [
-            GrnetNode::Patra,
-            GrnetNode::Athens,
-            GrnetNode::Thessaloniki,
-            GrnetNode::Heraklio,
-            GrnetNode::Ioannina,
-        ];
-        let requests: Vec<BatchRequest<'_>> = homes
-            .iter()
-            .map(|&h| BatchRequest {
-                home: grnet.node(h),
-                candidates: &candidates,
-            })
-            .collect();
-
-        let mut reference = Vra::default();
-        let expected: Vec<Option<Selection>> = homes
-            .iter()
-            .map(|&h| reference.select(&ctx(&grnet, &snap, h, &candidates)).ok())
-            .collect();
-
-        for workers in [None, Some(2), Some(4)] {
-            let mut vra = Vra::default();
-            vra.set_batch_workers(workers);
-            let got = vra
-                .select_batch(grnet.topology(), &snap, &requests)
-                .unwrap();
-            assert_eq!(got, expected, "workers={workers:?}");
-        }
     }
 
     #[test]

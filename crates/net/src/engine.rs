@@ -24,13 +24,6 @@
 //! * cold Dijkstra runs reuse a [`DijkstraScratch`], so the steady state
 //!   allocates nothing beyond the cached trees themselves.
 //!
-//! [`RoutingEngine::select_batch`] additionally fans independent Dijkstra
-//! runs for distinct home servers out over a persistent worker pool
-//! (`crate::pool`, feature `parallel`, on by default) owned by the
-//! engine — jobs are channel-fed home partitions and results are
-//! reassembled by request index, so the outcome is deterministic and
-//! identical to the sequential path.
-//!
 //! The engine's results are bit-identical to the slow reference path —
 //! the property test `engine_vs_reference` and the unit tests below pin
 //! this against [`LvnComputer`](crate::lvn::LvnComputer) +
@@ -71,8 +64,6 @@ use crate::dijkstra::{dijkstra_with_scratch, DijkstraScratch, ShortestPaths};
 use crate::error::NetError;
 use crate::ids::{LinkId, NodeId};
 use crate::lvn::{LinkWeights, LvnParams};
-#[cfg(feature = "parallel")]
-use crate::pool::WorkerPool;
 use crate::route::Route;
 use crate::snapshot::{SnapshotEpoch, TrafficSnapshot};
 use crate::sssp::{align_weights, repair_tree, RepairScratch};
@@ -107,7 +98,7 @@ impl TopologyKey {
 /// operational visibility; see [`RoutingEngine::stats`].
 #[derive(Debug, Copy, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Total [`RoutingEngine::select`] calls (batch requests included).
+    /// Total [`RoutingEngine::select`] calls.
     pub requests: u64,
     /// Requests answered by the home server itself (the VRA's "IF the
     /// adjacent video server can provide the requested video" short
@@ -130,8 +121,6 @@ pub struct EngineStats {
     pub tree_repairs: u64,
     /// Total shortest-path trees repaired across all those calls.
     pub trees_repaired: u64,
-    /// Batches whose Dijkstra fan-out ran on the persistent worker pool.
-    pub pool_batches: u64,
 }
 
 /// The outcome of one engine selection: the chosen server and the
@@ -148,15 +137,6 @@ pub struct EngineSelection {
     pub served_locally: bool,
 }
 
-/// One request of a [`RoutingEngine::select_batch`] call.
-#[derive(Debug, Copy, Clone)]
-pub struct BatchRequest<'a> {
-    /// The client's home (directly connected) server.
-    pub home: NodeId,
-    /// The servers holding the requested title.
-    pub candidates: &'a [NodeId],
-}
-
 /// Cached state derived from one (topology, snapshot-epoch) pair.
 #[derive(Debug, Clone)]
 struct EngineCache {
@@ -164,11 +144,8 @@ struct EngineCache {
     epoch: SnapshotEpoch,
     /// Per-node NV values (equation (2)), in node-id order.
     nv: Vec<f64>,
-    /// Per-link LVN weights (equation (1)), in link-id order. Behind an
-    /// `Arc` so pool workers can share the table without copying it;
-    /// mutation goes through [`Arc::make_mut`], which is a plain
-    /// dereference while no batch is in flight (the common case).
-    weights: Arc<LinkWeights>,
+    /// Per-link LVN weights (equation (1)), in link-id order.
+    weights: LinkWeights,
     /// Number of links whose weight is exactly `0.0`. Dynamic tree
     /// repair requires every finite weight to be strictly positive (see
     /// [`crate::sssp`]); while this is non-zero an epoch change drops
@@ -196,16 +173,6 @@ pub struct RoutingEngine {
     /// the weight of `adjacency_entries()[i].link`, so tree repair reads
     /// weights sequentially instead of through a link-indexed lookup.
     aligned_scratch: Vec<f64>,
-    /// Explicit batch worker count; `None` = automatic policy (clamp to
-    /// hardware and batch size). See [`RoutingEngine::set_batch_workers`].
-    batch_workers: Option<usize>,
-    /// The topology shared with pool workers, keyed so a swap
-    /// invalidates it; cloned at most once per distinct topology.
-    #[cfg(feature = "parallel")]
-    shared_topology: Option<(TopologyKey, Arc<Topology>)>,
-    /// Lazily-spawned persistent Dijkstra worker pool.
-    #[cfg(feature = "parallel")]
-    pool: Option<WorkerPool>,
     stats: EngineStats,
 }
 
@@ -221,18 +188,11 @@ impl Clone for RoutingEngine {
             params: self.params,
             cache: self.cache.clone(),
             // Scratch buffers are cheap to regrow; don't clone the heap.
-            // The worker pool is per-engine (lazily respawned) and the
-            // shared-topology Arc is re-derived on first parallel batch.
             scratch: DijkstraScratch::new(),
             repair: RepairScratch::new(),
             dirty_scratch: Vec::new(),
             changed_scratch: Vec::new(),
             aligned_scratch: Vec::new(),
-            batch_workers: self.batch_workers,
-            #[cfg(feature = "parallel")]
-            shared_topology: self.shared_topology.clone(),
-            #[cfg(feature = "parallel")]
-            pool: None,
             stats: self.stats,
         }
     }
@@ -249,11 +209,6 @@ impl RoutingEngine {
             dirty_scratch: Vec::new(),
             changed_scratch: Vec::new(),
             aligned_scratch: Vec::new(),
-            batch_workers: None,
-            #[cfg(feature = "parallel")]
-            shared_topology: None,
-            #[cfg(feature = "parallel")]
-            pool: None,
             stats: EngineStats::default(),
         }
     }
@@ -276,26 +231,6 @@ impl RoutingEngine {
     /// Drops all cached state; the next call rebuilds from scratch.
     pub fn clear_cache(&mut self) {
         self.cache = None;
-    }
-
-    /// Overrides the batch worker count used by
-    /// [`RoutingEngine::select_batch`].
-    ///
-    /// `None` (the default) applies the automatic policy: clamp the
-    /// requested count to the machine's available parallelism and to one
-    /// worker per [`POOL_HOMES_PER_WORKER`] uncached homes. `Some(n)`
-    /// bypasses both clamps and dispatches `n` workers (capped at the
-    /// number of uncached homes) whenever a batch has ≥ 2 homes to
-    /// solve — the knob tests use to exercise the pool on hosts whose
-    /// hardware parallelism would otherwise force the sequential path,
-    /// and operators use to pin routing threads.
-    pub fn set_batch_workers(&mut self, workers: Option<usize>) {
-        self.batch_workers = workers;
-    }
-
-    /// The explicit batch worker override, if any.
-    pub fn batch_workers(&self) -> Option<usize> {
-        self.batch_workers
     }
 
     /// Ensures the weight cache matches `snapshot`'s current epoch,
@@ -346,13 +281,12 @@ impl RoutingEngine {
                         // place. Strict positivity held before and after
                         // the patch, so the canonical-parent invariant
                         // repair relies on is intact (crate::sssp docs).
-                        let weights = Arc::clone(&cache.weights);
-                        align_weights(topology, &weights, &mut self.aligned_scratch);
+                        align_weights(topology, &cache.weights, &mut self.aligned_scratch);
                         let mut repaired = 0u64;
                         for tree in cache.paths.values_mut() {
                             repair_tree(
                                 topology,
-                                &weights,
+                                &cache.weights,
                                 &self.aligned_scratch,
                                 &self.changed_scratch,
                                 Arc::make_mut(tree),
@@ -394,12 +328,11 @@ impl RoutingEngine {
         snapshot: &TrafficSnapshot,
     ) -> Result<&LinkWeights, NetError> {
         self.prepare(topology, snapshot)?;
-        Ok(self
+        Ok(&self
             .cache
             .as_ref()
             .expect("prepare populates the cache")
-            .weights
-            .as_ref())
+            .weights)
     }
 
     /// The shortest-path tree from `home` at `snapshot`'s current epoch,
@@ -462,171 +395,6 @@ impl RoutingEngine {
         Ok(pick_candidate(&paths, candidates))
     }
 
-    /// Answers a batch of requests against one prepared epoch, running
-    /// Dijkstra for the distinct uncached home servers in parallel on
-    /// the engine's persistent worker pool (feature `parallel`;
-    /// sequential otherwise). By default one worker per available CPU,
-    /// capped at one worker per [`POOL_HOMES_PER_WORKER`] uncached
-    /// homes, so small batches take the sequential path; see
-    /// [`RoutingEngine::set_batch_workers`] to override the policy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RoutingEngine::select`].
-    pub fn select_batch(
-        &mut self,
-        topology: &Topology,
-        snapshot: &TrafficSnapshot,
-        requests: &[BatchRequest<'_>],
-    ) -> Result<Vec<Option<EngineSelection>>, NetError> {
-        self.select_batch_with_threads(topology, snapshot, requests, hardware_parallelism())
-    }
-
-    /// [`RoutingEngine::select_batch`] with an explicit worker count.
-    /// Under the default policy the count is an upper bound, not a
-    /// demand: it is clamped to the machine's available parallelism and
-    /// to roughly one worker per [`POOL_HOMES_PER_WORKER`] uncached
-    /// homes, so small batches always take the sequential path
-    /// regardless of the requested concurrency (`1` forces it
-    /// unconditionally). An explicit [`RoutingEngine::set_batch_workers`]
-    /// override takes precedence over both `threads` and the clamps.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RoutingEngine::select`].
-    pub fn select_batch_with_threads(
-        &mut self,
-        topology: &Topology,
-        snapshot: &TrafficSnapshot,
-        requests: &[BatchRequest<'_>],
-        threads: usize,
-    ) -> Result<Vec<Option<EngineSelection>>, NetError> {
-        self.prepare(topology, snapshot)?;
-
-        // Distinct home servers that actually need a Dijkstra run.
-        let mut homes: Vec<NodeId> = requests
-            .iter()
-            .filter(|r| !r.candidates.contains(&r.home))
-            .map(|r| r.home)
-            .collect();
-        homes.sort_unstable();
-        homes.dedup();
-        for &home in &homes {
-            topology.try_node(home)?;
-        }
-        {
-            let cache = self.cache.as_ref().expect("prepare populates the cache");
-            homes.retain(|h| !cache.paths.contains_key(h));
-        }
-
-        let workers = self.plan_workers(homes.len(), threads);
-        let solved = if workers > 1 {
-            self.solve_homes_pooled(topology, homes.clone(), workers)?
-        } else {
-            let cache = self.cache.as_ref().expect("prepare populates the cache");
-            let mut out = Vec::with_capacity(homes.len());
-            for &home in &homes {
-                out.push(dijkstra_with_scratch(
-                    topology,
-                    &cache.weights,
-                    home,
-                    &mut self.scratch,
-                )?);
-            }
-            out
-        };
-        self.stats.dijkstra_runs += homes.len() as u64;
-        let cache = self.cache.as_mut().expect("prepare populates the cache");
-        for (home, paths) in homes.into_iter().zip(solved) {
-            cache.paths.insert(home, Arc::new(paths));
-        }
-
-        Ok(requests
-            .iter()
-            .map(|r| {
-                self.stats.requests += 1;
-                if r.candidates.contains(&r.home) {
-                    self.stats.local_hits += 1;
-                    return Some(local_selection(r.home));
-                }
-                self.stats.path_cache_hits += 1;
-                let paths = &cache.paths[&r.home];
-                pick_candidate(paths, r.candidates)
-            })
-            .collect())
-    }
-
-    /// Resolves the effective worker count for a batch with `uncached`
-    /// homes to solve: 1 (sequential) unless the `parallel` feature is
-    /// on and either the automatic policy or an explicit
-    /// [`RoutingEngine::set_batch_workers`] override asks for more.
-    fn plan_workers(&self, uncached: usize, requested: usize) -> usize {
-        if cfg!(not(feature = "parallel")) || uncached < 2 {
-            return 1;
-        }
-        match self.batch_workers {
-            Some(n) => n.clamp(1, uncached),
-            None => requested
-                .min(hardware_parallelism())
-                .min(uncached.div_ceil(POOL_HOMES_PER_WORKER))
-                .max(1),
-        }
-    }
-
-    /// Fans the uncached homes out over the persistent worker pool and
-    /// reassembles the trees in home order. Slots lost to a dead worker
-    /// (a panicked sibling cannot poison the job queue, but belt and
-    /// braces) are solved inline, so the result — including which error
-    /// surfaces first — is identical to the sequential path.
-    #[cfg(feature = "parallel")]
-    fn solve_homes_pooled(
-        &mut self,
-        topology: &Topology,
-        homes: Vec<NodeId>,
-        workers: usize,
-    ) -> Result<Vec<ShortestPaths>, NetError> {
-        let key = TopologyKey::of(topology);
-        let shared = match &self.shared_topology {
-            Some((k, arc)) if *k == key => Arc::clone(arc),
-            _ => {
-                let arc = Arc::new(topology.clone());
-                self.shared_topology = Some((key, Arc::clone(&arc)));
-                arc
-            }
-        };
-        let weights = {
-            let cache = self.cache.as_ref().expect("prepare populates the cache");
-            Arc::clone(&cache.weights)
-        };
-        let homes = Arc::new(homes);
-        let pool = self.pool.get_or_insert_with(WorkerPool::new);
-        let slots = pool.solve(&shared, &weights, &homes, workers);
-        self.stats.pool_batches += 1;
-        let mut out = Vec::with_capacity(homes.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(solved) => out.push(solved?),
-                None => out.push(dijkstra_with_scratch(
-                    topology,
-                    &weights,
-                    homes[i],
-                    &mut self.scratch,
-                )?),
-            }
-        }
-        Ok(out)
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn solve_homes_pooled(
-        &mut self,
-        _topology: &Topology,
-        _homes: Vec<NodeId>,
-        _workers: usize,
-    ) -> Result<Vec<ShortestPaths>, NetError> {
-        unreachable!("plan_workers returns 1 without the `parallel` feature")
-    }
-
     /// Rebuilds the whole cache for (`key`, `epoch`), reusing the path
     /// map's allocation when possible.
     fn rebuild_full(
@@ -656,7 +424,7 @@ impl RoutingEngine {
             key,
             epoch,
             nv,
-            weights: Arc::new(weights),
+            weights,
             zero_weights,
             paths,
         });
@@ -737,9 +505,7 @@ fn patch_cache(
     for &node in &affected {
         cache.nv[node.index()] = node_validation(topology, snapshot, node);
     }
-    // While no pool batch is in flight (always, between calls) the Arc is
-    // unique and `make_mut` is a plain dereference — no copy.
-    let weights = Arc::make_mut(&mut cache.weights);
+    let weights = &mut cache.weights;
     // Links incident to two affected nodes are re-weighted twice; both
     // passes write the same value, so the second pass never re-pushes
     // (the bitwise comparison sees the already-updated weight).
@@ -798,28 +564,6 @@ fn pick_candidate(paths: &ShortestPaths, candidates: &[NodeId]) -> Option<Engine
             .expect("reachable candidate has a route"),
         served_locally: false,
     })
-}
-
-/// Minimum number of uncached homes per pool worker before the automatic
-/// policy adds another worker to a batch. Dispatching a pooled job costs
-/// a couple of channel operations (≈ 1 µs, versus tens of µs for the
-/// scoped-thread spawn this floor originally guarded), so it can sit far
-/// lower than the old [`HOMES_PER_THREAD`] = 8: one GRNET-sized Dijkstra
-/// run costs a few hundred nanoseconds, so ≈ 4 runs still amortise the
-/// handoff.
-pub const POOL_HOMES_PER_WORKER: usize = 4;
-
-/// Former name of the fan-out floor, kept for downstream callers; the
-/// persistent pool sizes batches by [`POOL_HOMES_PER_WORKER`].
-pub const HOMES_PER_THREAD: usize = POOL_HOMES_PER_WORKER;
-
-/// [`std::thread::available_parallelism`], resolved once per process.
-/// The std call re-reads cgroup quota files on Linux (tens of
-/// microseconds), which would dominate a small GRNET batch if paid on
-/// every [`RoutingEngine::select_batch`] call.
-fn hardware_parallelism() -> usize {
-    static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]
@@ -1057,99 +801,6 @@ mod tests {
             engine.prepare(grnet.topology(), &foreign),
             Err(NetError::WeightCountMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn batch_matches_sequential_selects_across_thread_counts() {
-        let (grnet, snap) = grnet_fixture();
-        let nodes = [
-            GrnetNode::Patra,
-            GrnetNode::Athens,
-            GrnetNode::Thessaloniki,
-            GrnetNode::Xanthi,
-            GrnetNode::Ioannina,
-            GrnetNode::Heraklio,
-        ];
-        let candidates: Vec<NodeId> = [GrnetNode::Thessaloniki, GrnetNode::Xanthi]
-            .iter()
-            .map(|&n| grnet.node(n))
-            .collect();
-        let requests: Vec<BatchRequest<'_>> = nodes
-            .iter()
-            .map(|&n| BatchRequest {
-                home: grnet.node(n),
-                candidates: &candidates,
-            })
-            .collect();
-
-        let mut sequential = RoutingEngine::default();
-        let expected: Vec<Option<EngineSelection>> = requests
-            .iter()
-            .map(|r| {
-                sequential
-                    .select(grnet.topology(), &snap, r.home, r.candidates)
-                    .unwrap()
-            })
-            .collect();
-
-        for threads in [1, 2, 4, 8] {
-            let mut engine = RoutingEngine::default();
-            let got = engine
-                .select_batch_with_threads(grnet.topology(), &snap, &requests, threads)
-                .unwrap();
-            assert_eq!(got, expected, "threads={threads}");
-            // One Dijkstra per distinct non-local home, cached thereafter.
-            let again = engine
-                .select_batch_with_threads(grnet.topology(), &snap, &requests, threads)
-                .unwrap();
-            assert_eq!(again, expected);
-            assert_eq!(
-                engine.stats().dijkstra_runs,
-                requests
-                    .iter()
-                    .filter(|r| !r.candidates.contains(&r.home))
-                    .map(|r| r.home)
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .len() as u64
-            );
-        }
-    }
-
-    #[test]
-    #[cfg(feature = "parallel")]
-    fn explicit_batch_workers_engage_the_pool_and_match_sequential() {
-        let (grnet, snap) = grnet_fixture();
-        let candidates: Vec<NodeId> = [GrnetNode::Thessaloniki, GrnetNode::Xanthi]
-            .iter()
-            .map(|&n| grnet.node(n))
-            .collect();
-        let requests: Vec<BatchRequest<'_>> = (0..grnet.topology().node_count())
-            .map(|i| BatchRequest {
-                home: NodeId::new(i as u32),
-                candidates: &candidates,
-            })
-            .collect();
-
-        let mut sequential = RoutingEngine::default();
-        let expected = sequential
-            .select_batch(grnet.topology(), &snap, &requests)
-            .unwrap();
-        assert_eq!(sequential.stats().pool_batches, 0);
-
-        // The override bypasses the hardware clamp, so the pool engages
-        // even on a single-CPU host — and the answers are identical.
-        let mut pooled = RoutingEngine::default();
-        pooled.set_batch_workers(Some(3));
-        assert_eq!(pooled.batch_workers(), Some(3));
-        let got = pooled
-            .select_batch(grnet.topology(), &snap, &requests)
-            .unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(pooled.stats().pool_batches, 1);
-        assert_eq!(
-            pooled.stats().dijkstra_runs,
-            sequential.stats().dijkstra_runs
-        );
     }
 
     #[test]

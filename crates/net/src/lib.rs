@@ -49,12 +49,9 @@ pub mod dijkstra;
 pub mod engine;
 pub mod error;
 pub mod ids;
-pub mod kpaths;
 pub mod link;
 pub mod lvn;
 pub mod node;
-#[cfg(feature = "parallel")]
-mod pool;
 pub mod route;
 pub mod snapshot;
 mod sssp;
@@ -63,7 +60,7 @@ pub mod topology;
 pub mod trace;
 pub mod units;
 
-pub use engine::{BatchRequest, EngineSelection, EngineStats, RoutingEngine};
+pub use engine::{EngineSelection, EngineStats, RoutingEngine};
 pub use error::NetError;
 pub use ids::{LinkId, NodeId};
 pub use link::Link;

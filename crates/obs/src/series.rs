@@ -12,11 +12,11 @@
 //! staleness.
 //!
 //! Windows are aligned to absolute sim time (window `k` covers
-//! `[k·width, (k+1)·width)`), so two runs of the same scenario — or the
-//! same scenario under different flow kernels — produce byte-identical
-//! series. The series opens at the first `request_arrival` (the
-//! preamble and any idle lead-in before the workload carry no windows)
-//! and every window from then on is emitted, including empty ones:
+//! `[k·width, (k+1)·width)`), so two runs of the same scenario produce
+//! byte-identical series. The series opens at the first
+//! `request_arrival` (the preamble and any idle lead-in before the
+//! workload carry no windows) and every window from then on is emitted,
+//! including empty ones:
 //! gauges (live sessions, link utilization) carry forward through
 //! eventless windows so the series has no gaps.
 //!

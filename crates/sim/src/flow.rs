@@ -12,19 +12,15 @@
 //! server's disks; they progress at a configurable local rate instead of
 //! competing for network bandwidth.
 //!
-//! # Kernels
+//! # Accounting
 //!
-//! Two interchangeable accounting kernels implement the same model (see
-//! [`FlowKernel`]):
-//!
-//! * **Lazy** (the default): each flow stores its remaining volume as of
-//!   its own last rate change (a per-flow sync epoch) and completions are
-//!   predicted into an indexed min-heap with lazy invalidation. Advancing
-//!   time touches only the flows that actually finish in the window, so a
-//!   simulation event costs `O(touched flows + log F)` instead of `O(F)`.
-//! * **Reference**: the naive lockstep kernel — every advance rescans and
-//!   decrements every flow. Retained as the differential-testing oracle
-//!   and as the "before" baseline for kernel benchmarks.
+//! Each flow stores its remaining volume as of its own last rate change
+//! (a per-flow sync epoch) and completions are predicted into an indexed
+//! min-heap with lazy invalidation. Advancing time touches only the flows
+//! that actually finish in the window, so a simulation event costs
+//! `O(touched flows + log F)` instead of `O(F)`. The naive lockstep
+//! kernel — every advance rescans and decrements every flow — lives on
+//! only as the differential-testing oracle in this module's test tree.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -94,18 +90,6 @@ impl fmt::Display for FlowError {
 }
 
 impl Error for FlowError {}
-
-/// Which flow-accounting kernel a [`FlowNetwork`] runs.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FlowKernel {
-    /// Lazy anchored accounting with an epoch-invalidated completion
-    /// heap: `O(touched flows + log F)` per event.
-    #[default]
-    Lazy,
-    /// The naive lockstep kernel (`O(F)` per event), kept as the
-    /// differential-testing oracle and benchmark baseline.
-    Reference,
-}
 
 #[derive(Debug, Clone)]
 struct Flow {
@@ -206,12 +190,10 @@ pub struct FlowNetwork {
     /// Deliverable-capacity fraction per link (soft degradation); `1.0`
     /// is a healthy link.
     capacity_scale: Vec<f64>,
-    /// Which accounting kernel this network runs.
-    kernel: FlowKernel,
     /// Internal clock: microseconds advanced since creation.
     clock_us: u64,
     /// Predicted completions, min-ordered by finish time, with lazy
-    /// epoch invalidation (Lazy kernel only).
+    /// epoch invalidation.
     completions: BinaryHeap<Reverse<HeapEntry>>,
     /// Ids of flows with a non-empty route, ascending (= creation order).
     /// Local flows never contend for links, so allocation and crossing
@@ -227,7 +209,7 @@ pub struct FlowNetwork {
     /// Reusable buffer for heap verify-and-requeue passes.
     requeue_scratch: Vec<HeapEntry>,
     /// Reusable per-link residual-capacity buffer for the allocation
-    /// kernels — without it every `reallocate` would allocate (and
+    /// kernel — without it every `reallocate` would allocate (and
     /// drop) a fresh `Vec<f64>`, the same churn `requeue_scratch`
     /// eliminates on the heap side.
     residual_scratch: Vec<f64>,
@@ -235,14 +217,8 @@ pub struct FlowNetwork {
 
 impl FlowNetwork {
     /// Creates a flow network over `topology` with zero background
-    /// traffic and a 100 Mbps local-serve rate, running the default
-    /// [`FlowKernel::Lazy`] kernel.
+    /// traffic and a 100 Mbps local-serve rate.
     pub fn new(topology: Topology) -> Self {
-        Self::with_kernel(topology, FlowKernel::Lazy)
-    }
-
-    /// Creates a flow network running the given accounting kernel.
-    pub fn with_kernel(topology: Topology, kernel: FlowKernel) -> Self {
         let links = topology.link_count();
         FlowNetwork {
             topology,
@@ -253,7 +229,6 @@ impl FlowNetwork {
             link_loads: vec![0.0; links],
             admin_down: vec![false; links],
             capacity_scale: vec![1.0; links],
-            kernel,
             clock_us: 0,
             completions: BinaryHeap::new(),
             network_flows: Vec::new(),
@@ -264,11 +239,6 @@ impl FlowNetwork {
         }
     }
 
-    /// The accounting kernel this network runs.
-    pub fn kernel(&self) -> FlowKernel {
-        self.kernel
-    }
-
     /// The topology this network runs over.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -277,21 +247,16 @@ impl FlowNetwork {
     /// Sets the rate at which local (empty-route) flows progress.
     pub fn set_local_rate(&mut self, rate: Mbps) {
         self.local_rate = rate;
-        match self.kernel {
-            FlowKernel::Reference => self.reallocate(),
-            FlowKernel::Lazy => {
-                // Only local flows without a per-flow override change
-                // rate; network flows and link loads are untouched.
-                let ids: Vec<FlowId> = self
-                    .flows
-                    .iter()
-                    .filter(|(_, f)| f.links.is_empty() && f.local_rate_override.is_none())
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in ids {
-                    self.apply_rate(id, rate);
-                }
-            }
+        // Only local flows without a per-flow override change rate;
+        // network flows and link loads are untouched.
+        let ids: Vec<FlowId> = self
+            .flows
+            .iter()
+            .filter(|(_, f)| f.links.is_empty() && f.local_rate_override.is_none())
+            .map(|(&id, _)| id)
+            .collect();
+        for id in ids {
+            self.apply_rate(id, rate);
         }
     }
 
@@ -417,22 +382,17 @@ impl FlowNetwork {
             // Ids are strictly increasing, so pushing keeps the vec sorted.
             self.network_flows.push(id);
         }
-        match self.kernel {
-            FlowKernel::Reference => self.reallocate(),
-            FlowKernel::Lazy => {
-                if network {
-                    self.reallocate();
-                } else {
-                    let rate = self.local_rate;
-                    self.apply_rate(id, rate);
-                }
-                if self.flows[&id].rate == Mbps::ZERO {
-                    // Zero-rate birth (oversubscribed route, or a zero
-                    // local rate): a float-dust volume must still get
-                    // collected on the next advance.
-                    self.push_entry_for(id);
-                }
-            }
+        if network {
+            self.reallocate();
+        } else {
+            let rate = self.local_rate;
+            self.apply_rate(id, rate);
+        }
+        if self.flows[&id].rate == Mbps::ZERO {
+            // Zero-rate birth (oversubscribed route, or a zero local
+            // rate): a float-dust volume must still get collected on
+            // the next advance.
+            self.push_entry_for(id);
         }
         Ok(id)
     }
@@ -462,14 +422,9 @@ impl FlowNetwork {
                 local_rate_override: Some(rate),
             },
         );
-        match self.kernel {
-            FlowKernel::Reference => self.reallocate(),
-            FlowKernel::Lazy => {
-                self.apply_rate(id, rate);
-                if self.flows[&id].rate == Mbps::ZERO {
-                    self.push_entry_for(id);
-                }
-            }
+        self.apply_rate(id, rate);
+        if self.flows[&id].rate == Mbps::ZERO {
+            self.push_entry_for(id);
         }
         Ok(id)
     }
@@ -483,11 +438,9 @@ impl FlowNetwork {
     pub fn remove_flow(&mut self, id: FlowId) -> Result<f64, FlowError> {
         let clock = self.clock_us;
         let flow = self.take_flow(id).ok_or(FlowError::UnknownFlow(id))?;
-        match self.kernel {
-            FlowKernel::Reference => self.reallocate(),
-            // A local flow holds no link bandwidth: nothing to redistribute.
-            FlowKernel::Lazy if !flow.links.is_empty() => self.reallocate(),
-            FlowKernel::Lazy => {}
+        // A local flow holds no link bandwidth: nothing to redistribute.
+        if !flow.links.is_empty() {
+            self.reallocate();
         }
         Ok(flow.remaining_at(clock))
     }
@@ -539,10 +492,9 @@ impl FlowNetwork {
         self.flows.keys().copied()
     }
 
-    /// Live entries in the lazy completion heap (the reference kernel
-    /// keeps none). Test-only: proves that frozen zero-rate flows never
-    /// enqueue predictions, so a saturated network cannot spin the
-    /// verify-and-requeue passes.
+    /// Live entries in the completion heap. Test-only: proves that
+    /// frozen zero-rate flows never enqueue predictions, so a saturated
+    /// network cannot spin the verify-and-requeue passes.
     #[cfg(test)]
     fn completion_heap_len(&self) -> usize {
         self.completions.len()
@@ -558,56 +510,44 @@ impl FlowNetwork {
     /// Returns `None` when there are no flows or none of them makes
     /// progress (all rates zero).
     ///
-    /// Takes `&mut self` because the lazy kernel garbage-collects stale
-    /// heap entries it encounters; the model state is unchanged.
+    /// Takes `&mut self` because stale heap entries encountered on the
+    /// way are garbage-collected; the model state is unchanged.
     pub fn next_completion(&mut self) -> Option<(FlowId, SimDuration)> {
-        match self.kernel {
-            FlowKernel::Reference => self
-                .flows
-                .iter()
-                .filter(|(_, f)| f.rate.as_f64() > 0.0)
-                .map(|(&id, f)| (id, f.remaining_mbit / f.rate.as_f64()))
-                .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
-                .map(|(id, secs)| (id, SimDuration::from_micros((secs * 1e6).ceil() as u64))),
-            FlowKernel::Lazy => {
-                let mut result = None;
-                let mut dust = std::mem::take(&mut self.requeue_scratch);
-                dust.clear();
-                while let Some(&Reverse(top)) = self.completions.peek() {
-                    match self.flows.get(&top.id) {
-                        Some(f) if f.epoch == top.epoch => {
-                            if f.rate.as_f64() > 0.0 {
-                                let secs = f.remaining_at(self.clock_us) / f.rate.as_f64();
-                                let dt = SimDuration::from_micros((secs * 1e6).ceil() as u64);
-                                result = Some((top.id, dt));
-                                break;
-                            }
-                            // A zero-rate dust entry is collected by
-                            // `advance` but makes no progress, so it does
-                            // not drive the completion schedule (the
-                            // reference scan filters rate > 0 the same
-                            // way). Stash it aside and keep looking.
-                            dust.push(
-                                self.completions
-                                    .pop()
-                                    .expect("pop follows a successful peek")
-                                    .0,
-                            );
-                        }
-                        // Stale: flow gone or re-rated since the entry was
-                        // pushed. Drop it for good.
-                        _ => {
-                            self.completions.pop();
-                        }
+        let mut result = None;
+        let mut dust = std::mem::take(&mut self.requeue_scratch);
+        dust.clear();
+        while let Some(&Reverse(top)) = self.completions.peek() {
+            match self.flows.get(&top.id) {
+                Some(f) if f.epoch == top.epoch => {
+                    if f.rate.as_f64() > 0.0 {
+                        let secs = f.remaining_at(self.clock_us) / f.rate.as_f64();
+                        let dt = SimDuration::from_micros((secs * 1e6).ceil() as u64);
+                        result = Some((top.id, dt));
+                        break;
                     }
+                    // A zero-rate dust entry is collected by `advance`
+                    // but makes no progress, so it does not drive the
+                    // completion schedule. Stash it aside and keep
+                    // looking.
+                    dust.push(
+                        self.completions
+                            .pop()
+                            .expect("pop follows a successful peek")
+                            .0,
+                    );
                 }
-                for e in dust.drain(..) {
-                    self.completions.push(Reverse(e));
+                // Stale: flow gone or re-rated since the entry was
+                // pushed. Drop it for good.
+                _ => {
+                    self.completions.pop();
                 }
-                self.requeue_scratch = dust;
-                result
             }
         }
+        for e in dust.drain(..) {
+            self.completions.push(Reverse(e));
+        }
+        self.requeue_scratch = dust;
+        result
     }
 
     /// Advances all flows by `dt` at their current rates and removes the
@@ -631,36 +571,14 @@ impl FlowNetwork {
         // clock: the allocation is constant across it by construction.
         self.integrate(dt);
         self.clock_us += dt.as_micros();
-        match self.kernel {
-            FlowKernel::Reference => self.advance_reference(dt, done),
-            FlowKernel::Lazy => self.advance_lazy(done),
-        }
+        self.collect_completions(done);
     }
 
-    /// Lockstep advance: decrement every flow, collect the finished.
-    fn advance_reference(&mut self, dt: SimDuration, done: &mut Vec<FlowId>) {
-        let secs = dt.as_secs_f64();
-        let clock = self.clock_us;
-        for (&id, flow) in self.flows.iter_mut() {
-            flow.remaining_mbit -= flow.rate.as_f64() * secs;
-            flow.synced_at = clock;
-            if flow.remaining_mbit <= COMPLETION_EPSILON_MBIT {
-                done.push(id);
-            }
-        }
-        for &id in done.iter() {
-            self.take_flow(id);
-        }
-        if !done.is_empty() {
-            self.reallocate();
-        }
-    }
-
-    /// Lazy advance: pop predicted completions due by now, verify each
-    /// against its flow's extrapolated remaining volume, and only touch
-    /// the flows that actually finish. Stale entries (epoch mismatch or
-    /// flow gone) are discarded; early entries are requeued.
-    fn advance_lazy(&mut self, done: &mut Vec<FlowId>) {
+    /// Pops predicted completions due by now, verifies each against its
+    /// flow's extrapolated remaining volume, and only touches the flows
+    /// that actually finish. Stale entries (epoch mismatch or flow gone)
+    /// are discarded; early entries are requeued.
+    fn collect_completions(&mut self, done: &mut Vec<FlowId>) {
         let now_secs = self.clock_us as f64 / 1e6;
         let mut requeue = std::mem::take(&mut self.requeue_scratch);
         requeue.clear();
@@ -832,7 +750,7 @@ impl FlowNetwork {
     /// instant its extrapolated remaining volume reaches the completion
     /// epsilon. Zero-rate flows never finish — except ones already at
     /// the epsilon (float dust), which get an immediate entry so the
-    /// next advance collects them like the reference kernel would.
+    /// next advance collects them.
     fn push_entry_for(&mut self, id: FlowId) {
         let flow = &self.flows[&id];
         let sync_secs = flow.synced_at as f64 / 1e6;
@@ -856,10 +774,7 @@ impl FlowNetwork {
     /// Recomputes max-min fair rates (progressive filling) and refreshes
     /// the active-link index.
     fn reallocate(&mut self) {
-        match self.kernel {
-            FlowKernel::Reference => self.reallocate_reference(),
-            FlowKernel::Lazy => self.reallocate_lazy(),
-        }
+        self.reallocate_lazy();
         self.refresh_active_links();
     }
 
@@ -867,7 +782,7 @@ impl FlowNetwork {
     /// background traffic.
     ///
     /// The buffer is taken from (and handed back to) `residual_scratch`
-    /// by the allocation kernels, so steady-state reallocation never
+    /// by `reallocate_lazy`, so steady-state reallocation never
     /// allocates — mirroring the `requeue_scratch` idiom on the heap
     /// side.
     fn residual_capacities(&mut self) -> Vec<f64> {
@@ -884,30 +799,33 @@ impl FlowNetwork {
         cap
     }
 
-    /// The original lockstep allocation: resets every flow's rate and
-    /// rebuilds the link loads from the full flow map.
+    /// Progressive filling over the network flows, visited in creation
+    /// order (the test oracle does the same, so the computed rates are
+    /// bitwise equal). Rate transitions go through `apply_rate` — flows
+    /// whose rate is unchanged keep their anchor and their predicted
+    /// completion, and local flows are never touched.
     ///
     /// Each iteration of the filling loop saturates at least one link, so
     /// the loop runs at most `link_count` times; the total cost is
     /// `O(link_count × (link_count + Σ route lengths))`.
-    fn reallocate_reference(&mut self) {
+    ///
+    /// Kept out of line: inlined into `reallocate`'s callers the fill
+    /// loop ran ~3 % slower on the benchmark's `gnp200_remote` workload.
+    #[inline(never)]
+    fn reallocate_lazy(&mut self) {
         let n_links = self.topology.link_count();
+        if self.network_flows.is_empty() {
+            // Flow-count zero: rebuild the running link sums from
+            // scratch instead of trusting incremental float arithmetic.
+            self.link_loads.iter_mut().for_each(|l| *l = 0.0);
+            return;
+        }
         let mut cap = self.residual_capacities();
 
-        // Dense view of network flows: (id, frozen?); local flows get the
-        // fixed local rate immediately.
-        let local_rate = self.local_rate;
-        let mut network: Vec<(FlowId, bool)> = Vec::with_capacity(self.flows.len());
-        for (&id, f) in self.flows.iter_mut() {
-            if f.links.is_empty() {
-                f.rate = f.local_rate_override.unwrap_or(local_rate);
-            } else {
-                f.rate = Mbps::ZERO;
-                network.push((id, false));
-            }
-        }
+        let mut network: Vec<(FlowId, bool)> =
+            self.network_flows.iter().map(|&id| (id, false)).collect();
+        let mut assigned: Vec<Mbps> = vec![Mbps::ZERO; network.len()];
 
-        // Crossing counts for unfrozen flows.
         let mut count = vec![0usize; n_links];
         for &(id, _) in &network {
             for l in &self.flows[&id].links {
@@ -948,102 +866,6 @@ impl FlowNetwork {
             }
             // Flows crossing a saturated link freeze at the current level.
             let mut froze_any = false;
-            for entry in network.iter_mut() {
-                let (id, frozen) = *entry;
-                if frozen {
-                    continue;
-                }
-                let bottlenecked = self.flows[&id]
-                    .links
-                    .iter()
-                    .any(|l| cap[l.index()] <= 1e-12);
-                if bottlenecked {
-                    entry.1 = true;
-                    froze_any = true;
-                    remaining -= 1;
-                    for l in &self.flows[&id].links {
-                        count[l.index()] -= 1;
-                    }
-                    let rate = Mbps::new(level.max(0.0));
-                    self.flows.get_mut(&id).expect("flow exists").rate = rate;
-                }
-            }
-            if !froze_any {
-                // Cannot happen with finite capacities; guard against an
-                // infinite loop by freezing everything at the level.
-                for entry in network.iter_mut() {
-                    if !entry.1 {
-                        let rate = Mbps::new(level.max(0.0));
-                        self.flows.get_mut(&entry.0).expect("flow exists").rate = rate;
-                        entry.1 = true;
-                    }
-                }
-                break;
-            }
-        }
-
-        // Refresh the per-link allocation cache.
-        self.link_loads.iter_mut().for_each(|l| *l = 0.0);
-        for f in self.flows.values() {
-            for l in &f.links {
-                self.link_loads[l.index()] += f.rate.as_f64();
-            }
-        }
-        self.residual_scratch = cap;
-    }
-
-    /// The lazy allocation: identical progressive-filling arithmetic over
-    /// the network flows (visited in the same creation order as the
-    /// reference kernel, so the computed rates are bitwise equal), but
-    /// rate transitions go through `apply_rate` — flows whose rate is
-    /// unchanged keep their anchor and their predicted completion, and
-    /// local flows are never touched.
-    fn reallocate_lazy(&mut self) {
-        let n_links = self.topology.link_count();
-        if self.network_flows.is_empty() {
-            // Flow-count zero: rebuild the running link sums from
-            // scratch instead of trusting incremental float arithmetic.
-            self.link_loads.iter_mut().for_each(|l| *l = 0.0);
-            return;
-        }
-        let mut cap = self.residual_capacities();
-
-        let mut network: Vec<(FlowId, bool)> =
-            self.network_flows.iter().map(|&id| (id, false)).collect();
-        let mut assigned: Vec<Mbps> = vec![Mbps::ZERO; network.len()];
-
-        let mut count = vec![0usize; n_links];
-        for &(id, _) in &network {
-            for l in &self.flows[&id].links {
-                count[l.index()] += 1;
-            }
-        }
-
-        let mut remaining = network.len();
-        let mut level = 0.0f64;
-        while remaining > 0 {
-            let mut inc = f64::INFINITY;
-            for i in 0..n_links {
-                if count[i] > 0 {
-                    inc = inc.min(cap[i] / count[i] as f64);
-                }
-            }
-            // Same freeze invariant (and defensive coercion) as the
-            // reference kernel — see `reallocate_reference`.
-            if !inc.is_finite() {
-                debug_assert!(
-                    count.iter().all(|&c| c == 0),
-                    "non-finite fill increment with live counted links"
-                );
-                inc = 0.0;
-            }
-            level += inc;
-            for i in 0..n_links {
-                if count[i] > 0 {
-                    cap[i] -= inc * count[i] as f64;
-                }
-            }
-            let mut froze_any = false;
             for (slot, entry) in network.iter_mut().enumerate() {
                 let (id, frozen) = *entry;
                 if frozen {
@@ -1064,6 +886,8 @@ impl FlowNetwork {
                 }
             }
             if !froze_any {
+                // Cannot happen with finite capacities; guard against an
+                // infinite loop by freezing everything at the level.
                 for (slot, entry) in network.iter_mut().enumerate() {
                     if !entry.1 {
                         assigned[slot] = Mbps::new(level.max(0.0));
@@ -1081,8 +905,7 @@ impl FlowNetwork {
         }
 
         // Refresh the per-link allocation cache from the network flows in
-        // creation order — the same summation order as the reference
-        // kernel (local flows contribute nothing there either).
+        // creation order — the summation order the golden trace pins.
         self.link_loads.iter_mut().for_each(|l| *l = 0.0);
         for &(id, _) in &network {
             let f = &self.flows[&id];
@@ -1116,6 +939,289 @@ mod tests {
     use super::*;
     use vod_net::TopologyBuilder;
 
+    /// The lockstep `O(F)`-per-event kernel the production network
+    /// replaced, kept as the differential-testing oracle: every advance
+    /// decrements every flow, every mutation refills every rate from
+    /// scratch. It shares no logic with [`FlowNetwork`] — only the model
+    /// (max-min progressive filling in creation order) — so agreement
+    /// is evidence, not tautology.
+    mod oracle {
+        use super::super::{FlowError, FlowId, COMPLETION_EPSILON_MBIT};
+        use crate::time::SimDuration;
+        use std::collections::BTreeMap;
+        use vod_net::{LinkId, Mbps, Topology};
+
+        struct Flow {
+            links: Vec<LinkId>,
+            remaining_mbit: f64,
+            rate: Mbps,
+            local_rate_override: Option<Mbps>,
+        }
+
+        pub struct LockstepNetwork {
+            topology: Topology,
+            background: Vec<Mbps>,
+            flows: BTreeMap<FlowId, Flow>,
+            next_id: u64,
+            local_rate: Mbps,
+            link_loads: Vec<f64>,
+            admin_down: Vec<bool>,
+            capacity_scale: Vec<f64>,
+            link_cumulative_mbit: Vec<f64>,
+        }
+
+        impl LockstepNetwork {
+            pub fn new(topology: Topology) -> Self {
+                let links = topology.link_count();
+                LockstepNetwork {
+                    topology,
+                    background: vec![Mbps::ZERO; links],
+                    flows: BTreeMap::new(),
+                    next_id: 0,
+                    local_rate: Mbps::new(100.0),
+                    link_loads: vec![0.0; links],
+                    admin_down: vec![false; links],
+                    capacity_scale: vec![1.0; links],
+                    link_cumulative_mbit: vec![0.0; links],
+                }
+            }
+
+            pub fn set_local_rate(&mut self, rate: Mbps) {
+                self.local_rate = rate;
+                self.reallocate();
+            }
+
+            pub fn set_background(&mut self, link: LinkId, load: Mbps) {
+                self.set_background_many([(link, load)]);
+            }
+
+            pub fn set_background_many<I>(&mut self, loads: I)
+            where
+                I: IntoIterator<Item = (LinkId, Mbps)>,
+            {
+                for (link, load) in loads {
+                    self.background[link.index()] = load;
+                }
+                self.reallocate();
+            }
+
+            pub fn set_link_admin_down(&mut self, link: LinkId, down: bool) {
+                self.admin_down[link.index()] = down;
+                self.reallocate();
+            }
+
+            pub fn set_link_capacity_scale(&mut self, link: LinkId, scale: f64) {
+                self.capacity_scale[link.index()] = scale;
+                self.reallocate();
+            }
+
+            pub fn add_flow(
+                &mut self,
+                route_links: Vec<LinkId>,
+                volume_mbit: f64,
+            ) -> Result<FlowId, FlowError> {
+                Ok(self.insert(route_links, volume_mbit, None))
+            }
+
+            pub fn add_local_flow(
+                &mut self,
+                volume_mbit: f64,
+                rate: Mbps,
+            ) -> Result<FlowId, FlowError> {
+                Ok(self.insert(Vec::new(), volume_mbit, Some(rate)))
+            }
+
+            fn insert(
+                &mut self,
+                links: Vec<LinkId>,
+                volume_mbit: f64,
+                local_rate_override: Option<Mbps>,
+            ) -> FlowId {
+                let id = FlowId(self.next_id);
+                self.next_id += 1;
+                self.flows.insert(
+                    id,
+                    Flow {
+                        links,
+                        remaining_mbit: volume_mbit,
+                        rate: Mbps::ZERO,
+                        local_rate_override,
+                    },
+                );
+                self.reallocate();
+                id
+            }
+
+            pub fn remove_flow(&mut self, id: FlowId) -> Result<f64, FlowError> {
+                let flow = self.flows.remove(&id).ok_or(FlowError::UnknownFlow(id))?;
+                self.reallocate();
+                Ok(flow.remaining_mbit)
+            }
+
+            pub fn rate(&self, id: FlowId) -> Result<Mbps, FlowError> {
+                self.flows
+                    .get(&id)
+                    .map(|f| f.rate)
+                    .ok_or(FlowError::UnknownFlow(id))
+            }
+
+            pub fn remaining_mbit(&self, id: FlowId) -> Result<f64, FlowError> {
+                self.flows
+                    .get(&id)
+                    .map(|f| f.remaining_mbit)
+                    .ok_or(FlowError::UnknownFlow(id))
+            }
+
+            pub fn flow_count(&self) -> usize {
+                self.flows.len()
+            }
+
+            pub fn link_flow_load(&self, link: LinkId) -> Mbps {
+                Mbps::new(self.link_loads[link.index()].max(0.0))
+            }
+
+            pub fn link_cumulative_mbit(&self, link: LinkId) -> f64 {
+                self.link_cumulative_mbit[link.index()]
+            }
+
+            /// Full scan for the soonest finisher among progressing
+            /// flows, rounded up to the clock's microsecond.
+            pub fn next_completion(&mut self) -> Option<(FlowId, SimDuration)> {
+                self.flows
+                    .iter()
+                    .filter(|(_, f)| f.rate.as_f64() > 0.0)
+                    .map(|(&id, f)| (id, f.remaining_mbit / f.rate.as_f64()))
+                    .min_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
+                    .map(|(id, secs)| (id, SimDuration::from_micros((secs * 1e6).ceil() as u64)))
+            }
+
+            /// Lockstep advance: integrate every link, decrement every
+            /// flow, collect the finished in creation order.
+            pub fn advance(&mut self, dt: SimDuration) -> Vec<FlowId> {
+                let secs = dt.as_secs_f64();
+                for i in 0..self.link_loads.len() {
+                    let total = self.background[i] + self.link_flow_load(LinkId::new(i as u32));
+                    self.link_cumulative_mbit[i] += total.as_f64() * secs;
+                }
+                let mut done = Vec::new();
+                for (&id, flow) in self.flows.iter_mut() {
+                    flow.remaining_mbit -= flow.rate.as_f64() * secs;
+                    if flow.remaining_mbit <= COMPLETION_EPSILON_MBIT {
+                        done.push(id);
+                    }
+                }
+                for id in &done {
+                    self.flows.remove(id);
+                }
+                if !done.is_empty() {
+                    self.reallocate();
+                }
+                done
+            }
+
+            /// Resets every flow's rate and rebuilds the link loads from
+            /// the full flow map.
+            fn reallocate(&mut self) {
+                let n_links = self.topology.link_count();
+                let mut cap: Vec<f64> = (0..n_links)
+                    .map(|i| {
+                        if self.admin_down[i] {
+                            return 0.0;
+                        }
+                        let link = self.topology.link(LinkId::new(i as u32));
+                        let deliverable = link.capacity().as_f64() * self.capacity_scale[i];
+                        (deliverable - self.background[i].as_f64()).max(0.0)
+                    })
+                    .collect();
+
+                // Dense view of network flows: (id, frozen?); local flows
+                // get their fixed rate immediately.
+                let local_rate = self.local_rate;
+                let mut network: Vec<(FlowId, bool)> = Vec::with_capacity(self.flows.len());
+                for (&id, f) in self.flows.iter_mut() {
+                    if f.links.is_empty() {
+                        f.rate = f.local_rate_override.unwrap_or(local_rate);
+                    } else {
+                        f.rate = Mbps::ZERO;
+                        network.push((id, false));
+                    }
+                }
+
+                let mut count = vec![0usize; n_links];
+                for &(id, _) in &network {
+                    for l in &self.flows[&id].links {
+                        count[l.index()] += 1;
+                    }
+                }
+
+                let mut remaining = network.len();
+                let mut level = 0.0f64;
+                while remaining > 0 {
+                    let mut inc = f64::INFINITY;
+                    for i in 0..n_links {
+                        if count[i] > 0 {
+                            inc = inc.min(cap[i] / count[i] as f64);
+                        }
+                    }
+                    assert!(inc.is_finite(), "non-finite fill increment");
+                    level += inc;
+                    for i in 0..n_links {
+                        if count[i] > 0 {
+                            cap[i] -= inc * count[i] as f64;
+                        }
+                    }
+                    let mut froze_any = false;
+                    for entry in network.iter_mut() {
+                        let (id, frozen) = *entry;
+                        if frozen {
+                            continue;
+                        }
+                        let bottlenecked = self.flows[&id]
+                            .links
+                            .iter()
+                            .any(|l| cap[l.index()] <= 1e-12);
+                        if bottlenecked {
+                            entry.1 = true;
+                            froze_any = true;
+                            remaining -= 1;
+                            for l in &self.flows[&id].links {
+                                count[l.index()] -= 1;
+                            }
+                            self.flows.get_mut(&id).unwrap().rate = Mbps::new(level.max(0.0));
+                        }
+                    }
+                    assert!(froze_any, "a fill round must saturate a link");
+                }
+
+                self.link_loads.iter_mut().for_each(|l| *l = 0.0);
+                for f in self.flows.values() {
+                    for l in &f.links {
+                        self.link_loads[l.index()] += f.rate.as_f64();
+                    }
+                }
+            }
+        }
+    }
+    use oracle::LockstepNetwork;
+
+    /// Runs `$body` twice: with `$new` building the production
+    /// [`FlowNetwork`], then the [`LockstepNetwork`] oracle; `$name`
+    /// labels assertion messages.
+    macro_rules! on_both_kernels {
+        ($new:ident, $name:ident => $body:block) => {{
+            {
+                let $name = "production";
+                let $new = FlowNetwork::new;
+                $body
+            }
+            {
+                let $name = "oracle";
+                let $new = LockstepNetwork::new;
+                $body
+            }
+        }};
+    }
+
     /// a --l0-- b --l1-- c, capacities 2 and 18 Mbps.
     fn two_hop() -> (Topology, LinkId, LinkId) {
         let mut b = TopologyBuilder::new();
@@ -1126,8 +1232,6 @@ mod tests {
         let l1 = b.add_link(m, c, Mbps::new(18.0)).unwrap();
         (b.build(), l0, l1)
     }
-
-    const BOTH_KERNELS: [FlowKernel; 2] = [FlowKernel::Lazy, FlowKernel::Reference];
 
     #[test]
     fn single_flow_gets_bottleneck_capacity() {
@@ -1232,9 +1336,9 @@ mod tests {
 
     #[test]
     fn set_local_rate_rerates_live_default_flows() {
-        for kernel in BOTH_KERNELS {
+        on_both_kernels!(new, kernel => {
             let (t, ..) = two_hop();
-            let mut net = FlowNetwork::with_kernel(t, kernel);
+            let mut net = new(t);
             net.set_local_rate(Mbps::new(50.0));
             let pinned = net.add_local_flow(100.0, Mbps::new(10.0)).unwrap();
             let floating = net.add_flow(vec![], 100.0).unwrap();
@@ -1242,8 +1346,8 @@ mod tests {
             assert_eq!(net.rate(pinned).unwrap(), Mbps::new(10.0));
             assert_eq!(net.rate(floating).unwrap(), Mbps::new(25.0));
             let (_, dt) = net.next_completion().unwrap();
-            assert_eq!(dt, SimDuration::from_secs(4), "{kernel:?}");
-        }
+            assert_eq!(dt, SimDuration::from_secs(4), "{kernel}");
+        });
     }
 
     #[test]
@@ -1423,42 +1527,42 @@ mod tests {
 
     #[test]
     fn zero_rate_dust_flow_is_collected_on_next_advance() {
-        for kernel in BOTH_KERNELS {
+        on_both_kernels!(new, kernel => {
             let (t, l0, _) = two_hop();
-            let mut net = FlowNetwork::with_kernel(t, kernel);
+            let mut net = new(t);
             net.set_background(l0, Mbps::new(5.0)); // oversubscribed → rate 0
             let f = net.add_flow(vec![l0], 1e-10).unwrap(); // below the epsilon
             assert_eq!(net.rate(f).unwrap(), Mbps::ZERO);
-            assert_eq!(net.next_completion(), None, "{kernel:?}");
+            assert_eq!(net.next_completion(), None, "{kernel}");
             let done = net.advance(SimDuration::from_secs(1));
-            assert_eq!(done, vec![f], "{kernel:?}");
-        }
+            assert_eq!(done, vec![f], "{kernel}");
+        });
     }
 
     #[test]
     fn frozen_flow_resumes_with_valid_prediction() {
-        for kernel in BOTH_KERNELS {
+        on_both_kernels!(new, kernel => {
             let (t, l0, _) = two_hop();
-            let mut net = FlowNetwork::with_kernel(t, kernel);
+            let mut net = new(t);
             let f = net.add_flow(vec![l0], 4.0).unwrap(); // 2 Mbps → 2 s
             net.advance(SimDuration::from_secs(1)); // 2 Mbit left
             net.set_link_admin_down(l0, true); // freeze at rate 0
-            assert_eq!(net.next_completion(), None, "{kernel:?}");
+            assert_eq!(net.next_completion(), None, "{kernel}");
             net.advance(SimDuration::from_secs(10)); // no progress
             assert!((net.remaining_mbit(f).unwrap() - 2.0).abs() < 1e-9);
             net.set_link_admin_down(l0, false); // thaw
             let (id, dt) = net.next_completion().unwrap();
             assert_eq!(id, f);
-            assert_eq!(dt, SimDuration::from_secs(1), "{kernel:?}");
-            assert_eq!(net.advance(dt), vec![f], "{kernel:?}");
-        }
+            assert_eq!(dt, SimDuration::from_secs(1), "{kernel}");
+            assert_eq!(net.advance(dt), vec![f], "{kernel}");
+        });
     }
 
     #[test]
     fn link_integrals_match_load_history() {
-        for kernel in BOTH_KERNELS {
+        on_both_kernels!(new, kernel => {
             let (t, l0, l1) = two_hop();
-            let mut net = FlowNetwork::with_kernel(t, kernel);
+            let mut net = new(t);
             net.set_background(l1, Mbps::new(3.0));
             net.add_flow(vec![l0], 10.0).unwrap(); // 2 Mbps, done at t=5
             net.advance(SimDuration::from_secs(2));
@@ -1470,13 +1574,13 @@ mod tests {
             // keeps integrating.
             assert!(
                 (net.link_cumulative_mbit(l0) - 10.0).abs() < 1e-9,
-                "{kernel:?}"
+                "{kernel}"
             );
             assert!(
                 (net.link_cumulative_mbit(l1) - 21.0).abs() < 1e-9,
-                "{kernel:?}"
+                "{kernel}"
             );
-        }
+        });
     }
 
     /// The satellite regression for the rounding contract: across extreme
@@ -1489,16 +1593,16 @@ mod tests {
     fn completion_rounding_contract() {
         let rates = [1e-3, 0.9, 2.0, 1234.5678, 1e9];
         let volumes = [1e-6, 0.7, 42.0, 9876.5];
-        for kernel in BOTH_KERNELS {
+        on_both_kernels!(new, kernel => {
             for &rate in &rates {
                 for &volume in &volumes {
                     let (t, ..) = two_hop();
-                    let mut net = FlowNetwork::with_kernel(t, kernel);
+                    let mut net = new(t);
                     let f = net.add_local_flow(volume, Mbps::new(rate)).unwrap();
                     let (id, dt) = net.next_completion().unwrap();
                     assert_eq!(id, f);
                     let true_secs = volume / rate;
-                    let ctx = format!("{kernel:?} rate={rate} vol={volume}");
+                    let ctx = format!("{kernel} rate={rate} vol={volume}");
                     // At-or-after the true finish, by less than 1 µs + fp.
                     assert!(
                         dt.as_secs_f64() >= true_secs * (1.0 - 1e-12),
@@ -1527,49 +1631,54 @@ mod tests {
                     assert_eq!(net.next_completion(), None);
                 }
             }
-        }
+        });
     }
 
     /// Fully saturated regime: one route link is scaled to zero and the
     /// other is drowned in background traffic above its deliverable
     /// capacity, so the progressive filling's first increment is zero
-    /// and every flow freezes at rate zero immediately. Both kernels
-    /// agree bitwise, frozen flows make no progress across an arbitrary
-    /// advance, and the lazy kernel never enqueues a completion
-    /// prediction for them — the heap stays empty instead of spinning
-    /// zero-rate entries through the verify-and-requeue pass. Lifting
-    /// the saturation thaws the flow identically in both kernels.
+    /// and every flow freezes at rate zero immediately. The production
+    /// network and the oracle agree bitwise, frozen flows make no
+    /// progress across an arbitrary advance, and the production network
+    /// never enqueues a completion prediction for them — the heap stays
+    /// empty instead of spinning zero-rate entries through the
+    /// verify-and-requeue pass. Lifting the saturation thaws the flow
+    /// identically in both.
     #[test]
     fn saturated_network_freezes_flows_without_heap_spin() {
         let (t, l0, l1) = two_hop();
-        let mut lazy = FlowNetwork::with_kernel(t.clone(), FlowKernel::Lazy);
-        let mut reference = FlowNetwork::with_kernel(t, FlowKernel::Reference);
-        for net in [&mut lazy, &mut reference] {
-            net.set_link_capacity_scale(l0, 0.0);
-            net.set_background(l1, Mbps::new(1e6)); // ≫ the 18 Mbps deliverable
-        }
+        let mut lazy = FlowNetwork::new(t.clone());
+        let mut reference = LockstepNetwork::new(t);
+        // ≫ the 18 Mbps deliverable
+        let drown = Mbps::new(1e6);
+        lazy.set_link_capacity_scale(l0, 0.0);
+        lazy.set_background(l1, drown);
+        reference.set_link_capacity_scale(l0, 0.0);
+        reference.set_background(l1, drown);
         let a = lazy.add_flow(vec![l0, l1], 10.0).unwrap();
         let b = reference.add_flow(vec![l0, l1], 10.0).unwrap();
         assert_eq!(a, b);
 
-        for net in [&mut lazy, &mut reference] {
-            assert_eq!(net.rate(a).unwrap(), Mbps::ZERO);
-            assert_eq!(net.next_completion(), None);
-            // A frozen flow neither completes nor progresses.
-            assert!(net.advance(SimDuration::from_secs(3_600)).is_empty());
-            assert!((net.remaining_mbit(a).unwrap() - 10.0).abs() < 1e-12);
-        }
+        // A frozen flow neither completes nor progresses.
+        assert_eq!(lazy.rate(a).unwrap(), Mbps::ZERO);
+        assert_eq!(lazy.next_completion(), None);
+        assert!(lazy.advance(SimDuration::from_secs(3_600)).is_empty());
+        assert!((lazy.remaining_mbit(a).unwrap() - 10.0).abs() < 1e-12);
+        assert_eq!(reference.rate(a).unwrap(), Mbps::ZERO);
+        assert_eq!(reference.next_completion(), None);
+        assert!(reference.advance(SimDuration::from_secs(3_600)).is_empty());
+        assert!((reference.remaining_mbit(a).unwrap() - 10.0).abs() < 1e-12);
         // The frozen flow never entered the completion heap, so the
         // hour-long advance had nothing to verify-and-requeue.
         assert_eq!(lazy.completion_heap_len(), 0);
 
         // Lifting the saturation thaws the flow identically: both
-        // kernels settle on the 2 Mbps bottleneck and predict the same
+        // settle on the 2 Mbps bottleneck and predict the same
         // completion.
-        for net in [&mut lazy, &mut reference] {
-            net.set_link_capacity_scale(l0, 1.0);
-            net.set_background(l1, Mbps::ZERO);
-        }
+        lazy.set_link_capacity_scale(l0, 1.0);
+        lazy.set_background(l1, Mbps::ZERO);
+        reference.set_link_capacity_scale(l0, 1.0);
+        reference.set_background(l1, Mbps::ZERO);
         assert_eq!(lazy.rate(a).unwrap(), reference.rate(a).unwrap());
         assert_eq!(lazy.rate(a).unwrap(), Mbps::new(2.0));
         assert_eq!(lazy.completion_heap_len(), 1);
@@ -1668,8 +1777,9 @@ mod tests {
         use proptest::prelude::*;
         use vod_net::topologies::patterns::line;
 
-        /// Drives a Lazy and a Reference network through the same random
-        /// schedule of adds, removes, background changes, capacity
+        /// Drives the production network and the lockstep oracle
+        /// through the same random schedule of adds, removes, local-rate
+        /// and background changes (single-link and bulk), capacity
         /// degradations, administrative outages and advances,
         /// asserting after every operation that rates and link loads are
         /// *bitwise* equal, SNMP volume integrals are bitwise equal, and
@@ -1677,8 +1787,8 @@ mod tests {
         fn drive(ops: &[(u8, usize, f64)]) -> Result<(), TestCaseError> {
             let topo = line(4, Mbps::new(4.0));
             let links: Vec<LinkId> = topo.link_ids().collect();
-            let mut lazy = FlowNetwork::with_kernel(topo.clone(), FlowKernel::Lazy);
-            let mut reference = FlowNetwork::with_kernel(topo, FlowKernel::Reference);
+            let mut lazy = FlowNetwork::new(topo.clone());
+            let mut reference = LockstepNetwork::new(topo);
             let mut live: Vec<FlowId> = Vec::new();
             for &(op, sel, val) in ops {
                 match op {
@@ -1736,6 +1846,29 @@ mod tests {
                         lazy.set_link_admin_down(l, down);
                         reference.set_link_admin_down(l, down);
                     }
+                    8 => {
+                        lazy.set_local_rate(Mbps::new(val));
+                        reference.set_local_rate(Mbps::new(val));
+                    }
+                    9 => {
+                        // The per-minute `BackgroundModel::apply` shape:
+                        // every link re-loaded in one call, some to idle.
+                        let loads: Vec<(LinkId, Mbps)> = links
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &l)| (l, Mbps::new(val * 0.04 * ((sel + i) % 3) as f64)))
+                            .collect();
+                        lazy.set_background_many(loads.iter().copied());
+                        reference.set_background_many(loads);
+                    }
+                    10 => {
+                        // A local flow at the network-wide default rate
+                        // (the one `set_local_rate` re-rates).
+                        let a = lazy.add_flow(vec![], val).unwrap();
+                        let b = reference.add_flow(vec![], val).unwrap();
+                        prop_assert_eq!(a, b);
+                        live.push(a);
+                    }
                     _ => {
                         let dt = SimDuration::from_millis((sel as u64 % 900) + 100);
                         let da = lazy.advance(dt);
@@ -1784,7 +1917,7 @@ mod tests {
         proptest! {
             #[test]
             fn lazy_and_reference_kernels_agree(
-                ops in proptest::collection::vec((0u8..8, 0usize..100, 0.5f64..40.0), 1..60),
+                ops in proptest::collection::vec((0u8..11, 0usize..100, 0.5f64..40.0), 1..60),
             ) {
                 drive(&ops)?;
             }

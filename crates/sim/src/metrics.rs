@@ -470,78 +470,6 @@ impl Histogram {
     }
 }
 
-/// Streaming mean/variance accumulator (Welford's algorithm) — constant
-/// memory for metrics sampled millions of times.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation (NaNs are ignored).
-    pub fn push(&mut self, value: f64) {
-        if value.is_nan() {
-            return;
-        }
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel collection).
-    pub fn merge(&mut self, other: RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-    }
-}
-
 /// Nearest-rank percentile over a sorted slice.
 ///
 /// # Panics
@@ -633,60 +561,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_of_empty_panics() {
         let _ = percentile(&[], 0.5);
-    }
-
-    #[test]
-    fn running_stats_match_batch_computation() {
-        let values: Vec<f64> = (1..=100).map(|i| (i as f64).sqrt()).collect();
-        let mut rs = RunningStats::new();
-        for &v in &values {
-            rs.push(v);
-        }
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
-        assert_eq!(rs.count(), 100);
-        assert!((rs.mean() - mean).abs() < 1e-12);
-        assert!((rs.variance() - var).abs() < 1e-10);
-        assert!((rs.std_dev() - var.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn running_stats_merge_equals_sequential() {
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        let mut all = RunningStats::new();
-        for i in 0..50 {
-            let v = (i as f64) * 0.7 - 3.0;
-            a.push(v);
-            all.push(v);
-        }
-        for i in 50..120 {
-            let v = (i as f64).ln();
-            b.push(v);
-            all.push(v);
-        }
-        a.merge(b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_stats_edge_cases() {
-        let mut rs = RunningStats::new();
-        assert_eq!(rs.mean(), 0.0);
-        assert_eq!(rs.variance(), 0.0);
-        rs.push(f64::NAN);
-        assert_eq!(rs.count(), 0);
-        rs.push(5.0);
-        assert_eq!(rs.mean(), 5.0);
-        assert_eq!(rs.variance(), 0.0);
-        // Merging empties is a no-op in both directions.
-        let mut empty = RunningStats::new();
-        empty.merge(rs);
-        assert_eq!(empty.count(), 1);
-        rs.merge(RunningStats::new());
-        assert_eq!(rs.count(), 1);
     }
 
     #[test]

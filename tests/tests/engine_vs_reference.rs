@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use vod_core::selection::{SelectionContext, ServerSelector};
 use vod_core::vra::Vra;
 use vod_net::dijkstra::{bellman_ford, dijkstra_with_trace};
-use vod_net::engine::{BatchRequest, RoutingEngine};
+use vod_net::engine::RoutingEngine;
 use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::topologies::random::connected_gnp;
 use vod_net::units::Fraction;
@@ -174,54 +174,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-}
-
-/// The pooled batch path answers exactly like per-request sequential
-/// selects, across worker counts — the worker-count override bypasses
-/// the hardware clamp so the pool genuinely engages even on 1-CPU CI.
-#[test]
-fn pooled_batches_match_sequential_across_worker_counts() {
-    for case in 0u64..40 {
-        let n = 6 + (case as usize % 28);
-        let topology = connected_gnp(n, 0.25, case * 13 + 3);
-        let mut rng = StdRng::seed_from_u64(case.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        let snapshot = random_snapshot(&topology, &mut rng);
-
-        let candidate_sets: Vec<Vec<NodeId>> = (0..n)
-            .map(|_| {
-                (0..rng.gen_range(1..=3usize))
-                    .map(|_| NodeId::new(rng.gen_range(0..n as u32)))
-                    .collect()
-            })
-            .collect();
-        let requests: Vec<BatchRequest<'_>> = candidate_sets
-            .iter()
-            .enumerate()
-            .map(|(i, candidates)| BatchRequest {
-                home: NodeId::new(i as u32),
-                candidates,
-            })
-            .collect();
-
-        let mut reference = RoutingEngine::default();
-        let expected: Vec<_> = requests
-            .iter()
-            .map(|r| {
-                reference
-                    .select(&topology, &snapshot, r.home, r.candidates)
-                    .unwrap()
-            })
-            .collect();
-
-        for workers in [1usize, 2, 3, 8] {
-            let mut engine = RoutingEngine::default();
-            engine.set_batch_workers(Some(workers));
-            let got = engine
-                .select_batch(&topology, &snapshot, &requests)
-                .unwrap();
-            assert_eq!(got, expected, "case {case} workers {workers}");
         }
     }
 }

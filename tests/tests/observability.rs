@@ -11,7 +11,7 @@ use vod_integration_tests::TEST_SEED;
 use vod_net::NodeId;
 use vod_obs::{JsonlWriter, RingRecorder, RunReport};
 use vod_sim::metrics::Histogram;
-use vod_sim::SimTime;
+use vod_sim::{FaultPlan, SimTime};
 use vod_workload::scenario::Scenario;
 
 /// Runs the GRNET case study with a JSONL sink and returns the raw
@@ -142,11 +142,11 @@ fn run_report_is_consistent_and_serializable() {
 #[test]
 fn outage_events_appear_in_trace() {
     let config = ServiceConfig {
-        failures: vec![(
+        fault_plan: FaultPlan::new().server_outage(
             SimTime::from_secs(10 * 3600),
             SimTime::from_secs(12 * 3600),
             NodeId::new(0),
-        )],
+        ),
         ..ServiceConfig::default()
     };
     let (bytes, run_report) = traced_run(config.clone());

@@ -1,12 +1,11 @@
-//! Integration tests for the event-driven (lazy) flow kernel: the
-//! pinned seed-42 GRNET golden trace, service-level lazy-vs-reference
-//! equivalence, and a scale-stress smoke run.
+//! Integration tests for the event-driven flow kernel: the pinned
+//! seed-42 GRNET golden trace (recorded with the lockstep kernel that
+//! now lives on as vod-sim's test oracle) and a scale-stress smoke run.
 
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::Mbps;
 use vod_obs::JsonlWriter;
-use vod_sim::FlowKernel;
 use vod_workload::scenario::Scenario;
 
 /// Runs `scenario` with a JSONL sink and returns the raw trace bytes.
@@ -53,74 +52,6 @@ fn golden_seed42_grnet_trace_is_pinned_and_audits_clean() {
 
     let summary = vod_check::audit::audit_trace(&text);
     assert!(summary.is_clean(), "audit violations: {summary:?}");
-}
-
-/// Pulls `"at_us":N` and `"kind":"..."` out of one trace line.
-fn at_and_kind(line: &str) -> (u64, &str) {
-    let at: u64 = line["{\"at_us\":".len()..]
-        .split(',')
-        .next()
-        .unwrap()
-        .parse()
-        .unwrap();
-    let kind_start = line.find("\"kind\":\"").unwrap() + "\"kind\":\"".len();
-    let kind = line[kind_start..].split('"').next().unwrap();
-    (at, kind)
-}
-
-/// The lazy kernel is service-level equivalent to the retained reference
-/// kernel: the same events in the same order, with completion-driven
-/// timestamps allowed to differ by at most the documented ±1 µs
-/// ceil-rounding skew on either side (stepwise vs anchored residual
-/// arithmetic round differently when a transfer lands exactly on a
-/// microsecond boundary).
-#[test]
-fn lazy_and_reference_kernels_produce_equivalent_traces() {
-    let scenario = Scenario::scale_stress(11, 500);
-    let config = |kernel| ServiceConfig {
-        initial_replicas: 6,
-        local_rate: Mbps::new(2.0),
-        flow_kernel: kernel,
-        ..ServiceConfig::default()
-    };
-    let lazy = String::from_utf8(traced_run(&scenario, config(FlowKernel::Lazy))).unwrap();
-    let reference =
-        String::from_utf8(traced_run(&scenario, config(FlowKernel::Reference))).unwrap();
-    assert!(!lazy.is_empty());
-    assert_eq!(lazy.lines().count(), reference.lines().count());
-    for (l, r) in lazy.lines().zip(reference.lines()) {
-        if l == r {
-            continue;
-        }
-        let (l_at, l_kind) = at_and_kind(l);
-        let (r_at, r_kind) = at_and_kind(r);
-        assert_eq!(l_kind, r_kind, "event order diverged: {l} vs {r}");
-        assert!(
-            l_at.abs_diff(r_at) <= 2,
-            "timestamps diverged beyond rounding skew: {l} vs {r}"
-        );
-    }
-
-    // On the case study, where transfers actually cross the network and
-    // share links max-min fairly, the kernels happen to agree to the
-    // byte (the golden seed-42 baseline was recorded pre-refactor with
-    // the reference kernel); pin that stronger fact where it holds.
-    let grnet = Scenario::grnet_case_study(42);
-    let lazy = traced_run(
-        &grnet,
-        ServiceConfig {
-            flow_kernel: FlowKernel::Lazy,
-            ..ServiceConfig::default()
-        },
-    );
-    let reference = traced_run(
-        &grnet,
-        ServiceConfig {
-            flow_kernel: FlowKernel::Reference,
-            ..ServiceConfig::default()
-        },
-    );
-    assert_eq!(lazy, reference);
 }
 
 /// A scaled-down scale-stress run: every arrival is admitted, stays live

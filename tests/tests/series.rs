@@ -1,6 +1,6 @@
 //! Integration tests for the time-series and span layers: the golden
 //! seed-42 determinism contract (byte-identical `--series` output
-//! across reruns *and* across flow kernels), `A013` reconciliation of
+//! across reruns), `A013` reconciliation of
 //! the series against its own trace, and property tests that span
 //! assembly never produces negative or overlapping phase durations —
 //! even under random fault plans with retries.
@@ -12,7 +12,6 @@ use vod_core::service::{RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_obs::{JsonlWriter, SpanBuilder, SpanOutcome, SpanReport, TeeSink, TimeSeriesSink};
 use vod_sim::fault::FaultPlan;
-use vod_sim::flow::FlowKernel;
 use vod_sim::SimDuration;
 use vod_workload::scenario::Scenario;
 
@@ -30,30 +29,15 @@ fn instrumented_run(config: ServiceConfig) -> (String, String, String) {
 }
 
 /// The golden contract behind every committed `--series` artifact:
-/// reruns are byte-identical, and the O(log n) lazy flow kernel
-/// produces the exact same series as the O(sessions) reference kernel.
+/// reruns are byte-identical.
 #[test]
-fn series_is_byte_identical_across_runs_and_kernels() {
+fn series_is_byte_identical_across_runs() {
     let (trace_a, json_a, csv_a) = instrumented_run(ServiceConfig::default());
     let (trace_b, json_b, csv_b) = instrumented_run(ServiceConfig::default());
     assert!(!json_a.is_empty() && json_a.contains("\"windows\":["));
     assert_eq!(trace_a, trace_b, "traces must replay byte-for-byte");
     assert_eq!(json_a, json_b, "series JSON must replay byte-for-byte");
     assert_eq!(csv_a, csv_b, "series CSV must replay byte-for-byte");
-
-    let reference = ServiceConfig {
-        flow_kernel: FlowKernel::Reference,
-        ..ServiceConfig::default()
-    };
-    let (_, json_ref, csv_ref) = instrumented_run(reference);
-    assert_eq!(
-        json_a, json_ref,
-        "lazy and reference kernels must yield identical series JSON"
-    );
-    assert_eq!(
-        csv_a, csv_ref,
-        "lazy and reference kernels must yield identical series CSV"
-    );
 }
 
 /// The series a run exports reconciles with the trace the same run
