@@ -16,12 +16,14 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> benchmark/ builds offline against the workspace crates, tree untouched"
+echo "==> benchmark/ builds and passes its tests offline against the workspace crates, tree untouched"
 # The benchmark package is outside the workspace, so nothing above
 # compiles it: a removed or renamed pub item it calls, or a dependency
 # change that makes cargo rewrite benchmark/Cargo.lock, only shows here.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
-git diff --quiet -- benchmark || { echo "the build modified tracked files under benchmark/" >&2; exit 1; }
+# Its unit tests too: one asserts BENCHMARK.json equals `vod-benchmark manifest`.
+(cd benchmark && cargo test --release --offline -q)
+git diff --quiet -- benchmark || { echo "the build or tests modified tracked files under benchmark/" >&2; exit 1; }
 
 echo "==> benches compile (cargo bench --no-run)"
 cargo bench --no-run

@@ -364,15 +364,20 @@ pub fn strip_source(src: &str) -> String {
 
 /// Marks each line of *stripped* source that belongs to a
 /// `#[cfg(test)]`-gated item (the attribute line, the braced block it
-/// introduces, and `mod x;` forms).
+/// introduces, and `mod x;` forms). An inner `#![cfg(test)]` — the
+/// head of a module file that is test code as a whole — gates every
+/// line from there on.
 pub fn test_line_mask(stripped: &str) -> Vec<bool> {
     let test_attr = concat!("#[cfg", "(test)]");
+    let file_attr = concat!("#![cfg", "(test)]");
     let mut mask = Vec::new();
+    let mut whole_file = false;
     let mut in_test = false;
     let mut pending = false;
     let mut depth: u32 = 0;
     for line in stripped.lines() {
-        let starts_masked = in_test || pending;
+        whole_file |= line.contains(file_attr);
+        let starts_masked = whole_file || in_test || pending;
         let has_attr = !in_test && line.contains(test_attr);
         if has_attr {
             pending = true;
@@ -603,6 +608,13 @@ mod tests {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn tail() {}\n";
         let mask = test_line_mask(&strip_source(src));
         assert_eq!(mask, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn test_mask_covers_a_module_file_gated_by_an_inner_attribute() {
+        let src = "//! Tests.\n#![cfg(test)]\nuse super::*;\nfn t() { x.unwrap(); }\n";
+        let mask = test_line_mask(&strip_source(src));
+        assert_eq!(mask, vec![false, true, true, true]);
     }
 
     #[test]

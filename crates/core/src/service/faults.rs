@@ -1,0 +1,236 @@
+//! Fault handling: server and link outages (with the abort and
+//! re-route of the sessions they hit), link degradation and SNMP-poller
+//! outages.
+
+use vod_net::{LinkId, NodeId};
+use vod_obs::{Event as ObsEvent, EventSink};
+use vod_sim::flow::FlowId;
+use vod_sim::scheduler::Scheduler;
+use vod_sim::SimTime;
+use vod_storage::dma::{DmaCache, DmaConfig};
+use vod_storage::prefix::PrefixStore;
+
+use super::model::{Event, ServiceModel};
+use crate::session::SessionId;
+
+impl<S: EventSink> ServiceModel<S> {
+    /// A server dies: its catalog entries are withdrawn, its cache is
+    /// lost, sessions homed there are dropped, and transfers sourced from
+    /// it are re-routed to surviving replicas. Overlapping outage windows
+    /// nest: only the first opens the outage.
+    pub(super) fn on_server_down(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let depth = self.down.entry(node).or_insert(0);
+        *depth += 1;
+        if *depth > 1 {
+            return; // already down; deepen the outage only
+        }
+        if self.sink.enabled() {
+            self.sink
+                .record(now, &ObsEvent::ServerDown { server: node });
+        }
+        // Withdraw the catalog and retire the cache.
+        if let Some(cache) = self.caches.remove(&node) {
+            self.retired_dma += cache.stats();
+            self.withdraw_titles(now, node, &cache.resident_ids());
+        }
+        // The co-located prefix store dies with the server; its stats
+        // fold into the retired bucket and it rejoins cold.
+        if let Some(store) = self.prefix_stores.remove(&node) {
+            self.retired_prefix += store.stats();
+        }
+        // Also withdraw titles listed in the DB but not in the cache
+        // (initial seeding differences).
+        let listed = self.db.full_access().titles_at(node).unwrap_or_default();
+        self.withdraw_titles(now, node, &listed);
+
+        // Sessions homed at the dead server lose their client
+        // connection, in ascending `SessionId`.
+        let homed: Vec<SessionId> = self
+            .sessions
+            .iter()
+            .filter(|(_, rec)| rec.session.home() == node)
+            .map(|(&sid, _)| sid)
+            .collect();
+        for sid in homed {
+            // The client itself is gone: no retry can save the session.
+            self.abort_session(now, sid, "home_down");
+        }
+
+        // Transfers sourced from the dead server re-route mid-cluster,
+        // in ascending `FlowId` of the origin flow (prefix flows are
+        // local to the home and never candidates).
+        let mut severed: Vec<(FlowId, SessionId)> = self
+            .sessions
+            .iter()
+            .filter(|(_, rec)| rec.route.as_ref().is_some_and(|r| r.target() == node))
+            .filter_map(|(&sid, rec)| Some((rec.flow?, sid)))
+            .collect();
+        severed.sort_unstable();
+        self.reroute(now, severed, sched);
+    }
+
+    /// Tears down severed origin transfers and re-selects a source for
+    /// the same cluster of each; a session retries or aborts if no
+    /// replica is reachable.
+    fn reroute(
+        &mut self,
+        now: SimTime,
+        severed: Vec<(FlowId, SessionId)>,
+        sched: &mut Scheduler<Event>,
+    ) {
+        for (flow, sid) in severed {
+            let _ = self.flows.remove_flow(flow);
+            self.flow_owner.remove(&flow);
+            if let Some(rec) = self.sessions.get_mut(&sid) {
+                rec.flow = None;
+                rec.route = None;
+            }
+            self.start_cluster_fetch(now, sid, sched);
+        }
+    }
+
+    /// A failed server rejoins with empty disks; the DMA repopulates it
+    /// from future demand. With nested outage windows the server only
+    /// revives when the last window closes.
+    pub(super) fn on_server_up(&mut self, now: SimTime, node: NodeId) {
+        let Some(depth) = self.down.get_mut(&node) else {
+            return;
+        };
+        *depth -= 1;
+        if *depth > 0 {
+            return; // an enclosing outage window is still open
+        }
+        self.down.remove(&node);
+        if self.sink.enabled() {
+            self.sink.record(now, &ObsEvent::ServerUp { server: node });
+        }
+        // The configuration was validated at construction (disk_count is
+        // positive), so recreation cannot fail.
+        if let Ok(cache) = DmaCache::new(DmaConfig {
+            disk_count: self.config.disk_count,
+            disk_capacity: self.config.disk_capacity,
+            cluster_size: self.config.cluster,
+            admit_threshold: self.config.dma_admit_threshold,
+            eviction: self.config.dma_eviction,
+        }) {
+            self.caches.insert(node, cache);
+        }
+        if let Some(tier) = self.config.prefix_tier {
+            if let Ok(store) = PrefixStore::new(tier.store_config(self.config.cluster)) {
+                self.prefix_stores.insert(node, store);
+            }
+        }
+    }
+
+    /// A link goes administratively down: it carries no traffic, routing
+    /// masks it to infinite weight, and transfers crossing it re-route
+    /// (or retry) immediately. Overlapping windows nest.
+    pub(super) fn on_link_down(
+        &mut self,
+        now: SimTime,
+        link: LinkId,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let depth = self.link_down.entry(link).or_insert(0);
+        *depth += 1;
+        if *depth > 1 {
+            return;
+        }
+        self.link_admin_epoch += 1;
+        self.flows.set_link_admin_down(link, true);
+        if self.sink.enabled() {
+            self.sink.record(now, &ObsEvent::LinkDown { link });
+        }
+        // Transfers frozen on the dead link re-route mid-cluster, exactly
+        // like transfers sourced from a dead server.
+        let severed: Vec<(FlowId, SessionId)> = self
+            .flows
+            .flows_crossing(link)
+            .filter_map(|f| self.flow_owner.get(&f).map(|&sid| (f, sid)))
+            .collect();
+        self.reroute(now, severed, sched);
+    }
+
+    /// A link outage window closes; the link rejoins the routing view
+    /// when the last nested window ends.
+    pub(super) fn on_link_up(&mut self, now: SimTime, link: LinkId) {
+        let Some(depth) = self.link_down.get_mut(&link) else {
+            return;
+        };
+        *depth -= 1;
+        if *depth > 0 {
+            return;
+        }
+        self.link_down.remove(&link);
+        self.link_admin_epoch += 1;
+        self.flows.set_link_admin_down(link, false);
+        if self.sink.enabled() {
+            self.sink.record(now, &ObsEvent::LinkUp { link });
+        }
+    }
+
+    /// A degradation window opens: the link's deliverable capacity drops
+    /// to the minimum factor over all open windows. Routing still sees
+    /// the nominal capacity — a soft failure surfaces through SNMP
+    /// readings and stalls, not through the admin state.
+    pub(super) fn on_degrade_start(&mut self, now: SimTime, link: LinkId, factor: f64) {
+        self.degrade.entry(link).or_default().push(factor);
+        self.apply_degrade(link);
+        if self.sink.enabled() {
+            self.sink
+                .record(now, &ObsEvent::LinkDegradeStart { link, factor });
+        }
+    }
+
+    /// A degradation window closes (removes one instance of `factor`).
+    pub(super) fn on_degrade_end(&mut self, now: SimTime, link: LinkId, factor: f64) {
+        if let Some(factors) = self.degrade.get_mut(&link) {
+            if let Some(pos) = factors.iter().position(|&f| f == factor) {
+                factors.remove(pos);
+            }
+            if factors.is_empty() {
+                self.degrade.remove(&link);
+            }
+        }
+        self.apply_degrade(link);
+        if self.sink.enabled() {
+            self.sink
+                .record(now, &ObsEvent::LinkDegradeEnd { link, factor });
+        }
+    }
+
+    /// Re-applies the effective capacity scale of `link` to the fluid
+    /// network.
+    fn apply_degrade(&mut self, link: LinkId) {
+        let scale = self
+            .degrade
+            .get(&link)
+            .map(|f| f.iter().copied().fold(1.0, f64::min))
+            .unwrap_or(1.0);
+        self.flows.set_link_capacity_scale(link, scale);
+    }
+
+    /// The SNMP poller goes dark: scheduled polls are skipped until the
+    /// window closes, so the selector keeps routing on its last-known-
+    /// good view (flagged per skipped poll in the trace).
+    pub(super) fn on_snmp_outage_start(&mut self, now: SimTime) {
+        self.snmp_outages += 1;
+        if self.snmp_outages == 1 && self.sink.enabled() {
+            self.sink.record(now, &ObsEvent::SnmpOutageStart);
+        }
+    }
+
+    /// The SNMP poller recovers; the next scheduled poll refreshes the
+    /// routing view.
+    pub(super) fn on_snmp_outage_end(&mut self, now: SimTime) {
+        self.snmp_outages = self.snmp_outages.saturating_sub(1);
+        if self.snmp_outages == 0 && self.sink.enabled() {
+            self.sink.record(now, &ObsEvent::SnmpOutageEnd);
+        }
+    }
+}

@@ -1,0 +1,966 @@
+//! The simulation model behind a [`VodService`](super::VodService) run:
+//! its state, the per-session [`SessionRecord`], event dispatch and the
+//! cluster fetch chain.
+
+use std::collections::BTreeMap;
+
+use vod_db::{AdminCredential, Database, LimitedAccess};
+use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
+use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry};
+use vod_sim::engine::Model;
+use vod_sim::flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
+use vod_sim::metrics::TimeSeries;
+use vod_sim::scheduler::Scheduler;
+use vod_sim::traffic::BackgroundModel;
+use vod_sim::{SimDuration, SimTime};
+use vod_snmp::SnmpSystem;
+use vod_storage::dma::{DmaCache, DmaStats};
+use vod_storage::prefix::{PrefixStats, PrefixStore};
+use vod_storage::video::{VideoId, VideoMeta};
+use vod_workload::trace::RequestTrace;
+
+use super::config::ServiceConfig;
+use crate::qos::QosRecord;
+use crate::selection::{Selection, SelectionContext, ServerSelector};
+use crate::session::{Session, SessionId};
+
+/// The service's administrative view of the shared database. The
+/// credential is registered at construction and never revoked, so the
+/// access check cannot fail for a live model; this is the one documented
+/// `expect` behind every catalog mutation (allowlisted for `vod-check
+/// lint`).
+pub(super) fn catalog<'a>(db: &'a mut Database, admin: &AdminCredential) -> LimitedAccess<'a> {
+    db.limited_access(admin)
+        .expect("service admin is registered")
+}
+/// Local serve rate of `video` at `home`: striped disk throughput of the
+/// title's layout (converted MB/s → Mbps), capped by the configured
+/// ceiling. Falls back to the ceiling when the layout is unknown (title
+/// still being assembled).
+fn local_serve_rate(
+    caches: &BTreeMap<NodeId, DmaCache>,
+    db: &Database,
+    config: &ServiceConfig,
+    home: NodeId,
+    video: VideoId,
+) -> Mbps {
+    let ceiling = config.local_rate.as_f64();
+    let disk_mbps = caches
+        .get(&home)
+        .and_then(|c| c.array().layout(video).cloned())
+        .and_then(|layout| {
+            db.library().get(video).map(|meta| {
+                config
+                    .disk_io
+                    .striped_throughput_mb_per_s(&layout, meta.size())
+                    * 8.0
+            })
+        })
+        .unwrap_or(ceiling);
+    Mbps::new(disk_mbps.min(ceiling).max(0.0))
+}
+
+/// Events driving the service simulation.
+#[derive(Debug)]
+pub(super) enum Event {
+    /// The `idx`-th request of the trace arrives.
+    Arrival(usize),
+    /// Re-check flow completions at the next predicted finish instant.
+    /// Stale checks are harmless no-ops (`advance_to` has already
+    /// collected anything due), so the event carries no version.
+    FlowCheck,
+    /// A session finished playing its current cluster.
+    PlayoutTick(SessionId),
+    /// Periodic SNMP poll.
+    SnmpPoll,
+    /// Periodic background-traffic refresh.
+    BackgroundUpdate,
+    /// A video server goes down.
+    ServerDown(NodeId),
+    /// A failed video server comes back (with a cold cache).
+    ServerUp(NodeId),
+    /// A link outage window opens.
+    LinkDown(LinkId),
+    /// A link outage window closes.
+    LinkUp(LinkId),
+    /// A link degradation window opens (remaining capacity fraction).
+    DegradeStart(LinkId, f64),
+    /// A link degradation window closes (carries the factor it applied).
+    DegradeEnd(LinkId, f64),
+    /// The SNMP poller goes dark: scheduled polls are skipped.
+    SnmpOutageStart,
+    /// The SNMP poller recovers.
+    SnmpOutageEnd,
+    /// A session re-attempts a failed cluster fetch after backoff.
+    RetryFetch(SessionId),
+}
+
+/// Per-session retry bookkeeping for the current failure episode.
+#[derive(Debug, Clone, Copy)]
+struct RetryState {
+    /// Re-attempts consumed so far.
+    attempts: u32,
+    /// When the episode began (anchors the stall budget).
+    first_failure: SimTime,
+}
+
+/// One session's proxy-streamed prefix phase. Present on a
+/// [`SessionRecord`] exactly while prefix clusters are still in flight.
+/// While it is, a completing suffix cluster is only noted
+/// (`suffix_landed`) — playout needs contiguous clusters — and taking
+/// the phase off the record is what hands the session back to the
+/// suffix chain. The session's home is the proxy, so a home-server
+/// failure tears the phase down with the session itself. How far the
+/// phase has come is the [`Session`]'s to say: until it ends, every
+/// fetched cluster is a prefix cluster, of `prefix_reserved()` in all.
+#[derive(Debug)]
+struct PrefixPhase {
+    /// The local flow carrying the prefix cluster now streaming.
+    flow: Option<FlowId>,
+    /// The concurrent suffix cluster landed before the prefix drained;
+    /// its accounting waits for the drain.
+    suffix_landed: bool,
+}
+
+/// Everything that lives and dies with one session. `open_session` is
+/// the only insert and `close_session` the only erase, so a flow in
+/// `ServiceModel::flow_owner` always names a live record.
+#[derive(Debug)]
+pub(super) struct SessionRecord {
+    pub(super) session: Session,
+    /// Route of the most recent origin fetch (`None` until the first
+    /// launch and after a re-route severed it).
+    pub(super) route: Option<Route>,
+    /// The in-flight origin (or suffix) cluster transfer.
+    pub(super) flow: Option<FlowId>,
+    /// The DMA admitted the title at request time: advertise it at the
+    /// home server once the last cluster lands.
+    cache_on_complete: bool,
+    /// The open failure episode, if the session is waiting out a backoff.
+    retry: Option<RetryState>,
+    prefix: Option<PrefixPhase>,
+}
+
+/// The simulation model (internal state of a
+/// [`VodService`](super::VodService) run).
+pub(super) struct ServiceModel<S: EventSink> {
+    pub(super) topology: Topology,
+    pub(super) config: ServiceConfig,
+    pub(super) flows: FlowNetwork,
+    pub(super) snmp: SnmpSystem,
+    pub(super) db: Database,
+    pub(super) admin: AdminCredential,
+    pub(super) caches: BTreeMap<NodeId, DmaCache>,
+    pub(super) selector: Box<dyn ServerSelector>,
+    pub(super) background: BackgroundModel,
+    pub(super) trace: RequestTrace,
+    /// Boxed: B-tree leaves fill to about 55 % under ascending inserts,
+    /// so an inline record would cost nearly twice its ~290 bytes.
+    pub(super) sessions: BTreeMap<SessionId, Box<SessionRecord>>,
+    /// Every in-flight transfer (origin and prefix alike) back to its
+    /// session; the record says which of its flows it is.
+    pub(super) flow_owner: BTreeMap<FlowId, SessionId>,
+    /// Per-proxy prefix stores (empty when the tier is disabled; a
+    /// store vanishes with its server and rejoins cold, like the DMA).
+    pub(super) prefix_stores: BTreeMap<NodeId, PrefixStore>,
+    /// Outage depth per down server: overlapping windows nest, and a
+    /// server only revives when its depth returns to zero.
+    pub(super) down: BTreeMap<NodeId, u32>,
+    /// Outage depth per admin-down link (absent = up).
+    pub(super) link_down: BTreeMap<LinkId, u32>,
+    /// Active degradation factors per link; the effective capacity scale
+    /// is the minimum of the open windows (1.0 when none).
+    pub(super) degrade: BTreeMap<LinkId, Vec<f64>>,
+    /// Open SNMP-poller outage windows; polls are skipped while nonzero.
+    pub(super) snmp_outages: u32,
+    /// Bumped whenever a link's admin state changes, so the cached
+    /// selector snapshot is rebuilt with the new overlay.
+    pub(super) link_admin_epoch: u64,
+    /// The database snapshot the selector sees, cached per
+    /// ([`Database::traffic_version`], link-admin epoch). Requests
+    /// between SNMP polls reuse the same snapshot *instance*, so its
+    /// epoch token stays stable and the VRA's routing engine serves them
+    /// from its weight and shortest-path caches.
+    pub(super) db_snap_cache: Option<((u64, u64), vod_net::TrafficSnapshot)>,
+    /// Reused buffer for the instantaneous utilization samples taken at
+    /// each SNMP poll (avoids one snapshot allocation per poll).
+    pub(super) live_snap: vod_net::TrafficSnapshot,
+    pub(super) retired_dma: DmaStats,
+    /// Stats of prefix stores retired by server failures.
+    pub(super) retired_prefix: PrefixStats,
+    /// Clusters streamed by the proxies over the whole run.
+    pub(super) prefix_served_clusters: u64,
+    /// Megabits the proxies streamed — volume the backbone never saw.
+    pub(super) prefix_served_mbit: f64,
+    /// Sessions fully covered by a resident prefix (no origin fetch).
+    pub(super) full_prefix_sessions: u64,
+    pub(super) records: Vec<QosRecord>,
+    pub(super) failed_requests: u64,
+    pub(super) rejected_requests: u64,
+    pub(super) aborted_sessions: u64,
+    pub(super) arrivals_remaining: usize,
+    pub(super) next_session: u64,
+    pub(super) last_sync: SimTime,
+    /// The instant of the already-scheduled pending flow check, if any —
+    /// lets `schedule_flow_check` skip duplicate events when the
+    /// prediction is unchanged (every handler re-checks, but between
+    /// completions the predicted instant rarely moves).
+    pub(super) scheduled_check: Option<SimTime>,
+    /// Reused buffer for flow completions per `advance_to` call.
+    pub(super) done_scratch: Vec<FlowId>,
+    /// High-water mark of concurrently live sessions.
+    pub(super) peak_sessions: usize,
+    pub(super) recurring_deadline: SimTime,
+    pub(super) max_util_series: TimeSeries,
+    pub(super) mean_util_series: TimeSeries,
+    pub(super) seed: u64,
+    /// Where trace events go; [`vod_obs::NullSink`] compiles the emission sites
+    /// away entirely.
+    pub(super) sink: S,
+    /// Always-on distribution bookkeeping feeding [`vod_obs::RunReport`].
+    pub(super) registry: MetricsRegistry,
+}
+
+impl<S: EventSink> ServiceModel<S> {
+    /// Advances the fluid network and SNMP counters to `now`, processing
+    /// any flow completions that occurred in between.
+    fn advance_to(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+        // Events scheduled before the trace window opens (e.g. an outage
+        // configured ahead of the first arrival) fire while `last_sync`
+        // still sits at the window start; no fluid time has passed.
+        if now <= self.last_sync {
+            return;
+        }
+        let dt = now.duration_since(self.last_sync);
+        if dt.is_zero() {
+            return;
+        }
+        // The flow network maintains the SNMP volume integrals itself;
+        // completions land in a reused scratch buffer.
+        let mut done = std::mem::take(&mut self.done_scratch);
+        self.flows.advance_into(dt, &mut done);
+        self.last_sync = now;
+        for &flow in &done {
+            self.on_flow_complete(now, flow, sched);
+        }
+        done.clear();
+        self.done_scratch = done;
+    }
+
+    /// Schedules a flow-completion check just after the next predicted
+    /// completion (skipped when that exact check is already pending —
+    /// stale checks are no-ops, so duplicates are only queue noise).
+    fn schedule_flow_check(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+        if let Some((_, dt)) = self.flows.next_completion() {
+            // The slack absorbs the prediction's µs rounding,
+            // guaranteeing the completion has happened by the time the
+            // check fires (see `COMPLETION_CHECK_SLACK`).
+            let at = now + dt + COMPLETION_CHECK_SLACK;
+            if self.scheduled_check != Some(at) {
+                self.scheduled_check = Some(at);
+                sched.schedule(at, Event::FlowCheck);
+            }
+        }
+    }
+
+    fn has_pending_work(&self) -> bool {
+        self.arrivals_remaining > 0 || !self.sessions.is_empty()
+    }
+
+    fn reschedule_recurring(
+        &self,
+        now: SimTime,
+        interval: SimDuration,
+        make: impl FnOnce() -> Event,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let at = now + interval;
+        if at <= self.recurring_deadline && self.has_pending_work() {
+            sched.schedule(at, make());
+        }
+    }
+
+    /// Ensures the cached database snapshot matches the database's
+    /// current traffic version, rebuilding it only after an SNMP poll
+    /// actually recorded new readings. The cached *instance* is what
+    /// makes the routing engine's epoch cache effective: every request
+    /// between two polls sees the same snapshot token and version.
+    pub(super) fn refresh_db_snapshot(&mut self, now: SimTime) {
+        let key = (self.db.traffic_version(), self.link_admin_epoch);
+        if matches!(&self.db_snap_cache, Some((k, _)) if *k == key) {
+            return;
+        }
+        let la = catalog(&mut self.db, &self.admin);
+        let mut snap = match self.config.snmp_smoothing {
+            Some(alpha) => la.smoothed_snapshot(&self.topology, alpha),
+            None => la.snapshot(&self.topology),
+        };
+        // Overlay the links the service knows to be down: SNMP readings
+        // lag the outage, but routing must detour immediately.
+        for &link in self.link_down.keys() {
+            snap.set_admin_down(link, true);
+        }
+        // Every rebuild is traced: the auditor reconstructs exactly the
+        // view the selector works from until the next rebuild.
+        if self.sink.enabled() {
+            let links = self.topology.link_count();
+            let mut used = Vec::with_capacity(links);
+            let mut utilization = Vec::with_capacity(links);
+            for link in self.topology.link_ids() {
+                used.push(snap.used(link).as_f64());
+                utilization.push(snap.utilization(&self.topology, link).get());
+            }
+            let down: Vec<u64> = self.link_down.keys().map(|l| l.index() as u64).collect();
+            self.sink.record(
+                now,
+                &ObsEvent::LinkState {
+                    used,
+                    utilization,
+                    down,
+                },
+            );
+        }
+        self.db_snap_cache = Some((key, snap));
+    }
+
+    /// Runs the selector for `video` on behalf of a client homed at
+    /// `home`. The second element reports whether the selector's routing
+    /// engine answered from cache (always `false` for engine-less
+    /// baselines) — it tags the `vra_select` trace events.
+    pub(super) fn select_source(
+        &mut self,
+        now: SimTime,
+        home: NodeId,
+        video: VideoId,
+    ) -> Option<(Selection, bool)> {
+        let candidates = self.db.full_access().servers_with_title(video);
+        if candidates.is_empty() {
+            return None;
+        }
+        self.refresh_db_snapshot(now);
+        let ServiceModel {
+            topology,
+            selector,
+            db_snap_cache,
+            ..
+        } = self;
+        let (_, snapshot) = db_snap_cache.as_ref()?;
+        let ctx = SelectionContext {
+            topology,
+            snapshot,
+            home,
+            candidates: &candidates,
+        };
+        let before = selector.engine_stats();
+        let selection = selector.select(&ctx).ok()?;
+        let cache_hit = match (before, selector.engine_stats()) {
+            (Some(b), Some(a)) => {
+                a.path_cache_hits > b.path_cache_hits || a.local_hits > b.local_hits
+            }
+            _ => false,
+        };
+        Some((selection, cache_hit))
+    }
+
+    /// Starts fetching the next cluster of `sid`, re-running the selector
+    /// when dynamic re-routing is enabled. A fetch failure (no reachable
+    /// replica, dead source) goes through the retry policy instead of
+    /// aborting unconditionally. A no-op for a session that has ended
+    /// (a stale `RetryFetch`) or has nothing left to fetch.
+    pub(super) fn start_cluster_fetch(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let Some(rec) = self.sessions.get(&sid) else {
+            return;
+        };
+        let Some(idx) = rec.session.next_cluster() else {
+            return;
+        };
+        let route = match &rec.route {
+            Some(route) if !self.config.dynamic_rerouting => route.clone(),
+            _ => {
+                match self.select_source(now, rec.session.home(), rec.session.video()) {
+                    Some((selection, cache_hit)) => {
+                        self.trace_selection(now, sid, idx, &selection, cache_hit);
+                        selection.route
+                    }
+                    None => {
+                        // Mid-stream loss of every replica: retry (transient
+                        // outages heal) or abort once the budget is spent.
+                        self.handle_fetch_failure(now, sid, sched);
+                        return;
+                    }
+                }
+            }
+        };
+        self.fetch_along(now, sid, idx, route, sched);
+    }
+
+    /// Traces one selector decision made for cluster `idx` of `sid`.
+    pub(super) fn trace_selection(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        idx: usize,
+        selection: &Selection,
+        cache_hit: bool,
+    ) {
+        if !self.sink.enabled() {
+            return;
+        }
+        if let Some(rec) = self.sessions.get(&sid) {
+            let (home, video) = (rec.session.home(), rec.session.video());
+            self.sink.record(
+                now,
+                &ObsEvent::VraSelect {
+                    session: sid.0,
+                    cluster: idx as u64,
+                    video,
+                    home,
+                    server: selection.server,
+                    cost: selection.route.cost(),
+                    cache_hit,
+                    local: selection.is_local(),
+                },
+            );
+        }
+    }
+
+    /// Launches the transfer of cluster `idx` of `sid` along `route`,
+    /// booking the (possibly switched) source on the session.
+    pub(super) fn fetch_along(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        idx: usize,
+        route: Route,
+        sched: &mut Scheduler<Event>,
+    ) {
+        self.registry.record_fetch_cost(route.cost());
+        let Some(rec) = self.sessions.get_mut(&sid) else {
+            return;
+        };
+        let sess = &mut rec.session;
+        let from = sess.current_server();
+        if sess.assign_server(route.target(), route.hops() == 0) {
+            self.registry.record_switch();
+            if self.sink.enabled() {
+                // `from` is always present here: a first assignment is
+                // not reported as a switch.
+                if let Some(from) = from {
+                    self.sink.record(
+                        now,
+                        &ObsEvent::Switch {
+                            session: sid.0,
+                            cluster: idx as u64,
+                            from,
+                            to: route.target(),
+                        },
+                    );
+                }
+            }
+        }
+        let (home, video) = (sess.home(), sess.video());
+        let volume = sess.cluster_volume_mbit(idx);
+        // A network flow along the route, or a disk-limited local flow
+        // when the home serves itself. A launch error (an empty cluster,
+        // a route foreign to the flow network) does not arise for
+        // sessions built from library titles.
+        let launched = if route.hops() == 0 {
+            let rate = local_serve_rate(&self.caches, &self.db, &self.config, home, video);
+            self.flows.add_local_flow(volume, rate)
+        } else {
+            self.flows.add_flow(route.links().to_vec(), volume)
+        };
+        let Ok(flow) = launched else {
+            self.handle_fetch_failure(now, sid, sched);
+            return;
+        };
+        self.flow_owner.insert(flow, sid);
+        rec.flow = Some(flow);
+        rec.route = Some(route);
+        // A successful launch closes the failure episode.
+        rec.retry = None;
+    }
+
+    /// Applies the retry policy to a failed cluster fetch: schedule a
+    /// backed-off re-attempt while budget remains, abort otherwise with
+    /// the exact exhaustion reason.
+    fn handle_fetch_failure(&mut self, now: SimTime, sid: SessionId, sched: &mut Scheduler<Event>) {
+        let policy = self.config.retry;
+        if policy.max_attempts == 0 {
+            self.abort_session(now, sid, "no_source");
+            return;
+        }
+        let state = self
+            .sessions
+            .get(&sid)
+            .and_then(|rec| rec.retry)
+            .unwrap_or(RetryState {
+                attempts: 0,
+                first_failure: now,
+            });
+        if state.attempts >= policy.max_attempts {
+            self.abort_session(now, sid, "retry_exhausted");
+            return;
+        }
+        let attempt = state.attempts + 1;
+        let backoff =
+            SimDuration::from_micros(policy.backoff.as_micros().saturating_mul(attempt as u64));
+        let resume_at = now + backoff;
+        if resume_at.duration_since(state.first_failure) > policy.stall_budget {
+            self.abort_session(now, sid, "stall_budget");
+            return;
+        }
+        if let Some(rec) = self.sessions.get_mut(&sid) {
+            rec.retry = Some(RetryState {
+                attempts: attempt,
+                first_failure: state.first_failure,
+            });
+        }
+        if self.sink.enabled() {
+            self.sink.record(
+                now,
+                &ObsEvent::SessionRetry {
+                    session: sid.0,
+                    attempt,
+                    backoff,
+                },
+            );
+        }
+        sched.schedule(resume_at, Event::RetryFetch(sid));
+    }
+
+    /// Opens a session: the only place that allocates a [`SessionId`],
+    /// inserts a record and moves `peak_sessions`. A nonzero
+    /// `prefix_clusters` makes the home server, as regional proxy,
+    /// stream that many leading clusters on its own flow chain, starting
+    /// now; the caller starts the origin chain (if the prefix leaves
+    /// anything to fetch).
+    pub(super) fn open_session(
+        &mut self,
+        now: SimTime,
+        meta: &VideoMeta,
+        home: NodeId,
+        cache_on_complete: bool,
+        prefix_clusters: usize,
+    ) -> SessionId {
+        let sid = SessionId(self.next_session);
+        self.next_session += 1;
+        let mut session = Session::new(sid, meta, home, self.config.cluster, now);
+        let prefix = (prefix_clusters > 0).then(|| {
+            session.set_prefix_reserved(prefix_clusters);
+            // The prefix's first cluster streams locally from the proxy.
+            session.assign_server(home, true);
+            PrefixPhase {
+                flow: None,
+                suffix_landed: false,
+            }
+        });
+        self.sessions.insert(
+            sid,
+            Box::new(SessionRecord {
+                session,
+                route: None,
+                flow: None,
+                cache_on_complete,
+                retry: None,
+                prefix,
+            }),
+        );
+        self.peak_sessions = self.peak_sessions.max(self.sessions.len());
+        if prefix_clusters > 0 {
+            if self.sink.enabled() {
+                self.sink.record(
+                    now,
+                    &ObsEvent::PrefixServe {
+                        session: sid.0,
+                        server: home,
+                        video: meta.id(),
+                        clusters: prefix_clusters as u64,
+                    },
+                );
+            }
+            self.launch_prefix_cluster(now, sid, 0);
+        }
+        sid
+    }
+
+    /// Closes a session: the only erase. Completion and every abort
+    /// reason come through here, so the record and its at most two
+    /// in-flight transfers always leave together.
+    fn close_session(&mut self, sid: SessionId) {
+        let Some(rec) = self.sessions.remove(&sid) else {
+            return;
+        };
+        // Order is part of the fixed point: the origin flow leaves the
+        // network before the prefix flow.
+        let prefix_flow = rec.prefix.and_then(|phase| phase.flow);
+        for flow in rec.flow.into_iter().chain(prefix_flow) {
+            let _ = self.flows.remove_flow(flow);
+            self.flow_owner.remove(&flow);
+        }
+    }
+
+    /// Drops a session mid-stream, counting and tracing the abort with
+    /// its cause (`home_down`, `no_source`, `retry_exhausted` or
+    /// `stall_budget`).
+    pub(super) fn abort_session(&mut self, now: SimTime, sid: SessionId, reason: &str) {
+        self.close_session(sid);
+        self.aborted_sessions += 1;
+        if self.sink.enabled() {
+            self.sink.record(
+                now,
+                &ObsEvent::SessionAborted {
+                    session: sid.0,
+                    reason: reason.to_string(),
+                },
+            );
+        }
+    }
+
+    /// Withdraws titles from the shared catalog (evictions, failures),
+    /// tracing each entry that was actually removed.
+    pub(super) fn withdraw_titles(&mut self, now: SimTime, server: NodeId, victims: &[VideoId]) {
+        for &victim in victims {
+            let removed = catalog(&mut self.db, &self.admin).remove_title(server, victim);
+            if matches!(removed, Ok(true)) && self.sink.enabled() {
+                self.sink.record(
+                    now,
+                    &ObsEvent::CatalogRemove {
+                        server,
+                        video: victim,
+                    },
+                );
+            }
+        }
+    }
+
+    /// One cluster finished transferring.
+    fn on_flow_complete(&mut self, now: SimTime, flow: FlowId, sched: &mut Scheduler<Event>) {
+        let Some(sid) = self.flow_owner.remove(&flow) else {
+            return;
+        };
+        let Some(rec) = self.sessions.get_mut(&sid) else {
+            return;
+        };
+        if rec.flow != Some(flow) {
+            self.on_prefix_cluster_done(now, sid, sched);
+            return;
+        }
+        rec.flow = None;
+        if let Some(phase) = &mut rec.prefix {
+            // The concurrent suffix cluster landed while the prefix is
+            // still streaming. Playout needs contiguous clusters, so
+            // its accounting waits for the prefix to drain.
+            phase.suffix_landed = true;
+            return;
+        }
+        self.on_cluster_delivered(now, sid, sched);
+    }
+
+    /// Books a delivered cluster and moves the origin chain on: the next
+    /// cluster's fetch, or the title's advertisement after the last one.
+    fn on_cluster_delivered(&mut self, now: SimTime, sid: SessionId, sched: &mut Scheduler<Event>) {
+        match self.account_cluster_fetched(now, sid, sched) {
+            Some(true) => self.advertise_assembled_title(now, sid),
+            Some(false) => self.start_cluster_fetch(now, sid, sched),
+            None => {}
+        }
+    }
+
+    /// Books one delivered cluster on the session: playout start on the
+    /// first cluster, stall resume otherwise, plus their trace events.
+    /// Returns whether the session's fetch phase is now complete
+    /// (`None` when the session no longer exists).
+    fn account_cluster_fetched(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        sched: &mut Scheduler<Event>,
+    ) -> Option<bool> {
+        let sess = &mut self.sessions.get_mut(&sid)?.session;
+        if sess.on_cluster_fetched(now) {
+            sess.start_playing();
+            let startup = sess.startup_delay().unwrap_or(SimDuration::ZERO);
+            let dt = sess.cluster_play_time(0);
+            sched.schedule(now + dt, Event::PlayoutTick(sid));
+            self.registry.record_startup(startup);
+            if self.sink.enabled() {
+                self.sink.record(
+                    now,
+                    &ObsEvent::SessionStart {
+                        session: sid.0,
+                        startup,
+                    },
+                );
+            }
+        } else if sess.is_stalled() {
+            let stalled_for = sess.resume(now);
+            let dt = sess.cluster_play_time(sess.clusters_played());
+            sched.schedule(now + dt, Event::PlayoutTick(sid));
+            self.registry.record_stall(stalled_for);
+            if self.sink.enabled() {
+                self.sink.record(
+                    now,
+                    &ObsEvent::SessionResume {
+                        session: sid.0,
+                        stalled: stalled_for,
+                    },
+                );
+            }
+        }
+        Some(sess.fetch_complete())
+    }
+
+    /// The home server finished assembling the title; if the DMA
+    /// admitted it at request time, it is now advertised.
+    fn advertise_assembled_title(&mut self, now: SimTime, sid: SessionId) {
+        let Some(rec) = self.sessions.get(&sid) else {
+            return;
+        };
+        if !rec.cache_on_complete {
+            return;
+        }
+        let (home, video) = (rec.session.home(), rec.session.video());
+        if self
+            .caches
+            .get(&home)
+            .map(|c| c.contains(video))
+            .unwrap_or(false)
+        {
+            let added = catalog(&mut self.db, &self.admin).add_title(home, video);
+            if matches!(added, Ok(true)) && self.sink.enabled() {
+                self.sink.record(
+                    now,
+                    &ObsEvent::CatalogAdd {
+                        server: home,
+                        video,
+                    },
+                );
+            }
+        }
+    }
+
+    /// One proxy-streamed prefix cluster was delivered: account it,
+    /// stream the next reserved cluster, and when the prefix drains
+    /// release any suffix cluster whose accounting was deferred.
+    fn on_prefix_cluster_done(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let Some(fetch_complete) = self.account_cluster_fetched(now, sid, sched) else {
+            return;
+        };
+        let Some(rec) = self.sessions.get_mut(&sid) else {
+            return;
+        };
+        let Some(phase) = &mut rec.prefix else {
+            return;
+        };
+        phase.flow = None;
+        let next = rec.session.clusters_fetched();
+        if next < rec.session.prefix_reserved() {
+            self.launch_prefix_cluster(now, sid, next);
+            return;
+        }
+        // Prefix phase drained: the suffix chain owns the session again.
+        let suffix_landed = phase.suffix_landed;
+        rec.prefix = None;
+        if fetch_complete {
+            // The prefix covered the whole title; nothing left to fetch.
+            self.advertise_assembled_title(now, sid);
+        } else if suffix_landed {
+            self.on_cluster_delivered(now, sid, sched);
+        }
+        // Otherwise the concurrent suffix cluster is still in flight;
+        // its completion resumes the normal sequential chain.
+    }
+
+    /// Starts the local flow streaming prefix cluster `index` from the
+    /// session's proxy. A launch failure is a dead proxy disk in
+    /// disguise and aborts the session like any unreachable source.
+    fn launch_prefix_cluster(&mut self, now: SimTime, sid: SessionId, index: usize) {
+        let Some(rec) = self.sessions.get_mut(&sid) else {
+            return;
+        };
+        let Some(phase) = &mut rec.prefix else {
+            return;
+        };
+        if index > 0 {
+            // Cluster 0 was counted by the arrival-time proxy
+            // assignment; later prefix clusters are still local.
+            rec.session.count_local_cluster();
+        }
+        let volume = rec.session.cluster_volume_mbit(index);
+        let rate = self
+            .config
+            .prefix_tier
+            .map(|t| t.proxy_rate)
+            .unwrap_or(self.config.local_rate);
+        match self.flows.add_local_flow(volume, rate) {
+            Ok(flow) => {
+                self.flow_owner.insert(flow, sid);
+                phase.flow = Some(flow);
+                self.prefix_served_clusters += 1;
+                self.prefix_served_mbit += volume;
+            }
+            Err(_) => self.abort_session(now, sid, "no_source"),
+        }
+    }
+
+    fn on_playout_tick(&mut self, now: SimTime, sid: SessionId, sched: &mut Scheduler<Event>) {
+        let Some(rec) = self.sessions.get_mut(&sid) else {
+            return;
+        };
+        let sess = &mut rec.session;
+        sess.on_cluster_played();
+        if sess.playback_complete() {
+            let record = sess.finish(now);
+            if self.sink.enabled() {
+                self.sink.record(
+                    now,
+                    &ObsEvent::SessionComplete {
+                        session: sid.0,
+                        stalls: record.stall_count,
+                        stall_time: record.stall_time,
+                        switches: record.switches,
+                    },
+                );
+            }
+            self.records.push(record);
+            self.close_session(sid);
+        } else if sess.buffered() > 0 {
+            let dt = sess.cluster_play_time(sess.clusters_played());
+            sched.schedule(now + dt, Event::PlayoutTick(sid));
+        } else {
+            sess.stall(now);
+            if self.sink.enabled() {
+                self.sink
+                    .record(now, &ObsEvent::SessionStall { session: sid.0 });
+            }
+        }
+    }
+
+    fn on_snmp_poll(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+        // Age of the traffic view this poll replaces — the staleness
+        // every routing decision since the previous poll worked with.
+        let staleness = now.duration_since(self.snmp.last_poll_at());
+        if self.snmp_outages > 0 {
+            // Poller outage: skip the poll. The database's traffic
+            // version stalls, so the selector keeps its last-known-good
+            // snapshot; the trace flags the growing staleness.
+            if self.sink.enabled() {
+                self.sink
+                    .record(now, &ObsEvent::SnmpStaleView { staleness });
+            }
+        } else {
+            // Pull the incrementally-maintained volume integrals into the
+            // SNMP counters; between polls nothing iterates the links.
+            self.snmp.sync_counters(&self.flows);
+            // The SNMP system is constructed from the same topology, so
+            // every link is registered and a poll cannot fail.
+            let readings = self
+                .snmp
+                .poll(&self.topology, &mut self.db, now)
+                .unwrap_or_default();
+            if self.sink.enabled() {
+                self.sink.record(
+                    now,
+                    &ObsEvent::SnmpPoll {
+                        readings: readings as u64,
+                        staleness,
+                    },
+                );
+            }
+        }
+        // Sample true instantaneous utilization for the report, reusing
+        // the buffer instead of allocating a snapshot per poll.
+        self.flows.snapshot_into(&mut self.live_snap);
+        if let Some((_, max)) = self.live_snap.max_utilization(&self.topology) {
+            self.max_util_series.push(now, max.get());
+        }
+        self.mean_util_series
+            .push(now, self.live_snap.mean_utilization(&self.topology).get());
+        self.reschedule_recurring(now, self.config.snmp_interval, || Event::SnmpPoll, sched);
+    }
+
+    fn on_background_update(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+        self.background.apply(&mut self.flows, now);
+        if self.sink.enabled() {
+            self.sink.record(now, &ObsEvent::BackgroundUpdate);
+        }
+        self.reschedule_recurring(
+            now,
+            self.config.background_interval,
+            || Event::BackgroundUpdate,
+            sched,
+        );
+    }
+}
+
+#[cfg(test)]
+impl<S: EventSink> ServiceModel<S> {
+    /// The session-state invariant: `flow_owner`, the records and the
+    /// flow network agree on which transfers are in flight, and a
+    /// session waiting out a retry backoff has no origin transfer.
+    pub(super) fn assert_consistent(&self) {
+        let flows_of = |rec: &SessionRecord| {
+            let prefix_flow = rec.prefix.as_ref().and_then(|phase| phase.flow);
+            rec.flow.into_iter().chain(prefix_flow)
+        };
+        for (&flow, sid) in &self.flow_owner {
+            let rec = self.sessions.get(sid);
+            assert!(
+                rec.is_some_and(|rec| flows_of(rec).any(|f| f == flow)),
+                "{flow:?} is owned by {sid}, whose record does not name it: {rec:?}"
+            );
+        }
+        for (sid, rec) in &self.sessions {
+            for flow in flows_of(rec) {
+                assert_eq!(self.flow_owner.get(&flow), Some(sid), "{flow:?} of {sid}");
+                assert!(
+                    self.flows.rate(flow).is_ok(),
+                    "{flow:?} of {sid} left the network"
+                );
+            }
+            assert!(
+                rec.retry.is_none() || rec.flow.is_none(),
+                "{sid} retries with an origin transfer in flight"
+            );
+        }
+        assert_eq!(self.flows.flow_count(), self.flow_owner.len());
+    }
+}
+
+impl<S: EventSink> Model for ServiceModel<S> {
+    type Event = Event;
+
+    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
+        self.advance_to(now, sched);
+        match event {
+            Event::Arrival(idx) => self.on_arrival(now, idx, sched),
+            Event::FlowCheck => {
+                // Completions were already processed by advance_to.
+            }
+            Event::PlayoutTick(sid) => self.on_playout_tick(now, sid, sched),
+            Event::SnmpPoll => self.on_snmp_poll(now, sched),
+            Event::BackgroundUpdate => self.on_background_update(now, sched),
+            Event::ServerDown(node) => self.on_server_down(now, node, sched),
+            Event::ServerUp(node) => self.on_server_up(now, node),
+            Event::LinkDown(link) => self.on_link_down(now, link, sched),
+            Event::LinkUp(link) => self.on_link_up(now, link),
+            Event::DegradeStart(link, factor) => self.on_degrade_start(now, link, factor),
+            Event::DegradeEnd(link, factor) => self.on_degrade_end(now, link, factor),
+            Event::SnmpOutageStart => self.on_snmp_outage_start(now),
+            Event::SnmpOutageEnd => self.on_snmp_outage_end(now),
+            Event::RetryFetch(sid) => self.start_cluster_fetch(now, sid, sched),
+        }
+        self.schedule_flow_check(now, sched);
+    }
+}

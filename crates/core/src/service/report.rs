@@ -1,0 +1,59 @@
+//! Folding a finished model into its [`ServiceReport`].
+
+use vod_net::NodeId;
+use vod_obs::{EventSink, MetricsRegistry};
+use vod_sim::metrics::Summary;
+use vod_storage::dma::DmaStats;
+
+use super::model::ServiceModel;
+use crate::qos::{PrefixTierReport, ServiceReport};
+
+impl<S: EventSink> ServiceModel<S> {
+    /// Builds the final [`ServiceReport`] and hands back the metric
+    /// registry and the sink for callers that want the full picture
+    /// ([`VodService::run_full`](super::VodService::run_full)).
+    pub(super) fn into_report_full(self) -> (ServiceReport, MetricsRegistry, S) {
+        let mut dma = self.retired_dma;
+        let per_server_dma: Vec<(NodeId, DmaStats)> = self
+            .caches
+            .iter()
+            .map(|(&node, cache)| (node, cache.stats()))
+            .collect();
+        for &(_, stats) in &per_server_dma {
+            dma += stats;
+        }
+        let prefix = self.config.prefix_tier.map(|_| {
+            let mut stats = self.retired_prefix;
+            for store in self.prefix_stores.values() {
+                stats += store.stats();
+            }
+            PrefixTierReport {
+                stats,
+                served_clusters: self.prefix_served_clusters,
+                served_mbit: self.prefix_served_mbit,
+                full_prefix_sessions: self.full_prefix_sessions,
+            }
+        });
+        let report = ServiceReport {
+            selector: self.selector.name().to_string(),
+            seed: self.seed,
+            completed: self.records,
+            failed_requests: self.failed_requests,
+            aborted_sessions: self.aborted_sessions,
+            rejected_requests: self.rejected_requests,
+            unfinished_sessions: self.sessions.len(),
+            max_link_utilization: Summary::from_values(
+                self.max_util_series.samples().iter().map(|&(_, v)| v),
+            ),
+            mean_link_utilization: Summary::from_values(
+                self.mean_util_series.samples().iter().map(|&(_, v)| v),
+            ),
+            dma,
+            per_server_dma,
+            engine: self.selector.engine_stats(),
+            snmp_polls: self.snmp.polls(),
+            prefix,
+        };
+        (report, self.registry, self.sink)
+    }
+}

@@ -152,6 +152,26 @@ pub struct DmaStats {
     pub rejections: u64,
 }
 
+impl std::ops::AddAssign for DmaStats {
+    /// Field-wise sum: folds one cache's counters into a running total.
+    fn add_assign(&mut self, rhs: DmaStats) {
+        // Exhaustive on purpose: a new counter must be summed here to
+        // compile.
+        let DmaStats {
+            requests,
+            hits,
+            admissions,
+            evictions,
+            rejections,
+        } = rhs;
+        self.requests += requests;
+        self.hits += hits;
+        self.admissions += admissions;
+        self.evictions += evictions;
+        self.rejections += rejections;
+    }
+}
+
 impl DmaStats {
     /// Hit ratio over all requests (0 when no requests yet).
     pub fn hit_ratio(&self) -> f64 {

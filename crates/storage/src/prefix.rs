@@ -153,6 +153,28 @@ pub struct PrefixStats {
     pub extensions: u64,
 }
 
+impl std::ops::AddAssign for PrefixStats {
+    /// Field-wise sum: folds one store's counters into a running total.
+    fn add_assign(&mut self, rhs: PrefixStats) {
+        // Exhaustive on purpose: a new counter must be summed here to
+        // compile.
+        let PrefixStats {
+            requests,
+            hits,
+            admissions,
+            evictions,
+            rejections,
+            extensions,
+        } = rhs;
+        self.requests += requests;
+        self.hits += hits;
+        self.admissions += admissions;
+        self.evictions += evictions;
+        self.rejections += rejections;
+        self.extensions += extensions;
+    }
+}
+
 impl PrefixStats {
     /// Hit ratio over all requests (0 when no requests yet).
     pub fn hit_ratio(&self) -> f64 {

@@ -1,23 +1,31 @@
-//! Integration tests for the event-driven flow kernel: the pinned
-//! seed-42 GRNET golden trace (recorded with the lockstep kernel that
-//! now lives on as vod-sim's test oracle) and a scale-stress smoke run.
+//! Integration tests for the event-driven flow kernel and the session
+//! lifecycle above it: the pinned seed-42 GRNET golden trace (recorded
+//! with the lockstep kernel that now lives on as vod-sim's test oracle),
+//! a pinned prefix × fault × retry trace, a scale-stress smoke run and a
+//! server outage at scale.
 
-use vod_core::service::{ServiceConfig, VodService};
+use std::collections::BTreeSet;
+
+use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
+use vod_core::ServiceReport;
 use vod_net::Mbps;
 use vod_obs::JsonlWriter;
+use vod_sim::fault::FaultPlan;
+use vod_sim::SimTime;
 use vod_workload::scenario::Scenario;
 
-/// Runs `scenario` with a JSONL sink and returns the raw trace bytes.
-fn traced_run(scenario: &Scenario, config: ServiceConfig) -> Vec<u8> {
+/// Runs `scenario` with a JSONL sink and returns the report and the
+/// trace text.
+fn traced_run(scenario: &Scenario, config: ServiceConfig) -> (ServiceReport, String) {
     let service = VodService::with_sink(
         scenario,
         Box::new(Vra::default()),
         config,
         JsonlWriter::new(Vec::new()),
     );
-    let (_report, _run_report, sink) = service.run_full();
-    sink.into_inner()
+    let (report, _run_report, sink) = service.run_full();
+    (report, String::from_utf8(sink.into_inner()).unwrap())
 }
 
 /// FNV-1a 64 over the trace bytes — cheap, dependency-free, and stable
@@ -39,14 +47,77 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn golden_seed42_grnet_trace_is_pinned_and_audits_clean() {
     let scenario = Scenario::grnet_case_study(42);
-    let bytes = traced_run(&scenario, ServiceConfig::default());
-    let text = String::from_utf8(bytes).unwrap();
+    let (_, text) = traced_run(&scenario, ServiceConfig::default());
 
     assert_eq!(text.len(), 269_541, "trace byte length drifted");
     assert_eq!(text.lines().count(), 3_026, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
         0xe734_c43e_1097_1b45,
+        "trace content drifted"
+    );
+
+    let summary = vod_check::audit::audit_trace(&text);
+    assert!(summary.is_clean(), "audit violations: {summary:?}");
+}
+
+/// Prefix tier × fault plan × retry budget in one run — the session
+/// paths the seed-42 GRNET trace above never enters (split start, full
+/// prefix, re-route, retry, `home_down` and `retry_exhausted` aborts),
+/// pinned the same way.
+/// The flash crowd is the smallest stock scenario where split-start and
+/// full-prefix sessions both occur, and ten windows is where the seed-42
+/// plan first holds a link outage and two server outages.
+#[test]
+fn golden_seed42_prefix_fault_trace_is_pinned_and_audits_clean() {
+    let scenario = Scenario::flash_crowd(42);
+    let requests = scenario.trace().requests();
+    let (start, end) = (requests[0].at, requests[requests.len() - 1].at);
+    let config = ServiceConfig {
+        prefix_tier: Some(PrefixTierConfig::default()),
+        fault_plan: FaultPlan::random(42, scenario.topology(), start, end, 10),
+        retry: RetryPolicy::with_attempts(2),
+        ..ServiceConfig::default()
+    };
+    let (_, text) = traced_run(&scenario, config);
+
+    // The pin must not go vacuous: every rewritten path leaves its event.
+    let count = |kind: &str| text.matches(&format!("\"kind\":\"{kind}\"")).count();
+    for kind in [
+        "prefix_serve",
+        "session_retry",
+        "session_aborted",
+        "switch",
+        "link_down",
+        "server_down",
+    ] {
+        assert!(count(kind) > 0, "no {kind} event in the trace");
+    }
+    // A split start selects an origin for its suffix; a full-prefix
+    // session never does. Both shapes must be in the pinned run.
+    let sessions_with = |kind: &str| -> BTreeSet<&str> {
+        let tag = format!("\"kind\":\"{kind}\",\"session\":");
+        text.lines()
+            .filter_map(|l| l.split_once(tag.as_str()))
+            .filter_map(|(_, rest)| rest.split(',').next())
+            .collect()
+    };
+    let served = sessions_with("prefix_serve");
+    let selected = sessions_with("vra_select");
+    assert!(
+        served.intersection(&selected).next().is_some(),
+        "no split start"
+    );
+    assert!(
+        served.difference(&selected).next().is_some(),
+        "no full prefix"
+    );
+
+    assert_eq!(text.len(), 167_289, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 1_923, "trace line count drifted");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x4ab4_d31a_06c1_dcb7,
         "trace content drifted"
     );
 
@@ -77,4 +148,45 @@ fn scale_stress_smoke_completes_every_session() {
     assert_eq!(report.completed.len(), arrivals);
     assert_eq!(report.failed_requests, 0);
     assert_eq!(report.aborted_sessions, 0);
+}
+
+/// A city fails with thousands of sessions homed on it: every one of
+/// them aborts (`home_down`), nothing re-routes because every serve in
+/// this scenario is local, and every arrival still ends in exactly one
+/// outcome. The outage outlasts the arrival window, so the city never
+/// rejoins cold and pulls titles across the backbone.
+#[test]
+fn server_outage_at_scale_closes_every_session() {
+    let scenario = Scenario::scale_stress(7, 30_000);
+    let arrivals = scenario.trace().len();
+    let victim = scenario.topology().video_server_nodes()[0];
+    let config = ServiceConfig {
+        initial_replicas: 6,
+        local_rate: Mbps::new(2.0),
+        fault_plan: FaultPlan::new().server_outage(
+            SimTime::from_secs(300),
+            SimTime::from_secs(700),
+            victim,
+        ),
+        ..ServiceConfig::default()
+    };
+    let (report, text) = traced_run(&scenario, config);
+
+    assert_eq!(report.unfinished_sessions, 0);
+    assert_eq!(
+        report.completed.len()
+            + (report.failed_requests + report.rejected_requests + report.aborted_sessions)
+                as usize,
+        arrivals
+    );
+    assert!(report.aborted_sessions > 0);
+    let aborts = text
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"session_aborted\""));
+    for line in aborts {
+        assert!(line.contains("\"reason\":\"home_down\""), "{line}");
+    }
+
+    let summary = vod_check::audit::audit_trace(&text);
+    assert!(summary.is_clean(), "audit violations: {summary:?}");
 }
