@@ -51,7 +51,8 @@ scale_json="$(mktemp -t scale-XXXXXX.json)"
 analyze_json="$(mktemp -t analyze-XXXXXX.json)"
 routing_json="$(mktemp -t routing-XXXXXX.json)"
 proxy_json="$(mktemp -t proxy-XXXXXX.json)"
-trap 'rm -f "$chaos_trace" "$chaos_series" "$scale_trace" "$scale_json" "$analyze_json" "$routing_json" "$proxy_json"' EXIT
+kernel_json="$(mktemp -t kernel-XXXXXX.json)"
+trap 'rm -f "$chaos_trace" "$chaos_series" "$scale_trace" "$scale_json" "$analyze_json" "$routing_json" "$proxy_json" "$kernel_json"' EXIT
 cargo run -q --release -p vod-bench --bin ext_chaos -- \
   --trace "$chaos_trace" --series "$chaos_series" > /dev/null
 cargo run -q --release -p vod-check -- audit --series "$chaos_series" "$chaos_trace"
@@ -89,6 +90,21 @@ cargo run -q --release -p vod-bench -- compare --only engine/ --floor-ns 500 \
   --threshold engine/sssp_repair/1_dirty=1.60 \
   --threshold engine/sssp_repair/8_dirty=1.60 \
   BENCH_routing.json "$routing_json"
+
+echo "==> flow-kernel perf gate (contended reallocation vs committed BENCH_kernel.json)"
+# One backbone arrival + departure at a standing population: a thousand
+# flows on GRNET's routes (far more flows than route classes) and seven
+# hundred flows on as many gnp200 routes (a class per flow, dozens of
+# fill rounds). The flow-by-flow kernel these rows replaced measured
+# 915 us and 1 018 us against 11.7 us and 109 us, so the cliff this gate
+# guards is 78x and 9x away; the 3x limit is that wide because the
+# microsecond rows are 40 ms measurements that a busy host has been
+# seen to inflate 2.3x right after the routing bench.
+CRITERION_JSON="$kernel_json" cargo bench -q --bench sim_kernel > /dev/null
+cargo run -q --release -p vod-bench -- compare --only sim_kernel/reallocate \
+  --threshold sim_kernel/reallocate/grnet_shared_1k=3.0 \
+  --threshold sim_kernel/reallocate/gnp200_distinct_700=3.0 \
+  BENCH_kernel.json "$kernel_json"
 
 echo "==> rustdoc (no broken intra-doc links)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q

@@ -1,17 +1,23 @@
 //! Criterion bench: the event-driven flow kernel at a population of
 //! ~10 000 live flows — the per-event primitives the service run is made
 //! of: `advance` with nothing finishing, `next_completion`, and an
-//! add/advance/remove churn cycle.
+//! add/advance/remove churn cycle — and the max-min reallocation a
+//! backbone arrival and departure pay under contention
+//! (`sim_kernel/reallocate/*`: many flows on GRNET's few routes, and
+//! as many routes as flows on a 200-node random graph).
 //!
-//! Run with `CRITERION_JSON=BENCH_sim_kernel.json cargo bench --bench
-//! sim_kernel` for machine-readable output; the committed
-//! `BENCH_sim.json` end-to-end numbers come from `--bin scale` instead.
+//! `CRITERION_JSON=BENCH_kernel.json cargo bench --bench sim_kernel`
+//! re-records the committed baseline `ci.sh` gates the reallocate rows
+//! against; the committed `BENCH_sim.json` end-to-end numbers come from
+//! `--bin scale` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use vod_net::lvn::LvnParams;
 use vod_net::topologies::grnet::Grnet;
-use vod_net::Mbps;
+use vod_net::topologies::random::connected_gnp;
+use vod_net::{LinkId, Mbps, NodeId, RoutingEngine, Topology, TrafficSnapshot};
 use vod_sim::flow::FlowNetwork;
 use vod_sim::SimDuration;
 
@@ -27,8 +33,7 @@ fn populated() -> FlowNetwork {
         net.add_local_flow(1e9, Mbps::new(2.0)).unwrap();
     }
     for link in 0..grnet.topology().link_count() {
-        net.add_flow(vec![vod_net::LinkId::new(link as u32)], 1e9)
-            .unwrap();
+        net.add_flow(vec![LinkId::new(link as u32)], 1e9).unwrap();
     }
     net
 }
@@ -68,5 +73,79 @@ fn bench_churn(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_advance, bench_next_completion, bench_churn);
+/// The routes the routing engine selects on an idle network between
+/// the first `count` ordered pairs of distinct nodes.
+fn engine_routes(topology: &Topology, count: usize) -> Vec<Vec<LinkId>> {
+    let idle = TrafficSnapshot::zero(topology);
+    let mut engine = RoutingEngine::new(LvnParams::default());
+    let nodes: Vec<NodeId> = topology.node_ids().collect();
+    let pairs = nodes
+        .iter()
+        .flat_map(|&home| nodes.iter().map(move |&server| (home, server)))
+        .filter(|(home, server)| home != server);
+    pairs
+        .filter_map(|(home, server)| {
+            engine
+                .select(topology, &idle, home, &[server])
+                .expect("idle snapshot matches its topology")
+        })
+        .map(|selection| selection.route.links().to_vec())
+        .take(count)
+        .collect()
+}
+
+/// One backbone arrival and departure at a standing population of
+/// `flows` network flows spread round-robin over `routes`: `add_flow`,
+/// `remove_flow`, and the `next_completion` the service asks for after
+/// each — two max-min reallocations per iteration.
+fn bench_reallocate_at(
+    c: &mut Criterion,
+    id: &str,
+    topology: &Topology,
+    routes: &[Vec<LinkId>],
+    flows: usize,
+) {
+    let mut net = FlowNetwork::new(topology.clone());
+    // Volumes no iteration can drain, so the population stays put.
+    for i in 0..flows {
+        net.add_flow(routes[i % routes.len()].clone(), 1e15)
+            .unwrap();
+    }
+    let mut i = 0;
+    c.bench_function(id, |b| {
+        b.iter(|| {
+            i += 1;
+            let route = routes[i % routes.len()].clone();
+            let id = net.add_flow(black_box(route), 1e15).unwrap();
+            black_box(net.next_completion());
+            black_box(net.remove_flow(id).unwrap());
+            black_box(net.next_completion());
+        })
+    });
+}
+
+/// Contended reallocation in the two shapes that bound it: a thousand
+/// flows sharing GRNET's thirty city-to-city routes (far more flows than
+/// route classes), and seven hundred flows on seven hundred different
+/// routes of a 200-node random graph (a class per flow, dozens of fill
+/// rounds).
+fn bench_reallocate(c: &mut Criterion) {
+    let grnet = Grnet::new();
+    let routes = engine_routes(grnet.topology(), usize::MAX);
+    let id = "sim_kernel/reallocate/grnet_shared_1k";
+    bench_reallocate_at(c, id, grnet.topology(), &routes, 1_000);
+
+    let gnp200 = connected_gnp(200, 0.05, 42);
+    let routes = engine_routes(&gnp200, 700);
+    let id = "sim_kernel/reallocate/gnp200_distinct_700";
+    bench_reallocate_at(c, id, &gnp200, &routes, 700);
+}
+
+criterion_group!(
+    benches,
+    bench_advance,
+    bench_next_completion,
+    bench_churn,
+    bench_reallocate
+);
 criterion_main!(benches);

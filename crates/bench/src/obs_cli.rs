@@ -3,8 +3,8 @@
 //! Every paper-table binary prints byte-identical output by default; the
 //! opt-in flags here add diagnostics without touching that contract:
 //!
-//! - `--stats` appends the routing-engine and per-server DMA counters of
-//!   a full GRNET case-study service run to stdout.
+//! - `--stats` appends the routing-engine, flow-kernel and per-server DMA
+//!   counters of a full GRNET case-study service run to stdout.
 //! - `--series <path>` writes the run's windowed time-series
 //!   ([`TimeSeriesSink`], one-minute windows) as byte-stable JSON — or
 //!   CSV when `path` ends in `.csv`.
@@ -131,7 +131,8 @@ pub fn write_series(series: &SeriesReport, path: &str) -> std::io::Result<()> {
 }
 
 /// Prints the subsystem counters of a service run: the epoch-cached
-/// routing engine's cache behaviour and each server's DMA counters.
+/// routing engine's cache behaviour, the flow kernel's work and each
+/// server's DMA counters.
 pub fn print_stats(report: &ServiceReport) {
     println!(
         "Service statistics (GRNET case study, seed {}):",
@@ -150,6 +151,15 @@ pub fn print_stats(report: &ServiceReport) {
         }
         None => println!("  engine: n/a (selector is not engine-backed)"),
     }
+    let k = &report.kernel;
+    println!(
+        "  kernel: {} reallocations ({} skipped), {} fill rounds over {} classes, {} links scanned",
+        k.reallocations, k.reallocations_skipped, k.fill_rounds, k.classes_filled, k.links_scanned
+    );
+    println!(
+        "          {} flows re-rated, {} completion scans, {} heap pushes, {} stale pops",
+        k.flows_rerated, k.completion_scans, k.heap_pushes, k.stale_pops
+    );
     println!("  snmp:   {} polling rounds", report.snmp_polls);
     for (server, dma) in &report.per_server_dma {
         println!(

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use vod_net::{EngineStats, NodeId};
 use vod_sim::metrics::Summary;
-use vod_sim::{SimDuration, SimTime};
+use vod_sim::{KernelStats, SimDuration, SimTime};
 use vod_storage::dma::DmaStats;
 use vod_storage::prefix::PrefixStats;
 use vod_storage::video::VideoId;
@@ -130,6 +130,9 @@ pub struct ServiceReport {
     /// Routing-engine cache/rebuild counters, for selectors backed by
     /// the epoch-cached engine (`None` for the baselines).
     pub engine: Option<EngineStats>,
+    /// Flow-kernel work counters: what the run's max-min reallocations
+    /// and completion checks cost.
+    pub kernel: KernelStats,
     /// SNMP polling rounds executed during the run.
     pub snmp_polls: u64,
     /// Regional prefix-tier outcome (`None` when the tier is disabled —
@@ -255,6 +258,7 @@ mod tests {
             dma: DmaStats::default(),
             per_server_dma: Vec::new(),
             engine: None,
+            kernel: KernelStats::default(),
             snmp_polls: 0,
             prefix: None,
         }

@@ -51,6 +51,7 @@ impl<S: EventSink> ServiceModel<S> {
             dma,
             per_server_dma,
             engine: self.selector.engine_stats(),
+            kernel: self.flows.stats(),
             snmp_polls: self.snmp.polls(),
             prefix,
         };

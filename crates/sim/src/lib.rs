@@ -67,6 +67,6 @@ pub mod traffic;
 
 pub use engine::{Model, Simulation};
 pub use fault::{FaultKind, FaultPlan, FaultWindow};
-pub use flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
+pub use flow::{FlowId, FlowNetwork, KernelStats, COMPLETION_CHECK_SLACK};
 pub use scheduler::Scheduler;
 pub use time::{SimDuration, SimTime};

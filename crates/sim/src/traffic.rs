@@ -187,12 +187,10 @@ impl BackgroundModel {
             self.profiles.len(),
             "background model does not match topology"
         );
-        let loads: Vec<(LinkId, Mbps)> = (0..self.profiles.len())
-            .map(|i| {
-                let link = LinkId::new(i as u32);
-                (link, self.load_at(link, at))
-            })
-            .collect();
+        let loads = (0..self.profiles.len()).map(|i| {
+            let link = LinkId::new(i as u32);
+            (link, self.load_at(link, at))
+        });
         net.set_background_many(loads);
     }
 }

@@ -125,6 +125,70 @@ fn golden_seed42_prefix_fault_trace_is_pinned_and_audits_clean() {
     assert!(summary.is_clean(), "audit violations: {summary:?}");
 }
 
+/// The contended backbone regime, pinned the same way: one replica per
+/// title, so most sessions fetch over GRNET's 2 and 18 Mbps links and
+/// hundreds of flows share two dozen routes far past saturation. The
+/// seed-42 GRNET pin above has 44 arrivals and barely shares a link;
+/// this is the trace in which a max-min rate, a link-load sum or a
+/// completion instant that moves by one ulp shows.
+#[test]
+fn golden_seed42_contended_trace_is_pinned_and_audits_clean() {
+    let scenario = Scenario::scale_stress(42, 400);
+    let config = ServiceConfig {
+        initial_replicas: 1,
+        local_rate: Mbps::new(2.0),
+        ..ServiceConfig::default()
+    };
+    let (report, text) = traced_run(&scenario, config);
+    assert_eq!(report.completed.len(), scenario.trace().len());
+
+    // The pin must not go vacuous: the regime is contended.
+    let count = |kind: &str| text.matches(&format!("\"kind\":\"{kind}\"")).count();
+    assert!(count("switch") > 0, "no switch");
+    assert!(count("session_stall") > 0, "no stall");
+    // A session fetches its clusters back to back, so from a remote
+    // `vra_select` until the session's next one its transfer is a live
+    // network flow (the last cluster has no next select: not counted).
+    let field = |line: &str, key: &str| -> u64 {
+        let (_, rest) = line.split_once(key).expect("field present");
+        let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+        digits.expect("digits").parse().expect("integer field")
+    };
+    let selects: Vec<(u64, u64, bool)> = text
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"vra_select\""))
+        .map(|l| {
+            let remote = l.contains("\"local\":false");
+            (field(l, "\"session\":"), field(l, "\"cluster\":"), remote)
+        })
+        .collect();
+    let last_cluster = selects.iter().map(|s| s.1).max().expect("selections");
+    let remote_selects = selects.iter().filter(|s| s.2).count();
+    assert!(remote_selects > 300, "{remote_selects} remote selections");
+    let mut on_backbone = BTreeSet::new();
+    let mut peak = 0;
+    for (session, cluster, remote) in selects {
+        if remote && cluster < last_cluster {
+            on_backbone.insert(session);
+        } else {
+            on_backbone.remove(&session);
+        }
+        peak = peak.max(on_backbone.len());
+    }
+    assert!(peak > 100, "peak of {peak} concurrent network flows");
+
+    assert_eq!(text.len(), 415_502, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 4_643, "trace line count drifted");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0xada6_ce69_c832_ce83,
+        "trace content drifted"
+    );
+
+    let summary = vod_check::audit::audit_trace(&text);
+    assert!(summary.is_clean(), "audit violations: {summary:?}");
+}
+
 /// A scaled-down scale-stress run: every arrival is admitted, stays live
 /// to the end of the window (peak = arrival count) and completes.
 #[test]
