@@ -91,19 +91,28 @@ cargo run -q --release -p vod-bench -- compare --only engine/ --floor-ns 500 \
   --threshold engine/sssp_repair/8_dirty=1.60 \
   BENCH_routing.json "$routing_json"
 
-echo "==> flow-kernel perf gate (contended reallocation vs committed BENCH_kernel.json)"
-# One backbone arrival + departure at a standing population: a thousand
-# flows on GRNET's routes (far more flows than route classes) and seven
-# hundred flows on as many gnp200 routes (a class per flow, dozens of
-# fill rounds). The flow-by-flow kernel these rows replaced measured
-# 915 us and 1 018 us against 11.7 us and 109 us, so the cliff this gate
-# guards is 78x and 9x away; the 3x limit is that wide because the
-# microsecond rows are 40 ms measurements that a busy host has been
-# seen to inflate 2.3x right after the routing bench.
+echo "==> flow-kernel perf gate (contended reallocation and cluster boundary vs committed BENCH_kernel.json)"
+# reallocate/*: one backbone arrival + departure at a standing
+# population, two settles with a fill each: a thousand flows on GRNET's
+# routes (far more flows than route classes) and seven hundred flows on
+# as many gnp200 routes (a class per flow, dozens of fill rounds). The
+# flow-by-flow kernel these rows replaced measured 915 us and 1 018 us
+# against 12 us and 62 us, so the cliff this gate guards is 70x and 16x
+# away. boundary/*: a transfer replaced at one instant among those
+# seven hundred gnp200 flows, one settle: along its route (no fill,
+# 6 us) or along another (one fill, 32 us) - a kernel that refilled per
+# mutation again would pay two fills, some 60 us, for either. The 3x
+# limit is that wide because the microsecond rows are 40 ms measurements
+# that a busy host has been seen to inflate 2.3x right after the routing
+# bench.
 CRITERION_JSON="$kernel_json" cargo bench -q --bench sim_kernel > /dev/null
 cargo run -q --release -p vod-bench -- compare --only sim_kernel/reallocate \
   --threshold sim_kernel/reallocate/grnet_shared_1k=3.0 \
   --threshold sim_kernel/reallocate/gnp200_distinct_700=3.0 \
+  BENCH_kernel.json "$kernel_json"
+cargo run -q --release -p vod-bench -- compare --only sim_kernel/boundary \
+  --threshold sim_kernel/boundary/gnp200_distinct_700=3.0 \
+  --threshold sim_kernel/boundary/gnp200_switch_700=3.0 \
   BENCH_kernel.json "$kernel_json"
 
 echo "==> rustdoc (no broken intra-doc links)"

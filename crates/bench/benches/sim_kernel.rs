@@ -1,15 +1,17 @@
 //! Criterion bench: the event-driven flow kernel at a population of
 //! ~10 000 live flows — the per-event primitives the service run is made
 //! of: `advance` with nothing finishing, `next_completion`, and an
-//! add/advance/remove churn cycle — and the max-min reallocation a
+//! add/advance/remove churn cycle — the max-min reallocation a
 //! backbone arrival and departure pay under contention
 //! (`sim_kernel/reallocate/*`: many flows on GRNET's few routes, and
-//! as many routes as flows on a 200-node random graph).
+//! as many routes as flows on a 200-node random graph), and what a
+//! cluster boundary pays on that graph (`sim_kernel/boundary/*`: a
+//! transfer replaced at one instant, along its route or along another).
 //!
 //! `CRITERION_JSON=BENCH_kernel.json cargo bench --bench sim_kernel`
-//! re-records the committed baseline `ci.sh` gates the reallocate rows
-//! against; the committed `BENCH_sim.json` end-to-end numbers come from
-//! `--bin scale` instead.
+//! re-records the committed baseline `ci.sh` gates the reallocate and
+//! boundary rows against; the committed `BENCH_sim.json` end-to-end
+//! numbers come from `--bin scale` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -97,7 +99,7 @@ fn engine_routes(topology: &Topology, count: usize) -> Vec<Vec<LinkId>> {
 /// One backbone arrival and departure at a standing population of
 /// `flows` network flows spread round-robin over `routes`: `add_flow`,
 /// `remove_flow`, and the `next_completion` the service asks for after
-/// each — two max-min reallocations per iteration.
+/// each — two settles, each with a max-min fill, per iteration.
 fn bench_reallocate_at(
     c: &mut Criterion,
     id: &str,
@@ -141,11 +143,56 @@ fn bench_reallocate(c: &mut Criterion) {
     bench_reallocate_at(c, id, &gnp200, &routes, 700);
 }
 
+/// One cluster boundary at a standing population of one flow per
+/// route: a transfer leaves and its successor starts at the same
+/// instant, then the `next_completion` the service asks for — one
+/// settle per iteration. Along the same route every class keeps its
+/// member count, so the settle is the slab pass alone; with `switch`
+/// the successor takes the next route over and the settle fills once.
+fn bench_boundary_at(
+    c: &mut Criterion,
+    id: &str,
+    topology: &Topology,
+    routes: &[Vec<LinkId>],
+    switch: bool,
+) {
+    let mut net = FlowNetwork::new(topology.clone());
+    let mut transfers: Vec<_> = (0..routes.len())
+        .map(|route| (net.add_flow(routes[route].clone(), 1e15).unwrap(), route))
+        .collect();
+    black_box(net.next_completion());
+    let mut i = 0;
+    c.bench_function(id, |b| {
+        b.iter(|| {
+            i += 1;
+            let slot = i % transfers.len();
+            let (leaving, route) = transfers[slot];
+            let route = (route + usize::from(switch)) % routes.len();
+            black_box(net.remove_flow(leaving).unwrap());
+            let successor = net.add_flow(black_box(routes[route].clone()), 1e15);
+            transfers[slot] = (successor.unwrap(), route);
+            black_box(net.next_completion());
+        })
+    });
+}
+
+/// Cluster boundaries among seven hundred flows on seven hundred
+/// routes of the 200-node random graph.
+fn bench_boundary(c: &mut Criterion) {
+    let gnp200 = connected_gnp(200, 0.05, 42);
+    let routes = engine_routes(&gnp200, 700);
+    let id = "sim_kernel/boundary/gnp200_distinct_700";
+    bench_boundary_at(c, id, &gnp200, &routes, false);
+    let id = "sim_kernel/boundary/gnp200_switch_700";
+    bench_boundary_at(c, id, &gnp200, &routes, true);
+}
+
 criterion_group!(
     benches,
     bench_advance,
     bench_next_completion,
     bench_churn,
-    bench_reallocate
+    bench_reallocate,
+    bench_boundary
 );
 criterion_main!(benches);

@@ -78,12 +78,14 @@ fn bench_reallocation(c: &mut Criterion) {
                 let route = vec![links[i % links.len()], links[(i + 1) % links.len()]];
                 net.add_flow(route, 1e12).unwrap();
             }
-            // Each set_background triggers one reallocation over n flows.
+            // Each changed background costs one reallocation over n flows
+            // when the network next settles.
             let mut toggle = false;
             b.iter(|| {
                 toggle = !toggle;
                 let load = if toggle { 0.5 } else { 0.25 };
                 net.set_background(links[0], vod_net::Mbps::new(load));
+                net.settle();
             })
         });
     }

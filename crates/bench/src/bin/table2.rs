@@ -55,7 +55,7 @@ fn main() {
         let at = SimTime::from_secs(time.hour() as u64 * 3600);
         snmp.reset_epoch(at);
         model.apply(&mut net, at);
-        snmp.accumulate(&net, SimDuration::from_mins(2));
+        snmp.accumulate(&mut net, SimDuration::from_mins(2));
         let poll_at = at + SimDuration::from_mins(2);
         snmp.poll(grnet.topology(), &mut db, poll_at).unwrap();
 

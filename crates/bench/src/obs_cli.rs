@@ -153,8 +153,12 @@ pub fn print_stats(report: &ServiceReport) {
     }
     let k = &report.kernel;
     println!(
-        "  kernel: {} reallocations ({} skipped), {} fill rounds over {} classes, {} links scanned",
-        k.reallocations, k.reallocations_skipped, k.fill_rounds, k.classes_filled, k.links_scanned
+        "  kernel: {} settles = {} fills + {} unchanged ({} no-op setter calls)",
+        k.settles, k.reallocations, k.fills_unchanged, k.reallocations_skipped
+    );
+    println!(
+        "          {} fill rounds over {} classes, {} links scanned",
+        k.fill_rounds, k.classes_filled, k.links_scanned
     );
     println!(
         "          {} flows re-rated, {} completion scans, {} heap pushes, {} stale pops",

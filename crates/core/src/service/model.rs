@@ -925,7 +925,7 @@ impl<S: EventSink> ServiceModel<S> {
             for flow in flows_of(rec) {
                 assert_eq!(self.flow_owner.get(&flow), Some(sid), "{flow:?} of {sid}");
                 assert!(
-                    self.flows.rate(flow).is_ok(),
+                    self.flows.flow_links(flow).is_ok(),
                     "{flow:?} of {sid} left the network"
                 );
             }

@@ -653,6 +653,110 @@ fn session_records_stay_consistent_under_prefix_and_faults() {
     assert!(model.full_prefix_sessions > 0);
 }
 
+/// The contended regime of the pinned `scale_stress(42, 400)` trace:
+/// one replica per title and a 2 Mbps local rate, so most sessions
+/// fetch over the backbone.
+fn contended_service(fault_plan: FaultPlan) -> VodService {
+    let config = ServiceConfig {
+        initial_replicas: 1,
+        local_rate: Mbps::new(2.0),
+        fault_plan,
+        ..ServiceConfig::default()
+    };
+    let scenario = Scenario::scale_stress(42, 400);
+    VodService::new(&scenario, Box::new(Vra::default()), config)
+}
+
+/// Runs a contended service up to a fault at `at` (built by `plan`),
+/// then the fault's event alone, and returns the `(settles, fills)` that
+/// one event cost the flow kernel.
+fn kernel_work_of_fault_event(
+    at: SimTime,
+    plan: impl FnOnce(FaultPlan, SimTime) -> FaultPlan,
+) -> (u64, u64) {
+    let until = at + SimDuration::from_secs(600);
+    let mut service = contended_service(plan(FaultPlan::new(), until));
+    service.run_until(SimTime::from_micros(at.as_micros() - 1));
+    assert_eq!(service.next_event_at(), Some(at));
+    let (events, before) = (
+        service.events_processed(),
+        service.sim.model().flows.stats(),
+    );
+    service.run_until(at);
+    assert_eq!(service.events_processed(), events + 1, "the fault alone");
+    let after = service.sim.model().flows.stats();
+    service.sim.model().assert_consistent();
+    (
+        after.settles - before.settles,
+        after.reallocations - before.reallocations,
+    )
+}
+
+/// An instant no periodic event shares, mid-way through the arrivals.
+const FAULT_AT: SimTime = SimTime::from_micros(310_000_007);
+
+#[test]
+fn link_outage_severing_dozens_of_flows_costs_one_fill() {
+    // The link most transfers cross when the fault strikes.
+    let mut probe = contended_service(FaultPlan::new());
+    probe.run_until(FAULT_AT);
+    let flows = &probe.sim.model().flows;
+    let crossing = |l| flows.flows_crossing(l).count();
+    let busiest = flows.topology().link_ids().max_by_key(|&l| crossing(l));
+    let busiest = busiest.expect("GRNET has links");
+    assert!(crossing(busiest) >= 50, "{} severed", crossing(busiest));
+
+    let work = kernel_work_of_fault_event(FAULT_AT, |plan, until| {
+        plan.link_outage(FAULT_AT, until, busiest)
+    });
+    assert_eq!(work, (1, 1));
+}
+
+#[test]
+fn city_outage_costs_one_fill() {
+    // The city most transfers are sourced from when the fault strikes.
+    let mut probe = contended_service(FaultPlan::new());
+    probe.run_until(FAULT_AT);
+    let model = probe.sim.model();
+    let sourced = |node| {
+        let targets = model.sessions.values().filter_map(|rec| rec.route.as_ref());
+        targets
+            .filter(|r| r.hops() > 0 && r.target() == node)
+            .count()
+    };
+    let servers = model.topology.video_server_nodes();
+    let victim = servers.iter().copied().max_by_key(|&n| sourced(n));
+    let victim = victim.expect("GRNET has servers");
+    assert!(sourced(victim) >= 20, "{} severed", sourced(victim));
+
+    let work = kernel_work_of_fault_event(FAULT_AT, |plan, until| {
+        plan.server_outage(FAULT_AT, until, victim)
+    });
+    assert_eq!(work, (1, 1));
+}
+
+/// Deferred settling bounds the fills of a run by its events, and on
+/// the contended pin scenario cuts them by a third: a cluster boundary
+/// (completion, then the next cluster's transfer) is one batch, and
+/// needs no fill at all when the transfer keeps its route.
+#[test]
+fn contended_run_fills_at_most_once_per_event() {
+    let mut service = contended_service(FaultPlan::new());
+    service.run_to_end();
+    let events = service.events_processed();
+    let kernel = service.into_report().kernel;
+    assert!(kernel.reallocations <= events);
+    assert_eq!(
+        kernel.settles,
+        kernel.reallocations + kernel.fills_unchanged
+    );
+    assert!(kernel.fills_unchanged > 100, "{kernel:?}");
+    // The eager kernel this one replaced ran 1 210 fills on this run;
+    // arrivals and last-cluster completions, one fill each either way,
+    // are most of the 800 left.
+    assert!(kernel.reallocations * 100 <= 1_210 * 70, "{kernel:?}");
+}
+
 #[test]
 fn snmp_metrics_are_sampled() {
     let scenario = quick_scenario(13);

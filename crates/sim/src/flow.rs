@@ -23,19 +23,49 @@
 //!   hundreds of thousands of them. They live in an id-ordered map and
 //!   predict their completion into a min-heap with lazy epoch
 //!   invalidation — `O(log F)` per event.
-//! * **Network flows** are all re-rated together by every reallocation.
-//!   They live in a dense slab in creation order, each pointing at its
-//!   **route class** — one distinct link sequence with a live-member
-//!   count. Flows of one class cross the same links, so progressive
-//!   filling freezes them in the same round at the same level: the fill
-//!   runs over classes and crossed links, `O(rounds × (crossed links +
-//!   classes on saturated links))`, whatever the number of flows. One
-//!   dense pass then hands each slot its class's rate, re-anchors the
-//!   slots whose rate moved, rebuilds the per-link loads and records the
-//!   earliest predicted finish. Between two reallocations neither the
-//!   set of network flows nor their rates can change, so that recorded
-//!   minimum *is* the network's completion schedule: network flows never
-//!   enter the heap.
+//! * **Network flows** are all re-rated together whenever the
+//!   allocation is settled. They live in a dense slab in creation
+//!   order, each pointing at its **route class** — one distinct link
+//!   sequence with a live-member count. Flows of one class cross the
+//!   same links, so progressive filling freezes them in the same round
+//!   at the same level: the fill runs over classes and crossed links,
+//!   `O(rounds × (crossed links + classes on saturated links))`,
+//!   whatever the number of flows. One dense pass then hands each slot
+//!   its class's rate, re-anchors the slots whose rate moved, rebuilds
+//!   the per-link loads and records the earliest predicted finish.
+//!   Between two settles neither the set of network flows nor their
+//!   rates can change, so that recorded minimum *is* the network's
+//!   completion schedule: network flows never enter the heap.
+//!
+//! # Settling
+//!
+//! The allocation is a pure function of (route-class member counts,
+//! capacities, background), and an allocation that lasts no simulated
+//! time is unobservable. So a mutation — a network flow added, removed
+//! or completed, a background, outage or degradation setter that stores
+//! a new value — only marks the allocation *stale*; the one
+//! [`FlowNetwork::settle`] recomputes it, and runs at most once per
+//! batch of mutations: on entry to `advance`/`advance_into` (before any
+//! time is integrated over the allocation) and `next_completion`, and
+//! inside every reader of a rate or a link load (which is why those
+//! take `&mut self`: a stale allocation cannot be read). A class a
+//! mutation emptied is retired only when the network settles, so a
+//! completion followed at the same instant by the next cluster's flow
+//! along the same route rejoins its class — and when no class's member
+//! count and no capacity input differs from what the last fill saw, the
+//! fill is skipped and only the pass over the slab runs.
+//!
+//! ```compile_fail
+//! # use vod_net::{Mbps, TopologyBuilder};
+//! # use vod_sim::flow::FlowNetwork;
+//! # let mut b = TopologyBuilder::new();
+//! # let (a, c) = (b.add_node("a"), b.add_node("b"));
+//! # let l = b.add_link(a, c, Mbps::new(2.0)).unwrap();
+//! let mut net = FlowNetwork::new(b.build());
+//! let flow = net.add_flow(vec![l], 10.0).unwrap();
+//! let shared: &FlowNetwork = &net;
+//! shared.rate(flow); // E0596: a reader settles first, so it needs `&mut`
+//! ```
 //!
 //! # Bit parity with the lockstep oracle
 //!
@@ -44,17 +74,20 @@
 //! differential-testing oracle in this module's test tree, and every
 //! rate, link load and SNMP integral here is *bitwise* what it computes:
 //!
-//! * per-link flow counts are integers (`Σ members`), so they are exact
-//!   in any order;
+//! * per-link flow counts are integers (`Σ members`, held as `f64`,
+//!   exact below 2⁵³), so they are exact in any order;
 //! * each link sees the same f64 sequence, `cap -= inc × count` once per
-//!   round with `inc = min cap / count` (a minimum is order-free);
+//!   round with `inc = min cap / count` (a minimum is order-free, so the
+//!   order the live links sit in their dense arrays cannot matter);
 //! * "some link of the route is saturated" is a function of the route,
 //!   so class members freeze together and class order cannot matter;
 //! * link loads are summed slot by slot in creation order, the
 //!   summation order the golden traces pin;
-//! * a reallocation is a pure function of (flows, capacities,
-//!   background): when a setter stores what was already there, the
-//!   refill would re-derive the rates it already has, and is skipped.
+//! * a fill is a pure function of (class member counts, capacities,
+//!   background). Of the fills the oracle runs within one batch of
+//!   mutations, only the last outlives the instant, and it sees the
+//!   inputs the one deferred fill sees — or, when those equal the
+//!   previous fill's, re-derives the rates every class already has.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
@@ -129,14 +162,23 @@ impl Error for FlowError {}
 /// computed. Read them with [`FlowNetwork::stats`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct KernelStats {
-    /// Max-min reallocations executed.
+    /// Settles that found the allocation stale and recomputed it:
+    /// `reallocations + fills_unchanged`.
+    pub settles: u64,
+    /// Max-min fills executed: settles at which some class's member
+    /// count or some link's residual capacity had moved since the
+    /// previous fill.
     pub reallocations: u64,
-    /// Reallocations skipped because a setter stored the value that was
-    /// already there.
+    /// Settles that skipped the fill because every class had the member
+    /// count, and every link the residual capacity, of the previous fill
+    /// (a flow replaced along its route); only the slab pass ran.
+    pub fills_unchanged: u64,
+    /// Setter calls that stored the value that was already there and so
+    /// left the allocation fresh.
     pub reallocations_skipped: u64,
-    /// Progressive-filling rounds, over all reallocations.
+    /// Progressive-filling rounds, over all fills.
     pub fill_rounds: u64,
-    /// Live route classes entering a fill, over all reallocations.
+    /// Live route classes entering a fill, over all fills.
     pub classes_filled: u64,
     /// Links visited by the per-round increment pass.
     pub links_scanned: u64,
@@ -156,7 +198,9 @@ impl std::ops::AddAssign for KernelStats {
         // Exhaustive on purpose: a new counter must be summed here to
         // compile.
         let KernelStats {
+            settles,
             reallocations,
+            fills_unchanged,
             reallocations_skipped,
             fill_rounds,
             classes_filled,
@@ -166,7 +210,9 @@ impl std::ops::AddAssign for KernelStats {
             heap_pushes,
             stale_pops,
         } = rhs;
+        self.settles += settles;
         self.reallocations += reallocations;
+        self.fills_unchanged += fills_unchanged;
         self.reallocations_skipped += reallocations_skipped;
         self.fill_rounds += fill_rounds;
         self.classes_filled += classes_filled;
@@ -253,11 +299,14 @@ impl NetFlow {
 }
 
 /// One distinct route and the network flows currently following it.
-/// A slot with no members is retired and waits on the free list.
+/// A slot found without members when the network settles is retired
+/// (its `links` emptied) and waits on the free list.
 #[derive(Debug, Clone, Default)]
 struct RouteClass {
     links: Vec<LinkId>,
     members: u32,
+    /// `members` as the last fill saw it.
+    filled_members: u32,
     /// The max-min rate of every member, as of the last fill.
     rate: Mbps,
     /// Fill scratch: the class has been assigned its rate this fill.
@@ -268,16 +317,22 @@ struct RouteClass {
 /// reallocation never allocates.
 #[derive(Debug, Clone, Default)]
 struct FillScratch {
-    /// Residual capacity per link; only the entries of crossed links
-    /// are (re)computed by a fill.
-    cap: Vec<f64>,
-    /// Unfrozen flows crossing each link; all zero between fills.
-    count: Vec<u32>,
-    /// Links some unfrozen flow still crosses.
+    /// Links some unfrozen flow still crosses: the rows of `cap` and
+    /// `count`, in no particular order. Empty between fills.
     live: Vec<u32>,
+    /// Residual capacity of each live link.
+    cap: Vec<f64>,
+    /// Unfrozen flows crossing each live link — an integer, held as
+    /// `f64` so a round's division and product convert nothing.
+    count: Vec<f64>,
+    /// Per link of the topology: its row above, or [`NO_ROW`].
+    pos: Vec<u32>,
     /// Links that ran out of capacity in the current round.
     saturated: Vec<u32>,
 }
+
+/// `FillScratch::pos` of a link that is not live.
+const NO_ROW: u32 = u32::MAX;
 
 /// A predicted local-flow completion: absolute finish time in seconds
 /// since the network's creation, plus the flow identity *at prediction
@@ -354,7 +409,7 @@ pub struct FlowNetwork {
     link_classes: Vec<Vec<u32>>,
     next_id: u64,
     local_rate: Mbps,
-    /// Allocated flow rate per link, maintained by `reallocate`.
+    /// Allocated flow rate per link, as of the last settle.
     link_loads: Vec<f64>,
     /// Administratively-down links (fault injection): zero residual
     /// capacity, so crossing flows freeze at rate zero until re-routed.
@@ -368,7 +423,7 @@ pub struct FlowNetwork {
     /// with lazy epoch invalidation.
     completions: BinaryHeap<Reverse<HeapEntry>>,
     /// Earliest `finish_secs` in the slab (dust included), as of the
-    /// last reallocation: no network flow can complete before it.
+    /// last settle: no network flow can complete before it.
     net_due_secs: f64,
     /// Slab index of the progressing network flow that finishes first
     /// under the heap's `(finish_secs, id)` order.
@@ -377,9 +432,18 @@ pub struct FlowNetwork {
     /// in megabits — the SNMP byte-counter source, maintained
     /// incrementally in `advance` over the active links only.
     link_cumulative_mbit: Vec<f64>,
-    /// Links whose total load is currently non-zero (the only ones whose
-    /// integral can grow); refreshed whenever the allocation changes.
+    /// Links whose total load is non-zero (the only ones whose integral
+    /// can grow), ascending; rebuilt by every settle.
     active_links: Vec<u32>,
+    /// A background load, outage or degradation changed since the last
+    /// settle.
+    capacity_moved: bool,
+    /// Classes that gained or lost a member since the last settle
+    /// (repeats allowed). While this is non-empty or `capacity_moved`
+    /// is set the allocation is *stale*: rates, link loads,
+    /// `net_due_secs`, `net_next` and `active_links` are out of date
+    /// until [`FlowNetwork::settle`] runs.
+    touched_classes: Vec<u32>,
     /// Reusable buffer for heap verify-and-requeue passes.
     requeue_scratch: Vec<HeapEntry>,
     fill: FillScratch,
@@ -410,12 +474,12 @@ impl FlowNetwork {
             net_next: None,
             link_cumulative_mbit: vec![0.0; links],
             active_links: Vec::new(),
+            capacity_moved: false,
+            touched_classes: Vec::new(),
             requeue_scratch: Vec::new(),
             fill: FillScratch {
-                cap: vec![0.0; links],
-                count: vec![0; links],
-                live: Vec::new(),
-                saturated: Vec::new(),
+                pos: vec![NO_ROW; links],
+                ..FillScratch::default()
             },
             stats: KernelStats::default(),
         }
@@ -456,9 +520,8 @@ impl FlowNetwork {
         self.set_background_many([(link, load)]);
     }
 
-    /// Sets the background traffic on several links at once, recomputing
-    /// the allocation a single time — and not at all when every link
-    /// already carried the load it is given.
+    /// Sets the background traffic on several links at once. The
+    /// allocation goes stale only if some link's load actually changed.
     ///
     /// # Panics
     ///
@@ -473,7 +536,7 @@ impl FlowNetwork {
             changed |= slot.as_f64().to_bits() != load.as_f64().to_bits();
             *slot = load;
         }
-        self.reallocate_if(changed);
+        self.capacity_input_stored(changed);
     }
 
     /// The background traffic on `link`.
@@ -495,7 +558,7 @@ impl FlowNetwork {
     pub fn set_link_admin_down(&mut self, link: LinkId, down: bool) {
         let changed = self.admin_down[link.index()] != down;
         self.admin_down[link.index()] = down;
-        self.reallocate_if(changed);
+        self.capacity_input_stored(changed);
     }
 
     /// Whether `link` is administratively down.
@@ -521,7 +584,7 @@ impl FlowNetwork {
         );
         let changed = self.capacity_scale[link.index()].to_bits() != scale.to_bits();
         self.capacity_scale[link.index()] = scale;
-        self.reallocate_if(changed);
+        self.capacity_input_stored(changed);
     }
 
     /// The current deliverable-capacity fraction of `link`.
@@ -535,8 +598,8 @@ impl FlowNetwork {
 
     /// Ids of the flows whose route crosses `link`, in creation order —
     /// the set a service must re-route when the link goes down. Only
-    /// network flows are consulted (local flows cross nothing), and no
-    /// allocation is performed.
+    /// network flows are consulted (local flows cross nothing), and the
+    /// answer does not depend on the allocation.
     ///
     /// # Panics
     ///
@@ -578,8 +641,9 @@ impl FlowNetwork {
         self.next_id += 1;
         let class = self.join_class(route_links);
         // Ids are strictly increasing, so pushing keeps the slab sorted.
-        // Born at rate zero: if the fill leaves it there (oversubscribed
-        // route), a float-dust volume is still due on the next advance.
+        // Born at rate zero: if the settle leaves it there
+        // (oversubscribed route), a float-dust volume is still due on the
+        // next advance.
         self.slab.push(NetFlow {
             id,
             class,
@@ -589,7 +653,6 @@ impl FlowNetwork {
             finish_secs: predicted_finish(volume_mbit, self.clock_us, Mbps::ZERO)
                 .unwrap_or(f64::INFINITY),
         });
-        self.reallocate();
         Ok(id)
     }
 
@@ -644,7 +707,9 @@ impl FlowNetwork {
     pub fn remove_flow(&mut self, id: FlowId) -> Result<f64, FlowError> {
         let clock = self.clock_us;
         if let Some(flow) = self.take_net_flow(id) {
-            self.reallocate();
+            // Its anchor predates the batch being settled, but no time
+            // has passed since: the extrapolation is what a re-anchor
+            // at this instant would have stored.
             return Ok(flow.remaining_at(clock));
         }
         // A local flow holds no link bandwidth: nothing to redistribute.
@@ -657,7 +722,8 @@ impl FlowNetwork {
     /// # Errors
     ///
     /// Returns [`FlowError::UnknownFlow`] if the flow does not exist.
-    pub fn rate(&self, id: FlowId) -> Result<Mbps, FlowError> {
+    pub fn rate(&mut self, id: FlowId) -> Result<Mbps, FlowError> {
+        self.settle();
         match self.net_flow(id) {
             Some(f) => Ok(f.rate),
             None => self.local_flow(id).map(|f| f.rate),
@@ -728,9 +794,11 @@ impl FlowNetwork {
     /// Returns `None` when there are no flows or none of them makes
     /// progress (all rates zero).
     ///
-    /// Takes `&mut self` because stale heap entries encountered on the
-    /// way are garbage-collected; the model state is unchanged.
+    /// Takes `&mut self` because the allocation is settled first and
+    /// stale heap entries encountered on the way are garbage-collected;
+    /// the model state is unchanged.
     pub fn next_completion(&mut self) -> Option<(FlowId, SimDuration)> {
+        self.settle();
         let local = self.next_local_completion();
         // The earlier prediction wins, ties to the smaller id — the
         // order one heap over both kinds of flow would pop them in.
@@ -804,6 +872,9 @@ impl FlowNetwork {
     /// instead of allocating per call.
     pub fn advance_into(&mut self, dt: SimDuration, done: &mut Vec<FlowId>) {
         done.clear();
+        // Whatever was mutated since the last settle takes effect now,
+        // at the start of the window.
+        self.settle();
         // Integrate link volumes over the window *before* moving the
         // clock: the allocation is constant across it by construction.
         self.integrate(dt);
@@ -816,7 +887,7 @@ impl FlowNetwork {
     /// Local flows: due heap entries are popped and verified; stale ones
     /// (epoch mismatch or flow gone) are discarded, early ones requeued.
     /// Network flows: the slab is scanned, and only when its earliest
-    /// prediction is due.
+    /// prediction (as of the settle `advance_into` began with) is due.
     fn collect_completions(&mut self, done: &mut Vec<FlowId>) {
         let due_secs = self.clock_us as f64 / 1e6 + POP_SLACK_SECS;
         let mut requeue = std::mem::take(&mut self.requeue_scratch);
@@ -859,13 +930,10 @@ impl FlowNetwork {
                 f.finish_secs <= due_secs && f.remaining_at(clock) <= COMPLETION_EPSILON_MBIT
             });
             done.extend(finished.map(|f| f.id));
-            // Only a network completion releases link bandwidth; local
-            // completions never perturb the allocation.
-            if done.len() > local_done {
-                for &id in &done[local_done..] {
-                    self.take_net_flow(id);
-                }
-                self.reallocate();
+            // Only a network completion releases link bandwidth (the
+            // allocation goes stale); local completions never perturb it.
+            for &id in &done[local_done..] {
+                self.take_net_flow(id);
             }
         }
         done.sort_unstable();
@@ -877,17 +945,9 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn link_flow_load(&self, link: LinkId) -> Mbps {
-        let raw = self.link_loads[link.index()];
-        // The running sums are rebuilt from scratch on every reallocation
-        // (and zeroed exactly when no network flow remains), so they can
-        // never drift negative; the clamp below is release-mode armor
-        // only.
-        debug_assert!(
-            raw >= -1e-9,
-            "link {link} flow load drifted negative: {raw}"
-        );
-        Mbps::new(raw.max(0.0))
+    pub fn link_flow_load(&mut self, link: LinkId) -> Mbps {
+        self.settle();
+        self.flow_load(link.index())
     }
 
     /// Background plus flow traffic on `link`.
@@ -895,8 +955,24 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn link_total_load(&self, link: LinkId) -> Mbps {
-        self.background(link) + self.link_flow_load(link)
+    pub fn link_total_load(&mut self, link: LinkId) -> Mbps {
+        self.settle();
+        self.total_load(link.index())
+    }
+
+    /// [`FlowNetwork::link_flow_load`] of link `i` on a settled network.
+    fn flow_load(&self, i: usize) -> Mbps {
+        let raw = self.link_loads[i];
+        // The sums are rebuilt from scratch by every settle (and zeroed
+        // exactly when no network flow remains), so they can never drift
+        // negative; the clamp below is release-mode armor only.
+        debug_assert!(raw >= -1e-9, "link {i} flow load drifted negative: {raw}");
+        Mbps::new(raw.max(0.0))
+    }
+
+    /// [`FlowNetwork::link_total_load`] of link `i` on a settled network.
+    fn total_load(&self, i: usize) -> Mbps {
+        self.background[i] + self.flow_load(i)
     }
 
     /// Running integral of `link`'s total load (background + flows) in
@@ -913,7 +989,7 @@ impl FlowNetwork {
     /// Builds a [`TrafficSnapshot`] of the current total loads — exactly
     /// what the SNMP module reads and the Virtual Routing Algorithm
     /// consumes.
-    pub fn snapshot(&self) -> TrafficSnapshot {
+    pub fn snapshot(&mut self) -> TrafficSnapshot {
         let mut snap = TrafficSnapshot::zero(&self.topology);
         self.snapshot_into(&mut snap);
         snap
@@ -930,14 +1006,15 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `snap` was built for a different topology.
-    pub fn snapshot_into(&self, snap: &mut TrafficSnapshot) {
+    pub fn snapshot_into(&mut self, snap: &mut TrafficSnapshot) {
         assert_eq!(
             snap.link_count(),
             self.topology.link_count(),
             "snapshot must match the flow network's topology"
         );
+        self.settle();
         for link in self.topology.link_ids() {
-            let load = self.link_total_load(link);
+            let load = self.total_load(link.index());
             if snap.used(link) != load {
                 snap.set_used(link, load);
             }
@@ -951,67 +1028,53 @@ impl FlowNetwork {
     fn integrate(&mut self, dt: SimDuration) {
         let secs = dt.as_secs_f64();
         for k in 0..self.active_links.len() {
-            let raw = self.active_links[k];
-            let load = self.link_total_load(LinkId::new(raw)).as_f64();
-            self.link_cumulative_mbit[raw as usize] += load * secs;
+            let i = self.active_links[k] as usize;
+            self.link_cumulative_mbit[i] += self.total_load(i).as_f64() * secs;
         }
     }
 
-    /// Recomputes which links carry any traffic at all. `O(links)`, run
-    /// after every allocation or background change.
-    fn refresh_active_links(&mut self) {
-        self.active_links.clear();
-        for i in 0..self.topology.link_count() {
-            if self.link_total_load(LinkId::new(i as u32)).as_f64() > 0.0 {
-                self.active_links.push(i as u32);
-            }
-        }
-    }
-
-    /// The class following `route` (non-empty), one member larger:
-    /// the existing one, else a new one in a retired or fresh slot.
+    /// The class following `route` (non-empty), one member larger: the
+    /// existing one (possibly emptied since the last settle), else a new
+    /// one in a retired or fresh slot. The allocation goes stale.
     fn join_class(&mut self, route: Vec<LinkId>) -> u32 {
         let crossing_first = route.first().map(|l| &self.link_classes[l.index()]);
         let existing = crossing_first.and_then(|list| {
             list.iter()
                 .find(|&&c| self.classes[c as usize].links == route)
         });
-        if let Some(&c) = existing {
-            self.classes[c as usize].members += 1;
-            return c;
-        }
-        let c = self.free_classes.pop().unwrap_or_else(|| {
-            self.classes.push(RouteClass::default());
-            (self.classes.len() - 1) as u32
-        });
-        for l in &route {
-            self.link_classes[l.index()].push(c);
-        }
-        self.classes[c as usize] = RouteClass {
-            links: route,
-            members: 1,
-            rate: Mbps::ZERO,
-            frozen: false,
+        let c = match existing {
+            Some(&c) => {
+                self.classes[c as usize].members += 1;
+                c
+            }
+            None => {
+                let c = self.free_classes.pop().unwrap_or_else(|| {
+                    self.classes.push(RouteClass::default());
+                    (self.classes.len() - 1) as u32
+                });
+                for l in &route {
+                    self.link_classes[l.index()].push(c);
+                }
+                self.classes[c as usize] = RouteClass {
+                    links: route,
+                    members: 1,
+                    ..RouteClass::default()
+                };
+                c
+            }
         };
+        self.touched_classes.push(c);
         c
     }
 
-    /// Removes `id` from the slab and from its class, retiring the class
-    /// when that was its last member.
+    /// Removes `id` from the slab and from its class. The allocation
+    /// goes stale; an emptied class stays listed on its links until the
+    /// settle, for a flow added by then along the same route to rejoin.
     fn take_net_flow(&mut self, id: FlowId) -> Option<NetFlow> {
         let pos = self.slab.binary_search_by_key(&id, |f| f.id).ok()?;
         let flow = self.slab.remove(pos);
-        let class = &mut self.classes[flow.class as usize];
-        class.members -= 1;
-        if class.members == 0 {
-            for l in std::mem::take(&mut class.links) {
-                let list = &mut self.link_classes[l.index()];
-                if let Some(at) = list.iter().position(|&c| c == flow.class) {
-                    list.swap_remove(at);
-                }
-            }
-            self.free_classes.push(flow.class);
-        }
+        self.classes[flow.class as usize].members -= 1;
+        self.touched_classes.push(flow.class);
         Some(flow)
     }
 
@@ -1048,25 +1111,63 @@ impl FlowNetwork {
         }
     }
 
-    /// Reallocates when an input of the allocation `changed`. The rates
-    /// are a pure function of (flows, capacities, background): with none
-    /// of them changed a refill would re-derive, bit for bit, the rates
-    /// every flow already has.
-    fn reallocate_if(&mut self, changed: bool) {
+    /// Whether an input of the allocation changed since the last settle.
+    fn is_stale(&self) -> bool {
+        self.capacity_moved || !self.touched_classes.is_empty()
+    }
+
+    /// Books a background load, outage or degradation a setter just
+    /// stored: one that `changed` the stored value leaves the allocation
+    /// stale.
+    fn capacity_input_stored(&mut self, changed: bool) {
         if changed {
-            self.reallocate();
+            self.capacity_moved = true;
         } else {
             self.stats.reallocations_skipped += 1;
         }
     }
 
-    /// Recomputes max-min fair rates (progressive filling), hands them
-    /// to the network flows and refreshes the active-link index.
-    fn reallocate(&mut self) {
-        self.stats.reallocations += 1;
-        self.fill_classes();
+    /// Brings the allocation up to date with every mutation since the
+    /// last settle: retires the classes left empty, recomputes the
+    /// max-min fair rates (progressive filling) unless every input of
+    /// the fill is what the last fill saw, hands the rates to the
+    /// network flows and rebuilds link loads, completion schedule and
+    /// active-link index. A no-op on a fresh allocation.
+    ///
+    /// `advance`, `advance_into`, `next_completion` and every reader of
+    /// a rate or a link load settle first, so calling this is never
+    /// required — only a way to choose *when* the work happens.
+    pub fn settle(&mut self) {
+        if !self.is_stale() {
+            return;
+        }
+        self.stats.settles += 1;
+        let mut moved = std::mem::take(&mut self.capacity_moved);
+        let mut touched = std::mem::take(&mut self.touched_classes);
+        for c in touched.drain(..) {
+            let class = &mut self.classes[c as usize];
+            moved |= class.members != class.filled_members;
+            class.filled_members = class.members;
+            // An empty `links` marks a slot retired earlier in this
+            // loop (a class can be listed more than once).
+            if class.members == 0 && !class.links.is_empty() {
+                for l in std::mem::take(&mut class.links) {
+                    let list = &mut self.link_classes[l.index()];
+                    if let Some(at) = list.iter().position(|&listed| listed == c) {
+                        list.swap_remove(at);
+                    }
+                }
+                self.free_classes.push(c);
+            }
+        }
+        self.touched_classes = touched;
+        if moved {
+            self.stats.reallocations += 1;
+            self.fill_classes();
+        } else {
+            self.stats.fills_unchanged += 1;
+        }
         self.apply_class_rates();
-        self.refresh_active_links();
     }
 
     /// Progressive filling over the route classes: raise every unfrozen
@@ -1074,11 +1175,11 @@ impl FlowNetwork {
     /// afford, freeze the classes crossing a link that ran out, repeat.
     /// Leaves each live class's max-min rate in `RouteClass::rate`.
     ///
-    /// Each round saturates at least one link and visits only the links
-    /// an unfrozen class still crosses, then only the classes on the
-    /// links that saturated: `O(rounds × (crossed links + classes on
-    /// saturated links))`, independent of the number of flows and of the
-    /// size of the topology.
+    /// Each round saturates at least one link and makes two passes over
+    /// dense arrays of the links an unfrozen class still crosses, then
+    /// visits only the classes on the links that saturated: `O(rounds ×
+    /// (crossed links + classes on saturated links))`, independent of
+    /// the number of flows and of the size of the topology.
     fn fill_classes(&mut self) {
         let FlowNetwork {
             topology,
@@ -1092,32 +1193,36 @@ impl FlowNetwork {
             ..
         } = self;
         let FillScratch {
+            live,
             cap,
             count,
-            live,
+            pos,
             saturated,
         } = fill;
 
-        // Count the flows on every crossed link, and compute those
-        // links' residual capacity after degradation, outages and
-        // background traffic.
-        live.clear();
+        // Give every crossed link a row: the flows on it, and its
+        // residual capacity after degradation, outages and background
+        // traffic.
         let mut remaining = 0u64;
         for class in classes.iter_mut().filter(|c| c.members > 0) {
             class.frozen = false;
             remaining += 1;
+            let members = f64::from(class.members);
             for l in &class.links {
                 let i = l.index();
-                if count[i] == 0 {
+                if pos[i] == NO_ROW {
+                    pos[i] = live.len() as u32;
                     live.push(i as u32);
-                    cap[i] = if admin_down[i] {
+                    count.push(0.0);
+                    cap.push(if admin_down[i] {
                         0.0
                     } else {
                         let deliverable = topology.link(*l).capacity().as_f64() * capacity_scale[i];
                         (deliverable - background[i].as_f64()).max(0.0)
-                    };
+                    });
                 }
-                count[i] += class.members;
+                let row = pos[i] as usize;
+                count[row] += members;
             }
         }
         stats.classes_filled += remaining;
@@ -1125,17 +1230,12 @@ impl FlowNetwork {
         let mut level = 0.0f64;
         while remaining > 0 {
             stats.fill_rounds += 1;
-            // Smallest per-flow increment any crossed link can afford;
-            // links whose last crossing class froze drop out for good.
-            let mut inc = f64::INFINITY;
-            live.retain(|&i| {
-                let flows = count[i as usize];
-                if flows > 0 {
-                    inc = inc.min(cap[i as usize] / flows as f64);
-                }
-                flows > 0
-            });
             stats.links_scanned += live.len() as u64;
+            // Smallest per-flow increment any live link can afford.
+            let mut inc = f64::INFINITY;
+            for (cap, count) in cap.iter().zip(count.iter()) {
+                inc = inc.min(cap / count);
+            }
             // Freeze invariant: `remaining > 0` means some unfrozen class
             // still counts on every link of its route, and capacities,
             // scales and background loads are all finite — so the
@@ -1153,15 +1253,15 @@ impl FlowNetwork {
             }
             level += inc;
             saturated.clear();
-            for &i in live.iter() {
-                let i = i as usize;
-                cap[i] -= inc * count[i] as f64;
-                if cap[i] <= 1e-12 {
-                    saturated.push(i as u32);
+            for ((cap, count), &link) in cap.iter_mut().zip(count.iter()).zip(live.iter()) {
+                *cap -= inc * count;
+                if *cap <= 1e-12 {
+                    saturated.push(link);
                 }
             }
             // Classes crossing a saturated link freeze at the current
-            // level.
+            // level; a link whose last crossing class froze gives up its
+            // row for good.
             let rate = Mbps::new(level.max(0.0));
             let mut froze_any = false;
             for &i in saturated.iter() {
@@ -1174,8 +1274,19 @@ impl FlowNetwork {
                     class.rate = rate;
                     froze_any = true;
                     remaining -= 1;
+                    let members = f64::from(class.members);
                     for l in &class.links {
-                        count[l.index()] -= class.members;
+                        let row = pos[l.index()] as usize;
+                        count[row] -= members;
+                        if count[row] == 0.0 {
+                            pos[l.index()] = NO_ROW;
+                            live.swap_remove(row);
+                            cap.swap_remove(row);
+                            count.swap_remove(row);
+                            if let Some(&moved) = live.get(row) {
+                                pos[moved as usize] = row as u32;
+                            }
+                        }
                     }
                 }
             }
@@ -1185,12 +1296,17 @@ impl FlowNetwork {
                 for class in classes.iter_mut().filter(|c| c.members > 0 && !c.frozen) {
                     class.rate = rate;
                 }
-                for &i in live.iter() {
-                    count[i as usize] = 0;
-                }
                 break;
             }
         }
+        // Every class froze, so every row is gone — unless the guard
+        // above bailed out.
+        for &i in live.iter() {
+            pos[i as usize] = NO_ROW;
+        }
+        live.clear();
+        cap.clear();
+        count.clear();
     }
 
     /// One pass over the slab in creation order: every network flow
@@ -1198,7 +1314,8 @@ impl FlowNetwork {
     /// re-anchored and re-predicted — the per-link allocation cache is
     /// rebuilt (creation order is the summation order the golden traces
     /// pin), and the earliest predictions are recorded for
-    /// `next_completion` and `collect_completions`.
+    /// `next_completion` and `collect_completions`. Then the links
+    /// carrying any traffic at all are listed, in ascending order.
     fn apply_class_rates(&mut self) {
         let clock = self.clock_us;
         // From scratch rather than incrementally: no float drift, and
@@ -1227,6 +1344,13 @@ impl FlowNetwork {
             if rate > 0.0 && (sooner || self.net_next.is_none()) {
                 next_finish = flow.finish_secs;
                 self.net_next = Some(slot);
+            }
+        }
+        self.active_links.clear();
+        let loads = self.link_loads.iter().zip(&self.background);
+        for (i, (&flows, background)) in loads.enumerate() {
+            if flows > 0.0 || background.as_f64() > 0.0 {
+                self.active_links.push(i as u32);
             }
         }
     }
@@ -2040,6 +2164,7 @@ mod tests {
         // Retire the first class; a later route reuses its slot.
         net.remove_flow(both).unwrap();
         net.remove_flow(both_again).unwrap();
+        net.settle();
         let reversed = net.add_flow(vec![l1, l0], 10.0).unwrap();
         let fat_again = net.add_flow(vec![l1], 10.0).unwrap();
         assert_eq!(net.classes.len(), 3, "the retired slot is reused");
@@ -2076,6 +2201,7 @@ mod tests {
         for i in 0..1_000 {
             net.add_flow(routes[i % routes.len()].clone(), 1e6).unwrap();
         }
+        net.settle();
         let before = net.stats();
         net.add_flow(routes[7].clone(), 1e6).unwrap();
         net.next_completion().unwrap();
@@ -2134,6 +2260,128 @@ mod tests {
         assert_eq!(observe(&mut net), before);
     }
 
+    /// A transfer replaced along its route — what a cluster boundary
+    /// does — leaves every class with the member count the last fill
+    /// saw: the settle skips the fill, re-anchors the newcomer alone,
+    /// and the rates are the ones the oracle's two refills end on.
+    #[test]
+    fn replacing_a_flow_along_its_route_skips_the_fill() {
+        let (topo, routes) = grnet_with_routes();
+        let links: Vec<LinkId> = topo.link_ids().collect();
+        let mut net = FlowNetwork::new(topo.clone());
+        let mut oracle = LockstepNetwork::new(topo);
+        let mut ids = Vec::new();
+        for i in 0..40 {
+            let route = &routes[i % 12];
+            ids.push(net.add_flow(route.clone(), 1e3 + i as f64).unwrap());
+            oracle.add_flow(route.clone(), 1e3 + i as f64).unwrap();
+        }
+        assert!(net.advance(SimDuration::from_secs(1)).is_empty());
+        oracle.advance(SimDuration::from_secs(1));
+        let before = net.stats();
+
+        let replaced = ids.remove(5);
+        net.remove_flow(replaced).unwrap();
+        oracle.remove_flow(replaced).unwrap();
+        ids.push(net.add_flow(routes[5].clone(), 70.0).unwrap());
+        oracle.add_flow(routes[5].clone(), 70.0).unwrap();
+        for &id in &ids {
+            assert_eq!(net.rate(id).unwrap(), oracle.rate(id).unwrap(), "{id}");
+        }
+        for &l in &links {
+            let (got, want) = (net.link_flow_load(l), oracle.link_flow_load(l));
+            assert_eq!(got.as_f64().to_bits(), want.as_f64().to_bits(), "{l}");
+        }
+        let expected = KernelStats {
+            settles: before.settles + 1,
+            fills_unchanged: before.fills_unchanged + 1,
+            flows_rerated: before.flows_rerated + 1,
+            ..before
+        };
+        assert_eq!(net.stats(), expected);
+    }
+
+    /// A class emptied and not rejoined by the time the network settles
+    /// is retired — off its links' lists, its slot reused by the next
+    /// new route; one rejoined before the settle never leaves.
+    #[test]
+    fn emptied_class_is_retired_when_the_network_settles() {
+        let (t, l0, l1) = two_hop();
+        let mut net = FlowNetwork::new(t);
+        let both = net.add_flow(vec![l0, l1], 10.0).unwrap();
+        let fat = net.add_flow(vec![l1], 10.0).unwrap();
+        net.settle();
+        net.remove_flow(both).unwrap();
+        // Until the settle the emptied class waits on its links.
+        assert_eq!(net.link_classes[l0.index()].len(), 1);
+        assert_eq!(net.link_classes[l1.index()].len(), 2);
+        assert!(net.free_classes.is_empty());
+        net.settle();
+        assert!(net.link_classes[l0.index()].is_empty());
+        assert_eq!(net.link_classes[l1.index()].len(), 1);
+        assert_eq!(net.free_classes.len(), 1);
+        assert_eq!(net.rate(fat).unwrap(), Mbps::new(18.0));
+
+        let thin = net.add_flow(vec![l0], 10.0).unwrap();
+        assert_eq!(net.classes.len(), 2, "the retired slot is reused");
+        assert!(net.free_classes.is_empty());
+        assert_eq!(net.rate(thin).unwrap(), Mbps::new(2.0));
+
+        net.remove_flow(thin).unwrap();
+        let thin_again = net.add_flow(vec![l0], 10.0).unwrap();
+        net.settle();
+        assert_eq!(net.link_classes[l0.index()].len(), 1);
+        assert!(net.free_classes.is_empty());
+        assert_eq!(net.classes.len(), 2);
+        assert_eq!(net.rate(thin_again).unwrap(), Mbps::new(2.0));
+    }
+
+    /// No reader can observe a stale allocation: called on a network
+    /// every kind of mutation has just left stale, each one answers
+    /// what the eagerly refilled oracle answers. (Through a shared
+    /// `&FlowNetwork` none of them can be called at all — the
+    /// `compile_fail` example in the module docs.)
+    #[test]
+    fn every_reader_answers_from_a_settled_allocation() {
+        let (t, l0, l1) = two_hop();
+        let mut net = FlowNetwork::new(t.clone());
+        let mut oracle = LockstepNetwork::new(t);
+        let mut background = Mbps::ZERO;
+        // Runs one mutation on both networks, then every reader on its
+        // own copy of the still-stale production network.
+        macro_rules! step {
+            ($flow:expr, $method:ident($($arg:expr),*)) => {{
+                let _ = oracle.$method($($arg),*);
+                let out = net.$method($($arg),*);
+                assert!(net.is_stale(), "{} leaves the allocation stale", stringify!($method));
+                let rate = oracle.rate($flow).unwrap();
+                let load = oracle.link_flow_load(l0);
+                assert_eq!(net.clone().rate($flow).unwrap(), rate);
+                assert_eq!(net.clone().link_flow_load(l0), load);
+                assert_eq!(net.clone().link_total_load(l0), background + load);
+                assert_eq!(net.clone().snapshot().used(l0), background + load);
+                let mut snap = TrafficSnapshot::zero(net.topology());
+                net.clone().snapshot_into(&mut snap);
+                assert_eq!(snap.used(l0), background + load);
+                assert_eq!(net.clone().next_completion(), oracle.next_completion());
+                out
+            }};
+        }
+        let f = step!(FlowId(0), add_flow(vec![l0, l1], 6.0)).unwrap();
+        let g = step!(f, add_flow(vec![l0], 60.0)).unwrap();
+        background = Mbps::new(0.5);
+        step!(f, set_background(l0, background));
+        step!(f, set_link_capacity_scale(l0, 0.75));
+        step!(g, set_link_admin_down(l1, true));
+        step!(g, set_link_admin_down(l1, false));
+        step!(f, remove_flow(g)).unwrap();
+        // `f` finishes: the completion, too, only marks the network stale.
+        let h = step!(f, add_flow(vec![l1], 600.0)).unwrap();
+        let (first, dt) = net.next_completion().unwrap();
+        assert_eq!(first, f);
+        assert_eq!(step!(h, advance(dt)), vec![f]);
+    }
+
     #[test]
     fn kernel_stats_add_field_wise() {
         let (t, l0, _) = two_hop();
@@ -2141,10 +2389,16 @@ mod tests {
         net.set_background(l0, Mbps::ZERO); // skipped: already idle
         net.add_flow(vec![l0], 4.0).unwrap();
         net.add_local_flow(4.0, Mbps::new(1.0)).unwrap();
-        net.advance(SimDuration::from_secs(2));
+        net.advance(SimDuration::from_secs(2)); // settles, completes the flow
+        assert_eq!(
+            net.next_completion().map(|(_, dt)| dt.as_micros()),
+            Some(2_000_000)
+        );
         let run = net.stats();
         let expected = KernelStats {
+            settles: 2,
             reallocations: 2,
+            fills_unchanged: 0,
             reallocations_skipped: 1,
             fill_rounds: 1,
             classes_filled: 1,
@@ -2159,10 +2413,13 @@ mod tests {
         total += run;
         total += KernelStats {
             stale_pops: 3,
+            fills_unchanged: 5,
             ..KernelStats::default()
         };
         let doubled = KernelStats {
+            settles: 4,
             reallocations: 4,
+            fills_unchanged: 5,
             reallocations_skipped: 2,
             fill_rounds: 2,
             classes_filled: 2,
@@ -2289,7 +2546,10 @@ mod tests {
         /// administrative outages and advances, asserting after every
         /// operation that rates, link loads and SNMP volume integrals
         /// are *bitwise* equal, and that completions happen in the same
-        /// order at the same events.
+        /// order at the same events. An operation is one batch: the
+        /// production network is not read inside it, so it settles once
+        /// per operation, while the oracle refills after every single
+        /// mutation.
         fn drive(ops: &[(u8, usize, f64)]) -> Result<(), TestCaseError> {
             let topo = line(4, Mbps::new(4.0));
             let links: Vec<LinkId> = topo.link_ids().collect();
@@ -2424,6 +2684,67 @@ mod tests {
                             live.push((a, None));
                         }
                     }
+                    14 => {
+                        // A cluster boundary: every network flow the
+                        // advance completes is followed, at the same
+                        // instant, by a new one along the same route.
+                        if let Some((_, dt)) = lazy.next_completion() {
+                            let da = lazy.advance(dt);
+                            let db = reference.advance(dt);
+                            prop_assert_eq!(&da, &db, "advance-to-completion disagrees");
+                            let (done, rest): (Vec<_>, Vec<_>) =
+                                live.drain(..).partition(|(id, _)| da.contains(id));
+                            live = rest;
+                            for (_, route) in done {
+                                let Some(route) = route else { continue };
+                                let a = lazy.add_flow(pool[route].clone(), val).unwrap();
+                                let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                                prop_assert_eq!(a, b);
+                                live.push((a, Some(route)));
+                            }
+                        }
+                    }
+                    15 => {
+                        // A link failure's re-route: k flows torn down
+                        // and k started, on whatever routes come next.
+                        let k = (1 + sel % 5).min(live.len());
+                        for _ in 0..k {
+                            let (id, _) = live.remove(sel % live.len());
+                            lazy.remove_flow(id).unwrap();
+                            reference.remove_flow(id).unwrap();
+                        }
+                        for j in 0..k {
+                            let route = (sel + j) % pool.len();
+                            let a = lazy.add_flow(pool[route].clone(), val).unwrap();
+                            let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                            prop_assert_eq!(a, b);
+                            live.push((a, Some(route)));
+                        }
+                    }
+                    16 => {
+                        // Setters interleaved with adds.
+                        let l = links[sel % links.len()];
+                        let bg = Mbps::new(val * 0.05);
+                        let scale = (val / 40.0).min(1.0);
+                        for step in 0..3 {
+                            let route = (sel + step) % pool.len();
+                            let a = lazy.add_flow(pool[route].clone(), val).unwrap();
+                            let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                            prop_assert_eq!(a, b);
+                            live.push((a, Some(route)));
+                            match step {
+                                0 => {
+                                    lazy.set_background(l, bg);
+                                    reference.set_background(l, bg);
+                                }
+                                1 => {
+                                    lazy.set_link_capacity_scale(l, scale);
+                                    reference.set_link_capacity_scale(l, scale);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
                     _ => {
                         let dt = SimDuration::from_millis((sel as u64 % 900) + 100);
                         let da = lazy.advance(dt);
@@ -2478,7 +2799,7 @@ mod tests {
         proptest! {
             #[test]
             fn lazy_and_reference_kernels_agree(
-                ops in proptest::collection::vec((0u8..14, 0usize..100, 0.5f64..40.0), 1..90),
+                ops in proptest::collection::vec((0u8..17, 0usize..100, 0.5f64..40.0), 1..90),
             ) {
                 drive(&ops)?;
             }

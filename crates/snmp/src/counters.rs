@@ -53,12 +53,13 @@ impl CounterBank {
     }
 
     /// Accumulates the current total load of every link of `net` over an
-    /// interval `dt` during which the allocation was constant.
+    /// interval `dt` during which the allocation was constant. Reading a
+    /// load settles the network's allocation first, hence `&mut`.
     ///
     /// # Panics
     ///
     /// Panics if `net` covers a different number of links.
-    pub fn accumulate(&mut self, net: &FlowNetwork, dt: SimDuration) {
+    pub fn accumulate(&mut self, net: &mut FlowNetwork, dt: SimDuration) {
         assert_eq!(
             net.topology().link_count(),
             self.accumulated_mbit.len(),
@@ -145,9 +146,9 @@ mod tests {
         let (mut net, l) = one_link_net();
         net.set_background(l, Mbps::new(1.0));
         let mut bank = CounterBank::new(1);
-        bank.accumulate(&net, SimDuration::from_secs(60));
+        bank.accumulate(&mut net, SimDuration::from_secs(60));
         assert!((bank.total_mbit(l) - 60.0).abs() < 1e-9);
-        bank.accumulate(&net, SimDuration::from_secs(30));
+        bank.accumulate(&mut net, SimDuration::from_secs(30));
         assert!((bank.total_mbit(l) - 90.0).abs() < 1e-9);
     }
 
@@ -157,7 +158,7 @@ mod tests {
         net.set_background(l, Mbps::new(2.0));
         let mut bank = CounterBank::new(1);
         let baseline = bank.snapshot();
-        bank.accumulate(&net, SimDuration::from_secs(120));
+        bank.accumulate(&mut net, SimDuration::from_secs(120));
         let avg = bank.average_rate_since(l, baseline[0], SimDuration::from_secs(120));
         assert!((avg.as_f64() - 2.0).abs() < 1e-9);
     }

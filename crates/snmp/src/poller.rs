@@ -32,10 +32,10 @@ use crate::utilization::combined_utilization;
 ///
 /// let grnet = Grnet::new();
 /// let mut db = Database::from_topology(grnet.topology(), VideoLibrary::new());
-/// let net = FlowNetwork::new(grnet.topology().clone());
+/// let mut net = FlowNetwork::new(grnet.topology().clone());
 /// let mut snmp = SnmpSystem::new(grnet.topology(), SimDuration::from_mins(2));
 ///
-/// snmp.accumulate(&net, SimDuration::from_mins(2));
+/// snmp.accumulate(&mut net, SimDuration::from_mins(2));
 /// let written = snmp.poll(grnet.topology(), &mut db, SimTime::from_secs(120)).unwrap();
 /// assert_eq!(written, 14); // every GRNET link reported by both adjacent servers
 /// ```
@@ -111,7 +111,7 @@ impl SnmpSystem {
     /// # Panics
     ///
     /// Panics if `net` has a different link count.
-    pub fn accumulate(&mut self, net: &FlowNetwork, dt: SimDuration) {
+    pub fn accumulate(&mut self, net: &mut FlowNetwork, dt: SimDuration) {
         self.counters.accumulate(net, dt);
     }
 
@@ -208,9 +208,9 @@ mod tests {
         let link = grnet.link(GrnetLink::PatraAthens);
         // 1 Mbps for the first minute, idle for the second → 0.5 Mbps avg.
         net.set_background(link, Mbps::new(1.0));
-        snmp.accumulate(&net, SimDuration::from_mins(1));
+        snmp.accumulate(&mut net, SimDuration::from_mins(1));
         net.set_background(link, Mbps::ZERO);
-        snmp.accumulate(&net, SimDuration::from_mins(1));
+        snmp.accumulate(&mut net, SimDuration::from_mins(1));
 
         let t = SimTime::from_secs(120);
         assert!(snmp.due(t));
@@ -232,12 +232,12 @@ mod tests {
         let (grnet, mut db, mut net, mut snmp) = setup();
         let link = grnet.link(GrnetLink::AthensHeraklio);
         net.set_background(link, Mbps::new(9.0));
-        snmp.accumulate(&net, SimDuration::from_mins(2));
+        snmp.accumulate(&mut net, SimDuration::from_mins(2));
         snmp.poll(grnet.topology(), &mut db, SimTime::from_secs(120))
             .unwrap();
         // Second interval idle.
         net.set_background(link, Mbps::ZERO);
-        snmp.accumulate(&net, SimDuration::from_mins(2));
+        snmp.accumulate(&mut net, SimDuration::from_mins(2));
         snmp.poll(grnet.topology(), &mut db, SimTime::from_secs(240))
             .unwrap();
         let admin = db.limited_access(&AdminCredential::new("root")).unwrap();
@@ -258,8 +258,8 @@ mod tests {
 
     #[test]
     fn shared_links_written_twice_consistently() {
-        let (grnet, mut db, net, mut snmp) = setup();
-        snmp.accumulate(&net, SimDuration::from_mins(2));
+        let (grnet, mut db, mut net, mut snmp) = setup();
+        snmp.accumulate(&mut net, SimDuration::from_mins(2));
         let written = snmp
             .poll(grnet.topology(), &mut db, SimTime::from_secs(120))
             .unwrap();

@@ -24,7 +24,7 @@ fn vra_sees_the_database_not_the_network() {
     // Load the Patra-Athens link heavily and poll at t = 2 min.
     let pa = g.link(GrnetLink::PatraAthens);
     net.set_background(pa, Mbps::new(1.8));
-    snmp.accumulate(&net, SimDuration::from_mins(2));
+    snmp.accumulate(&mut net, SimDuration::from_mins(2));
     snmp.poll(g.topology(), &mut db, SimTime::from_secs(120))
         .unwrap();
 
@@ -52,7 +52,7 @@ fn vra_sees_the_database_not_the_network() {
 
     // After the next poll the fresh state is visible and the direct link
     // wins again.
-    snmp.accumulate(&net, SimDuration::from_mins(2));
+    snmp.accumulate(&mut net, SimDuration::from_mins(2));
     snmp.poll(g.topology(), &mut db, SimTime::from_secs(240))
         .unwrap();
     let snapshot = db.limited_access(&admin).unwrap().snapshot(g.topology());
@@ -80,7 +80,7 @@ fn background_model_through_snmp_matches_table2() {
     let at = SimTime::from_secs(16 * 3600); // 4pm
     snmp.reset_epoch(at);
     model.apply(&mut net, at);
-    snmp.accumulate(&net, SimDuration::from_mins(2));
+    snmp.accumulate(&mut net, SimDuration::from_mins(2));
     snmp.poll(g.topology(), &mut db, at + SimDuration::from_mins(2))
         .unwrap();
 

@@ -1,7 +1,8 @@
 //! Integration tests for the event-driven flow kernel and the session
 //! lifecycle above it: the pinned seed-42 GRNET golden trace (recorded
 //! with the lockstep kernel that now lives on as vod-sim's test oracle),
-//! a pinned prefix × fault × retry trace, a scale-stress smoke run and a
+//! a pinned prefix × fault × retry trace, pinned contended traces on
+//! GRNET and on a 200-node random graph, a scale-stress smoke run and a
 //! server outage at scale.
 
 use std::collections::BTreeSet;
@@ -9,11 +10,15 @@ use std::collections::BTreeSet;
 use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_core::ServiceReport;
+use vod_net::topologies::random::connected_gnp;
 use vod_net::Mbps;
 use vod_obs::JsonlWriter;
 use vod_sim::fault::FaultPlan;
-use vod_sim::SimTime;
+use vod_sim::traffic::BackgroundModel;
+use vod_sim::{SimDuration, SimTime};
+use vod_workload::arrivals::HourlyShape;
 use vod_workload::scenario::Scenario;
+use vod_workload::{LibraryConfig, LibraryGenerator, TraceConfig};
 
 /// Runs `scenario` with a JSONL sink and returns the report and the
 /// trace text.
@@ -182,6 +187,67 @@ fn golden_seed42_contended_trace_is_pinned_and_audits_clean() {
     assert_eq!(
         fnv1a(text.as_bytes()),
         0xada6_ce69_c832_ce83,
+        "trace content drifted"
+    );
+
+    let summary = vod_check::audit::audit_trace(&text);
+    assert!(summary.is_clean(), "audit violations: {summary:?}");
+}
+
+/// The many-distinct-routes regime, pinned the same way: a 200-node
+/// random graph with one replica per title, so nearly every session
+/// pulls its clusters over its own multi-hop route and a fill runs
+/// dozens of rounds over a hundred-odd route classes. The three pins
+/// above are all GRNET (7 links, at most two dozen classes); this is
+/// the trace in which the order links saturate in, or a class's rate
+/// after many rounds, shows.
+#[test]
+fn golden_seed42_gnp200_trace_is_pinned_and_audits_clean() {
+    let topology = connected_gnp(200, 0.05, 42);
+    let library = LibraryGenerator::new(LibraryConfig {
+        titles: 200,
+        min_size_mb: 150.0,
+        max_size_mb: 400.0,
+        ..LibraryConfig::default()
+    })
+    .generate(42);
+    let trace = TraceConfig {
+        start: SimTime::ZERO,
+        duration: SimDuration::from_secs(400),
+        rate_per_sec: 400.0 / 400.0,
+        shape: HourlyShape::flat(),
+        zipf_skew: 0.8,
+        client_weights: None,
+    }
+    .generate(&topology, &library, 42);
+    let background = BackgroundModel::uniform(topology.link_count(), Mbps::ZERO);
+    let scenario = Scenario::new("gnp200-pin", topology, library, trace, background, 42);
+    let config = ServiceConfig {
+        initial_replicas: 1,
+        ..ServiceConfig::default()
+    };
+    let (report, text) = traced_run(&scenario, config);
+    assert_eq!(report.completed.len(), scenario.trace().len());
+
+    // The pin must not go vacuous: fills are deep and wide.
+    let kernel = report.kernel;
+    let per_fill = |total: u64| total as f64 / kernel.reallocations as f64;
+    assert!(
+        per_fill(kernel.classes_filled) > 100.0,
+        "{} route classes per fill",
+        per_fill(kernel.classes_filled)
+    );
+    assert!(
+        per_fill(kernel.fill_rounds) > 20.0,
+        "{} rounds per fill",
+        per_fill(kernel.fill_rounds)
+    );
+
+    assert_eq!(text.len(), 2_016_894, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 4_894, "trace line count drifted");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0x0056_dd83_f8e7_3298,
         "trace content drifted"
     );
 
