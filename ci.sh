@@ -75,20 +75,12 @@ cargo run -q --release -p vod-bench --bin ext_proxy -- --json "$proxy_json" > /d
 cargo run -q --release -p vod-bench -- compare --only proxy/ BENCH_proxy.json "$proxy_json"
 
 echo "==> routing-engine perf gate (fresh bench vs committed BENCH_routing.json)"
-# The warm gnp200 row (one link re-read, then `select` for all 200
-# homes) is the dynamic-SSSP win: its tightened threshold (1.30x of the
-# ~0.82 ms baseline ~= 1.07 ms) fails a build that silently loses
-# ~1 ms warm re-selection, long before the cliff of falling back to
-# from-scratch Dijkstra. The repair rows get a mild tightening; the
-# rest keep the noise-tolerant 1.75x default. The 500 ns floor mutes
-# the ns-scale GRNET rows, which swing 2-3x from cache pressure right
-# after the E14 scale run — the rows this gate exists for are all well
-# above it.
+# Every row keeps the noise-tolerant 1.75x default. The 500 ns floor
+# mutes the ns-scale GRNET rows, which swing 2-3x from cache pressure
+# right after the E14 scale run; the row this gate exists for — a poll's
+# worth of re-selection on gnp200, milliseconds — is well above it.
 CRITERION_JSON="$routing_json" cargo bench -q --bench routing_engine > /dev/null
 cargo run -q --release -p vod-bench -- compare --only engine/ --floor-ns 500 \
-  --threshold engine/select/gnp200/warm_all_homes=1.30 \
-  --threshold engine/sssp_repair/1_dirty=1.60 \
-  --threshold engine/sssp_repair/8_dirty=1.60 \
   BENCH_routing.json "$routing_json"
 
 echo "==> flow-kernel perf gate (contended reallocation and cluster boundary vs committed BENCH_kernel.json)"

@@ -1,12 +1,12 @@
 //! Criterion bench: the epoch-cached [`RoutingEngine`] against the slow
-//! reference pipeline — cold vs warm cache, incremental vs full LVN
-//! rebuild, and warm re-selection plus tree repair on a 200-node random
-//! topology.
+//! reference pipeline — cold vs warm cache, the full LVN rebuild, and
+//! re-selection for every home of a 200-node random topology after an
+//! SNMP poll.
 //!
 //! Run with `CRITERION_JSON=BENCH_routing.json cargo bench --bench
 //! routing_engine` to regenerate the committed results file.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use vod_net::dijkstra::dijkstra_with_trace;
@@ -67,18 +67,13 @@ fn bench_grnet_select(c: &mut Criterion) {
     group.finish();
 }
 
-/// Weight-table maintenance: a full rebuild (cold cache) against the
-/// journal-driven incremental patch after a single link reading changes.
+/// Weight-table maintenance: the full rebuild every new epoch pays.
 fn bench_lvn_rebuild(c: &mut Criterion) {
     let grnet = Grnet::new();
-    let mut snapshot = grnet.snapshot(TimeOfDay::T1000);
-    let params = LvnParams::default();
+    let snapshot = grnet.snapshot(TimeOfDay::T1000);
     let link = grnet.topology().link_ids().next().unwrap();
-    let capacity = grnet.topology().link(link).capacity();
-
-    let mut group = c.benchmark_group("engine/lvn_rebuild");
-    let mut engine = RoutingEngine::new(params);
-    group.bench_function("full", |b| {
+    let mut engine = RoutingEngine::new(LvnParams::default());
+    c.bench_function("engine/lvn_rebuild/full", |b| {
         b.iter(|| {
             engine.clear_cache();
             engine
@@ -87,48 +82,33 @@ fn bench_lvn_rebuild(c: &mut Criterion) {
                 .weight(link)
         })
     });
-    let mut flip = false;
-    group.bench_function("incremental_1_link", |b| {
-        b.iter(|| {
-            flip = !flip;
-            snapshot.set_used(link, capacity * if flip { 0.31 } else { 0.62 });
-            engine
-                .weights(black_box(grnet.topology()), black_box(&snapshot))
-                .unwrap()
-                .weight(link)
-        })
-    });
-    group.finish();
 }
 
-fn gnp200() -> (Topology, TrafficSnapshot) {
-    let topology = connected_gnp(200, 0.05, 42);
-    let mut snapshot = TrafficSnapshot::zero(&topology);
+/// A new snapshot instance of gnp200 with every link read at `drift`
+/// above its base level — what an SNMP poll hands the selector.
+fn polled_snapshot(topology: &Topology, drift: f64) -> TrafficSnapshot {
+    let mut snapshot = TrafficSnapshot::zero(topology);
     for link in topology.link_ids() {
         let capacity = topology.link(link).capacity();
-        snapshot.set_used(link, capacity * (0.1 + (link.index() % 7) as f64 * 0.1));
+        let level = 0.1 + (link.index() % 7) as f64 * 0.1;
+        snapshot.set_used(link, capacity * (level + drift));
     }
-    (topology, snapshot)
+    snapshot
 }
 
-/// The service's steady state at scale: every home's tree cached, one
-/// link's SNMP reading drifting per poll, then one `select` per home —
-/// dynamic SSSP repairs the 200 trees in place and every request answers
-/// from cache.
-fn bench_warm_all_homes(c: &mut Criterion) {
-    let (topology, mut snapshot) = gnp200();
+/// What the service does after each poll at scale (86 times in the
+/// `gnp200_remote` workload): the selector receives a new snapshot
+/// instance in which every reading moved, the engine rebuilds its weight
+/// table, and each home's first request re-runs Dijkstra.
+fn bench_after_poll_all_homes(c: &mut Criterion) {
+    let topology = connected_gnp(200, 0.05, 42);
     let candidates = [NodeId::new(0), NodeId::new(1)];
     let mut engine = RoutingEngine::new(LvnParams::default());
-    for home in topology.node_ids() {
-        engine.paths_from(&topology, &snapshot, home).unwrap();
-    }
-    let link = topology.link_ids().next().unwrap();
-    let capacity = topology.link(link).capacity();
     let mut flip = false;
-    c.bench_function("engine/select/gnp200/warm_all_homes", |b| {
+    c.bench_function("engine/select/gnp200/after_poll_all_homes", |b| {
         b.iter(|| {
             flip = !flip;
-            snapshot.set_used(link, capacity * if flip { 0.31 } else { 0.62 });
+            let snapshot = polled_snapshot(&topology, if flip { 0.01 } else { 0.02 });
             for home in topology.node_ids() {
                 black_box(
                     engine
@@ -145,42 +125,10 @@ fn bench_warm_all_homes(c: &mut Criterion) {
     });
 }
 
-/// Dynamic SSSP repair throughput: with all 200 trees cached, mutate k
-/// links per iteration and measure `prepare` alone — journal drain,
-/// incremental LVN patch, and in-place repair of every cached tree.
-fn bench_sssp_repair(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/sssp_repair");
-    for &k in &[1usize, 8, 64] {
-        let (topology, mut snapshot) = gnp200();
-        let mut engine = RoutingEngine::new(LvnParams::default());
-        for home in topology.node_ids() {
-            engine.paths_from(&topology, &snapshot, home).unwrap();
-        }
-        // k links spread across the id space, re-read every iteration.
-        let step = (topology.link_count() / k).max(1);
-        let links: Vec<_> = topology.link_ids().step_by(step).take(k).collect();
-        let mut flip = false;
-        group.bench_function(BenchmarkId::from_parameter(format!("{k}_dirty")), |b| {
-            b.iter(|| {
-                flip = !flip;
-                for &link in &links {
-                    let capacity = topology.link(link).capacity();
-                    snapshot.set_used(link, capacity * if flip { 0.33 } else { 0.44 });
-                }
-                engine
-                    .prepare(black_box(&topology), black_box(&snapshot))
-                    .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_grnet_select,
     bench_lvn_rebuild,
-    bench_warm_all_homes,
-    bench_sssp_repair
+    bench_after_poll_all_homes
 );
 criterion_main!(benches);

@@ -145,8 +145,8 @@ pub fn print_stats(report: &ServiceReport) {
                 e.requests, e.local_hits, e.path_cache_hits, e.dijkstra_runs
             );
             println!(
-                "          {} weight-cache hits, {} incremental rebuilds, {} full rebuilds",
-                e.weight_cache_hits, e.incremental_rebuilds, e.full_rebuilds
+                "          {} weight-cache hits, {} full rebuilds",
+                e.weight_cache_hits, e.full_rebuilds
             );
         }
         None => println!("  engine: n/a (selector is not engine-backed)"),

@@ -44,7 +44,6 @@ use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry, NullSink, RunReport
 use vod_sim::engine::Simulation;
 use vod_sim::fault::FaultKind;
 use vod_sim::flow::FlowNetwork;
-use vod_sim::metrics::TimeSeries;
 use vod_sim::SimTime;
 use vod_snmp::SnmpSystem;
 use vod_storage::dma::{DmaCache, DmaConfig, DmaStats};
@@ -374,8 +373,8 @@ impl<S: EventSink> VodService<S> {
             scheduled_check: None,
             done_scratch: Vec::new(),
             peak_sessions: 0,
-            max_util_series: TimeSeries::new(),
-            mean_util_series: TimeSeries::new(),
+            max_util_samples: Vec::new(),
+            mean_util_samples: Vec::new(),
             seed: scenario.seed(),
             config,
             sink,

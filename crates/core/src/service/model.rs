@@ -9,7 +9,6 @@ use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
 use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry};
 use vod_sim::engine::Model;
 use vod_sim::flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
-use vod_sim::metrics::TimeSeries;
 use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
 use vod_sim::{SimDuration, SimTime};
@@ -211,8 +210,9 @@ pub(super) struct ServiceModel<S: EventSink> {
     /// High-water mark of concurrently live sessions.
     pub(super) peak_sessions: usize,
     pub(super) recurring_deadline: SimTime,
-    pub(super) max_util_series: TimeSeries,
-    pub(super) mean_util_series: TimeSeries,
+    /// Per-poll link-utilisation samples, summarised by the report.
+    pub(super) max_util_samples: Vec<f64>,
+    pub(super) mean_util_samples: Vec<f64>,
     pub(super) seed: u64,
     /// Where trace events go; [`vod_obs::NullSink`] compiles the emission sites
     /// away entirely.
@@ -883,10 +883,10 @@ impl<S: EventSink> ServiceModel<S> {
         // the buffer instead of allocating a snapshot per poll.
         self.flows.snapshot_into(&mut self.live_snap);
         if let Some((_, max)) = self.live_snap.max_utilization(&self.topology) {
-            self.max_util_series.push(now, max.get());
+            self.max_util_samples.push(max.get());
         }
-        self.mean_util_series
-            .push(now, self.live_snap.mean_utilization(&self.topology).get());
+        self.mean_util_samples
+            .push(self.live_snap.mean_utilization(&self.topology).get());
         self.reschedule_recurring(now, self.config.snmp_interval, || Event::SnmpPoll, sched);
     }
 

@@ -42,12 +42,8 @@ impl<S: EventSink> ServiceModel<S> {
             aborted_sessions: self.aborted_sessions,
             rejected_requests: self.rejected_requests,
             unfinished_sessions: self.sessions.len(),
-            max_link_utilization: Summary::from_values(
-                self.max_util_series.samples().iter().map(|&(_, v)| v),
-            ),
-            mean_link_utilization: Summary::from_values(
-                self.mean_util_series.samples().iter().map(|&(_, v)| v),
-            ),
+            max_link_utilization: Summary::from_values(self.max_util_samples),
+            mean_link_utilization: Summary::from_values(self.mean_util_samples),
             dma,
             per_server_dma,
             engine: self.selector.engine_stats(),

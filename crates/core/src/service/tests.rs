@@ -757,6 +757,34 @@ fn contended_run_fills_at_most_once_per_event() {
     assert!(kernel.reallocations * 100 <= 1_210 * 70, "{kernel:?}");
 }
 
+/// The routing engine's counters partition its requests: each is a
+/// local hit, a cached tree or a Dijkstra run, and each non-local one
+/// finds the weight table current or rebuilds it in full. A rebuild
+/// needs a new view of the network, and with no fault plan only an SNMP
+/// poll (or the first request) provides one.
+#[test]
+fn engine_counters_partition_requests_and_rebuilds_follow_polls() {
+    let grnet_day = VodService::new(
+        &Scenario::grnet_case_study(42),
+        Box::new(Vra::default()),
+        ServiceConfig::default(),
+    );
+    for service in [grnet_day, contended_service(FaultPlan::new())] {
+        let report = service.run();
+        let e = report.engine.expect("the VRA is engine-backed");
+        assert!(e.full_rebuilds > 0 && e.path_cache_hits > 0, "{e:?}");
+        assert_eq!(
+            e.requests,
+            e.local_hits + e.path_cache_hits + e.dijkstra_runs
+        );
+        assert_eq!(
+            e.requests - e.local_hits,
+            e.weight_cache_hits + e.full_rebuilds
+        );
+        assert!(e.full_rebuilds <= report.snmp_polls + 1, "{e:?}");
+    }
+}
+
 #[test]
 fn snmp_metrics_are_sampled() {
     let scenario = quick_scenario(13);

@@ -26,8 +26,8 @@ use crate::trace::{DijkstraTrace, NodeLabel, TraceStep};
 /// Distances are stored densely as `f64` with `f64::INFINITY` marking
 /// unreachable nodes — every finite label is a genuine path cost (the
 /// relaxations skip non-finite weights), so the sentinel is unambiguous
-/// and the hot loops here and in `crate::sssp` compare plain floats
-/// instead of branching on an `Option` discriminant.
+/// and the hot loops compare plain floats instead of branching on an
+/// `Option` discriminant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShortestPaths {
     source: NodeId,
@@ -91,32 +91,13 @@ impl ShortestPaths {
             .filter(|(_, d)| d.is_finite())
             .map(|(i, d)| (NodeId::new(i as u32), *d))
     }
-
-    /// The parent edge of `target` in the shortest-path tree (`None` for
-    /// the source and for unreachable nodes). Crate-internal: the dynamic
-    /// repair pass ([`crate::sssp`]) walks and patches tree structure.
-    pub(crate) fn parent(&self, target: NodeId) -> Option<(NodeId, LinkId)> {
-        self.prev[target.index()]
-    }
-
-    /// Mutable access to the label arrays for in-place tree repair.
-    /// Returns `(dist, prev)`; the two slices stay index-aligned with the
-    /// topology's node ids, and `dist` uses the `f64::INFINITY` sentinel
-    /// for unreachable nodes.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn labels_mut(&mut self) -> (&mut [f64], &mut [Option<(NodeId, LinkId)>]) {
-        (&mut self.dist, &mut self.prev)
-    }
 }
 
-/// Priority-queue entry ordered for a min-heap over f64 costs. Shared
-/// with the dynamic tree-repair pass ([`crate::sssp`]), whose boundary
-/// Dijkstra must pop in exactly the same (cost, node-id) order as the
-/// from-scratch runs here.
+/// Priority-queue entry ordered for a min-heap over f64 costs.
 #[derive(Debug, PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) cost: f64,
-    pub(crate) node: NodeId,
+struct HeapEntry {
+    cost: f64,
+    node: NodeId,
 }
 
 impl Eq for HeapEntry {}

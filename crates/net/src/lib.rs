@@ -54,7 +54,6 @@ pub mod lvn;
 pub mod node;
 pub mod route;
 pub mod snapshot;
-mod sssp;
 pub mod topologies;
 pub mod topology;
 pub mod trace;

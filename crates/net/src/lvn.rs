@@ -47,7 +47,7 @@ pub enum NodeCombiner {
 }
 
 impl NodeCombiner {
-    pub(crate) fn combine(self, a: f64, b: f64) -> f64 {
+    fn combine(self, a: f64, b: f64) -> f64 {
         match self {
             NodeCombiner::Max => a.max(b),
             NodeCombiner::Avg => (a + b) / 2.0,
@@ -150,14 +150,6 @@ impl LinkWeights {
     /// Panics if `link` is out of range.
     pub fn set_weight(&mut self, link: LinkId, weight: f64) {
         self.weights[link.index()] = weight;
-    }
-
-    /// The raw weight values in [`LinkId`] order. Used by the routing
-    /// engine to maintain its zero-weight count (the gate for dynamic
-    /// shortest-path-tree repair; see `DESIGN.md` §16) without an
-    /// iterator adapter in the hot path.
-    pub fn values(&self) -> &[f64] {
-        &self.weights
     }
 
     /// Iterates over `(link, weight)` pairs in id order.
@@ -348,18 +340,39 @@ impl<'a> LvnComputer<'a> {
     ///
     /// Panics if `link` is out of range.
     pub fn lvn(&self, link: LinkId) -> f64 {
+        let l = self.topology.link(link);
+        self.lvn_from(
+            link,
+            self.node_validation(l.a()),
+            self.node_validation(l.b()),
+        )
+    }
+
+    /// Computes the full per-link weight table. Each node's validation is
+    /// derived once, by the same adjacency-order sums as
+    /// [`Self::node_validation`], so every weight is bit-identical to
+    /// [`Self::lvn`].
+    pub fn weights(&self) -> LinkWeights {
+        let nv: Vec<f64> = self
+            .topology
+            .node_ids()
+            .map(|n| self.node_validation(n))
+            .collect();
+        self.topology
+            .link_ids()
+            .map(|id| {
+                let l = self.topology.link(id);
+                self.lvn_from(id, nv[l.a().index()], nv[l.b().index()])
+            })
+            .collect()
+    }
+
+    /// Equation (1) from the two endpoint node validations.
+    fn lvn_from(&self, link: LinkId, nv_a: f64, nv_b: f64) -> f64 {
         if self.snapshot.is_admin_down(link) {
             return f64::INFINITY;
         }
-        let l = self.topology.link(link);
-        let nv_a = self.node_validation(l.a());
-        let nv_b = self.node_validation(l.b());
         self.params.combiner.combine(nv_a, nv_b) + self.link_utilization_term(link)
-    }
-
-    /// Computes the full per-link weight table.
-    pub fn weights(&self) -> LinkWeights {
-        self.topology.link_ids().map(|l| self.lvn(l)).collect()
     }
 }
 
@@ -459,9 +472,15 @@ mod tests {
     #[test]
     fn weights_cover_all_links_and_validate() {
         let (topo, snap, _) = figure4_fixture();
-        let weights = LvnComputer::new(&topo, &snap, LvnParams::default()).weights();
+        let computer = LvnComputer::new(&topo, &snap, LvnParams::default());
+        let weights = computer.weights();
         assert_eq!(weights.len(), topo.link_count());
         assert!(weights.validate(&topo).is_ok());
+        // The table shares one NV per node; each entry is still exactly
+        // the per-link equation (1).
+        for (link, w) in weights.iter() {
+            assert_eq!(w.to_bits(), computer.lvn(link).to_bits());
+        }
     }
 
     #[test]

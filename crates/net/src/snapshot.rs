@@ -14,11 +14,6 @@ use crate::ids::LinkId;
 use crate::topology::Topology;
 use crate::units::{Fraction, Mbps};
 
-/// Capacity of the per-snapshot mutation journal. Consumers that fall
-/// more than this many mutations behind get `None` from
-/// [`TrafficSnapshot::dirty_links_since`] and must rebuild fully.
-const JOURNAL_CAPACITY: usize = 512;
-
 /// Process-wide counter handing each snapshot instance a unique token.
 static NEXT_SNAPSHOT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
@@ -80,11 +75,8 @@ pub struct TrafficSnapshot {
     admin_down: Vec<bool>,
     /// Instance identity for epoch-keyed caching (fresh on clone).
     token: u64,
-    /// Mutation counter; mutation `k` (0-based) is journaled at
-    /// `journal[k % JOURNAL_CAPACITY]`.
+    /// Mutation counter.
     version: u64,
-    /// Ring buffer of the links touched by the most recent mutations.
-    journal: Vec<LinkId>,
 }
 
 // Equality and cloning ignore the caching bookkeeping: two snapshots
@@ -107,7 +99,6 @@ impl Clone for TrafficSnapshot {
             admin_down: self.admin_down.clone(),
             token: fresh_token(),
             version: 0,
-            journal: Vec::new(),
         }
     }
 }
@@ -160,7 +151,6 @@ impl Deserialize for TrafficSnapshot {
             admin_down,
             token: fresh_token(),
             version: 0,
-            journal: Vec::new(),
         })
     }
 }
@@ -174,7 +164,6 @@ impl TrafficSnapshot {
             admin_down: vec![false; topology.link_count()],
             token: fresh_token(),
             version: 0,
-            journal: Vec::new(),
         }
     }
 
@@ -184,58 +173,6 @@ impl TrafficSnapshot {
             token: self.token,
             version: self.version,
         }
-    }
-
-    /// Links mutated between `since` and the current epoch, oldest
-    /// first, or `None` when the journal window was exceeded (or
-    /// `since` belongs to a different instance) and the caller must
-    /// rebuild from scratch. The same link may appear multiple times.
-    pub fn dirty_links_since(
-        &self,
-        since: SnapshotEpoch,
-    ) -> Option<impl Iterator<Item = LinkId> + '_> {
-        if since.token != self.token || since.version > self.version {
-            return None;
-        }
-        let behind = self.version - since.version;
-        if behind as usize > JOURNAL_CAPACITY {
-            return None;
-        }
-        Some(
-            (since.version..self.version)
-                .map(|k| self.journal[(k % JOURNAL_CAPACITY as u64) as usize]),
-        )
-    }
-
-    /// Collects the deduplicated, sorted dirty-link set since `since`
-    /// into `out` (cleared first), reusing the caller's allocation —
-    /// the journal-consumer shape of [`Self::dirty_links_since`] for
-    /// callers that poll every epoch, like the routing engine's
-    /// `prepare`. Returns `false` when the journal window was exceeded
-    /// (or `since` belongs to a different instance) and the caller must
-    /// rebuild from scratch; `out` is left empty in that case.
-    pub fn collect_dirty_into(&self, since: SnapshotEpoch, out: &mut Vec<LinkId>) -> bool {
-        out.clear();
-        match self.dirty_links_since(since) {
-            None => false,
-            Some(iter) => {
-                out.extend(iter);
-                out.sort_unstable();
-                out.dedup();
-                true
-            }
-        }
-    }
-
-    /// Records `link` in the mutation journal and bumps the version.
-    fn note_mutation(&mut self, link: LinkId) {
-        let slot = (self.version % JOURNAL_CAPACITY as u64) as usize;
-        if slot == self.journal.len() {
-            self.journal.push(link);
-        } else {
-            self.journal[slot] = link;
-        }
-        self.version += 1;
     }
 
     /// Number of links covered by this snapshot.
@@ -251,7 +188,7 @@ impl TrafficSnapshot {
     /// created from.
     pub fn set_used(&mut self, link: LinkId, used: Mbps) {
         self.used[link.index()] = used;
-        self.note_mutation(link);
+        self.version += 1;
     }
 
     /// Adds traffic on `link` (e.g. when a new flow is admitted).
@@ -261,7 +198,7 @@ impl TrafficSnapshot {
     /// Panics if `link` is out of range.
     pub fn add_used(&mut self, link: LinkId, delta: Mbps) {
         self.used[link.index()] += delta;
-        self.note_mutation(link);
+        self.version += 1;
     }
 
     /// Removes traffic from `link`, clamping at zero, and returns the
@@ -285,7 +222,7 @@ impl TrafficSnapshot {
             "remove_used underflow on {link}: removing {delta} exceeds recorded {before}"
         );
         self.used[link.index()] = before.saturating_sub(delta);
-        self.note_mutation(link);
+        self.version += 1;
         shortfall
     }
 
@@ -298,7 +235,7 @@ impl TrafficSnapshot {
     /// Panics if `link` is out of range.
     pub fn set_explicit_utilization(&mut self, link: LinkId, utilization: Fraction) {
         self.explicit_utilization[link.index()] = Some(utilization);
-        self.note_mutation(link);
+        self.version += 1;
     }
 
     /// Clears an explicit utilization reading, reverting to the derived
@@ -309,12 +246,12 @@ impl TrafficSnapshot {
     /// Panics if `link` is out of range.
     pub fn clear_explicit_utilization(&mut self, link: LinkId) {
         self.explicit_utilization[link.index()] = None;
-        self.note_mutation(link);
+        self.version += 1;
     }
 
     /// Sets the administrative state of `link`: `true` marks it down
     /// (fault-injected outage). A no-op when the state is unchanged, so
-    /// repeated applications add no journal noise.
+    /// repeated applications leave the epoch alone.
     ///
     /// # Panics
     ///
@@ -322,7 +259,7 @@ impl TrafficSnapshot {
     pub fn set_admin_down(&mut self, link: LinkId, down: bool) {
         if self.admin_down[link.index()] != down {
             self.admin_down[link.index()] = down;
-            self.note_mutation(link);
+            self.version += 1;
         }
     }
 
@@ -487,18 +424,16 @@ mod tests {
     }
 
     #[test]
-    fn admin_down_is_journaled_and_round_trips() {
+    fn admin_down_bumps_version_once_and_round_trips() {
         let (topo, l0, l1) = two_link_topo();
         let mut snap = TrafficSnapshot::zero(&topo);
         assert!(!snap.is_admin_down(l0));
         let before = snap.epoch();
         snap.set_admin_down(l0, true);
-        // Unchanged state adds no journal noise.
+        // Unchanged state leaves the epoch alone.
         snap.set_admin_down(l0, true);
         snap.set_admin_down(l1, false);
         assert_eq!(snap.epoch().version, before.version + 1);
-        let dirty: Vec<LinkId> = snap.dirty_links_since(before).unwrap().collect();
-        assert_eq!(dirty, vec![l0]);
         assert!(snap.is_admin_down(l0));
         assert_eq!(snap.admin_down_links().collect::<Vec<_>>(), vec![l0]);
 
@@ -534,10 +469,6 @@ mod tests {
         let e2 = snap.epoch();
         assert_eq!(e2.token, e0.token);
         assert_eq!(e2.version, e0.version + 2);
-        let dirty: Vec<LinkId> = snap.dirty_links_since(e0).unwrap().collect();
-        assert_eq!(dirty, vec![l0, l1]);
-        // Caught-up consumers see an empty delta.
-        assert_eq!(snap.dirty_links_since(e2).unwrap().count(), 0);
     }
 
     #[test]
@@ -549,24 +480,6 @@ mod tests {
         assert_eq!(snap, clone);
         assert_ne!(snap.epoch().token, clone.epoch().token);
         assert_eq!(clone.epoch().version, 0);
-        // A foreign epoch yields no dirty delta.
-        assert!(clone.dirty_links_since(snap.epoch()).is_none());
-    }
-
-    #[test]
-    fn dirty_journal_overflow_forces_full_rebuild() {
-        let (topo, l0, _) = two_link_topo();
-        let mut snap = TrafficSnapshot::zero(&topo);
-        let e0 = snap.epoch();
-        for _ in 0..(super::JOURNAL_CAPACITY + 1) {
-            snap.add_used(l0, Mbps::new(0.001));
-        }
-        assert!(snap.dirty_links_since(e0).is_none());
-        // But a recent epoch still has a valid window.
-        let recent = snap.epoch();
-        snap.set_used(l0, Mbps::new(0.5));
-        let dirty: Vec<LinkId> = snap.dirty_links_since(recent).unwrap().collect();
-        assert_eq!(dirty, vec![l0]);
     }
 
     #[test]

@@ -178,20 +178,6 @@ impl Topology {
         &self.adj_entries[start..end]
     }
 
-    /// The position of `node`'s adjacency slice within
-    /// [`adjacency_entries`](Self::adjacency_entries); lets callers keep
-    /// side tables (e.g. per-incidence link weights) index-aligned with
-    /// the adjacency CSR.
-    pub(crate) fn adjacency_range(&self, node: NodeId) -> std::ops::Range<usize> {
-        self.adj_offsets[node.index()] as usize..self.adj_offsets[node.index() + 1] as usize
-    }
-
-    /// The full adjacency CSR entry array, concatenated in node order;
-    /// [`adjacency_range`](Self::adjacency_range) indexes into it.
-    pub(crate) fn adjacency_entries(&self) -> &[Incidence] {
-        &self.adj_entries
-    }
-
     /// Returns the degree (number of incident links) of `node`.
     ///
     /// # Panics

@@ -201,11 +201,6 @@ impl RunReport {
                 e.weight_cache_hits,
             );
             write_counter(&mut out, "vod_engine_full_rebuilds", e.full_rebuilds);
-            write_counter(
-                &mut out,
-                "vod_engine_incremental_rebuilds",
-                e.incremental_rebuilds,
-            );
             write_counter(&mut out, "vod_engine_dijkstra_runs", e.dijkstra_runs);
             write_counter(&mut out, "vod_engine_path_cache_hits", e.path_cache_hits);
         }

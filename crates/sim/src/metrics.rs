@@ -1,102 +1,7 @@
-//! Metrics collection for experiments: counters, time series and summary
-//! statistics.
+//! Metrics collection for experiments: summary statistics and a
+//! log-bucketed histogram.
 
 use serde::{Deserialize, Serialize};
-
-use crate::time::SimTime;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-/// A timestamped series of float samples.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct TimeSeries {
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if timestamps go backwards.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        debug_assert!(
-            self.samples.last().is_none_or(|&(t, _)| t <= at),
-            "time series samples must be time-ordered"
-        );
-        self.samples.push((at, value));
-    }
-
-    /// All samples in time order.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns true if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Summary statistics over the sample values.
-    pub fn summary(&self) -> Summary {
-        Summary::from_values(self.samples.iter().map(|&(_, v)| v))
-    }
-
-    /// Time-weighted average of a step function: each sample holds until
-    /// the next sample's timestamp. Returns `None` with fewer than two
-    /// samples.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.samples.len() < 2 {
-            return None;
-        }
-        let mut area = 0.0;
-        let mut total = 0.0;
-        for w in self.samples.windows(2) {
-            let dt = (w[1].0 - w[0].0).as_secs_f64();
-            area += w[0].1 * dt;
-            total += dt;
-        }
-        if total > 0.0 {
-            Some(area / total)
-        } else {
-            None
-        }
-    }
-}
 
 /// Summary statistics of a set of float values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -390,27 +295,6 @@ impl Histogram {
             .map(|(idx, &c)| (self.bucket_lower(idx), self.bucket_upper(idx), c))
     }
 
-    /// Merges `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two histograms have different layouts.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.min_value == other.min_value
-                && self.octaves == other.octaves
-                && self.sub_per_octave == other.sub_per_octave,
-            "cannot merge histograms with different layouts"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min_seen = self.min_seen.min(other.min_seen);
-        self.max_seen = self.max_seen.max(other.max_seen);
-    }
-
     /// Maps a value to its bucket index via exponent/mantissa extraction
     /// — deterministic integer arithmetic after one IEEE division.
     fn bucket_index(&self, value: f64) -> usize {
@@ -485,42 +369,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn series_accumulates_in_order() {
-        let mut s = TimeSeries::new();
-        assert!(s.is_empty());
-        s.push(SimTime::from_secs(1), 1.0);
-        s.push(SimTime::from_secs(2), 3.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.samples()[1], (SimTime::from_secs(2), 3.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_duration() {
-        let mut s = TimeSeries::new();
-        s.push(SimTime::from_secs(0), 10.0); // holds 1 s
-        s.push(SimTime::from_secs(1), 0.0); // holds 9 s
-        s.push(SimTime::from_secs(10), 99.0); // terminal sample, no weight
-        let m = s.time_weighted_mean().unwrap();
-        assert!((m - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_mean_needs_two_samples() {
-        let mut s = TimeSeries::new();
-        assert_eq!(s.time_weighted_mean(), None);
-        s.push(SimTime::ZERO, 5.0);
-        assert_eq!(s.time_weighted_mean(), None);
-    }
 
     #[test]
     fn summary_statistics() {
@@ -616,32 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        let mut all = Histogram::default();
-        for i in 0..100 {
-            let v = (i as f64 + 0.5) * 0.37;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-    }
-
-    #[test]
-    #[should_panic(expected = "different layouts")]
-    fn histogram_merge_rejects_layout_mismatch() {
-        let mut a = Histogram::new(1.0, 4, 8);
-        let b = Histogram::new(1.0, 8, 8);
-        a.merge(&b);
-    }
-
-    #[test]
     fn histogram_empty_is_zeroed() {
         let h = Histogram::default();
         assert!(h.is_empty());
@@ -680,15 +502,5 @@ mod tests {
         h.record_duration(SimDuration::from_secs(2));
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 2.0);
-    }
-
-    #[test]
-    fn series_summary_delegates() {
-        let mut s = TimeSeries::new();
-        s.push(SimTime::ZERO, 2.0);
-        s.push(SimTime::from_secs(1), 4.0);
-        let sum = s.summary();
-        assert_eq!(sum.count, 2);
-        assert_eq!(sum.mean, 3.0);
     }
 }

@@ -1,7 +1,8 @@
 //! Property test: the epoch-cached routing engine is bit-identical to the
 //! slow reference pipeline (LvnComputer + dijkstra_with_trace) and agrees
 //! with Bellman–Ford, on randomized connected topologies with randomized
-//! traffic — including after incremental (journal-driven) weight patches.
+//! traffic — including after in-place snapshot mutations, which must
+//! invalidate every cached weight and tree.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -90,8 +91,8 @@ proptest! {
         prop_assert_eq!(engine_sel.server, report.selection.server);
         prop_assert_eq!(&engine_sel.route, &report.selection.route);
 
-        // 4. After journaled mutations the incrementally-patched table is
-        //    still bit-identical to a cold recompute.
+        // 4. After in-place mutations the engine notices the new epoch:
+        //    its table and tree are bit-identical to a cold recompute.
         for _ in 0..mutations {
             let link = vod_net::LinkId::new(rng.gen_range(0..topology.link_count() as u32));
             let capacity = topology.link(link).capacity();
@@ -109,12 +110,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Dynamic SSSP repair: every cached tree — one per home server —
-    /// survives a random *sequence* of snapshot epochs (weight increases
-    /// and decreases, admin-down/up flips, journal-overflow bursts) and
-    /// stays bit-identical (`==`, distances *and* parents) to a
-    /// from-scratch Dijkstra over the patched weights, with Bellman–Ford
-    /// co-signing the distances.
+    /// Epoch invalidation: with a tree cached for every home server, a
+    /// random *sequence* of in-place snapshot epochs (weight increases
+    /// and decreases, admin-down/up flips, 600-mutation bursts) never
+    /// leaks a stale tree — each answer is bit-identical (`==`, distances
+    /// *and* parents) to a from-scratch Dijkstra over the reference
+    /// weights, with Bellman–Ford co-signing the distances.
     #[test]
     fn repaired_trees_match_from_scratch_over_mutation_sequences(
         n in 6usize..36,
@@ -127,7 +128,8 @@ proptest! {
         let params = LvnParams::default();
         let mut engine = RoutingEngine::new(params);
 
-        // Warm one tree per home so every epoch change repairs n trees.
+        // Warm one tree per home so every epoch change has n trees to
+        // invalidate.
         for home in topology.node_ids() {
             engine.paths_from(&topology, &snapshot, home).unwrap();
         }
@@ -135,8 +137,7 @@ proptest! {
         for epoch in 0..epochs {
             let m = topology.link_count() as u32;
             match rng.gen_range(0u8..10) {
-                // Journal-overflow burst: more mutations than the
-                // journal holds, forcing the full-rebuild fallback.
+                // Burst: hundreds of mutations between two selects.
                 0 => {
                     for _ in 0..600 {
                         let link = LinkId::new(rng.gen_range(0..m));
