@@ -1154,6 +1154,327 @@ mod tests {
         );
     }
 
+    /// One sample of every variant, in declaration order, with the JSON
+    /// line the hand-written per-variant writer (the parent of the
+    /// declarative table) rendered for it at `at_us = 7`.
+    fn every_kind() -> Vec<(Event, &'static str)> {
+        let (n, v, l) = (NodeId::new, VideoId::new, LinkId::new);
+        let us = SimDuration::from_micros;
+        vec![
+            (
+                Event::TopologySnapshot {
+                    nodes: vec![("Pa\"tra".into(), true), ("U2".into(), false)],
+                    links: vec![(n(0), n(1), 2.0), (n(1), n(2), 18.5)],
+                },
+                r#"{"at_us":7,"kind":"topology","nodes":[["Pa\"tra",true],["U2",false]],"links":[[0,1,2],[1,2,18.5]]}"#,
+            ),
+            (
+                Event::RunConfig {
+                    selector: "vra".into(),
+                    dynamic_rerouting: false,
+                    snmp_smoothing: Some(0.25),
+                    lvn_normalization: None,
+                    retry_max_attempts: 0,
+                    retry_backoff_us: 1,
+                    retry_stall_budget_us: 2,
+                },
+                r#"{"at_us":7,"kind":"run_config","selector":"vra","dynamic_rerouting":false,"snmp_smoothing":0.25,"lvn_normalization":null,"retry_max_attempts":0,"retry_backoff_us":1,"retry_stall_budget_us":2}"#,
+            ),
+            (
+                Event::CacheConfig {
+                    server: n(3),
+                    disks: 4,
+                    capacity_mb: 9000.5,
+                    cluster_mb: 120.0,
+                    admit_threshold: 2,
+                },
+                r#"{"at_us":7,"kind":"cache_config","server":3,"disks":4,"capacity_mb":9000.5,"cluster_mb":120,"admit_threshold":2}"#,
+            ),
+            (
+                Event::PrefixCacheConfig {
+                    server: n(3),
+                    capacity_mb: 1500.0,
+                    cluster_mb: 120.0,
+                    admit_threshold: 1,
+                    base_clusters: 2,
+                    max_clusters: 6,
+                    growth_points: 0,
+                },
+                r#"{"at_us":7,"kind":"prefix_cache_config","server":3,"capacity_mb":1500,"cluster_mb":120,"admit_threshold":1,"base_clusters":2,"max_clusters":6,"growth_points":0}"#,
+            ),
+            (
+                Event::DmaSeed {
+                    server: n(2),
+                    video: v(11),
+                    size_mb: 1350.25,
+                    parts: 4,
+                },
+                r#"{"at_us":7,"kind":"dma_seed","server":2,"video":11,"size_mb":1350.25,"parts":4}"#,
+            ),
+            (
+                Event::CatalogAdd {
+                    server: n(2),
+                    video: v(11),
+                },
+                r#"{"at_us":7,"kind":"catalog_add","server":2,"video":11}"#,
+            ),
+            (
+                Event::CatalogRemove {
+                    server: n(5),
+                    video: v(12),
+                },
+                r#"{"at_us":7,"kind":"catalog_remove","server":5,"video":12}"#,
+            ),
+            (
+                Event::LinkState {
+                    used: vec![0.1, 17.75],
+                    utilization: vec![0.05, 1e-7],
+                    down: vec![],
+                },
+                r#"{"at_us":7,"kind":"link_state","used":[0.1,17.75],"utilization":[0.05,0.0000001],"down":[]}"#,
+            ),
+            (
+                Event::RequestArrival {
+                    request: 41,
+                    client: n(6),
+                    video: v(13),
+                },
+                r#"{"at_us":7,"kind":"request_arrival","request":41,"client":6,"video":13}"#,
+            ),
+            (
+                Event::RequestFailed {
+                    request: 42,
+                    client: n(6),
+                },
+                r#"{"at_us":7,"kind":"request_failed","request":42,"client":6}"#,
+            ),
+            (
+                Event::RequestRejected {
+                    request: 43,
+                    client: n(0),
+                    video: v(14),
+                },
+                r#"{"at_us":7,"kind":"request_rejected","request":43,"client":0,"video":14}"#,
+            ),
+            (
+                Event::DmaHit {
+                    server: n(1),
+                    video: v(2),
+                },
+                r#"{"at_us":7,"kind":"dma_hit","server":1,"video":2}"#,
+            ),
+            (
+                Event::DmaAdmit {
+                    server: n(1),
+                    video: v(15),
+                    after_eviction: true,
+                    size_mb: 700.0,
+                    parts: 2,
+                    stripe: vec![3, 0],
+                    occupancy_mb: 8100.75,
+                },
+                r#"{"at_us":7,"kind":"dma_admit","server":1,"video":15,"after_eviction":true,"size_mb":700,"parts":2,"stripe":[3,0],"occupancy_mb":8100.75}"#,
+            ),
+            (
+                Event::DmaEvict {
+                    server: n(1),
+                    victim: v(16),
+                },
+                r#"{"at_us":7,"kind":"dma_evict","server":1,"victim":16}"#,
+            ),
+            (
+                Event::DmaReject {
+                    server: n(1),
+                    video: v(17),
+                    reason: DmaRejectKind::DoesNotFit,
+                },
+                r#"{"at_us":7,"kind":"dma_reject","server":1,"video":17,"reason":"does_not_fit"}"#,
+            ),
+            (
+                Event::PrefixHit {
+                    server: n(4),
+                    video: v(18),
+                    clusters: 3,
+                },
+                r#"{"at_us":7,"kind":"prefix_hit","server":4,"video":18,"clusters":3}"#,
+            ),
+            (
+                Event::PrefixExtend {
+                    server: n(4),
+                    video: v(18),
+                    from_clusters: 3,
+                    to_clusters: 4,
+                    occupancy_mb: 960.0,
+                },
+                r#"{"at_us":7,"kind":"prefix_extend","server":4,"video":18,"from_clusters":3,"to_clusters":4,"occupancy_mb":960}"#,
+            ),
+            (
+                Event::PrefixAdmit {
+                    server: n(4),
+                    video: v(19),
+                    after_eviction: false,
+                    clusters: 2,
+                    size_mb: 232.5,
+                    occupancy_mb: 1192.5,
+                },
+                r#"{"at_us":7,"kind":"prefix_admit","server":4,"video":19,"after_eviction":false,"clusters":2,"size_mb":232.5,"occupancy_mb":1192.5}"#,
+            ),
+            (
+                Event::PrefixEvict {
+                    server: n(4),
+                    victim: v(20),
+                    freed_mb: 240.0,
+                },
+                r#"{"at_us":7,"kind":"prefix_evict","server":4,"victim":20,"freed_mb":240}"#,
+            ),
+            (
+                Event::PrefixReject {
+                    server: n(4),
+                    video: v(21),
+                    reason: DmaRejectKind::NotPopularEnough,
+                },
+                r#"{"at_us":7,"kind":"prefix_reject","server":4,"video":21,"reason":"not_popular_enough"}"#,
+            ),
+            (
+                Event::PrefixServe {
+                    session: 8,
+                    server: n(4),
+                    video: v(18),
+                    clusters: 3,
+                },
+                r#"{"at_us":7,"kind":"prefix_serve","session":8,"server":4,"video":18,"clusters":3}"#,
+            ),
+            (
+                Event::VraSelect {
+                    session: 8,
+                    cluster: 3,
+                    video: v(18),
+                    home: n(4),
+                    server: n(2),
+                    cost: 0.30000000000000004,
+                    cache_hit: false,
+                    local: false,
+                },
+                r#"{"at_us":7,"kind":"vra_select","session":8,"cluster":3,"video":18,"home":4,"server":2,"cost":0.30000000000000004,"cache_hit":false,"local":false}"#,
+            ),
+            (
+                Event::Switch {
+                    session: 8,
+                    cluster: 5,
+                    from: n(2),
+                    to: n(0),
+                },
+                r#"{"at_us":7,"kind":"switch","session":8,"cluster":5,"from":2,"to":0}"#,
+            ),
+            (
+                Event::SessionStart {
+                    session: 8,
+                    startup: us(2_500_001),
+                },
+                r#"{"at_us":7,"kind":"session_start","session":8,"startup_us":2500001}"#,
+            ),
+            (
+                Event::SessionStall { session: 8 },
+                r#"{"at_us":7,"kind":"session_stall","session":8}"#,
+            ),
+            (
+                Event::SessionResume {
+                    session: 8,
+                    stalled: us(40),
+                },
+                r#"{"at_us":7,"kind":"session_resume","session":8,"stalled_us":40}"#,
+            ),
+            (
+                Event::SessionComplete {
+                    session: 8,
+                    stalls: 1,
+                    stall_time: us(40),
+                    switches: 2,
+                },
+                r#"{"at_us":7,"kind":"session_complete","session":8,"stalls":1,"stall_time_us":40,"switches":2}"#,
+            ),
+            (
+                Event::SessionAborted {
+                    session: 10,
+                    reason: "stall_budget".into(),
+                },
+                r#"{"at_us":7,"kind":"session_aborted","session":10,"reason":"stall_budget"}"#,
+            ),
+            (
+                Event::SessionRetry {
+                    session: 10,
+                    attempt: 1,
+                    backoff: us(2_000_000),
+                },
+                r#"{"at_us":7,"kind":"session_retry","session":10,"attempt":1,"backoff_us":2000000}"#,
+            ),
+            (
+                Event::SnmpPoll {
+                    readings: 14,
+                    staleness: us(120_000_000),
+                },
+                r#"{"at_us":7,"kind":"snmp_poll","readings":14,"staleness_us":120000000}"#,
+            ),
+            (
+                Event::BackgroundUpdate,
+                r#"{"at_us":7,"kind":"background_update"}"#,
+            ),
+            (
+                Event::ServerDown { server: n(5) },
+                r#"{"at_us":7,"kind":"server_down","server":5}"#,
+            ),
+            (
+                Event::ServerUp { server: n(5) },
+                r#"{"at_us":7,"kind":"server_up","server":5}"#,
+            ),
+            (
+                Event::LinkDown { link: l(6) },
+                r#"{"at_us":7,"kind":"link_down","link":6}"#,
+            ),
+            (
+                Event::LinkUp { link: l(6) },
+                r#"{"at_us":7,"kind":"link_up","link":6}"#,
+            ),
+            (
+                Event::LinkDegradeStart {
+                    link: l(3),
+                    factor: 0.25,
+                },
+                r#"{"at_us":7,"kind":"link_degrade_start","link":3,"factor":0.25}"#,
+            ),
+            (
+                Event::LinkDegradeEnd {
+                    link: l(3),
+                    factor: 0.25,
+                },
+                r#"{"at_us":7,"kind":"link_degrade_end","link":3,"factor":0.25}"#,
+            ),
+            (
+                Event::SnmpOutageStart,
+                r#"{"at_us":7,"kind":"snmp_outage_start"}"#,
+            ),
+            (
+                Event::SnmpOutageEnd,
+                r#"{"at_us":7,"kind":"snmp_outage_end"}"#,
+            ),
+            (
+                Event::SnmpStaleView {
+                    staleness: us(360_000_000),
+                },
+                r#"{"at_us":7,"kind":"snmp_stale_view","staleness_us":360000000}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_kind_renders_its_pinned_line() {
+        let table = every_kind();
+        assert_eq!(table.len(), 40);
+        for (event, line) in &table {
+            assert_eq!(event.to_json(SimTime::from_micros(7)), *line);
+        }
+    }
+
     #[test]
     fn json_strings_are_escaped() {
         let mut s = String::new();
