@@ -23,7 +23,14 @@ echo "==> benchmark/ builds and passes its tests offline against the workspace c
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # Its unit tests too: one asserts BENCHMARK.json equals `vod-benchmark manifest`.
 (cd benchmark && cargo test --release --offline -q)
-git diff --quiet -- benchmark || { echo "the build or tests modified tracked files under benchmark/" >&2; exit 1; }
+# And actually run one workload, both trace modes (well under a second;
+# output lands in the git-ignored benchmark/out/): the step tracer
+# matches on `Event` variants, which only a run exercises.
+for trace in 0 1; do
+  cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload backbone_contended --seed 42 --seconds 1 --trace "$trace" > /dev/null
+done
+git diff --quiet -- benchmark BENCHMARK.json || { echo "the build, tests or smoke run modified tracked files under benchmark/" >&2; exit 1; }
 
 echo "==> benches compile (cargo bench --no-run)"
 cargo bench --no-run
@@ -37,7 +44,7 @@ cargo test -q -p vod-integration-tests --test series
 echo "==> vod-check lint (zero findings, zero stale allowlist entries)"
 cargo run -q --release -p vod-check -- lint
 
-echo "==> vod-check analyze (panic-reachability, determinism, obs-taxonomy drift)"
+echo "==> vod-check analyze (panic-reachability, determinism)"
 cargo run -q --release -p vod-check -- analyze
 
 echo "==> vod-check audit (GRNET case-study trace replays clean)"

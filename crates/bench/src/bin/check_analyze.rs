@@ -1,7 +1,6 @@
 //! Analyzer timing benchmark: wall time of one full `vod-check
 //! analyze` pass (source loading, lexing, item extraction, call-graph
-//! reachability, determinism scans and the obs-taxonomy drift pass)
-//! over the real workspace tree.
+//! reachability and determinism scans) over the real workspace tree.
 //!
 //! Run with: `cargo run --release -p vod-bench --bin check_analyze
 //! [--root DIR] [--iters N] [--json FILE] [--gate BUDGET_SECS]`

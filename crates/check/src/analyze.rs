@@ -1,4 +1,4 @@
-//! The semantic analyzer: rules `L006`–`L012` over the extracted
+//! The semantic analyzer: rules `L006`–`L011` over the extracted
 //! workspace model.
 //!
 //! Where the [`lint`](crate::lint) pass matches line needles, this pass
@@ -9,10 +9,9 @@
 //! | L006 | `.unwrap()` reachable from a sim hot-path root |
 //! | L007 | `.expect(…)` reachable from a root and not allowlisted |
 //! | L008 | `panic!`-family macro or computed slice index reachable from a root and not allowlisted |
-//! | L009 | `spawn`/channel primitive outside `vod-net`'s batch engine or worker pool |
+//! | L009 | `spawn`/channel primitive outside `vod-bench`/`vod-check` |
 //! | L010 | float sort key via `partial_cmp` without `total_cmp` |
 //! | L011 | `Hash`-without-`Ord` type used as a `HashMap`/`HashSet` key |
-//! | L012 | `Event` taxonomy drift (see [`drift`](crate::drift)) |
 //!
 //! The hot-path roots are the entry points the paper's experiments
 //! drive — [`ROOTS`] — and reachability is computed over the
@@ -26,13 +25,11 @@
 //!
 //! `vod-bench` and `vod-check` itself are tooling, exempt from the
 //! reachability and determinism passes exactly as they are exempt from
-//! `L001`/`L004`; the drift pass still reads `vod-check`'s auditor
-//! source, which is one of the taxonomy's consumers.
+//! `L001`/`L004`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph;
-use crate::drift;
 use crate::lex::{lex, Tok, TokKind};
 use crate::lint::{strip_source, test_line_mask, AllowEntry, Allowlist, Finding, Rule, SourceFile};
 use crate::model::{self, PanicKind};
@@ -86,7 +83,7 @@ fn exempt(path: &str) -> bool {
         .any(|c| path.starts_with(&format!("crates/{c}/")))
 }
 
-/// Runs rules `L006`–`L012` over `files` (the full workspace source
+/// Runs rules `L006`–`L011` over `files` (the full workspace source
 /// set; crate exemptions are applied internally).
 pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
     let mut out = AnalyzeOutcome::default();
@@ -236,10 +233,6 @@ pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
     for file in &analyzed {
         scan_determinism(file, &hash_no_ord, &mut out.findings);
     }
-
-    // Obs-taxonomy drift runs over the *full* file set: the auditor
-    // source in the exempt check crate is one of the consumers.
-    out.findings.extend(drift::check(files));
 
     // Stale L007/L008 grants are hard findings, same contract as the
     // lint pass's L004 staleness.

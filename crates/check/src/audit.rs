@@ -67,6 +67,10 @@ pub struct AuditSummary {
     /// `prefix_*` decision events replayed against the reference
     /// prefix store (hits, admits, evictions, rejections).
     pub prefix_verified: usize,
+    /// Events whose kind this auditor neither replays nor lists in its
+    /// unaudited set: tolerated (a trace from a newer writer must still
+    /// replay under the invariants known here), but counted.
+    pub unknown_kinds: usize,
     /// All violations, in trace order.
     pub violations: Vec<Violation>,
 }
@@ -221,9 +225,10 @@ const EPS: f64 = 1e-6;
 /// background-update markers only *explain* the link-state snapshots
 /// that the replay rules (`A005`, `A008`, `A010`) verify directly.
 ///
-/// The analyzer's `L012` drift rule cross-references every `Event`
-/// variant's kind string against this file, so adding a new variant
-/// without either a dispatch arm or an entry here fails the gate.
+/// Every kind in `vod_obs::Event::KINDS` is either dispatched in
+/// `Auditor::on_event` or listed here; the
+/// `every_event_kind_is_dispatched_or_unaudited` test holds that, so a
+/// new variant forces the decision.
 const UNAUDITED: &[&str] = &[
     "request_arrival",
     "request_failed",
@@ -420,10 +425,12 @@ impl Auditor {
             k if UNAUDITED.contains(&k) => Some(()),
             // Unknown kinds are tolerated for forward compatibility:
             // a trace from a newer writer must still replay under the
-            // invariants this auditor does know. (The analyzer's L012
-            // drift rule guarantees every *workspace* Event variant is
-            // either dispatched above or acknowledged in UNAUDITED.)
-            _ => Some(()),
+            // invariants this auditor does know. No kind this
+            // workspace's writer emits lands here (see UNAUDITED).
+            _ => {
+                self.summary.unknown_kinds += 1;
+                Some(())
+            }
         };
         if handled.is_none() {
             self.violate(

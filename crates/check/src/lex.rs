@@ -5,8 +5,7 @@
 //! the stripper preserves byte offsets 1:1 with the original text, so
 //! every token carries a byte range that is valid in both views. String
 //! tokens use that to recover their original value (the stripped view
-//! only keeps the quotes), which is what the obs-taxonomy drift pass
-//! needs to read `kind()` mappings and the auditor's match arms.
+//! only keeps the quotes).
 //!
 //! The token model is deliberately small: identifiers, numbers, string
 //! and char literals, lifetimes and single-character punctuation.

@@ -7,14 +7,13 @@
 //!   feeds reports or traces, no `unwrap`/un-allowlisted `expect` in
 //!   library crates, and `#![forbid(unsafe_code)]` in every crate root.
 //!
-//! * [`analyze`] — the semantic analyzer (`L006`–`L012`): a
+//! * [`analyze`] — the semantic analyzer (`L006`–`L011`): a
 //!   dependency-free [`lex`]er and [`model`] item extractor feed a
 //!   [`callgraph`] whose reachability from the sim hot-path roots
 //!   scopes the panic rules (`unwrap`/`expect`/panic macros/computed
 //!   slice indexing), plus determinism dataflow rules (thread
 //!   primitives, `partial_cmp` sort keys, `Hash`-without-`Ord`
-//!   map keys) and the [`drift`] pass cross-referencing every `Event`
-//!   variant against its series/span/audit consumers.
+//!   map keys).
 //!
 //! * [`audit`] — a JSONL trace replayer verifying the paper's runtime
 //!   invariants (`A000`–`A012`) against independent reference
@@ -29,7 +28,7 @@
 //!
 //! ```text
 //! cargo run -p vod-check -- lint            # L001–L005, zero findings gate
-//! cargo run -p vod-check -- analyze         # L006–L012 semantic pass
+//! cargo run -p vod-check -- analyze         # L006–L011 semantic pass
 //! cargo run -p vod-check -- audit --grnet   # replay the GRNET case study
 //! cargo run -p vod-check -- audit run.jsonl # audit a stored trace
 //! cargo run -p vod-check -- audit --series run.series.json run.jsonl
@@ -43,7 +42,6 @@
 pub mod analyze;
 pub mod audit;
 pub mod callgraph;
-pub mod drift;
 pub mod lex;
 pub mod lint;
 pub mod model;

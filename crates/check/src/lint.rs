@@ -53,12 +53,10 @@ pub enum Rule {
     FloatSortKey,
     /// L011: `Hash`-without-`Ord` type keying an unordered map.
     HashKeyIteration,
-    /// L012: `Event` taxonomy variant with a silent consumer.
-    ObsTaxonomyDrift,
 }
 
 impl Rule {
-    /// The stable rule code (`"L000"`…`"L012"`).
+    /// The stable rule code (`"L000"`…`"L011"`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::StaleAllow => "L000",
@@ -73,7 +71,6 @@ impl Rule {
             Rule::ThreadPrimitive => "L009",
             Rule::FloatSortKey => "L010",
             Rule::HashKeyIteration => "L011",
-            Rule::ObsTaxonomyDrift => "L012",
         }
     }
 }

@@ -38,11 +38,10 @@ SUBCOMMANDS:
     lint      Line-level source rules over crates/*/src (L001-L005):
               wall-clock reads, ambient RNG, unordered collections in
               report paths, panic hygiene, missing forbid(unsafe_code).
-    analyze   Semantic rules (L006-L012): call-graph panic reachability
-              from the sim hot-path roots, determinism dataflow (thread
-              primitives, partial_cmp sort keys,
-              Hash-without-Ord map keys), and Event-taxonomy drift
-              across the series/span/audit consumers.
+    analyze   Semantic rules (L006-L011): call-graph panic reachability
+              from the sim hot-path roots and determinism dataflow
+              (thread primitives, partial_cmp sort keys,
+              Hash-without-Ord map keys).
     audit     Replays a JSONL trace against reference implementations of
               the paper's invariants (A000-A016); --series reconciles a
               time-series export against the same run's trace (A013).

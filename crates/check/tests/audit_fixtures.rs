@@ -495,6 +495,30 @@ fn clean_fault_fixture_audits_green() {
 }
 
 /// The fixtures above exercise seventeen distinct rule ids.
+/// The auditor has taken a decision on every kind the workspace's
+/// writer can emit: each is either dispatched to a replay rule or
+/// listed in `UNAUDITED`. A new `Event` variant fails here until one of
+/// the two is done; only foreign kinds fall through to the tolerated
+/// `unknown_kinds` count.
+#[test]
+fn every_event_kind_is_dispatched_or_unaudited() {
+    let topology = &preamble()[0];
+    let unknown = |kind: &str| {
+        audit_trace(&format!(
+            "{topology}\n{{\"at_us\":0,\"kind\":\"{kind}\"}}\n"
+        ))
+        .unknown_kinds
+    };
+    for kind in vod_obs::Event::KINDS {
+        assert_eq!(
+            unknown(kind),
+            0,
+            "`{kind}` has neither an auditor dispatch arm nor an UNAUDITED entry"
+        );
+    }
+    assert_eq!(unknown("phantom_probe"), 1);
+}
+
 #[test]
 fn fixtures_cover_distinct_rules() {
     let rules = [

@@ -3,7 +3,7 @@
 //! outages.
 
 use vod_net::{LinkId, NodeId};
-use vod_obs::{Event as ObsEvent, EventSink};
+use vod_obs::{AbortReason, Event as ObsEvent, EventSink};
 use vod_sim::flow::FlowId;
 use vod_sim::scheduler::Scheduler;
 use vod_sim::SimTime;
@@ -58,7 +58,7 @@ impl<S: EventSink> ServiceModel<S> {
             .collect();
         for sid in homed {
             // The client itself is gone: no retry can save the session.
-            self.abort_session(now, sid, "home_down");
+            self.abort_session(now, sid, AbortReason::HomeDown);
         }
 
         // Transfers sourced from the dead server re-route mid-cluster,

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use vod_db::{AdminCredential, Database, LimitedAccess};
 use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
-use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry};
+use vod_obs::{AbortReason, Event as ObsEvent, EventSink, MetricsRegistry};
 use vod_sim::engine::Model;
 use vod_sim::flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
 use vod_sim::scheduler::Scheduler;
@@ -342,6 +342,7 @@ impl<S: EventSink> ServiceModel<S> {
             topology,
             selector,
             db_snap_cache,
+            sink,
             ..
         } = self;
         let (_, snapshot) = db_snap_cache.as_ref()?;
@@ -351,14 +352,19 @@ impl<S: EventSink> ServiceModel<S> {
             home,
             candidates: &candidates,
         };
-        let before = selector.engine_stats();
-        let selection = selector.select(&ctx).ok()?;
-        let cache_hit = match (before, selector.engine_stats()) {
-            (Some(b), Some(a)) => {
-                a.path_cache_hits > b.path_cache_hits || a.local_hits > b.local_hits
-            }
-            _ => false,
+        // Only `trace_selection` reads the flag, and only with a live
+        // sink, so the two stats copies are taken only then.
+        let before = if sink.enabled() {
+            selector.engine_stats()
+        } else {
+            None
         };
+        let selection = selector.select(&ctx).ok()?;
+        let cache_hit = before.is_some_and(|b| {
+            selector.engine_stats().is_some_and(|a| {
+                a.path_cache_hits > b.path_cache_hits || a.local_hits > b.local_hits
+            })
+        });
         Some((selection, cache_hit))
     }
 
@@ -492,7 +498,7 @@ impl<S: EventSink> ServiceModel<S> {
     fn handle_fetch_failure(&mut self, now: SimTime, sid: SessionId, sched: &mut Scheduler<Event>) {
         let policy = self.config.retry;
         if policy.max_attempts == 0 {
-            self.abort_session(now, sid, "no_source");
+            self.abort_session(now, sid, AbortReason::NoSource);
             return;
         }
         let state = self
@@ -504,7 +510,7 @@ impl<S: EventSink> ServiceModel<S> {
                 first_failure: now,
             });
         if state.attempts >= policy.max_attempts {
-            self.abort_session(now, sid, "retry_exhausted");
+            self.abort_session(now, sid, AbortReason::RetryExhausted);
             return;
         }
         let attempt = state.attempts + 1;
@@ -512,7 +518,7 @@ impl<S: EventSink> ServiceModel<S> {
             SimDuration::from_micros(policy.backoff.as_micros().saturating_mul(attempt as u64));
         let resume_at = now + backoff;
         if resume_at.duration_since(state.first_failure) > policy.stall_budget {
-            self.abort_session(now, sid, "stall_budget");
+            self.abort_session(now, sid, AbortReason::StallBudget);
             return;
         }
         if let Some(rec) = self.sessions.get_mut(&sid) {
@@ -606,9 +612,8 @@ impl<S: EventSink> ServiceModel<S> {
     }
 
     /// Drops a session mid-stream, counting and tracing the abort with
-    /// its cause (`home_down`, `no_source`, `retry_exhausted` or
-    /// `stall_budget`).
-    pub(super) fn abort_session(&mut self, now: SimTime, sid: SessionId, reason: &str) {
+    /// its cause.
+    pub(super) fn abort_session(&mut self, now: SimTime, sid: SessionId, reason: AbortReason) {
         self.close_session(sid);
         self.aborted_sessions += 1;
         if self.sink.enabled() {
@@ -616,7 +621,7 @@ impl<S: EventSink> ServiceModel<S> {
                 now,
                 &ObsEvent::SessionAborted {
                     session: sid.0,
-                    reason: reason.to_string(),
+                    reason,
                 },
             );
         }
@@ -810,7 +815,7 @@ impl<S: EventSink> ServiceModel<S> {
                 self.prefix_served_clusters += 1;
                 self.prefix_served_mbit += volume;
             }
-            Err(_) => self.abort_session(now, sid, "no_source"),
+            Err(_) => self.abort_session(now, sid, AbortReason::NoSource),
         }
     }
 

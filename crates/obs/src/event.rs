@@ -4,10 +4,16 @@
 //! Events carry only plain identifiers and simulated durations, never
 //! wall-clock state, so a trace is a pure function of (scenario, config):
 //! running the same experiment twice yields byte-identical JSONL. The
-//! JSON encoding is hand-rendered (see [`Event::write_json`]) with a
+//! JSON encoding is rendered in-crate (see [`Event::write_json`]) with a
 //! fixed field order and Rust's shortest-roundtrip float formatting,
 //! which pins the byte-level determinism contract independently of any
 //! serializer implementation details.
+//!
+//! The taxonomy is declared once, in the `event_taxonomy!` table below:
+//! a row names the variant, its kind string and its fields, and expands
+//! to the enum, [`Event::kind`], [`Event::KINDS`] and the JSONL writer,
+//! so they cannot disagree. Adding an event is one row (DESIGN.md §10
+//! has the recipe).
 
 use std::fmt::Write as _;
 
@@ -38,866 +44,619 @@ impl DmaRejectKind {
     }
 }
 
-/// One observable incident in a service run.
-///
-/// The taxonomy covers every decision point of the paper's architecture:
-/// request arrivals, the Disk Manipulation Algorithm (admit / evict / hit
-/// / reject), the Virtual Routing Algorithm (chosen server, LVN path
-/// cost, engine cache-hit flag), mid-stream switches, session QoS
-/// incidents (stall / resume / complete), SNMP polls with their measured
-/// staleness, background-traffic refreshes and server outages.
-///
-/// A trace additionally opens with *replay metadata* — the topology
-/// ([`Event::TopologySnapshot`]), the run knobs ([`Event::RunConfig`]),
-/// each server's DMA sizing ([`Event::CacheConfig`]) and the initial
-/// placement ([`Event::DmaSeed`]) — and interleaves the link state every
-/// selection worked from ([`Event::LinkState`]) plus every catalog
-/// mutation ([`Event::CatalogAdd`] / [`Event::CatalogRemove`]). Together
-/// these make a trace *self-auditing*: `vod-check audit` can replay the
-/// stream and re-verify the paper's invariants (cache capacity, eviction
-/// victims, `i mod n` striping, VRA optimality) against an independent
-/// reference implementation, with no access to the original scenario.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Event {
-    /// The network the run is played over: node names with their
-    /// video-server flag, and links as `(a, b, capacity_mbps)` triples in
-    /// [`LinkId`](vod_net::LinkId) order. Emitted once, first.
-    TopologySnapshot {
-        /// `(name, is_video_server)` per node, in [`NodeId`] order.
-        nodes: Vec<(String, bool)>,
-        /// `(endpoint_a, endpoint_b, capacity_mbps)` per link.
-        links: Vec<(NodeId, NodeId, f64)>,
-    },
-    /// The run-level knobs an auditor needs to replay decisions.
-    RunConfig {
-        /// Name of the server-selection policy (e.g. `"vra"`).
-        selector: String,
-        /// Whether the selector re-runs before every cluster.
-        dynamic_rerouting: bool,
-        /// EWMA smoothing factor of the SNMP view, when enabled.
-        snmp_smoothing: Option<f64>,
-        /// The selector's LVN normalization constant, when it routes by
-        /// LVN-weighted Dijkstra (equation (4) of the paper).
-        lvn_normalization: Option<f64>,
-        /// Bounded re-attempts a session gets before aborting (0 means
-        /// the pre-retry instant-abort behaviour).
-        retry_max_attempts: u32,
-        /// Base backoff between re-attempts, microseconds of simulated
-        /// time (attempt `n` waits `n * retry_backoff_us`).
-        retry_backoff_us: u64,
-        /// Total stall budget per session, microseconds: once the next
-        /// retry would land beyond `first_failure + budget`, abort.
-        retry_stall_budget_us: u64,
-    },
-    /// One server's DMA cache sizing (emitted per server at start; a
-    /// recovering server reuses the same configuration).
-    CacheConfig {
-        /// The video server.
-        server: NodeId,
-        /// Disks in its array.
-        disks: u64,
-        /// VoD space per disk.
-        capacity_mb: f64,
-        /// The common cluster size `c`.
-        cluster_mb: f64,
-        /// Points a newcomer must exceed before admission.
-        admit_threshold: u64,
-    },
-    /// One server's regional prefix-store sizing (emitted per server at
-    /// start when the proxy tier is enabled; absent otherwise).
-    PrefixCacheConfig {
-        /// The proxy (co-located with the video server).
-        server: NodeId,
-        /// Total space dedicated to prefixes.
-        capacity_mb: f64,
-        /// The common cluster size `c`.
-        cluster_mb: f64,
-        /// Points a title must exceed before prefix admission.
-        admit_threshold: u64,
-        /// Prefix length granted at admission, in clusters.
-        base_clusters: u64,
-        /// Popularity-driven ceiling on any prefix length, in clusters.
-        max_clusters: u64,
-        /// Further requests per additional cluster (0 = no growth).
-        growth_points: u64,
-    },
-    /// Service initialization placed a title on a server (round-robin
-    /// seeding, outside the request path).
-    DmaSeed {
-        /// The video server.
-        server: NodeId,
-        /// The seeded title.
-        video: VideoId,
-        /// Size of the title.
-        size_mb: f64,
-        /// Parts of its stripe (Figure 3: part `i` on disk `i mod n`).
-        parts: u64,
-    },
-    /// The service advertised a title in the shared database (candidates
-    /// for the VRA from now on).
-    CatalogAdd {
-        /// The providing server.
-        server: NodeId,
-        /// The advertised title.
-        video: VideoId,
-    },
-    /// The service withdrew a title from the shared database (eviction
-    /// or server failure).
-    CatalogRemove {
-        /// The withdrawing server.
-        server: NodeId,
-        /// The withdrawn title.
-        video: VideoId,
-    },
-    /// The traffic view the selector works from changed (database
-    /// snapshot rebuilt after an SNMP poll). Values are per link in
-    /// [`LinkId`](vod_net::LinkId) order: combined in+out Mbps and the
-    /// utilization fraction the LVN computation sees.
-    LinkState {
-        /// Used bandwidth (UBW) per link, Mbps.
-        used: Vec<f64>,
-        /// Utilization fraction per link (equation (5)).
-        utilization: Vec<f64>,
-        /// Indices of links the selector sees as administratively down
-        /// (masked to infinite LVN weight), ascending.
-        down: Vec<u64>,
-    },
-    /// A request from the workload trace arrived.
-    RequestArrival {
-        /// Index of the request in the trace.
-        request: u64,
-        /// The client's home server.
-        client: NodeId,
-        /// The requested title.
-        video: VideoId,
-    },
-    /// A request could not be served (unknown title, dead home server, or
-    /// no reachable replica).
-    RequestFailed {
-        /// Index of the request in the trace.
-        request: u64,
-        /// The client's home server.
-        client: NodeId,
-    },
-    /// Admission control turned the request away to protect the QoS
-    /// floor.
-    RequestRejected {
-        /// Index of the request in the trace.
-        request: u64,
-        /// The client's home server.
-        client: NodeId,
-        /// The requested title.
-        video: VideoId,
-    },
-    /// The DMA served a request from cache.
-    DmaHit {
-        /// The server running the DMA.
-        server: NodeId,
-        /// The resident title.
-        video: VideoId,
-    },
-    /// The DMA wrote a title to the server's disks.
-    DmaAdmit {
-        /// The server running the DMA.
-        server: NodeId,
-        /// The admitted title.
-        video: VideoId,
-        /// True when residents had to be evicted first.
-        after_eviction: bool,
-        /// Size of the admitted title.
-        size_mb: f64,
-        /// Parts of the stripe layout chosen for it.
-        parts: u64,
-        /// Disk index of each part, in part order — auditable against
-        /// Figure 3's cyclic rule (part `i` on disk `i mod n`).
-        stripe: Vec<u32>,
-        /// Megabytes resident on the server's disks after the write.
-        occupancy_mb: f64,
-    },
-    /// The DMA deleted a resident title to make room.
-    DmaEvict {
-        /// The server running the DMA.
-        server: NodeId,
-        /// The deleted title.
-        victim: VideoId,
-    },
-    /// The DMA declined to cache the requested title.
-    DmaReject {
-        /// The server running the DMA.
-        server: NodeId,
-        /// The requested title.
-        video: VideoId,
-        /// Why it was not cached.
-        reason: DmaRejectKind,
-    },
-    /// The proxy's prefix store served a request from a resident prefix.
-    PrefixHit {
-        /// The proxy holding the prefix.
-        server: NodeId,
-        /// The requested title.
-        video: VideoId,
-        /// Resident (and served) prefix length, in clusters.
-        clusters: u64,
-    },
-    /// Popularity growth extended a resident prefix in place. The
-    /// triggering session is still served the pre-extension length.
-    PrefixExtend {
-        /// The proxy holding the prefix.
-        server: NodeId,
-        /// The extended title.
-        video: VideoId,
-        /// Prefix length before the extension (the served length).
-        from_clusters: u64,
-        /// Prefix length after the extension.
-        to_clusters: u64,
-        /// Megabytes resident in the store after the extension.
-        occupancy_mb: f64,
-    },
-    /// The prefix store admitted a title's prefix.
-    PrefixAdmit {
-        /// The proxy running the store.
-        server: NodeId,
-        /// The admitted title.
-        video: VideoId,
-        /// True when colder prefixes had to be evicted first.
-        after_eviction: bool,
-        /// Stored prefix length, in clusters.
-        clusters: u64,
-        /// Exact megabytes the prefix occupies.
-        size_mb: f64,
-        /// Megabytes resident in the store after the write.
-        occupancy_mb: f64,
-    },
-    /// The prefix store deleted a resident prefix to make room.
-    PrefixEvict {
-        /// The proxy running the store.
-        server: NodeId,
-        /// The deleted title's prefix.
-        victim: VideoId,
-        /// Megabytes the eviction freed.
-        freed_mb: f64,
-    },
-    /// The prefix store declined to store the requested title's prefix.
-    PrefixReject {
-        /// The proxy running the store.
-        server: NodeId,
-        /// The requested title.
-        video: VideoId,
-        /// Why it was not stored (shares the DMA's label set).
-        reason: DmaRejectKind,
-    },
-    /// Session startup is streaming a resident prefix from the regional
-    /// proxy at local rate while the VRA fetches the suffix from the
-    /// origin. Registers the session at `(server, cluster
-    /// clusters - 1)` for switch auditing.
-    PrefixServe {
-        /// The session being served.
-        session: u64,
-        /// The proxy streaming the prefix (the client's home).
-        server: NodeId,
-        /// The requested title.
-        video: VideoId,
-        /// Clusters covered by the prefix phase.
-        clusters: u64,
-    },
-    /// The VRA (or baseline selector) picked a source server for one
-    /// cluster fetch.
-    VraSelect {
-        /// The session being served.
-        session: u64,
-        /// Index of the cluster about to be fetched.
-        cluster: u64,
-        /// The requested title (identifies the candidate replica set).
-        video: VideoId,
-        /// The client's home server.
-        home: NodeId,
-        /// The chosen source server.
-        server: NodeId,
-        /// LVN path cost of the chosen route (0 for a local serve).
-        cost: f64,
-        /// True when the routing engine answered from its cached
-        /// shortest-path tree (no Dijkstra run).
-        cache_hit: bool,
-        /// True when the home server serves its own client.
-        local: bool,
-    },
-    /// Dynamic re-routing moved the session to a different server
-    /// mid-stream — the paper's headline feature.
-    Switch {
-        /// The session that switched.
-        session: u64,
-        /// Index of the first cluster fetched from the new server.
-        cluster: u64,
-        /// The previous source server.
-        from: NodeId,
-        /// The new source server.
-        to: NodeId,
-    },
-    /// First cluster available: playout starts.
-    SessionStart {
-        /// The session.
-        session: u64,
-        /// Request arrival → first cluster available.
-        startup: SimDuration,
-    },
-    /// The playout buffer ran dry.
-    SessionStall {
-        /// The stalled session.
-        session: u64,
-    },
-    /// Data arrived and playout resumed.
-    SessionResume {
-        /// The session.
-        session: u64,
-        /// How long playout was stalled.
-        stalled: SimDuration,
-    },
-    /// Playback finished.
-    SessionComplete {
-        /// The session.
-        session: u64,
-        /// Number of stalls over the session's lifetime.
-        stalls: u32,
-        /// Total stalled time.
-        stall_time: SimDuration,
-        /// Mid-stream server switches.
-        switches: u32,
-    },
-    /// The session was dropped before completing (server failure or loss
-    /// of every replica).
-    SessionAborted {
-        /// The session.
-        session: u64,
-        /// Stable snake_case cause: `"home_down"` (the client's home
-        /// server died), `"no_source"` (no reachable replica and retry
-        /// disabled), `"retry_exhausted"` (every re-attempt failed) or
-        /// `"stall_budget"` (the next retry would overrun the budget).
-        reason: String,
-    },
-    /// A cluster fetch failed transiently and the session scheduled a
-    /// bounded re-attempt instead of aborting.
-    SessionRetry {
-        /// The session.
-        session: u64,
-        /// 1-based index of this re-attempt.
-        attempt: u32,
-        /// Deterministic backoff before the re-attempt runs.
-        backoff: SimDuration,
-    },
-    /// The SNMP system polled the agents and refreshed the database.
-    SnmpPoll {
-        /// Number of link readings written.
-        readings: u64,
-        /// Age of the view being replaced (time since the previous
-        /// poll) — the staleness the VRA worked with until now.
-        staleness: SimDuration,
-    },
-    /// The diurnal background-traffic model was re-applied.
-    BackgroundUpdate,
-    /// A video server went down.
-    ServerDown {
-        /// The failed server.
-        server: NodeId,
-    },
-    /// A failed video server rejoined (cold cache).
-    ServerUp {
-        /// The recovered server.
-        server: NodeId,
-    },
-    /// A fault plan took a link administratively down (outage depth
-    /// reached 1); affected sessions re-route or retry.
-    LinkDown {
-        /// The failed link.
-        link: LinkId,
-    },
-    /// A link came back up (outage depth returned to 0).
-    LinkUp {
-        /// The restored link.
-        link: LinkId,
-    },
-    /// A fault plan started degrading a link's deliverable bandwidth.
-    LinkDegradeStart {
-        /// The degraded link.
-        link: LinkId,
-        /// Remaining capacity fraction in `(0, 1)`.
-        factor: f64,
-    },
-    /// A link-degradation window ended.
-    LinkDegradeEnd {
-        /// The recovering link.
-        link: LinkId,
-        /// The factor the ending window had applied.
-        factor: f64,
-    },
-    /// The SNMP poller went down: scheduled polls are skipped and the
-    /// selector keeps working from its last-known-good view.
-    SnmpOutageStart,
-    /// The SNMP poller recovered; the next poll refreshes the view.
-    SnmpOutageEnd,
-    /// A scheduled poll was skipped by an active SNMP outage — the VRA's
-    /// view is flagged stale (last-known-good fallback).
-    SnmpStaleView {
-        /// Age of the view the selector is falling back on.
-        staleness: SimDuration,
-    },
+/// Why a session was dropped before completing.
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
+pub enum AbortReason {
+    /// The client's home server died.
+    HomeDown,
+    /// No reachable replica and retry is disabled.
+    NoSource,
+    /// Every bounded re-attempt failed.
+    RetryExhausted,
+    /// The next retry would overrun the session's stall budget.
+    StallBudget,
+}
+
+impl AbortReason {
+    /// Stable snake_case label used in the JSONL encoding.
+    pub fn label(self) -> &'static str {
+        match self {
+            AbortReason::HomeDown => "home_down",
+            AbortReason::NoSource => "no_source",
+            AbortReason::RetryExhausted => "retry_exhausted",
+            AbortReason::StallBudget => "stall_budget",
+        }
+    }
+}
+
+/// Declares the event taxonomy. Each row is one variant: its docs, its
+/// name, its kind string and its fields, with the JSON key spelled out
+/// (`field as "key"`) only where it differs from the field name. The
+/// expansion is the [`Event`] enum itself plus everything that must
+/// agree with it row by row: [`Event::KINDS`], [`Event::kind`] and
+/// [`Event::write_json`].
+macro_rules! event_taxonomy {
+    (
+        $(#[$enum_attr:meta])*
+        pub enum Event {
+            $(
+                $(#[$variant_attr:meta])*
+                $variant:ident = $kind:literal $({
+                    $(
+                        $(#[$field_attr:meta])*
+                        $field:ident $(as $key:literal)? : $ty:ty
+                    ),* $(,)?
+                })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$enum_attr])*
+        pub enum Event {
+            $(
+                $(#[$variant_attr])*
+                $variant $({
+                    $(
+                        $(#[$field_attr])*
+                        $field: $ty,
+                    )*
+                })?,
+            )*
+        }
+
+        impl Event {
+            /// Every kind string, in declaration order.
+            pub const KINDS: &'static [&'static str] = &[$($kind),*];
+
+            /// Stable snake_case discriminant, also the `"kind"` field of
+            /// the JSONL encoding.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Appends the event as one JSON object (no trailing newline)
+            /// with a fixed field order: `at_us` (integer microseconds of
+            /// simulated time), `kind`, then the variant's fields in
+            /// declaration order. Durations are rendered as integer
+            /// microseconds, node and video ids as their raw indices.
+            pub fn write_json(&self, at: SimTime, out: &mut String) {
+                out.push_str("{\"at_us\":");
+                at.as_micros().write_value(out);
+                match self {
+                    $(
+                        Event::$variant $({ $($field),* })? => {
+                            out.push_str(concat!(",\"kind\":\"", $kind, "\""));
+                            $($(
+                                out.push_str(concat!(",\"", json_key!($field $(, $key)?), "\":"));
+                                $field.write_value(out);
+                            )*)?
+                        }
+                    )*
+                }
+                out.push('}');
+            }
+        }
+    };
+}
+
+/// The JSON key of a field: the override when one is given, else the
+/// field's own name.
+macro_rules! json_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident, $key:literal) => {
+        $key
+    };
+}
+
+event_taxonomy! {
+    /// One observable incident in a service run.
+    ///
+    /// The taxonomy covers every decision point of the paper's architecture:
+    /// request arrivals, the Disk Manipulation Algorithm (admit / evict / hit
+    /// / reject), the Virtual Routing Algorithm (chosen server, LVN path
+    /// cost, engine cache-hit flag), mid-stream switches, session QoS
+    /// incidents (stall / resume / complete), SNMP polls with their measured
+    /// staleness, background-traffic refreshes and server outages.
+    ///
+    /// A trace additionally opens with *replay metadata* — the topology
+    /// ([`Event::TopologySnapshot`]), the run knobs ([`Event::RunConfig`]),
+    /// each server's DMA sizing ([`Event::CacheConfig`]) and the initial
+    /// placement ([`Event::DmaSeed`]) — and interleaves the link state every
+    /// selection worked from ([`Event::LinkState`]) plus every catalog
+    /// mutation ([`Event::CatalogAdd`] / [`Event::CatalogRemove`]). Together
+    /// these make a trace *self-auditing*: `vod-check audit` can replay the
+    /// stream and re-verify the paper's invariants (cache capacity, eviction
+    /// victims, `i mod n` striping, VRA optimality) against an independent
+    /// reference implementation, with no access to the original scenario.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum Event {
+        /// The network the run is played over: node names with their
+        /// video-server flag, and links as `(a, b, capacity_mbps)` triples in
+        /// [`LinkId`](vod_net::LinkId) order. Emitted once, first.
+        TopologySnapshot = "topology" {
+            /// `(name, is_video_server)` per node, in [`NodeId`] order.
+            nodes: Vec<(String, bool)>,
+            /// `(endpoint_a, endpoint_b, capacity_mbps)` per link.
+            links: Vec<(NodeId, NodeId, f64)>,
+        },
+        /// The run-level knobs an auditor needs to replay decisions.
+        RunConfig = "run_config" {
+            /// Name of the server-selection policy (e.g. `"vra"`).
+            selector: String,
+            /// Whether the selector re-runs before every cluster.
+            dynamic_rerouting: bool,
+            /// EWMA smoothing factor of the SNMP view, when enabled.
+            snmp_smoothing: Option<f64>,
+            /// The selector's LVN normalization constant, when it routes by
+            /// LVN-weighted Dijkstra (equation (4) of the paper).
+            lvn_normalization: Option<f64>,
+            /// Bounded re-attempts a session gets before aborting (0 means
+            /// the pre-retry instant-abort behaviour).
+            retry_max_attempts: u32,
+            /// Base backoff between re-attempts, microseconds of simulated
+            /// time (attempt `n` waits `n * retry_backoff_us`).
+            retry_backoff_us: u64,
+            /// Total stall budget per session, microseconds: once the next
+            /// retry would land beyond `first_failure + budget`, abort.
+            retry_stall_budget_us: u64,
+        },
+        /// One server's DMA cache sizing (emitted per server at start; a
+        /// recovering server reuses the same configuration).
+        CacheConfig = "cache_config" {
+            /// The video server.
+            server: NodeId,
+            /// Disks in its array.
+            disks: u64,
+            /// VoD space per disk.
+            capacity_mb: f64,
+            /// The common cluster size `c`.
+            cluster_mb: f64,
+            /// Points a newcomer must exceed before admission.
+            admit_threshold: u64,
+        },
+        /// One server's regional prefix-store sizing (emitted per server at
+        /// start when the proxy tier is enabled; absent otherwise).
+        PrefixCacheConfig = "prefix_cache_config" {
+            /// The proxy (co-located with the video server).
+            server: NodeId,
+            /// Total space dedicated to prefixes.
+            capacity_mb: f64,
+            /// The common cluster size `c`.
+            cluster_mb: f64,
+            /// Points a title must exceed before prefix admission.
+            admit_threshold: u64,
+            /// Prefix length granted at admission, in clusters.
+            base_clusters: u64,
+            /// Popularity-driven ceiling on any prefix length, in clusters.
+            max_clusters: u64,
+            /// Further requests per additional cluster (0 = no growth).
+            growth_points: u64,
+        },
+        /// Service initialization placed a title on a server (round-robin
+        /// seeding, outside the request path).
+        DmaSeed = "dma_seed" {
+            /// The video server.
+            server: NodeId,
+            /// The seeded title.
+            video: VideoId,
+            /// Size of the title.
+            size_mb: f64,
+            /// Parts of its stripe (Figure 3: part `i` on disk `i mod n`).
+            parts: u64,
+        },
+        /// The service advertised a title in the shared database (candidates
+        /// for the VRA from now on).
+        CatalogAdd = "catalog_add" {
+            /// The providing server.
+            server: NodeId,
+            /// The advertised title.
+            video: VideoId,
+        },
+        /// The service withdrew a title from the shared database (eviction
+        /// or server failure).
+        CatalogRemove = "catalog_remove" {
+            /// The withdrawing server.
+            server: NodeId,
+            /// The withdrawn title.
+            video: VideoId,
+        },
+        /// The traffic view the selector works from changed (database
+        /// snapshot rebuilt after an SNMP poll). Values are per link in
+        /// [`LinkId`](vod_net::LinkId) order: combined in+out Mbps and the
+        /// utilization fraction the LVN computation sees.
+        LinkState = "link_state" {
+            /// Used bandwidth (UBW) per link, Mbps.
+            used: Vec<f64>,
+            /// Utilization fraction per link (equation (5)).
+            utilization: Vec<f64>,
+            /// Indices of links the selector sees as administratively down
+            /// (masked to infinite LVN weight), ascending.
+            down: Vec<u64>,
+        },
+        /// A request from the workload trace arrived.
+        RequestArrival = "request_arrival" {
+            /// Index of the request in the trace.
+            request: u64,
+            /// The client's home server.
+            client: NodeId,
+            /// The requested title.
+            video: VideoId,
+        },
+        /// A request could not be served (unknown title, dead home server, or
+        /// no reachable replica).
+        RequestFailed = "request_failed" {
+            /// Index of the request in the trace.
+            request: u64,
+            /// The client's home server.
+            client: NodeId,
+        },
+        /// Admission control turned the request away to protect the QoS
+        /// floor.
+        RequestRejected = "request_rejected" {
+            /// Index of the request in the trace.
+            request: u64,
+            /// The client's home server.
+            client: NodeId,
+            /// The requested title.
+            video: VideoId,
+        },
+        /// The DMA served a request from cache.
+        DmaHit = "dma_hit" {
+            /// The server running the DMA.
+            server: NodeId,
+            /// The resident title.
+            video: VideoId,
+        },
+        /// The DMA wrote a title to the server's disks.
+        DmaAdmit = "dma_admit" {
+            /// The server running the DMA.
+            server: NodeId,
+            /// The admitted title.
+            video: VideoId,
+            /// True when residents had to be evicted first.
+            after_eviction: bool,
+            /// Size of the admitted title.
+            size_mb: f64,
+            /// Parts of the stripe layout chosen for it.
+            parts: u64,
+            /// Disk index of each part, in part order — auditable against
+            /// Figure 3's cyclic rule (part `i` on disk `i mod n`).
+            stripe: Vec<u32>,
+            /// Megabytes resident on the server's disks after the write.
+            occupancy_mb: f64,
+        },
+        /// The DMA deleted a resident title to make room.
+        DmaEvict = "dma_evict" {
+            /// The server running the DMA.
+            server: NodeId,
+            /// The deleted title.
+            victim: VideoId,
+        },
+        /// The DMA declined to cache the requested title.
+        DmaReject = "dma_reject" {
+            /// The server running the DMA.
+            server: NodeId,
+            /// The requested title.
+            video: VideoId,
+            /// Why it was not cached.
+            reason: DmaRejectKind,
+        },
+        /// The proxy's prefix store served a request from a resident prefix.
+        PrefixHit = "prefix_hit" {
+            /// The proxy holding the prefix.
+            server: NodeId,
+            /// The requested title.
+            video: VideoId,
+            /// Resident (and served) prefix length, in clusters.
+            clusters: u64,
+        },
+        /// Popularity growth extended a resident prefix in place. The
+        /// triggering session is still served the pre-extension length.
+        PrefixExtend = "prefix_extend" {
+            /// The proxy holding the prefix.
+            server: NodeId,
+            /// The extended title.
+            video: VideoId,
+            /// Prefix length before the extension (the served length).
+            from_clusters: u64,
+            /// Prefix length after the extension.
+            to_clusters: u64,
+            /// Megabytes resident in the store after the extension.
+            occupancy_mb: f64,
+        },
+        /// The prefix store admitted a title's prefix.
+        PrefixAdmit = "prefix_admit" {
+            /// The proxy running the store.
+            server: NodeId,
+            /// The admitted title.
+            video: VideoId,
+            /// True when colder prefixes had to be evicted first.
+            after_eviction: bool,
+            /// Stored prefix length, in clusters.
+            clusters: u64,
+            /// Exact megabytes the prefix occupies.
+            size_mb: f64,
+            /// Megabytes resident in the store after the write.
+            occupancy_mb: f64,
+        },
+        /// The prefix store deleted a resident prefix to make room.
+        PrefixEvict = "prefix_evict" {
+            /// The proxy running the store.
+            server: NodeId,
+            /// The deleted title's prefix.
+            victim: VideoId,
+            /// Megabytes the eviction freed.
+            freed_mb: f64,
+        },
+        /// The prefix store declined to store the requested title's prefix.
+        PrefixReject = "prefix_reject" {
+            /// The proxy running the store.
+            server: NodeId,
+            /// The requested title.
+            video: VideoId,
+            /// Why it was not stored (shares the DMA's label set).
+            reason: DmaRejectKind,
+        },
+        /// Session startup is streaming a resident prefix from the regional
+        /// proxy at local rate while the VRA fetches the suffix from the
+        /// origin. Registers the session at `(server, cluster
+        /// clusters - 1)` for switch auditing.
+        PrefixServe = "prefix_serve" {
+            /// The session being served.
+            session: u64,
+            /// The proxy streaming the prefix (the client's home).
+            server: NodeId,
+            /// The requested title.
+            video: VideoId,
+            /// Clusters covered by the prefix phase.
+            clusters: u64,
+        },
+        /// The VRA (or baseline selector) picked a source server for one
+        /// cluster fetch.
+        VraSelect = "vra_select" {
+            /// The session being served.
+            session: u64,
+            /// Index of the cluster about to be fetched.
+            cluster: u64,
+            /// The requested title (identifies the candidate replica set).
+            video: VideoId,
+            /// The client's home server.
+            home: NodeId,
+            /// The chosen source server.
+            server: NodeId,
+            /// LVN path cost of the chosen route (0 for a local serve).
+            cost: f64,
+            /// True when the routing engine answered from its cached
+            /// shortest-path tree (no Dijkstra run).
+            cache_hit: bool,
+            /// True when the home server serves its own client.
+            local: bool,
+        },
+        /// Dynamic re-routing moved the session to a different server
+        /// mid-stream — the paper's headline feature.
+        Switch = "switch" {
+            /// The session that switched.
+            session: u64,
+            /// Index of the first cluster fetched from the new server.
+            cluster: u64,
+            /// The previous source server.
+            from: NodeId,
+            /// The new source server.
+            to: NodeId,
+        },
+        /// First cluster available: playout starts.
+        SessionStart = "session_start" {
+            /// The session.
+            session: u64,
+            /// Request arrival → first cluster available.
+            startup as "startup_us": SimDuration,
+        },
+        /// The playout buffer ran dry.
+        SessionStall = "session_stall" {
+            /// The stalled session.
+            session: u64,
+        },
+        /// Data arrived and playout resumed.
+        SessionResume = "session_resume" {
+            /// The session.
+            session: u64,
+            /// How long playout was stalled.
+            stalled as "stalled_us": SimDuration,
+        },
+        /// Playback finished.
+        SessionComplete = "session_complete" {
+            /// The session.
+            session: u64,
+            /// Number of stalls over the session's lifetime.
+            stalls: u32,
+            /// Total stalled time.
+            stall_time as "stall_time_us": SimDuration,
+            /// Mid-stream server switches.
+            switches: u32,
+        },
+        /// The session was dropped before completing (server failure or loss
+        /// of every replica).
+        SessionAborted = "session_aborted" {
+            /// The session.
+            session: u64,
+            /// Why it was dropped.
+            reason: AbortReason,
+        },
+        /// A cluster fetch failed transiently and the session scheduled a
+        /// bounded re-attempt instead of aborting.
+        SessionRetry = "session_retry" {
+            /// The session.
+            session: u64,
+            /// 1-based index of this re-attempt.
+            attempt: u32,
+            /// Deterministic backoff before the re-attempt runs.
+            backoff as "backoff_us": SimDuration,
+        },
+        /// The SNMP system polled the agents and refreshed the database.
+        SnmpPoll = "snmp_poll" {
+            /// Number of link readings written.
+            readings: u64,
+            /// Age of the view being replaced (time since the previous
+            /// poll) — the staleness the VRA worked with until now.
+            staleness as "staleness_us": SimDuration,
+        },
+        /// The diurnal background-traffic model was re-applied.
+        BackgroundUpdate = "background_update",
+        /// A video server went down.
+        ServerDown = "server_down" {
+            /// The failed server.
+            server: NodeId,
+        },
+        /// A failed video server rejoined (cold cache).
+        ServerUp = "server_up" {
+            /// The recovered server.
+            server: NodeId,
+        },
+        /// A fault plan took a link administratively down (outage depth
+        /// reached 1); affected sessions re-route or retry.
+        LinkDown = "link_down" {
+            /// The failed link.
+            link: LinkId,
+        },
+        /// A link came back up (outage depth returned to 0).
+        LinkUp = "link_up" {
+            /// The restored link.
+            link: LinkId,
+        },
+        /// A fault plan started degrading a link's deliverable bandwidth.
+        LinkDegradeStart = "link_degrade_start" {
+            /// The degraded link.
+            link: LinkId,
+            /// Remaining capacity fraction in `(0, 1)`.
+            factor: f64,
+        },
+        /// A link-degradation window ended.
+        LinkDegradeEnd = "link_degrade_end" {
+            /// The recovering link.
+            link: LinkId,
+            /// The factor the ending window had applied.
+            factor: f64,
+        },
+        /// The SNMP poller went down: scheduled polls are skipped and the
+        /// selector keeps working from its last-known-good view.
+        SnmpOutageStart = "snmp_outage_start",
+        /// The SNMP poller recovered; the next poll refreshes the view.
+        SnmpOutageEnd = "snmp_outage_end",
+        /// A scheduled poll was skipped by an active SNMP outage — the VRA's
+        /// view is flagged stale (last-known-good fallback).
+        SnmpStaleView = "snmp_stale_view" {
+            /// Age of the view the selector is falling back on.
+            staleness as "staleness_us": SimDuration,
+        },
+    }
 }
 
 impl Event {
-    /// Stable snake_case discriminant, also the `"kind"` field of the
-    /// JSONL encoding.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::TopologySnapshot { .. } => "topology",
-            Event::RunConfig { .. } => "run_config",
-            Event::CacheConfig { .. } => "cache_config",
-            Event::PrefixCacheConfig { .. } => "prefix_cache_config",
-            Event::DmaSeed { .. } => "dma_seed",
-            Event::CatalogAdd { .. } => "catalog_add",
-            Event::CatalogRemove { .. } => "catalog_remove",
-            Event::LinkState { .. } => "link_state",
-            Event::RequestArrival { .. } => "request_arrival",
-            Event::RequestFailed { .. } => "request_failed",
-            Event::RequestRejected { .. } => "request_rejected",
-            Event::DmaHit { .. } => "dma_hit",
-            Event::DmaAdmit { .. } => "dma_admit",
-            Event::DmaEvict { .. } => "dma_evict",
-            Event::DmaReject { .. } => "dma_reject",
-            Event::PrefixHit { .. } => "prefix_hit",
-            Event::PrefixExtend { .. } => "prefix_extend",
-            Event::PrefixAdmit { .. } => "prefix_admit",
-            Event::PrefixEvict { .. } => "prefix_evict",
-            Event::PrefixReject { .. } => "prefix_reject",
-            Event::PrefixServe { .. } => "prefix_serve",
-            Event::VraSelect { .. } => "vra_select",
-            Event::Switch { .. } => "switch",
-            Event::SessionStart { .. } => "session_start",
-            Event::SessionStall { .. } => "session_stall",
-            Event::SessionResume { .. } => "session_resume",
-            Event::SessionComplete { .. } => "session_complete",
-            Event::SessionAborted { .. } => "session_aborted",
-            Event::SessionRetry { .. } => "session_retry",
-            Event::SnmpPoll { .. } => "snmp_poll",
-            Event::BackgroundUpdate => "background_update",
-            Event::ServerDown { .. } => "server_down",
-            Event::ServerUp { .. } => "server_up",
-            Event::LinkDown { .. } => "link_down",
-            Event::LinkUp { .. } => "link_up",
-            Event::LinkDegradeStart { .. } => "link_degrade_start",
-            Event::LinkDegradeEnd { .. } => "link_degrade_end",
-            Event::SnmpOutageStart => "snmp_outage_start",
-            Event::SnmpOutageEnd => "snmp_outage_end",
-            Event::SnmpStaleView { .. } => "snmp_stale_view",
-        }
-    }
-
-    /// Appends the event as one JSON object (no trailing newline) with a
-    /// fixed field order: `at_us` (integer microseconds of simulated
-    /// time), `kind`, then the variant's fields in declaration order.
-    /// Durations are rendered as integer microseconds, node and video
-    /// ids as their raw indices.
-    pub fn write_json(&self, at: SimTime, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"at_us\":{},\"kind\":\"{}\"",
-            at.as_micros(),
-            self.kind()
-        );
-        match self {
-            Event::TopologySnapshot { nodes, links } => {
-                out.push_str(",\"nodes\":[");
-                for (i, (name, server)) in nodes.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('[');
-                    write_json_string(name, out);
-                    let _ = write!(out, ",{server}]");
-                }
-                out.push_str("],\"links\":[");
-                for (i, (a, b, cap)) in links.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "[{},{},{cap}]", a.index(), b.index());
-                }
-                out.push(']');
-            }
-            Event::RunConfig {
-                selector,
-                dynamic_rerouting,
-                snmp_smoothing,
-                lvn_normalization,
-                retry_max_attempts,
-                retry_backoff_us,
-                retry_stall_budget_us,
-            } => {
-                out.push_str(",\"selector\":");
-                write_json_string(selector, out);
-                let _ = write!(out, ",\"dynamic_rerouting\":{dynamic_rerouting}");
-                match snmp_smoothing {
-                    Some(alpha) => {
-                        let _ = write!(out, ",\"snmp_smoothing\":{alpha}");
-                    }
-                    None => out.push_str(",\"snmp_smoothing\":null"),
-                }
-                match lvn_normalization {
-                    Some(c) => {
-                        let _ = write!(out, ",\"lvn_normalization\":{c}");
-                    }
-                    None => out.push_str(",\"lvn_normalization\":null"),
-                }
-                let _ = write!(
-                    out,
-                    ",\"retry_max_attempts\":{retry_max_attempts},\"retry_backoff_us\":{retry_backoff_us},\"retry_stall_budget_us\":{retry_stall_budget_us}"
-                );
-            }
-            Event::CacheConfig {
-                server,
-                disks,
-                capacity_mb,
-                cluster_mb,
-                admit_threshold,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"disks\":{disks},\"capacity_mb\":{capacity_mb},\"cluster_mb\":{cluster_mb},\"admit_threshold\":{admit_threshold}",
-                    server.index()
-                );
-            }
-            Event::PrefixCacheConfig {
-                server,
-                capacity_mb,
-                cluster_mb,
-                admit_threshold,
-                base_clusters,
-                max_clusters,
-                growth_points,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"capacity_mb\":{capacity_mb},\"cluster_mb\":{cluster_mb},\"admit_threshold\":{admit_threshold},\"base_clusters\":{base_clusters},\"max_clusters\":{max_clusters},\"growth_points\":{growth_points}",
-                    server.index()
-                );
-            }
-            Event::DmaSeed {
-                server,
-                video,
-                size_mb,
-                parts,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{},\"size_mb\":{size_mb},\"parts\":{parts}",
-                    server.index(),
-                    video.index()
-                );
-            }
-            Event::CatalogAdd { server, video } | Event::CatalogRemove { server, video } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{}",
-                    server.index(),
-                    video.index()
-                );
-            }
-            Event::LinkState {
-                used,
-                utilization,
-                down,
-            } => {
-                out.push_str(",\"used\":[");
-                for (i, u) in used.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{u}");
-                }
-                out.push_str("],\"utilization\":[");
-                for (i, u) in utilization.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{u}");
-                }
-                out.push_str("],\"down\":[");
-                for (i, l) in down.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{l}");
-                }
-                out.push(']');
-            }
-            Event::RequestArrival {
-                request,
-                client,
-                video,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"request\":{request},\"client\":{},\"video\":{}",
-                    client.index(),
-                    video.index()
-                );
-            }
-            Event::RequestFailed { request, client } => {
-                let _ = write!(out, ",\"request\":{request},\"client\":{}", client.index());
-            }
-            Event::RequestRejected {
-                request,
-                client,
-                video,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"request\":{request},\"client\":{},\"video\":{}",
-                    client.index(),
-                    video.index()
-                );
-            }
-            Event::DmaHit { server, video } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{}",
-                    server.index(),
-                    video.index()
-                );
-            }
-            Event::DmaAdmit {
-                server,
-                video,
-                after_eviction,
-                size_mb,
-                parts,
-                stripe,
-                occupancy_mb,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{},\"after_eviction\":{after_eviction},\"size_mb\":{size_mb},\"parts\":{parts},\"stripe\":[",
-                    server.index(),
-                    video.index()
-                );
-                for (i, disk) in stripe.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{disk}");
-                }
-                let _ = write!(out, "],\"occupancy_mb\":{occupancy_mb}");
-            }
-            Event::DmaEvict { server, victim } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"victim\":{}",
-                    server.index(),
-                    victim.index()
-                );
-            }
-            Event::DmaReject {
-                server,
-                video,
-                reason,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{},\"reason\":\"{}\"",
-                    server.index(),
-                    video.index(),
-                    reason.label()
-                );
-            }
-            Event::PrefixHit {
-                server,
-                video,
-                clusters,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{},\"clusters\":{clusters}",
-                    server.index(),
-                    video.index()
-                );
-            }
-            Event::PrefixExtend {
-                server,
-                video,
-                from_clusters,
-                to_clusters,
-                occupancy_mb,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{},\"from_clusters\":{from_clusters},\"to_clusters\":{to_clusters},\"occupancy_mb\":{occupancy_mb}",
-                    server.index(),
-                    video.index()
-                );
-            }
-            Event::PrefixAdmit {
-                server,
-                video,
-                after_eviction,
-                clusters,
-                size_mb,
-                occupancy_mb,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{},\"after_eviction\":{after_eviction},\"clusters\":{clusters},\"size_mb\":{size_mb},\"occupancy_mb\":{occupancy_mb}",
-                    server.index(),
-                    video.index()
-                );
-            }
-            Event::PrefixEvict {
-                server,
-                victim,
-                freed_mb,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"victim\":{},\"freed_mb\":{freed_mb}",
-                    server.index(),
-                    victim.index()
-                );
-            }
-            Event::PrefixReject {
-                server,
-                video,
-                reason,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"server\":{},\"video\":{},\"reason\":\"{}\"",
-                    server.index(),
-                    video.index(),
-                    reason.label()
-                );
-            }
-            Event::PrefixServe {
-                session,
-                server,
-                video,
-                clusters,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"server\":{},\"video\":{},\"clusters\":{clusters}",
-                    server.index(),
-                    video.index()
-                );
-            }
-            Event::VraSelect {
-                session,
-                cluster,
-                video,
-                home,
-                server,
-                cost,
-                cache_hit,
-                local,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"cluster\":{cluster},\"video\":{},\"home\":{},\"server\":{},\"cost\":{cost},\"cache_hit\":{cache_hit},\"local\":{local}",
-                    video.index(),
-                    home.index(),
-                    server.index()
-                );
-            }
-            Event::Switch {
-                session,
-                cluster,
-                from,
-                to,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"cluster\":{cluster},\"from\":{},\"to\":{}",
-                    from.index(),
-                    to.index()
-                );
-            }
-            Event::SessionStart { session, startup } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"startup_us\":{}",
-                    startup.as_micros()
-                );
-            }
-            Event::SessionStall { session } => {
-                let _ = write!(out, ",\"session\":{session}");
-            }
-            Event::SessionResume { session, stalled } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"stalled_us\":{}",
-                    stalled.as_micros()
-                );
-            }
-            Event::SessionComplete {
-                session,
-                stalls,
-                stall_time,
-                switches,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"stalls\":{stalls},\"stall_time_us\":{},\"switches\":{switches}",
-                    stall_time.as_micros()
-                );
-            }
-            Event::SessionAborted { session, reason } => {
-                let _ = write!(out, ",\"session\":{session},\"reason\":");
-                write_json_string(reason, out);
-            }
-            Event::SessionRetry {
-                session,
-                attempt,
-                backoff,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"session\":{session},\"attempt\":{attempt},\"backoff_us\":{}",
-                    backoff.as_micros()
-                );
-            }
-            Event::SnmpPoll {
-                readings,
-                staleness,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"readings\":{readings},\"staleness_us\":{}",
-                    staleness.as_micros()
-                );
-            }
-            Event::BackgroundUpdate => {}
-            Event::ServerDown { server } => {
-                let _ = write!(out, ",\"server\":{}", server.index());
-            }
-            Event::ServerUp { server } => {
-                let _ = write!(out, ",\"server\":{}", server.index());
-            }
-            Event::LinkDown { link } | Event::LinkUp { link } => {
-                let _ = write!(out, ",\"link\":{}", link.index());
-            }
-            Event::LinkDegradeStart { link, factor } | Event::LinkDegradeEnd { link, factor } => {
-                let _ = write!(out, ",\"link\":{},\"factor\":{factor}", link.index());
-            }
-            Event::SnmpOutageStart | Event::SnmpOutageEnd => {}
-            Event::SnmpStaleView { staleness } => {
-                let _ = write!(out, ",\"staleness_us\":{}", staleness.as_micros());
-            }
-        }
-        out.push('}');
-    }
-
     /// The event as a standalone JSON string.
     pub fn to_json(&self, at: SimTime) -> String {
         let mut s = String::with_capacity(96);
         self.write_json(at, &mut s);
         s
+    }
+}
+
+/// How a field type renders as a JSON value inside [`Event::write_json`].
+trait JsonValue {
+    fn write_value(&self, out: &mut String);
+}
+
+macro_rules! json_value_via_display {
+    ($($ty:ty),*) => {$(
+        impl JsonValue for $ty {
+            fn write_value(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+json_value_via_display!(u32, u64, usize, f64, bool);
+
+macro_rules! json_value_via_index {
+    ($($ty:ty),*) => {$(
+        impl JsonValue for $ty {
+            fn write_value(&self, out: &mut String) {
+                self.index().write_value(out);
+            }
+        }
+    )*};
+}
+json_value_via_index!(NodeId, LinkId, VideoId);
+
+macro_rules! json_value_via_label {
+    ($($ty:ty),*) => {$(
+        impl JsonValue for $ty {
+            fn write_value(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.label());
+                out.push('"');
+            }
+        }
+    )*};
+}
+json_value_via_label!(DmaRejectKind, AbortReason);
+
+impl JsonValue for SimDuration {
+    fn write_value(&self, out: &mut String) {
+        self.as_micros().write_value(out);
+    }
+}
+
+impl JsonValue for String {
+    fn write_value(&self, out: &mut String) {
+        write_json_string(self, out);
+    }
+}
+
+impl<T: JsonValue> JsonValue for Option<T> {
+    fn write_value(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_value(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: JsonValue> JsonValue for Vec<T> {
+    fn write_value(&self, out: &mut String) {
+        out.push('[');
+        for (i, value) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            value.write_value(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<A: JsonValue, B: JsonValue> JsonValue for (A, B) {
+    fn write_value(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_value(out);
+        out.push(',');
+        self.1.write_value(out);
+        out.push(']');
+    }
+}
+
+impl<A: JsonValue, B: JsonValue, C: JsonValue> JsonValue for (A, B, C) {
+    fn write_value(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_value(out);
+        out.push(',');
+        self.1.write_value(out);
+        out.push(',');
+        self.2.write_value(out);
+        out.push(']');
     }
 }
 
@@ -1145,7 +904,7 @@ mod tests {
 
         let abort = Event::SessionAborted {
             session: 9,
-            reason: "retry_exhausted".into(),
+            reason: AbortReason::RetryExhausted,
         };
         assert_eq!(
             abort.to_json(SimTime::ZERO),
@@ -1155,8 +914,8 @@ mod tests {
     }
 
     /// One sample of every variant, in declaration order, with the JSON
-    /// line the hand-written per-variant writer (the parent of the
-    /// declarative table) rendered for it at `at_us = 7`.
+    /// line the hand-written per-variant writer that preceded the
+    /// table rendered for it at `at_us = 7`.
     fn every_kind() -> Vec<(Event, &'static str)> {
         let (n, v, l) = (NodeId::new, VideoId::new, LinkId::new);
         let us = SimDuration::from_micros;
@@ -1396,7 +1155,7 @@ mod tests {
             (
                 Event::SessionAborted {
                     session: 10,
-                    reason: "stall_budget".into(),
+                    reason: AbortReason::StallBudget,
                 },
                 r#"{"at_us":7,"kind":"session_aborted","session":10,"reason":"stall_budget"}"#,
             ),
@@ -1469,9 +1228,16 @@ mod tests {
     #[test]
     fn every_kind_renders_its_pinned_line() {
         let table = every_kind();
-        assert_eq!(table.len(), 40);
+        let kinds: Vec<&str> = table.iter().map(|(event, _)| event.kind()).collect();
+        assert_eq!(kinds, Event::KINDS, "one sample per kind, in order");
+        assert_eq!(Event::KINDS.len(), 40);
         for (event, line) in &table {
             assert_eq!(event.to_json(SimTime::from_micros(7)), *line);
+            let parsed: serde::Value = serde_json::from_str(line).expect("line is valid JSON");
+            assert_eq!(
+                parsed.get_field("kind").and_then(serde::Value::as_str),
+                Some(event.kind())
+            );
         }
     }
 

@@ -25,7 +25,7 @@
 //!   JSON/CSV — the time-resolved view behind the paper's Figs 2/3/5;
 //! * [`SpanBuilder`] / [`SpanReport`] — per-session
 //!   request → admission → streaming → switch → completion/abort
-//!   lifecycle spans assembled from any trace (live, ring or JSONL),
+//!   lifecycle spans assembled from a live or ring-recorded trace,
 //!   feeding the phase-duration histograms;
 //! * [`TeeSink`] — fan-out combinator so one run can, say, stream
 //!   JSONL *and* feed the series/span aggregators simultaneously.
@@ -58,7 +58,7 @@ pub mod series;
 pub mod sink;
 pub mod span;
 
-pub use event::{DmaRejectKind, Event};
+pub use event::{AbortReason, DmaRejectKind, Event};
 pub use registry::{MetricsRegistry, RunReport, RunSummary};
 pub use series::{SeriesReport, SeriesWindow, TimeSeriesSink};
 pub use sink::{EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink};

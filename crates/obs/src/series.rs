@@ -390,6 +390,7 @@ impl TimeSeriesSink {
         }
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn apply(&mut self, event: &Event) {
         match event {
             Event::TopologySnapshot { links, .. } => {
@@ -465,8 +466,9 @@ impl TimeSeriesSink {
             // are reflected in the counters and gauges they cause
             // (arrivals, aborts, link_state utilization), and stall/
             // resume pairs surface through SessionComplete's stall
-            // totals. Listing them keeps this match exhaustive so a new
-            // Event variant is a compile error here, not silent drift.
+            // totals. Listing them (and the deny above, which forbids a
+            // bare `_` arm) keeps this match exhaustive, so a new Event
+            // variant is a compile error here.
             Event::RunConfig { .. }
             | Event::CacheConfig { .. }
             | Event::PrefixCacheConfig { .. }

@@ -5,9 +5,9 @@
 //! request → admission → streaming → switch → completion/abort
 //! lifecycle the paper's service model walks every client through. It
 //! is a post-processing pass: feed it a live run via
-//! [`TeeSink`](crate::TeeSink), replay a [`RingRecorder`](crate::RingRecorder)'s
-//! [`iter`](crate::RingRecorder::iter), or parse a stored JSONL trace
-//! with [`SpanBuilder::ingest_jsonl`] — there is no new hot-path cost
+//! [`TeeSink`](crate::TeeSink) or replay a
+//! [`RingRecorder`](crate::RingRecorder)'s
+//! [`iter`](crate::RingRecorder::iter) — there is no new hot-path cost
 //! for runs that do not opt in.
 //!
 //! The phase instants are ordered `requested_at ≤ admitted_at ≤
@@ -20,22 +20,19 @@
 
 use std::collections::BTreeMap;
 
-use serde::Value;
 use vod_sim::metrics::Histogram;
 use vod_sim::{SimDuration, SimTime};
 
-use crate::event::Event;
+use crate::event::{AbortReason, Event};
 use crate::sink::EventSink;
 
 /// How a session's lifecycle ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub enum SpanOutcome {
     /// The session played its video to completion.
     Completed,
-    /// The session was aborted mid-stream; the payload is the closed
-    /// abort-reason string from the trace (`home_down`, `no_source`,
-    /// `retry_exhausted`, `stall_budget`).
-    Aborted(String),
+    /// The session was aborted mid-stream.
+    Aborted(AbortReason),
     /// The trace ended while the session was still live.
     Unfinished,
 }
@@ -194,63 +191,6 @@ impl SpanBuilder {
         Self::default()
     }
 
-    /// Replays a stored JSONL trace (the `JsonlWriter` format) through
-    /// the builder. Lines that do not parse as JSON objects and events
-    /// that carry no session lifecycle information are skipped, so any
-    /// trace — full or ring-truncated — can be post-processed.
-    pub fn ingest_jsonl(&mut self, trace: &str) {
-        for line in trace.lines() {
-            let Ok(value) = serde_json::from_str::<Value>(line) else {
-                continue;
-            };
-            self.ingest_value(&value);
-        }
-    }
-
-    fn ingest_value(&mut self, value: &Value) {
-        let (Some(at_us), Some(kind)) = (
-            value.get_field("at_us").and_then(Value::as_u64),
-            value.get_field("kind").and_then(Value::as_str),
-        ) else {
-            return;
-        };
-        let at = SimTime::from_micros(at_us);
-        let field_u64 = |name: &str| value.get_field(name).and_then(Value::as_u64);
-        let Some(session) = field_u64("session") else {
-            return;
-        };
-        match kind {
-            "vra_select" | "prefix_serve" => self.on_select(at, session),
-            "switch" => self.on_switch(at, session),
-            "session_start" => self.on_start(
-                at,
-                session,
-                SimDuration::from_micros(field_u64("startup_us").unwrap_or(0)),
-            ),
-            "session_resume" => self.on_resume(
-                at,
-                session,
-                SimDuration::from_micros(field_u64("stalled_us").unwrap_or(0)),
-            ),
-            "session_complete" => self.on_complete(
-                at,
-                session,
-                field_u64("stalls").unwrap_or(0) as u32,
-                SimDuration::from_micros(field_u64("stall_time_us").unwrap_or(0)),
-            ),
-            "session_aborted" => self.on_abort(
-                at,
-                session,
-                value
-                    .get_field("reason")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unknown"),
-            ),
-            "session_retry" => self.on_retry(at, session),
-            _ => {}
-        }
-    }
-
     fn entry(&mut self, at: SimTime, session: u64) -> &mut PartialSpan {
         let span = self.sessions.entry(session).or_default();
         if span.first_seen.is_none() {
@@ -290,10 +230,10 @@ impl SpanBuilder {
         span.outcome = Some(SpanOutcome::Completed);
     }
 
-    fn on_abort(&mut self, at: SimTime, session: u64, reason: &str) {
+    fn on_abort(&mut self, at: SimTime, session: u64, reason: AbortReason) {
         let span = self.entry(at, session);
         span.ended_at = Some(at);
-        span.outcome = Some(SpanOutcome::Aborted(reason.to_string()));
+        span.outcome = Some(SpanOutcome::Aborted(reason));
     }
 
     fn on_retry(&mut self, at: SimTime, session: u64) {
@@ -346,6 +286,7 @@ impl SpanBuilder {
 }
 
 impl EventSink for SpanBuilder {
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn record(&mut self, at: SimTime, event: &Event) {
         match event {
             Event::VraSelect { session, .. } => self.on_select(at, *session),
@@ -362,15 +303,15 @@ impl EventSink for SpanBuilder {
                 stall_time,
                 ..
             } => self.on_complete(at, *session, *stalls, *stall_time),
-            Event::SessionAborted { session, reason } => self.on_abort(at, *session, reason),
+            Event::SessionAborted { session, reason } => self.on_abort(at, *session, *reason),
             Event::SessionRetry { session, .. } => self.on_retry(at, *session),
             // Deliberately outside the span model: spans trace one
             // session's lifecycle, so run preamble, catalog, cache,
             // link and poller events have no session to attach to, and
             // a stall's duration reaches the span through the matching
-            // SessionResume. Listing them keeps this match exhaustive
-            // so a new Event variant is a compile error here, not
-            // silent drift.
+            // SessionResume. Listing them (and the deny above, which
+            // forbids a `_` arm) keeps this match exhaustive, so a new
+            // Event variant is a compile error here.
             Event::TopologySnapshot { .. }
             | Event::RunConfig { .. }
             | Event::CacheConfig { .. }
@@ -466,36 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_ingestion_matches_live_recording() {
-        let events: Vec<(SimTime, Event)> = vec![
-            (
-                SimTime::from_secs(5),
-                Event::SessionStart {
-                    session: 1,
-                    startup: SimDuration::from_secs(1),
-                },
-            ),
-            (
-                SimTime::from_secs(9),
-                Event::SessionAborted {
-                    session: 1,
-                    reason: "home_down".into(),
-                },
-            ),
-        ];
-        let mut live = SpanBuilder::new();
-        let mut jsonl = String::new();
-        for (at, event) in &events {
-            live.record(*at, event);
-            event.write_json(*at, &mut jsonl);
-            jsonl.push('\n');
-        }
-        let mut parsed = SpanBuilder::new();
-        parsed.ingest_jsonl(&jsonl);
-        assert_eq!(live.finish(), parsed.finish());
-    }
-
-    #[test]
     fn unfinished_and_truncated_spans_stay_ordered() {
         let mut b = SpanBuilder::new();
         // Ring truncation can drop the session_start; the abort is the
@@ -504,13 +415,13 @@ mod tests {
             SimTime::from_secs(30),
             &Event::SessionAborted {
                 session: 2,
-                reason: "no_source".into(),
+                reason: AbortReason::NoSource,
             },
         );
         let report = b.finish();
         let span = &report.spans[0];
         assert!(span.requested_at <= span.admitted_at);
         assert_eq!(span.ended_at, Some(SimTime::from_secs(30)));
-        assert_eq!(span.outcome, SpanOutcome::Aborted("no_source".into()));
+        assert_eq!(span.outcome, SpanOutcome::Aborted(AbortReason::NoSource));
     }
 }

@@ -116,9 +116,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Under arbitrary fault plans and retry budgets, span assembly
-    /// never yields a negative or overlapping phase duration, and
-    /// post-processing the trace with `ingest_jsonl` reconstructs the
-    /// exact spans the live sink recorded.
+    /// never yields a negative or overlapping phase duration.
     #[test]
     fn span_phases_stay_ordered_under_faults(
         seed in 0u64..10_000,
@@ -144,27 +142,16 @@ proptest! {
             retry: RetryPolicy::with_attempts(budget),
             ..ServiceConfig::default()
         };
-        let sink = TeeSink::new(JsonlWriter::new(Vec::new()), SpanBuilder::new());
-        let service =
-            VodService::with_sink(&scenario, Box::new(Vra::default()), config, sink);
-        let (_, _, sink) = service.run_full();
-        let (jsonl, live_builder) = sink.into_parts();
-        let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
-        let live = live_builder.finish();
-        prop_assert!(!live.spans.is_empty(), "case study must produce sessions");
-        assert_spans_well_formed(&live)?;
-
-        let mut replayed = SpanBuilder::new();
-        replayed.ingest_jsonl(&trace);
-        let replayed = replayed.finish();
-        prop_assert_eq!(
-            replayed.spans.len(),
-            live.spans.len(),
-            "trace replay must see every session"
+        let service = VodService::with_sink(
+            &scenario,
+            Box::new(Vra::default()),
+            config,
+            SpanBuilder::new(),
         );
-        for (a, b) in live.spans.iter().zip(&replayed.spans) {
-            prop_assert_eq!(a, b, "live and replayed spans must agree");
-        }
+        let (_, _, builder) = service.run_full();
+        let report = builder.finish();
+        prop_assert!(!report.spans.is_empty(), "case study must produce sessions");
+        assert_spans_well_formed(&report)?;
     }
 }
 
