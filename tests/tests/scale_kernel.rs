@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_core::ServiceReport;
+use vod_integration_tests::fnv1a;
 use vod_net::topologies::random::connected_gnp;
 use vod_net::Mbps;
 use vod_obs::JsonlWriter;
@@ -31,17 +32,6 @@ fn traced_run(scenario: &Scenario, config: ServiceConfig) -> (ServiceReport, Str
     );
     let (report, _run_report, sink) = service.run_full();
     (report, String::from_utf8(sink.into_inner()).unwrap())
-}
-
-/// FNV-1a 64 over the trace bytes — cheap, dependency-free, and stable
-/// across platforms (the trace itself is byte-deterministic).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
 }
 
 /// The seed-42 GRNET case-study trace is pinned byte-for-byte: any

@@ -1,6 +1,7 @@
 //! Integration tests for the time-series and span layers: the golden
 //! seed-42 determinism contract (byte-identical `--series` output
-//! across reruns), `A013` reconciliation of
+//! across reruns, and pinned by length + FNV-1a so a representation
+//! change cannot move both reruns together), `A013` reconciliation of
 //! the series against its own trace, and property tests that span
 //! assembly never produces negative or overlapping phase durations —
 //! even under random fault plans with retries.
@@ -8,24 +9,133 @@
 use proptest::prelude::*;
 
 use vod_check::series::audit_series;
-use vod_core::service::{RetryPolicy, ServiceConfig, VodService};
+use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
-use vod_obs::{JsonlWriter, SpanBuilder, SpanOutcome, SpanReport, TeeSink, TimeSeriesSink};
+use vod_integration_tests::fnv1a;
+use vod_obs::{
+    JsonlWriter, SeriesReport, SeriesWindow, SpanBuilder, SpanOutcome, SpanReport, TeeSink,
+    TimeSeriesSink,
+};
 use vod_sim::fault::FaultPlan;
 use vod_sim::SimDuration;
 use vod_workload::scenario::Scenario;
 
-/// Runs the seed-42 GRNET case study under `config` with a tee'd
-/// JSONL + time-series sink; returns `(trace, series_json, series_csv)`.
-fn instrumented_run(config: ServiceConfig) -> (String, String, String) {
-    let scenario = Scenario::grnet_case_study(42);
+/// Runs `scenario` under `config` with a tee'd JSONL + time-series
+/// sink; returns the trace and the finished series.
+fn series_run(scenario: &Scenario, config: ServiceConfig) -> (String, SeriesReport) {
     let sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
-    let service = VodService::with_sink(&scenario, Box::new(Vra::default()), config, sink);
+    let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
     let (_, _, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
     let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
-    let report = series.finish();
+    (trace, series.finish())
+}
+
+/// Runs the seed-42 GRNET case study under `config`; returns
+/// `(trace, series_json, series_csv)`.
+fn instrumented_run(config: ServiceConfig) -> (String, String, String) {
+    let (trace, report) = series_run(&Scenario::grnet_case_study(42), config);
     (trace, report.to_json(), report.to_csv())
+}
+
+/// The prefix × fault × retry scenario whose trace `scale_kernel` pins:
+/// flash crowd, default prefix tier, ten random fault windows over the
+/// arrival span, two retry attempts.
+fn prefix_fault_run() -> (String, SeriesReport) {
+    let scenario = Scenario::flash_crowd(42);
+    let requests = scenario.trace().requests();
+    let (start, end) = (requests[0].at, requests[requests.len() - 1].at);
+    let config = ServiceConfig {
+        prefix_tier: Some(PrefixTierConfig::default()),
+        fault_plan: FaultPlan::random(42, scenario.topology(), start, end, 10),
+        retry: RetryPolicy::with_attempts(2),
+        ..ServiceConfig::default()
+    };
+    series_run(&scenario, config)
+}
+
+/// A window no event fell into: every counter is zero and the gauges
+/// are the ones carried in.
+fn is_gap(w: &SeriesWindow) -> bool {
+    let counters = [
+        w.arrivals,
+        w.starts,
+        w.completes,
+        w.aborts,
+        w.failures,
+        w.rejections,
+        w.retries,
+        w.switches,
+        w.dma_hits,
+        w.dma_admits,
+        w.dma_evicts,
+        w.dma_rejects,
+        w.prefix_hits,
+        w.prefix_admits,
+        w.prefix_evicts,
+        w.prefix_rejects,
+        w.vra_local,
+        w.vra_remote,
+        w.snmp_polls,
+        w.max_staleness_us,
+    ];
+    counters.iter().all(|&c| c == 0) && w.peak_sessions == w.sessions && w.util_max == w.utilization
+}
+
+/// The `--series` bytes of two seed-42 runs are pinned, JSON and CSV:
+/// the rerun test below only shows two runs agree with each other, so
+/// a change to how windows are stored or rendered that moved both would
+/// pass it. Recorded from the `Vec<SeriesWindow>` representation.
+#[test]
+fn golden_seed42_series_exports_are_pinned() {
+    let (_, grnet) = series_run(&Scenario::grnet_case_study(42), ServiceConfig::default());
+    let (trace, faulted) = prefix_fault_run();
+
+    // The pins must not go vacuous: between them the two runs hold the
+    // window shapes a packed representation treats differently.
+    let windows = || grnet.windows.iter().chain(faulted.windows.iter());
+    assert!(
+        windows().any(|w| w.dma_evicts > 0 || w.prefix_hits > 0),
+        "no window with a dma_evict or prefix_hit"
+    );
+    assert!(
+        windows().any(|w| w.util_max != w.utilization),
+        "no window whose util_max differs from its utilization"
+    );
+    assert!(windows().any(is_gap), "no gap window");
+
+    let pins = [
+        (
+            "grnet json",
+            grnet.to_json(),
+            806_542usize,
+            0x5e78_f148_bf1a_e887u64,
+        ),
+        ("grnet csv", grnet.to_csv(), 226_364, 0xa5ef_bdf0_2f16_3d04),
+        (
+            "prefix x fault json",
+            faulted.to_json(),
+            401_551,
+            0xf22a_7eca_b2ba_22ec,
+        ),
+        (
+            "prefix x fault csv",
+            faulted.to_csv(),
+            115_204,
+            0xba8e_ac4b_1c99_a073,
+        ),
+    ];
+    for (name, text, len, hash) in pins {
+        assert_eq!(text.len(), len, "{name}: byte length drifted");
+        assert_eq!(fnv1a(text.as_bytes()), hash, "{name}: content drifted");
+    }
+
+    let summary = audit_series(&faulted.to_json(), &trace);
+    assert!(
+        summary.is_clean(),
+        "A013 violations: {:?}",
+        summary.violations
+    );
 }
 
 /// The golden contract behind every committed `--series` artifact:
