@@ -23,12 +23,16 @@ echo "==> benchmark/ builds and passes its tests offline against the workspace c
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # Its unit tests too: one asserts BENCHMARK.json equals `vod-benchmark manifest`.
 (cd benchmark && cargo test --release --offline -q)
-# And actually run one workload, both trace modes (well under a second;
+# And actually run two workloads, both trace modes (a few seconds;
 # output lands in the git-ignored benchmark/out/): the step tracer
 # matches on `Event` variants, which only a run exercises.
-for trace in 0 1; do
-  cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload backbone_contended --seed 42 --seconds 1 --trace "$trace" > /dev/null
+# steady_traced as well: the only workload that carries JsonlWriter +
+# TimeSeriesSink and the obs.series_record_ns layer driver.
+for workload in backbone_contended steady_traced; do
+  for trace in 0 1; do
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+      --workload "$workload" --seed 42 --seconds 1 --trace "$trace" > /dev/null
+  done
 done
 git diff --quiet -- benchmark BENCHMARK.json || { echo "the build, tests or smoke run modified tracked files under benchmark/" >&2; exit 1; }
 

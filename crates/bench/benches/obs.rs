@@ -7,6 +7,12 @@
 //! the number that justifies leaving the instrumentation compiled into
 //! the paper-exact binaries.
 //!
+//! `obs/emit/time_series_sink` emits at one fixed instant, so it never
+//! seals a window: it is the cost of a counter update. `obs/series/
+//! sparse_year` is the other end — a year of one-minute windows with
+//! about two events per window, so nearly every emission also seals one
+//! window into the packed log.
+//!
 //! `obs/scale_stress` measures the end-to-end cost of the time-series
 //! pipeline: two full 100k-session `scale_stress` runs, one with a
 //! [`NullSink`] and one with a [`TimeSeriesSink`]. The ISSUE budget is
@@ -22,7 +28,7 @@ use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::{Mbps, NodeId};
 use vod_obs::{Event, EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink, TimeSeriesSink};
-use vod_sim::SimTime;
+use vod_sim::{SimDuration, SimTime};
 use vod_storage::video::VideoId;
 use vod_workload::scenario::Scenario;
 
@@ -80,6 +86,85 @@ fn bench_emit(c: &mut Criterion) {
     group.finish();
 }
 
+/// ns per event over a long, sparse horizon, sealing included: a year
+/// of one-minute windows shaped like a steady service — an SNMP poll
+/// and a `link_state` every second minute (the row moves on every
+/// fourth poll, up then down), an arrival / start / complete triple
+/// every third. Each iteration emits the year's next event; the sink is
+/// replaced when the year wraps, so the log never outgrows one year.
+fn bench_sparse_year(c: &mut Criterion) {
+    // The pattern repeats every 96 minutes (2, 3 and the 32-minute
+    // utilisation cycle).
+    const PERIOD_MINUTES: u64 = 96;
+    const PERIODS_PER_YEAR: u64 = 365 * 24 * 60 / PERIOD_MINUTES;
+    let mut pattern: Vec<(u64, Event)> = Vec::new();
+    for minute in 0..PERIOD_MINUTES {
+        if minute % 3 == 0 {
+            pattern.push((
+                minute,
+                Event::RequestArrival {
+                    request: minute,
+                    client: NodeId::new(0),
+                    video: VideoId::new(0),
+                },
+            ));
+            pattern.push((
+                minute,
+                Event::SessionStart {
+                    session: minute,
+                    startup: SimDuration::from_secs(2),
+                },
+            ));
+            pattern.push((
+                minute,
+                Event::SessionComplete {
+                    session: minute,
+                    stalls: 0,
+                    stall_time: SimDuration::ZERO,
+                    switches: 0,
+                },
+            ));
+        }
+        if minute % 2 == 0 {
+            let level = [0.2, 0.6, 0.4, 0.1][(minute / 8 % 4) as usize];
+            pattern.push((
+                minute,
+                Event::SnmpPoll {
+                    readings: 7,
+                    staleness: SimDuration::from_secs(90),
+                },
+            ));
+            pattern.push((
+                minute,
+                Event::LinkState {
+                    used: vec![],
+                    utilization: vec![level; 7],
+                    down: vec![],
+                },
+            ));
+        }
+    }
+
+    let mut sink = TimeSeriesSink::new();
+    let (mut next, mut period) = (0, 0);
+    c.bench_function("obs/series/sparse_year", |b| {
+        b.iter(|| {
+            if next == pattern.len() {
+                next = 0;
+                period += 1;
+                if period == PERIODS_PER_YEAR {
+                    period = 0;
+                    sink = TimeSeriesSink::new();
+                }
+            }
+            let (minute, event) = &pattern[next];
+            next += 1;
+            let at = SimTime::from_secs((period * PERIOD_MINUTES + minute) * 60 + 1);
+            emit(&mut sink, black_box(at), black_box(event))
+        })
+    });
+}
+
 /// End-to-end instrumentation overhead: a full 100k-session
 /// `scale_stress` run with the time-series pipeline attached, against
 /// the same run with the no-op sink. The two ids share a group so the
@@ -117,7 +202,7 @@ fn bench_scale_stress(c: &mut Criterion) {
                 TimeSeriesSink::new(),
             );
             let (report, _, sink) = service.run_full();
-            black_box((report, sink.finish().windows.len()))
+            black_box((report, sink.finish().len()))
         })
     });
 
@@ -139,5 +224,11 @@ fn bench_serialize(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_emit, bench_serialize, bench_scale_stress);
+criterion_group!(
+    benches,
+    bench_emit,
+    bench_sparse_year,
+    bench_serialize,
+    bench_scale_stress
+);
 criterion_main!(benches);

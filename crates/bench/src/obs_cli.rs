@@ -119,15 +119,16 @@ pub fn case_study_run_full(trace: Option<&str>) -> std::io::Result<CaseStudyArti
     })
 }
 
-/// Writes a finished series to `path`: CSV when the path ends in
-/// `.csv`, byte-stable JSON otherwise.
+/// Streams a finished series to `path`, one window at a time: CSV when
+/// the path ends in `.csv`, byte-stable JSON otherwise.
 pub fn write_series(series: &SeriesReport, path: &str) -> std::io::Result<()> {
-    let rendered = if path.ends_with(".csv") {
-        series.to_csv()
+    let mut out = BufWriter::new(File::create(path)?);
+    if path.ends_with(".csv") {
+        series.write_csv(&mut out)?;
     } else {
-        series.to_json()
-    };
-    std::fs::write(path, rendered)
+        series.write_json(&mut out)?;
+    }
+    out.flush()
 }
 
 /// Prints the subsystem counters of a service run: the epoch-cached

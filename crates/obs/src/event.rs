@@ -681,7 +681,7 @@ fn write_json_string(s: &str, out: &mut String) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -916,7 +916,7 @@ mod tests {
     /// One sample of every variant, in declaration order, with the JSON
     /// line the hand-written per-variant writer that preceded the
     /// table rendered for it at `at_us = 7`.
-    fn every_kind() -> Vec<(Event, &'static str)> {
+    pub(crate) fn every_kind() -> Vec<(Event, &'static str)> {
         let (n, v, l) = (NodeId::new, VideoId::new, LinkId::new);
         let us = SimDuration::from_micros;
         vec![

@@ -21,8 +21,9 @@
 //! * [`TimeSeriesSink`] / [`SeriesReport`] — fixed-width sim-time
 //!   windows aggregated online (concurrent sessions, per-link
 //!   utilization, admissions/aborts/retries, DMA hit ratio, VRA
-//!   local-vs-remote split, SNMP staleness), exported as byte-stable
-//!   JSON/CSV — the time-resolved view behind the paper's Figs 2/3/5;
+//!   local-vs-remote split, SNMP staleness), kept in one packed
+//!   append-only log and exported as byte-stable JSON/CSV one window
+//!   at a time — the time-resolved view behind the paper's Figs 2/3/5;
 //! * [`SpanBuilder`] / [`SpanReport`] — per-session
 //!   request → admission → streaming → switch → completion/abort
 //!   lifecycle spans assembled from a live or ring-recorded trace,

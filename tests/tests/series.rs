@@ -12,12 +12,14 @@ use vod_check::series::audit_series;
 use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_integration_tests::fnv1a;
+use vod_net::NodeId;
 use vod_obs::{
-    JsonlWriter, SeriesReport, SeriesWindow, SpanBuilder, SpanOutcome, SpanReport, TeeSink,
-    TimeSeriesSink,
+    Event, EventSink, JsonlWriter, SeriesReport, SeriesWindow, SpanBuilder, SpanOutcome,
+    SpanReport, TeeSink, TimeSeriesSink,
 };
 use vod_sim::fault::FaultPlan;
-use vod_sim::SimDuration;
+use vod_sim::{SimDuration, SimTime};
+use vod_storage::VideoId;
 use vod_workload::scenario::Scenario;
 
 /// Runs `scenario` under `config` with a tee'd JSONL + time-series
@@ -57,29 +59,15 @@ fn prefix_fault_run() -> (String, SeriesReport) {
 /// A window no event fell into: every counter is zero and the gauges
 /// are the ones carried in.
 fn is_gap(w: &SeriesWindow) -> bool {
-    let counters = [
-        w.arrivals,
-        w.starts,
-        w.completes,
-        w.aborts,
-        w.failures,
-        w.rejections,
-        w.retries,
-        w.switches,
-        w.dma_hits,
-        w.dma_admits,
-        w.dma_evicts,
-        w.dma_rejects,
-        w.prefix_hits,
-        w.prefix_admits,
-        w.prefix_evicts,
-        w.prefix_rejects,
-        w.vra_local,
-        w.vra_remote,
-        w.snmp_polls,
-        w.max_staleness_us,
-    ];
-    counters.iter().all(|&c| c == 0) && w.peak_sessions == w.sessions && w.util_max == w.utilization
+    *w == SeriesWindow {
+        start_us: w.start_us,
+        end_us: w.end_us,
+        sessions: w.sessions,
+        peak_sessions: w.sessions,
+        utilization: w.utilization.clone(),
+        util_max: w.utilization.clone(),
+        ..SeriesWindow::default()
+    }
 }
 
 /// The `--series` bytes of two seed-42 runs are pinned, JSON and CSV:
@@ -93,7 +81,7 @@ fn golden_seed42_series_exports_are_pinned() {
 
     // The pins must not go vacuous: between them the two runs hold the
     // window shapes a packed representation treats differently.
-    let windows = || grnet.windows.iter().chain(faulted.windows.iter());
+    let windows = || grnet.windows().chain(faulted.windows());
     assert!(
         windows().any(|w| w.dma_evicts > 0 || w.prefix_hits > 0),
         "no window with a dma_evict or prefix_hit"
@@ -102,7 +90,7 @@ fn golden_seed42_series_exports_are_pinned() {
         windows().any(|w| w.util_max != w.utilization),
         "no window whose util_max differs from its utilization"
     );
-    assert!(windows().any(is_gap), "no gap window");
+    assert!(windows().any(|w| is_gap(&w)), "no gap window");
 
     let pins = [
         (
@@ -162,6 +150,43 @@ fn series_reconciles_with_own_trace() {
         summary.violations
     );
     assert!(summary.windows > 0);
+}
+
+/// A sink that saw `link_state` rows without the `topology` preamble (a
+/// flight-recorder tail replayed into it) still exports a rectangular
+/// CSV and a `links` field that matches its rows.
+#[test]
+fn links_cover_rows_recorded_without_a_snapshot() {
+    let arrival = |request| Event::RequestArrival {
+        request,
+        client: NodeId::new(0),
+        video: VideoId::new(0),
+    };
+    let mut sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
+    sink.record(
+        SimTime::from_secs(1),
+        &Event::LinkState {
+            used: vec![1.0, 2.0, 3.0],
+            utilization: vec![0.1, 0.2, 0.3],
+            down: vec![],
+        },
+    );
+    sink.record(SimTime::from_secs(2), &arrival(1));
+    sink.record(SimTime::from_secs(150), &arrival(2));
+    let (jsonl, series) = sink.into_parts();
+    let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
+    let report = series.finish();
+
+    assert_eq!((report.links, report.len()), (3, 3));
+    let csv = report.to_csv();
+    let columns: Vec<usize> = csv.lines().map(|l| l.split(',').count()).collect();
+    assert_eq!(columns, [25 + 3; 4], "header and rows must be one width");
+    let summary = audit_series(&report.to_json(), &trace);
+    assert!(
+        summary.is_clean(),
+        "A013 violations: {:?}",
+        summary.violations
+    );
 }
 
 /// Checks every phase-duration invariant of one assembled span report:
