@@ -2,8 +2,9 @@
 //! lifecycle above it: the pinned seed-42 GRNET golden trace (recorded
 //! with the lockstep kernel that now lives on as vod-sim's test oracle),
 //! a pinned prefix × fault × retry trace, pinned contended traces on
-//! GRNET and on a 200-node random graph, a scale-stress smoke run and a
-//! server outage at scale.
+//! GRNET and on a 200-node random graph, a pinned trace of arrivals
+//! sharing their instant with ticks and a fault, a scale-stress smoke
+//! run and a server outage at scale.
 
 use std::collections::BTreeSet;
 
@@ -19,7 +20,7 @@ use vod_sim::traffic::BackgroundModel;
 use vod_sim::{SimDuration, SimTime};
 use vod_workload::arrivals::HourlyShape;
 use vod_workload::scenario::Scenario;
-use vod_workload::{LibraryConfig, LibraryGenerator, TraceConfig};
+use vod_workload::{LibraryConfig, LibraryGenerator, Request, RequestTrace, TraceConfig};
 
 /// Runs `scenario` with a JSONL sink and returns the report and the
 /// trace text.
@@ -306,6 +307,92 @@ fn server_outage_at_scale_closes_every_session() {
     for line in aborts {
         assert!(line.contains("\"reason\":\"home_down\""), "{line}");
     }
+
+    let summary = vod_check::audit::audit_trace(&text);
+    assert!(summary.is_clean(), "audit violations: {summary:?}");
+}
+
+/// Requests that share an instant with a tick or a fault: the seeded
+/// traces above draw Poisson arrivals, which essentially never land on
+/// the microsecond of a poll, so none of them sees the order the engine
+/// gives simultaneous events of different kinds. Here two requests
+/// arrive at exactly `t0 + 2 min` — the first `SnmpPoll` and the second
+/// `BackgroundUpdate` of a default config — and one at the exact start
+/// of a degradation window. An arrival goes before anything scheduled
+/// for its instant; the whole trace is pinned like the others.
+#[test]
+fn same_instant_arrivals_precede_ticks_and_faults() {
+    let grnet = vod_integration_tests::grnet();
+    let topology = grnet.topology().clone();
+    let library = LibraryGenerator::new(LibraryConfig {
+        titles: 12,
+        ..LibraryConfig::default()
+    })
+    .generate(42);
+    let servers = topology.video_server_nodes();
+    let videos: Vec<_> = library.ids().collect();
+    let t0 = SimTime::from_secs(8 * 3600);
+    let tick = t0 + SimDuration::from_mins(2);
+    let fault = t0 + SimDuration::from_secs(150);
+    let request = |at, i: usize| Request {
+        at,
+        client: servers[i % servers.len()],
+        video: videos[(5 * i + 3) % videos.len()],
+    };
+    // Out of time order on purpose: `RequestTrace::new` sorts (stably).
+    let trace = RequestTrace::new(vec![
+        request(fault, 3),
+        request(tick, 1),
+        request(t0, 0),
+        request(tick, 2),
+    ]);
+    let link = topology.link_ids().next().expect("GRNET has links");
+    let config = ServiceConfig {
+        fault_plan: FaultPlan::new().link_degrade(
+            fault,
+            t0 + SimDuration::from_mins(10),
+            link,
+            0.5,
+        ),
+        ..ServiceConfig::default()
+    };
+    assert_eq!(config.snmp_interval, SimDuration::from_mins(2));
+    assert_eq!(config.background_interval, SimDuration::from_mins(1));
+    let background = BackgroundModel::grnet_table2(&grnet);
+    let scenario = Scenario::new("same-instant", topology, library, trace, background, 42);
+    let (report, text) = traced_run(&scenario, config);
+    assert_eq!(report.completed.len(), 4);
+
+    // In plain terms: at each shared instant, every arrival (ascending
+    // `request`) comes before the tick and fault lines.
+    let lines_at = |at: SimTime| -> Vec<&str> {
+        let prefix = format!("{{\"at_us\":{},", at.as_micros());
+        text.lines().filter(|l| l.starts_with(&prefix)).collect()
+    };
+    let position = |lines: &[&str], needle: &str| {
+        let found = lines.iter().position(|l| l.contains(needle));
+        found.unwrap_or_else(|| panic!("no {needle} line at the shared instant"))
+    };
+    let at_tick = lines_at(tick);
+    let first = position(&at_tick, "\"kind\":\"request_arrival\",\"request\":1,");
+    let second = position(&at_tick, "\"kind\":\"request_arrival\",\"request\":2,");
+    assert!(first < second, "arrivals out of request order");
+    for kind in ["snmp_poll", "background_update"] {
+        let tick_line = position(&at_tick, &format!("\"kind\":\"{kind}\""));
+        assert!(second < tick_line, "{kind} ran before an arrival");
+    }
+    let at_fault = lines_at(fault);
+    let arrival = position(&at_fault, "\"kind\":\"request_arrival\",\"request\":3,");
+    let degrade = position(&at_fault, "\"kind\":\"link_degrade_start\"");
+    assert!(arrival < degrade, "the fault ran before the arrival");
+
+    assert_eq!(text.len(), 19_840, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 221, "trace line count drifted");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0xf626_236b_c340_34ff,
+        "trace content drifted"
+    );
 
     let summary = vod_check::audit::audit_trace(&text);
     assert!(summary.is_clean(), "audit violations: {summary:?}");
