@@ -132,8 +132,8 @@ pub fn write_series(series: &SeriesReport, path: &str) -> std::io::Result<()> {
 }
 
 /// Prints the subsystem counters of a service run: the epoch-cached
-/// routing engine's cache behaviour, the flow kernel's work and each
-/// server's DMA counters.
+/// routing engine's cache behaviour, the flow kernel's work, the event
+/// scheduler's traffic and each server's DMA counters.
 pub fn print_stats(report: &ServiceReport) {
     println!(
         "Service statistics (GRNET case study, seed {}):",
@@ -164,6 +164,11 @@ pub fn print_stats(report: &ServiceReport) {
     println!(
         "          {} flows re-rated, {} completion scans, {} heap pushes, {} stale pops",
         k.flows_rerated, k.completion_scans, k.heap_pushes, k.stale_pops
+    );
+    let q = &report.scheduler;
+    println!(
+        "  scheduler: {} arrivals from the input lane, {} pushes, {} pops, peak depth {}",
+        q.inputs, q.pushes, q.pops, q.peak_depth
     );
     println!("  snmp:   {} polling rounds", report.snmp_polls);
     for (server, dma) in &report.per_server_dma {

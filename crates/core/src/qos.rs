@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use vod_net::{EngineStats, NodeId};
 use vod_sim::metrics::Summary;
-use vod_sim::{KernelStats, SimDuration, SimTime};
+use vod_sim::{KernelStats, SchedulerStats, SimDuration, SimTime};
 use vod_storage::dma::DmaStats;
 use vod_storage::prefix::PrefixStats;
 use vod_storage::video::VideoId;
@@ -133,6 +133,10 @@ pub struct ServiceReport {
     /// Flow-kernel work counters: what the run's max-min reallocations
     /// and completion checks cost.
     pub kernel: KernelStats,
+    /// Event-scheduler work counters: arrivals taken from the trace
+    /// (`inputs`), everything else pushed and popped, and how deep the
+    /// queue got — which follows the live sessions, not the trace.
+    pub scheduler: SchedulerStats,
     /// SNMP polling rounds executed during the run.
     pub snmp_polls: u64,
     /// Regional prefix-tier outcome (`None` when the tier is disabled —
@@ -259,6 +263,7 @@ mod tests {
             per_server_dma: Vec::new(),
             engine: None,
             kernel: KernelStats::default(),
+            scheduler: SchedulerStats::default(),
             snmp_polls: 0,
             prefix: None,
         }

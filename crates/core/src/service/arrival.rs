@@ -141,7 +141,6 @@ impl<S: EventSink> ServiceModel<S> {
     }
 
     pub(super) fn on_arrival(&mut self, now: SimTime, idx: usize, sched: &mut Scheduler<Event>) {
-        self.arrivals_remaining = self.arrivals_remaining.saturating_sub(1);
         let request = self.trace.requests()[idx];
         if self.sink.enabled() {
             self.sink.record(

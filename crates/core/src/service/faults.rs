@@ -54,7 +54,7 @@ impl<S: EventSink> ServiceModel<S> {
             .sessions
             .iter()
             .filter(|(_, rec)| rec.session.home() == node)
-            .map(|(&sid, _)| sid)
+            .map(|(sid, _)| SessionId(sid))
             .collect();
         for sid in homed {
             // The client itself is gone: no retry can save the session.
@@ -68,7 +68,7 @@ impl<S: EventSink> ServiceModel<S> {
             .sessions
             .iter()
             .filter(|(_, rec)| rec.route.as_ref().is_some_and(|r| r.target() == node))
-            .filter_map(|(&sid, rec)| Some((rec.flow?, sid)))
+            .filter_map(|(sid, rec)| Some((rec.flow?, SessionId(sid))))
             .collect();
         severed.sort_unstable();
         self.reroute(now, severed, sched);
@@ -85,8 +85,8 @@ impl<S: EventSink> ServiceModel<S> {
     ) {
         for (flow, sid) in severed {
             let _ = self.flows.remove_flow(flow);
-            self.flow_owner.remove(&flow);
-            if let Some(rec) = self.sessions.get_mut(&sid) {
+            self.flow_owner.remove(flow.raw());
+            if let Some(rec) = self.sessions.get_mut(sid.0) {
                 rec.flow = None;
                 rec.route = None;
             }
@@ -151,7 +151,7 @@ impl<S: EventSink> ServiceModel<S> {
         let severed: Vec<(FlowId, SessionId)> = self
             .flows
             .flows_crossing(link)
-            .filter_map(|f| self.flow_owner.get(&f).map(|&sid| (f, sid)))
+            .filter_map(|f| self.flow_owner.get(f.raw()).map(|&sid| (f, sid)))
             .collect();
         self.reroute(now, severed, sched);
     }

@@ -44,7 +44,7 @@ use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry, NullSink, RunReport
 use vod_sim::engine::Simulation;
 use vod_sim::fault::FaultKind;
 use vod_sim::flow::FlowNetwork;
-use vod_sim::SimTime;
+use vod_sim::{IdWindow, SimTime};
 use vod_snmp::SnmpSystem;
 use vod_storage::dma::{DmaCache, DmaConfig, DmaStats};
 use vod_storage::prefix::{PrefixStats, PrefixStore};
@@ -339,7 +339,6 @@ impl<S: EventSink> VodService<S> {
         let live_snap = flows.snapshot();
         let model = ServiceModel {
             recurring_deadline: end + config.drain_grace,
-            arrivals_remaining: scenario.trace().len(),
             topology,
             flows,
             db_snap_cache: None,
@@ -351,8 +350,10 @@ impl<S: EventSink> VodService<S> {
             selector,
             background: scenario.background().clone(),
             trace: scenario.trace().clone(),
-            sessions: BTreeMap::new(),
-            flow_owner: BTreeMap::new(),
+            next_arrival: 0,
+            sessions: IdWindow::new(),
+            flow_owner: IdWindow::new(),
+            candidates: Vec::new(),
             prefix_stores,
             down: BTreeMap::new(),
             link_down: BTreeMap::new(),
@@ -381,11 +382,9 @@ impl<S: EventSink> VodService<S> {
             registry: MetricsRegistry::new(),
         };
 
+        // Arrivals are the model's input lane; only the recurring ticks
+        // and the fault plan are seeded.
         let mut sim = Simulation::new(model);
-        // Seed all events.
-        for (i, r) in scenario.trace().iter().enumerate() {
-            sim.scheduler_mut().schedule(r.at, Event::Arrival(i));
-        }
         let (snmp_next, bg_next) = {
             let m = sim.model();
             (
@@ -434,7 +433,8 @@ impl<S: EventSink> VodService<S> {
     /// counters), and the sink with its recorded trace.
     pub fn run_full(mut self) -> (ServiceReport, RunReport, S) {
         self.sim.run();
-        let (report, registry, sink) = self.sim.into_model().into_report_full();
+        let scheduler = self.sim.scheduler_stats();
+        let (report, registry, sink) = self.sim.into_model().into_report_full(scheduler);
         let run_report = registry.finish(RunSummary {
             selector: report.selector.clone(),
             seed: report.seed,
@@ -490,6 +490,7 @@ impl<S: EventSink> VodService<S> {
 
     /// Finishes immediately with whatever has completed (for tests).
     pub fn into_report(self) -> ServiceReport {
-        self.sim.into_model().into_report_full().0
+        let scheduler = self.sim.scheduler_stats();
+        self.sim.into_model().into_report_full(scheduler).0
     }
 }

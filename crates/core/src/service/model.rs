@@ -11,7 +11,7 @@ use vod_sim::engine::Model;
 use vod_sim::flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
 use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
-use vod_sim::{SimDuration, SimTime};
+use vod_sim::{IdWindow, SimDuration, SimTime};
 use vod_snmp::SnmpSystem;
 use vod_storage::dma::{DmaCache, DmaStats};
 use vod_storage::prefix::{PrefixStats, PrefixStore};
@@ -46,12 +46,12 @@ fn local_serve_rate(
     let ceiling = config.local_rate.as_f64();
     let disk_mbps = caches
         .get(&home)
-        .and_then(|c| c.array().layout(video).cloned())
+        .and_then(|c| c.array().layout(video))
         .and_then(|layout| {
             db.library().get(video).map(|meta| {
                 config
                     .disk_io
-                    .striped_throughput_mb_per_s(&layout, meta.size())
+                    .striped_throughput_mb_per_s(layout, meta.size())
                     * 8.0
             })
         })
@@ -62,7 +62,8 @@ fn local_serve_rate(
 /// Events driving the service simulation.
 #[derive(Debug)]
 pub(super) enum Event {
-    /// The `idx`-th request of the trace arrives.
+    /// The `idx`-th request of the trace arrives. Never scheduled: the
+    /// engine takes arrivals from the model's input lane (`pop_input`).
     Arrival(usize),
     /// Re-check flow completions at the next predicted finish instant.
     /// Stale checks are harmless no-ops (`advance_to` has already
@@ -153,12 +154,21 @@ pub(super) struct ServiceModel<S: EventSink> {
     pub(super) selector: Box<dyn ServerSelector>,
     pub(super) background: BackgroundModel,
     pub(super) trace: RequestTrace,
-    /// Boxed: B-tree leaves fill to about 55 % under ascending inserts,
-    /// so an inline record would cost nearly twice its ~290 bytes.
-    pub(super) sessions: BTreeMap<SessionId, Box<SessionRecord>>,
+    /// The engine's input lane: index of the next request of `trace` to
+    /// arrive. Arrivals are read through this cursor in trace order and
+    /// never sit in the scheduler.
+    pub(super) next_arrival: usize,
+    /// Live sessions by `SessionId.0`. Boxed: the window holds a slot
+    /// for every id between the oldest and the newest live session,
+    /// dead ones included, and an empty slot should cost a pointer, not
+    /// a ~290-byte record.
+    pub(super) sessions: IdWindow<Box<SessionRecord>>,
     /// Every in-flight transfer (origin and prefix alike) back to its
-    /// session; the record says which of its flows it is.
-    pub(super) flow_owner: BTreeMap<FlowId, SessionId>,
+    /// session, by `FlowId::raw`; the record says which of its flows it
+    /// is.
+    pub(super) flow_owner: IdWindow<SessionId>,
+    /// Reused buffer for the replica holders handed to the selector.
+    pub(super) candidates: Vec<NodeId>,
     /// Per-proxy prefix stores (empty when the tier is disabled; a
     /// store vanishes with its server and rejoins cold, like the DMA).
     pub(super) prefix_stores: BTreeMap<NodeId, PrefixStore>,
@@ -197,7 +207,6 @@ pub(super) struct ServiceModel<S: EventSink> {
     pub(super) failed_requests: u64,
     pub(super) rejected_requests: u64,
     pub(super) aborted_sessions: u64,
-    pub(super) arrivals_remaining: usize,
     pub(super) next_session: u64,
     pub(super) last_sync: SimTime,
     /// The instant of the already-scheduled pending flow check, if any —
@@ -264,7 +273,7 @@ impl<S: EventSink> ServiceModel<S> {
     }
 
     fn has_pending_work(&self) -> bool {
-        self.arrivals_remaining > 0 || !self.sessions.is_empty()
+        self.next_arrival < self.trace.len() || !self.sessions.is_empty()
     }
 
     fn reschedule_recurring(
@@ -333,8 +342,10 @@ impl<S: EventSink> ServiceModel<S> {
         home: NodeId,
         video: VideoId,
     ) -> Option<(Selection, bool)> {
-        let candidates = self.db.full_access().servers_with_title(video);
-        if candidates.is_empty() {
+        self.candidates.clear();
+        let holders = self.db.full_access().servers_with_title_iter(video);
+        self.candidates.extend(holders);
+        if self.candidates.is_empty() {
             return None;
         }
         self.refresh_db_snapshot(now);
@@ -343,6 +354,7 @@ impl<S: EventSink> ServiceModel<S> {
             selector,
             db_snap_cache,
             sink,
+            candidates,
             ..
         } = self;
         let (_, snapshot) = db_snap_cache.as_ref()?;
@@ -350,7 +362,7 @@ impl<S: EventSink> ServiceModel<S> {
             topology,
             snapshot,
             home,
-            candidates: &candidates,
+            candidates,
         };
         // Only `trace_selection` reads the flag, and only with a live
         // sink, so the two stats copies are taken only then.
@@ -379,7 +391,7 @@ impl<S: EventSink> ServiceModel<S> {
         sid: SessionId,
         sched: &mut Scheduler<Event>,
     ) {
-        let Some(rec) = self.sessions.get(&sid) else {
+        let Some(rec) = self.sessions.get(sid.0) else {
             return;
         };
         let Some(idx) = rec.session.next_cluster() else {
@@ -417,7 +429,7 @@ impl<S: EventSink> ServiceModel<S> {
         if !self.sink.enabled() {
             return;
         }
-        if let Some(rec) = self.sessions.get(&sid) {
+        if let Some(rec) = self.sessions.get(sid.0) {
             let (home, video) = (rec.session.home(), rec.session.video());
             self.sink.record(
                 now,
@@ -446,7 +458,7 @@ impl<S: EventSink> ServiceModel<S> {
         sched: &mut Scheduler<Event>,
     ) {
         self.registry.record_fetch_cost(route.cost());
-        let Some(rec) = self.sessions.get_mut(&sid) else {
+        let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
         let sess = &mut rec.session;
@@ -485,7 +497,7 @@ impl<S: EventSink> ServiceModel<S> {
             self.handle_fetch_failure(now, sid, sched);
             return;
         };
-        self.flow_owner.insert(flow, sid);
+        self.flow_owner.insert(flow.raw(), sid);
         rec.flow = Some(flow);
         rec.route = Some(route);
         // A successful launch closes the failure episode.
@@ -503,7 +515,7 @@ impl<S: EventSink> ServiceModel<S> {
         }
         let state = self
             .sessions
-            .get(&sid)
+            .get(sid.0)
             .and_then(|rec| rec.retry)
             .unwrap_or(RetryState {
                 attempts: 0,
@@ -521,7 +533,7 @@ impl<S: EventSink> ServiceModel<S> {
             self.abort_session(now, sid, AbortReason::StallBudget);
             return;
         }
-        if let Some(rec) = self.sessions.get_mut(&sid) {
+        if let Some(rec) = self.sessions.get_mut(sid.0) {
             rec.retry = Some(RetryState {
                 attempts: attempt,
                 first_failure: state.first_failure,
@@ -567,7 +579,7 @@ impl<S: EventSink> ServiceModel<S> {
             }
         });
         self.sessions.insert(
-            sid,
+            sid.0,
             Box::new(SessionRecord {
                 session,
                 route: None,
@@ -599,7 +611,7 @@ impl<S: EventSink> ServiceModel<S> {
     /// reason come through here, so the record and its at most two
     /// in-flight transfers always leave together.
     fn close_session(&mut self, sid: SessionId) {
-        let Some(rec) = self.sessions.remove(&sid) else {
+        let Some(rec) = self.sessions.remove(sid.0) else {
             return;
         };
         // Order is part of the fixed point: the origin flow leaves the
@@ -607,7 +619,7 @@ impl<S: EventSink> ServiceModel<S> {
         let prefix_flow = rec.prefix.and_then(|phase| phase.flow);
         for flow in rec.flow.into_iter().chain(prefix_flow) {
             let _ = self.flows.remove_flow(flow);
-            self.flow_owner.remove(&flow);
+            self.flow_owner.remove(flow.raw());
         }
     }
 
@@ -646,10 +658,10 @@ impl<S: EventSink> ServiceModel<S> {
 
     /// One cluster finished transferring.
     fn on_flow_complete(&mut self, now: SimTime, flow: FlowId, sched: &mut Scheduler<Event>) {
-        let Some(sid) = self.flow_owner.remove(&flow) else {
+        let Some(sid) = self.flow_owner.remove(flow.raw()) else {
             return;
         };
-        let Some(rec) = self.sessions.get_mut(&sid) else {
+        let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
         if rec.flow != Some(flow) {
@@ -687,7 +699,7 @@ impl<S: EventSink> ServiceModel<S> {
         sid: SessionId,
         sched: &mut Scheduler<Event>,
     ) -> Option<bool> {
-        let sess = &mut self.sessions.get_mut(&sid)?.session;
+        let sess = &mut self.sessions.get_mut(sid.0)?.session;
         if sess.on_cluster_fetched(now) {
             sess.start_playing();
             let startup = sess.startup_delay().unwrap_or(SimDuration::ZERO);
@@ -724,7 +736,7 @@ impl<S: EventSink> ServiceModel<S> {
     /// The home server finished assembling the title; if the DMA
     /// admitted it at request time, it is now advertised.
     fn advertise_assembled_title(&mut self, now: SimTime, sid: SessionId) {
-        let Some(rec) = self.sessions.get(&sid) else {
+        let Some(rec) = self.sessions.get(sid.0) else {
             return;
         };
         if !rec.cache_on_complete {
@@ -762,7 +774,7 @@ impl<S: EventSink> ServiceModel<S> {
         let Some(fetch_complete) = self.account_cluster_fetched(now, sid, sched) else {
             return;
         };
-        let Some(rec) = self.sessions.get_mut(&sid) else {
+        let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
         let Some(phase) = &mut rec.prefix else {
@@ -791,7 +803,7 @@ impl<S: EventSink> ServiceModel<S> {
     /// session's proxy. A launch failure is a dead proxy disk in
     /// disguise and aborts the session like any unreachable source.
     fn launch_prefix_cluster(&mut self, now: SimTime, sid: SessionId, index: usize) {
-        let Some(rec) = self.sessions.get_mut(&sid) else {
+        let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
         let Some(phase) = &mut rec.prefix else {
@@ -810,7 +822,7 @@ impl<S: EventSink> ServiceModel<S> {
             .unwrap_or(self.config.local_rate);
         match self.flows.add_local_flow(volume, rate) {
             Ok(flow) => {
-                self.flow_owner.insert(flow, sid);
+                self.flow_owner.insert(flow.raw(), sid);
                 phase.flow = Some(flow);
                 self.prefix_served_clusters += 1;
                 self.prefix_served_mbit += volume;
@@ -820,7 +832,7 @@ impl<S: EventSink> ServiceModel<S> {
     }
 
     fn on_playout_tick(&mut self, now: SimTime, sid: SessionId, sched: &mut Scheduler<Event>) {
-        let Some(rec) = self.sessions.get_mut(&sid) else {
+        let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
         let sess = &mut rec.session;
@@ -919,16 +931,18 @@ impl<S: EventSink> ServiceModel<S> {
             let prefix_flow = rec.prefix.as_ref().and_then(|phase| phase.flow);
             rec.flow.into_iter().chain(prefix_flow)
         };
-        for (&flow, sid) in &self.flow_owner {
-            let rec = self.sessions.get(sid);
+        for (flow, sid) in self.flow_owner.iter() {
+            let rec = self.sessions.get(sid.0);
             assert!(
-                rec.is_some_and(|rec| flows_of(rec).any(|f| f == flow)),
-                "{flow:?} is owned by {sid}, whose record does not name it: {rec:?}"
+                rec.is_some_and(|rec| flows_of(rec).any(|f| f.raw() == flow)),
+                "flow {flow} is owned by {sid}, whose record does not name it: {rec:?}"
             );
         }
-        for (sid, rec) in &self.sessions {
+        for (sid, rec) in self.sessions.iter() {
+            let sid = SessionId(sid);
             for flow in flows_of(rec) {
-                assert_eq!(self.flow_owner.get(&flow), Some(sid), "{flow:?} of {sid}");
+                let owner = self.flow_owner.get(flow.raw());
+                assert_eq!(owner, Some(&sid), "{flow:?} of {sid}");
                 assert!(
                     self.flows.flow_links(flow).is_ok(),
                     "{flow:?} of {sid} left the network"
@@ -967,5 +981,18 @@ impl<S: EventSink> Model for ServiceModel<S> {
             Event::RetryFetch(sid) => self.start_cluster_fetch(now, sid, sched),
         }
         self.schedule_flow_check(now, sched);
+    }
+
+    fn peek_input(&self) -> Option<SimTime> {
+        let next = self.trace.requests().get(self.next_arrival)?;
+        Some(next.at)
+    }
+
+    fn pop_input(&mut self) -> Option<Event> {
+        let idx = self.next_arrival;
+        (idx < self.trace.len()).then(|| {
+            self.next_arrival += 1;
+            Event::Arrival(idx)
+        })
     }
 }

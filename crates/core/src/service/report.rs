@@ -3,6 +3,7 @@
 use vod_net::NodeId;
 use vod_obs::{EventSink, MetricsRegistry};
 use vod_sim::metrics::Summary;
+use vod_sim::SchedulerStats;
 use vod_storage::dma::DmaStats;
 
 use super::model::ServiceModel;
@@ -11,8 +12,13 @@ use crate::qos::{PrefixTierReport, ServiceReport};
 impl<S: EventSink> ServiceModel<S> {
     /// Builds the final [`ServiceReport`] and hands back the metric
     /// registry and the sink for callers that want the full picture
-    /// ([`VodService::run_full`](super::VodService::run_full)).
-    pub(super) fn into_report_full(self) -> (ServiceReport, MetricsRegistry, S) {
+    /// ([`VodService::run_full`](super::VodService::run_full)). The
+    /// scheduler's counters live with the engine, not the model, so the
+    /// caller passes them in.
+    pub(super) fn into_report_full(
+        self,
+        scheduler: SchedulerStats,
+    ) -> (ServiceReport, MetricsRegistry, S) {
         let mut dma = self.retired_dma;
         let per_server_dma: Vec<(NodeId, DmaStats)> = self
             .caches
@@ -48,6 +54,7 @@ impl<S: EventSink> ServiceModel<S> {
             per_server_dma,
             engine: self.selector.engine_stats(),
             kernel: self.flows.stats(),
+            scheduler,
             snmp_polls: self.snmp.polls(),
             prefix,
         };

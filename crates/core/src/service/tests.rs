@@ -719,7 +719,10 @@ fn city_outage_costs_one_fill() {
     probe.run_until(FAULT_AT);
     let model = probe.sim.model();
     let sourced = |node| {
-        let targets = model.sessions.values().filter_map(|rec| rec.route.as_ref());
+        let targets = model
+            .sessions
+            .iter()
+            .filter_map(|(_, rec)| rec.route.as_ref());
         targets
             .filter(|r| r.hops() > 0 && r.target() == node)
             .count()

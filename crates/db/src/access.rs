@@ -68,11 +68,16 @@ impl<'a> FullAccess<'a> {
 
     /// The servers currently listing `video`, in node order.
     pub fn servers_with_title(&self, video: VideoId) -> Vec<NodeId> {
+        self.servers_with_title_iter(video).collect()
+    }
+
+    /// [`FullAccess::servers_with_title`] without the allocation, for
+    /// callers that run once per cluster and keep their own buffer.
+    pub fn servers_with_title_iter(&self, video: VideoId) -> impl Iterator<Item = NodeId> + 'a {
         self.db
             .servers()
-            .filter(|s| s.has_title(video))
+            .filter(move |s| s.has_title(video))
             .map(ServerEntry::node)
-            .collect()
     }
 
     /// The titles available on `server`.

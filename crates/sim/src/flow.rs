@@ -90,7 +90,7 @@
 //!   previous fill's, re-derives the rates every class already has.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
@@ -98,6 +98,7 @@ use serde::{Deserialize, Serialize};
 
 use vod_net::{LinkId, Mbps, Topology, TrafficSnapshot};
 
+use crate::idwindow::IdWindow;
 use crate::time::SimDuration;
 
 /// Volume below which a flow counts as complete (megabits). Guards against
@@ -127,6 +128,14 @@ const POP_SLACK_SECS: f64 = 1e-9;
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct FlowId(u64);
+
+impl FlowId {
+    /// The id as a number: ids are issued in ascending order from zero,
+    /// which makes this the key of an [`IdWindow`] over flows.
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+}
 
 impl fmt::Display for FlowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -395,8 +404,9 @@ impl Ord for HeapEntry {
 pub struct FlowNetwork {
     topology: Topology,
     background: Vec<Mbps>,
-    /// Local flows by id.
-    flows: BTreeMap<FlowId, Flow>,
+    /// Local flows by id: the slots between the oldest and the newest
+    /// live local flow (network flows leave theirs empty).
+    flows: IdWindow<Flow>,
     /// Network flows, ascending by id (= creation order): the order
     /// link loads are summed in and crossing queries answer in.
     slab: Vec<NetFlow>,
@@ -458,7 +468,7 @@ impl FlowNetwork {
         FlowNetwork {
             topology,
             background: vec![Mbps::ZERO; links],
-            flows: BTreeMap::new(),
+            flows: IdWindow::new(),
             slab: Vec::new(),
             classes: Vec::new(),
             free_classes: Vec::new(),
@@ -504,7 +514,7 @@ impl FlowNetwork {
             .flows
             .iter()
             .filter(|(_, f)| f.local_rate_override.is_none())
-            .map(|(&id, _)| id)
+            .map(|(id, _)| FlowId(id))
             .collect();
         for id in ids {
             self.apply_rate(id, rate);
@@ -680,7 +690,7 @@ impl FlowNetwork {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows.insert(
-            id,
+            id.0,
             Flow {
                 remaining_mbit: volume_mbit,
                 synced_at: self.clock_us,
@@ -713,7 +723,7 @@ impl FlowNetwork {
             return Ok(flow.remaining_at(clock));
         }
         // A local flow holds no link bandwidth: nothing to redistribute.
-        let flow = self.flows.remove(&id).ok_or(FlowError::UnknownFlow(id))?;
+        let flow = self.flows.remove(id.0).ok_or(FlowError::UnknownFlow(id))?;
         Ok(flow.remaining_at(clock))
     }
 
@@ -762,7 +772,7 @@ impl FlowNetwork {
 
     /// Ids of all active flows, in creation order.
     pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        let mut local = self.flows.keys().copied().peekable();
+        let mut local = self.flows.iter().map(|(id, _)| FlowId(id)).peekable();
         let mut network = self.slab.iter().map(|f| f.id).peekable();
         std::iter::from_fn(move || match (local.peek(), network.peek()) {
             (Some(l), Some(n)) if l < n => local.next(),
@@ -772,7 +782,7 @@ impl FlowNetwork {
     }
 
     fn local_flow(&self, id: FlowId) -> Result<&Flow, FlowError> {
-        self.flows.get(&id).ok_or(FlowError::UnknownFlow(id))
+        self.flows.get(id.0).ok_or(FlowError::UnknownFlow(id))
     }
 
     fn net_flow(&self, id: FlowId) -> Option<&NetFlow> {
@@ -813,7 +823,7 @@ impl FlowNetwork {
             return Some((n.id, ceil_to_micros(n.remaining_at(self.clock_us), n.rate)));
         }
         let id = local?.id;
-        let f = self.flows.get(&id)?;
+        let f = self.flows.get(id.0)?;
         Some((id, ceil_to_micros(f.remaining_at(self.clock_us), f.rate)))
     }
 
@@ -823,7 +833,7 @@ impl FlowNetwork {
         let mut dust = std::mem::take(&mut self.requeue_scratch);
         dust.clear();
         while let Some(&Reverse(top)) = self.completions.peek() {
-            match self.flows.get(&top.id) {
+            match self.flows.get(top.id.0) {
                 Some(f) if f.epoch == top.epoch => {
                     if f.rate.as_f64() > 0.0 {
                         result = Some(top);
@@ -900,7 +910,7 @@ impl FlowNetwork {
                 .completions
                 .pop()
                 .expect("pop follows a successful peek");
-            match self.flows.get(&entry.id) {
+            match self.flows.get(entry.id.0) {
                 Some(f) if f.epoch == entry.epoch => {
                     if f.remaining_at(self.clock_us) <= COMPLETION_EPSILON_MBIT {
                         done.push(entry.id);
@@ -918,7 +928,7 @@ impl FlowNetwork {
         }
         self.requeue_scratch = requeue;
         for id in done.iter() {
-            self.flows.remove(id);
+            self.flows.remove(id.0);
         }
 
         if self.net_due_secs <= due_secs {
@@ -1085,7 +1095,7 @@ impl FlowNetwork {
     /// existing prediction valid.
     fn apply_rate(&mut self, id: FlowId, rate: Mbps) {
         let clock = self.clock_us;
-        let flow = self.flows.get_mut(&id).expect("flow exists");
+        let flow = self.flows.get_mut(id.0).expect("flow exists");
         if flow.rate == rate {
             return;
         }
@@ -1099,7 +1109,9 @@ impl FlowNetwork {
     /// Pushes a completion prediction for local flow `id` at its current
     /// rate, if it has one (see [`predicted_finish`]).
     fn push_entry_for(&mut self, id: FlowId) {
-        let flow = &self.flows[&id];
+        let Some(flow) = self.flows.get(id.0) else {
+            return;
+        };
         if let Some(finish_secs) = predicted_finish(flow.remaining_mbit, flow.synced_at, flow.rate)
         {
             self.stats.heap_pushes += 1;
@@ -1772,6 +1784,49 @@ mod tests {
             let (_, dt) = net.next_completion().unwrap();
             assert_eq!(dt, SimDuration::from_secs(4), "{kernel}");
         });
+    }
+
+    /// Local flows sit in an id window that network flows punch holes
+    /// in. Ids still merge ascending, and a new default rate re-rates
+    /// exactly the local flows without an override, walking them by id.
+    #[test]
+    fn interleaved_local_and_network_flows_keep_id_order() {
+        let (t, l0, _) = two_hop();
+        let mut net = FlowNetwork::new(t);
+        net.set_local_rate(Mbps::new(50.0));
+        let pinned_rate = Mbps::new(10.0);
+        let (mut floating, mut pinned, mut network) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..12 {
+            match i % 3 {
+                0 => floating.push(net.add_flow(vec![], 100.0).unwrap()),
+                1 => network.push(net.add_flow(vec![l0], 100.0).unwrap()),
+                _ => pinned.push(net.add_local_flow(100.0, pinned_rate).unwrap()),
+            }
+        }
+        // Holes of every kind, and a front that has moved on.
+        for gone in [floating.remove(0), network.remove(1), pinned.remove(2)] {
+            net.remove_flow(gone).unwrap();
+        }
+        let mut expected: Vec<FlowId> = [&floating[..], &network[..], &pinned[..]].concat();
+        expected.sort_unstable();
+        assert_eq!(net.flow_ids().collect::<Vec<_>>(), expected);
+        assert_eq!(net.flow_count(), 9);
+        let walked: Vec<u64> = net.flows.iter().map(|(id, _)| id).collect();
+        assert!(walked.windows(2).all(|w| w[0] < w[1]), "{walked:?}");
+
+        let network_rate = net.rate(network[0]).unwrap();
+        let pushes = net.stats().heap_pushes;
+        net.set_local_rate(Mbps::new(25.0));
+        assert_eq!(net.stats().heap_pushes - pushes, floating.len() as u64);
+        for &f in &floating {
+            assert_eq!(net.rate(f).unwrap(), Mbps::new(25.0));
+        }
+        for &f in &pinned {
+            assert_eq!(net.rate(f).unwrap(), pinned_rate);
+        }
+        for &f in &network {
+            assert_eq!(net.rate(f).unwrap(), network_rate);
+        }
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //!   [`SimDuration`]);
 //! * [`scheduler`] + [`engine`] — a classic event-queue discrete-event
 //!   engine: a [`Model`] implementation handles its own event type and
-//!   schedules follow-ups;
+//!   schedules follow-ups, and may feed the engine a time-ordered input
+//!   lane (a request trace) that never enters the queue;
 //! * [`flow`] — a fluid-flow network model over a
 //!   [`Topology`](vod_net::Topology): each video transfer is a flow along
 //!   a route, links share bandwidth **max-min fairly** among flows after
 //!   subtracting background traffic, and flow completions are predicted
 //!   exactly;
+//! * [`idwindow`] — the dense id-keyed map ([`IdWindow`]) behind the
+//!   live flows here and the live sessions in `vod-core`;
 //! * [`traffic`] — diurnal background-traffic profiles (piecewise-linear
 //!   in hour-of-day), including profiles fitted to the paper's Table 2
 //!   readings;
@@ -60,6 +63,7 @@
 pub mod engine;
 pub mod fault;
 pub mod flow;
+pub mod idwindow;
 pub mod metrics;
 pub mod scheduler;
 pub mod time;
@@ -68,5 +72,6 @@ pub mod traffic;
 pub use engine::{Model, Simulation};
 pub use fault::{FaultKind, FaultPlan, FaultWindow};
 pub use flow::{FlowId, FlowNetwork, KernelStats, COMPLETION_CHECK_SLACK};
-pub use scheduler::Scheduler;
+pub use idwindow::IdWindow;
+pub use scheduler::{Scheduler, SchedulerStats};
 pub use time::{SimDuration, SimTime};

@@ -3,6 +3,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use serde::{Deserialize, Serialize};
+
 use crate::time::SimTime;
 
 /// A monotonically increasing sequence number breaks ties between events
@@ -38,6 +40,25 @@ impl<E> PartialOrd for Entry<E> {
     }
 }
 
+/// Work counters of one run's event queue, next to
+/// [`KernelStats`](crate::flow::KernelStats): how much went through the
+/// heap, how deep it got, and how much bypassed it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SchedulerStats {
+    /// Events scheduled.
+    pub pushes: u64,
+    /// Events popped.
+    pub pops: u64,
+    /// Deepest the queue has been.
+    pub peak_depth: u64,
+    /// Events the engine took from the model's input lane
+    /// ([`Model::pop_input`](crate::engine::Model::pop_input)) instead
+    /// of the queue; counted by the
+    /// [`Simulation`](crate::engine::Simulation), zero on a bare
+    /// scheduler.
+    pub inputs: u64,
+}
+
 /// A time-ordered queue of pending events.
 ///
 /// Events scheduled for the same instant are delivered in the order they
@@ -60,6 +81,7 @@ impl<E> PartialOrd for Entry<E> {
 pub struct Scheduler<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
+    stats: SchedulerStats,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -74,6 +96,7 @@ impl<E> Scheduler<E> {
         Scheduler {
             heap: BinaryHeap::new(),
             next_seq: 0,
+            stats: SchedulerStats::default(),
         }
     }
 
@@ -82,11 +105,20 @@ impl<E> Scheduler<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
+        self.stats.pushes += 1;
+        self.stats.peak_depth = self.stats.peak_depth.max(self.heap.len() as u64);
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        let entry = self.heap.pop()?;
+        self.stats.pops += 1;
+        Some((entry.at, entry.event))
+    }
+
+    /// Work counters since creation (`inputs` is the engine's to fill).
+    pub fn stats(&self) -> SchedulerStats {
+        self.stats
     }
 
     /// The instant of the earliest pending event, if any.
@@ -146,6 +178,24 @@ mod tests {
         assert_eq!(s.peek_time(), Some(SimTime::from_secs(4)));
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn stats_count_pushes_pops_and_peak_depth() {
+        let mut s = Scheduler::new();
+        for secs in [3, 1, 2] {
+            s.schedule(SimTime::from_secs(secs), ());
+        }
+        s.pop();
+        s.schedule(SimTime::from_secs(4), ());
+        while s.pop().is_some() {}
+        let expected = SchedulerStats {
+            pushes: 4,
+            pops: 4,
+            peak_depth: 3,
+            inputs: 0,
+        };
+        assert_eq!(s.stats(), expected);
     }
 
     #[test]

@@ -24,9 +24,21 @@ pub struct Request {
 }
 
 /// A time-ordered request trace.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct RequestTrace {
     requests: Vec<Request>,
+}
+
+// Hand-written so that a trace read from JSON — on its own or inside a
+// `Scenario` — is sorted like one built in code: the service walks the
+// requests with a cursor and relies on the order.
+impl Deserialize for RequestTrace {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let requests = v
+            .get_field("requests")
+            .ok_or_else(|| serde::Error::custom("missing field `requests` of `RequestTrace`"))?;
+        Ok(RequestTrace::new(Deserialize::from_value(requests)?))
+    }
 }
 
 impl RequestTrace {
@@ -93,9 +105,7 @@ impl RequestTrace {
     /// [`std::io::ErrorKind::Other`]).
     pub fn load_json(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         let file = std::fs::File::open(path)?;
-        let loaded: RequestTrace = serde_json::from_reader(std::io::BufReader::new(file))
-            .map_err(std::io::Error::other)?;
-        Ok(RequestTrace::new(loaded.requests))
+        serde_json::from_reader(std::io::BufReader::new(file)).map_err(std::io::Error::other)
     }
 }
 
@@ -308,6 +318,28 @@ mod tests {
         let json = serde_json::to_string(&trace).unwrap();
         let back: RequestTrace = serde_json::from_str(&json).unwrap();
         assert_eq!(trace, back);
+    }
+
+    /// JSON keeps file order; a deserialised trace must not.
+    #[test]
+    fn deserialised_trace_is_sorted_with_ties_in_file_order() {
+        let line = |secs: u64, video: u32| {
+            let request = Request {
+                at: SimTime::from_secs(secs),
+                client: NodeId::new(0),
+                video: VideoId::new(video),
+            };
+            serde_json::to_string(&request).unwrap()
+        };
+        let shuffled = [line(9, 0), line(2, 1), line(5, 2), line(2, 3), line(0, 4)];
+        let json = format!("{{\"requests\":[{}]}}", shuffled.join(","));
+        let trace: RequestTrace = serde_json::from_str(&json).unwrap();
+        let order: Vec<(u64, usize)> = trace
+            .iter()
+            .map(|r| (r.at.as_micros() / 1_000_000, r.video.index()))
+            .collect();
+        assert_eq!(order, vec![(0, 4), (2, 1), (2, 3), (5, 2), (9, 0)]);
+        assert!(serde_json::from_str::<RequestTrace>("{\"rows\":[]}").is_err());
     }
 
     #[test]

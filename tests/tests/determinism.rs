@@ -67,6 +67,36 @@ fn service_report_serde_round_trip() {
     assert!(!report.completed.is_empty());
 }
 
+/// A scenario read back from JSON runs like the original even when the
+/// file lists its requests out of order: the service walks the trace
+/// with a cursor, so a deserialised trace has to come back sorted.
+#[test]
+fn scenario_from_shuffled_json_runs_like_the_original() {
+    let scenario = Scenario::grnet_case_study(TEST_SEED);
+    let json = serde_json::to_string(&scenario).unwrap();
+    let trace_json = serde_json::to_string(scenario.trace()).unwrap();
+    let reversed: Vec<String> = scenario
+        .trace()
+        .requests()
+        .iter()
+        .rev()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+    let shuffled_trace = format!("{{\"requests\":[{}]}}", reversed.join(","));
+    assert_ne!(trace_json, shuffled_trace);
+    assert!(json.contains(&trace_json), "the trace is embedded verbatim");
+    let shuffled: Scenario =
+        serde_json::from_str(&json.replace(&trace_json, &shuffled_trace)).unwrap();
+    assert_eq!(shuffled, scenario);
+
+    let run = |scenario: &Scenario| {
+        VodService::new(scenario, Box::new(Vra::default()), ServiceConfig::default()).run()
+    };
+    let (original, replayed) = (run(&scenario), run(&shuffled));
+    assert!(!original.completed.is_empty());
+    assert_eq!(replayed, original);
+}
+
 /// Incremental execution (run_until in steps) reaches exactly the same
 /// final state as one uninterrupted run.
 #[test]

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_core::ServiceReport;
-use vod_integration_tests::fnv1a;
+use vod_integration_tests::{fnv1a, grnet};
 use vod_net::topologies::random::connected_gnp;
 use vod_net::Mbps;
 use vod_obs::JsonlWriter;
@@ -246,6 +246,47 @@ fn golden_seed42_gnp200_trace_is_pinned_and_audits_clean() {
     assert!(summary.is_clean(), "audit violations: {summary:?}");
 }
 
+/// The scheduler's depth follows the live sessions, not the trace:
+/// `grnet_diurnal` in small — 30 days of GRNET at 0.0008 requests/s
+/// with the evening-peak shape and Table 2 background. Arrivals come
+/// off the trace through the engine's input lane, so the queue only
+/// ever holds the two recurring ticks and what the live sessions
+/// scheduled (stale flow checks included). A scheduler seeded with the
+/// trace would start at `arrivals + 2`.
+#[test]
+fn scheduler_depth_follows_live_sessions_not_the_trace() {
+    let grnet = grnet();
+    let topology = grnet.topology().clone();
+    let library = LibraryGenerator::new(LibraryConfig {
+        titles: 100,
+        ..LibraryConfig::default()
+    })
+    .generate(42);
+    let trace = TraceConfig {
+        start: SimTime::from_secs(8 * 3600),
+        duration: SimDuration::from_secs(30 * 24 * 3600),
+        rate_per_sec: 0.0008,
+        shape: HourlyShape::evening_peak(),
+        zipf_skew: 0.8,
+        client_weights: None,
+    }
+    .generate(&topology, &library, 42);
+    let arrivals = trace.len() as u64;
+    assert!((1_500..3_000).contains(&arrivals), "{arrivals} arrivals");
+    let background = BackgroundModel::grnet_table2(&grnet);
+    let scenario = Scenario::new("grnet-30d", topology, library, trace, background, 42);
+    let service = VodService::new(
+        &scenario,
+        Box::new(Vra::default()),
+        ServiceConfig::default(),
+    );
+    let stats = service.run().scheduler;
+    assert_eq!(stats.inputs, arrivals);
+    assert_eq!(stats.pushes, stats.pops, "run() drains the queue");
+    assert!(stats.pushes > arrivals, "{stats:?}");
+    assert!(stats.peak_depth < arrivals / 4, "{stats:?}");
+}
+
 /// A scaled-down scale-stress run: every arrival is admitted, stays live
 /// to the end of the window (peak = arrival count) and completes.
 #[test]
@@ -322,7 +363,7 @@ fn server_outage_at_scale_closes_every_session() {
 /// for its instant; the whole trace is pinned like the others.
 #[test]
 fn same_instant_arrivals_precede_ticks_and_faults() {
-    let grnet = vod_integration_tests::grnet();
+    let grnet = grnet();
     let topology = grnet.topology().clone();
     let library = LibraryGenerator::new(LibraryConfig {
         titles: 12,
