@@ -23,12 +23,14 @@ echo "==> benchmark/ builds and passes its tests offline against the workspace c
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # Its unit tests too: one asserts BENCHMARK.json equals `vod-benchmark manifest`.
 (cd benchmark && cargo test --release --offline -q)
-# And actually run two workloads, both trace modes (a few seconds;
+# And actually run three workloads, both trace modes (a few seconds;
 # output lands in the git-ignored benchmark/out/): the step tracer
 # matches on `Event` variants, which only a run exercises.
 # steady_traced as well: the only workload that carries JsonlWriter +
-# TimeSeriesSink and the obs.series_record_ns layer driver.
-for workload in backbone_contended steady_traced; do
+# TimeSeriesSink and the obs.series_record_ns layer driver. And
+# grnet_diurnal: 1.9 M polls and refreshes, the workload the periodic
+# path is measured on.
+for workload in backbone_contended steady_traced grnet_diurnal; do
   for trace in 0 1; do
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
       --workload "$workload" --seed 42 --seconds 1 --trace "$trace" > /dev/null
@@ -94,7 +96,7 @@ CRITERION_JSON="$routing_json" cargo bench -q --bench routing_engine > /dev/null
 cargo run -q --release -p vod-bench -- compare --only engine/ --floor-ns 500 \
   BENCH_routing.json "$routing_json"
 
-echo "==> flow-kernel perf gate (contended reallocation and cluster boundary vs committed BENCH_kernel.json)"
+echo "==> flow-kernel perf gate (contended reallocation, cluster boundary and idle-day ticks vs committed BENCH_kernel.json)"
 # reallocate/*: one backbone arrival + departure at a standing
 # population, two settles with a fill each: a thousand flows on GRNET's
 # routes (far more flows than route classes) and seven hundred flows on
@@ -107,7 +109,12 @@ echo "==> flow-kernel perf gate (contended reallocation and cluster boundary vs 
 # mutation again would pay two fills, some 60 us, for either. The 3x
 # limit is that wide because the microsecond rows are 40 ms measurements
 # that a busy host has been seen to inflate 2.3x right after the routing
-# bench.
+# bench. tick/*: one simulated day of refreshes and polls over an idle
+# GRNET backbone, 2 160 ticks in some 220 us (440 us before a poll
+# became one walk and an idle refresh stopped refilling); per-tick
+# work that grew with the horizon or the history again - a front
+# removal from a longer history, an allocation per poll - is what 3x
+# would catch.
 CRITERION_JSON="$kernel_json" cargo bench -q --bench sim_kernel > /dev/null
 cargo run -q --release -p vod-bench -- compare --only sim_kernel/reallocate \
   --threshold sim_kernel/reallocate/grnet_shared_1k=3.0 \
@@ -116,6 +123,9 @@ cargo run -q --release -p vod-bench -- compare --only sim_kernel/reallocate \
 cargo run -q --release -p vod-bench -- compare --only sim_kernel/boundary \
   --threshold sim_kernel/boundary/gnp200_distinct_700=3.0 \
   --threshold sim_kernel/boundary/gnp200_switch_700=3.0 \
+  BENCH_kernel.json "$kernel_json"
+cargo run -q --release -p vod-bench -- compare --only sim_kernel/tick \
+  --threshold sim_kernel/tick/grnet_idle_day=3.0 \
   BENCH_kernel.json "$kernel_json"
 
 echo "==> rustdoc (no broken intra-doc links)"

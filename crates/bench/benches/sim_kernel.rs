@@ -6,22 +6,28 @@
 //! (`sim_kernel/reallocate/*`: many flows on GRNET's few routes, and
 //! as many routes as flows on a 200-node random graph), and what a
 //! cluster boundary pays on that graph (`sim_kernel/boundary/*`: a
-//! transfer replaced at one instant, along its route or along another).
+//! transfer replaced at one instant, along its route or along another),
+//! and a simulated day of the periodic path — background refreshes and
+//! SNMP polls — over an idle GRNET backbone (`sim_kernel/tick/*`).
 //!
 //! `CRITERION_JSON=BENCH_kernel.json cargo bench --bench sim_kernel`
-//! re-records the committed baseline `ci.sh` gates the reallocate and
-//! boundary rows against; the committed `BENCH_sim.json` end-to-end
-//! numbers come from `--bin scale` instead.
+//! re-records the committed baseline `ci.sh` gates the reallocate,
+//! boundary and tick rows against; the committed `BENCH_sim.json`
+//! end-to-end numbers come from `--bin scale` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use vod_db::Database;
 use vod_net::lvn::LvnParams;
 use vod_net::topologies::grnet::Grnet;
 use vod_net::topologies::random::connected_gnp;
 use vod_net::{LinkId, Mbps, NodeId, RoutingEngine, Topology, TrafficSnapshot};
 use vod_sim::flow::FlowNetwork;
-use vod_sim::SimDuration;
+use vod_sim::traffic::BackgroundModel;
+use vod_sim::{SimDuration, SimTime};
+use vod_snmp::SnmpSystem;
+use vod_storage::video::VideoLibrary;
 
 const FLOWS: usize = 10_000;
 
@@ -187,12 +193,47 @@ fn bench_boundary(c: &mut Criterion) {
     bench_boundary_at(c, id, &gnp200, &routes, true);
 }
 
+/// One simulated day of the periodic machinery, outside `VodService`,
+/// over an idle GRNET backbone: every minute the kernel advances and
+/// the Table 2 background is re-applied (1 440 refreshes), every second
+/// minute the SNMP system polls the volume integrals into the database
+/// (720 polls of 14 readings), and after each tick the next completion
+/// is asked for, as the service does after every event.
+fn bench_tick(c: &mut Criterion) {
+    let grnet = Grnet::new();
+    let topology = grnet.topology();
+    let background = BackgroundModel::grnet_table2(&grnet);
+    let minute = SimDuration::from_mins(1);
+    let mut net = FlowNetwork::new(topology.clone());
+    let mut db = Database::from_topology(topology, VideoLibrary::new());
+    let mut snmp = SnmpSystem::new(topology, minute + minute);
+    let mut done = Vec::new();
+    let mut now = SimTime::ZERO;
+    c.bench_function("sim_kernel/tick/grnet_idle_day", |b| {
+        b.iter(|| {
+            for _ in 0..1_440 {
+                now += minute;
+                net.advance_into(minute, &mut done);
+                background.apply(&mut net, now);
+                black_box(net.next_completion());
+                if snmp.due(now) {
+                    snmp.sync_counters(&net);
+                    let readings = snmp.poll(topology, &mut db, now).unwrap();
+                    assert_eq!(readings, 14);
+                    black_box(net.next_completion());
+                }
+            }
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_advance,
     bench_next_completion,
     bench_churn,
     bench_reallocate,
-    bench_boundary
+    bench_boundary,
+    bench_tick
 );
 criterion_main!(benches);

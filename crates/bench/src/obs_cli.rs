@@ -3,8 +3,9 @@
 //! Every paper-table binary prints byte-identical output by default; the
 //! opt-in flags here add diagnostics without touching that contract:
 //!
-//! - `--stats` appends the routing-engine, flow-kernel and per-server DMA
-//!   counters of a full GRNET case-study service run to stdout.
+//! - `--stats` appends the routing-engine, flow-kernel, scheduler,
+//!   periodic-tick and per-server DMA counters of a full GRNET
+//!   case-study service run to stdout.
 //! - `--series <path>` writes the run's windowed time-series
 //!   ([`TimeSeriesSink`], one-minute windows) as byte-stable JSON — or
 //!   CSV when `path` ends in `.csv`.
@@ -133,7 +134,8 @@ pub fn write_series(series: &SeriesReport, path: &str) -> std::io::Result<()> {
 
 /// Prints the subsystem counters of a service run: the epoch-cached
 /// routing engine's cache behaviour, the flow kernel's work, the event
-/// scheduler's traffic and each server's DMA counters.
+/// scheduler's traffic, the periodic ticks' work and each server's DMA
+/// counters.
 pub fn print_stats(report: &ServiceReport) {
     println!(
         "Service statistics (GRNET case study, seed {}):",
@@ -169,6 +171,11 @@ pub fn print_stats(report: &ServiceReport) {
     println!(
         "  scheduler: {} arrivals from the input lane, {} pushes, {} pops, peak depth {}",
         q.inputs, q.pushes, q.pops, q.peak_depth
+    );
+    let t = &report.ticks;
+    println!(
+        "  ticks:  {} polls wrote {} readings, {} background refreshes ({} over an idle backbone)",
+        t.polls, t.readings, t.refreshes, t.idle_refreshes
     );
     println!("  snmp:   {} polling rounds", report.snmp_polls);
     for (server, dma) in &report.per_server_dma {

@@ -61,7 +61,7 @@ pub mod vra;
 pub mod web;
 
 pub use error::CoreError;
-pub use qos::{QosRecord, ServiceReport};
+pub use qos::{QosRecord, ServiceReport, TickStats};
 pub use selection::{Selection, SelectionContext, ServerSelector};
 pub use service::{ServiceConfig, VodService};
 pub use session::{Session, SessionId};

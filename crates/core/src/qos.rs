@@ -98,6 +98,22 @@ impl PrefixTierReport {
     }
 }
 
+/// Work counters of the periodic path — what a run's recurring ticks
+/// did, not what they computed. Exact per seed: no clock is read.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+pub struct TickStats {
+    /// SNMP poll ticks handled, those a poller outage skipped included.
+    pub polls: u64,
+    /// Utilization readings the polls inserted into the database: per
+    /// executed poll, one for every (agent, adjacent link) pair.
+    pub readings: u64,
+    /// Background-refresh ticks handled.
+    pub refreshes: u64,
+    /// Refreshes that found no network flow live: an idle backbone,
+    /// whose settle has no class to fill and no flow to re-rate.
+    pub idle_refreshes: u64,
+}
+
 /// Aggregated outcome of one service run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceReport {
@@ -137,6 +153,9 @@ pub struct ServiceReport {
     /// (`inputs`), everything else pushed and popped, and how deep the
     /// queue got — which follows the live sessions, not the trace.
     pub scheduler: SchedulerStats,
+    /// Periodic-path work counters: polls, readings written, background
+    /// refreshes and how many of them found the backbone idle.
+    pub ticks: TickStats,
     /// SNMP polling rounds executed during the run.
     pub snmp_polls: u64,
     /// Regional prefix-tier outcome (`None` when the tier is disabled —
@@ -264,6 +283,7 @@ mod tests {
             engine: None,
             kernel: KernelStats::default(),
             scheduler: SchedulerStats::default(),
+            ticks: TickStats::default(),
             snmp_polls: 0,
             prefix: None,
         }

@@ -55,7 +55,7 @@ pub use config::{PrefixTierConfig, RetryPolicy, ServiceConfig};
 use model::{catalog, Event, ServiceModel};
 
 use crate::error::CoreError;
-use crate::qos::ServiceReport;
+use crate::qos::{ServiceReport, TickStats};
 use crate::selection::ServerSelector;
 
 /// A configured, runnable VoD service experiment.
@@ -168,9 +168,11 @@ impl<S: EventSink> VodService<S> {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the topology has no
-    /// video servers, a DMA cache cannot be built, the seeded titles do
-    /// not fit the configured disks, or the failure schedule is
-    /// malformed; [`CoreError::Db`] when database seeding fails.
+    /// video servers, `snmp_interval` or `background_interval` is zero,
+    /// the scenario's background model covers a different number of
+    /// links than its topology, a DMA cache cannot be built, the seeded
+    /// titles do not fit the configured disks, or the failure schedule
+    /// is malformed; [`CoreError::Db`] when database seeding fails.
     pub fn try_with_sink(
         scenario: &Scenario,
         selector: Box<dyn ServerSelector>,
@@ -183,6 +185,24 @@ impl<S: EventSink> VodService<S> {
             return Err(CoreError::InvalidConfig(
                 "topology has no video servers".into(),
             ));
+        }
+        // A recurring tick re-arms itself one interval ahead: a zero
+        // interval would never let simulated time move on.
+        for (field, interval) in [
+            ("snmp_interval", config.snmp_interval),
+            ("background_interval", config.background_interval),
+        ] {
+            if interval.is_zero() {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{field} must be positive"
+                )));
+            }
+        }
+        let (profiled, links) = (scenario.background().link_count(), topology.link_count());
+        if profiled != links {
+            return Err(CoreError::InvalidConfig(format!(
+                "scenario background covers {profiled} links, its topology has {links}"
+            )));
         }
 
         let start = scenario
@@ -374,6 +394,7 @@ impl<S: EventSink> VodService<S> {
             scheduled_check: None,
             done_scratch: Vec::new(),
             peak_sessions: 0,
+            ticks: TickStats::default(),
             max_util_samples: Vec::new(),
             mean_util_samples: Vec::new(),
             seed: scenario.seed(),

@@ -19,7 +19,7 @@ use vod_storage::video::{VideoId, VideoMeta};
 use vod_workload::trace::RequestTrace;
 
 use super::config::ServiceConfig;
-use crate::qos::QosRecord;
+use crate::qos::{QosRecord, TickStats};
 use crate::selection::{Selection, SelectionContext, ServerSelector};
 use crate::session::{Session, SessionId};
 
@@ -219,6 +219,8 @@ pub(super) struct ServiceModel<S: EventSink> {
     /// High-water mark of concurrently live sessions.
     pub(super) peak_sessions: usize,
     pub(super) recurring_deadline: SimTime,
+    /// What the recurring ticks did, for the report.
+    pub(super) ticks: TickStats,
     /// Per-poll link-utilisation samples, summarised by the report.
     pub(super) max_util_samples: Vec<f64>,
     pub(super) mean_util_samples: Vec<f64>,
@@ -868,6 +870,7 @@ impl<S: EventSink> ServiceModel<S> {
         // Age of the traffic view this poll replaces — the staleness
         // every routing decision since the previous poll worked with.
         let staleness = now.duration_since(self.snmp.last_poll_at());
+        self.ticks.polls += 1;
         if self.snmp_outages > 0 {
             // Poller outage: skip the poll. The database's traffic
             // version stalls, so the selector keeps its last-known-good
@@ -886,6 +889,7 @@ impl<S: EventSink> ServiceModel<S> {
                 .snmp
                 .poll(&self.topology, &mut self.db, now)
                 .unwrap_or_default();
+            self.ticks.readings += readings as u64;
             if self.sink.enabled() {
                 self.sink.record(
                     now,
@@ -897,17 +901,23 @@ impl<S: EventSink> ServiceModel<S> {
             }
         }
         // Sample true instantaneous utilization for the report, reusing
-        // the buffer instead of allocating a snapshot per poll.
+        // the buffer instead of allocating a snapshot per poll; one scan
+        // of it yields both samples.
         self.flows.snapshot_into(&mut self.live_snap);
-        if let Some((_, max)) = self.live_snap.max_utilization(&self.topology) {
-            self.max_util_samples.push(max.get());
+        match self.live_snap.max_and_mean_utilization(&self.topology) {
+            Some((max, mean)) => {
+                self.max_util_samples.push(max.get());
+                self.mean_util_samples.push(mean.get());
+            }
+            // No links: no maximum, and a mean of zero.
+            None => self.mean_util_samples.push(0.0),
         }
-        self.mean_util_samples
-            .push(self.live_snap.mean_utilization(&self.topology).get());
         self.reschedule_recurring(now, self.config.snmp_interval, || Event::SnmpPoll, sched);
     }
 
     fn on_background_update(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+        self.ticks.refreshes += 1;
+        self.ticks.idle_refreshes += u64::from(self.flows.network_flow_count() == 0);
         self.background.apply(&mut self.flows, now);
         if self.sink.enabled() {
             self.sink.record(now, &ObsEvent::BackgroundUpdate);

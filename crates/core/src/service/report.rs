@@ -55,6 +55,7 @@ impl<S: EventSink> ServiceModel<S> {
             engine: self.selector.engine_stats(),
             kernel: self.flows.stats(),
             scheduler,
+            ticks: self.ticks,
             snmp_polls: self.snmp.polls(),
             prefix,
         };

@@ -11,6 +11,7 @@ use vod_storage::video::Megabytes;
 use vod_workload::scenario::Scenario;
 
 use super::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
+use crate::error::CoreError;
 use crate::selection::{FirstCandidate, HopCountNearest, RandomReplica, ServerSelector};
 use crate::vra::Vra;
 
@@ -794,4 +795,55 @@ fn snmp_metrics_are_sampled() {
     let report = VodService::new(&scenario, Box::new(Vra::default()), quick_config()).run();
     assert!(report.max_link_utilization.count > 0);
     assert!(report.max_link_utilization.max <= 1.0 + 1e-9);
+}
+
+/// The message of the `InvalidConfig` a bad setup must be refused with.
+fn invalid_config(scenario: &Scenario, config: ServiceConfig) -> String {
+    match VodService::try_new(scenario, Box::new(Vra::default()), config) {
+        Err(CoreError::InvalidConfig(message)) => message,
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Ok(_) => panic!("expected InvalidConfig, got a service"),
+    }
+}
+
+#[test]
+fn zero_snmp_interval_is_a_typed_error() {
+    let config = ServiceConfig {
+        snmp_interval: SimDuration::ZERO,
+        ..quick_config()
+    };
+    let message = invalid_config(&quick_scenario(3), config);
+    assert!(message.contains("snmp_interval"), "{message}");
+}
+
+/// Before the check, the refresh re-armed itself at the same instant
+/// for ever and `run()` never returned.
+#[test]
+fn zero_background_interval_is_a_typed_error() {
+    let config = ServiceConfig {
+        background_interval: SimDuration::ZERO,
+        ..quick_config()
+    };
+    let message = invalid_config(&quick_scenario(3), config);
+    assert!(message.contains("background_interval"), "{message}");
+}
+
+/// A scenario restored from JSON can pair a topology with a background
+/// model of another size; `Scenario::new` does not compare them either.
+#[test]
+fn background_of_another_topology_is_a_typed_error() {
+    use vod_sim::traffic::BackgroundModel;
+    let grnet = vod_net::topologies::grnet::Grnet::new();
+    let scenario = quick_scenario_over(
+        grnet.topology().clone(),
+        BackgroundModel::uniform(5, Mbps::new(0.1)),
+        3,
+    );
+    let restored: Scenario =
+        serde_json::from_str(&serde_json::to_string(&scenario).unwrap()).unwrap();
+    let message = invalid_config(&restored, quick_config());
+    assert!(
+        message.contains("background covers 5 links") && message.contains("has 7"),
+        "{message}"
+    );
 }

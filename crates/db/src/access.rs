@@ -39,6 +39,21 @@ impl AdminCredential {
     }
 }
 
+/// One link's share of an SNMP poll: the reading taken on the link and
+/// the number of agents (adjacent video servers) that each insert it.
+#[derive(Debug, Copy, Clone, PartialEq)]
+pub struct LinkPoll {
+    /// The polled link.
+    pub link: LinkId,
+    /// Average combined in+out traffic since the previous poll.
+    pub used: Mbps,
+    /// `used / capacity` per the paper's equation (5).
+    pub utilization: Fraction,
+    /// How many agents report the link, i.e. how many times the reading
+    /// is inserted.
+    pub agents: usize,
+}
+
 /// The user view: full-access sub-module only (catalog queries).
 #[derive(Debug, Clone, Copy)]
 pub struct FullAccess<'a> {
@@ -232,13 +247,56 @@ impl<'a> LimitedAccess<'a> {
         used: Mbps,
         utilization: Fraction,
     ) -> Result<(), DbError> {
-        self.db.link_mut(link)?.record(UtilizationReading {
+        let reading = UtilizationReading {
             at,
             used,
             utilization,
-        });
-        self.db.bump_traffic_version();
+        };
+        self.db.link_mut(link)?.record(reading, 1);
+        self.db.bump_traffic_version(1);
         Ok(())
+    }
+
+    /// Records one whole SNMP poll taken at `at` in a single walk over
+    /// the link entries: each link's reading is inserted once per
+    /// reporting agent, exactly as that many
+    /// [`LimitedAccess::record_reading`] calls would. `readings` must
+    /// ascend strictly by link. Returns the number of readings
+    /// inserted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError::UnknownLink`] for a link that has no entry or
+    /// is out of order; the readings before it stay recorded.
+    pub fn record_poll<I>(&mut self, at: SimTime, readings: I) -> Result<usize, DbError>
+    where
+        I: IntoIterator<Item = LinkPoll>,
+    {
+        let mut written = 0;
+        let mut unknown = None;
+        {
+            let mut entries = self.db.links_mut();
+            for poll in readings {
+                // Both sides ascend, so the walk never turns back.
+                let entry = entries.find(|e| e.link() >= poll.link);
+                let Some(entry) = entry.filter(|e| e.link() == poll.link) else {
+                    unknown = Some(poll.link);
+                    break;
+                };
+                let reading = UtilizationReading {
+                    at,
+                    used: poll.used,
+                    utilization: poll.utilization,
+                };
+                entry.record(reading, poll.agents);
+                written += poll.agents;
+            }
+        }
+        self.db.bump_traffic_version(written as u64);
+        match unknown {
+            Some(link) => Err(DbError::UnknownLink(link)),
+            None => Ok(written),
+        }
     }
 
     /// Updates a server's configuration (an administrator reporting a

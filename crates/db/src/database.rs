@@ -130,8 +130,8 @@ impl Database {
         self.traffic_version
     }
 
-    pub(crate) fn bump_traffic_version(&mut self) {
-        self.traffic_version += 1;
+    pub(crate) fn bump_traffic_version(&mut self, writes: u64) {
+        self.traffic_version += writes;
     }
 
     // Crate-internal accessors used by the views.
@@ -160,6 +160,10 @@ impl Database {
 
     pub(crate) fn links(&self) -> impl Iterator<Item = &LinkEntry> {
         self.links.values()
+    }
+
+    pub(crate) fn links_mut(&mut self) -> impl Iterator<Item = &mut LinkEntry> {
+        self.links.values_mut()
     }
 
     pub(crate) fn insert_server(&mut self, entry: ServerEntry) -> Result<(), DbError> {

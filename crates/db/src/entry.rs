@@ -3,10 +3,16 @@
 //! Each entry is conceptually split into the paper's two sub-modules:
 //! the *full-access* part (the titles available on a server) and the
 //! *limited-access* part (network and configuration information).
+//!
+//! A link entry keeps its last [`READING_HISTORY`] SNMP readings in a
+//! ring: storage grows with the first readings to exactly that many
+//! slots, after which each new reading overwrites the oldest in place —
+//! a poll moves no retained reading. Readers see the ring oldest first,
+//! and it serialises as that list.
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use vod_net::units::Fraction;
 use vod_net::{LinkId, Mbps, NodeId};
@@ -109,6 +115,60 @@ pub struct UtilizationReading {
 /// interval this is roughly one hour of history).
 pub const READING_HISTORY: usize = 32;
 
+/// The newest [`READING_HISTORY`] readings of one link.
+#[derive(Debug, Clone, Default)]
+struct ReadingRing {
+    /// In arrival order while the ring fills (`head == 0`); once it
+    /// holds [`READING_HISTORY`] readings, oldest first from `head`,
+    /// wrapping.
+    slots: Vec<UtilizationReading>,
+    head: usize,
+}
+
+impl ReadingRing {
+    fn push(&mut self, reading: UtilizationReading) {
+        if self.slots.len() < READING_HISTORY {
+            self.slots.push(reading);
+        } else if let Some(oldest) = self.slots.get_mut(self.head) {
+            *oldest = reading;
+            self.head = (self.head + 1) % READING_HISTORY;
+        }
+    }
+
+    /// The retained readings, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &UtilizationReading> + Clone {
+        let (newer, older) = self.slots.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
+// Two rings are equal iff they retain the same readings in the same
+// order, wherever each one's `head` happens to sit.
+impl PartialEq for ReadingRing {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Serialize for ReadingRing {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl Deserialize for ReadingRing {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let slots = Vec::<UtilizationReading>::from_value(v)?;
+        if slots.len() > READING_HISTORY {
+            return Err(serde::Error::custom(format!(
+                "a link retains at most {READING_HISTORY} readings, got {}",
+                slots.len()
+            )));
+        }
+        Ok(ReadingRing { slots, head: 0 })
+    }
+}
+
 /// One link's database entry (limited access only — users never see link
 /// state).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,7 +176,7 @@ pub struct LinkEntry {
     link: LinkId,
     total_bandwidth: Mbps,
     last_reading: Option<UtilizationReading>,
-    history: Vec<UtilizationReading>,
+    history: ReadingRing,
 }
 
 impl LinkEntry {
@@ -126,7 +186,7 @@ impl LinkEntry {
             link,
             total_bandwidth,
             last_reading: None,
-            history: Vec::new(),
+            history: ReadingRing::default(),
         }
     }
 
@@ -153,8 +213,8 @@ impl LinkEntry {
     /// The retained reading history, oldest first (at most
     /// [`READING_HISTORY`] entries, the newest equal to
     /// [`LinkEntry::last_reading`]).
-    pub fn history(&self) -> &[UtilizationReading] {
-        &self.history
+    pub fn history(&self) -> impl Iterator<Item = UtilizationReading> + Clone + '_ {
+        self.history.iter().copied()
     }
 
     /// Exponentially-weighted moving average of the recorded traffic,
@@ -178,12 +238,16 @@ impl LinkEntry {
         Some(Mbps::new(acc))
     }
 
-    pub(crate) fn record(&mut self, reading: UtilizationReading) {
-        self.last_reading = Some(reading);
-        if self.history.len() == READING_HISTORY {
-            self.history.remove(0);
+    /// Inserts `reading` once per reporting agent (`copies` times); a
+    /// link no agent reports keeps its state.
+    pub(crate) fn record(&mut self, reading: UtilizationReading, copies: usize) {
+        if copies == 0 {
+            return;
         }
-        self.history.push(reading);
+        self.last_reading = Some(reading);
+        for _ in 0..copies {
+            self.history.push(reading);
+        }
     }
 
     pub(crate) fn set_total_bandwidth(&mut self, bw: Mbps) {
@@ -194,6 +258,7 @@ impl LinkEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn server_entry_title_management() {
@@ -230,22 +295,23 @@ mod tests {
     #[test]
     fn history_is_bounded_and_ordered() {
         let mut e = LinkEntry::new(LinkId::new(0), Mbps::new(2.0));
-        assert!(e.history().is_empty());
+        assert_eq!(e.history().count(), 0);
         for i in 0..(READING_HISTORY as u64 + 10) {
-            e.record(reading(i * 120, (i % 5) as f64 * 0.1));
+            e.record(reading(i * 120, (i % 5) as f64 * 0.1), 1);
         }
-        assert_eq!(e.history().len(), READING_HISTORY);
+        let history: Vec<_> = e.history().collect();
+        assert_eq!(history.len(), READING_HISTORY);
         // Oldest entries were dropped; the newest equals last_reading.
-        assert_eq!(e.history().last().copied(), e.last_reading());
-        assert!(e.history().windows(2).all(|w| w[0].at < w[1].at));
+        assert_eq!(history.last().copied(), e.last_reading());
+        assert!(history.windows(2).all(|w| w[0].at < w[1].at));
     }
 
     #[test]
     fn smoothing_blends_history() {
         let mut e = LinkEntry::new(LinkId::new(0), Mbps::new(2.0));
         assert_eq!(e.smoothed_used(0.5), None);
-        e.record(reading(0, 0.0));
-        e.record(reading(120, 2.0));
+        e.record(reading(0, 0.0), 1);
+        e.record(reading(120, 2.0), 1);
         // EWMA: 0 + 0.5*(2-0) = 1.0.
         assert!((e.smoothed_used(0.5).unwrap().as_f64() - 1.0).abs() < 1e-12);
         // alpha = 1: latest reading wins outright.
@@ -256,7 +322,7 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_rejected() {
         let mut e = LinkEntry::new(LinkId::new(0), Mbps::new(2.0));
-        e.record(reading(0, 1.0));
+        e.record(reading(0, 1.0), 1);
         let _ = e.smoothed_used(0.0);
     }
 
@@ -270,7 +336,7 @@ mod tests {
             used: Mbps::new(1.0),
             utilization: Fraction::new(0.5),
         };
-        e.record(reading);
+        e.record(reading, 1);
         assert_eq!(e.last_reading(), Some(reading));
         assert_eq!(
             e.reading_age(SimTime::from_secs(90)),
@@ -278,5 +344,104 @@ mod tests {
         );
         e.set_total_bandwidth(Mbps::new(18.0));
         assert_eq!(e.total_bandwidth(), Mbps::new(18.0));
+    }
+
+    /// The history as it was before the ring: a `Vec` that drops its
+    /// front (`remove(0)`) once full. Kept as the ring's reference.
+    #[derive(Debug, Default, Serialize)]
+    struct VecHistory {
+        last_reading: Option<UtilizationReading>,
+        history: Vec<UtilizationReading>,
+    }
+
+    impl VecHistory {
+        fn record(&mut self, reading: UtilizationReading) {
+            self.last_reading = Some(reading);
+            if self.history.len() == READING_HISTORY {
+                self.history.remove(0);
+            }
+            self.history.push(reading);
+        }
+
+        fn smoothed_used(&self, alpha: f64) -> Option<f64> {
+            let mut iter = self.history.iter();
+            let mut acc = iter.next()?.used.as_f64();
+            for r in iter {
+                acc = acc + alpha * (r.used.as_f64() - acc);
+            }
+            Some(acc)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential: after every write the ring reads, smooths and
+        /// serialises exactly like the `Vec` it replaced — writes of
+        /// several copies (a link two agents report) included.
+        #[test]
+        fn ring_matches_vec_history(
+            writes in proptest::collection::vec(
+                (0.0f64..20.0, 1usize..4),
+                1..5 * READING_HISTORY,
+            ),
+        ) {
+            let mut entry = LinkEntry::new(LinkId::new(3), Mbps::new(18.0));
+            let mut reference = VecHistory::default();
+            for (i, &(used, copies)) in writes.iter().enumerate() {
+                let r = UtilizationReading {
+                    at: SimTime::from_secs(120 * (i as u64 + 1)),
+                    used: Mbps::new(used),
+                    utilization: Fraction::new(used / 18.0),
+                };
+                entry.record(r, copies);
+                for _ in 0..copies {
+                    reference.record(r);
+                }
+                prop_assert_eq!(
+                    entry.history().collect::<Vec<_>>(),
+                    reference.history.clone()
+                );
+                prop_assert_eq!(entry.last_reading(), reference.last_reading);
+                let now = r.at + vod_sim::SimDuration::from_secs(7);
+                prop_assert_eq!(
+                    entry.reading_age(now),
+                    reference.last_reading.map(|l| now.duration_since(l.at))
+                );
+                for alpha in [0.1, 0.3, 1.0] {
+                    prop_assert_eq!(
+                        entry.smoothed_used(alpha).map(|m| m.as_f64().to_bits()),
+                        reference.smoothed_used(alpha).map(f64::to_bits)
+                    );
+                }
+                // On the wire: the oldest-first list, and no new field.
+                let json = serde_json::to_string(&entry).unwrap();
+                let wire = serde_json::to_string(&reference).unwrap();
+                prop_assert_eq!(
+                    &json,
+                    &format!(
+                        "{{\"link\":3,\"total_bandwidth\":18.0,{}",
+                        wire.strip_prefix('{').unwrap()
+                    )
+                );
+                let restored: LinkEntry = serde_json::from_str(&json).unwrap();
+                prop_assert_eq!(&restored, &entry);
+                prop_assert_eq!(
+                    restored.history().collect::<Vec<_>>(),
+                    reference.history.clone()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn overlong_history_is_rejected_on_the_wire() {
+        let r = serde_json::to_string(&reading(60, 1.0)).unwrap();
+        let list = vec![r.as_str(); READING_HISTORY + 1].join(",");
+        let json = format!(
+            "{{\"link\":0,\"total_bandwidth\":2.0,\"last_reading\":{r},\"history\":[{list}]}}"
+        );
+        let err = serde_json::from_str::<LinkEntry>(&json).unwrap_err();
+        assert!(err.to_string().contains("at most 32 readings"), "{err}");
     }
 }

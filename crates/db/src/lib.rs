@@ -50,7 +50,7 @@ pub mod entry;
 pub mod error;
 pub mod shared;
 
-pub use access::{AdminCredential, FullAccess, LimitedAccess};
+pub use access::{AdminCredential, FullAccess, LimitedAccess, LinkPoll};
 pub use database::Database;
 pub use entry::{LinkEntry, ServerConfig, ServerEntry, UtilizationReading};
 pub use error::DbError;

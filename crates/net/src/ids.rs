@@ -28,11 +28,13 @@ pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates a node id from a raw dense index.
+    #[inline]
     pub const fn new(raw: u32) -> Self {
         NodeId(raw)
     }
 
     /// Returns the dense index of this node.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -45,6 +47,7 @@ impl fmt::Display for NodeId {
 }
 
 impl From<NodeId> for usize {
+    #[inline]
     fn from(id: NodeId) -> usize {
         id.index()
     }
@@ -67,11 +70,13 @@ pub struct LinkId(u32);
 
 impl LinkId {
     /// Creates a link id from a raw dense index.
+    #[inline]
     pub const fn new(raw: u32) -> Self {
         LinkId(raw)
     }
 
     /// Returns the dense index of this link.
+    #[inline]
     pub const fn index(self) -> usize {
         self.0 as usize
     }
@@ -84,6 +89,7 @@ impl fmt::Display for LinkId {
 }
 
 impl From<LinkId> for usize {
+    #[inline]
     fn from(id: LinkId) -> usize {
         id.index()
     }

@@ -20,36 +20,43 @@ pub struct Link {
 }
 
 impl Link {
+    #[inline]
     pub(crate) fn new(id: LinkId, a: NodeId, b: NodeId, capacity: Mbps) -> Self {
         Link { id, a, b, capacity }
     }
 
     /// Returns this link's identifier.
+    #[inline]
     pub fn id(&self) -> LinkId {
         self.id
     }
 
     /// Returns the first endpoint (the one passed first at construction).
+    #[inline]
     pub fn a(&self) -> NodeId {
         self.a
     }
 
     /// Returns the second endpoint.
+    #[inline]
     pub fn b(&self) -> NodeId {
         self.b
     }
 
     /// Returns both endpoints as `(a, b)`.
+    #[inline]
     pub fn endpoints(&self) -> (NodeId, NodeId) {
         (self.a, self.b)
     }
 
     /// Returns the total capacity of the link.
+    #[inline]
     pub fn capacity(&self) -> Mbps {
         self.capacity
     }
 
     /// Returns true if `node` is one of this link's endpoints.
+    #[inline]
     pub fn touches(&self, node: NodeId) -> bool {
         self.a == node || self.b == node
     }
@@ -57,6 +64,7 @@ impl Link {
     /// Given one endpoint, returns the other one.
     ///
     /// Returns `None` if `node` is not an endpoint of this link.
+    #[inline]
     pub fn opposite(&self, node: NodeId) -> Option<NodeId> {
         if node == self.a {
             Some(self.b)

@@ -168,6 +168,7 @@ impl TrafficSnapshot {
     }
 
     /// The snapshot's current epoch (instance token + mutation count).
+    #[inline]
     pub fn epoch(&self) -> SnapshotEpoch {
         SnapshotEpoch {
             token: self.token,
@@ -176,6 +177,7 @@ impl TrafficSnapshot {
     }
 
     /// Number of links covered by this snapshot.
+    #[inline]
     pub fn link_count(&self) -> usize {
         self.used.len()
     }
@@ -186,6 +188,7 @@ impl TrafficSnapshot {
     ///
     /// Panics if `link` is out of range for the topology this snapshot was
     /// created from.
+    #[inline]
     pub fn set_used(&mut self, link: LinkId, used: Mbps) {
         self.used[link.index()] = used;
         self.version += 1;
@@ -268,6 +271,7 @@ impl TrafficSnapshot {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[inline]
     pub fn is_admin_down(&self, link: LinkId) -> bool {
         self.admin_down[link.index()]
     }
@@ -286,6 +290,7 @@ impl TrafficSnapshot {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[inline]
     pub fn used(&self, link: LinkId) -> Mbps {
         self.used[link.index()]
     }
@@ -298,6 +303,7 @@ impl TrafficSnapshot {
     ///
     /// Panics if `link` is out of range of `topology`, or if this snapshot
     /// was built for a different topology.
+    #[inline]
     pub fn utilization(&self, topology: &Topology, link: LinkId) -> Fraction {
         if let Some(explicit) = self.explicit_utilization[link.index()] {
             return explicit;
@@ -333,6 +339,25 @@ impl TrafficSnapshot {
             .link_ids()
             .map(|l| (l, self.utilization(topology, l)))
             .max_by(|a, b| a.1.get().total_cmp(&b.1.get()))
+    }
+
+    /// The values of [`TrafficSnapshot::max_utilization`] and
+    /// [`TrafficSnapshot::mean_utilization`] from one pass over the
+    /// links, or `None` for an empty topology.
+    pub fn max_and_mean_utilization(&self, topology: &Topology) -> Option<(Fraction, Fraction)> {
+        let mut max: Option<f64> = None;
+        let per_link = topology.link_ids().map(|l| {
+            let u = self.utilization(topology, l).get();
+            // Ties go to the later link, as `max_by` has them.
+            max = Some(match max {
+                Some(m) if u.total_cmp(&m).is_lt() => m,
+                _ => u,
+            });
+            u
+        });
+        let sum: f64 = per_link.sum();
+        let mean = sum / topology.link_count() as f64;
+        max.map(|max| (Fraction::new(max), Fraction::new(mean)))
     }
 
     /// Mean utilization over all links (zero for an empty topology).
@@ -457,6 +482,17 @@ mod tests {
         assert_eq!(link, l0);
         assert!((frac.get() - 0.5).abs() < 1e-12);
         assert!((snap.mean_utilization(&topo).get() - 0.3).abs() < 1e-12);
+        // The one-pass fold agrees with the two scans to the bit, with
+        // explicit readings, equal maxima and an empty topology too.
+        snap.set_explicit_utilization(l1, Fraction::new(0.5));
+        for snap in [&snap, &TrafficSnapshot::zero(&topo)] {
+            let both = snap.max_and_mean_utilization(&topo);
+            let max = snap.max_utilization(&topo).map(|(_, max)| max);
+            assert_eq!(both, max.map(|max| (max, snap.mean_utilization(&topo))));
+        }
+        let empty = TopologyBuilder::new().build();
+        let none = TrafficSnapshot::zero(&empty).max_and_mean_utilization(&empty);
+        assert_eq!(none, None);
     }
 
     #[test]

@@ -109,11 +109,13 @@ impl Topology {
     }
 
     /// Returns the number of nodes.
+    #[inline]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// Returns the number of links.
+    #[inline]
     pub fn link_count(&self) -> usize {
         self.links.len()
     }
@@ -123,6 +125,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this topology.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
@@ -132,6 +135,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this topology.
+    #[inline]
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
     }
@@ -147,21 +151,25 @@ impl Topology {
     }
 
     /// Iterates over all nodes in id order.
+    #[inline]
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = &Node> {
         self.nodes.iter()
     }
 
     /// Iterates over all links in id order.
+    #[inline]
     pub fn links(&self) -> impl ExactSizeIterator<Item = &Link> {
         self.links.iter()
     }
 
     /// Iterates over all node ids.
+    #[inline]
     pub fn node_ids(&self) -> impl ExactSizeIterator<Item = NodeId> {
         (0..self.nodes.len() as u32).map(NodeId::new)
     }
 
     /// Iterates over all link ids.
+    #[inline]
     pub fn link_ids(&self) -> impl ExactSizeIterator<Item = LinkId> {
         (0..self.links.len() as u32).map(LinkId::new)
     }
@@ -172,6 +180,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `node` does not belong to this topology.
+    #[inline]
     pub fn adjacent(&self, node: NodeId) -> &[Incidence] {
         let start = self.adj_offsets[node.index()] as usize;
         let end = self.adj_offsets[node.index() + 1] as usize;

@@ -36,12 +36,14 @@ impl Mbps {
     ///
     /// Panics if `value` is negative, NaN or infinite. Use
     /// [`Mbps::try_new`] for fallible construction.
+    #[inline]
     pub fn new(value: f64) -> Self {
         Self::try_new(value).expect("bandwidth must be finite and non-negative")
     }
 
     /// Creates a bandwidth value, returning `None` when `value` is
     /// negative, NaN or infinite.
+    #[inline]
     pub fn try_new(value: f64) -> Option<Self> {
         if value.is_finite() && value >= 0.0 {
             Some(Mbps(value))
@@ -51,6 +53,7 @@ impl Mbps {
     }
 
     /// Const constructor for crate-internal tables of known-valid values.
+    #[inline]
     pub(crate) const fn from_const(value: f64) -> Self {
         Mbps(value)
     }
@@ -60,6 +63,7 @@ impl Mbps {
     /// # Panics
     ///
     /// Panics if `kbps` is negative, NaN or infinite.
+    #[inline]
     pub fn from_kbps(kbps: f64) -> Self {
         Mbps::new(kbps / 1_000.0)
     }
@@ -69,21 +73,25 @@ impl Mbps {
     /// # Panics
     ///
     /// Panics if `bps` is negative, NaN or infinite.
+    #[inline]
     pub fn from_bps(bps: f64) -> Self {
         Mbps::new(bps / 1_000_000.0)
     }
 
     /// Returns the value in megabits per second.
+    #[inline]
     pub const fn as_f64(self) -> f64 {
         self.0
     }
 
     /// Returns the value in bits per second.
+    #[inline]
     pub fn as_bps(self) -> f64 {
         self.0 * 1_000_000.0
     }
 
     /// Returns the smaller of two bandwidths.
+    #[inline]
     pub fn min(self, other: Mbps) -> Mbps {
         if self <= other {
             self
@@ -93,6 +101,7 @@ impl Mbps {
     }
 
     /// Returns the larger of two bandwidths.
+    #[inline]
     pub fn max(self, other: Mbps) -> Mbps {
         if self >= other {
             self
@@ -102,11 +111,13 @@ impl Mbps {
     }
 
     /// Subtracts `other`, clamping at zero instead of going negative.
+    #[inline]
     pub fn saturating_sub(self, other: Mbps) -> Mbps {
         Mbps((self.0 - other.0).max(0.0))
     }
 
     /// Returns true if this is exactly zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
@@ -120,12 +131,14 @@ impl fmt::Display for Mbps {
 
 impl Add for Mbps {
     type Output = Mbps;
+    #[inline]
     fn add(self, rhs: Mbps) -> Mbps {
         Mbps(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Mbps {
+    #[inline]
     fn add_assign(&mut self, rhs: Mbps) {
         self.0 += rhs.0;
     }
@@ -139,6 +152,7 @@ impl Sub for Mbps {
     ///
     /// Panics (in debug builds) if the result would be negative; use
     /// [`Mbps::saturating_sub`] when underflow is expected.
+    #[inline]
     fn sub(self, rhs: Mbps) -> Mbps {
         debug_assert!(
             self.0 >= rhs.0,
@@ -152,6 +166,7 @@ impl Sub for Mbps {
 
 impl Mul<f64> for Mbps {
     type Output = Mbps;
+    #[inline]
     fn mul(self, rhs: f64) -> Mbps {
         Mbps::new(self.0 * rhs)
     }
@@ -159,6 +174,7 @@ impl Mul<f64> for Mbps {
 
 impl Div for Mbps {
     type Output = f64;
+    #[inline]
     fn div(self, rhs: Mbps) -> f64 {
         self.0 / rhs.0
     }
@@ -166,12 +182,14 @@ impl Div for Mbps {
 
 impl Div<f64> for Mbps {
     type Output = Mbps;
+    #[inline]
     fn div(self, rhs: f64) -> Mbps {
         Mbps::new(self.0 / rhs)
     }
 }
 
 impl Sum for Mbps {
+    #[inline]
     fn sum<I: Iterator<Item = Mbps>>(iter: I) -> Mbps {
         iter.fold(Mbps::ZERO, |acc, x| acc + x)
     }
@@ -207,12 +225,14 @@ impl Fraction {
     /// # Panics
     ///
     /// Panics if `value` is negative, NaN or infinite.
+    #[inline]
     pub fn new(value: f64) -> Self {
         Self::try_new(value).expect("fraction must be finite and non-negative")
     }
 
     /// Creates a fraction, returning `None` when `value` is negative, NaN
     /// or infinite.
+    #[inline]
     pub fn try_new(value: f64) -> Option<Self> {
         if value.is_finite() && value >= 0.0 {
             Some(Fraction(value))
@@ -226,21 +246,25 @@ impl Fraction {
     /// # Panics
     ///
     /// Panics if `percent` is negative, NaN or infinite.
+    #[inline]
     pub fn from_percent(percent: f64) -> Self {
         Fraction::new(percent / 100.0)
     }
 
     /// Returns the raw fractional value.
+    #[inline]
     pub const fn get(self) -> f64 {
         self.0
     }
 
     /// Returns the value as a percentage, e.g. `0.388` → `38.8`.
+    #[inline]
     pub fn as_percent(self) -> f64 {
         self.0 * 100.0
     }
 
     /// Clamps the fraction into `[0, 1]`.
+    #[inline]
     pub fn clamp_unit(self) -> Fraction {
         Fraction(self.0.clamp(0.0, 1.0))
     }

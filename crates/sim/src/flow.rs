@@ -53,7 +53,13 @@
 //! completion followed at the same instant by the next cluster's flow
 //! along the same route rejoins its class — and when no class's member
 //! count and no capacity input differs from what the last fill saw, the
-//! fill is skipped and only the pass over the slab runs.
+//! fill is skipped and only the pass over the slab runs. The same holds
+//! while no network flow is live at all (an idle backbone, the state
+//! most periodic background refreshes find): a moved capacity has no
+//! class to fill and no slot to re-rate, so that settle zeroes the
+//! per-link loads and relists the active links, and the first network
+//! flow to join brings the fill that reads the capacities as they then
+//! stand.
 //!
 //! ```compile_fail
 //! # use vod_net::{Mbps, TopologyBuilder};
@@ -176,7 +182,9 @@ pub struct KernelStats {
     pub settles: u64,
     /// Max-min fills executed: settles at which some class's member
     /// count or some link's residual capacity had moved since the
-    /// previous fill.
+    /// previous fill. One that finds no network flow live (a background
+    /// refresh over an idle backbone) is counted here too, but has no
+    /// class to fill and adds nothing to the three fill counters below.
     pub reallocations: u64,
     /// Settles that skipped the fill because every class had the member
     /// count, and every link the residual capacity, of the previous fill
@@ -770,6 +778,12 @@ impl FlowNetwork {
         self.flows.len() + self.slab.len()
     }
 
+    /// Number of active network (non-empty route) flows — zero on an
+    /// idle backbone, whatever the local serves in progress.
+    pub fn network_flow_count(&self) -> usize {
+        self.slab.len()
+    }
+
     /// Ids of all active flows, in creation order.
     pub fn flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
         let mut local = self.flows.iter().map(|(id, _)| FlowId(id)).peekable();
@@ -1142,9 +1156,10 @@ impl FlowNetwork {
     /// Brings the allocation up to date with every mutation since the
     /// last settle: retires the classes left empty, recomputes the
     /// max-min fair rates (progressive filling) unless every input of
-    /// the fill is what the last fill saw, hands the rates to the
-    /// network flows and rebuilds link loads, completion schedule and
-    /// active-link index. A no-op on a fresh allocation.
+    /// the fill is what the last fill saw or no network flow is live to
+    /// take one, hands the rates to the network flows and rebuilds link loads,
+    /// completion schedule and active-link index. A no-op on a fresh
+    /// allocation.
     ///
     /// `advance`, `advance_into`, `next_completion` and every reader of
     /// a rate or a link load settle first, so calling this is never
@@ -1175,7 +1190,11 @@ impl FlowNetwork {
         self.touched_classes = touched;
         if moved {
             self.stats.reallocations += 1;
-            self.fill_classes();
+            // Every live class has a member in the slab: over an idle
+            // backbone the fill has no class to visit and is not entered.
+            if !self.slab.is_empty() {
+                self.fill_classes();
+            }
         } else {
             self.stats.fills_unchanged += 1;
         }
@@ -2313,6 +2332,57 @@ mod tests {
         assert_eq!(observe(&mut net), before);
     }
 
+    /// A background refresh over an idle backbone — no network flow
+    /// live, local serves or nothing — enters no fill and re-rates
+    /// nothing, yet every reader sees the new loads: the total load, the
+    /// snapshot and the volume the next advance integrates. The first
+    /// network flow to join is then filled against the capacities as
+    /// they stand.
+    #[test]
+    fn refresh_over_an_idle_backbone_runs_no_fill() {
+        let (topo, routes) = grnet_with_routes();
+        let links: Vec<LinkId> = topo.link_ids().collect();
+        let mut net = FlowNetwork::new(topo);
+        net.add_local_flow(1e6, Mbps::new(2.0)).unwrap();
+        let mut snap = net.snapshot();
+        let mut volumes = vec![0.0f64; links.len()];
+        for minute in 1..=5u32 {
+            let before = net.stats();
+            let load = |l: LinkId| Mbps::new(0.01 * f64::from(minute) * (1 + l.index()) as f64);
+            net.set_background_many(links.iter().map(|&l| (l, load(l))));
+            assert_eq!(net.network_flow_count(), 0);
+            net.settle();
+            let after = net.stats();
+            let expected = KernelStats {
+                settles: before.settles + 1,
+                reallocations: before.reallocations + 1,
+                ..before
+            };
+            assert_eq!(after, expected, "minute {minute}");
+            assert_eq!(after.settles, after.reallocations + after.fills_unchanged);
+            net.snapshot_into(&mut snap);
+            net.advance(SimDuration::from_secs(60));
+            for (&l, volume) in links.iter().zip(&mut volumes) {
+                assert_eq!(net.link_total_load(l), load(l));
+                assert_eq!(snap.used(l), load(l));
+                *volume += load(l).as_f64() * 60.0;
+                assert_eq!(net.link_cumulative_mbit(l), *volume, "{l} minute {minute}");
+            }
+        }
+        // 2 Mbps links carrying 0.05 × (1 + index) of background.
+        let before = net.stats();
+        let route = routes[0].clone();
+        let tightest = route
+            .iter()
+            .map(|&l| net.topology().link(l).capacity() - net.background(l))
+            .fold(Mbps::new(f64::MAX), Mbps::min);
+        let flow = net.add_flow(route, 10.0).unwrap();
+        assert_eq!(net.rate(flow).unwrap(), tightest);
+        let after = net.stats();
+        assert_eq!(after.classes_filled, before.classes_filled + 1);
+        assert_eq!(after.flows_rerated, before.flows_rerated + 1);
+    }
+
     /// A transfer replaced along its route — what a cluster boundary
     /// does — leaves every class with the member count the last fill
     /// saw: the settle skips the fill, re-anchors the newcomer alone,
@@ -2847,6 +2917,46 @@ mod tests {
                 }
             }
             Ok(())
+        }
+
+        /// The idle-backbone path, deterministically: background
+        /// (bulk and single-link), outages and degradations change over
+        /// and over while nothing, then only local flows, are live —
+        /// each followed by a timed advance that integrates the new
+        /// loads — and network flows then join, complete and leave the
+        /// backbone idle again, twice. The random schedules below reach
+        /// such stretches only by chance, at their start.
+        #[test]
+        fn idle_backbone_schedule_agrees_with_lockstep() {
+            let tick = (17, 59, 1.0); // a 159 ms advance
+            let idle_churn = |seed: usize| {
+                let v = 3.0 + seed as f64;
+                vec![
+                    (9, seed, v), // bulk refresh
+                    tick,
+                    (3, seed + 1, 2.0 * v), // one link's background
+                    (7, 2 * seed, v),       // link down …
+                    tick,
+                    (9, seed + 2, v + 1.0),
+                    (6, 4 * seed, v), // … another fully degraded
+                    tick,
+                    (7, 2 * seed + 1, v), // … up again
+                    (6, seed + 1, 40.0),  // … healthy again
+                    (9, seed + 1, v),
+                    tick,
+                ]
+            };
+            let mut ops = idle_churn(1); // nothing live at all
+            ops.extend([(1, 0, 30.0), (10, 0, 25.0)]); // local serves only
+            ops.extend(idle_churn(2));
+            for round in 0..2 {
+                // Network flows join the churned capacities, run dry …
+                ops.extend([(0, 4 + round, 6.0), (11, round, 2.0), (9, 5, 7.0)]);
+                ops.extend(std::iter::repeat_n((4, 0, 1.0), 120));
+                // … and the backbone is idle again under further churn.
+                ops.extend(idle_churn(3 + round));
+            }
+            drive(&ops).unwrap();
         }
 
         proptest! {

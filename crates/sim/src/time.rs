@@ -21,26 +21,31 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates an instant from raw microseconds.
+    #[inline]
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)
     }
 
     /// Creates an instant from whole seconds.
+    #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs * 1_000_000)
     }
 
     /// Raw microseconds since start.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Seconds since start, as a float (for reporting).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Hours since start, as a float (for diurnal profiles).
+    #[inline]
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / 3.6e9
     }
@@ -51,12 +56,14 @@ impl SimTime {
     ///
     /// Panics in debug builds if `earlier` is later than `self`; saturates
     /// to zero in release builds.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         debug_assert!(earlier <= self, "duration_since with a later instant");
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Checked addition of a duration.
+    #[inline]
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
@@ -70,12 +77,14 @@ impl fmt::Display for SimTime {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -83,6 +92,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.duration_since(rhs)
     }
@@ -100,21 +110,25 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a duration from raw microseconds.
+    #[inline]
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros)
     }
 
     /// Creates a duration from milliseconds.
+    #[inline]
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * 1_000)
     }
 
     /// Creates a duration from whole seconds.
+    #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000_000)
     }
 
     /// Creates a duration from whole minutes.
+    #[inline]
     pub const fn from_mins(mins: u64) -> Self {
         SimDuration(mins * 60_000_000)
     }
@@ -125,6 +139,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative, NaN or too large for the clock.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0 && secs < u64::MAX as f64 / 1e6,
@@ -134,26 +149,31 @@ impl SimDuration {
     }
 
     /// Raw microseconds.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// Seconds, as a float.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Returns true for the zero duration.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
     /// The smaller of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         if self <= other {
             self
@@ -171,12 +191,14 @@ impl fmt::Display for SimDuration {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -190,6 +212,7 @@ impl Sub for SimDuration {
     /// Panics in debug builds if `rhs` is larger; saturates to zero in
     /// release builds (use [`SimDuration::saturating_sub`] to opt in
     /// explicitly).
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         debug_assert!(rhs <= self, "duration subtraction underflow");
         self.saturating_sub(rhs)

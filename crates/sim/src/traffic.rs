@@ -7,8 +7,15 @@
 //! [`FlowNetwork`] as simulated time advances —
 //! regenerating "Table 2-like" conditions continuously rather than at four
 //! instants.
+//!
+//! Because the interpolation is continuous, every refresh stores a new
+//! load on every link: no refresh is a no-op. What a refresh costs is
+//! kept to what it changes — [`BackgroundModel::apply`] wraps the
+//! instant to an hour of day once for all links, and each profile holds
+//! its segments with the differences the interpolation divides and
+//! multiplies by already taken.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use vod_net::topologies::grnet::{Grnet, GrnetLink, TimeOfDay, TABLE2};
 use vod_net::{LinkId, Mbps};
@@ -29,11 +36,51 @@ use crate::time::SimTime;
 /// // Wraps around midnight: 18h is halfway from (12h, 2.0) back to (24h, 0.0).
 /// assert_eq!(p.sample(18.0), Mbps::new(1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     /// Control points `(hour_of_day, load)`, sorted by hour, hours in
-    /// `[0, 24)`.
+    /// `[0, 24)`; never empty.
     points: Vec<(f64, Mbps)>,
+    /// The stretch from each control point to the next, the last one
+    /// wrapping past midnight to the first point (+24h). Empty for a
+    /// single-point (constant) profile.
+    segments: Vec<Segment>,
+}
+
+/// One linear stretch `[h0, h1]` of a profile, from load `v0`.
+#[derive(Debug, Copy, Clone, PartialEq)]
+struct Segment {
+    h0: f64,
+    h1: f64,
+    v0: f64,
+    /// Load difference to the stretch's far end.
+    dv: f64,
+    /// `h1 - h0`.
+    span: f64,
+}
+
+impl Segment {
+    fn between((h0, v0): (f64, Mbps), (h1, v1): (f64, Mbps)) -> Self {
+        Segment {
+            h0,
+            h1,
+            v0: v0.as_f64(),
+            dv: v1.as_f64() - v0.as_f64(),
+            span: h1 - h0,
+        }
+    }
+
+    fn covers(&self, hour: f64) -> bool {
+        (self.h0..=self.h1).contains(&hour)
+    }
+
+    fn load_at(&self, hour: f64) -> Mbps {
+        if self.span <= f64::EPSILON {
+            return Mbps::new(self.v0);
+        }
+        let t = (hour - self.h0) / self.span;
+        Mbps::new(self.v0 + self.dv * t)
+    }
 }
 
 impl DiurnalProfile {
@@ -45,7 +92,7 @@ impl DiurnalProfile {
     /// # Panics
     ///
     /// Panics if `points` is empty or any hour is outside `[0, 24)`.
-    pub fn new(mut points: Vec<(f64, Mbps)>) -> Self {
+    pub fn new(points: Vec<(f64, Mbps)>) -> Self {
         assert!(!points.is_empty(), "a profile needs at least one point");
         for (h, _) in &points {
             assert!(
@@ -53,15 +100,25 @@ impl DiurnalProfile {
                 "control-point hour {h} outside [0, 24)"
             );
         }
+        Self::from_valid_points(points)
+    }
+
+    /// `points` is non-empty with every hour in `[0, 24)`.
+    fn from_valid_points(mut points: Vec<(f64, Mbps)>) -> Self {
         points.sort_by(|a, b| a.0.total_cmp(&b.0));
-        DiurnalProfile { points }
+        let consecutive = points.iter().zip(points.iter().skip(1));
+        let mut segments: Vec<Segment> = consecutive
+            .map(|(&from, &to)| Segment::between(from, to))
+            .collect();
+        if let &[first, .., last] = points.as_slice() {
+            segments.push(Segment::between(last, (first.0 + 24.0, first.1)));
+        }
+        DiurnalProfile { points, segments }
     }
 
     /// A constant profile.
     pub fn constant(load: Mbps) -> Self {
-        DiurnalProfile {
-            points: vec![(0.0, load)],
-        }
+        Self::from_valid_points(vec![(0.0, load)])
     }
 
     /// The control points, sorted by hour.
@@ -77,43 +134,53 @@ impl DiurnalProfile {
     /// Panics if `hour` is negative, NaN or infinite.
     pub fn sample(&self, hour: f64) -> Mbps {
         assert!(hour.is_finite() && hour >= 0.0, "invalid hour {hour}");
-        let h = hour % 24.0;
-        if self.points.len() == 1 {
-            return self.points[0].1;
-        }
-        // Find the segment [prev, next) containing h, wrapping at 24.
-        let n = self.points.len();
-        for i in 0..n {
-            let (h0, v0) = self.points[i];
-            let (mut h1, v1) = self.points[(i + 1) % n];
-            let mut hh = h;
-            if i + 1 == n {
-                h1 += 24.0; // wrap segment
-                if hh < h0 {
-                    hh += 24.0;
-                }
-            }
-            if (h0..=h1).contains(&hh) {
-                let span = h1 - h0;
-                if span <= f64::EPSILON {
-                    return v0;
-                }
-                let t = (hh - h0) / span;
-                return Mbps::new(v0.as_f64() + (v1.as_f64() - v0.as_f64()) * t);
-            }
-        }
-        // h is before the first point: it lies on the wrap segment.
-        let (h_last, v_last) = self.points[n - 1];
-        let (h_first, v_first) = self.points[0];
-        let span = (h_first + 24.0) - h_last;
-        let t = ((h + 24.0) - h_last) / span;
-        Mbps::new(v_last.as_f64() + (v_first.as_f64() - v_last.as_f64()) * t)
+        self.sample_wrapped(hour % 24.0)
     }
 
     /// Samples at a simulated instant (hours since simulation start,
     /// wrapping daily).
     pub fn sample_at(&self, at: SimTime) -> Mbps {
-        self.sample(at.as_hours_f64() % 24.0)
+        self.sample_wrapped(hour_of_day(at))
+    }
+
+    /// [`DiurnalProfile::sample`] of an hour already in `[0, 24)`.
+    fn sample_wrapped(&self, hour: f64) -> Mbps {
+        let Some((wrap, inner)) = self.segments.split_last() else {
+            return self.points.first().map_or(Mbps::ZERO, |only| only.1);
+        };
+        if let Some(segment) = inner.iter().find(|s| s.covers(hour)) {
+            return segment.load_at(hour);
+        }
+        // Before the first point or after the last: the stretch across
+        // midnight, on which the small hours count as tomorrow's.
+        let hour = if hour < wrap.h0 { hour + 24.0 } else { hour };
+        wrap.load_at(hour)
+    }
+}
+
+/// The hour of day, in `[0, 24)`, of a simulated instant.
+fn hour_of_day(at: SimTime) -> f64 {
+    at.as_hours_f64() % 24.0
+}
+
+impl Serialize for DiurnalProfile {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("points".to_string(), self.points.to_value())])
+    }
+}
+
+impl Deserialize for DiurnalProfile {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let points = v
+            .get_field("points")
+            .ok_or_else(|| serde::Error::custom("missing field `points` of `DiurnalProfile`"))?;
+        let points = Vec::<(f64, Mbps)>::from_value(points)?;
+        if points.is_empty() || points.iter().any(|(h, _)| !(0.0..24.0).contains(h)) {
+            return Err(serde::Error::custom(
+                "a profile needs at least one point, each at an hour in [0, 24)",
+            ));
+        }
+        Ok(Self::from_valid_points(points))
     }
 }
 
@@ -176,7 +243,8 @@ impl BackgroundModel {
         self.profiles[link.index()].sample_at(at)
     }
 
-    /// Writes the background load of every link at `at` into `net`.
+    /// Writes the background load of every link at `at` into `net`: one
+    /// hour of day for the instant, one sample per link.
     ///
     /// # Panics
     ///
@@ -187,11 +255,11 @@ impl BackgroundModel {
             self.profiles.len(),
             "background model does not match topology"
         );
-        let loads = (0..self.profiles.len()).map(|i| {
-            let link = LinkId::new(i as u32);
-            (link, self.load_at(link, at))
-        });
-        net.set_background_many(loads);
+        let hour = hour_of_day(at);
+        let loads = (0u32..).zip(&self.profiles);
+        net.set_background_many(
+            loads.map(|(i, profile)| (LinkId::new(i), profile.sample_wrapped(hour))),
+        );
     }
 }
 
@@ -308,5 +376,82 @@ mod tests {
         let m = BackgroundModel::uniform(3, Mbps::new(0.5));
         assert_eq!(m.link_count(), 3);
         assert_eq!(m.load_at(LinkId::new(2), SimTime::ZERO), Mbps::new(0.5));
+    }
+
+    /// `DiurnalProfile::sample` as it was before the segments were
+    /// precomputed: the reference the table is compared with.
+    fn sample_by_search(points: &[(f64, Mbps)], hour: f64) -> Mbps {
+        let h = hour % 24.0;
+        if points.len() == 1 {
+            return points[0].1;
+        }
+        let n = points.len();
+        for i in 0..n {
+            let (h0, v0) = points[i];
+            let (mut h1, v1) = points[(i + 1) % n];
+            let mut hh = h;
+            if i + 1 == n {
+                h1 += 24.0;
+                if hh < h0 {
+                    hh += 24.0;
+                }
+            }
+            if (h0..=h1).contains(&hh) {
+                let span = h1 - h0;
+                if span <= f64::EPSILON {
+                    return v0;
+                }
+                let t = (hh - h0) / span;
+                return Mbps::new(v0.as_f64() + (v1.as_f64() - v0.as_f64()) * t);
+            }
+        }
+        unreachable!("the wrap segment covers every hour no other does");
+    }
+
+    proptest::proptest! {
+        /// Bit-for-bit: random profiles (duplicate hours included),
+        /// sampled at their own control points, at random hours and
+        /// through `sample_at` and `BackgroundModel::load_at`.
+        #[test]
+        fn segment_table_matches_the_search(
+            points in proptest::collection::vec((0u32..96, 0.0f64..18.0), 1..7),
+            hours in proptest::collection::vec(0.0f64..72.0, 1..40),
+            micros in proptest::collection::vec(0u64..400_000_000_000, 1..20),
+        ) {
+            let points: Vec<(f64, Mbps)> = points
+                .into_iter()
+                .map(|(quarter, load)| (f64::from(quarter) / 4.0, Mbps::new(load)))
+                .collect();
+            let profile = DiurnalProfile::new(points);
+            let own = profile.points().iter().map(|p| p.0);
+            for hour in own.chain(hours) {
+                proptest::prop_assert_eq!(
+                    profile.sample(hour).as_f64().to_bits(),
+                    sample_by_search(profile.points(), hour).as_f64().to_bits(),
+                    "hour {}", hour
+                );
+            }
+            let model = BackgroundModel::new(vec![profile.clone()]);
+            for us in micros {
+                let at = SimTime::from_micros(us);
+                let expected = sample_by_search(profile.points(), at.as_hours_f64() % 24.0);
+                proptest::prop_assert_eq!(profile.sample_at(at), expected);
+                proptest::prop_assert_eq!(model.load_at(LinkId::new(0), at), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn profile_round_trips_as_its_points_and_rejects_bad_ones() {
+        let p = DiurnalProfile::new(vec![(22.0, Mbps::new(2.0)), (2.0, Mbps::new(0.0))]);
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(json, "{\"points\":[[2.0,0.0],[22.0,2.0]]}");
+        assert_eq!(serde_json::from_str::<DiurnalProfile>(&json).unwrap(), p);
+        for bad in ["{\"points\":[]}", "{\"points\":[[24.0,1.0]]}", "{}"] {
+            assert!(
+                serde_json::from_str::<DiurnalProfile>(bad).is_err(),
+                "{bad}"
+            );
+        }
     }
 }

@@ -122,7 +122,12 @@ impl CounterBank {
         }
     }
 
-    /// A copy of all counters (the poller's per-poll baseline).
+    /// Every counter, in link order.
+    pub fn totals(&self) -> &[f64] {
+        &self.accumulated_mbit
+    }
+
+    /// A copy of all counters (the poller's baseline).
     pub fn snapshot(&self) -> Vec<f64> {
         self.accumulated_mbit.clone()
     }

@@ -1,7 +1,17 @@
 //! The periodic polling system tying counters, agents and the database
 //! together.
+//!
+//! A poll is one walk over the links: each link's average rate and
+//! utilization since the previous poll are computed once, and the
+//! database takes the whole poll as one batch
+//! ([`LimitedAccess::record_poll`](vod_db::LimitedAccess::record_poll))
+//! that inserts each reading once per agent reporting the link — the
+//! paper's per-server design, in which a link between two video servers
+//! is written twice with the same value. The poll allocates nothing:
+//! the per-link reporter counts are fixed at construction and the
+//! counter baseline is refreshed in place.
 
-use vod_db::{AdminCredential, Database};
+use vod_db::{AdminCredential, Database, LinkPoll};
 use vod_net::Topology;
 use vod_sim::flow::FlowNetwork;
 use vod_sim::{SimDuration, SimTime};
@@ -46,6 +56,8 @@ pub struct SnmpSystem {
     interval: SimDuration,
     last_poll: SimTime,
     baseline: Vec<f64>,
+    /// Per link, the number of agents reporting it.
+    reporters: Vec<usize>,
     credential: AdminCredential,
     polls: u64,
 }
@@ -61,12 +73,18 @@ impl SnmpSystem {
         assert!(!interval.is_zero(), "polling interval must be positive");
         let counters = CounterBank::new(topology.link_count());
         let baseline = counters.snapshot();
+        let agents = ServerAgent::all_servers(topology);
+        let mut reporters = vec![0; topology.link_count()];
+        for link in agents.iter().flat_map(ServerAgent::links) {
+            reporters[link.index()] += 1;
+        }
         SnmpSystem {
-            agents: ServerAgent::all_servers(topology),
+            agents,
             counters,
             interval,
             last_poll: SimTime::ZERO,
             baseline,
+            reporters,
             credential: AdminCredential::new("root"),
             polls: 0,
         }
@@ -103,7 +121,13 @@ impl SnmpSystem {
     /// from `now`.
     pub fn reset_epoch(&mut self, now: SimTime) {
         self.last_poll = now;
-        self.baseline = self.counters.snapshot();
+        self.rebase();
+    }
+
+    /// Takes the current counters as the next poll's baseline, in place.
+    fn rebase(&mut self) {
+        self.baseline.clear();
+        self.baseline.extend_from_slice(self.counters.totals());
     }
 
     /// Accumulates `dt` of the current link loads into the counters.
@@ -145,12 +169,12 @@ impl SnmpSystem {
         now >= self.next_poll_at()
     }
 
-    /// Performs a poll at `now`: each agent computes, for each of its
-    /// adjacent links, the average combined rate since the previous poll
-    /// and inserts the utilization reading into the database. Links
-    /// adjacent to two servers are simply written twice with the same
-    /// value, as in the paper's per-server design. Returns the number of
-    /// readings written.
+    /// Performs a poll at `now`: for each link some agent reports, the
+    /// average combined rate since the previous poll and its utilization
+    /// are computed once and inserted into the database once per
+    /// reporting agent. Links adjacent to two servers are simply written
+    /// twice with the same value, as in the paper's per-server design.
+    /// Returns the number of readings written.
     ///
     /// # Errors
     ///
@@ -163,24 +187,24 @@ impl SnmpSystem {
         now: SimTime,
     ) -> Result<usize, vod_db::DbError> {
         let elapsed = now.duration_since(self.last_poll);
-        let mut written = 0;
-        {
-            let mut admin = db.limited_access(&self.credential)?;
-            for agent in &self.agents {
-                for &link in agent.links() {
-                    let avg = self.counters.average_rate_since(
-                        link,
-                        self.baseline[link.index()],
-                        elapsed,
-                    );
-                    let capacity = topology.link(link).capacity();
-                    let utilization = combined_utilization(avg, capacity);
-                    admin.record_reading(link, now, avg, utilization)?;
-                    written += 1;
-                }
-            }
-        }
-        self.baseline = self.counters.snapshot();
+        let counters = &self.counters;
+        let per_link = topology.links().zip(&self.reporters).zip(&self.baseline);
+        let readings =
+            per_link
+                .filter(|((_, &agents), _)| agents > 0)
+                .map(|((link, &agents), &baseline)| {
+                    let used = counters.average_rate_since(link.id(), baseline, elapsed);
+                    LinkPoll {
+                        link: link.id(),
+                        used,
+                        utilization: combined_utilization(used, link.capacity()),
+                        agents,
+                    }
+                });
+        let written = db
+            .limited_access(&self.credential)?
+            .record_poll(now, readings)?;
+        self.rebase();
         self.last_poll = now;
         self.polls += 1;
         Ok(written)
@@ -283,5 +307,96 @@ mod tests {
     fn zero_interval_rejected() {
         let grnet = Grnet::new();
         let _ = SnmpSystem::new(grnet.topology(), SimDuration::ZERO);
+    }
+
+    /// The poll as it was before the batch: every agent, in order,
+    /// computes and inserts a reading for each of its links. Kept as
+    /// the reference `poll` is compared with.
+    fn poll_per_reading(
+        snmp: &SnmpSystem,
+        topology: &Topology,
+        db: &mut Database,
+        now: SimTime,
+    ) -> usize {
+        let elapsed = now.duration_since(snmp.last_poll);
+        let mut admin = db.limited_access(&snmp.credential).unwrap();
+        let mut written = 0;
+        for agent in &snmp.agents {
+            for &link in agent.links() {
+                let avg =
+                    snmp.counters
+                        .average_rate_since(link, snmp.baseline[link.index()], elapsed);
+                let utilization = combined_utilization(avg, topology.link(link).capacity());
+                admin.record_reading(link, now, avg, utilization).unwrap();
+                written += 1;
+            }
+        }
+        written
+    }
+
+    /// Polls `topology` forty times (past the reading history's depth)
+    /// under a load that differs per link and per interval, comparing
+    /// the batch with the per-reading reference after every poll.
+    fn batch_matches_per_reading_on(topology: &Topology, expect_written: usize) {
+        let mut db = Database::from_topology(topology, VideoLibrary::new());
+        let mut reference = db.clone();
+        let mut net = FlowNetwork::new(topology.clone());
+        let mut snmp = SnmpSystem::new(topology, SimDuration::from_mins(2));
+        for round in 1..=40u64 {
+            for link in topology.link_ids() {
+                let load = 0.07 * ((round * 5 + link.index() as u64 * 3) % 11) as f64;
+                net.set_background(link, Mbps::new(load));
+            }
+            snmp.accumulate(&mut net, SimDuration::from_mins(2));
+            let now = SimTime::from_secs(120 * round);
+            let expected = poll_per_reading(&snmp, topology, &mut reference, now);
+            let written = snmp.poll(topology, &mut db, now).unwrap();
+            assert_eq!(written, expected);
+            assert_eq!(written, expect_written);
+            assert_eq!(db, reference, "poll {round}");
+        }
+    }
+
+    #[test]
+    fn batch_poll_matches_per_reading_writes_on_grnet() {
+        batch_matches_per_reading_on(Grnet::new().topology(), 14);
+    }
+
+    #[test]
+    fn batch_poll_matches_per_reading_writes_with_transit_nodes() {
+        use vod_net::node::NodeKind;
+        use vod_net::TopologyBuilder;
+        // Links reported by two agents (a–b), one (b–r1, a–r2) and
+        // none (r1–r2): 2 + 1 + 1 readings per poll, and the unreported
+        // link never gets one.
+        let mut b = TopologyBuilder::new();
+        let s1 = b.add_node("a");
+        let s2 = b.add_node("b");
+        let r1 = b.add_node_with_kind("r1", NodeKind::Transit);
+        let r2 = b.add_node_with_kind("r2", NodeKind::Transit);
+        b.add_link(s1, s2, Mbps::new(2.0)).unwrap();
+        b.add_link(s2, r1, Mbps::new(18.0)).unwrap();
+        let dark = b.add_link(r1, r2, Mbps::new(2.0)).unwrap();
+        b.add_link(s1, r2, Mbps::new(34.0)).unwrap();
+        let topology = b.build();
+        batch_matches_per_reading_on(&topology, 4);
+
+        let mut db = Database::from_topology(&topology, VideoLibrary::new());
+        let mut snmp = SnmpSystem::new(&topology, SimDuration::from_mins(2));
+        snmp.poll(&topology, &mut db, SimTime::from_secs(120))
+            .unwrap();
+        let admin = db.limited_access(&AdminCredential::new("root")).unwrap();
+        assert_eq!(admin.link(dark).unwrap().last_reading(), None);
+    }
+
+    #[test]
+    fn poll_of_an_unregistered_link_is_an_error() {
+        let (grnet, _, _, mut snmp) = setup();
+        let mut db = Database::new(VideoLibrary::new());
+        let err = snmp
+            .poll(grnet.topology(), &mut db, SimTime::from_secs(120))
+            .unwrap_err();
+        assert!(matches!(err, vod_db::DbError::UnknownLink(_)), "{err:?}");
+        assert_eq!(snmp.polls(), 0);
     }
 }

@@ -18,6 +18,7 @@ use vod_obs::JsonlWriter;
 use vod_sim::fault::FaultPlan;
 use vod_sim::traffic::BackgroundModel;
 use vod_sim::{SimDuration, SimTime};
+use vod_snmp::ServerAgent;
 use vod_workload::arrivals::HourlyShape;
 use vod_workload::scenario::Scenario;
 use vod_workload::{LibraryConfig, LibraryGenerator, Request, RequestTrace, TraceConfig};
@@ -248,13 +249,8 @@ fn golden_seed42_gnp200_trace_is_pinned_and_audits_clean() {
 
 /// The scheduler's depth follows the live sessions, not the trace:
 /// `grnet_diurnal` in small — 30 days of GRNET at 0.0008 requests/s
-/// with the evening-peak shape and Table 2 background. Arrivals come
-/// off the trace through the engine's input lane, so the queue only
-/// ever holds the two recurring ticks and what the live sessions
-/// scheduled (stale flow checks included). A scheduler seeded with the
-/// trace would start at `arrivals + 2`.
-#[test]
-fn scheduler_depth_follows_live_sessions_not_the_trace() {
+/// with the evening-peak shape and Table 2 background.
+fn grnet_30d() -> Scenario {
     let grnet = grnet();
     let topology = grnet.topology().clone();
     let library = LibraryGenerator::new(LibraryConfig {
@@ -271,10 +267,19 @@ fn scheduler_depth_follows_live_sessions_not_the_trace() {
         client_weights: None,
     }
     .generate(&topology, &library, 42);
-    let arrivals = trace.len() as u64;
-    assert!((1_500..3_000).contains(&arrivals), "{arrivals} arrivals");
     let background = BackgroundModel::grnet_table2(&grnet);
-    let scenario = Scenario::new("grnet-30d", topology, library, trace, background, 42);
+    Scenario::new("grnet-30d", topology, library, trace, background, 42)
+}
+
+/// Arrivals come off the trace through the engine's input lane, so the
+/// queue only ever holds the two recurring ticks and what the live
+/// sessions scheduled (stale flow checks included). A scheduler seeded
+/// with the trace would start at `arrivals + 2`.
+#[test]
+fn scheduler_depth_follows_live_sessions_not_the_trace() {
+    let scenario = grnet_30d();
+    let arrivals = scenario.trace().len() as u64;
+    assert!((1_500..3_000).contains(&arrivals), "{arrivals} arrivals");
     let service = VodService::new(
         &scenario,
         Box::new(Vra::default()),
@@ -285,6 +290,53 @@ fn scheduler_depth_follows_live_sessions_not_the_trace() {
     assert_eq!(stats.pushes, stats.pops, "run() drains the queue");
     assert!(stats.pushes > arrivals, "{stats:?}");
     assert!(stats.peak_depth < arrivals / 4, "{stats:?}");
+}
+
+/// The periodic path's work on the same 30 days, counted rather than
+/// timed: what a poll writes, how many refreshes find the backbone
+/// idle, and what the others cost the kernel.
+#[test]
+fn tick_work_is_counted_and_mostly_over_an_idle_backbone() {
+    let scenario = grnet_30d();
+    let agents_links: u64 = ServerAgent::all_servers(scenario.topology())
+        .iter()
+        .map(|agent| agent.links().len() as u64)
+        .sum();
+    assert_eq!(agents_links, 14);
+    let config = ServiceConfig::default();
+    let report = VodService::new(&scenario, Box::new(Vra::default()), config).run();
+    let (ticks, kernel) = (report.ticks, report.kernel);
+
+    // A poll every two minutes and a refresh every minute, from the
+    // first arrival until the last session of the 30 days has drained.
+    assert!((21_000..22_000).contains(&ticks.polls), "{ticks:?}");
+    assert!(ticks.refreshes.abs_diff(2 * ticks.polls) <= 1, "{ticks:?}");
+    assert_eq!(
+        ticks.polls, report.snmp_polls,
+        "no poller outage was planned"
+    );
+    assert_eq!(ticks.readings, ticks.polls * agents_links);
+
+    // More than half the refreshes have no network flow to re-rate; each
+    // of the others moves every link's residual capacity under live
+    // flows, which costs a fill of at least one round over at least one
+    // class. Other events (arrivals, completions) fill too.
+    assert!(2 * ticks.idle_refreshes > ticks.refreshes, "{ticks:?}");
+    let busy_refreshes = ticks.refreshes - ticks.idle_refreshes;
+    assert!(busy_refreshes > 0, "{ticks:?}");
+    assert!(kernel.fill_rounds >= busy_refreshes, "{ticks:?} {kernel:?}");
+    assert!(
+        kernel.classes_filled >= busy_refreshes,
+        "{ticks:?} {kernel:?}"
+    );
+    assert!(
+        kernel.reallocations >= ticks.refreshes,
+        "{ticks:?} {kernel:?}"
+    );
+    assert_eq!(
+        kernel.settles,
+        kernel.reallocations + kernel.fills_unchanged
+    );
 }
 
 /// A scaled-down scale-stress run: every arrival is admitted, stays live
