@@ -104,6 +104,7 @@ use serde::{Deserialize, Serialize};
 
 use vod_net::{LinkId, Mbps, Topology, TrafficSnapshot};
 
+use crate::bucketq::{seconds_radix, RadixKey};
 use crate::idwindow::IdWindow;
 use crate::time::SimDuration;
 
@@ -256,7 +257,12 @@ fn predicted_finish(remaining_mbit: f64, synced_at: u64, rate: Mbps) -> Option<f
     let sync_secs = synced_at as f64 / 1e6;
     let rate = rate.as_f64();
     if rate > 0.0 {
-        Some(sync_secs + (remaining_mbit - COMPLETION_EPSILON_MBIT) / rate)
+        let finish = sync_secs + (remaining_mbit - COMPLETION_EPSILON_MBIT) / rate;
+        debug_assert!(
+            !finish.is_nan(),
+            "a finite volume over a rate > 0.0 is no NaN"
+        );
+        Some(finish)
     } else if remaining_mbit <= COMPLETION_EPSILON_MBIT {
         Some(sync_secs)
     } else {
@@ -381,6 +387,12 @@ impl Ord for HeapEntry {
             .total_cmp(&other.finish_secs)
             .then_with(|| self.id.cmp(&other.id))
             .then_with(|| self.epoch.cmp(&other.epoch))
+    }
+}
+
+impl RadixKey for HeapEntry {
+    fn radix(&self) -> u64 {
+        seconds_radix(self.finish_secs)
     }
 }
 
@@ -2553,6 +2565,82 @@ mod tests {
             stale_pops: 3,
         };
         assert_eq!(total, doubled);
+    }
+
+    /// The completion queue buckets by `HeapEntry::radix`, which must
+    /// never decrease along the entry order — over every finite float,
+    /// and over whatever `predicted_finish` can return: it divides only
+    /// by a rate it has checked `> 0.0`, so the extremes overflow to an
+    /// infinity at worst, never to a NaN.
+    #[test]
+    fn completion_radix_is_monotone_and_predictions_are_never_nan() {
+        let volumes = [
+            0.0,
+            1e-12,
+            COMPLETION_EPSILON_MBIT,
+            1.0,
+            6e4,
+            1e300,
+            f64::MAX,
+        ];
+        let rates = [
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e-9,
+            1.5,
+            100.0,
+            1e300,
+            f64::MAX,
+        ];
+        let clocks = [0, 1, 86_400_000_000, u64::MAX];
+        let mut entries = Vec::new();
+        for (id, &volume) in (0u64..).zip(&volumes) {
+            for &rate in &rates {
+                for &clock in &clocks {
+                    let Some(finish_secs) = predicted_finish(volume, clock, Mbps::new(rate)) else {
+                        assert!(rate == 0.0 && volume > COMPLETION_EPSILON_MBIT);
+                        continue;
+                    };
+                    assert!(
+                        !finish_secs.is_nan(),
+                        "{volume} Mbit at {rate} Mbps from {clock}"
+                    );
+                    entries.extend([0, 1].map(|epoch| HeapEntry {
+                        finish_secs,
+                        id: FlowId(id),
+                        epoch,
+                    }));
+                }
+            }
+        }
+        let dust = [
+            -0.0,
+            0.0,
+            -1e-9,
+            1e-9,
+            -5e-324,
+            5e-324,
+            f64::MIN,
+            f64::NEG_INFINITY,
+        ];
+        entries.extend(dust.map(|finish_secs| HeapEntry {
+            finish_secs,
+            id: FlowId(9),
+            epoch: 0,
+        }));
+        assert!(entries.iter().any(|e| e.finish_secs == f64::INFINITY));
+        assert!(entries.iter().any(|e| e.finish_secs < 0.0));
+        entries.sort();
+        for pair in entries.windows(2) {
+            assert!(
+                pair[0].radix() <= pair[1].radix(),
+                "{:?} then {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+        assert_eq!(entries.first().map(RadixKey::radix), Some(0));
     }
 
     mod max_min_properties {

@@ -18,6 +18,9 @@
 //!   exactly;
 //! * [`idwindow`] — the dense id-keyed map ([`IdWindow`]) behind the
 //!   live flows here and the live sessions in `vod-core`;
+//! * [`bucketq`] — the radix-bucketed priority queue behind the
+//!   scheduler and the flow kernel's predicted completions, whose cost
+//!   does not grow with the number of live sessions;
 //! * [`traffic`] — diurnal background-traffic profiles (piecewise-linear
 //!   in hour-of-day), including profiles fitted to the paper's Table 2
 //!   readings;
@@ -60,6 +63,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod bucketq;
 pub mod engine;
 pub mod fault;
 pub mod flow;
