@@ -8,11 +8,13 @@
 //! cluster boundary pays on that graph (`sim_kernel/boundary/*`: a
 //! transfer replaced at one instant, along its route or along another),
 //! and a simulated day of the periodic path — background refreshes and
-//! SNMP polls — over an idle GRNET backbone (`sim_kernel/tick/*`).
+//! SNMP polls — over an idle GRNET backbone (`sim_kernel/tick/*`), and
+//! the two event queues under the hold model at the depth of a quiet
+//! day and of 400 000 live sessions (`sim_kernel/queue/*`).
 //!
 //! `CRITERION_JSON=BENCH_kernel.json cargo bench --bench sim_kernel`
 //! re-records the committed baseline `ci.sh` gates the reallocate,
-//! boundary and tick rows against; the committed `BENCH_sim.json`
+//! boundary, tick and queue rows against; the committed `BENCH_sim.json`
 //! end-to-end numbers come from `--bin scale` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,8 +26,9 @@ use vod_net::topologies::grnet::Grnet;
 use vod_net::topologies::random::connected_gnp;
 use vod_net::{LinkId, Mbps, NodeId, RoutingEngine, Topology, TrafficSnapshot};
 use vod_sim::flow::FlowNetwork;
+use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
-use vod_sim::{SimDuration, SimTime};
+use vod_sim::{SimDuration, SimTime, COMPLETION_CHECK_SLACK};
 use vod_snmp::SnmpSystem;
 use vod_storage::video::VideoLibrary;
 
@@ -227,6 +230,66 @@ fn bench_tick(c: &mut Criterion) {
     });
 }
 
+/// The hold model's distance to the next event of a session: a
+/// pseudo-random 1 µs to ~1 s, from a fixed LCG.
+fn jitter_us() -> impl FnMut() -> u64 {
+    let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+    move || {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        1 + (lcg >> 44)
+    }
+}
+
+/// The scheduler holding `depth` pending events: pop the head,
+/// reschedule it under a second ahead — what every playout event of
+/// `depth` concurrent sessions does to the queue.
+fn bench_queue_hold_at(c: &mut Criterion, id: &str, depth: u64) {
+    let mut jitter_us = jitter_us();
+    let mut queue: Scheduler<u64> = Scheduler::new();
+    for session in 0..depth {
+        queue.schedule(SimTime::from_micros(jitter_us()), session);
+    }
+    c.bench_function(id, |b| {
+        b.iter(|| {
+            let (at, session) = queue.pop().unwrap();
+            queue.schedule(at + SimDuration::from_micros(jitter_us()), session);
+        })
+    });
+    assert_eq!(queue.len() as u64, depth);
+}
+
+/// The same over the kernel's predicted completions (`f64` finish
+/// keys): 400 000 local transfers, advance to the next completion,
+/// start a transfer of under a second for each one that finished.
+fn bench_queue_completions(c: &mut Criterion) {
+    let rate = Mbps::new(2.0);
+    let mut jitter_us = jitter_us();
+    let mut volume_mbit = move || rate.as_f64() * jitter_us() as f64 / 1e6;
+    let mut net = FlowNetwork::new(Grnet::new().topology().clone());
+    for _ in 0..400_000 {
+        net.add_local_flow(volume_mbit(), rate).unwrap();
+    }
+    let mut done = Vec::new();
+    c.bench_function("sim_kernel/queue/completions_400k", |b| {
+        b.iter(|| {
+            let (_, dt) = net.next_completion().unwrap();
+            net.advance_into(dt + COMPLETION_CHECK_SLACK, &mut done);
+            for _ in &done {
+                net.add_local_flow(volume_mbit(), rate).unwrap();
+            }
+        })
+    });
+    assert_eq!(net.flow_count(), 400_000);
+}
+
+fn bench_queue(c: &mut Criterion) {
+    bench_queue_hold_at(c, "sim_kernel/queue/hold_150", 150);
+    bench_queue_hold_at(c, "sim_kernel/queue/hold_400k", 400_000);
+    bench_queue_completions(c);
+}
+
 criterion_group!(
     benches,
     bench_advance,
@@ -234,6 +297,7 @@ criterion_group!(
     bench_churn,
     bench_reallocate,
     bench_boundary,
-    bench_tick
+    bench_tick,
+    bench_queue
 );
 criterion_main!(benches);

@@ -167,10 +167,18 @@ pub fn print_stats(report: &ServiceReport) {
         "          {} flows re-rated, {} completion scans, {} heap pushes, {} stale pops",
         k.flows_rerated, k.completion_scans, k.heap_pushes, k.stale_pops
     );
+    println!(
+        "          {} bucket splits, {} entries moved between buckets",
+        k.queue.splits, k.queue.moved
+    );
     let q = &report.scheduler;
     println!(
         "  scheduler: {} arrivals from the input lane, {} pushes, {} pops, peak depth {}",
         q.inputs, q.pushes, q.pops, q.peak_depth
+    );
+    println!(
+        "             {} bucket splits, {} entries moved between buckets",
+        q.queue.splits, q.queue.moved
     );
     let t = &report.ticks;
     println!(

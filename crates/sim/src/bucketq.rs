@@ -33,9 +33,9 @@
 //! # Regimes
 //!
 //! While the queue is shallow it is one plain heap: the horizon sits at
-//! `u64::MAX` and no bucket is touched. Past [`SPILL_ABOVE`] entries it
-//! spills into the buckets, and once it has drained below
-//! [`FOLD_BELOW`] it folds back. The thresholds are constants because
+//! `u64::MAX` and no bucket is touched. Past `SPILL_ABOVE` (2 048)
+//! entries it spills into the buckets, and once it has drained below
+//! `FOLD_BELOW` (512) it folds back. The thresholds are constants because
 //! they follow from the machine (a heap this shallow stays in L1), not
 //! from the workload.
 
@@ -56,6 +56,7 @@ pub trait RadixKey: Ord {
 /// The radix of a time in seconds held as an `f64`: the bit pattern of
 /// a positive value (positive floats, `+∞` included, order like their
 /// bits), and zero for everything at or below zero.
+#[inline]
 pub fn seconds_radix(secs: f64) -> u64 {
     if secs > 0.0 {
         secs.to_bits()
@@ -70,6 +71,10 @@ const SPILL_ABOVE: usize = 2048;
 const FOLD_BELOW: usize = 512;
 /// A bucket with at most this many entries moves into `near` whole.
 const WHOLE_BUCKET: usize = 48;
+
+/// A bucket being split gives its buffer back this many entries at a
+/// time.
+const RELEASE_EVERY: usize = 4096;
 
 /// What the queue moved on its own account — exact per push/pop
 /// sequence, so exact per seed.
@@ -185,6 +190,7 @@ impl<K: RadixKey> BucketQueue<K> {
     }
 
     /// Adds `key`.
+    #[inline]
     pub fn push(&mut self, key: K) {
         self.place(key);
         if self.horizon == u64::MAX && self.near.len() > SPILL_ABOVE {
@@ -193,12 +199,15 @@ impl<K: RadixKey> BucketQueue<K> {
     }
 
     /// Removes and returns the smallest entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<K> {
         let Reverse(key) = self.near.pop()?;
-        if self.horizon != u64::MAX && self.len() < FOLD_BELOW {
-            self.fold();
-        } else if self.near.is_empty() && self.far_len > 0 {
-            self.refill();
+        if self.horizon != u64::MAX {
+            if self.len() < FOLD_BELOW {
+                self.fold();
+            } else if self.near.is_empty() && self.far_len > 0 {
+                self.refill();
+            }
         }
         Some(key)
     }
@@ -221,17 +230,12 @@ impl<K: RadixKey> BucketQueue<K> {
         self.far_len = 0;
     }
 
-    /// The bucket of a radix above the horizon: the highest bit in which
-    /// the two differ.
-    fn bucket_of(&self, radix: u64) -> Option<usize> {
-        (radix > self.horizon).then(|| (radix ^ self.horizon).ilog2() as usize)
-    }
-
     /// Puts `key` where the invariant wants it under the current
     /// horizon.
+    #[inline]
     fn place(&mut self, key: K) {
         let radix = key.radix();
-        if let Some(bit) = self.bucket_of(radix) {
+        if let Some(bit) = bucket_of(self.horizon, radix) {
             if let Some(bucket) = self.far.get_mut(bit) {
                 bucket.entries.push(key);
                 bucket.min = bucket.min.min(radix);
@@ -245,6 +249,8 @@ impl<K: RadixKey> BucketQueue<K> {
 
     /// Shallow → bucketed: the horizon drops to the head's radix and
     /// everything above it leaves the heap.
+    #[cold]
+    #[inline(never)]
     fn spill(&mut self) {
         let Some(head) = self.peek() else {
             return;
@@ -256,6 +262,8 @@ impl<K: RadixKey> BucketQueue<K> {
     }
 
     /// Bucketed → shallow: every bucket empties into the heap.
+    #[cold]
+    #[inline(never)]
     fn fold(&mut self) {
         self.stats.moved += self.far_len as u64;
         for bucket in self.far.drain(..) {
@@ -268,6 +276,8 @@ impl<K: RadixKey> BucketQueue<K> {
 
     /// `near` ran dry: advances the horizon into the lowest occupied
     /// bucket.
+    #[cold]
+    #[inline(never)]
     fn refill(&mut self) {
         let bit = self.occupied.trailing_zeros();
         let Some(bucket) = self.far.get_mut(bit as usize) else {
@@ -293,12 +303,13 @@ impl<K: RadixKey> BucketQueue<K> {
     }
 
     /// Places `entries` under the current horizon, sizing each
-    /// destination exactly first.
-    fn scatter(&mut self, entries: Vec<K>) {
+    /// destination exactly before anything moves.
+    fn scatter(&mut self, mut entries: Vec<K>) {
+        let horizon = self.horizon;
         let mut to_near = 0;
         let mut to_far = [0usize; 64];
         for key in &entries {
-            let bit = self.bucket_of(key.radix());
+            let bit = bucket_of(horizon, key.radix());
             match bit.and_then(|bit| to_far.get_mut(bit)) {
                 Some(count) => *count += 1,
                 None => to_near += 1,
@@ -311,18 +322,23 @@ impl<K: RadixKey> BucketQueue<K> {
             }
         }
         self.stats.moved += entries.len() as u64;
-        for key in entries {
+        // Back to front, handing the emptied end of the buffer back as
+        // it goes: the destinations fill while the source shrinks, so
+        // a large bucket is never held twice.
+        while let Some(key) = entries.pop() {
             self.place(key);
+            if entries.len() % RELEASE_EVERY == 0 {
+                entries.shrink_to_fit();
+            }
         }
     }
 }
 
-impl<K: RadixKey> Extend<K> for BucketQueue<K> {
-    fn extend<I: IntoIterator<Item = K>>(&mut self, keys: I) {
-        for key in keys {
-            self.push(key);
-        }
-    }
+/// The bucket of a radix above `horizon`: the highest bit in which the
+/// two differ.
+#[inline]
+fn bucket_of(horizon: u64, radix: u64) -> Option<usize> {
+    (radix > horizon).then(|| (radix ^ horizon).ilog2() as usize)
 }
 
 #[cfg(test)]

@@ -48,6 +48,9 @@ pub trait Model {
     }
 }
 
+/// The deadline of a step that has none.
+const NO_DEADLINE: SimTime = SimTime::from_micros(u64::MAX);
+
 /// The simulation engine: clock + scheduler + model.
 ///
 /// See the [crate-level example](crate) for usage.
@@ -118,27 +121,28 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Takes the next event: the input lane's when it is due no later
-    /// than the queue's head, the queue's otherwise.
-    fn next_event(&mut self) -> Option<(SimTime, M::Event)> {
-        if let Some(at) = self.model.peek_input() {
-            if self.scheduler.peek_time().is_none_or(|queued| at <= queued) {
+    /// Takes the next event if it is due by `deadline`: the input lane's
+    /// when it is due no later than the queue's head, the queue's
+    /// otherwise. Each lane is peeked once.
+    fn next_event_by(&mut self, deadline: SimTime) -> Option<(SimTime, M::Event)> {
+        let queued = self.scheduler.peek_time();
+        match self.model.peek_input() {
+            Some(at) if queued.is_none_or(|queued| at <= queued) => {
+                if at > deadline {
+                    return None;
+                }
                 let event = self.model.pop_input()?;
                 self.inputs += 1;
-                return Some((at, event));
+                Some((at, event))
             }
+            _ if queued? <= deadline => self.scheduler.pop(),
+            _ => None,
         }
-        self.scheduler.pop()
     }
 
-    /// Processes a single event. Returns `false` when the queue and the
-    /// input lane are both empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model scheduled an event in the past.
-    pub fn step(&mut self) -> bool {
-        let Some((at, event)) = self.next_event() else {
+    /// Processes the next event if it is due by `deadline`.
+    fn step_by(&mut self, deadline: SimTime) -> bool {
+        let Some((at, event)) = self.next_event_by(deadline) else {
             return false;
         };
         assert!(
@@ -150,6 +154,16 @@ impl<M: Model> Simulation<M> {
         self.processed += 1;
         self.model.handle(at, event, &mut self.scheduler);
         true
+    }
+
+    /// Processes a single event. Returns `false` when the queue and the
+    /// input lane are both empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model scheduled an event in the past.
+    pub fn step(&mut self) -> bool {
+        self.step_by(NO_DEADLINE)
     }
 
     /// Runs until the event queue and the input lane drain. Returns the
@@ -166,9 +180,7 @@ impl<M: Model> Simulation<M> {
     /// number of events processed by this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let before = self.processed;
-        while self.peek_time().is_some_and(|at| at <= deadline) {
-            self.step();
-        }
+        while self.step_by(deadline) {}
         if self.now < deadline {
             self.now = deadline;
         }

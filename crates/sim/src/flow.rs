@@ -21,8 +21,8 @@
 //!
 //! * **Local flows** never change rate on their own, and there can be
 //!   hundreds of thousands of them. They live in an id-ordered map and
-//!   predict their completion into a min-heap with lazy epoch
-//!   invalidation — `O(log F)` per event.
+//!   predict their completion into a [`BucketQueue`] with lazy epoch
+//!   invalidation — a cost per event that does not grow with `F`.
 //! * **Network flows** are all re-rated together whenever the
 //!   allocation is settled. They live in a dense slab in creation
 //!   order, each pointing at its **route class** — one distinct link
@@ -95,8 +95,7 @@
 //!   inputs the one deferred fill sees — or, when those equal the
 //!   previous fill's, re-derives the rates every class already has.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 
@@ -104,7 +103,7 @@ use serde::{Deserialize, Serialize};
 
 use vod_net::{LinkId, Mbps, Topology, TrafficSnapshot};
 
-use crate::bucketq::{seconds_radix, RadixKey};
+use crate::bucketq::{seconds_radix, BucketQueue, QueueStats, RadixKey};
 use crate::idwindow::IdWindow;
 use crate::time::SimDuration;
 
@@ -208,6 +207,8 @@ pub struct KernelStats {
     pub heap_pushes: u64,
     /// Stale heap entries (flow gone or re-rated) discarded when popped.
     pub stale_pops: u64,
+    /// What the local-flow heap moved between its buckets at depth.
+    pub queue: QueueStats,
 }
 
 impl std::ops::AddAssign for KernelStats {
@@ -227,6 +228,7 @@ impl std::ops::AddAssign for KernelStats {
             completion_scans,
             heap_pushes,
             stale_pops,
+            queue,
         } = rhs;
         self.settles += settles;
         self.reallocations += reallocations;
@@ -239,6 +241,7 @@ impl std::ops::AddAssign for KernelStats {
         self.completion_scans += completion_scans;
         self.heap_pushes += heap_pushes;
         self.stale_pops += stale_pops;
+        self.queue += queue;
     }
 }
 
@@ -258,10 +261,7 @@ fn predicted_finish(remaining_mbit: f64, synced_at: u64, rate: Mbps) -> Option<f
     let rate = rate.as_f64();
     if rate > 0.0 {
         let finish = sync_secs + (remaining_mbit - COMPLETION_EPSILON_MBIT) / rate;
-        debug_assert!(
-            !finish.is_nan(),
-            "a finite volume over a rate > 0.0 is no NaN"
-        );
+        debug_assert!(!finish.is_nan(), "divides only by a rate checked > 0.0");
         Some(finish)
     } else if remaining_mbit <= COMPLETION_EPSILON_MBIT {
         Some(sync_secs)
@@ -451,7 +451,7 @@ pub struct FlowNetwork {
     clock_us: u64,
     /// Predicted local-flow completions, min-ordered by finish time,
     /// with lazy epoch invalidation.
-    completions: BinaryHeap<Reverse<HeapEntry>>,
+    completions: BucketQueue<HeapEntry>,
     /// Earliest `finish_secs` in the slab (dust included), as of the
     /// last settle: no network flow can complete before it.
     net_due_secs: f64,
@@ -499,7 +499,7 @@ impl FlowNetwork {
             admin_down: vec![false; links],
             capacity_scale: vec![1.0; links],
             clock_us: 0,
-            completions: BinaryHeap::new(),
+            completions: BucketQueue::new(),
             net_due_secs: f64::INFINITY,
             net_next: None,
             link_cumulative_mbit: vec![0.0; links],
@@ -522,7 +522,10 @@ impl FlowNetwork {
 
     /// The kernel's work counters since creation.
     pub fn stats(&self) -> KernelStats {
-        self.stats
+        KernelStats {
+            queue: self.completions.stats(),
+            ..self.stats
+        }
     }
 
     /// Sets the rate at which local (empty-route) flows progress.
@@ -855,38 +858,25 @@ impl FlowNetwork {
 
     /// The heap's earliest live prediction for a progressing local flow.
     fn next_local_completion(&mut self) -> Option<HeapEntry> {
-        let mut result = None;
         let mut dust = std::mem::take(&mut self.requeue_scratch);
         dust.clear();
-        while let Some(&Reverse(top)) = self.completions.peek() {
+        let result = loop {
+            let Some(&top) = self.completions.peek() else {
+                break None;
+            };
             match self.flows.get(top.id.0) {
-                Some(f) if f.epoch == top.epoch => {
-                    if f.rate.as_f64() > 0.0 {
-                        result = Some(top);
-                        break;
-                    }
-                    // A zero-rate dust entry is collected by `advance`
-                    // but makes no progress, so it does not drive the
-                    // completion schedule. Stash it aside and keep
-                    // looking.
-                    dust.push(
-                        self.completions
-                            .pop()
-                            .expect("pop follows a successful peek")
-                            .0,
-                    );
-                }
+                Some(f) if f.epoch == top.epoch && f.rate.as_f64() > 0.0 => break Some(top),
+                // A zero-rate dust entry is collected by `advance` but
+                // makes no progress, so it does not drive the completion
+                // schedule. Stash it aside and keep looking.
+                Some(f) if f.epoch == top.epoch => dust.push(top),
                 // Stale: flow gone or re-rated since the entry was
                 // pushed. Drop it for good.
-                _ => {
-                    self.completions.pop();
-                    self.stats.stale_pops += 1;
-                }
+                _ => self.stats.stale_pops += 1,
             }
-        }
-        for e in dust.drain(..) {
-            self.completions.push(Reverse(e));
-        }
+            self.completions.pop();
+        };
+        dust.drain(..).for_each(|e| self.completions.push(e));
         self.requeue_scratch = dust;
         result
     }
@@ -928,14 +918,7 @@ impl FlowNetwork {
         let due_secs = self.clock_us as f64 / 1e6 + POP_SLACK_SECS;
         let mut requeue = std::mem::take(&mut self.requeue_scratch);
         requeue.clear();
-        while let Some(&Reverse(top)) = self.completions.peek() {
-            if top.finish_secs > due_secs {
-                break;
-            }
-            let Reverse(entry) = self
-                .completions
-                .pop()
-                .expect("pop follows a successful peek");
+        while let Some(entry) = self.completions.pop_if(|top| top.finish_secs <= due_secs) {
             match self.flows.get(entry.id.0) {
                 Some(f) if f.epoch == entry.epoch => {
                     if f.remaining_at(self.clock_us) <= COMPLETION_EPSILON_MBIT {
@@ -949,9 +932,7 @@ impl FlowNetwork {
                 _ => self.stats.stale_pops += 1,
             }
         }
-        for e in requeue.drain(..) {
-            self.completions.push(Reverse(e));
-        }
+        requeue.drain(..).for_each(|e| self.completions.push(e));
         self.requeue_scratch = requeue;
         for id in done.iter() {
             self.flows.remove(id.0);
@@ -1141,11 +1122,11 @@ impl FlowNetwork {
         if let Some(finish_secs) = predicted_finish(flow.remaining_mbit, flow.synced_at, flow.rate)
         {
             self.stats.heap_pushes += 1;
-            self.completions.push(Reverse(HeapEntry {
+            self.completions.push(HeapEntry {
                 finish_secs,
                 id,
                 epoch: flow.epoch,
-            }));
+            });
         }
     }
 
@@ -2542,6 +2523,7 @@ mod tests {
             completion_scans: 1,
             heap_pushes: 1,
             stale_pops: 0,
+            queue: QueueStats::default(),
         };
         assert_eq!(run, expected);
         let mut total = run;
@@ -2549,6 +2531,10 @@ mod tests {
         total += KernelStats {
             stale_pops: 3,
             fills_unchanged: 5,
+            queue: QueueStats {
+                splits: 2,
+                moved: 14,
+            },
             ..KernelStats::default()
         };
         let doubled = KernelStats {
@@ -2563,6 +2549,10 @@ mod tests {
             completion_scans: 2,
             heap_pushes: 2,
             stale_pops: 3,
+            queue: QueueStats {
+                splits: 2,
+                moved: 14,
+            },
         };
         assert_eq!(total, doubled);
     }

@@ -1,10 +1,10 @@
 //! The pending-event queue of the discrete-event engine.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::bucketq::{BucketQueue, QueueStats, RadixKey};
 use crate::time::SimTime;
 
 /// A monotonically increasing sequence number breaks ties between events
@@ -26,11 +26,13 @@ impl<E> Eq for Entry<E> {}
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
+
+impl<E> RadixKey for Entry<E> {
+    fn radix(&self) -> u64 {
+        self.at.as_micros()
     }
 }
 
@@ -42,7 +44,7 @@ impl<E> PartialOrd for Entry<E> {
 
 /// Work counters of one run's event queue, next to
 /// [`KernelStats`](crate::flow::KernelStats): how much went through the
-/// heap, how deep it got, and how much bypassed it.
+/// queue, how deep it got, and how much bypassed it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Events scheduled.
@@ -57,6 +59,8 @@ pub struct SchedulerStats {
     /// [`Simulation`](crate::engine::Simulation), zero on a bare
     /// scheduler.
     pub inputs: u64,
+    /// What the queue moved between its buckets at depth.
+    pub queue: QueueStats,
 }
 
 /// A time-ordered queue of pending events.
@@ -79,7 +83,7 @@ pub struct SchedulerStats {
 /// ```
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Entry<E>>,
+    queue: BucketQueue<Entry<E>>,
     next_seq: u64,
     stats: SchedulerStats,
 }
@@ -94,7 +98,7 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler.
     pub fn new() -> Self {
         Scheduler {
-            heap: BinaryHeap::new(),
+            queue: BucketQueue::new(),
             next_seq: 0,
             stats: SchedulerStats::default(),
         }
@@ -104,47 +108,51 @@ impl<E> Scheduler<E> {
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        self.queue.push(Entry { at, seq, event });
         self.stats.pushes += 1;
-        self.stats.peak_depth = self.stats.peak_depth.max(self.heap.len() as u64);
+        self.stats.peak_depth = self.stats.peak_depth.max(self.queue.len() as u64);
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let entry = self.queue.pop()?;
         self.stats.pops += 1;
         Some((entry.at, entry.event))
     }
 
     /// Work counters since creation (`inputs` is the engine's to fill).
     pub fn stats(&self) -> SchedulerStats {
-        self.stats
+        SchedulerStats {
+            queue: self.queue.stats(),
+            ..self.stats
+        }
     }
 
     /// The instant of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.queue.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 
     /// Discards all pending events.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.queue.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn orders_by_time() {
@@ -194,8 +202,53 @@ mod tests {
             pops: 4,
             peak_depth: 3,
             inputs: 0,
+            queue: QueueStats::default(),
         };
         assert_eq!(s.stats(), expected);
+    }
+
+    /// `clear` at depth leaves a queue that is shallow again, not one
+    /// whose buckets still expect the old horizon: a quiet day's hold
+    /// pattern after it pops in time order, FIFO on ties.
+    #[test]
+    fn clear_at_depth_then_a_shallow_hold_pattern_pops_in_order() {
+        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut jitter_us = move || {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lcg >> 44
+        };
+        let mut s = Scheduler::new();
+        for n in 0..10_000u64 {
+            s.schedule(SimTime::from_micros(1_000_000 + jitter_us()), n);
+        }
+        for _ in 0..3_000 {
+            s.pop();
+        }
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.peek_time(), None);
+        assert_eq!(s.pop(), None);
+        // Earlier than anything the cleared queue held.
+        for n in 0..150u64 {
+            s.schedule(SimTime::from_micros(jitter_us() % 1_000), n);
+        }
+        let moved = s.stats().queue.moved;
+        let mut last = (SimTime::ZERO, 0);
+        for n in 150..5_150u64 {
+            let (at, event) = s.pop().unwrap();
+            assert!(
+                (at, event) > last,
+                "{at} #{event} after {} #{}",
+                last.0,
+                last.1
+            );
+            last = (at, event);
+            s.schedule(at + SimDuration::from_micros(jitter_us() % 64), n);
+        }
+        assert_eq!(s.len(), 150);
+        assert_eq!(s.stats().queue.moved, moved);
     }
 
     #[test]
