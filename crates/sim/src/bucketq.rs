@@ -8,36 +8,40 @@
 //! at 400 000 entries. [`BucketQueue`] is a radix heap instead: entries
 //! wait unordered in one of 64 buckets chosen by the highest bit in
 //! which their [`RadixKey::radix`] differs from the queue's `horizon`,
-//! and only the few that are due next sit in a small binary heap.
+//! and only the few that are due next are kept in order.
 //!
 //! # Invariant
 //!
-//! `near` holds every entry whose radix is `<= horizon`, ordered by the
+//! *Near* is every entry whose radix is `<= horizon`, ordered by the
 //! full key; `far[i]` holds the entries above the horizon whose radix
 //! first differs from it at bit `i`. Because the radix never decreases
 //! along the key order, every far entry is greater than every near
 //! entry, and bucket `i`'s entries are smaller than bucket `i + 1`'s: the
-//! minimum of the queue is the minimum of `near`, and when `near` runs
-//! dry the next entries are all in the lowest occupied bucket. That
-//! bucket is then either moved into `near` whole (a few dozen entries:
+//! minimum of the queue is the minimum of near, and when near runs dry
+//! the next entries are all in the lowest occupied bucket. That bucket
+//! is then either moved below the horizon whole (a few hundred entries:
 //! the horizon jumps to the top of the bucket's range) or split around
-//! its minimum (the horizon becomes that radix; the entries at it go to
-//! `near`, the rest to lower buckets). Neither step changes the highest
+//! its minimum (the horizon becomes that radix; the entries at it go
+//! near, the rest to lower buckets). Neither step changes the highest
 //! differing bit of an entry in a higher bucket, so nothing else moves.
 //!
-//! A push at or *below* the horizon lands in `near`, which orders by the
-//! full key. So the pop order is the exact [`Ord`] order for any push
+//! Near has two parts. A bucket moved whole is sorted once and becomes
+//! the `run`, popped from its end: every entry in it was there before
+//! the horizon passed it, so it only shrinks. Whatever is pushed at or
+//! *below* the horizon afterwards lands in `heap`, a small binary heap
+//! ordered by the full key, and a pop takes the smaller of the two
+//! heads. So the pop order is the exact [`Ord`] order for any push
 //! sequence — a caller that keeps pushing into the past only turns the
 //! structure back into the binary heap it replaces.
 //!
 //! # Regimes
 //!
 //! While the queue is shallow it is one plain heap: the horizon sits at
-//! `u64::MAX` and no bucket is touched. Past `SPILL_ABOVE` (2 048)
-//! entries it spills into the buckets, and once it has drained below
-//! `FOLD_BELOW` (512) it folds back. The thresholds are constants because
-//! they follow from the machine (a heap this shallow stays in L1), not
-//! from the workload.
+//! `u64::MAX`, everything is in `heap` and no bucket is touched. Past
+//! `SPILL_ABOVE` (2 048) entries it spills into the buckets, and once it
+//! has drained below `FOLD_BELOW` (512) it folds back. The thresholds
+//! are constants because they follow from the machine (a heap this
+//! shallow stays in L1), not from the workload.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -69,8 +73,13 @@ pub fn seconds_radix(secs: f64) -> u64 {
 const SPILL_ABOVE: usize = 2048;
 /// A bucketed queue folds back into one heap when it drains below this.
 const FOLD_BELOW: usize = 512;
-/// A bucket with at most this many entries moves into `near` whole.
-const WHOLE_BUCKET: usize = 48;
+/// A bucket with at most this many entries moves below the horizon
+/// whole, as one sorted run.
+const WHOLE_BUCKET: usize = 256;
+
+// A bucket that holds the whole queue is folded before it could be moved
+// whole, so a shallow queue never has a run.
+const _: () = assert!(WHOLE_BUCKET < FOLD_BELOW);
 
 /// A bucket being split gives its buffer back this many entries at a
 /// time.
@@ -138,8 +147,11 @@ impl<K> Default for Bucket<K> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BucketQueue<K> {
-    /// Non-empty whenever the queue is.
-    near: BinaryHeap<Reverse<K>>,
+    /// Near, pushed one at a time. Near is non-empty whenever the queue
+    /// is.
+    heap: BinaryHeap<Reverse<K>>,
+    /// Near, moved whole: descending, so the smallest entry is last.
+    run: Vec<K>,
     /// `u64::MAX` in the shallow regime.
     horizon: u64,
     /// 64 buckets, allocated by the first spill.
@@ -160,7 +172,8 @@ impl<K: RadixKey> BucketQueue<K> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         BucketQueue {
-            near: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
+            run: Vec::new(),
             horizon: u64::MAX,
             far: Vec::new(),
             occupied: 0,
@@ -171,7 +184,7 @@ impl<K: RadixKey> BucketQueue<K> {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.near.len() + self.far_len
+        self.heap.len() + self.run.len() + self.far_len
     }
 
     /// Returns true if the queue holds nothing.
@@ -184,35 +197,69 @@ impl<K: RadixKey> BucketQueue<K> {
         self.stats
     }
 
+    /// Whether the smallest entry is the run's last, not the heap's top.
+    #[inline]
+    fn run_is_next(&self) -> bool {
+        match (self.run.last(), self.heap.peek()) {
+            (Some(run), Some(Reverse(pushed))) => run < pushed,
+            (run, _) => run.is_some(),
+        }
+    }
+
     /// The smallest entry.
+    #[inline]
     pub fn peek(&self) -> Option<&K> {
-        self.near.peek().map(|Reverse(key)| key)
+        if self.horizon != u64::MAX && self.run_is_next() {
+            self.run.last()
+        } else {
+            self.heap.peek().map(|Reverse(key)| key)
+        }
     }
 
     /// Adds `key`.
     #[inline]
     pub fn push(&mut self, key: K) {
-        self.place(key);
-        if self.horizon == u64::MAX && self.near.len() > SPILL_ABOVE {
-            self.spill();
+        if self.horizon == u64::MAX {
+            self.heap.push(Reverse(key));
+            if self.heap.len() > SPILL_ABOVE {
+                self.spill();
+            }
+        } else {
+            self.place(key);
         }
     }
 
     /// Removes and returns the smallest entry.
     #[inline]
     pub fn pop(&mut self) -> Option<K> {
-        let Reverse(key) = self.near.pop()?;
-        if self.horizon != u64::MAX {
-            if self.len() < FOLD_BELOW {
-                self.fold();
-            } else if self.near.is_empty() && self.far_len > 0 {
-                self.refill();
-            }
+        if self.horizon == u64::MAX {
+            return self.heap.pop().map(|Reverse(key)| key);
+        }
+        self.pop_bucketed()
+    }
+
+    // The bucketed half of `pop` stays out of line: what is inlined into
+    // a caller is then the shallow regime alone, as small as the heap it
+    // replaced. (`push` cannot do the same: a key handed to an
+    // out-of-line function is built on the stack first, and the shallow
+    // path then copies it from there through a store-forwarding stall.)
+    #[inline(never)]
+    fn pop_bucketed(&mut self) -> Option<K> {
+        let key = if self.run_is_next() {
+            self.run.pop()?
+        } else {
+            self.heap.pop()?.0
+        };
+        if self.len() < FOLD_BELOW {
+            self.fold();
+        } else if self.heap.is_empty() && self.run.is_empty() && self.far_len > 0 {
+            self.refill();
         }
         Some(key)
     }
 
     /// Removes and returns the smallest entry if `due` says so.
+    #[inline]
     pub fn pop_if(&mut self, due: impl FnOnce(&K) -> bool) -> Option<K> {
         if due(self.peek()?) {
             self.pop()
@@ -223,7 +270,8 @@ impl<K: RadixKey> BucketQueue<K> {
 
     /// Discards every entry and returns to the shallow regime.
     pub fn clear(&mut self) {
-        self.near.clear();
+        self.heap.clear();
+        self.run.clear();
         self.far.clear();
         self.horizon = u64::MAX;
         self.occupied = 0;
@@ -244,11 +292,11 @@ impl<K: RadixKey> BucketQueue<K> {
                 return;
             }
         }
-        self.near.push(Reverse(key));
+        self.heap.push(Reverse(key));
     }
 
     /// Shallow → bucketed: the horizon drops to the head's radix and
-    /// everything above it leaves the heap.
+    /// everything above it leaves near.
     #[cold]
     #[inline(never)]
     fn spill(&mut self) {
@@ -257,24 +305,25 @@ impl<K: RadixKey> BucketQueue<K> {
         };
         self.horizon = head.radix();
         self.far.resize_with(64, Bucket::default);
-        let entries = std::mem::take(&mut self.near).into_vec();
+        let entries = std::mem::take(&mut self.heap).into_vec();
         self.scatter(entries.into_iter().map(|Reverse(key)| key).collect());
     }
 
-    /// Bucketed → shallow: every bucket empties into the heap.
+    /// Bucketed → shallow: the run and every bucket empty into the heap.
     #[cold]
     #[inline(never)]
     fn fold(&mut self) {
-        self.stats.moved += self.far_len as u64;
+        self.stats.moved += (self.run.len() + self.far_len) as u64;
+        self.heap.extend(self.run.drain(..).map(Reverse));
         for bucket in self.far.drain(..) {
-            self.near.extend(bucket.entries.into_iter().map(Reverse));
+            self.heap.extend(bucket.entries.into_iter().map(Reverse));
         }
         self.horizon = u64::MAX;
         self.occupied = 0;
         self.far_len = 0;
     }
 
-    /// `near` ran dry: advances the horizon into the lowest occupied
+    /// Near ran dry: advances the horizon into the lowest occupied
     /// bucket.
     #[cold]
     #[inline(never)]
@@ -286,11 +335,13 @@ impl<K: RadixKey> BucketQueue<K> {
         self.occupied &= !(1 << bit);
         self.far_len -= bucket.entries.len();
         if bucket.entries.len() <= WHOLE_BUCKET {
-            // The bucket's range ends where bits `0..=bit` are all set;
-            // its small buffer is kept for the next tenant.
+            // The bucket's range ends where bits `0..=bit` are all set.
+            // Its buffer becomes the run, and the spent run's buffer
+            // the bucket's: nothing is copied.
             self.horizon |= u64::MAX >> (63 - bit);
             self.stats.moved += bucket.entries.len() as u64;
-            self.near.extend(bucket.entries.drain(..).map(Reverse));
+            std::mem::swap(&mut self.run, &mut bucket.entries);
+            self.run.sort_unstable_by(|a, b| b.cmp(a));
             bucket.min = u64::MAX;
         } else {
             // The buffer of a split bucket is freed: at depth it is the
@@ -315,7 +366,7 @@ impl<K: RadixKey> BucketQueue<K> {
                 None => to_near += 1,
             }
         }
-        self.near.reserve(to_near);
+        self.heap.reserve(to_near);
         for (bucket, &count) in self.far.iter_mut().zip(&to_far) {
             if count > 0 {
                 bucket.entries.reserve_exact(count);
@@ -327,7 +378,7 @@ impl<K: RadixKey> BucketQueue<K> {
         // a large bucket is never held twice.
         while let Some(key) = entries.pop() {
             self.place(key);
-            if entries.len() % RELEASE_EVERY == 0 {
+            if entries.len().is_multiple_of(RELEASE_EVERY) {
                 entries.shrink_to_fit();
             }
         }
@@ -446,7 +497,9 @@ mod tests {
         /// The structure's own invariant, entry by entry.
         fn check_invariant(&self) {
             let q = &self.queue;
-            assert!(q.near.iter().all(|Reverse(key)| key.radix() <= q.horizon));
+            assert!(q.heap.iter().all(|Reverse(key)| key.radix() <= q.horizon));
+            assert!(q.run.iter().all(|key| key.radix() <= q.horizon));
+            assert!(q.run.windows(2).all(|pair| pair[0] > pair[1]));
             let mut far_len = 0;
             for (bit, bucket) in q.far.iter().enumerate() {
                 assert_eq!(q.occupied >> bit & 1 == 1, !bucket.entries.is_empty());
@@ -459,7 +512,7 @@ mod tests {
                 }
             }
             assert_eq!(q.far_len, far_len);
-            assert!(q.horizon != u64::MAX || far_len == 0);
+            assert!(q.horizon != u64::MAX || (far_len == 0 && q.run.is_empty()));
         }
 
         fn drain(&mut self) {

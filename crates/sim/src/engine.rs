@@ -135,7 +135,7 @@ impl<M: Model> Simulation<M> {
                 self.inputs += 1;
                 Some((at, event))
             }
-            _ if queued? <= deadline => self.scheduler.pop(),
+            _ if queued.is_some_and(|at| at <= deadline) => self.scheduler.pop(),
             _ => None,
         }
     }
