@@ -116,11 +116,11 @@ echo "==> flow-kernel perf gate (contended reallocation, cluster boundary, idle-
 # removal from a longer history, an allocation per poll - is what 3x
 # would catch. queue/*: the hold model (pop the head, reschedule it
 # under a second ahead) on the scheduler at the depth of a quiet day
-# (150, one plain heap: 51 ns) and of 400 000 live sessions (the
-# bucketed regime: 109 ns, against 310-320 ns for the binary heap it
+# (150, one plain heap: 53 ns) and of 400 000 live sessions (the
+# bucketed regime: 93 ns, against 315-510 ns for the binary heap it
 # replaced on the same host, which is why that row is held to 2.5x and
 # not 3x), and on the kernel's local completions at 400 000 transfers
-# (0.9 us, most of it the kernel's own cache misses on the flows;
+# (0.7 us, most of it the kernel's own cache misses on the flows;
 # 1.4 us with the heap). hold_150 is there for the shallow regime: a
 # queue that paid for its buckets at depth 150 read 8-10 % slower on
 # the 3 M-event workloads long before it would trip 3x here, so that
