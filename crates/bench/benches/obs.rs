@@ -13,24 +13,24 @@
 //! about two events per window, so nearly every emission also seals one
 //! window into the packed log.
 //!
-//! `obs/scale_stress` measures the end-to-end cost of the time-series
-//! pipeline: two full 100k-session `scale_stress` runs, one with a
-//! [`NullSink`] and one with a [`TimeSeriesSink`]. The ISSUE budget is
-//! ≤15% wall-clock overhead for the instrumented run.
+//! `check/analyze` is the wall time of one full `vod-check analyze`
+//! pass over this workspace, source scan included: what `ci.sh` or a
+//! pre-commit hook waits for, and the row that catches an analyzer
+//! turning superlinear as the tree grows.
 //!
-//! Run with `CRITERION_JSON=BENCH_obs.json cargo bench --bench obs` to
-//! regenerate the committed results file.
+//! `CRITERION_JSON=out.json cargo bench --bench obs` writes the fresh
+//! rows `ci.sh` holds against the committed `BENCH_obs.json`; a
+//! re-recorded row keeps its `limit`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use vod_core::service::{ServiceConfig, VodService};
-use vod_core::vra::Vra;
-use vod_net::{Mbps, NodeId};
+use vod_check::analyze::analyze;
+use vod_check::lint::{workspace_sources, Allowlist};
+use vod_net::NodeId;
 use vod_obs::{Event, EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink, TimeSeriesSink};
 use vod_sim::{SimDuration, SimTime};
 use vod_storage::video::VideoId;
-use vod_workload::scenario::Scenario;
 
 /// One guarded emission site, exactly as the service is instrumented.
 fn emit<S: EventSink>(sink: &mut S, at: SimTime, event: &Event) {
@@ -165,50 +165,6 @@ fn bench_sparse_year(c: &mut Criterion) {
     });
 }
 
-/// End-to-end instrumentation overhead: a full 100k-session
-/// `scale_stress` run with the time-series pipeline attached, against
-/// the same run with the no-op sink. The two ids share a group so the
-/// compare harness can hold their ratio to the ≤15% budget.
-fn bench_scale_stress(c: &mut Criterion) {
-    let scenario = Scenario::scale_stress(42, 100_000);
-    // The config the scale scenario is designed around (same as the
-    // `scale` binary's): all-local serves at a 2 Mbps streaming ceiling.
-    let config = || ServiceConfig {
-        initial_replicas: 6,
-        local_rate: Mbps::new(2.0),
-        ..ServiceConfig::default()
-    };
-    let mut group = c.benchmark_group("obs/scale_stress");
-    group.sample_size(2);
-
-    group.bench_function("null_sink", |b| {
-        b.iter(|| {
-            let service = VodService::with_sink(
-                black_box(&scenario),
-                Box::new(Vra::default()),
-                config(),
-                NullSink,
-            );
-            black_box(service.run_full().0)
-        })
-    });
-
-    group.bench_function("time_series_sink", |b| {
-        b.iter(|| {
-            let service = VodService::with_sink(
-                black_box(&scenario),
-                Box::new(Vra::default()),
-                config(),
-                TimeSeriesSink::new(),
-            );
-            let (report, _, sink) = service.run_full();
-            black_box((report, sink.finish().len()))
-        })
-    });
-
-    group.finish();
-}
-
 /// Serialization alone (no sink dispatch): one event rendered to JSON
 /// into a reused buffer.
 fn bench_serialize(c: &mut Criterion) {
@@ -224,11 +180,26 @@ fn bench_serialize(c: &mut Criterion) {
     });
 }
 
+/// One full analyzer pass over the real workspace tree: source
+/// loading, lexing, item extraction, call-graph reachability and the
+/// determinism scans.
+fn bench_analyze(c: &mut Criterion) {
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let allow = std::fs::read_to_string(root.join("crates/check/lint_allow.txt")).unwrap();
+    let allow = Allowlist::parse(&allow);
+    c.bench_function("check/analyze", |b| {
+        b.iter(|| {
+            let files = workspace_sources(black_box(root)).unwrap();
+            black_box(analyze(&files, &allow).findings.len())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_emit,
     bench_sparse_year,
     bench_serialize,
-    bench_scale_stress
+    bench_analyze
 );
 criterion_main!(benches);

@@ -3,8 +3,9 @@
 //! re-selection for every home of a 200-node random topology after an
 //! SNMP poll.
 //!
-//! Run with `CRITERION_JSON=BENCH_routing.json cargo bench --bench
-//! routing_engine` to regenerate the committed results file.
+//! `CRITERION_JSON=out.json cargo bench --bench routing_engine` writes
+//! the fresh rows `ci.sh` holds against the committed
+//! `BENCH_routing.json`; a re-recorded row keeps its `limit`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -12,12 +12,13 @@
 //! the two event queues under the hold model at the depth of a quiet
 //! day and of 400 000 live sessions (`sim_kernel/queue/*`).
 //!
-//! `CRITERION_JSON=BENCH_kernel.json cargo bench --bench sim_kernel`
-//! re-records the committed baseline `ci.sh` gates the reallocate,
-//! boundary, tick and queue rows against; the committed `BENCH_sim.json`
-//! end-to-end numbers come from `--bin scale` instead.
+//! `CRITERION_JSON=out.json cargo bench --bench sim_kernel` writes the
+//! fresh rows `ci.sh` holds against the committed `BENCH_kernel.json`,
+//! every row to the `limit` recorded next to it; the committed
+//! `BENCH_sim.json` end-to-end numbers come from `--bin scale` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 use vod_db::Database;
@@ -70,18 +71,33 @@ fn bench_next_completion(c: &mut Criterion) {
     });
 }
 
-/// Session churn: add a local flow, advance a little, remove it — the
-/// arrival/departure path at a 10k-flow population.
+/// Session churn at a standing population of 10k local flows: the
+/// newest session arrives, the clock moves a millisecond, the oldest
+/// leaves a few milliseconds short of finishing. Nothing about the
+/// state may grow with the iteration count. Flow ids only grow, so the
+/// live ones slide upwards as in a service run (one flow churned above
+/// a population that never leaves widens the `IdWindow` by a slot per
+/// iteration), and a removed flow's completion prediction stays queued
+/// until its instant passes, so every transfer is sized to be nearly
+/// over when it is removed (predictions an hour out pile up for ever).
 fn bench_churn(c: &mut Criterion) {
-    let mut net = populated();
+    let rate = Mbps::new(2.0);
+    // A flow removed after `ticks` milliseconds has 8 ms left.
+    let volume_mbit = |ticks: usize| rate.as_f64() * (ticks + 8) as f64 / 1e3;
+    let mut net = FlowNetwork::new(Grnet::new().topology().clone());
+    let mut live: VecDeque<_> = (1..=FLOWS)
+        .map(|ticks| net.add_local_flow(volume_mbit(ticks), rate).unwrap())
+        .collect();
     let mut done = Vec::new();
     c.bench_function("sim_kernel/churn_10k", |b| {
         b.iter(|| {
-            let id = net.add_local_flow(1e6, Mbps::new(2.0)).unwrap();
+            live.push_back(net.add_local_flow(volume_mbit(FLOWS + 1), rate).unwrap());
             net.advance_into(SimDuration::from_millis(1), &mut done);
-            black_box(net.remove_flow(id).unwrap());
+            assert!(done.is_empty());
+            black_box(net.remove_flow(live.pop_front().unwrap()).unwrap());
         })
     });
+    assert_eq!(net.flow_count(), FLOWS);
 }
 
 /// The routes the routing engine selects on an idle network between

@@ -12,13 +12,12 @@
 //! is byte-identical to the default configuration).
 //!
 //! Run with: `cargo run --release -p vod-bench --bin ext_proxy
-//! [--seed N] [--json <path>]` — `--json` writes the gate rows consumed
-//! by `vod-bench compare --only proxy/` (the `{"rows":[...]}` format).
+//! [--seed N] [--json <path>]` — `--json` writes the gate rows
+//! `vod-bench compare` holds against the committed `BENCH_proxy.json`.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
-
+use vod_bench::compare::{rows_json, Direction, Row};
 use vod_bench::Table;
 use vod_core::service::{PrefixTierConfig, ServiceConfig, VodService};
 use vod_core::vra::Vra;
@@ -75,46 +74,25 @@ fn run_pair(seed: u64) -> (ServiceReport, ServiceReport) {
     (flat, proxy)
 }
 
-/// The regression-gate rows (`compare --only proxy/`), all derived from
-/// the deterministic seed-42 pair: strictly positive, with per-row
-/// directions.
-fn gate_rows(
-    flat: &ServiceReport,
-    proxy: &ServiceReport,
-) -> Vec<(&'static str, f64, &'static str)> {
+/// The regression-gate rows, all derived from the deterministic
+/// seed-42 pair: strictly positive, with per-row directions.
+fn gate_rows(flat: &ServiceReport, proxy: &ServiceReport) -> Vec<Row> {
+    use Direction::{HigherBetter, LowerBetter};
     let tier = proxy.prefix.expect("proxy run has the tier enabled");
     let flat_startup = flat.startup_summary().mean;
     let proxy_startup = proxy.startup_summary().mean;
+    let sessions = tier.full_prefix_sessions as f64;
     vec![
-        ("proxy/offload_mbit", tier.served_mbit, "higher"),
-        ("proxy/hit_ratio", tier.hit_ratio(), "higher"),
-        (
-            "proxy/full_prefix_sessions",
-            tier.full_prefix_sessions as f64,
-            "higher",
-        ),
-        (
+        Row::new("proxy/offload_mbit", tier.served_mbit, HigherBetter),
+        Row::new("proxy/hit_ratio", tier.hit_ratio(), HigherBetter),
+        Row::new("proxy/full_prefix_sessions", sessions, HigherBetter),
+        Row::new(
             "proxy/startup_speedup",
             flat_startup / proxy_startup,
-            "higher",
+            HigherBetter,
         ),
-        ("proxy/startup_mean_s", proxy_startup, "lower"),
+        Row::new("proxy/startup_mean_s", proxy_startup, LowerBetter),
     ]
-}
-
-fn rows_json(rows: &[(&str, f64, &str)]) -> String {
-    let mut out = String::from("{\"rows\":[\n");
-    for (i, (id, value, direction)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "  {{\"id\":\"{id}\",\"value\":{value},\"direction\":\"{direction}\"}}"
-        );
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 fn main() {
@@ -163,8 +141,8 @@ fn main() {
     );
 
     let rows = gate_rows(&flat, &proxy);
-    for &(id, value, _) in &rows {
-        if !(value > 0.0 && value.is_finite()) {
+    for Row { id, value, .. } in &rows {
+        if !(*value > 0.0 && value.is_finite()) {
             eprintln!("gate row {id} is not strictly positive: {value}");
             std::process::exit(1);
         }
@@ -202,16 +180,8 @@ mod tests {
             proxy_a.startup_summary().mean,
             flat_a.startup_summary().mean
         );
-        for (id, value, _) in gate_rows(&flat_a, &proxy_a) {
+        for Row { id, value, .. } in gate_rows(&flat_a, &proxy_a) {
             assert!(value > 0.0 && value.is_finite(), "{id} = {value}");
         }
-    }
-
-    #[test]
-    fn rows_json_is_the_compare_rows_format() {
-        let json = rows_json(&[("proxy/x", 1.5, "higher"), ("proxy/y", 2.0, "lower")]);
-        assert!(json.starts_with("{\"rows\":[\n"));
-        assert!(json.contains("{\"id\":\"proxy/x\",\"value\":1.5,\"direction\":\"higher\"}"));
-        assert!(json.contains("{\"id\":\"proxy/y\",\"value\":2,\"direction\":\"lower\"}"));
     }
 }

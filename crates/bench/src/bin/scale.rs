@@ -6,12 +6,12 @@
 //! the peak number of concurrently live sessions.
 //!
 //! Run with: `cargo run --release -p vod-bench --bin scale
-//! [--seed N] [--sessions N] [--json BENCH_sim.json] [--gate]
+//! [--seed N] [--sessions N] [--json <path>]
 //! [--trace <path> --trace-sessions N] [--series <path>]`
 //!
-//! `--json` writes the machine-readable results (the committed
-//! `BENCH_sim.json`). `--gate` turns the run into a CI assertion: the
-//! full run must hold ≥ 100 000 concurrent sessions. `--trace`
+//! `--json` writes the run as bench rows for `vod-bench compare`
+//! against the committed `BENCH_sim.json`: throughput, and the peak
+//! session and event counts, which are exact for a seed. `--trace`
 //! additionally writes the JSONL event trace of a smaller
 //! (`--trace-sessions`) scale run for `vod-check audit`; `--series`
 //! writes the same smaller run's one-minute windowed time-series
@@ -23,8 +23,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use serde::Serialize;
-
+use vod_bench::compare::{rows_json, Direction, Row};
 use vod_bench::obs_cli;
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
@@ -36,7 +35,6 @@ struct Options {
     seed: u64,
     sessions: usize,
     json: Option<String>,
-    gate: bool,
     trace: Option<String>,
     trace_sessions: usize,
     series: Option<String>,
@@ -47,7 +45,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 42,
         sessions: 102_000,
         json: None,
-        gate: false,
         trace: None,
         trace_sessions: 2_000,
         series: None,
@@ -70,9 +67,6 @@ fn parse_args() -> Result<Options, String> {
             "--json" => {
                 opts.json = Some(args.next().ok_or("--json requires a path")?);
             }
-            "--gate" => {
-                opts.gate = true;
-            }
             "--trace" => {
                 opts.trace = Some(args.next().ok_or("--trace requires a path")?);
             }
@@ -87,7 +81,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: scale [--seed <u64>] [--sessions <n>] \
-                            [--json <path>] [--gate] [--trace <path>] \
+                            [--json <path>] [--trace <path>] \
                             [--trace-sessions <n>] [--series <path>]"
                     .into());
             }
@@ -109,7 +103,6 @@ fn scale_config() -> ServiceConfig {
     }
 }
 
-#[derive(Debug, Serialize)]
 struct KernelResult {
     events: u64,
     wall_secs: f64,
@@ -117,15 +110,6 @@ struct KernelResult {
     sim_secs: f64,
     peak_sessions: usize,
     completed: u64,
-}
-
-#[derive(Debug, Serialize)]
-struct BenchReport {
-    scenario: String,
-    seed: u64,
-    target_sessions: usize,
-    arrivals: usize,
-    lazy: KernelResult,
 }
 
 /// Runs the scenario to completion.
@@ -196,27 +180,18 @@ fn main() {
         lazy.sim_secs,
     );
 
-    if opts.gate {
-        assert!(
-            lazy.peak_sessions >= 100_000,
-            "gate: peak sessions {} < 100000",
-            lazy.peak_sessions
-        );
-        println!("gate:      OK (>=100000 concurrent sessions)");
-    }
-
-    let report = BenchReport {
-        scenario: scenario.name().into(),
-        seed: opts.seed,
-        target_sessions: opts.sessions,
-        arrivals: scenario.trace().len(),
-        lazy,
-    };
     if let Some(path) = &opts.json {
-        let mut out = BufWriter::new(File::create(path).expect("create json output"));
-        serde_json::to_writer(&mut out, &report).expect("serialize bench report");
-        out.write_all(b"\n").expect("write json output");
-        out.flush().expect("flush json output");
+        use Direction::{HigherBetter, LowerBetter};
+        let rows = [
+            Row::new("sim/lazy/events_per_sec", lazy.events_per_sec, HigherBetter),
+            Row::new(
+                "sim/lazy/peak_sessions",
+                lazy.peak_sessions as f64,
+                HigherBetter,
+            ),
+            Row::new("sim/lazy/events", lazy.events as f64, LowerBetter),
+        ];
+        std::fs::write(path, rows_json(&rows)).expect("write json output");
         println!("wrote {path}");
     }
 

@@ -2,7 +2,9 @@
 //!
 //! Every table and figure of the paper's evaluation has a regeneration
 //! binary in `src/bin/` (see DESIGN.md's per-experiment index), and the
-//! Criterion benches in `benches/` measure the algorithmic kernels.
+//! Criterion benches in `benches/` measure the routing engine, the flow
+//! kernel and the obs sinks; every row they emit is a row of a committed
+//! `BENCH_*.json`.
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -26,10 +28,10 @@
 //!
 //! This support library provides the shared pieces: text tables,
 //! seed/CLI handling, the paper's expected values, the simple LRU/LFU
-//! baseline caches used by E1, and the [`compare`] perf-regression
-//! harness behind the `vod-bench` binary itself (`cargo run -p
-//! vod-bench -- compare`), which diffs fresh `BENCH_*.json` runs
-//! against the committed baselines.
+//! baseline caches used by E1, and [`compare`]: the one bench-file
+//! shape, its writer and parser, and the gate behind the `vod-bench`
+//! binary itself (`cargo run -p vod-bench -- compare`), which holds
+//! fresh rows to the limits the committed `BENCH_*.json` rows carry.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,129 +1,64 @@
-//! The `vod-bench` command: perf-regression tooling over the committed
+//! The `vod-bench` command: the perf gate over the committed
 //! `BENCH_*.json` baselines.
 //!
 //! ```text
-//! cargo run -p vod-bench -- compare [--json] [--tolerance R] [--floor-ns N]
-//!     [--threshold id=R]... [--only PREFIX] BASELINE CURRENT [BASELINE CURRENT]...
+//! cargo run -p vod-bench -- compare BASELINE CURRENT [BASELINE CURRENT]...
 //! ```
 //!
-//! Each `BASELINE CURRENT` pair is diffed with
-//! [`vod_bench::compare`]; the process exits nonzero when any
-//! benchmark id degrades past its tolerance (or vanishes), naming the
-//! id and the delta. `--json` emits the machine-readable verdict
-//! instead of human lines.
+//! Each `BASELINE CURRENT` pair goes through
+//! [`vod_bench::compare::compare_pair`]; every row is printed, and the
+//! process exits 1, naming the ids, when a row is worse than the limit
+//! its baseline gives it, is missing, is unrecorded or is not a finite
+//! positive number. There are no options: what is gated and how tightly
+//! is written in the baseline files.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
-use vod_bench::compare::{compare_pair, CompareConfig, CompareReport};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: vod-bench compare [--json] [--tolerance <ratio>] [--floor-ns <ns>] \
-         [--threshold <id>=<ratio>]... [--only <id-prefix>] \
-         <baseline> <current> [<baseline> <current>]..."
-    );
-    std::process::exit(2);
-}
+use vod_bench::compare::compare_pair;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("compare") => run_compare(args.collect()),
-        _ => usage(),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.split_first() {
+        Some((command, files))
+            if command == "compare" && !files.is_empty() && files.len() % 2 == 0 =>
+        {
+            run_compare(files)
+        }
+        _ => {
+            eprintln!("usage: vod-bench compare <baseline> <current> [<baseline> <current>]...");
+            ExitCode::from(2)
+        }
     }
 }
 
-fn run_compare(args: Vec<String>) -> ExitCode {
-    let mut config = CompareConfig::default();
-    let mut json = false;
-    let mut files = Vec::new();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--tolerance" => {
-                let Some(value) = iter.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--tolerance requires a numeric ratio");
-                    usage();
-                };
-                config.tolerance = value;
-            }
-            "--floor-ns" => {
-                let Some(value) = iter.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--floor-ns requires a numeric value");
-                    usage();
-                };
-                config.floor_ns = value;
-            }
-            "--threshold" => {
-                let Some(spec) = iter.next() else {
-                    eprintln!("--threshold requires <id>=<ratio>");
-                    usage();
-                };
-                let Some((id, ratio)) = spec.split_once('=') else {
-                    eprintln!("--threshold requires <id>=<ratio>, got {spec:?}");
-                    usage();
-                };
-                let Ok(ratio) = ratio.parse() else {
-                    eprintln!("invalid --threshold ratio in {spec:?}");
-                    usage();
-                };
-                config.overrides.insert(id.to_string(), ratio);
-            }
-            "--only" => {
-                let Some(prefix) = iter.next() else {
-                    eprintln!("--only requires an id prefix");
-                    usage();
-                };
-                config.only = Some(prefix);
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown option {other:?}");
-                usage();
-            }
-            path => files.push(path.to_string()),
-        }
-    }
-    if files.is_empty() || files.len() % 2 != 0 {
-        eprintln!("compare needs one or more <baseline> <current> path pairs");
-        usage();
-    }
-
-    let mut report = CompareReport::default();
+fn run_compare(files: &[String]) -> ExitCode {
+    let mut failed = Vec::new();
     for pair in files.chunks(2) {
-        let baseline_text = match std::fs::read_to_string(&pair[0]) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", pair[0]);
-                return ExitCode::from(2);
-            }
+        let read = |path: &String| {
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
         };
-        let current_text = match std::fs::read_to_string(&pair[1]) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read current {}: {e}", pair[1]);
-                return ExitCode::from(2);
+        let report = read(&pair[0]).and_then(|baseline| {
+            let current = read(&pair[1])?;
+            compare_pair(&pair[0], &baseline, &pair[1], &current)
+        });
+        match report {
+            Ok(report) => {
+                print!("{}", report.render());
+                failed.extend(report.failures().map(str::to_string));
             }
-        };
-        match compare_pair(&pair[0], &baseline_text, &pair[1], &current_text, &config) {
-            Ok(p) => report.pairs.push(p),
             Err(e) => {
                 eprintln!("compare failed: {e}");
                 return ExitCode::from(2);
             }
         }
     }
-
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    if report.is_ok() {
+    if failed.is_empty() {
+        println!("verdict: OK");
         ExitCode::SUCCESS
     } else {
+        println!("verdict: FAIL ({})", failed.join(", "));
         ExitCode::FAILURE
     }
 }
