@@ -9,8 +9,10 @@
 //!
 //! - `--trace <path>`: run the full GRNET case-study service and write
 //!   its deterministic JSONL event trace to `path`.
-//! - `--metrics <path>`: write the same run's aggregated `RunReport`
-//!   JSON (histograms + subsystem counters) to `path`.
+//! - `--metrics <path>`: write the same run's `ServiceReport` (every
+//!   finished session's QoS record plus the engine, flow-kernel,
+//!   scheduler, tick, DMA and prefix counters) as one JSON object to
+//!   `path`.
 //! - `--series <path>`: write the same run's windowed time-series
 //!   (one-minute windows; byte-stable JSON, or CSV when `path` ends in
 //!   `.csv`) to `path`.
@@ -169,7 +171,7 @@ fn main() {
     );
 
     if obs.trace.is_some() || obs.metrics.is_some() || obs.series.is_some() || obs.stats {
-        let (report, run_report) = if let Some(series_path) = &obs.series {
+        let report = if let Some(series_path) = &obs.series {
             let artifacts =
                 obs_cli::case_study_run_full(obs.trace.as_deref()).unwrap_or_else(|e| {
                     eprintln!("observability run failed: {e}");
@@ -180,7 +182,7 @@ fn main() {
                 std::process::exit(1);
             }
             eprintln!("series written to {series_path}");
-            (artifacts.report, artifacts.run_report)
+            artifacts.report
         } else {
             obs_cli::case_study_run(obs.trace.as_deref()).unwrap_or_else(|e| {
                 eprintln!("observability run failed: {e}");
@@ -191,7 +193,11 @@ fn main() {
             eprintln!("trace written to {path}");
         }
         if let Some(path) = &obs.metrics {
-            if let Err(e) = std::fs::write(path, run_report.to_json() + "\n") {
+            let json = serde_json::to_string(&report).unwrap_or_else(|e| {
+                eprintln!("failed to serialize the report: {e}");
+                std::process::exit(1);
+            });
+            if let Err(e) = std::fs::write(path, json + "\n") {
                 eprintln!("failed to write metrics to {path}: {e}");
                 std::process::exit(1);
             }

@@ -158,7 +158,7 @@ fn run(
                 None => Box::new(std::io::sink()),
             };
             let sink = TeeSink::new(JsonlWriter::new(writer), TimeSeriesSink::new());
-            let (report, _, sink) =
+            let (report, sink) =
                 VodService::with_sink(scenario, Box::new(Vra::default()), config, sink).run_full();
             let (jsonl, series_sink) = sink.into_parts();
             jsonl.into_inner().flush()?;

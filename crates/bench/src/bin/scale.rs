@@ -144,7 +144,7 @@ fn write_trace(
         None => Box::new(std::io::sink()),
     };
     let sink = TeeSink::new(JsonlWriter::new(writer), TimeSeriesSink::new());
-    let (_, _, sink) =
+    let (_, sink) =
         VodService::with_sink(&scenario, Box::new(Vra::default()), scale_config(), sink).run_full();
     let (jsonl, series_sink) = sink.into_parts();
     jsonl.into_inner().flush()?;

@@ -78,8 +78,7 @@ fn main() {
             eprintln!("series written to {series_path}");
             artifacts.report
         } else {
-            let (report, _) = obs_cli::case_study_run(None).expect("no trace file involved");
-            report
+            obs_cli::case_study_run(None).expect("no trace file involved")
         };
         if obs_cli::stats_flag() {
             println!();

@@ -12,8 +12,7 @@
 //! - `--trace <path>` (experiments only) writes the run's JSONL event
 //!   trace to `path`.
 //! - `--metrics <path>` (experiments only) writes the run's
-//!   [`RunReport`] JSON to `path` (with the span-derived time-to-switch
-//!   histogram attached).
+//!   [`ServiceReport`] as one JSON object to `path`.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -21,9 +20,7 @@ use std::io::{BufWriter, Write};
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_core::ServiceReport;
-use vod_obs::{
-    JsonlWriter, RunReport, SeriesReport, SpanBuilder, SpanReport, TeeSink, TimeSeriesSink,
-};
+use vod_obs::{JsonlWriter, SeriesReport, SpanBuilder, SpanReport, TeeSink, TimeSeriesSink};
 use vod_workload::scenario::Scenario;
 
 /// Returns true when `--stats` appears in the process arguments.
@@ -55,9 +52,6 @@ pub fn series_flag() -> Option<String> {
 pub struct CaseStudyArtifacts {
     /// The paper-facing service report.
     pub report: ServiceReport,
-    /// Aggregated metrics, with the span-derived time-to-switch
-    /// histogram attached.
-    pub run_report: RunReport,
     /// Windowed time-series of the run.
     pub series: SeriesReport,
     /// Assembled per-session lifecycle spans.
@@ -65,24 +59,20 @@ pub struct CaseStudyArtifacts {
 }
 
 /// Runs the GRNET case study (seed 42, the VRA selector) and returns
-/// both reports, streaming the JSONL trace to `trace` when given.
-pub fn case_study_run(trace: Option<&str>) -> std::io::Result<(ServiceReport, RunReport)> {
+/// its report, streaming the JSONL trace to `trace` when given.
+pub fn case_study_run(trace: Option<&str>) -> std::io::Result<ServiceReport> {
     let scenario = Scenario::grnet_case_study(42);
     let selector = Box::new(Vra::default());
     let config = ServiceConfig::default();
     Ok(match trace {
         Some(path) => {
             let sink = JsonlWriter::new(BufWriter::new(File::create(path)?));
-            let (report, run_report, sink) =
+            let (report, sink) =
                 VodService::with_sink(&scenario, selector, config, sink).run_full();
-            let mut writer = sink.into_inner();
-            writer.flush()?;
-            (report, run_report)
+            sink.into_inner().flush()?;
+            report
         }
-        None => {
-            let (report, run_report, _) = VodService::new(&scenario, selector, config).run_full();
-            (report, run_report)
-        }
+        None => VodService::new(&scenario, selector, config).run(),
     })
 }
 
@@ -104,19 +94,14 @@ pub fn case_study_run_full(trace: Option<&str>) -> std::io::Result<CaseStudyArti
         JsonlWriter::new(writer),
         TeeSink::new(TimeSeriesSink::new(), SpanBuilder::new()),
     );
-    let (report, mut run_report, sink) =
-        VodService::with_sink(&scenario, selector, config, sink).run_full();
+    let (report, sink) = VodService::with_sink(&scenario, selector, config, sink).run_full();
     let (jsonl, aggregators) = sink.into_parts();
     jsonl.into_inner().flush()?;
     let (series_sink, span_builder) = aggregators.into_parts();
-    let series = series_sink.finish();
-    let spans = span_builder.finish();
-    run_report.attach_spans(&spans);
     Ok(CaseStudyArtifacts {
         report,
-        run_report,
-        series,
-        spans,
+        series: series_sink.finish(),
+        spans: span_builder.finish(),
     })
 }
 

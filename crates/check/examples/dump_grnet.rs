@@ -15,7 +15,7 @@ fn main() {
         ServiceConfig::default(),
         sink,
     );
-    let (_, _, sink) = service.run_full();
+    let (_, sink) = service.run_full();
     let text = String::from_utf8(sink.into_inner()).unwrap_or_default();
     print!("{text}");
 }

@@ -539,7 +539,7 @@ fn service_trace(scenario: &Scenario) -> String {
 fn service_trace_with(scenario: &Scenario, config: ServiceConfig) -> String {
     let sink = JsonlWriter::new(Vec::new());
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
-    let (_, _, sink) = service.run_full();
+    let (_, sink) = service.run_full();
     String::from_utf8(sink.into_inner()).expect("JSONL traces are UTF-8")
 }
 

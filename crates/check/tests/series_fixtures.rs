@@ -21,7 +21,7 @@ fn instrumented_grnet_run() -> (String, String) {
         ServiceConfig::default(),
         sink,
     );
-    let (_, _, sink) = service.run_full();
+    let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
     let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
     (trace, series.finish().to_json())
@@ -75,7 +75,7 @@ fn prefix_tier_series_reconciles_clean() {
         },
         sink,
     );
-    let (_, _, sink) = service.run_full();
+    let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
     let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
     let series = series.finish().to_json();

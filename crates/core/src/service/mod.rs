@@ -40,7 +40,7 @@ use std::collections::BTreeMap;
 
 use vod_db::{AdminCredential, Database};
 use vod_net::NodeId;
-use vod_obs::{Event as ObsEvent, EventSink, MetricsRegistry, NullSink, RunReport, RunSummary};
+use vod_obs::{Event as ObsEvent, EventSink, NullSink};
 use vod_sim::engine::Simulation;
 use vod_sim::fault::FaultKind;
 use vod_sim::flow::FlowNetwork;
@@ -73,8 +73,8 @@ use crate::selection::ServerSelector;
 /// println!("{} sessions completed", report.completed.len());
 /// ```
 ///
-/// With a recording sink the same run additionally yields a trace and a
-/// [`RunReport`]:
+/// With a recording sink the same run additionally yields a trace; the
+/// report is the same either way:
 ///
 /// ```no_run
 /// use vod_core::service::{ServiceConfig, VodService};
@@ -89,10 +89,9 @@ use crate::selection::ServerSelector;
 ///     ServiceConfig::default(),
 ///     RingRecorder::new(4096),
 /// );
-/// let (report, run_report, recorder) = service.run_full();
+/// let (report, recorder) = service.run_full();
 /// println!("{} events retained", recorder.len());
-/// println!("{}", run_report.to_prometheus());
-/// # let _ = report;
+/// println!("{} sessions completed", report.completed.len());
 /// ```
 pub struct VodService<S: EventSink = NullSink> {
     sim: Simulation<ServiceModel<S>>,
@@ -400,7 +399,6 @@ impl<S: EventSink> VodService<S> {
             seed: scenario.seed(),
             config,
             sink,
-            registry: MetricsRegistry::new(),
         };
 
         // Arrivals are the model's input lane; only the recurring ticks
@@ -444,32 +442,16 @@ impl<S: EventSink> VodService<S> {
     }
 
     /// Runs the simulation to completion and returns the report.
-    pub fn run(mut self) -> ServiceReport {
-        self.sim.run();
-        self.into_report()
+    pub fn run(self) -> ServiceReport {
+        self.run_full().0
     }
 
-    /// Runs the simulation to completion and returns the report, the
-    /// aggregated [`RunReport`] (histograms + every subsystem's
-    /// counters), and the sink with its recorded trace.
-    pub fn run_full(mut self) -> (ServiceReport, RunReport, S) {
+    /// Runs the simulation to completion and returns the report and the
+    /// sink with its recorded trace. The sink never changes the report.
+    pub fn run_full(mut self) -> (ServiceReport, S) {
         self.sim.run();
         let scheduler = self.sim.scheduler_stats();
-        let (report, registry, sink) = self.sim.into_model().into_report_full(scheduler);
-        let run_report = registry.finish(RunSummary {
-            selector: report.selector.clone(),
-            seed: report.seed,
-            completed: report.completed.len() as u64,
-            failed_requests: report.failed_requests,
-            rejected_requests: report.rejected_requests,
-            aborted_sessions: report.aborted_sessions,
-            unfinished_sessions: report.unfinished_sessions as u64,
-            snmp_polls: report.snmp_polls,
-            dma_total: report.dma,
-            per_server_dma: report.per_server_dma.clone(),
-            engine: report.engine,
-        });
-        (report, run_report, sink)
+        self.sim.into_model().into_report_full(scheduler)
     }
 
     /// Runs until `deadline` only (for incremental inspection in tests).

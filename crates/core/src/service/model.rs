@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use vod_db::{AdminCredential, Database, LimitedAccess};
 use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
-use vod_obs::{AbortReason, Event as ObsEvent, EventSink, MetricsRegistry};
+use vod_obs::{AbortReason, Event as ObsEvent, EventSink};
 use vod_sim::engine::Model;
 use vod_sim::flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
 use vod_sim::scheduler::Scheduler;
@@ -228,8 +228,6 @@ pub(super) struct ServiceModel<S: EventSink> {
     /// Where trace events go; [`vod_obs::NullSink`] compiles the emission sites
     /// away entirely.
     pub(super) sink: S,
-    /// Always-on distribution bookkeeping feeding [`vod_obs::RunReport`].
-    pub(super) registry: MetricsRegistry,
 }
 
 impl<S: EventSink> ServiceModel<S> {
@@ -459,28 +457,24 @@ impl<S: EventSink> ServiceModel<S> {
         route: Route,
         sched: &mut Scheduler<Event>,
     ) {
-        self.registry.record_fetch_cost(route.cost());
         let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
         let sess = &mut rec.session;
         let from = sess.current_server();
-        if sess.assign_server(route.target(), route.hops() == 0) {
-            self.registry.record_switch();
-            if self.sink.enabled() {
-                // `from` is always present here: a first assignment is
-                // not reported as a switch.
-                if let Some(from) = from {
-                    self.sink.record(
-                        now,
-                        &ObsEvent::Switch {
-                            session: sid.0,
-                            cluster: idx as u64,
-                            from,
-                            to: route.target(),
-                        },
-                    );
-                }
+        if sess.assign_server(route.target(), route.hops() == 0) && self.sink.enabled() {
+            // `from` is always present here: a first assignment is not
+            // reported as a switch.
+            if let Some(from) = from {
+                self.sink.record(
+                    now,
+                    &ObsEvent::Switch {
+                        session: sid.0,
+                        cluster: idx as u64,
+                        from,
+                        to: route.target(),
+                    },
+                );
             }
         }
         let (home, video) = (sess.home(), sess.video());
@@ -707,7 +701,6 @@ impl<S: EventSink> ServiceModel<S> {
             let startup = sess.startup_delay().unwrap_or(SimDuration::ZERO);
             let dt = sess.cluster_play_time(0);
             sched.schedule(now + dt, Event::PlayoutTick(sid));
-            self.registry.record_startup(startup);
             if self.sink.enabled() {
                 self.sink.record(
                     now,
@@ -721,7 +714,6 @@ impl<S: EventSink> ServiceModel<S> {
             let stalled_for = sess.resume(now);
             let dt = sess.cluster_play_time(sess.clusters_played());
             sched.schedule(now + dt, Event::PlayoutTick(sid));
-            self.registry.record_stall(stalled_for);
             if self.sink.enabled() {
                 self.sink.record(
                     now,

@@ -1,7 +1,7 @@
 //! Folding a finished model into its [`ServiceReport`].
 
 use vod_net::NodeId;
-use vod_obs::{EventSink, MetricsRegistry};
+use vod_obs::EventSink;
 use vod_sim::metrics::Summary;
 use vod_sim::SchedulerStats;
 use vod_storage::dma::DmaStats;
@@ -10,15 +10,12 @@ use super::model::ServiceModel;
 use crate::qos::{PrefixTierReport, ServiceReport};
 
 impl<S: EventSink> ServiceModel<S> {
-    /// Builds the final [`ServiceReport`] and hands back the metric
-    /// registry and the sink for callers that want the full picture
+    /// Builds the final [`ServiceReport`] and hands back the sink for
+    /// callers that want its recording
     /// ([`VodService::run_full`](super::VodService::run_full)). The
     /// scheduler's counters live with the engine, not the model, so the
     /// caller passes them in.
-    pub(super) fn into_report_full(
-        self,
-        scheduler: SchedulerStats,
-    ) -> (ServiceReport, MetricsRegistry, S) {
+    pub(super) fn into_report_full(self, scheduler: SchedulerStats) -> (ServiceReport, S) {
         let mut dma = self.retired_dma;
         let per_server_dma: Vec<(NodeId, DmaStats)> = self
             .caches
@@ -59,6 +56,6 @@ impl<S: EventSink> ServiceModel<S> {
             snmp_polls: self.snmp.polls(),
             prefix,
         };
-        (report, self.registry, self.sink)
+        (report, self.sink)
     }
 }

@@ -304,7 +304,7 @@ fn overlapping_outage_windows_nest_instead_of_reviving_early() {
         config,
         RingRecorder::new(65_536),
     );
-    let (_, _, recorder) = service.run_full();
+    let (_, recorder) = service.run_full();
     let mut downs = Vec::new();
     let mut ups = Vec::new();
     for (at, ev) in recorder.iter() {
@@ -459,7 +459,7 @@ fn link_outage_reroutes_or_retries() {
         config,
         RingRecorder::new(65_536),
     );
-    let (report, _, recorder) = service.run_full();
+    let (report, recorder) = service.run_full();
     let kinds: Vec<&str> = recorder.iter().map(|(_, e)| e.kind()).collect();
     assert!(kinds.contains(&"link_down"), "outage must be traced");
     assert!(kinds.contains(&"link_up"), "recovery must be traced");
@@ -493,7 +493,7 @@ fn snmp_outage_freezes_the_view_and_flags_staleness() {
         config,
         RingRecorder::new(65_536),
     );
-    let (report, _, recorder) = service.run_full();
+    let (report, recorder) = service.run_full();
     let mut stale = 0u32;
     let mut max_staleness = SimDuration::ZERO;
     for (_, ev) in recorder.iter() {

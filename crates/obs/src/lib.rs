@@ -1,5 +1,5 @@
 //! Observability for the distributed VoD service: a deterministic flight
-//! recorder and service-wide metrics.
+//! recorder and the folds built over it.
 //!
 //! The paper's interesting behaviour is *decisions* — the DMA admitting
 //! or evicting a title, the VRA picking (and mid-stream switching) a
@@ -14,10 +14,6 @@
 //!   [`NullSink`] (tracing compiled out, ≈0 ns/event), [`RingRecorder`]
 //!   (bounded in-memory flight recorder), or [`JsonlWriter`] (streaming
 //!   JSON Lines);
-//! * [`MetricsRegistry`] / [`RunReport`] — run-level aggregation:
-//!   startup-latency, stall-duration, fetch-cost and time-to-switch
-//!   [`Histogram`](vod_sim::metrics::Histogram)s plus the DMA, routing
-//!   engine and SNMP counters, exposed as JSON or Prometheus text;
 //! * [`TimeSeriesSink`] / [`SeriesReport`] — fixed-width sim-time
 //!   windows aggregated online (concurrent sessions, per-link
 //!   utilization, admissions/aborts/retries, DMA hit ratio, VRA
@@ -30,6 +26,12 @@
 //!   feeding the phase-duration histograms;
 //! * [`TeeSink`] — fan-out combinator so one run can, say, stream
 //!   JSONL *and* feed the series/span aggregators simultaneously.
+//!
+//! The run's totals are not kept here: the service's own
+//! `ServiceReport` (in `vod-core`) is the one record of a run — every
+//! finished session's QoS plus every subsystem's work counters — and
+//! serializes as JSON. This crate only adds views the report does not
+//! hold (the trace, time-resolved windows, per-session phases).
 //!
 //! # Determinism contract
 //!
@@ -54,13 +56,11 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod registry;
 pub mod series;
 pub mod sink;
 pub mod span;
 
 pub use event::{AbortReason, DmaRejectKind, Event};
-pub use registry::{MetricsRegistry, RunReport, RunSummary};
 pub use series::{SeriesReport, SeriesWindow, TimeSeriesSink};
 pub use sink::{EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink};
 pub use span::{SessionSpan, SpanBuilder, SpanOutcome, SpanReport};

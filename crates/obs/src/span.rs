@@ -14,9 +14,9 @@
 //! started_at ≤ ended_at` by construction (each is clamped to never
 //! precede the previous phase), so phase durations are non-negative
 //! and the phases never overlap; the proptest suite drives this under
-//! random fault plans. The finished [`SpanReport`] feeds the
+//! random fault plans. The finished [`SpanReport`] yields the
 //! phase-duration histograms — startup latency, stall time and
-//! time-to-switch — that [`RunReport`](crate::RunReport) exposes.
+//! time-to-switch — the service report does not keep.
 
 use std::collections::BTreeMap;
 

@@ -101,58 +101,6 @@ pub struct Histogram {
     max_seen: f64,
 }
 
-// Hand-written serde: the empty-histogram sentinels (`min_seen = +inf`,
-// `max_seen = -inf`) are not JSON-encodable, so they are written as 0
-// and restored from `count == 0` on the way back in. This keeps every
-// report embedding a histogram — including empty ones, e.g. a
-// stall-free run's stall distribution — byte-stable and round-trippable.
-impl Serialize for Histogram {
-    fn to_value(&self) -> serde::Value {
-        let (min_seen, max_seen) = if self.count == 0 {
-            (0.0, 0.0)
-        } else {
-            (self.min_seen, self.max_seen)
-        };
-        serde::Value::Object(vec![
-            ("min_value".into(), self.min_value.to_value()),
-            ("octaves".into(), self.octaves.to_value()),
-            ("sub_per_octave".into(), self.sub_per_octave.to_value()),
-            ("counts".into(), self.counts.to_value()),
-            ("count".into(), self.count.to_value()),
-            ("sum".into(), self.sum.to_value()),
-            ("min_seen".into(), min_seen.to_value()),
-            ("max_seen".into(), max_seen.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Histogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            let f = v
-                .get_field(name)
-                .ok_or_else(|| serde::Error::custom(format!("Histogram missing field {name}")))?;
-            T::from_value(f)
-        }
-        let count: u64 = field(v, "count")?;
-        let (min_seen, max_seen) = if count == 0 {
-            (f64::INFINITY, f64::NEG_INFINITY)
-        } else {
-            (field(v, "min_seen")?, field(v, "max_seen")?)
-        };
-        Ok(Histogram {
-            min_value: field(v, "min_value")?,
-            octaves: field(v, "octaves")?,
-            sub_per_octave: field(v, "sub_per_octave")?,
-            counts: field(v, "counts")?,
-            count,
-            sum: field(v, "sum")?,
-            min_seen,
-            max_seen,
-        })
-    }
-}
-
 impl Default for Histogram {
     /// A general-purpose layout: 1 µs resolution floor, 40 octaves
     /// (covers up to ~1.1e6 × 1e-6 = ~1.1 × 10⁶), 8 sub-buckets per
@@ -472,27 +420,6 @@ mod tests {
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.nonzero_buckets().count(), 0);
-    }
-
-    #[test]
-    fn histogram_round_trips_through_serde_even_when_empty() {
-        let empty = Histogram::default();
-        let back = Histogram::from_value(&empty.to_value()).expect("deserialize empty");
-        assert_eq!(back, empty);
-        // A sample recorded after the round trip lands identically.
-        let mut a = empty;
-        let mut b = back;
-        a.record(0.5);
-        b.record(0.5);
-        assert_eq!(a, b);
-
-        let mut h = Histogram::default();
-        h.record(0.25);
-        h.record(4.0);
-        let back = Histogram::from_value(&h.to_value()).expect("deserialize non-empty");
-        assert_eq!(back, h);
-        assert_eq!(back.min(), 0.25);
-        assert_eq!(back.max(), 4.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use vod_workload::{LibraryConfig, LibraryGenerator, Request, RequestTrace};
 fn traced_run(scenario: &Scenario, config: ServiceConfig) -> (String, String) {
     let sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
-    let (_, _, sink) = service.run_full();
+    let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
     let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
     (trace, series.finish().to_json())

@@ -32,7 +32,7 @@ fn traced_run(scenario: &Scenario, config: ServiceConfig) -> (ServiceReport, Str
         config,
         JsonlWriter::new(Vec::new()),
     );
-    let (report, _run_report, sink) = service.run_full();
+    let (report, sink) = service.run_full();
     (report, String::from_utf8(sink.into_inner()).unwrap())
 }
 

@@ -27,7 +27,7 @@ use vod_workload::scenario::Scenario;
 fn series_run(scenario: &Scenario, config: ServiceConfig) -> (String, SeriesReport) {
     let sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
-    let (_, _, sink) = service.run_full();
+    let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
     let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
     (trace, series.finish())
@@ -283,7 +283,7 @@ proptest! {
             config,
             SpanBuilder::new(),
         );
-        let (_, _, builder) = service.run_full();
+        let (_, builder) = service.run_full();
         let report = builder.finish();
         prop_assert!(!report.spans.is_empty(), "case study must produce sessions");
         assert_spans_well_formed(&report)?;
@@ -302,7 +302,7 @@ fn span_histograms_cover_expected_populations() {
         ServiceConfig::default(),
         SpanBuilder::new(),
     );
-    let (_, _, builder) = service.run_full();
+    let (_, builder) = service.run_full();
     let report = builder.finish();
     let started = report
         .spans
