@@ -1,4 +1,4 @@
-//! The semantic analyzer: rules `L006`–`L011` over the extracted
+//! The semantic analyzer: rules `L008`–`L011` over the extracted
 //! workspace model.
 //!
 //! Where the [`lint`](crate::lint) pass matches line needles, this pass
@@ -6,8 +6,6 @@
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | L006 | `.unwrap()` reachable from a sim hot-path root |
-//! | L007 | `.expect(…)` reachable from a root and not allowlisted |
 //! | L008 | `panic!`-family macro or computed slice index reachable from a root and not allowlisted |
 //! | L009 | `spawn`/channel primitive outside `vod-bench`/`vod-check` |
 //! | L010 | float sort key via `partial_cmp` without `total_cmp` |
@@ -16,12 +14,12 @@
 //! The hot-path roots are the entry points the paper's experiments
 //! drive — [`ROOTS`] — and reachability is computed over the
 //! [`callgraph`](crate::callgraph)'s over-approximating resolution, so
-//! dynamic dispatch cannot hide a panic. `L007` honors the existing
-//! `L004` allowlist grants (an expect proven infallible for the lint
-//! pass is equally infallible here) plus `L008`-tagged grants for
-//! release-mode asserts whose invariant is documented. Stale `L007`/
-//! `L008` grants are hard findings (`L000`), mirroring the lint pass's
-//! allowlist ownership of `L001`–`L005` entries.
+//! dynamic dispatch cannot hide a panic. `L008`-tagged allowlist grants
+//! cover release-mode asserts whose invariant is documented; stale ones
+//! are hard findings (`L000`), mirroring the lint pass's ownership of
+//! its own entries. There is no reachable-`unwrap`/`expect` rule here
+//! (the retired `L006`/`L007`): this pass reads a subset of the lint
+//! pass's files, where every such site is already an `L004` finding.
 //!
 //! `vod-bench` and `vod-check` itself are tooling, exempt from the
 //! reachability and determinism passes exactly as they are exempt from
@@ -65,7 +63,7 @@ pub struct AnalyzeOutcome {
     /// All findings (including hard `L000` stale-allowlist findings),
     /// sorted by `(path, line, rule)`.
     pub findings: Vec<Finding>,
-    /// Stale `L007`/`L008` allowlist entries (also present in
+    /// Stale `L008` allowlist entries (also present in
     /// `findings` as `L000`).
     pub unused_allow: Vec<AllowEntry>,
     /// Files analyzed (after crate exemptions).
@@ -83,7 +81,7 @@ fn exempt(path: &str) -> bool {
         .any(|c| path.starts_with(&format!("crates/{c}/")))
 }
 
-/// Runs rules `L006`–`L011` over `files` (the full workspace source
+/// Runs rules `L008`–`L011` over `files` (the full workspace source
 /// set; crate exemptions are applied internally).
 pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
     let mut out = AnalyzeOutcome::default();
@@ -135,19 +133,15 @@ pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
     };
 
     let mut allow_used = vec![false; allow.entries().len()];
-    let grant = |rule_code: &[&str], path: &str, line_text: &str, used: &mut Vec<bool>| {
+    let mut grant = |path: &str, line_text: &str| {
         let mut granted = false;
         for (i, e) in allow.entries().iter().enumerate() {
-            if rule_code.contains(&e.rule.as_str())
+            if e.rule == Rule::ReachablePanic.code()
                 && e.path == path
                 && line_text.contains(&e.needle)
             {
                 granted = true;
-                if e.rule != "L004" {
-                    // L004 entries belong to the lint pass's staleness
-                    // accounting; analyze only consumes them.
-                    used[i] = true;
-                }
+                allow_used[i] = true;
             }
         }
         granted
@@ -161,61 +155,25 @@ pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
         let root = chain.first().cloned().unwrap_or_default();
         let hops = chain.len().saturating_sub(1);
         for site in &f.panics {
-            let line_text = raw_line(&f.file, site.line);
-            let (rule, message) = match &site.kind {
-                PanicKind::Unwrap => (
-                    Rule::ReachableUnwrap,
-                    format!(
-                        "`.unwrap()` in {} is reachable from hot-path root {root} \
-                         ({hops} calls); return a typed error",
-                        f.display()
-                    ),
+            if grant(&f.file, &raw_line(&f.file, site.line)) {
+                continue;
+            }
+            let message = match &site.kind {
+                PanicKind::Macro(name) => format!(
+                    "`{name}!` in {} is reachable from hot-path root {root} \
+                     ({hops} calls); prove the invariant in an L008 allowlist \
+                     entry or return an error",
+                    f.display()
                 ),
-                PanicKind::Expect => {
-                    if grant(&["L004", "L007"], &f.file, &line_text, &mut allow_used) {
-                        continue;
-                    }
-                    (
-                        Rule::ReachableExpect,
-                        format!(
-                            "`.expect(…)` in {} is reachable from hot-path root {root} \
-                             ({hops} calls) and not allowlisted; document infallibility \
-                             in lint_allow.txt or return an error",
-                            f.display()
-                        ),
-                    )
-                }
-                PanicKind::Macro(name) => {
-                    if grant(&["L008"], &f.file, &line_text, &mut allow_used) {
-                        continue;
-                    }
-                    (
-                        Rule::ReachablePanic,
-                        format!(
-                            "`{name}!` in {} is reachable from hot-path root {root} \
-                             ({hops} calls); prove the invariant in an L008 allowlist \
-                             entry or return an error",
-                            f.display()
-                        ),
-                    )
-                }
-                PanicKind::Index(expr) => {
-                    if grant(&["L008"], &f.file, &line_text, &mut allow_used) {
-                        continue;
-                    }
-                    (
-                        Rule::ReachablePanic,
-                        format!(
-                            "computed slice index `[{expr}]` in {} is reachable from \
-                             hot-path root {root} ({hops} calls); bounds-check it or \
-                             prove it in an L008 allowlist entry",
-                            f.display()
-                        ),
-                    )
-                }
+                PanicKind::Index(expr) => format!(
+                    "computed slice index `[{expr}]` in {} is reachable from \
+                     hot-path root {root} ({hops} calls); bounds-check it or \
+                     prove it in an L008 allowlist entry",
+                    f.display()
+                ),
             };
             out.findings.push(Finding {
-                rule,
+                rule: Rule::ReachablePanic,
                 path: f.file.clone(),
                 line: site.line as usize,
                 message,
@@ -234,11 +192,10 @@ pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
         scan_determinism(file, &hash_no_ord, &mut out.findings);
     }
 
-    // Stale L007/L008 grants are hard findings, same contract as the
-    // lint pass's L004 staleness.
+    // Stale L008 grants are hard findings, same contract as the lint
+    // pass's L004 staleness.
     for (i, e) in allow.entries().iter().enumerate() {
-        let analyzer_owned = e.rule == "L007" || e.rule == "L008";
-        if analyzer_owned && !allow_used[i] {
+        if e.rule == Rule::ReachablePanic.code() && !allow_used[i] {
             out.findings.push(Finding {
                 rule: Rule::StaleAllow,
                 path: e.path.clone(),
@@ -392,40 +349,16 @@ mod tests {
     }
 
     #[test]
-    fn reachable_unwrap_is_l006_unreachable_is_not() {
-        let out = analyze_with(
-            &[file(
-                "crates/core/src/step.rs",
-                "fn step() { x.unwrap(); }\nfn dead() { y.unwrap(); }\n",
-            )],
-            &Allowlist::default(),
-        );
-        assert_eq!(codes(&out), vec!["L006"]);
-        assert_eq!(out.findings[0].line, 1);
-        assert!(out.findings[0].message.contains("run_full"));
-    }
-
-    #[test]
-    fn reachable_expect_honors_l004_grants() {
-        let f = file(
-            "crates/core/src/step.rs",
-            "fn step() { x.expect(\"always set\"); }\n",
-        );
-        let out = analyze_with(std::slice::from_ref(&f), &Allowlist::default());
-        assert_eq!(codes(&out), vec!["L007"]);
-        let allow = Allowlist::parse("L004 crates/core/src/step.rs always set\n");
-        let out = analyze_with(&[f], &allow);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
-    }
-
-    #[test]
     fn reachable_panic_macro_is_l008_and_grantable() {
         let f = file(
             "crates/core/src/step.rs",
-            "fn step(i: usize) { assert!(i > 0, \"i is positive\"); }\n",
+            "fn step(i: usize) { assert!(i > 0, \"i is positive\"); }\n\
+             fn dead(i: usize) { assert!(i > 1); }\n",
         );
         let out = analyze_with(std::slice::from_ref(&f), &Allowlist::default());
-        assert_eq!(codes(&out), vec!["L008"]);
+        assert_eq!(codes(&out), vec!["L008"], "only the reachable assert");
+        assert_eq!(out.findings[0].line, 1);
+        assert!(out.findings[0].message.contains("run_full"));
         let allow = Allowlist::parse("L008 crates/core/src/step.rs i is positive\n");
         let out = analyze_with(&[f], &allow);
         assert!(out.findings.is_empty(), "{:?}", out.findings);

@@ -3,9 +3,7 @@
 //! The lexer runs over [`strip_source`](crate::lint::strip_source)
 //! output — comments and literal *contents* are already blanked, but
 //! the stripper preserves byte offsets 1:1 with the original text, so
-//! every token carries a byte range that is valid in both views. String
-//! tokens use that to recover their original value (the stripped view
-//! only keeps the quotes).
+//! every token carries a byte range that is valid in both views.
 //!
 //! The token model is deliberately small: identifiers, numbers, string
 //! and char literals, lifetimes and single-character punctuation.
@@ -48,33 +46,6 @@ impl Tok {
     /// tokens, the raw text to recover string literal contents).
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         &src[self.start..self.end]
-    }
-
-    /// For a [`TokKind::Str`] token, the literal's *value* from the raw
-    /// source: the bytes between the quotes, with simple escapes
-    /// (`\"`, `\\`, `\n`, `\r`, `\t`) decoded. Other escapes are kept
-    /// verbatim — the analyzer only compares snake_case event kinds and
-    /// rule ids, which never use them.
-    pub fn str_value(&self, raw: &str) -> String {
-        let inner = raw
-            .get(self.start + 1..self.end.saturating_sub(1))
-            .unwrap_or("");
-        let mut out = String::with_capacity(inner.len());
-        let mut chars = inner.chars();
-        while let Some(c) = chars.next() {
-            if c == '\\' {
-                match chars.next() {
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some(other) => out.push(other),
-                    None => {}
-                }
-            } else {
-                out.push(c);
-            }
-        }
-        out
     }
 }
 
@@ -207,22 +178,6 @@ mod tests {
             texts,
             vec!["fn", "f", "(", "x", ":", "u32", ")", "{", "x", "[", "0", "]", "}"]
         );
-    }
-
-    #[test]
-    fn string_values_survive_stripping() {
-        let raw = "let k = \"vra_select\";";
-        let toks = lex(&strip_source(raw));
-        let s = toks.iter().find(|t| t.kind == TokKind::Str).unwrap();
-        assert_eq!(s.str_value(raw), "vra_select");
-    }
-
-    #[test]
-    fn string_escapes_decode() {
-        let raw = r#"let k = "a\"b\\c";"#;
-        let toks = lex(&strip_source(raw));
-        let s = toks.iter().find(|t| t.kind == TokKind::Str).unwrap();
-        assert_eq!(s.str_value(raw), "a\"b\\c");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The source lint pass: rules `L001`–`L005` over `crates/*/src`.
+//! The source lint pass: rules `L001` and `L003`–`L005` over
+//! `crates/*/src`.
 //!
 //! The scanner is deliberately dependency-free: it strips comments and
 //! literal contents with a small state machine, masks `#[cfg(test)]`
@@ -10,7 +11,6 @@
 //! | rule | meaning |
 //! |------|---------|
 //! | L001 | wall-clock read (`SystemTime`/`Instant` `::now`) outside `vod-bench` — breaks trace determinism |
-//! | L002 | ambient RNG (`thread_rng`) outside `vod-bench` — unseeded, irreproducible |
 //! | L003 | `HashMap`/`HashSet` outside `vod-net` — iteration order would leak into reports and traces |
 //! | L004 | `.unwrap()` / un-allowlisted `.expect(` in library code — panics replace typed errors |
 //! | L005 | crate root missing `#![forbid(unsafe_code)]` |
@@ -18,6 +18,12 @@
 //! `.expect(` sites that are documented infallible are granted by the
 //! allowlist file (`crates/check/lint_allow.txt`); unused entries are
 //! reported so the list can only shrink.
+//!
+//! Codes are stable: a retired rule leaves its number unused. `L002`
+//! (ambient RNG) had nothing to match — the only RNG crate in the build,
+//! `vendor/rand`, has no ambient generator — and `L006`/`L007`
+//! (reachable `unwrap`/`expect`) only repeated `L004` findings, since the
+//! analyzer reads a subset of this pass's files.
 
 use std::fs;
 use std::io;
@@ -32,18 +38,12 @@ pub enum Rule {
     StaleAllow,
     /// L001: wall-clock time read outside `vod-bench`.
     Wallclock,
-    /// L002: ambient (unseeded) RNG outside `vod-bench`.
-    AmbientRng,
     /// L003: iteration-order-dependent collection in deterministic code.
     UnorderedCollection,
     /// L004: `unwrap`/`expect` in library code outside tests.
     PanicHygiene,
     /// L005: crate root without `#![forbid(unsafe_code)]`.
     ForbidUnsafe,
-    /// L006: `.unwrap()` reachable from a sim hot-path root.
-    ReachableUnwrap,
-    /// L007: un-allowlisted `.expect(` reachable from a hot-path root.
-    ReachableExpect,
     /// L008: panic-family macro or computed slice index reachable from
     /// a hot-path root without an allowlist grant.
     ReachablePanic,
@@ -56,17 +56,15 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The stable rule code (`"L000"`…`"L011"`).
+    /// The stable rule code (`"L000"`…`"L011"`; `L002`, `L006` and
+    /// `L007` are retired).
     pub fn code(self) -> &'static str {
         match self {
             Rule::StaleAllow => "L000",
             Rule::Wallclock => "L001",
-            Rule::AmbientRng => "L002",
             Rule::UnorderedCollection => "L003",
             Rule::PanicHygiene => "L004",
             Rule::ForbidUnsafe => "L005",
-            Rule::ReachableUnwrap => "L006",
-            Rule::ReachableExpect => "L007",
             Rule::ReachablePanic => "L008",
             Rule::ThreadPrimitive => "L009",
             Rule::FloatSortKey => "L010",
@@ -76,8 +74,8 @@ impl Rule {
 }
 
 /// Rule codes whose allowlist entries the `lint` pass owns (and
-/// stale-checks). `L007`/`L008` entries belong to the `analyze` pass.
-pub const LINT_OWNED_RULES: &[&str] = &["L001", "L002", "L003", "L004", "L005"];
+/// stale-checks). `L008` entries belong to the `analyze` pass.
+pub const LINT_OWNED_RULES: &[&str] = &["L001", "L003", "L004", "L005"];
 
 /// One lint finding, pointing at a source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -426,12 +424,12 @@ fn is_crate_root(path: &str) -> bool {
     path.ends_with("/src/lib.rs") || is_bin_root(path)
 }
 
-/// Runs rules L001–L005 over `files`, granting `allow`listed `expect`s.
+/// Runs rules L001 and L003–L005 over `files`, granting `allow`listed
+/// `expect`s.
 pub fn lint(files: &[SourceFile], allow: &Allowlist) -> LintOutcome {
     // Needles are assembled so they never appear verbatim in this
     // crate's own (stripped) source.
     let wallclock = [concat!("SystemTime", "::now"), concat!("Instant", "::now")];
-    let ambient_rng = concat!("thread", "_rng");
     let unordered = [concat!("Hash", "Map"), concat!("Hash", "Set")];
     let unwrap_call = concat!(".unw", "rap()");
     let expect_call = concat!(".exp", "ect(");
@@ -470,16 +468,6 @@ pub fn lint(files: &[SourceFile], allow: &Allowlist) -> LintOutcome {
                             ),
                         });
                     }
-                }
-                if code_line.contains(ambient_rng) {
-                    findings.push(Finding {
-                        rule: Rule::AmbientRng,
-                        path: file.path.clone(),
-                        line,
-                        message: format!(
-                            "`{ambient_rng}` is unseeded; use an explicit seeded generator"
-                        ),
-                    });
                 }
             }
             if krate != "net" {
@@ -534,8 +522,8 @@ pub fn lint(files: &[SourceFile], allow: &Allowlist) -> LintOutcome {
         }
     }
     // Stale lint-owned grants are hard findings so the allowlist can
-    // only shrink in CI; `L007`/`L008` entries belong to the analyze
-    // pass and are stale-checked there.
+    // only shrink in CI; `L008` entries belong to the analyze pass and
+    // are stale-checked there.
     let unused_allow: Vec<AllowEntry> = allow
         .entries
         .iter()
@@ -615,11 +603,11 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_and_rng_flagged_outside_bench() {
-        let src = "fn f() { let t = std::time::Instant::now(); let r = rand::thread_rng(); }\n";
+    fn wallclock_flagged_outside_bench() {
+        let src = "fn f() { let t = std::time::Instant::now(); let s = SystemTime::now(); }\n";
         let out = lint(&[file("crates/core/src/x.rs", src)], &Allowlist::default());
         let codes: Vec<&str> = out.findings.iter().map(|f| f.rule.code()).collect();
-        assert_eq!(codes, vec!["L001", "L002"]);
+        assert_eq!(codes, vec!["L001", "L001"]);
         // The same text inside vod-bench is fine.
         let out = lint(&[file("crates/bench/src/x.rs", src)], &Allowlist::default());
         assert!(out.findings.is_empty());

@@ -50,10 +50,6 @@ pub struct CallSite {
 /// What kind of potential panic a site is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PanicKind {
-    /// `.unwrap()`.
-    Unwrap,
-    /// `.expect(…)` — grantable via the allowlist.
-    Expect,
     /// `panic!` / `unreachable!` / `assert!`-family (release-mode
     /// asserts; `debug_assert*` is exempt by design).
     Macro(String),
@@ -486,8 +482,8 @@ fn skip_signature(toks: &[Tok], start: usize) -> usize {
     i
 }
 
-/// Records call sites and `.unwrap()`/`.expect(`/panic-macro sites for
-/// the ident at `i` inside function `fn_idx`'s body.
+/// Records call sites and panic-macro sites for the ident at `i` inside
+/// function `fn_idx`'s body.
 fn scan_body_token(
     toks: &[Tok],
     stripped: &str,
@@ -523,22 +519,7 @@ fn scan_body_token(
     }
     let prev = i.checked_sub(1).map(|p| &toks[p]);
     let kind = match prev {
-        Some(p) if p.kind == TokKind::Punct(b'.') => {
-            if name == "unwrap"
-                && matches!(toks.get(i + 2), Some(n) if n.kind == TokKind::Punct(b')'))
-            {
-                ws.fns[fn_idx].panics.push(PanicSite {
-                    kind: PanicKind::Unwrap,
-                    line: t.line,
-                });
-            } else if name == "expect" {
-                ws.fns[fn_idx].panics.push(PanicSite {
-                    kind: PanicKind::Expect,
-                    line: t.line,
-                });
-            }
-            CallKind::Method
-        }
+        Some(p) if p.kind == TokKind::Punct(b'.') => CallKind::Method,
         Some(p) if p.kind == TokKind::Punct(b':') => {
             // `…::name(` — look at the segment before the `::`.
             match i.checked_sub(3).map(|q| &toks[q]) {
@@ -683,14 +664,12 @@ mod tests {
         let kinds: Vec<&PanicKind> = w.fns[0].panics.iter().map(|p| &p.kind).collect();
         assert_eq!(
             kinds.len(),
-            5,
-            "debug_assert and xs[i] are exempt: {kinds:?}"
+            3,
+            "unwrap/expect (L004's), debug_assert and xs[i] are exempt: {kinds:?}"
         );
-        assert_eq!(*kinds[0], PanicKind::Unwrap);
-        assert_eq!(*kinds[1], PanicKind::Expect);
-        assert_eq!(*kinds[2], PanicKind::Macro("panic".into()));
-        assert_eq!(*kinds[3], PanicKind::Macro("assert".into()));
-        assert!(matches!(kinds[4], PanicKind::Index(t) if t.contains('+')));
+        assert_eq!(*kinds[0], PanicKind::Macro("panic".into()));
+        assert_eq!(*kinds[1], PanicKind::Macro("assert".into()));
+        assert!(matches!(kinds[2], PanicKind::Index(t) if t.contains('+')));
     }
 
     #[test]
@@ -715,7 +694,7 @@ mod tests {
 
     #[test]
     fn test_code_is_invisible() {
-        let w = ws("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n");
+        let w = ws("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { assert!(x); }\n}\n");
         assert_eq!(w.fns.len(), 1);
         assert!(w.fns[0].panics.is_empty());
     }

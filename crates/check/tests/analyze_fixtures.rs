@@ -1,5 +1,5 @@
 //! Injected-violation fixtures for the semantic analyzer: one fixture
-//! per rule `L006`–`L011`, each asserting that exactly the expected
+//! per rule `L008`–`L011`, each asserting that exactly the expected
 //! rule id fires; a run over the real tree with the repo allowlist,
 //! which must stay green; and a proptest that generated benign
 //! workspaces analyze clean.
@@ -35,24 +35,6 @@ fn analyze_with(extra: &[SourceFile]) -> AnalyzeOutcome {
 
 fn codes(out: &AnalyzeOutcome) -> Vec<&'static str> {
     out.findings.iter().map(|f| f.rule.code()).collect()
-}
-
-#[test]
-fn l006_reachable_unwrap() {
-    let out = analyze_with(&[file(
-        "crates/core/src/step.rs",
-        "fn step() { config.video.unwrap(); }\n",
-    )]);
-    assert_eq!(codes(&out), vec!["L006"]);
-}
-
-#[test]
-fn l007_reachable_expect() {
-    let out = analyze_with(&[file(
-        "crates/core/src/step.rs",
-        "fn step() { config.video.expect(\"video was registered\"); }\n",
-    )]);
-    assert_eq!(codes(&out), vec!["L007"]);
 }
 
 #[test]
@@ -93,10 +75,10 @@ fn l011_hash_key_without_ord() {
 
 #[test]
 fn fixtures_cover_distinct_rules() {
-    // The six fixtures above each trip a different rule id; this
+    // The four fixtures above each trip a different rule id; this
     // meta-check keeps the set honest if a fixture is edited.
-    let expected = ["L006", "L007", "L008", "L009", "L010", "L011"];
-    assert_eq!(expected.len(), 6);
+    let expected = ["L008", "L009", "L010", "L011"];
+    assert_eq!(expected.len(), 4);
 }
 
 /// The real tree and its committed allowlist: the analyzer must be
