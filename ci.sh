@@ -66,6 +66,12 @@ cargo run -q --release -p vod-bench --bin ext_chaos -- \
   --trace "$tmp/chaos.jsonl" --series "$tmp/chaos.series.json" > /dev/null
 cargo run -q --release -p vod-check -- audit --series "$tmp/chaos.series.json" "$tmp/chaos.jsonl"
 
+echo "==> E11 observability flags (experiments: trace and series audit clean, --metrics report written)"
+cargo run -q --release -p vod-bench --bin experiments -- --trace "$tmp/cs.jsonl" \
+  --metrics "$tmp/cs.json" --series "$tmp/cs.series.json" --stats > /dev/null
+cargo run -q --release -p vod-check -- audit --series "$tmp/cs.series.json" "$tmp/cs.jsonl"
+test -s "$tmp/cs.json"
+
 echo "==> E14 scale smoke (10^5 concurrent sessions, trace audits clean)"
 cargo run -q --release -p vod-bench --bin scale -- \
   --json "$tmp/sim.json" --trace "$tmp/scale.jsonl"
