@@ -16,7 +16,7 @@
 //! | A004 | striping: part `i` lands on disk `i mod n`, and the part count matches `ceil(size/cluster)` (Figure 3) |
 //! | A005 | VRA optimality: each selection matches a reference LVN-weighted Dijkstra over the traced link state (Figure 5) |
 //! | A006 | switches: every server change is announced by a `switch` matching the adjacent selection, and vice versa |
-//! | A007 | sessions: cluster indices start at 0 and step by at most 1 (repeats only after a re-route) |
+//! | A007 | sessions: cluster indices start at 0 and step by at most 1 (repeats only after a re-route; with `dynamic_rerouting` off a selection may skip the clusters fetched along the kept route) |
 //! | A008 | link conservation: traced used bandwidth and utilization are non-negative and leave no negative residual |
 //! | A009 | catalog/residency consistency: hits are resident, selections come from advertising servers, no double add/remove |
 //! | A010 | fault windows: `link_down`/`link_up` pair up, `link_state.down` matches the replayed outage set, and the A005 reference masks down links (no selection routes over them) |
@@ -196,6 +196,10 @@ struct Auditor {
     saw_run_config: bool,
     lvn_normalization: Option<f64>,
     retry_max_attempts: Option<u64>,
+    /// The run config turned dynamic re-routing off: a session selects
+    /// only at its start and after a severed route, and fetches the
+    /// clusters in between along the route it kept.
+    static_routing: bool,
     servers: BTreeMap<u64, ServerState>,
     prefixes: BTreeMap<u64, PrefixState>,
     prefix_pending_evicts: Vec<PendingPrefixEvict>,
@@ -486,6 +490,10 @@ impl Auditor {
     fn on_run_config(&mut self, event: &Value) -> Option<()> {
         self.saw_run_config = true;
         self.lvn_normalization = event.get_field("lvn_normalization").and_then(Value::as_f64);
+        self.static_routing = event
+            .get_field("dynamic_rerouting")
+            .and_then(Value::as_bool)
+            == Some(false);
         self.retry_max_attempts = event
             .get_field("retry_max_attempts")
             .and_then(Value::as_u64);
@@ -1425,7 +1433,8 @@ impl Auditor {
                 }
             }
             Some(&(_, prev_cluster, prev_video)) => {
-                if cluster != prev_cluster && cluster != prev_cluster + 1 {
+                let skipped = self.static_routing && cluster > prev_cluster;
+                if cluster != prev_cluster && cluster != prev_cluster + 1 && !skipped {
                     self.violate(
                         "A007",
                         line,

@@ -210,6 +210,22 @@ fn a007_session_opens_mid_stream() {
 }
 
 #[test]
+fn a007_selection_skips_clusters_only_under_static_routing() {
+    let cost = fixture_cost();
+    let mut t = preamble();
+    t.push(select_line(10, 0, 0, cost));
+    t.push(select_line(20, 0, 2, cost));
+    assert_only_rule(&audit(&t), "A007");
+
+    t[1] = t[1].replace(
+        r#""dynamic_rerouting":true"#,
+        r#""dynamic_rerouting":false"#,
+    );
+    let summary = audit(&t);
+    assert!(summary.is_clean(), "{:?}", summary.violations);
+}
+
+#[test]
 fn a008_link_used_exceeds_capacity() {
     let mut t = preamble();
     t.push(r#"{"at_us":10,"kind":"link_state","used":[999.0],"utilization":[0.5]}"#.to_string());

@@ -1,7 +1,8 @@
 //! Integration tests for the event-driven flow kernel and the session
 //! lifecycle above it: the pinned seed-42 GRNET golden trace (recorded
 //! with the lockstep kernel that now lives on as vod-sim's test oracle),
-//! a pinned prefix × fault × retry trace, pinned contended traces on
+//! a pinned prefix × fault × retry trace, a pinned static-routing
+//! trace with a server and a link outage, pinned contended traces on
 //! GRNET and on a 200-node random graph, a pinned trace of arrivals
 //! sharing their instant with ticks and a fault, a scale-stress smoke
 //! run and a server outage at scale.
@@ -115,6 +116,50 @@ fn golden_seed42_prefix_fault_trace_is_pinned_and_audits_clean() {
     assert_eq!(
         fnv1a(text.as_bytes()),
         0x4ab4_d31a_06c1_dcb7,
+        "trace content drifted"
+    );
+
+    let summary = vod_check::audit::audit_trace(&text);
+    assert!(summary.is_clean(), "audit violations: {summary:?}");
+}
+
+/// Static routing (`dynamic_rerouting: false`) pinned the same way: a
+/// session re-uses the route of its last launch until a fault severs
+/// it, then selects afresh. A server outage and a link outage inside
+/// the arrival window sever transfers; a retry budget of two lets the
+/// stranded sessions wait the outages out.
+#[test]
+fn golden_seed42_static_routing_trace_is_pinned_and_audits_clean() {
+    let scenario = Scenario::grnet_case_study(42);
+    let topology = scenario.topology();
+    let server = topology.video_server_nodes()[0];
+    let link = topology.link_ids().nth(4).expect("GRNET has seven links");
+    let at = |hours: u64, mins: u64| SimTime::from_secs(hours * 3600 + mins * 60);
+    let config = ServiceConfig {
+        dynamic_rerouting: false,
+        fault_plan: FaultPlan::new()
+            .server_outage(at(12, 0), at(13, 30), server)
+            .link_outage(at(14, 0), at(15, 0), link),
+        retry: RetryPolicy::with_attempts(2),
+        ..ServiceConfig::default()
+    };
+    let (_, text) = traced_run(&scenario, config);
+
+    let count = |kind: &str| text.matches(&format!("\"kind\":\"{kind}\"")).count();
+    assert!(count("server_down") >= 1, "no server outage");
+    assert!(count("session_retry") >= 1, "no retry");
+    assert_eq!(count("switch"), 0, "a static route switched servers");
+    // A severed route is selected afresh: more selections than arrivals.
+    assert!(
+        count("vra_select") > count("request_arrival"),
+        "no re-selection after a severed route"
+    );
+
+    assert_eq!(text.len(), 250_784, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 3_694, "trace line count drifted");
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        0xd7f9_e4e3_0692_4926,
         "trace content drifted"
     );
 
