@@ -135,14 +135,13 @@ fn bench_reallocate_at(
     let mut net = FlowNetwork::new(topology.clone());
     // Volumes no iteration can drain, so the population stays put.
     for i in 0..flows {
-        net.add_flow(routes[i % routes.len()].clone(), 1e15)
-            .unwrap();
+        net.add_flow(&routes[i % routes.len()], 1e15).unwrap();
     }
     let mut i = 0;
     c.bench_function(id, |b| {
         b.iter(|| {
             i += 1;
-            let route = routes[i % routes.len()].clone();
+            let route = &routes[i % routes.len()];
             let id = net.add_flow(black_box(route), 1e15).unwrap();
             black_box(net.next_completion());
             black_box(net.remove_flow(id).unwrap());
@@ -183,7 +182,7 @@ fn bench_boundary_at(
 ) {
     let mut net = FlowNetwork::new(topology.clone());
     let mut transfers: Vec<_> = (0..routes.len())
-        .map(|route| (net.add_flow(routes[route].clone(), 1e15).unwrap(), route))
+        .map(|route| (net.add_flow(&routes[route], 1e15).unwrap(), route))
         .collect();
     black_box(net.next_completion());
     let mut i = 0;
@@ -194,7 +193,7 @@ fn bench_boundary_at(
             let (leaving, route) = transfers[slot];
             let route = (route + usize::from(switch)) % routes.len();
             black_box(net.remove_flow(leaving).unwrap());
-            let successor = net.add_flow(black_box(routes[route].clone()), 1e15);
+            let successor = net.add_flow(black_box(&routes[route]), 1e15);
             transfers[slot] = (successor.unwrap(), route);
             black_box(net.next_completion());
         })

@@ -646,7 +646,8 @@ impl FlowNetwork {
     }
 
     /// Starts a flow of `volume_mbit` megabits along `route_links` and
-    /// returns its id. An empty route is a local serve.
+    /// returns its id. An empty route is a local serve. The links are
+    /// copied only when no live flow already takes the same route.
     ///
     /// # Errors
     ///
@@ -655,9 +656,10 @@ impl FlowNetwork {
     /// volume.
     pub fn add_flow(
         &mut self,
-        route_links: Vec<LinkId>,
+        route_links: impl AsRef<[LinkId]>,
         volume_mbit: f64,
     ) -> Result<FlowId, FlowError> {
+        let route_links = route_links.as_ref();
         if route_links.is_empty() {
             let rate = self.local_rate;
             return self.insert_local(volume_mbit, rate, None);
@@ -665,7 +667,7 @@ impl FlowNetwork {
         if !volume_mbit.is_finite() || volume_mbit <= 0.0 {
             return Err(FlowError::InvalidVolume(volume_mbit));
         }
-        for &l in &route_links {
+        for &l in route_links {
             if l.index() >= self.topology.link_count() {
                 return Err(FlowError::UnknownLink(l));
             }
@@ -1053,7 +1055,7 @@ impl FlowNetwork {
     /// The class following `route` (non-empty), one member larger: the
     /// existing one (possibly emptied since the last settle), else a new
     /// one in a retired or fresh slot. The allocation goes stale.
-    fn join_class(&mut self, route: Vec<LinkId>) -> u32 {
+    fn join_class(&mut self, route: &[LinkId]) -> u32 {
         let crossing_first = route.first().map(|l| &self.link_classes[l.index()]);
         let existing = crossing_first.and_then(|list| {
             list.iter()
@@ -1069,11 +1071,11 @@ impl FlowNetwork {
                     self.classes.push(RouteClass::default());
                     (self.classes.len() - 1) as u32
                 });
-                for l in &route {
+                for l in route {
                     self.link_classes[l.index()].push(c);
                 }
                 self.classes[c as usize] = RouteClass {
-                    links: route,
+                    links: route.to_vec(),
                     members: 1,
                     ..RouteClass::default()
                 };
@@ -1463,10 +1465,10 @@ mod tests {
 
             pub fn add_flow(
                 &mut self,
-                route_links: Vec<LinkId>,
+                route_links: impl AsRef<[LinkId]>,
                 volume_mbit: f64,
             ) -> Result<FlowId, FlowError> {
-                Ok(self.insert(route_links, volume_mbit, None))
+                Ok(self.insert(route_links.as_ref().to_vec(), volume_mbit, None))
             }
 
             pub fn add_local_flow(
@@ -2264,11 +2266,11 @@ mod tests {
         let n_links = topo.link_count() as u64;
         let mut net = FlowNetwork::new(topo);
         for i in 0..1_000 {
-            net.add_flow(routes[i % routes.len()].clone(), 1e6).unwrap();
+            net.add_flow(&routes[i % routes.len()], 1e6).unwrap();
         }
         net.settle();
         let before = net.stats();
-        net.add_flow(routes[7].clone(), 1e6).unwrap();
+        net.add_flow(&routes[7], 1e6).unwrap();
         net.next_completion().unwrap();
         let after = net.stats();
         assert_eq!(after.reallocations - before.reallocations, 1);
@@ -2295,7 +2297,7 @@ mod tests {
         net.set_background_many(loads.iter().copied());
         let mut ids: Vec<FlowId> = (0..60)
             .map(|i| {
-                net.add_flow(routes[i % routes.len()].clone(), 50.0 + i as f64)
+                net.add_flow(&routes[i % routes.len()], 50.0 + i as f64)
                     .unwrap()
             })
             .collect();
@@ -2389,8 +2391,8 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..40 {
             let route = &routes[i % 12];
-            ids.push(net.add_flow(route.clone(), 1e3 + i as f64).unwrap());
-            oracle.add_flow(route.clone(), 1e3 + i as f64).unwrap();
+            ids.push(net.add_flow(route, 1e3 + i as f64).unwrap());
+            oracle.add_flow(route, 1e3 + i as f64).unwrap();
         }
         assert!(net.advance(SimDuration::from_secs(1)).is_empty());
         oracle.advance(SimDuration::from_secs(1));
@@ -2399,8 +2401,8 @@ mod tests {
         let replaced = ids.remove(5);
         net.remove_flow(replaced).unwrap();
         oracle.remove_flow(replaced).unwrap();
-        ids.push(net.add_flow(routes[5].clone(), 70.0).unwrap());
-        oracle.add_flow(routes[5].clone(), 70.0).unwrap();
+        ids.push(net.add_flow(&routes[5], 70.0).unwrap());
+        oracle.add_flow(&routes[5], 70.0).unwrap();
         for &id in &ids {
             assert_eq!(net.rate(id).unwrap(), oracle.rate(id).unwrap(), "{id}");
         }
@@ -2672,7 +2674,7 @@ mod tests {
                     let e = (s + len).min(links.len());
                     let route: Vec<LinkId> = links[s..e].to_vec();
                     if !route.is_empty() {
-                        flow_ids.push((net.add_flow(route.clone(), 100.0).unwrap(), route));
+                        flow_ids.push((net.add_flow(&route, 100.0).unwrap(), route));
                     }
                 }
 
@@ -2763,8 +2765,8 @@ mod tests {
                 match op {
                     0 => {
                         let route = sel % pool.len();
-                        let a = lazy.add_flow(pool[route].clone(), val).unwrap();
-                        let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                        let a = lazy.add_flow(&pool[route], val).unwrap();
+                        let b = reference.add_flow(&pool[route], val).unwrap();
                         prop_assert_eq!(a, b);
                         live.push((a, Some(route)));
                     }
@@ -2842,8 +2844,8 @@ mod tests {
                         let route = sel % pool.len();
                         for k in 0..10 + sel % 40 {
                             let volume = val + k as f64 * 0.25;
-                            let a = lazy.add_flow(pool[route].clone(), volume).unwrap();
-                            let b = reference.add_flow(pool[route].clone(), volume).unwrap();
+                            let a = lazy.add_flow(&pool[route], volume).unwrap();
+                            let b = reference.add_flow(&pool[route], volume).unwrap();
                             prop_assert_eq!(a, b);
                             live.push((a, Some(route)));
                         }
@@ -2859,8 +2861,8 @@ mod tests {
                         }
                         live.retain(|(_, r)| *r != Some(route));
                         for route in [(route + 1) % pool.len(), route] {
-                            let a = lazy.add_flow(pool[route].clone(), val).unwrap();
-                            let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                            let a = lazy.add_flow(&pool[route], val).unwrap();
+                            let b = reference.add_flow(&pool[route], val).unwrap();
                             prop_assert_eq!(a, b);
                             live.push((a, Some(route)));
                         }
@@ -2898,8 +2900,8 @@ mod tests {
                             live = rest;
                             for (_, route) in done {
                                 let Some(route) = route else { continue };
-                                let a = lazy.add_flow(pool[route].clone(), val).unwrap();
-                                let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                                let a = lazy.add_flow(&pool[route], val).unwrap();
+                                let b = reference.add_flow(&pool[route], val).unwrap();
                                 prop_assert_eq!(a, b);
                                 live.push((a, Some(route)));
                             }
@@ -2916,8 +2918,8 @@ mod tests {
                         }
                         for j in 0..k {
                             let route = (sel + j) % pool.len();
-                            let a = lazy.add_flow(pool[route].clone(), val).unwrap();
-                            let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                            let a = lazy.add_flow(&pool[route], val).unwrap();
+                            let b = reference.add_flow(&pool[route], val).unwrap();
                             prop_assert_eq!(a, b);
                             live.push((a, Some(route)));
                         }
@@ -2929,8 +2931,8 @@ mod tests {
                         let scale = (val / 40.0).min(1.0);
                         for step in 0..3 {
                             let route = (sel + step) % pool.len();
-                            let a = lazy.add_flow(pool[route].clone(), val).unwrap();
-                            let b = reference.add_flow(pool[route].clone(), val).unwrap();
+                            let a = lazy.add_flow(&pool[route], val).unwrap();
+                            let b = reference.add_flow(&pool[route], val).unwrap();
                             prop_assert_eq!(a, b);
                             live.push((a, Some(route)));
                             match step {
