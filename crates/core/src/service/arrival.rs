@@ -254,7 +254,7 @@ impl<S: EventSink> ServiceModel<S> {
         // is an ordinary mid-stream switch.
         let sid = self.open_session(now, &meta, request.client, cache_later, prefix_serve);
         self.trace_selection(now, sid, prefix_serve, &selection, cache_hit);
-        self.fetch_along(now, sid, prefix_serve, selection.route, sched);
+        self.fetch_selected(now, sid, prefix_serve, selection.route, sched);
     }
 
     /// Counts and traces an unservable request.

@@ -63,11 +63,12 @@ impl<S: EventSink> ServiceModel<S> {
 
         // Transfers sourced from the dead server re-route mid-cluster,
         // in ascending `FlowId` of the origin flow (prefix flows are
-        // local to the home and never candidates).
+        // local to the home and never candidates). An origin transfer's
+        // source is the session's current server.
         let mut severed: Vec<(FlowId, SessionId)> = self
             .sessions
             .iter()
-            .filter(|(_, rec)| rec.route.as_ref().is_some_and(|r| r.target() == node))
+            .filter(|(_, rec)| rec.session.current_server() == Some(node))
             .filter_map(|(sid, rec)| Some((rec.flow?, SessionId(sid))))
             .collect();
         severed.sort_unstable();
@@ -88,7 +89,7 @@ impl<S: EventSink> ServiceModel<S> {
             self.flow_owner.remove(flow.raw());
             if let Some(rec) = self.sessions.get_mut(sid.0) {
                 rec.flow = None;
-                rec.route = None;
+                rec.pinned = None;
             }
             self.start_cluster_fetch(now, sid, sched);
         }

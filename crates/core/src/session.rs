@@ -30,32 +30,62 @@ impl fmt::Display for SessionId {
 }
 
 /// Lifecycle of one client watching one video.
+///
+/// A session holds only what varies per client. The title's size and
+/// bitrate and the service's cluster size are read where they are used
+/// ([`cluster_volume_mbit`], [`cluster_play_time`], [`Session::finish`]),
+/// not copied into every live session.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Session {
     id: SessionId,
     video: VideoId,
     home: NodeId,
-    cluster: ClusterSize,
-    video_size_mb: f64,
-    bitrate_mbps: f64,
     requested_at: SimTime,
-    clusters_total: usize,
-    clusters_fetched: usize,
-    clusters_played: usize,
+    clusters_total: u32,
+    clusters_fetched: u32,
+    clusters_played: u32,
     current_server: Option<NodeId>,
     switches: u32,
-    local_clusters: usize,
+    local_clusters: u32,
     /// Leading clusters streamed by the regional proxy's prefix store
     /// (0 for ordinary sessions). While the prefix phase is in flight
     /// the suffix fetch chain starts *after* the reservation, so
     /// [`Session::next_cluster`] never re-fetches a proxy-covered
     /// cluster from the origin.
-    prefix_reserved: usize,
-    first_cluster_at: Option<SimTime>,
+    prefix_reserved: u32,
+    /// When the first cluster landed; meaningful once
+    /// `clusters_fetched > 0`, which only that landing makes true.
+    first_cluster_at: SimTime,
     stall_started_at: Option<SimTime>,
     stall_total: SimDuration,
     stall_count: u32,
     playing: bool,
+}
+
+/// A cluster count as stored on a [`Session`]. A title of more than
+/// `u32::MAX` clusters would be petabytes long; the count saturates.
+fn count(clusters: usize) -> u32 {
+    u32::try_from(clusters).unwrap_or(u32::MAX)
+}
+
+/// Size of cluster `index` of `video` in megabits (the network transfer
+/// volume), with clusters of `cluster`.
+///
+/// # Panics
+///
+/// Panics if `index` is out of range.
+pub fn cluster_volume_mbit(video: &VideoMeta, cluster: ClusterSize, index: usize) -> f64 {
+    cluster.part_size(video.size(), index).as_megabits()
+}
+
+/// Playout duration of cluster `index` of `video` at its nominal
+/// bitrate, with clusters of `cluster`.
+///
+/// # Panics
+///
+/// Panics if `index` is out of range.
+pub fn cluster_play_time(video: &VideoMeta, cluster: ClusterSize, index: usize) -> SimDuration {
+    SimDuration::from_secs_f64(cluster_volume_mbit(video, cluster, index) / video.bitrate_mbps())
 }
 
 impl Session {
@@ -72,18 +102,15 @@ impl Session {
             id,
             video: video.id(),
             home,
-            cluster,
-            video_size_mb: video.size().as_f64(),
-            bitrate_mbps: video.bitrate_mbps(),
             requested_at,
-            clusters_total: cluster.parts(video.size()),
+            clusters_total: count(cluster.parts(video.size())),
             clusters_fetched: 0,
             clusters_played: 0,
             current_server: None,
             switches: 0,
             local_clusters: 0,
             prefix_reserved: 0,
-            first_cluster_at: None,
+            first_cluster_at: requested_at,
             stall_started_at: None,
             stall_total: SimDuration::ZERO,
             stall_count: 0,
@@ -113,7 +140,7 @@ impl Session {
 
     /// Total number of clusters in the video.
     pub fn clusters_total(&self) -> usize {
-        self.clusters_total
+        self.clusters_total as usize
     }
 
     /// Index of the next cluster to fetch *from the origin*, or `None`
@@ -122,18 +149,18 @@ impl Session {
     /// leading clusters on its own flow chain.
     pub fn next_cluster(&self) -> Option<usize> {
         let next = self.clusters_fetched.max(self.prefix_reserved);
-        (next < self.clusters_total).then_some(next)
+        (next < self.clusters_total).then_some(next as usize)
     }
 
     /// Reserves the leading `clusters` for the regional proxy's prefix
     /// phase (clamped to the title length).
     pub fn set_prefix_reserved(&mut self, clusters: usize) {
-        self.prefix_reserved = clusters.min(self.clusters_total);
+        self.prefix_reserved = count(clusters).min(self.clusters_total);
     }
 
     /// Clusters reserved for the proxy's prefix phase.
     pub fn prefix_reserved(&self) -> usize {
-        self.prefix_reserved
+        self.prefix_reserved as usize
     }
 
     /// Counts one proxy-streamed prefix cluster as locally served
@@ -145,17 +172,17 @@ impl Session {
 
     /// Clusters fetched so far.
     pub fn clusters_fetched(&self) -> usize {
-        self.clusters_fetched
+        self.clusters_fetched as usize
     }
 
     /// Clusters fully played so far.
     pub fn clusters_played(&self) -> usize {
-        self.clusters_played
+        self.clusters_played as usize
     }
 
     /// Fetched-but-unplayed clusters.
     pub fn buffered(&self) -> usize {
-        self.clusters_fetched - self.clusters_played
+        (self.clusters_fetched - self.clusters_played) as usize
     }
 
     /// The server the current/most recent cluster was fetched from.
@@ -188,29 +215,6 @@ impl Session {
         self.clusters_played == self.clusters_total
     }
 
-    /// Size of cluster `index` in megabits (the network transfer volume).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn cluster_volume_mbit(&self, index: usize) -> f64 {
-        self.cluster
-            .part_size(
-                vod_storage::video::Megabytes::new(self.video_size_mb),
-                index,
-            )
-            .as_megabits()
-    }
-
-    /// Playout duration of cluster `index` at the nominal bitrate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn cluster_play_time(&self, index: usize) -> SimDuration {
-        SimDuration::from_secs_f64(self.cluster_volume_mbit(index) / self.bitrate_mbps)
-    }
-
     /// Records which server the next cluster will be fetched from,
     /// returning `true` when this is a mid-stream switch.
     pub fn assign_server(&mut self, server: NodeId, local: bool) -> bool {
@@ -240,12 +244,11 @@ impl Session {
             "fetched more clusters than the video has"
         );
         self.clusters_fetched += 1;
-        if self.first_cluster_at.is_none() {
-            self.first_cluster_at = Some(now);
-            true
-        } else {
-            false
+        let first = self.clusters_fetched == 1;
+        if first {
+            self.first_cluster_at = now;
         }
+        first
     }
 
     /// Marks playout as started.
@@ -292,18 +295,18 @@ impl Session {
 
     /// Startup delay: request → first cluster available.
     pub fn startup_delay(&self) -> Option<SimDuration> {
-        self.first_cluster_at
-            .map(|t| t.duration_since(self.requested_at))
+        (self.clusters_fetched > 0).then(|| self.first_cluster_at.duration_since(self.requested_at))
     }
 
     /// Closes the session at `now` (playback finished) and produces its
-    /// QoS record.
+    /// QoS record; `video` is the library entry of the session's title.
     ///
     /// # Panics
     ///
     /// Panics if playback is not complete.
-    pub fn finish(&self, now: SimTime) -> QosRecord {
+    pub fn finish(&self, now: SimTime, video: &VideoMeta) -> QosRecord {
         assert!(self.playback_complete(), "finish before playback completed");
+        debug_assert_eq!(video.id(), self.video, "finish with another title");
         QosRecord {
             session: self.id,
             video: self.video,
@@ -314,11 +317,9 @@ impl Session {
             stall_count: self.stall_count,
             stall_time: self.stall_total,
             switches: self.switches,
-            clusters: self.clusters_total,
-            local_clusters: self.local_clusters,
-            nominal_duration: SimDuration::from_secs_f64(
-                self.video_size_mb * 8.0 / self.bitrate_mbps,
-            ),
+            clusters: self.clusters_total as usize,
+            local_clusters: self.local_clusters as usize,
+            nominal_duration: SimDuration::from_secs_f64(video.duration_secs()),
         }
     }
 }
@@ -347,10 +348,17 @@ mod tests {
         let s = session();
         assert_eq!(s.clusters_total(), 3); // 100 + 100 + 50
         assert_eq!(s.next_cluster(), Some(0));
-        assert!((s.cluster_volume_mbit(0) - 800.0).abs() < 1e-9);
-        assert!((s.cluster_volume_mbit(2) - 400.0).abs() < 1e-9);
-        assert_eq!(s.cluster_play_time(0), SimDuration::from_secs(400));
-        assert_eq!(s.cluster_play_time(2), SimDuration::from_secs(200));
+        let cluster = ClusterSize::new(Megabytes::new(100.0));
+        assert!((cluster_volume_mbit(&video(), cluster, 0) - 800.0).abs() < 1e-9);
+        assert!((cluster_volume_mbit(&video(), cluster, 2) - 400.0).abs() < 1e-9);
+        assert_eq!(
+            cluster_play_time(&video(), cluster, 0),
+            SimDuration::from_secs(400)
+        );
+        assert_eq!(
+            cluster_play_time(&video(), cluster, 2),
+            SimDuration::from_secs(200)
+        );
     }
 
     #[test]
@@ -444,7 +452,7 @@ mod tests {
             s.on_cluster_played();
         }
         assert!(s.playback_complete());
-        let rec = s.finish(SimTime::from_secs(1_000));
+        let rec = s.finish(SimTime::from_secs(1_000), &video());
         assert_eq!(rec.session, SessionId(1));
         assert_eq!(rec.video, VideoId::new(7));
         assert_eq!(rec.clusters, 3);
