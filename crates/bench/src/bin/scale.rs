@@ -2,16 +2,17 @@
 //! [`Scenario::scale_stress`] workload — 10⁵+ concurrent sessions on
 //! GRNET with every serve local.
 //!
-//! The run goes to completion and reports throughput (events/sec) and
-//! the peak number of concurrently live sessions.
+//! The run goes to completion and reports throughput (events/sec), the
+//! peak number of concurrently live sessions and the process's peak
+//! resident set, which their per-session records dominate.
 //!
 //! Run with: `cargo run --release -p vod-bench --bin scale
 //! [--seed N] [--sessions N] [--json <path>]
 //! [--trace <path> --trace-sessions N] [--series <path>]`
 //!
 //! `--json` writes the run as bench rows for `vod-bench compare`
-//! against the committed `BENCH_sim.json`: throughput, and the peak
-//! session and event counts, which are exact for a seed. `--trace`
+//! against the committed `BENCH_sim.json`: throughput, peak RSS, and
+//! the peak session and event counts, which are exact for a seed. `--trace`
 //! additionally writes the JSONL event trace of a smaller
 //! (`--trace-sessions`) scale run for `vod-check audit`; `--series`
 //! writes the same smaller run's one-minute windowed time-series
@@ -110,6 +111,24 @@ struct KernelResult {
     sim_secs: f64,
     peak_sessions: usize,
     completed: u64,
+    peak_rss_mb: f64,
+}
+
+/// `VmHWM` of this process in MB (`/proc/self/status`; Linux only).
+///
+/// # Panics
+///
+/// Panics when the field cannot be read: a row that silently read 0 MB
+/// would say nothing about memory.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("VmHWM line in /proc/self/status");
+    kb / 1024.0
 }
 
 /// Runs the scenario to completion.
@@ -122,6 +141,7 @@ fn run_lazy(scenario: &Scenario) -> KernelResult {
     let peak = service.peak_sessions();
     let sim_secs = service.now().as_secs_f64();
     let report = service.into_report();
+    let peak_rss_mb = peak_rss_mb();
     KernelResult {
         events,
         wall_secs: wall,
@@ -129,6 +149,7 @@ fn run_lazy(scenario: &Scenario) -> KernelResult {
         sim_secs,
         peak_sessions: peak,
         completed: report.completed.len() as u64,
+        peak_rss_mb,
     }
 }
 
@@ -171,13 +192,14 @@ fn main() {
     let lazy = run_lazy(&scenario);
     println!(
         "lazy:      {:>9} events in {:>6.2}s wall ({:>9.0} events/s), \
-         peak {} sessions, {} completed, sim t={:.0}s",
+         peak {} sessions, {} completed, sim t={:.0}s, peak RSS {:.1} MB",
         lazy.events,
         lazy.wall_secs,
         lazy.events_per_sec,
         lazy.peak_sessions,
         lazy.completed,
         lazy.sim_secs,
+        lazy.peak_rss_mb,
     );
 
     if let Some(path) = &opts.json {
@@ -190,6 +212,7 @@ fn main() {
                 HigherBetter,
             ),
             Row::new("sim/lazy/events", lazy.events as f64, LowerBetter),
+            Row::new("sim/lazy/peak_rss_mb", lazy.peak_rss_mb, LowerBetter),
         ];
         std::fs::write(path, rows_json(&rows)).expect("write json output");
         println!("wrote {path}");
