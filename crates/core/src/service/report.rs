@@ -37,10 +37,14 @@ impl<S: EventSink> ServiceModel<S> {
                 full_prefix_sessions: self.full_prefix_sessions,
             }
         });
+        // Sized for every request at construction; the report keeps only
+        // what completed.
+        let mut completed = self.records;
+        completed.shrink_to_fit();
         let report = ServiceReport {
             selector: self.selector.name().to_string(),
             seed: self.seed,
-            completed: self.records,
+            completed,
             failed_requests: self.failed_requests,
             aborted_sessions: self.aborted_sessions,
             rejected_requests: self.rejected_requests,
