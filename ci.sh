@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (all targets, -D warnings)"
+echo "==> cargo clippy (all targets, -D warnings; carries the determinism and panic-hygiene rules, see clippy.toml)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release"
@@ -47,10 +47,7 @@ cargo test -q -p vod-integration-tests --test observability
 echo "==> series determinism (golden --series test)"
 cargo test -q -p vod-integration-tests --test series
 
-echo "==> vod-check lint (zero findings, zero stale allowlist entries)"
-cargo run -q --release -p vod-check -- lint
-
-echo "==> vod-check analyze (panic-reachability, determinism)"
+echo "==> vod-check analyze (L008 panic reachability, L010 sort keys; zero findings, zero stale grants)"
 cargo run -q --release -p vod-check -- analyze
 
 echo "==> vod-check audit (GRNET case-study trace replays clean)"

@@ -26,7 +26,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use vod_check::analyze::analyze;
-use vod_check::lint::{workspace_sources, Allowlist};
+use vod_check::source::{workspace_sources, Allowlist};
 use vod_net::NodeId;
 use vod_obs::{Event, EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink, TimeSeriesSink};
 use vod_sim::{SimDuration, SimTime};

@@ -19,8 +19,6 @@
 //! - `--stats`: append the run's routing-engine and per-server DMA
 //!   counters to stdout.
 
-#![forbid(unsafe_code)]
-
 use vod_bench::expected::{experiments, PAPER_WEIGHT_COST_TOLERANCE};
 use vod_bench::{obs_cli, Table};
 use vod_core::selection::SelectionContext;

@@ -8,8 +8,6 @@
 //!
 //! Run with: `cargo run --release -p vod-bench --bin ext_admission [--seed N]`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::cli::Options;
 use vod_bench::Table;
 use vod_core::admission::AdmissionPolicy;

@@ -8,8 +8,6 @@
 //!
 //! Run with: `cargo run --release -p vod-bench --bin ext_cache [--seed N]`
 
-#![forbid(unsafe_code)]
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -17,8 +17,6 @@
 //! utilization study; byte-stable JSON, or CSV when the path ends in
 //! `.csv`).
 
-#![forbid(unsafe_code)]
-
 use std::fs::File;
 use std::io::{BufWriter, Write};
 

@@ -9,8 +9,6 @@
 //!
 //! Run with: `cargo run --release -p vod-bench --bin ext_distributed [--seed N]`
 
-#![forbid(unsafe_code)]
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;

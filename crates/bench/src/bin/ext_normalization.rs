@@ -10,8 +10,6 @@
 //!
 //! Run with: `cargo run --release -p vod-bench --bin ext_normalization`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::expected::experiments;
 use vod_bench::Table;
 use vod_core::selection::SelectionContext;

@@ -15,8 +15,6 @@
 //! [--seed N] [--json <path>]` — `--json` writes the gate rows
 //! `vod-bench compare` holds against the committed `BENCH_proxy.json`.
 
-#![forbid(unsafe_code)]
-
 use vod_bench::compare::{rows_json, Direction, Row};
 use vod_bench::Table;
 use vod_core::service::{PrefixTierConfig, ServiceConfig, VodService};

@@ -10,8 +10,6 @@
 //!
 //! Run with: `cargo run --release -p vod-bench --bin ext_switching [--seed N]`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::cli::Options;
 use vod_bench::Table;
 use vod_core::service::{ServiceConfig, VodService};

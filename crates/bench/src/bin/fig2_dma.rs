@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run -p vod-bench --bin fig2_dma [--seed N]`
 
-#![forbid(unsafe_code)]
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

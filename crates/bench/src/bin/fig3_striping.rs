@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run -p vod-bench --bin fig3_striping`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::Table;
 use vod_storage::cluster::ClusterSize;
 use vod_storage::io_model::DiskIoModel;

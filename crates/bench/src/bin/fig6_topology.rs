@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run -p vod-bench --bin fig6_topology`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::Table;
 use vod_net::topologies::grnet::{Grnet, GrnetLink, GrnetNode, TimeOfDay};
 

@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run -p vod-bench --bin table1`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::Table;
 use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::topologies::grnet::{Grnet, GrnetLink, GrnetNode, TimeOfDay};

@@ -5,8 +5,6 @@
 //!
 //! Run with: `cargo run -p vod-bench --bin table2`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::Table;
 use vod_db::{AdminCredential, Database};
 use vod_net::topologies::grnet::{Grnet, GrnetLink, TimeOfDay};

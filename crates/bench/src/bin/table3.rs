@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run -p vod-bench --bin table3`
 
-#![forbid(unsafe_code)]
-
 use vod_bench::expected::TABLE3_TOLERANCE;
 use vod_bench::Table;
 use vod_net::lvn::{LvnComputer, LvnParams};

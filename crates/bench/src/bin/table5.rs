@@ -8,8 +8,6 @@
 //! `--series <path>` to write that run's windowed time-series (the
 //! default output is unchanged without the flags).
 
-#![forbid(unsafe_code)]
-
 use vod_bench::obs_cli;
 use vod_net::dijkstra::dijkstra_with_trace;
 use vod_net::topologies::grnet::{Grnet, GrnetNode, TimeOfDay};

@@ -34,7 +34,6 @@
 //! fresh rows to the limits the committed `BENCH_*.json` rows carry.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod caches;
 pub mod cli;

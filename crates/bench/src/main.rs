@@ -12,8 +12,6 @@
 //! positive number. There are no options: what is gated and how tightly
 //! is written in the baseline files.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 use vod_bench::compare::compare_pair;

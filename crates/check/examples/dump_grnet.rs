@@ -1,5 +1,4 @@
 //! Dumps the GRNET case-study trace to stdout (fixture authoring aid).
-#![forbid(unsafe_code)]
 
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;

@@ -1,36 +1,31 @@
-//! The semantic analyzer: rules `L008`–`L011` over the extracted
-//! workspace model.
-//!
-//! Where the [`lint`](crate::lint) pass matches line needles, this pass
-//! reasons about *structure*:
+//! The semantic analyzer: rules `L008` and `L010` over the extracted
+//! workspace model — what a line-local clippy lint cannot say:
 //!
 //! | rule | meaning |
 //! |------|---------|
 //! | L008 | `panic!`-family macro or computed slice index reachable from a root and not allowlisted |
-//! | L009 | `spawn`/channel primitive outside `vod-bench`/`vod-check` |
 //! | L010 | float sort key via `partial_cmp` without `total_cmp` |
-//! | L011 | `Hash`-without-`Ord` type used as a `HashMap`/`HashSet` key |
 //!
 //! The hot-path roots are the entry points the paper's experiments
 //! drive — [`ROOTS`] — and reachability is computed over the
 //! [`callgraph`](crate::callgraph)'s over-approximating resolution, so
-//! dynamic dispatch cannot hide a panic. `L008`-tagged allowlist grants
-//! cover release-mode asserts whose invariant is documented; stale ones
-//! are hard findings (`L000`), mirroring the lint pass's ownership of
-//! its own entries. There is no reachable-`unwrap`/`expect` rule here
-//! (the retired `L006`/`L007`): this pass reads a subset of the lint
-//! pass's files, where every such site is already an `L004` finding.
+//! dynamic dispatch cannot hide a panic. `L008` allowlist grants cover
+//! release-mode asserts whose invariant is documented; an entry that
+//! grants nothing, whatever its rule code, is a hard finding (`L000`).
+//! `unwrap`/`expect` are `clippy::unwrap_used`/`expect_used`'s in every
+//! library crate, reachable or not.
 //!
-//! `vod-bench` and `vod-check` itself are tooling, exempt from the
-//! reachability and determinism passes exactly as they are exempt from
-//! `L001`/`L004`.
+//! `vod-bench` and `vod-check` itself are tooling, not the simulation,
+//! and are exempt from both rules.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::callgraph;
 use crate::lex::{lex, Tok, TokKind};
-use crate::lint::{strip_source, test_line_mask, AllowEntry, Allowlist, Finding, Rule, SourceFile};
 use crate::model::{self, PanicKind};
+use crate::source::{
+    strip_source, test_line_mask, AllowEntry, Allowlist, Finding, Rule, SourceFile,
+};
 
 /// The sim hot-path roots reachability starts from: the service's
 /// experiment drivers (which reach `RoutingEngine::select`) and the
@@ -43,8 +38,7 @@ pub const ROOTS: &[&str] = &[
     "FlowNetwork::next_completion",
 ];
 
-/// Crates exempt from the reachability and determinism passes
-/// (measurement and analysis tooling, same exemption as `L001`/`L004`).
+/// Crates exempt from both rules (measurement and analysis tooling).
 pub const EXEMPT_CRATES: &[&str] = &["bench", "check"];
 
 /// Comparator-taking sort/search functions whose key function must be
@@ -63,8 +57,7 @@ pub struct AnalyzeOutcome {
     /// All findings (including hard `L000` stale-allowlist findings),
     /// sorted by `(path, line, rule)`.
     pub findings: Vec<Finding>,
-    /// Stale `L008` allowlist entries (also present in
-    /// `findings` as `L000`).
+    /// Stale allowlist entries (also present in `findings` as `L000`).
     pub unused_allow: Vec<AllowEntry>,
     /// Files analyzed (after crate exemptions).
     pub files: usize,
@@ -74,14 +67,14 @@ pub struct AnalyzeOutcome {
     pub reachable_fns: usize,
 }
 
-/// True for files the reachability/determinism passes skip.
+/// True for files both rules skip.
 fn exempt(path: &str) -> bool {
     EXEMPT_CRATES
         .iter()
         .any(|c| path.starts_with(&format!("crates/{c}/")))
 }
 
-/// Runs rules `L008`–`L011` over `files` (the full workspace source
+/// Runs rules `L008` and `L010` over `files` (the full workspace source
 /// set; crate exemptions are applied internally).
 pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
     let mut out = AnalyzeOutcome::default();
@@ -181,21 +174,15 @@ pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
         }
     }
 
-    // Determinism dataflow rules over the token streams.
-    let hash_no_ord: BTreeSet<&str> = ws
-        .types
-        .iter()
-        .filter(|t| t.derives.iter().any(|d| d == "Hash") && !t.derives.iter().any(|d| d == "Ord"))
-        .map(|t| t.name.as_str())
-        .collect();
     for file in &analyzed {
-        scan_determinism(file, &hash_no_ord, &mut out.findings);
+        scan_sort_keys(file, &mut out.findings);
     }
 
-    // Stale L008 grants are hard findings, same contract as the lint
-    // pass's L004 staleness.
+    // A grant that granted nothing is a hard finding, so the list can
+    // only shrink. Only L008 entries can grant, so an entry under any
+    // other code (a rule retired into clippy) is stale by definition.
     for (i, e) in allow.entries().iter().enumerate() {
-        if e.rule == Rule::ReachablePanic.code() && !allow_used[i] {
+        if !allow_used[i] {
             out.findings.push(Finding {
                 rule: Rule::StaleAllow,
                 path: e.path.clone(),
@@ -214,8 +201,8 @@ pub fn analyze(files: &[SourceFile], allow: &Allowlist) -> AnalyzeOutcome {
     out
 }
 
-/// Token-level determinism rules (`L009`–`L011`) for one file.
-fn scan_determinism(file: &SourceFile, hash_no_ord: &BTreeSet<&str>, findings: &mut Vec<Finding>) {
+/// The token-level sort-key rule (`L010`) for one file.
+fn scan_sort_keys(file: &SourceFile, findings: &mut Vec<Finding>) {
     let stripped = strip_source(&file.text);
     let mask = test_line_mask(&stripped);
     let toks: Vec<Tok> = lex(&stripped)
@@ -224,74 +211,27 @@ fn scan_determinism(file: &SourceFile, hash_no_ord: &BTreeSet<&str>, findings: &
         .collect();
 
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
         let name = t.text(&stripped);
         let called = matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Punct(b'('));
-
-        // L009: thread spawn / mpsc channels anywhere in the analyzed
-        // (non-tooling) crates.
-        if (name == "spawn" && called) || name == "mpsc" {
+        if t.kind != TokKind::Ident || !called || !SORT_FNS.contains(&name) {
+            continue;
+        }
+        let end = balanced_end(&toks, i + 1);
+        let span = &toks[i + 2..end.saturating_sub(1).max(i + 2)];
+        let has = |needle: &str| {
+            span.iter()
+                .any(|t| t.kind == TokKind::Ident && t.text(&stripped) == needle)
+        };
+        if has("partial_cmp") && !has("total_cmp") {
             findings.push(Finding {
-                rule: Rule::ThreadPrimitive,
+                rule: Rule::FloatSortKey,
                 path: file.path.clone(),
                 line: t.line as usize,
                 message: format!(
-                    "`{name}` in a simulation crate: thread scheduling order \
-                     would leak into traces; only vod-bench and vod-check \
-                     may use threads"
+                    "`{name}` comparator uses `partial_cmp`, which is not a total \
+                     order over floats (NaN breaks sort stability); use `total_cmp`"
                 ),
             });
-        }
-
-        // L010: comparator built on partial_cmp without total_cmp.
-        if called && SORT_FNS.contains(&name) {
-            let end = balanced_end(&toks, i + 1);
-            let span = &toks[i + 2..end.saturating_sub(1).max(i + 2)];
-            let has = |needle: &str| {
-                span.iter()
-                    .any(|t| t.kind == TokKind::Ident && t.text(&stripped) == needle)
-            };
-            if has("partial_cmp") && !has("total_cmp") {
-                findings.push(Finding {
-                    rule: Rule::FloatSortKey,
-                    path: file.path.clone(),
-                    line: t.line as usize,
-                    message: format!(
-                        "`{name}` comparator uses `partial_cmp`, which is not a total \
-                         order over floats (NaN breaks sort stability); use `total_cmp`"
-                    ),
-                });
-            }
-        }
-
-        // L011: Hash-without-Ord workspace type as an unordered-map key.
-        if (name == "HashMap" || name == "HashSet")
-            && matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Punct(b'<'))
-        {
-            let mut j = i + 2;
-            while matches!(
-                toks.get(j),
-                Some(n) if n.kind == TokKind::Punct(b'&') || n.kind == TokKind::Lifetime
-            ) {
-                j += 1;
-            }
-            if let Some(key) = toks.get(j).filter(|n| n.kind == TokKind::Ident) {
-                let key_name = key.text(&stripped);
-                if hash_no_ord.contains(key_name) {
-                    findings.push(Finding {
-                        rule: Rule::HashKeyIteration,
-                        path: file.path.clone(),
-                        line: t.line as usize,
-                        message: format!(
-                            "`{key_name}` derives Hash but not Ord and keys a {name}; \
-                             iterating it leaks nondeterministic order — derive Ord and \
-                             use a BTree collection in trace-feeding code"
-                        ),
-                    });
-                }
-            }
         }
     }
 }
@@ -377,26 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_outside_engine_is_l009() {
-        let out = analyze_with(
-            &[file(
-                "crates/sim/src/exec.rs",
-                "fn f() { std::thread::spawn(|| {}); }\n",
-            )],
-            &Allowlist::default(),
-        );
-        assert_eq!(codes(&out), vec!["L009"]);
-        let out = analyze_with(
-            &[file(
-                "crates/net/src/engine.rs",
-                "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); }\n",
-            )],
-            &Allowlist::default(),
-        );
-        assert_eq!(codes(&out), vec!["L009"]);
-    }
-
-    #[test]
     fn partial_cmp_sort_key_is_l010_total_cmp_is_not() {
         let out = analyze_with(
             &[file(
@@ -419,30 +339,15 @@ mod tests {
     }
 
     #[test]
-    fn hash_without_ord_key_is_l011() {
-        let src = "#[derive(Hash, PartialEq, Eq)]\nstruct Key(u32);\n\
-                   fn f(m: &HashMap<Key, u32>) {}\n";
-        let out = analyze_with(
-            &[file("crates/net/src/keys.rs", src)],
-            &Allowlist::default(),
-        );
-        assert_eq!(codes(&out), vec!["L011"]);
-        let ok = "#[derive(Hash, PartialEq, Eq, PartialOrd, Ord)]\nstruct Key(u32);\n\
-                  fn f(m: &HashMap<Key, u32>) {}\n";
-        let out = analyze_with(&[file("crates/net/src/keys.rs", ok)], &Allowlist::default());
-        assert!(out.findings.is_empty());
-    }
-
-    #[test]
     fn stale_analyzer_grants_are_hard_findings() {
         let allow = Allowlist::parse(
             "L008 crates/core/src/step.rs never matches\n\
-             L004 crates/core/src/step.rs lint owns this one\n",
+             L004 crates/core/src/step.rs a rule retired into clippy\n",
         );
         let out = analyze_with(&[file("crates/core/src/step.rs", "fn step() {}\n")], &allow);
-        assert_eq!(codes(&out), vec!["L000"]);
-        assert_eq!(out.unused_allow.len(), 1);
-        assert_eq!(out.unused_allow[0].rule, "L008");
+        assert_eq!(codes(&out), vec!["L000", "L000"]);
+        let rules: Vec<&str> = out.unused_allow.iter().map(|e| e.rule.as_str()).collect();
+        assert_eq!(rules, vec!["L008", "L004"]);
     }
 
     #[test]
@@ -450,7 +355,7 @@ mod tests {
         let out = analyze_with(
             &[file(
                 "crates/bench/src/timing.rs",
-                "fn f() { std::thread::spawn(|| {}); x.unwrap(); }\n",
+                "fn step() { if bad { panic!(\"tooling\"); } }\n",
             )],
             &Allowlist::default(),
         );

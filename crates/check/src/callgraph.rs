@@ -143,8 +143,8 @@ pub fn reach(ws: &Workspace, graph: &CallGraph, root_specs: &[&str]) -> Reachabi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::SourceFile;
     use crate::model::extract;
+    use crate::source::SourceFile;
 
     fn ws(text: &str) -> Workspace {
         extract(&[SourceFile {

@@ -1,6 +1,6 @@
 //! A dependency-free token lexer for the semantic analyzer.
 //!
-//! The lexer runs over [`strip_source`](crate::lint::strip_source)
+//! The lexer runs over [`strip_source`](crate::source::strip_source)
 //! output — comments and literal *contents* are already blanked, but
 //! the stripper preserves byte offsets 1:1 with the original text, so
 //! every token carries a byte range that is valid in both views.
@@ -161,7 +161,7 @@ pub fn lex(stripped: &str) -> Vec<Tok> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::strip_source;
+    use crate::source::strip_source;
 
     fn kinds(src: &str) -> Vec<TokKind> {
         lex(&strip_source(src)).iter().map(|t| t.kind).collect()

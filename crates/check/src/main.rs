@@ -1,26 +1,23 @@
-//! `vod-check` — workspace lint, semantic analyzer, and trace auditor.
+//! `vod-check` — semantic analyzer and trace auditor.
 //!
 //! ```text
-//! vod-check lint    [--root DIR] [--allowlist FILE] [--json]
 //! vod-check analyze [--root DIR] [--allowlist FILE] [--json]
 //! vod-check audit   [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)
 //! vod-check help
 //! ```
 //!
-//! All three subcommands share one contract (`vod-check help` prints
+//! Both subcommands share one contract (`vod-check help` prints
 //! it): exit 0 when clean, 1 when any finding was emitted, 2 on a
 //! usage or I/O error, and `--json` emits a single object of the shape
 //! `{"tool":...,"findings":[{"rule","where","line","message"}],"stats":{...}}`.
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vod_check::analyze::analyze;
 use vod_check::audit::{audit_trace, AuditSummary};
-use vod_check::lint::{lint, workspace_sources, Allowlist, Finding, SourceFile};
 use vod_check::series::audit_series;
+use vod_check::source::{workspace_sources, Allowlist};
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_obs::JsonlWriter;
@@ -29,20 +26,17 @@ use vod_workload::scenario::Scenario;
 const HELP: &str = "vod-check — static analysis and trace auditing for the VoD workspace
 
 USAGE:
-    vod-check lint    [--root DIR] [--allowlist FILE] [--json]
     vod-check analyze [--root DIR] [--allowlist FILE] [--json]
     vod-check audit   [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)
     vod-check help
 
 SUBCOMMANDS:
-    lint      Line-level source rules over crates/*/src (L001, L003-L005):
-              wall-clock reads, unordered collections in report paths,
-              panic hygiene (unwrap/expect), missing forbid(unsafe_code).
-    analyze   Semantic rules (L008-L011): reachability of panic macros and
-              computed indices from the sim hot-path roots, and
-              determinism dataflow (thread primitives, partial_cmp sort
-              keys, Hash-without-Ord map keys).
-              (L002, L006 and L007 are retired; codes are not reused.)
+    analyze   Semantic rules over crates/*/src (L008, L010): reachability
+              of panic macros and computed indices from the sim hot-path
+              roots, and partial_cmp sort keys. The line-level rules
+              (wall clock, threads, HashMap/HashSet, unwrap/expect,
+              unsafe) are clippy lints: see clippy.toml. Retired codes
+              are not reused.
     audit     Replays a JSONL trace against reference implementations of
               the paper's invariants (A000-A016); --series reconciles a
               time-series export against the same run's trace (A013).
@@ -50,18 +44,17 @@ SUBCOMMANDS:
 OPTIONS:
     --root DIR        Workspace root to scan (default: current directory).
     --allowlist FILE  Allowlist path (default: ROOT/crates/check/lint_allow.txt).
-                      Lines are `RULE PATH NEEDLE`; lint owns L001/L003-L005
-                      entries, analyze owns L008 entries, and a stale
-                      entry is itself a finding (L000).
+                      Lines are `L008 PATH NEEDLE`; an entry that grants
+                      nothing is itself a finding (L000).
     --json            Emit one JSON object instead of human-readable text.
     --series FILE     (audit) Reconcile FILE against the run's trace.
     --grnet           (audit) Replay the paper's GRNET case study in-process.
 
 JSON SHAPE (same for every subcommand):
-    {\"tool\":\"lint|analyze|audit\",
+    {\"tool\":\"analyze|audit\",
      \"findings\":[{\"rule\":\"L008\",\"where\":\"crates/...\",\"line\":42,\"message\":\"...\"}],
      \"stats\":{...per-tool counters...}}
-    `where` is a source path for lint/analyze, a trace or series label
+    `where` is a source path for analyze, a trace or series label
     for audit. `line` is a source line, trace line, or window index.
 
 EXIT CODES:
@@ -73,7 +66,6 @@ EXIT CODES:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&args[1..]),
         Some("analyze") => run_analyze(&args[1..]),
         Some("audit") => run_audit(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
@@ -82,8 +74,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: vod-check lint    [--root DIR] [--allowlist FILE] [--json]\n\
-                        vod-check analyze [--root DIR] [--allowlist FILE] [--json]\n\
+                "usage: vod-check analyze [--root DIR] [--allowlist FILE] [--json]\n\
                         vod-check audit   [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)\n\
                  see `vod-check help` for the JSON shape and exit codes"
             );
@@ -98,17 +89,6 @@ struct UnifiedFinding {
     location: String,
     line: usize,
     message: String,
-}
-
-impl UnifiedFinding {
-    fn from_lint(f: &Finding) -> Self {
-        UnifiedFinding {
-            rule: f.rule.code().to_string(),
-            location: f.path.clone(),
-            line: f.line,
-            message: f.message.clone(),
-        }
-    }
 }
 
 /// Prints the unified JSON object: findings array plus per-tool stats.
@@ -145,12 +125,7 @@ fn verdict(findings: usize) -> ExitCode {
     }
 }
 
-/// Shared `--root/--allowlist/--json` parsing and source loading for
-/// the lint and analyze subcommands.
-fn load_sources(
-    args: &[String],
-    cmd: &str,
-) -> Result<(Vec<SourceFile>, Allowlist, PathBuf, bool), ExitCode> {
+fn run_analyze(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut allowlist: Option<PathBuf> = None;
     let mut json = false;
@@ -159,14 +134,14 @@ fn load_sources(
         match a.as_str() {
             "--root" => match it.next() {
                 Some(v) => root = PathBuf::from(v),
-                None => return Err(usage("--root needs a directory")),
+                None => return usage("--root needs a directory"),
             },
             "--allowlist" => match it.next() {
                 Some(v) => allowlist = Some(PathBuf::from(v)),
-                None => return Err(usage("--allowlist needs a file")),
+                None => return usage("--allowlist needs a file"),
             },
             "--json" => json = true,
-            other => return Err(usage(&format!("unknown {cmd} option `{other}`"))),
+            other => return usage(&format!("unknown analyze option `{other}`")),
         }
     }
     let allow_path = allowlist.unwrap_or_else(|| root.join("crates/check/lint_allow.txt"));
@@ -178,55 +153,19 @@ fn load_sources(
         Ok(f) => f,
         Err(e) => {
             eprintln!("vod-check: cannot scan {}: {e}", root.display());
-            return Err(ExitCode::from(2));
+            return ExitCode::from(2);
         }
-    };
-    Ok((files, allow, allow_path, json))
-}
-
-fn run_lint(args: &[String]) -> ExitCode {
-    let (files, allow, allow_path, json) = match load_sources(args, "lint") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let outcome = lint(&files, &allow);
-    let findings: Vec<UnifiedFinding> = outcome
-        .findings
-        .iter()
-        .map(UnifiedFinding::from_lint)
-        .collect();
-    if json {
-        print_json(
-            "lint",
-            &findings,
-            &[
-                ("files", outcome.files),
-                ("stale_allow", outcome.unused_allow.len()),
-            ],
-        );
-    } else {
-        print_findings_human(&findings);
-        println!(
-            "vod-check lint: {} findings ({} stale entries in {}) across {} files",
-            findings.len(),
-            outcome.unused_allow.len(),
-            allow_path.display(),
-            outcome.files
-        );
-    }
-    verdict(findings.len())
-}
-
-fn run_analyze(args: &[String]) -> ExitCode {
-    let (files, allow, allow_path, json) = match load_sources(args, "analyze") {
-        Ok(v) => v,
-        Err(code) => return code,
     };
     let outcome = analyze(&files, &allow);
     let findings: Vec<UnifiedFinding> = outcome
         .findings
         .iter()
-        .map(UnifiedFinding::from_lint)
+        .map(|f| UnifiedFinding {
+            rule: f.rule.code().to_string(),
+            location: f.path.clone(),
+            line: f.line,
+            message: f.message.clone(),
+        })
         .collect();
     if json {
         print_json(
@@ -240,7 +179,9 @@ fn run_analyze(args: &[String]) -> ExitCode {
             ],
         );
     } else {
-        print_findings_human(&findings);
+        for f in &findings {
+            println!("{}:{}: [{}] {}", f.location, f.line, f.rule, f.message);
+        }
         println!(
             "vod-check analyze: {} findings ({} stale entries in {}); {} files, {} fns ({} reachable from sim roots)",
             findings.len(),
@@ -252,12 +193,6 @@ fn run_analyze(args: &[String]) -> ExitCode {
         );
     }
     verdict(findings.len())
-}
-
-fn print_findings_human(findings: &[UnifiedFinding]) {
-    for f in findings {
-        println!("{}:{}: [{}] {}", f.location, f.line, f.rule, f.message);
-    }
 }
 
 fn run_audit(args: &[String]) -> ExitCode {

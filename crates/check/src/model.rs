@@ -1,14 +1,14 @@
-//! The item extractor: files → functions, types, impls, `use` decls
-//! and the per-crate module tree, with call sites and potential panic
-//! sites recorded per function body.
+//! The item extractor: files → functions, impls, `use` decls and the
+//! per-crate module tree, with call sites and potential panic sites
+//! recorded per function body.
 //!
 //! This is a single linear token walk per file with an explicit brace
 //! stack — no AST, no type checking. Item headers (`impl`, `trait`,
-//! `mod`, `fn`, `struct`, `enum`) set a *pending* context that the next
-//! `{` pushes, so the walker always knows which function body, impl
-//! block and inline module it is inside. `#[cfg(test)]`-gated lines are
-//! removed before the walk (tests may panic freely), reusing the lint
-//! pass's [`test_line_mask`](crate::lint::test_line_mask).
+//! `mod`, `fn`) set a *pending* context that the next `{` pushes, so
+//! the walker always knows which function body, impl block and inline
+//! module it is inside. `#[cfg(test)]`-gated lines are removed before
+//! the walk (tests may panic freely) by
+//! [`test_line_mask`](crate::source::test_line_mask).
 //!
 //! The extraction is deliberately an over-approximation in the
 //! direction that makes the panic-reachability pass *sound for this
@@ -20,7 +20,7 @@
 //! nothing.
 
 use crate::lex::{lex, Tok, TokKind};
-use crate::lint::{strip_source, test_line_mask, SourceFile};
+use crate::source::{strip_source, test_line_mask, SourceFile};
 
 /// How a call site names its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,21 +114,6 @@ impl FnDef {
     }
 }
 
-/// One extracted `struct`/`enum` definition with its derives.
-#[derive(Debug, Clone)]
-pub struct TypeDef {
-    /// Repo-relative file path.
-    pub file: String,
-    /// Crate directory name.
-    pub krate: String,
-    /// The type's name.
-    pub name: String,
-    /// Idents inside `#[derive(…)]` attributes on the item.
-    pub derives: Vec<String>,
-    /// 1-based line of the definition.
-    pub line: u32,
-}
-
 /// One `use` declaration (kept for the module tree and diagnostics).
 #[derive(Debug, Clone)]
 pub struct UseDecl {
@@ -154,21 +139,12 @@ pub struct ModDecl {
 pub struct Workspace {
     /// Every function definition, in file order.
     pub fns: Vec<FnDef>,
-    /// Every struct/enum definition.
-    pub types: Vec<TypeDef>,
     /// Every `use` declaration.
     pub uses: Vec<UseDecl>,
     /// Every `mod` declaration (the per-crate module tree's edges).
     pub mods: Vec<ModDecl>,
     /// Files walked.
     pub files: usize,
-}
-
-impl Workspace {
-    /// Looks up a type definition by name (first match).
-    pub fn type_named(&self, name: &str) -> Option<&TypeDef> {
-        self.types.iter().find(|t| t.name == name)
-    }
 }
 
 /// Keywords that can precede `(` or `[` without being a call/index.
@@ -251,7 +227,6 @@ fn extract_file(file: &SourceFile, ws: &mut Workspace) {
 
     let mut stack: Vec<Ctx> = Vec::new();
     let mut pending: Option<Ctx> = None;
-    let mut derives: Vec<String> = Vec::new();
     let mut i = 0;
 
     while i < toks.len() {
@@ -259,17 +234,8 @@ fn extract_file(file: &SourceFile, ws: &mut Workspace) {
         match t.kind {
             TokKind::Punct(b'#') if matches!(toks.get(i + 1), Some(n) if n.kind == TokKind::Punct(b'[')) =>
             {
-                // Attribute: capture `#[…]`, harvesting derive lists.
-                let end = skip_balanced(&toks, i + 1, b'[', b']');
-                let inner = &toks[i + 2..end.saturating_sub(1).max(i + 2)];
-                if inner.first().is_some_and(|t| t.text(&stripped) == "derive") {
-                    for d in inner.iter().skip(1) {
-                        if d.kind == TokKind::Ident {
-                            derives.push(d.text(&stripped).to_string());
-                        }
-                    }
-                }
-                i = end;
+                // Attribute: skip `#[…]` whole.
+                i = skip_balanced(&toks, i + 1, b'[', b']');
             }
             TokKind::Ident => {
                 let text = t.text(&stripped);
@@ -277,7 +243,6 @@ fn extract_file(file: &SourceFile, ws: &mut Workspace) {
                     "impl" | "trait" => {
                         let (name, next) = parse_impl_header(&toks, &stripped, i + 1);
                         pending = Some(Ctx::Impl(name));
-                        derives.clear();
                         i = next;
                     }
                     "mod" => {
@@ -300,7 +265,6 @@ fn extract_file(file: &SourceFile, ws: &mut Workspace) {
                         } else {
                             i += 1;
                         }
-                        derives.clear();
                     }
                     "fn" => {
                         if let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)
@@ -337,23 +301,6 @@ fn extract_file(file: &SourceFile, ws: &mut Workspace) {
                         } else {
                             i += 1;
                         }
-                        derives.clear();
-                    }
-                    "struct" | "enum" | "union" => {
-                        if let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident)
-                        {
-                            ws.types.push(TypeDef {
-                                file: file.path.clone(),
-                                krate: krate.clone(),
-                                name: name_tok.text(&stripped).to_string(),
-                                derives: std::mem::take(&mut derives),
-                                line: t.line,
-                            });
-                            i += 2;
-                        } else {
-                            derives.clear();
-                            i += 1;
-                        }
                     }
                     "use" => {
                         let mut j = i + 1;
@@ -366,7 +313,6 @@ fn extract_file(file: &SourceFile, ws: &mut Workspace) {
                             file: file.path.clone(),
                             path,
                         });
-                        derives.clear();
                         i = j + 1;
                     }
                     _ => {
@@ -665,7 +611,7 @@ mod tests {
         assert_eq!(
             kinds.len(),
             3,
-            "unwrap/expect (L004's), debug_assert and xs[i] are exempt: {kinds:?}"
+            "unwrap/expect (clippy's), debug_assert and xs[i] are exempt: {kinds:?}"
         );
         assert_eq!(*kinds[0], PanicKind::Macro("panic".into()));
         assert_eq!(*kinds[1], PanicKind::Macro("assert".into()));
@@ -697,14 +643,6 @@ mod tests {
         let w = ws("fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { assert!(x); }\n}\n");
         assert_eq!(w.fns.len(), 1);
         assert!(w.fns[0].panics.is_empty());
-    }
-
-    #[test]
-    fn derives_attach_to_types() {
-        let w = ws("#[derive(Debug, Hash, PartialEq, Eq)]\npub struct Key(u32);\n#[derive(Clone)]\nenum E { A }\n");
-        assert_eq!(w.types[0].name, "Key");
-        assert_eq!(w.types[0].derives, vec!["Debug", "Hash", "PartialEq", "Eq"]);
-        assert_eq!(w.types[1].derives, vec!["Clone"]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Injected-violation fixtures for the semantic analyzer: one fixture
-//! per rule `L008`–`L011`, each asserting that exactly the expected
+//! per rule (`L008`, `L010`), each asserting that exactly the expected
 //! rule id fires; a run over the real tree with the repo allowlist,
 //! which must stay green; and a proptest that generated benign
 //! workspaces analyze clean.
@@ -7,7 +7,7 @@
 use std::path::Path;
 
 use vod_check::analyze::{analyze, AnalyzeOutcome};
-use vod_check::lint::{workspace_sources, Allowlist, SourceFile};
+use vod_check::source::{workspace_sources, Allowlist, SourceFile};
 
 fn file(path: &str, text: &str) -> SourceFile {
     SourceFile {
@@ -47,15 +47,6 @@ fn l008_reachable_panic_macro() {
 }
 
 #[test]
-fn l009_thread_primitive() {
-    let out = analyze_with(&[file(
-        "crates/core/src/step.rs",
-        "fn step() { std::thread::spawn(move || work()); }\n",
-    )]);
-    assert_eq!(codes(&out), vec!["L009"]);
-}
-
-#[test]
 fn l010_float_sort_key_without_total_order() {
     let out = analyze_with(&[file(
         "crates/core/src/step.rs",
@@ -65,20 +56,11 @@ fn l010_float_sort_key_without_total_order() {
 }
 
 #[test]
-fn l011_hash_key_without_ord() {
-    let out = analyze_with(&[file(
-        "crates/core/src/step.rs",
-        "#[derive(Hash, PartialEq, Eq)]\nstruct ServerKey(u64);\nfn step(m: &HashMap<ServerKey, u64>) { m.len(); }\n",
-    )]);
-    assert_eq!(codes(&out), vec!["L011"]);
-}
-
-#[test]
 fn fixtures_cover_distinct_rules() {
-    // The four fixtures above each trip a different rule id; this
+    // The two fixtures above each trip a different rule id; this
     // meta-check keeps the set honest if a fixture is edited.
-    let expected = ["L008", "L009", "L010", "L011"];
-    assert_eq!(expected.len(), 4);
+    let expected = ["L008", "L010"];
+    assert_eq!(expected.len(), 2);
 }
 
 /// The real tree and its committed allowlist: the analyzer must be

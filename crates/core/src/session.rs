@@ -287,6 +287,10 @@ impl Session {
     ///
     /// Panics if not stalled.
     pub fn resume(&mut self, now: SimTime) -> SimDuration {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: a stall is recorded before any resume"
+        )]
         let started = self.stall_started_at.take().expect("resume without stall");
         let stalled = now.duration_since(started);
         self.stall_total += stalled;

@@ -56,6 +56,7 @@
 //! # }
 //! ```
 
+#[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -137,6 +138,7 @@ struct EngineCache {
     weights: LinkWeights,
     /// Shortest-path trees at this epoch, keyed by home server, built on
     /// demand.
+    #[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
     paths: HashMap<NodeId, Arc<ShortestPaths>>,
 }
 
@@ -236,6 +238,7 @@ impl RoutingEngine {
         snapshot: &TrafficSnapshot,
     ) -> Result<&LinkWeights, NetError> {
         self.prepare(topology, snapshot)?;
+        #[expect(clippy::expect_used, reason = "`prepare` populates the cache")]
         Ok(&self
             .cache
             .as_ref()
@@ -258,6 +261,7 @@ impl RoutingEngine {
     ) -> Result<Arc<ShortestPaths>, NetError> {
         self.prepare(topology, snapshot)?;
         topology.try_node(home)?;
+        #[expect(clippy::expect_used, reason = "`prepare` populates the cache")]
         let cache = self.cache.as_mut().expect("prepare populates the cache");
         if let Some(paths) = cache.paths.get(&home) {
             self.stats.path_cache_hits += 1;
@@ -313,6 +317,7 @@ impl RoutingEngine {
         epoch: SnapshotEpoch,
     ) -> Result<(), NetError> {
         let weights = LvnComputer::try_new(topology, snapshot, self.params)?.weights();
+        #[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
         let paths = match self.cache.take() {
             Some(old) => {
                 let mut paths = old.paths;
@@ -343,6 +348,10 @@ fn local_selection(home: NodeId) -> EngineSelection {
 
 /// The cheapest reachable candidate by (cost, node id) — the exact
 /// tie-break of the slow reference path.
+#[expect(
+    clippy::expect_used,
+    reason = "a candidate with a distance was reached by Dijkstra, so it has a route"
+)]
 fn pick_candidate(paths: &ShortestPaths, candidates: &[NodeId]) -> Option<EngineSelection> {
     let mut best: Option<(NodeId, f64)> = None;
     for &candidate in candidates {

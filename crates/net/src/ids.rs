@@ -98,6 +98,7 @@ impl From<LinkId> for usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[expect(clippy::disallowed_types, reason = "tests `NodeId`'s `Hash`")]
     use std::collections::HashSet;
 
     #[test]
@@ -121,6 +122,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "tests `NodeId`'s `Hash`")]
     fn ids_are_hashable_and_distinct() {
         let set: HashSet<NodeId> = (0..10).map(NodeId::new).collect();
         assert_eq!(set.len(), 10);

@@ -232,6 +232,10 @@ impl<'a> LvnComputer<'a> {
     /// Panics if the snapshot was built for a topology with a different
     /// number of links. Use [`LvnComputer::try_new`] to handle the
     /// mismatch as a [`NetError`] instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; `try_new` is the fallible form"
+    )]
     pub fn new(topology: &'a Topology, snapshot: &'a TrafficSnapshot, params: LvnParams) -> Self {
         Self::try_new(topology, snapshot, params).expect("snapshot must match topology")
     }

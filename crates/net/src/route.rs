@@ -50,6 +50,7 @@ impl Route {
     }
 
     /// Last node of the route.
+    #[expect(clippy::expect_used, reason = "`new` rejects an empty node list")]
     pub fn target(&self) -> NodeId {
         *self.nodes.last().expect("route is non-empty")
     }

@@ -338,6 +338,7 @@ impl Grnet {
             nodes[n.position()] = b.add_node(n.u_label());
         }
         let mut links = [LinkId::new(0); 7];
+        #[expect(clippy::expect_used, reason = "GRNET links are well-formed")]
         for l in GrnetLink::ALL {
             let (a, c) = l.endpoints();
             links[l.position()] = b

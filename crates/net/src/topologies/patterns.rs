@@ -18,6 +18,7 @@ pub fn line(n: usize, capacity: Mbps) -> Topology {
     let mut b = TopologyBuilder::new();
     let nodes: Vec<_> = (0..n).map(|i| b.add_node(format!("v{i}"))).collect();
     for i in 1..n {
+        #[expect(clippy::expect_used, reason = "line links are well-formed")]
         b.add_link(nodes[i - 1], nodes[i], capacity)
             .expect("line links are well-formed");
     }
@@ -34,6 +35,7 @@ pub fn ring(n: usize, capacity: Mbps) -> Topology {
     let mut b = TopologyBuilder::new();
     let nodes: Vec<_> = (0..n).map(|i| b.add_node(format!("v{i}"))).collect();
     for i in 0..n {
+        #[expect(clippy::expect_used, reason = "ring links are well-formed")]
         b.add_link(nodes[i], nodes[(i + 1) % n], capacity)
             .expect("ring links are well-formed");
     }
@@ -51,6 +53,7 @@ pub fn star(n: usize, capacity: Mbps) -> Topology {
     let hub = b.add_node("hub");
     for i in 1..n {
         let leaf = b.add_node(format!("v{i}"));
+        #[expect(clippy::expect_used, reason = "star links are well-formed")]
         b.add_link(hub, leaf, capacity)
             .expect("star links are well-formed");
     }
@@ -75,10 +78,12 @@ pub fn grid(width: usize, height: usize, capacity: Mbps) -> Topology {
     for y in 0..height {
         for x in 0..width {
             if x + 1 < width {
+                #[expect(clippy::expect_used, reason = "grid links are well-formed")]
                 b.add_link(at(x, y), at(x + 1, y), capacity)
                     .expect("grid links are well-formed");
             }
             if y + 1 < height {
+                #[expect(clippy::expect_used, reason = "grid links are well-formed")]
                 b.add_link(at(x, y), at(x, y + 1), capacity)
                     .expect("grid links are well-formed");
             }

@@ -45,6 +45,7 @@ pub fn connected_gnp(n: usize, p: f64, seed: u64) -> Topology {
     for i in 1..n {
         let parent = order[rng.gen_range(0..i)];
         let child = order[i];
+        #[expect(clippy::expect_used, reason = "spanning tree links are distinct")]
         b.add_link(nodes[parent], nodes[child], random_capacity(&mut rng))
             .expect("spanning tree links are distinct");
     }
@@ -92,6 +93,7 @@ fn waxman_once(n: usize, alpha: f64, beta: f64, rng: &mut StdRng, force_tree: bo
     if force_tree {
         for i in 1..n {
             let parent = rng.gen_range(0..i);
+            #[expect(clippy::expect_used, reason = "tree links are distinct")]
             b.add_link(nodes[parent], nodes[i], random_capacity(rng))
                 .expect("tree links are distinct");
         }
@@ -110,6 +112,7 @@ fn waxman_once(n: usize, alpha: f64, beta: f64, rng: &mut StdRng, force_tree: bo
     b.build()
 }
 
+#[expect(clippy::expect_used, reason = "`CAPACITY_TIERS` is non-empty")]
 fn random_capacity(rng: &mut StdRng) -> Mbps {
     Mbps::new(*CAPACITY_TIERS.as_slice().choose(rng).expect("non-empty"))
 }

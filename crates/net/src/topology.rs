@@ -1,5 +1,6 @@
 //! The network topology: nodes, links and adjacency.
 
+#[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -255,6 +256,7 @@ impl Topology {
 pub struct TopologyBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
+    #[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
     names: HashMap<String, NodeId>,
 }
 

@@ -37,6 +37,10 @@ impl Mbps {
     /// Panics if `value` is negative, NaN or infinite. Use
     /// [`Mbps::try_new`] for fallible construction.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; `try_new` is the fallible form"
+    )]
     pub fn new(value: f64) -> Self {
         Self::try_new(value).expect("bandwidth must be finite and non-negative")
     }
@@ -226,6 +230,10 @@ impl Fraction {
     ///
     /// Panics if `value` is negative, NaN or infinite.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; `try_new` is the fallible form"
+    )]
     pub fn new(value: f64) -> Self {
         Self::try_new(value).expect("fraction must be finite and non-negative")
     }

@@ -52,7 +52,7 @@
 //! is byte-for-byte the uninstrumented one (`benches/obs.rs` measures
 //! the guarded path at ≈0 ns/event).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod event;

@@ -1104,6 +1104,10 @@ impl FlowNetwork {
     /// existing prediction valid.
     fn apply_rate(&mut self, id: FlowId, rate: Mbps) {
         let clock = self.clock_us;
+        #[expect(
+            clippy::expect_used,
+            reason = "flow ids are handed out by the network itself"
+        )]
         let flow = self.flows.get_mut(id.0).expect("flow exists");
         if flow.rate == rate {
             return;

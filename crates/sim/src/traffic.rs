@@ -264,6 +264,7 @@ impl BackgroundModel {
 }
 
 /// Row index of a GRNET link in the paper's `TABLE2` (Table 2 order).
+#[expect(clippy::expect_used, reason = "every link is in `GrnetLink::ALL`")]
 fn link_row(link: GrnetLink) -> usize {
     GrnetLink::ALL
         .iter()

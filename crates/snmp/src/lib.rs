@@ -24,7 +24,7 @@
 //! and our experiments quantify.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod agent;
 pub mod counters;

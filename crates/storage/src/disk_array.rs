@@ -124,6 +124,7 @@ impl DiskArray {
         }
         for d in 0..self.disks.len() {
             let share = self.share_of_disk(&layout, video.size(), d);
+            #[expect(clippy::expect_used, reason = "`can_tolerate` checked every disk")]
             self.disks[d]
                 .allocate(share)
                 .expect("can_tolerate checked every disk");

@@ -271,6 +271,7 @@ impl DmaCache {
         }
 
         if self.array.can_tolerate(video) {
+            #[expect(clippy::expect_used, reason = "`can_tolerate` checked the fit")]
             let layout = self
                 .array
                 .store(video)
@@ -332,11 +333,13 @@ impl DmaCache {
             self.tracker.points(victim) < points,
             "eviction victim {victim} is not colder than the newcomer"
         );
+        #[expect(clippy::expect_used, reason = "the victim came from `stored_ids`")]
         self.array
             .remove(victim)
             .expect("victim came from stored_ids");
         self.stats.evictions += 1;
         if self.array.can_tolerate(video) {
+            #[expect(clippy::expect_used, reason = "`can_tolerate` checked the fit")]
             let layout = self
                 .array
                 .store(video)
@@ -377,6 +380,7 @@ impl DmaCache {
             if fits {
                 break;
             }
+            #[expect(clippy::expect_used, reason = "the candidate is stored")]
             scratch.remove(v).expect("candidate is stored");
             planned.push(v);
             fits = scratch.can_tolerate(video);
@@ -391,9 +395,11 @@ impl DmaCache {
             return DmaDecision::NotAdmitted { reason };
         }
         for &v in &planned {
+            #[expect(clippy::expect_used, reason = "the planned victim is stored")]
             self.array.remove(v).expect("planned victim is stored");
             self.stats.evictions += 1;
         }
+        #[expect(clippy::expect_used, reason = "feasibility was simulated on a copy")]
         let layout = self
             .array
             .store(video)

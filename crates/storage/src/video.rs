@@ -30,6 +30,10 @@ impl Megabytes {
     ///
     /// Panics if `value` is negative, NaN or infinite; use
     /// [`Megabytes::try_new`] for fallible construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; `try_new` is the fallible form"
+    )]
     pub fn new(value: f64) -> Self {
         Self::try_new(value).expect("size must be finite and non-negative")
     }

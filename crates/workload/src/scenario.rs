@@ -93,6 +93,7 @@ impl Scenario {
             ..LibraryConfig::default()
         })
         .generate(seed);
+        #[expect(clippy::expect_used, reason = "GRNET has Patra as U2")]
         let patra = grnet
             .topology()
             .find_node("U2")

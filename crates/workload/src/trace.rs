@@ -207,6 +207,10 @@ fn pick_weighted<R: Rng + ?Sized>(origins: &[(NodeId, f64)], total: f64, rng: &m
         }
         x -= w;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "`generate` asserts a non-empty origin list"
+    )]
     origins.last().expect("origins non-empty").0
 }
 

@@ -39,6 +39,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0`, or if `s` is negative, NaN or infinite.
+    #[expect(clippy::expect_used, reason = "`n > 0` is asserted on entry")]
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s.is_finite() && s >= 0.0, "skew must be non-negative");

@@ -3,8 +3,6 @@
 //! The actual tests live in this package's `tests/` directory; this
 //! library only hosts small fixtures they share.
 
-#![forbid(unsafe_code)]
-
 use vod_net::topologies::grnet::Grnet;
 
 /// Builds the paper's GRNET case-study backbone.
