@@ -16,6 +16,9 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> vod-obs in release: the JSONL number writer against Display on ~20 M inputs (~200 k in the debug run above)"
+cargo test --release -q -p vod-obs
+
 echo "==> benchmark/ builds and passes its tests offline against the workspace crates, tree untouched"
 # The benchmark package is outside the workspace, so nothing above
 # compiles it: a removed or renamed pub item it calls, or a dependency

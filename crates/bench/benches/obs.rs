@@ -166,18 +166,47 @@ fn bench_sparse_year(c: &mut Criterion) {
 }
 
 /// Serialization alone (no sink dispatch): one event rendered to JSON
-/// into a reused buffer.
+/// into a reused buffer. `write_json` is the mid-size `vra_select`;
+/// `link_state` is the float-heavy row a snapshot rebuild emits on
+/// GRNET's 7 links, every value 17 significant digits, so it gates the
+/// float writer on its own.
 fn bench_serialize(c: &mut Criterion) {
     let at = SimTime::from_secs(12 * 3600);
-    let event = sample_event();
-    let mut buf = String::with_capacity(256);
-    c.bench_function("obs/serialize/write_json", |b| {
-        b.iter(|| {
-            buf.clear();
-            black_box(&event).write_json(black_box(at), &mut buf);
-            black_box(buf.len())
-        })
-    });
+    let mut buf = String::with_capacity(512);
+    let mut serialize = |id: &str, event: Event| {
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                buf.clear();
+                black_box(&event).write_json(black_box(at), &mut buf);
+                black_box(buf.len())
+            })
+        });
+    };
+    serialize("obs/serialize/write_json", sample_event());
+    serialize(
+        "obs/serialize/link_state",
+        Event::LinkState {
+            used: vec![
+                11.400779660569784,
+                13.481272312062764,
+                14.415887397399691,
+                16.992879966098382,
+                13.448225057948788,
+                16.640687441644797,
+                1.0075914949632578,
+            ],
+            utilization: vec![
+                0.12207390500661291,
+                0.22456250245920967,
+                0.28668754235099925,
+                0.16800817023445785,
+                0.14737974421491415,
+                0.13543224022476702,
+                0.011757113580509298,
+            ],
+            down: vec![],
+        },
+    );
 }
 
 /// One full analyzer pass over the real workspace tree: source

@@ -5,9 +5,11 @@
 //! wall-clock state, so a trace is a pure function of (scenario, config):
 //! running the same experiment twice yields byte-identical JSONL. The
 //! JSON encoding is rendered in-crate (see [`Event::write_json`]) with a
-//! fixed field order and Rust's shortest-roundtrip float formatting,
-//! which pins the byte-level determinism contract independently of any
-//! serializer implementation details.
+//! fixed field order, and its numbers by the crate's own writer: the
+//! bytes `Display` would give, shortest round-trip digits for floats,
+//! without a pass through `core::fmt`. That pins the byte-level
+//! determinism contract independently of any serializer's (or the
+//! standard library's) implementation details.
 //!
 //! The taxonomy is declared once, in the `event_taxonomy!` table below:
 //! a row names the variant, its kind string and its fields, and expands
@@ -20,6 +22,8 @@ use std::fmt::Write as _;
 use vod_net::{LinkId, NodeId};
 use vod_sim::{SimDuration, SimTime};
 use vod_storage::VideoId;
+
+use crate::number;
 
 /// Why the DMA declined to cache a title (mirror of
 /// [`vod_storage::dma::RejectReason`] without the victim payload).
@@ -569,16 +573,35 @@ trait JsonValue {
     fn write_value(&self, out: &mut String);
 }
 
-macro_rules! json_value_via_display {
-    ($($ty:ty),*) => {$(
-        impl JsonValue for $ty {
-            fn write_value(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
-            }
-        }
-    )*};
+impl JsonValue for u32 {
+    fn write_value(&self, out: &mut String) {
+        number::write_u64(u64::from(*self), out);
+    }
 }
-json_value_via_display!(u32, u64, usize, f64, bool);
+
+impl JsonValue for u64 {
+    fn write_value(&self, out: &mut String) {
+        number::write_u64(*self, out);
+    }
+}
+
+impl JsonValue for usize {
+    fn write_value(&self, out: &mut String) {
+        number::write_u64(*self as u64, out);
+    }
+}
+
+impl JsonValue for f64 {
+    fn write_value(&self, out: &mut String) {
+        number::write_f64(*self, out);
+    }
+}
+
+impl JsonValue for bool {
+    fn write_value(&self, out: &mut String) {
+        number::write_bool(*self, out);
+    }
+}
 
 macro_rules! json_value_via_index {
     ($($ty:ty),*) => {$(

@@ -39,9 +39,12 @@
 //! rule as the paper tables: **identical scenario + config ⇒
 //! byte-identical JSONL**. Events carry only simulated time (integer
 //! microseconds) and plain identifiers — no wall clock, no addresses,
-//! no hash-iteration order. JSON rendering uses a fixed field order and
-//! Rust's shortest-roundtrip float formatting. The golden test in
-//! `tests/tests/observability.rs` pins this end to end.
+//! no hash-iteration order. JSON rendering uses a fixed field order, and
+//! numbers come from an in-crate writer that matches `Display` byte for
+//! byte: shortest round-trip digits for floats, with `Display`'s layout
+//! and its round-half-up tie rule. The writer's tests hold it to
+//! `Display` over millions of inputs; the golden test in
+//! `tests/tests/observability.rs` pins the trace end to end.
 //!
 //! # Zero overhead when disabled
 //!
@@ -56,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+mod number;
 pub mod series;
 pub mod sink;
 pub mod span;
