@@ -159,7 +159,7 @@ fn run(
             let (report, sink) =
                 VodService::with_sink(scenario, Box::new(Vra::default()), config, sink).run_full();
             let (jsonl, series_sink) = sink.into_parts();
-            jsonl.into_inner().flush()?;
+            jsonl.into_inner()?;
             if let Some(path) = series {
                 obs_cli::write_series(&series_sink.finish(), path)?;
             }

@@ -170,7 +170,7 @@ fn write_trace(
     let (_, sink) =
         VodService::with_sink(&scenario, Box::new(Vra::default()), scale_config(), sink).run_full();
     let (jsonl, series_sink) = sink.into_parts();
-    jsonl.into_inner().flush()?;
+    jsonl.into_inner()?;
     if let Some(path) = series {
         obs_cli::write_series(&series_sink.finish(), path)?;
     }

@@ -69,7 +69,7 @@ pub fn case_study_run(trace: Option<&str>) -> std::io::Result<ServiceReport> {
             let sink = JsonlWriter::new(BufWriter::new(File::create(path)?));
             let (report, sink) =
                 VodService::with_sink(&scenario, selector, config, sink).run_full();
-            sink.into_inner().flush()?;
+            sink.into_inner()?;
             report
         }
         None => VodService::new(&scenario, selector, config).run(),
@@ -96,7 +96,7 @@ pub fn case_study_run_full(trace: Option<&str>) -> std::io::Result<CaseStudyArti
     );
     let (report, sink) = VodService::with_sink(&scenario, selector, config, sink).run_full();
     let (jsonl, aggregators) = sink.into_parts();
-    jsonl.into_inner().flush()?;
+    jsonl.into_inner()?;
     let (series_sink, span_builder) = aggregators.into_parts();
     Ok(CaseStudyArtifacts {
         report,

@@ -15,6 +15,10 @@ fn main() {
         sink,
     );
     let (_, sink) = service.run_full();
-    let text = String::from_utf8(sink.into_inner()).unwrap_or_default();
+    let text = sink
+        .into_inner()
+        .ok()
+        .and_then(|bytes| String::from_utf8(bytes).ok())
+        .unwrap_or_default();
     print!("{text}");
 }

@@ -364,7 +364,10 @@ fn grnet_case_study_trace() -> String {
         sink,
     );
     let (_, sink) = service.run_full();
-    String::from_utf8(sink.into_inner()).unwrap_or_default()
+    sink.into_inner()
+        .ok()
+        .and_then(|bytes| String::from_utf8(bytes).ok())
+        .unwrap_or_default()
 }
 
 fn json_string(s: &str) -> String {

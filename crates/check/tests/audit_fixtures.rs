@@ -556,7 +556,8 @@ fn service_trace_with(scenario: &Scenario, config: ServiceConfig) -> String {
     let sink = JsonlWriter::new(Vec::new());
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
     let (_, sink) = service.run_full();
-    String::from_utf8(sink.into_inner()).expect("JSONL traces are UTF-8")
+    String::from_utf8(sink.into_inner().expect("a Vec takes every write"))
+        .expect("JSONL traces are UTF-8")
 }
 
 proptest! {

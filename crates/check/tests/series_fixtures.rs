@@ -23,7 +23,8 @@ fn instrumented_grnet_run() -> (String, String) {
     );
     let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
+    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
+        .expect("JSONL traces are UTF-8");
     (trace, series.finish().to_json())
 }
 
@@ -77,7 +78,8 @@ fn prefix_tier_series_reconciles_clean() {
     );
     let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
+    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
+        .expect("JSONL traces are UTF-8");
     let series = series.finish().to_json();
     assert!(
         trace.contains("\"kind\":\"prefix_hit\""),

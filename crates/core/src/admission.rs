@@ -87,11 +87,6 @@ impl AdmissionPolicy {
         AdmissionPolicy { headroom_factor }
     }
 
-    /// The configured headroom factor.
-    pub fn headroom_factor(&self) -> f64 {
-        self.headroom_factor
-    }
-
     /// Checks whether a stream of `bitrate_mbps` fits along `route` given
     /// the traffic `snapshot`. Local routes (zero hops) always admit.
     ///

@@ -19,8 +19,6 @@ pub enum CoreError {
         /// The candidates that were all unreachable.
         candidates: Vec<NodeId>,
     },
-    /// The requested title does not exist in the service catalog.
-    UnknownVideo(VideoId),
     /// The client's home node hosts no video server.
     NotAServer(NodeId),
     /// An underlying network-model error (bad weights, foreign ids, …).
@@ -41,7 +39,6 @@ impl fmt::Display for CoreError {
                 f,
                 "no candidate server {candidates:?} is reachable from home {home}"
             ),
-            CoreError::UnknownVideo(v) => write!(f, "video {v} is not in the catalog"),
             CoreError::NotAServer(n) => write!(f, "node {n} hosts no video server"),
             CoreError::Net(e) => write!(f, "network model error: {e}"),
             CoreError::Db(e) => write!(f, "database error: {e}"),

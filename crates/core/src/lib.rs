@@ -58,7 +58,6 @@ pub mod selection;
 pub mod service;
 pub mod session;
 pub mod vra;
-pub mod web;
 
 pub use error::CoreError;
 pub use qos::{QosRecord, ServiceReport, TickStats};

@@ -273,17 +273,6 @@ impl RandomizedVra {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// Uses custom LVN parameters.
-    pub fn with_params(mut self, params: vod_net::lvn::LvnParams) -> Self {
-        self.inner = crate::vra::Vra::new(params);
-        self
-    }
-
-    /// The configured slack window.
-    pub fn slack(&self) -> f64 {
-        self.slack
-    }
 }
 
 impl ServerSelector for RandomizedVra {
@@ -502,7 +491,6 @@ mod tests {
             assert_eq!(rvra.select(&ctx).unwrap().server, exact.server);
         }
         assert_eq!(rvra.name(), "randomized-vra");
-        assert_eq!(rvra.slack(), 0.0);
     }
 
     #[test]

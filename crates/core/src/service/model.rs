@@ -165,8 +165,8 @@ pub(super) struct SessionRecord {
 // Every live session holds one record, inline in `ServiceModel::sessions`
 // (400 801 of them at once on `local_scale`), so a field must pay for its
 // bytes. The 160 are: the session's 96 (three ids, two instants, seven
-// `u32` counters, the current server, the stall marker and total, the
-// playing flag), the origin flow's 16, the pinned route's 8, the retry
+// `u32` counters, the current server, the stall marker and total, 4 bytes
+// of padding), the origin flow's 16, the pinned route's 8, the retry
 // episode's 16 (`NonZeroU32` lends its niche), the prefix phase's 16 (its
 // `bool` lends its niche), and the DMA flag with 7 bytes of padding.
 const _: () = assert!(std::mem::size_of::<SessionRecord>() <= 160);
@@ -746,7 +746,6 @@ impl<S: EventSink> ServiceModel<S> {
     ) -> Option<bool> {
         let sess = &mut self.sessions.get_mut(sid.0)?.session;
         if sess.on_cluster_fetched(now) {
-            sess.start_playing();
             let startup = sess.startup_delay().unwrap_or(SimDuration::ZERO);
             let dt = cluster_play_time(title(&self.titles, sess.video()), self.config.cluster, 0);
             sched.schedule(now + dt, Event::PlayoutTick(sid));

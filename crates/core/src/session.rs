@@ -59,7 +59,6 @@ pub struct Session {
     stall_started_at: Option<SimTime>,
     stall_total: SimDuration,
     stall_count: u32,
-    playing: bool,
 }
 
 /// A cluster count as stored on a [`Session`]. A title of more than
@@ -114,7 +113,6 @@ impl Session {
             stall_started_at: None,
             stall_total: SimDuration::ZERO,
             stall_count: 0,
-            playing: false,
         }
     }
 
@@ -131,16 +129,6 @@ impl Session {
     /// The client's home server.
     pub fn home(&self) -> NodeId {
         self.home
-    }
-
-    /// When the request arrived.
-    pub fn requested_at(&self) -> SimTime {
-        self.requested_at
-    }
-
-    /// Total number of clusters in the video.
-    pub fn clusters_total(&self) -> usize {
-        self.clusters_total as usize
     }
 
     /// Index of the next cluster to fetch *from the origin*, or `None`
@@ -188,16 +176,6 @@ impl Session {
     /// The server the current/most recent cluster was fetched from.
     pub fn current_server(&self) -> Option<NodeId> {
         self.current_server
-    }
-
-    /// Mid-stream server switches so far.
-    pub fn switches(&self) -> u32 {
-        self.switches
-    }
-
-    /// Returns true once playout has started.
-    pub fn is_playing(&self) -> bool {
-        self.playing
     }
 
     /// Returns true while playout is stalled waiting for data.
@@ -249,11 +227,6 @@ impl Session {
             self.first_cluster_at = now;
         }
         first
-    }
-
-    /// Marks playout as started.
-    pub fn start_playing(&mut self) {
-        self.playing = true;
     }
 
     /// Records the completion of one played cluster.
@@ -350,7 +323,7 @@ mod tests {
     #[test]
     fn cluster_math() {
         let s = session();
-        assert_eq!(s.clusters_total(), 3); // 100 + 100 + 50
+        assert_eq!(s.clusters_total, 3); // 100 + 100 + 50
         assert_eq!(s.next_cluster(), Some(0));
         let cluster = ClusterSize::new(Megabytes::new(100.0));
         assert!((cluster_volume_mbit(&video(), cluster, 0) - 800.0).abs() < 1e-9);
@@ -372,8 +345,6 @@ mod tests {
         let first = s.on_cluster_fetched(SimTime::from_secs(20));
         assert!(first);
         assert_eq!(s.startup_delay(), Some(SimDuration::from_secs(10)));
-        s.start_playing();
-        assert!(s.is_playing());
         assert_eq!(s.buffered(), 1);
         s.on_cluster_played();
         assert_eq!(s.buffered(), 0);
@@ -387,7 +358,7 @@ mod tests {
         assert!(!s.assign_server(NodeId::new(2), false)); // same server
         assert!(s.assign_server(NodeId::new(3), false)); // switch
         assert!(s.assign_server(NodeId::new(2), false)); // switch back
-        assert_eq!(s.switches(), 2);
+        assert_eq!(s.switches, 2);
     }
 
     #[test]
@@ -396,7 +367,7 @@ mod tests {
         s.assign_server(NodeId::new(0), true);
         s.assign_server(NodeId::new(0), true);
         s.assign_server(NodeId::new(1), false);
-        assert_eq!(s.switches(), 1);
+        assert_eq!(s.switches, 1);
         // finish() carries local_clusters; check via record below.
     }
 
@@ -451,7 +422,6 @@ mod tests {
             s.on_cluster_fetched(SimTime::from_secs(20 + i));
         }
         assert!(s.fetch_complete());
-        s.start_playing();
         for _ in 0..3 {
             s.on_cluster_played();
         }

@@ -91,12 +91,6 @@ impl Vra {
         self.params
     }
 
-    /// The cached routing engine behind the fast path (cache/rebuild
-    /// statistics live in [`RoutingEngine::stats`]).
-    pub fn engine(&self) -> &RoutingEngine {
-        &self.engine
-    }
-
     /// Computes the LVN weight table for the given network state.
     pub fn weights(
         &self,
@@ -423,7 +417,7 @@ mod tests {
             let repeat = vra.select(&c).unwrap();
             assert_eq!(repeat, report.selection);
         }
-        let stats = vra.engine().stats();
+        let stats = vra.engine.stats();
         // One rebuild + one Dijkstra per snapshot; each repeat was pure
         // cache (select_with_report never touches the engine).
         assert_eq!(stats.full_rebuilds, 2);

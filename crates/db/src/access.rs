@@ -13,7 +13,7 @@ use vod_sim::{SimDuration, SimTime};
 use vod_storage::video::{VideoId, VideoMeta};
 
 use crate::database::Database;
-use crate::entry::{LinkEntry, ServerConfig, ServerEntry, UtilizationReading};
+use crate::entry::{LinkEntry, ServerEntry, UtilizationReading};
 use crate::error::DbError;
 
 /// An administrator identity presented to
@@ -73,12 +73,6 @@ impl<'a> FullAccess<'a> {
     /// Looks up a title's metadata.
     pub fn video(&self, id: VideoId) -> Option<&'a VideoMeta> {
         self.db.library().get(id)
-    }
-
-    /// Searches for a title by exact name — the web module's "search for
-    /// a certain video title".
-    pub fn find_title(&self, title: &str) -> Option<&'a VideoMeta> {
-        self.db.library().find_by_title(title)
     }
 
     /// The servers currently listing `video`, in node order.
@@ -188,29 +182,6 @@ impl<'a> LimitedAccess<'a> {
 
     // ---- writes ----------------------------------------------------
 
-    /// Registers a new server entry (a node joining the service).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::ServerExists`] if the node already has an entry.
-    pub fn register_server(&mut self, node: NodeId, config: ServerConfig) -> Result<(), DbError> {
-        self.db.insert_server(ServerEntry::new(node, config))
-    }
-
-    /// Registers a new link entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::LinkExists`] if the link already has an entry.
-    pub fn register_link(&mut self, link: LinkId, total_bandwidth: Mbps) -> Result<(), DbError> {
-        self.db.insert_link(LinkEntry::new(link, total_bandwidth))
-    }
-
-    /// Adds a title to the service-wide library (new content ingested).
-    pub fn add_video(&mut self, meta: VideoMeta) {
-        self.db.library_mut().insert(meta);
-    }
-
     /// Marks `video` as available on `server` (the DMA cached it).
     /// Returns `false` if it was already listed.
     ///
@@ -298,27 +269,6 @@ impl<'a> LimitedAccess<'a> {
             None => Ok(written),
         }
     }
-
-    /// Updates a server's configuration (an administrator reporting a
-    /// configuration change).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::UnknownServer`] for an unregistered node.
-    pub fn set_server_config(&mut self, node: NodeId, config: ServerConfig) -> Result<(), DbError> {
-        self.db.server_mut(node)?.set_config(config);
-        Ok(())
-    }
-
-    /// Updates a link's administrator-entered total bandwidth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::UnknownLink`] for an unregistered link.
-    pub fn set_link_bandwidth(&mut self, link: LinkId, bw: Mbps) -> Result<(), DbError> {
-        self.db.link_mut(link)?.set_total_bandwidth(bw);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +310,6 @@ mod tests {
             vec![athens, patra] // node order: Athens is U1
         );
         assert_eq!(fa.titles_at(patra).unwrap().len(), 2);
-        assert_eq!(fa.find_title("t1").unwrap().id(), VideoId::new(1));
         assert_eq!(fa.video(VideoId::new(2)).unwrap().title(), "t2");
         assert_eq!(fa.titles().count(), 3);
     }
@@ -457,53 +406,5 @@ mod tests {
         // Unpolled links are idle in both views.
         let other = grnet.link(GrnetLink::XanthiHeraklio);
         assert_eq!(smoothed.used(other), Mbps::ZERO);
-    }
-
-    #[test]
-    fn registration_and_config_updates() {
-        let (grnet, mut db) = setup();
-        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
-        // Registering an existing server/link fails.
-        assert!(matches!(
-            la.register_server(grnet.node(GrnetNode::Patra), ServerConfig::default()),
-            Err(DbError::ServerExists(_))
-        ));
-        assert!(matches!(
-            la.register_link(grnet.link(GrnetLink::PatraAthens), Mbps::new(2.0)),
-            Err(DbError::LinkExists(_))
-        ));
-        // New entries succeed.
-        la.register_server(NodeId::new(42), ServerConfig::default())
-            .unwrap();
-        la.register_link(LinkId::new(42), Mbps::new(34.0)).unwrap();
-        // Config and bandwidth updates.
-        la.set_server_config(
-            NodeId::new(42),
-            ServerConfig {
-                disk_count: 16,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(la.server(NodeId::new(42)).unwrap().config().disk_count, 16);
-        la.set_link_bandwidth(LinkId::new(42), Mbps::new(155.0))
-            .unwrap();
-        assert_eq!(
-            la.link(LinkId::new(42)).unwrap().total_bandwidth(),
-            Mbps::new(155.0)
-        );
-    }
-
-    #[test]
-    fn add_video_extends_library() {
-        let (_, mut db) = setup();
-        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
-        la.add_video(VideoMeta::new(
-            VideoId::new(10),
-            "new",
-            Megabytes::new(50.0),
-            1.5,
-        ));
-        assert_eq!(db.library().len(), 4);
     }
 }

@@ -79,11 +79,6 @@ impl Database {
         db
     }
 
-    /// Registers a new administrator name.
-    pub fn register_admin(&mut self, name: impl Into<String>) {
-        self.admins.insert(name.into());
-    }
-
     /// The user-facing, read-only view of the full-access sub-module.
     pub fn full_access(&self) -> FullAccess<'_> {
         FullAccess::new(self)
@@ -165,26 +160,6 @@ impl Database {
     pub(crate) fn links_mut(&mut self) -> impl Iterator<Item = &mut LinkEntry> {
         self.links.values_mut()
     }
-
-    pub(crate) fn insert_server(&mut self, entry: ServerEntry) -> Result<(), DbError> {
-        if self.servers.contains_key(&entry.node()) {
-            return Err(DbError::ServerExists(entry.node()));
-        }
-        self.servers.insert(entry.node(), entry);
-        Ok(())
-    }
-
-    pub(crate) fn insert_link(&mut self, entry: LinkEntry) -> Result<(), DbError> {
-        if self.links.contains_key(&entry.link()) {
-            return Err(DbError::LinkExists(entry.link()));
-        }
-        self.links.insert(entry.link(), entry);
-        Ok(())
-    }
-
-    pub(crate) fn library_mut(&mut self) -> &mut VideoLibrary {
-        &mut self.library
-    }
 }
 
 #[cfg(test)]
@@ -230,8 +205,6 @@ mod tests {
             db.limited_access(&AdminCredential::new("mallory")).err(),
             Some(DbError::AccessDenied)
         );
-        db.register_admin("alice");
-        assert!(db.limited_access(&AdminCredential::new("alice")).is_ok());
     }
 
     #[test]
@@ -240,8 +213,7 @@ mod tests {
         // database (entries, catalog, admins) and read it back.
         let grnet = Grnet::new();
         let mut db = Database::from_topology(grnet.topology(), library(2));
-        db.register_admin("alice");
-        db.limited_access(&AdminCredential::new("alice"))
+        db.limited_access(&AdminCredential::new("root"))
             .unwrap()
             .add_title(grnet.topology().video_server_nodes()[1], VideoId::new(1))
             .unwrap();
@@ -251,7 +223,7 @@ mod tests {
         // Restored database still honours access control.
         let mut restored = restored;
         assert!(restored
-            .limited_access(&AdminCredential::new("alice"))
+            .limited_access(&AdminCredential::new("root"))
             .is_ok());
         assert!(restored
             .limited_access(&AdminCredential::new("mallory"))

@@ -77,11 +77,6 @@ impl ServerEntry {
         self.titles.contains(&video)
     }
 
-    /// Number of titles listed.
-    pub fn title_count(&self) -> usize {
-        self.titles.len()
-    }
-
     /// The limited-access configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
@@ -93,10 +88,6 @@ impl ServerEntry {
 
     pub(crate) fn remove_title(&mut self, video: VideoId) -> bool {
         self.titles.remove(&video)
-    }
-
-    pub(crate) fn set_config(&mut self, config: ServerConfig) {
-        self.config = config;
     }
 }
 
@@ -195,11 +186,6 @@ impl LinkEntry {
         self.link
     }
 
-    /// The administrator-entered total bandwidth.
-    pub fn total_bandwidth(&self) -> Mbps {
-        self.total_bandwidth
-    }
-
     /// The latest SNMP reading, if any has been inserted.
     pub fn last_reading(&self) -> Option<UtilizationReading> {
         self.last_reading
@@ -249,10 +235,6 @@ impl LinkEntry {
             self.history.push(reading);
         }
     }
-
-    pub(crate) fn set_total_bandwidth(&mut self, bw: Mbps) {
-        self.total_bandwidth = bw;
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +245,7 @@ mod tests {
     #[test]
     fn server_entry_title_management() {
         let mut e = ServerEntry::new(NodeId::new(1), ServerConfig::default());
-        assert_eq!(e.title_count(), 0);
+        assert_eq!(e.titles().len(), 0);
         assert!(e.add_title(VideoId::new(5)));
         assert!(!e.add_title(VideoId::new(5)));
         assert!(e.has_title(VideoId::new(5)));
@@ -272,16 +254,6 @@ mod tests {
         assert!(e.remove_title(VideoId::new(5)));
         assert!(!e.remove_title(VideoId::new(5)));
         assert_eq!(e.node(), NodeId::new(1));
-    }
-
-    #[test]
-    fn server_config_update() {
-        let mut e = ServerEntry::new(NodeId::new(0), ServerConfig::default());
-        e.set_config(ServerConfig {
-            disk_count: 8,
-            ..ServerConfig::default()
-        });
-        assert_eq!(e.config().disk_count, 8);
     }
 
     fn reading(secs: u64, used: f64) -> UtilizationReading {
@@ -342,8 +314,6 @@ mod tests {
             e.reading_age(SimTime::from_secs(90)),
             Some(vod_sim::SimDuration::from_secs(30))
         );
-        e.set_total_bandwidth(Mbps::new(18.0));
-        assert_eq!(e.total_bandwidth(), Mbps::new(18.0));
     }
 
     /// The history as it was before the ring: a `Vec` that drops its

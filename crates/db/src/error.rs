@@ -18,10 +18,6 @@ pub enum DbError {
     UnknownVideo(VideoId),
     /// The credential was rejected (not registered as an administrator).
     AccessDenied,
-    /// A server entry already exists for this node.
-    ServerExists(NodeId),
-    /// A link entry already exists for this link.
-    LinkExists(LinkId),
 }
 
 impl fmt::Display for DbError {
@@ -31,8 +27,6 @@ impl fmt::Display for DbError {
             DbError::UnknownLink(id) => write!(f, "no link entry for link {id}"),
             DbError::UnknownVideo(id) => write!(f, "video {id} is not in the library"),
             DbError::AccessDenied => write!(f, "credential lacks limited-access rights"),
-            DbError::ServerExists(id) => write!(f, "server entry for node {id} already exists"),
-            DbError::LinkExists(id) => write!(f, "link entry for link {id} already exists"),
         }
     }
 }

@@ -13,9 +13,11 @@
 //! This crate models the database as an in-memory store ([`Database`])
 //! with typed views enforcing the two access levels at compile time:
 //! [`FullAccess`] can only see the catalog, [`LimitedAccess`] (obtained
-//! from an [`AdminCredential`]) additionally sees network state and may
-//! write updates. A [`SharedDatabase`] wraps the store in a mutex for the
-//! simulation components that update it concurrently with lookups.
+//! from an [`AdminCredential`]) additionally sees network state and
+//! records what the service writes: SNMP readings and title placements.
+//! The simulation is single-threaded, so the service owns its one
+//! [`Database`] and lends it to the SNMP poller and the DMA mirror by
+//! reference.
 //!
 //! # Example
 //!
@@ -48,10 +50,8 @@ pub mod access;
 pub mod database;
 pub mod entry;
 pub mod error;
-pub mod shared;
 
 pub use access::{AdminCredential, FullAccess, LimitedAccess, LinkPoll};
 pub use database::Database;
 pub use entry::{LinkEntry, ServerConfig, ServerEntry, UtilizationReading};
 pub use error::DbError;
-pub use shared::SharedDatabase;

@@ -1,5 +1,4 @@
-//! Dijkstra's shortest-path algorithm over [`LinkWeights`], plus a
-//! Bellman–Ford reference implementation used for cross-validation.
+//! Dijkstra's shortest-path algorithm over [`LinkWeights`].
 //!
 //! The paper's Virtual Routing Algorithm "proposes the use of the
 //! Dijkstra's routing algorithm … The Dijkstra algorithm runs at the server
@@ -81,15 +80,6 @@ impl ShortestPaths {
         nodes.reverse();
         links.reverse();
         Some(Route::new(nodes, links, cost))
-    }
-
-    /// All reachable nodes with their distances, in node-id order.
-    pub fn reachable(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.dist
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .map(|(i, d)| (NodeId::new(i as u32), *d))
     }
 }
 
@@ -323,53 +313,6 @@ fn label_path(
     nodes
 }
 
-/// Bellman–Ford reference implementation (no trace, O(V·E)); used in tests
-/// and benches to cross-validate [`dijkstra`].
-///
-/// # Errors
-///
-/// Same validation as [`dijkstra`]; negative weights are rejected for
-/// parity even though Bellman–Ford could handle them.
-pub fn bellman_ford(
-    topology: &Topology,
-    weights: &LinkWeights,
-    source: NodeId,
-) -> Result<Vec<Option<f64>>, NetError> {
-    weights.validate(topology)?;
-    topology.try_node(source)?;
-    let n = topology.node_count();
-    let mut dist: Vec<Option<f64>> = vec![None; n];
-    dist[source.index()] = Some(0.0);
-    for _ in 0..n.saturating_sub(1) {
-        let mut changed = false;
-        for link in topology.links() {
-            let w = weights.weight(link.id());
-            if !w.is_finite() {
-                continue;
-            }
-            let (a, b) = link.endpoints();
-            if let Some(da) = dist[a.index()] {
-                let cand = da + w;
-                if dist[b.index()].is_none_or(|d| cand < d) {
-                    dist[b.index()] = Some(cand);
-                    changed = true;
-                }
-            }
-            if let Some(db) = dist[b.index()] {
-                let cand = db + w;
-                if dist[a.index()].is_none_or(|d| cand < d) {
-                    dist[a.index()] = Some(cand);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(dist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,7 +377,6 @@ mod tests {
         assert!(paths.is_reachable(y));
         assert!(!paths.is_reachable(NodeId::new(2)));
         assert_eq!(paths.route_to(NodeId::new(2)), None);
-        assert_eq!(paths.reachable().count(), 2);
     }
 
     #[test]
@@ -459,7 +401,7 @@ mod tests {
         assert_eq!(paths.distance_to(b), Some(2.0)); // s-a-b
 
         // Masking every incident link makes the node unreachable, on
-        // all three implementations identically.
+        // both implementations identically.
         w.set_weight(ab, f64::INFINITY);
         w.set_weight(at, f64::INFINITY);
         let paths = dijkstra(&topo, &w, s).unwrap();
@@ -468,8 +410,6 @@ mod tests {
         let mut scratch = DijkstraScratch::new();
         let scratch_paths = dijkstra_with_scratch(&topo, &w, s, &mut scratch).unwrap();
         assert_eq!(scratch_paths.distance_to(t), None);
-        let bf = bellman_ford(&topo, &w, s).unwrap();
-        assert_eq!(bf[t.index()], None);
     }
 
     #[test]
@@ -543,69 +483,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn matches_bellman_ford_on_diamond() {
-        let (topo, [s, ..], links) = diamond();
-        let mut w = LinkWeights::uniform(5, 1.0);
-        for (i, l) in links.iter().enumerate() {
-            w.set_weight(*l, 0.3 + i as f64 * 0.7);
-        }
-        let d = dijkstra(&topo, &w, s).unwrap();
-        let bf = bellman_ford(&topo, &w, s).unwrap();
-        for id in topo.node_ids() {
-            match (d.distance_to(id), bf[id.index()]) {
-                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9),
-                (None, None) => {}
-                other => panic!("reachability mismatch: {other:?}"),
-            }
-        }
-    }
-
     proptest! {
-        /// On random connected-ish graphs, Dijkstra and Bellman–Ford agree
-        /// and every returned route is valid with the claimed cost.
-        #[test]
-        fn agrees_with_bellman_ford(
-            n in 2usize..12,
-            extra_edges in proptest::collection::vec((0usize..12, 0usize..12, 0.0f64..5.0), 0..30),
-            spine in proptest::collection::vec(0.0f64..5.0, 11),
-        ) {
-            let mut b = TopologyBuilder::new();
-            let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("v{i}"))).collect();
-            let mut weights = Vec::new();
-            // Spine keeps the graph connected.
-            for i in 1..n {
-                b.add_link(nodes[i - 1], nodes[i], Mbps::new(1.0)).unwrap();
-                weights.push(spine[i - 1]);
-            }
-            for (a, c, w) in extra_edges {
-                let (a, c) = (a % n, c % n);
-                if a != c {
-                    if let Ok(_l) = b.add_link(nodes[a], nodes[c], Mbps::new(1.0)) {
-                        weights.push(w);
-                    }
-                }
-            }
-            let topo = b.build();
-            let w = LinkWeights::from_vec(weights);
-            let src = nodes[0];
-            let d = dijkstra(&topo, &w, src).unwrap();
-            let bf = bellman_ford(&topo, &w, src).unwrap();
-            for id in topo.node_ids() {
-                let dd = d.distance_to(id);
-                let bd = bf[id.index()];
-                prop_assert_eq!(dd.is_some(), bd.is_some());
-                if let (Some(x), Some(y)) = (dd, bd) {
-                    prop_assert!((x - y).abs() < 1e-9);
-                }
-                if let Some(route) = d.route_to(id) {
-                    prop_assert!(route.is_valid_in(&topo));
-                    let sum: f64 = route.links().iter().map(|&l| w.weight(l)).sum();
-                    prop_assert!((sum - route.cost()).abs() < 1e-9);
-                }
-            }
-        }
-
         /// Distances satisfy the triangle inequality over direct links.
         #[test]
         fn settled_distances_respect_link_relaxation(

@@ -191,11 +191,6 @@ impl RoutingEngine {
         self.stats
     }
 
-    /// Resets the statistics counters (the cache is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = EngineStats::default();
-    }
-
     /// Drops all cached state; the next call rebuilds from scratch.
     pub fn clear_cache(&mut self) {
         self.cache = None;

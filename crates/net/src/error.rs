@@ -17,8 +17,6 @@ pub enum NetError {
     SelfLoop(NodeId),
     /// A link was added between endpoints that are already connected.
     DuplicateLink(NodeId, NodeId),
-    /// A node was added with a name that is already taken.
-    DuplicateNodeName(String),
     /// A weight table did not match the topology's link count.
     WeightCountMismatch {
         /// Number of links in the topology.
@@ -40,9 +38,6 @@ impl fmt::Display for NetError {
             NetError::SelfLoop(id) => write!(f, "self loop at node {id}"),
             NetError::DuplicateLink(a, b) => {
                 write!(f, "nodes {a} and {b} are already connected")
-            }
-            NetError::DuplicateNodeName(name) => {
-                write!(f, "node name {name:?} is already taken")
             }
             NetError::WeightCountMismatch { expected, actual } => write!(
                 f,
@@ -69,7 +64,6 @@ mod tests {
             NetError::UnknownLink(LinkId::new(2)).to_string(),
             NetError::SelfLoop(NodeId::new(0)).to_string(),
             NetError::DuplicateLink(NodeId::new(0), NodeId::new(1)).to_string(),
-            NetError::DuplicateNodeName("Athens".into()).to_string(),
             NetError::WeightCountMismatch {
                 expected: 7,
                 actual: 6,

@@ -221,7 +221,6 @@ pub struct LvnComputer<'a> {
     topology: &'a Topology,
     snapshot: &'a TrafficSnapshot,
     params: LvnParams,
-    node_workload: Option<Vec<f64>>,
 }
 
 impl<'a> LvnComputer<'a> {
@@ -258,32 +257,7 @@ impl<'a> LvnComputer<'a> {
             topology,
             snapshot,
             params,
-            node_workload: None,
         })
-    }
-
-    /// Adds per-node workload penalties to the node validation — the
-    /// paper's *future work*: "we must make clear what the role of every
-    /// Server configuration factor (CPU speed, available RAM etc.) is to
-    /// our Video service". `workload[n]` (a dimensionless load figure,
-    /// e.g. normalized CPU utilization) is added to `NV_n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workload` does not have one entry per node, or contains
-    /// negative/NaN values.
-    pub fn with_node_workload(mut self, workload: Vec<f64>) -> Self {
-        assert_eq!(
-            workload.len(),
-            self.topology.node_count(),
-            "one workload entry per node"
-        );
-        assert!(
-            workload.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "workloads are non-negative"
-        );
-        self.node_workload = Some(workload);
-        self
     }
 
     /// The parameters in use.
@@ -306,12 +280,11 @@ impl<'a> LvnComputer<'a> {
             used += self.snapshot.used(inc.link);
             capacity += self.topology.link(inc.link).capacity();
         }
-        let base = if capacity.is_zero() {
+        if capacity.is_zero() {
             0.0
         } else {
             used / capacity
-        };
-        base + self.node_workload.as_ref().map_or(0.0, |w| w[node.index()])
+        }
     }
 
     /// Equation (4): link value — capacity in Mbps over the normalization
@@ -560,32 +533,5 @@ mod tests {
         other.add_node("solo");
         let foreign = TrafficSnapshot::zero(&other.build());
         let _ = LvnComputer::new(&topo, &foreign, LvnParams::default());
-    }
-
-    #[test]
-    fn node_workload_shifts_validation() {
-        let (topo, snap, link_i) = figure4_fixture();
-        let plain = LvnComputer::new(&topo, &snap, LvnParams::default());
-        let loaded = LvnComputer::new(&topo, &snap, LvnParams::default())
-            .with_node_workload(vec![0.5, 0.0, 0.0, 0.0]);
-        // Node a (index 0) carries extra CPU load; the link's max(NV) rises.
-        assert!(
-            (loaded.node_validation(NodeId::new(0)) - plain.node_validation(NodeId::new(0)) - 0.5)
-                .abs()
-                < 1e-12
-        );
-        assert!(loaded.lvn(link_i) > plain.lvn(link_i));
-        // Other nodes unaffected.
-        assert_eq!(
-            loaded.node_validation(NodeId::new(2)),
-            plain.node_validation(NodeId::new(2))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "one workload entry per node")]
-    fn workload_length_validated() {
-        let (topo, snap, _) = figure4_fixture();
-        let _ = LvnComputer::new(&topo, &snap, LvnParams::default()).with_node_workload(vec![0.1]);
     }
 }

@@ -80,24 +80,6 @@ impl Route {
         self.links.contains(&link)
     }
 
-    /// Returns true if the route visits `node`.
-    pub fn contains_node(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
-    }
-
-    /// The same route walked in the opposite direction.
-    pub fn reversed(&self) -> Route {
-        let mut nodes = self.nodes.clone();
-        nodes.reverse();
-        let mut links = self.links.clone();
-        links.reverse();
-        Route {
-            nodes,
-            links,
-            cost: self.cost,
-        }
-    }
-
     /// Checks this route is well-formed in `topology`: consecutive nodes
     /// joined by the listed links.
     pub fn is_valid_in(&self, topology: &Topology) -> bool {
@@ -181,7 +163,6 @@ mod tests {
         assert_eq!(r.hops(), 2);
         assert_eq!(r.cost(), 0.5);
         assert!(r.contains_link(l0));
-        assert!(r.contains_node(n1));
         assert!(!r.contains_link(LinkId::new(99)));
     }
 
@@ -197,17 +178,6 @@ mod tests {
     #[should_panic(expected = "k+1 nodes")]
     fn mismatched_lengths_rejected() {
         let _ = Route::new(vec![NodeId::new(0)], vec![LinkId::new(0)], 0.0);
-    }
-
-    #[test]
-    fn reversal_swaps_ends() {
-        let (_, [n0, _, n2], [l0, l1]) = line();
-        let r = Route::new(vec![n0, NodeId::new(1), n2], vec![l0, l1], 1.0);
-        let rev = r.reversed();
-        assert_eq!(rev.source(), n2);
-        assert_eq!(rev.target(), n0);
-        assert_eq!(rev.links(), &[l1, l0]);
-        assert_eq!(rev.cost(), 1.0);
     }
 
     #[test]

@@ -204,31 +204,6 @@ impl TrafficSnapshot {
         self.version += 1;
     }
 
-    /// Removes traffic from `link`, clamping at zero, and returns the
-    /// shortfall that could not be removed ([`Mbps::ZERO`] in the
-    /// normal case). A nonzero shortfall means the caller released
-    /// more traffic than the snapshot recorded — a link-conservation
-    /// bug upstream; debug builds assert on it, and callers should
-    /// surface the returned shortfall (e.g. as an observability event)
-    /// instead of silently saturating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range; debug builds also panic on
-    /// underflow.
-    #[must_use = "a nonzero shortfall signals a link-conservation bug"]
-    pub fn remove_used(&mut self, link: LinkId, delta: Mbps) -> Mbps {
-        let before = self.used[link.index()];
-        let shortfall = delta.saturating_sub(before);
-        debug_assert!(
-            shortfall.is_zero(),
-            "remove_used underflow on {link}: removing {delta} exceeds recorded {before}"
-        );
-        self.used[link.index()] = before.saturating_sub(delta);
-        self.version += 1;
-        shortfall
-    }
-
     /// Records an explicit utilization reading for `link`, overriding the
     /// derived `used / capacity` value (used to reproduce the paper's
     /// rounded Table 2 percentages).
@@ -238,17 +213,6 @@ impl TrafficSnapshot {
     /// Panics if `link` is out of range.
     pub fn set_explicit_utilization(&mut self, link: LinkId, utilization: Fraction) {
         self.explicit_utilization[link.index()] = Some(utilization);
-        self.version += 1;
-    }
-
-    /// Clears an explicit utilization reading, reverting to the derived
-    /// value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn clear_explicit_utilization(&mut self, link: LinkId) {
-        self.explicit_utilization[link.index()] = None;
         self.version += 1;
     }
 
@@ -274,15 +238,6 @@ impl TrafficSnapshot {
     #[inline]
     pub fn is_admin_down(&self, link: LinkId) -> bool {
         self.admin_down[link.index()]
-    }
-
-    /// Links currently marked administratively down, in id order.
-    pub fn admin_down_links(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.admin_down
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| LinkId::new(i as u32))
     }
 
     /// Returns the combined in+out traffic currently recorded on `link`.
@@ -332,17 +287,7 @@ impl TrafficSnapshot {
         }
     }
 
-    /// The most-utilized link and its utilization, or `None` for an empty
-    /// topology.
-    pub fn max_utilization(&self, topology: &Topology) -> Option<(LinkId, Fraction)> {
-        topology
-            .link_ids()
-            .map(|l| (l, self.utilization(topology, l)))
-            .max_by(|a, b| a.1.get().total_cmp(&b.1.get()))
-    }
-
-    /// The values of [`TrafficSnapshot::max_utilization`] and
-    /// [`TrafficSnapshot::mean_utilization`] from one pass over the
+    /// The highest and the mean link utilization, from one pass over the
     /// links, or `None` for an empty topology.
     pub fn max_and_mean_utilization(&self, topology: &Topology) -> Option<(Fraction, Fraction)> {
         let mut max: Option<f64> = None;
@@ -359,18 +304,6 @@ impl TrafficSnapshot {
         let mean = sum / topology.link_count() as f64;
         max.map(|max| (Fraction::new(max), Fraction::new(mean)))
     }
-
-    /// Mean utilization over all links (zero for an empty topology).
-    pub fn mean_utilization(&self, topology: &Topology) -> Fraction {
-        if topology.link_count() == 0 {
-            return Fraction::ZERO;
-        }
-        let sum: f64 = topology
-            .link_ids()
-            .map(|l| self.utilization(topology, l).get())
-            .sum();
-        Fraction::new(sum / topology.link_count() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -386,6 +319,28 @@ mod tests {
         let l0 = b.add_link(a, c, Mbps::new(2.0)).unwrap();
         let l1 = b.add_link(c, d, Mbps::new(18.0)).unwrap();
         (b.build(), l0, l1)
+    }
+
+    /// The most-utilized link and its utilization, or `None` for an
+    /// empty topology: with [`mean_utilization`], the two-scan reference
+    /// for [`TrafficSnapshot::max_and_mean_utilization`].
+    fn max_utilization(snap: &TrafficSnapshot, topology: &Topology) -> Option<(LinkId, Fraction)> {
+        topology
+            .link_ids()
+            .map(|l| (l, snap.utilization(topology, l)))
+            .max_by(|a, b| a.1.get().total_cmp(&b.1.get()))
+    }
+
+    /// Mean utilization over all links (zero for an empty topology).
+    fn mean_utilization(snap: &TrafficSnapshot, topology: &Topology) -> Fraction {
+        if topology.link_count() == 0 {
+            return Fraction::ZERO;
+        }
+        let sum: f64 = topology
+            .link_ids()
+            .map(|l| snap.utilization(topology, l).get())
+            .sum();
+        Fraction::new(sum / topology.link_count() as f64)
     }
 
     #[test]
@@ -412,8 +367,6 @@ mod tests {
         snap.set_used(l0, Mbps::new(0.2));
         snap.set_explicit_utilization(l0, Fraction::from_percent(9.4));
         assert!((snap.utilization(&topo, l0).get() - 0.094).abs() < 1e-12);
-        snap.clear_explicit_utilization(l0);
-        assert!((snap.utilization(&topo, l0).get() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -423,29 +376,6 @@ mod tests {
         snap.add_used(l0, Mbps::new(1.0));
         snap.add_used(l0, Mbps::new(0.5));
         assert_eq!(snap.used(l0), Mbps::new(1.5));
-        assert_eq!(snap.remove_used(l0, Mbps::new(1.5)), Mbps::ZERO);
-        assert_eq!(snap.used(l0), Mbps::ZERO);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "remove_used underflow")]
-    fn remove_used_underflow_asserts_in_debug() {
-        let (topo, l0, _) = two_link_topo();
-        let mut snap = TrafficSnapshot::zero(&topo);
-        snap.add_used(l0, Mbps::new(1.0));
-        let _ = snap.remove_used(l0, Mbps::new(2.0));
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn remove_used_underflow_clamps_and_reports_in_release() {
-        let (topo, l0, _) = two_link_topo();
-        let mut snap = TrafficSnapshot::zero(&topo);
-        snap.add_used(l0, Mbps::new(1.0));
-        let shortfall = snap.remove_used(l0, Mbps::new(2.5));
-        assert_eq!(shortfall, Mbps::new(1.5));
-        assert_eq!(snap.used(l0), Mbps::ZERO);
     }
 
     #[test]
@@ -460,7 +390,6 @@ mod tests {
         snap.set_admin_down(l1, false);
         assert_eq!(snap.epoch().version, before.version + 1);
         assert!(snap.is_admin_down(l0));
-        assert_eq!(snap.admin_down_links().collect::<Vec<_>>(), vec![l0]);
 
         // Down state survives serde and distinguishes snapshots.
         let json = serde_json::to_string(&snap).unwrap();
@@ -469,7 +398,6 @@ mod tests {
         assert!(back.is_admin_down(l0));
         snap.set_admin_down(l0, false);
         assert_ne!(back, snap);
-        assert_eq!(snap.admin_down_links().count(), 0);
     }
 
     #[test]
@@ -478,17 +406,17 @@ mod tests {
         let mut snap = TrafficSnapshot::zero(&topo);
         snap.set_used(l0, Mbps::new(1.0)); // 50%
         snap.set_used(l1, Mbps::new(1.8)); // 10%
-        let (link, frac) = snap.max_utilization(&topo).unwrap();
+        let (link, frac) = max_utilization(&snap, &topo).unwrap();
         assert_eq!(link, l0);
         assert!((frac.get() - 0.5).abs() < 1e-12);
-        assert!((snap.mean_utilization(&topo).get() - 0.3).abs() < 1e-12);
+        assert!((mean_utilization(&snap, &topo).get() - 0.3).abs() < 1e-12);
         // The one-pass fold agrees with the two scans to the bit, with
         // explicit readings, equal maxima and an empty topology too.
         snap.set_explicit_utilization(l1, Fraction::new(0.5));
         for snap in [&snap, &TrafficSnapshot::zero(&topo)] {
             let both = snap.max_and_mean_utilization(&topo);
-            let max = snap.max_utilization(&topo).map(|(_, max)| max);
-            assert_eq!(both, max.map(|max| (max, snap.mean_utilization(&topo))));
+            let max = max_utilization(snap, &topo).map(|(_, max)| max);
+            assert_eq!(both, max.map(|max| (max, mean_utilization(snap, &topo))));
         }
         let empty = TopologyBuilder::new().build();
         let none = TrafficSnapshot::zero(&empty).max_and_mean_utilization(&empty);

@@ -1,12 +1,7 @@
 //! Seeded random topology generation for robustness and scale experiments.
 //!
-//! Two models are provided:
-//!
-//! * [`connected_gnp`] — an Erdős–Rényi `G(n, p)` graph made connected by a
-//!   random spanning tree (every extra edge kept with probability `p`);
-//! * [`waxman`] — the Waxman model commonly used for Internet-like
-//!   topologies: nodes are placed in the unit square and an edge between
-//!   `u` and `v` exists with probability `α · exp(−d(u,v) / (β · L))`.
+//! [`connected_gnp`] builds an Erdős–Rényi `G(n, p)` graph made connected
+//! by a random spanning tree (every extra edge kept with probability `p`).
 //!
 //! Link capacities are drawn from a capacity set reminiscent of the
 //! paper's era (2 and 18 Mbps backbone links, plus a few faster tiers).
@@ -61,57 +56,6 @@ pub fn connected_gnp(n: usize, p: f64, seed: u64) -> Topology {
     b.build()
 }
 
-/// Generates a Waxman random graph, retrying until connected (up to 64
-/// attempts, then falling back to adding a spanning tree).
-///
-/// # Panics
-///
-/// Panics if `n == 0`, or if `alpha`/`beta` are not in `(0, 1]`.
-pub fn waxman(n: usize, alpha: f64, beta: f64, seed: u64) -> Topology {
-    assert!(n > 0, "need at least one node");
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-    assert!(beta > 0.0 && beta <= 1.0, "beta must be in (0, 1]");
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    for _ in 0..64 {
-        let topo = waxman_once(n, alpha, beta, &mut rng, false);
-        if topo.is_connected() {
-            return topo;
-        }
-    }
-    waxman_once(n, alpha, beta, &mut rng, true)
-}
-
-fn waxman_once(n: usize, alpha: f64, beta: f64, rng: &mut StdRng, force_tree: bool) -> Topology {
-    let mut b = TopologyBuilder::new();
-    let nodes: Vec<_> = (0..n).map(|i| b.add_node(format!("w{i}"))).collect();
-    let positions: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    let l = 2f64.sqrt(); // max distance in the unit square
-
-    if force_tree {
-        for i in 1..n {
-            let parent = rng.gen_range(0..i);
-            #[expect(clippy::expect_used, reason = "tree links are distinct")]
-            b.add_link(nodes[parent], nodes[i], random_capacity(rng))
-                .expect("tree links are distinct");
-        }
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let (xi, yi) = positions[i];
-            let (xj, yj) = positions[j];
-            let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt();
-            let p = alpha * (-d / (beta * l)).exp();
-            if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                let _ = b.add_link(nodes[i], nodes[j], random_capacity(rng));
-            }
-        }
-    }
-    b.build()
-}
-
 #[expect(clippy::expect_used, reason = "`CAPACITY_TIERS` is non-empty")]
 fn random_capacity(rng: &mut StdRng) -> Mbps {
     Mbps::new(*CAPACITY_TIERS.as_slice().choose(rng).expect("non-empty"))
@@ -152,14 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn waxman_is_connected_and_deterministic() {
-        let a = waxman(25, 0.9, 0.9, 11);
-        let b = waxman(25, 0.9, 0.9, 11);
-        assert!(a.is_connected());
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn capacities_come_from_tiers() {
         let t = connected_gnp(15, 0.3, 5);
         for link in t.links() {
@@ -170,6 +106,5 @@ mod tests {
     #[test]
     fn single_node_graphs() {
         assert_eq!(connected_gnp(1, 0.5, 0).node_count(), 1);
-        assert_eq!(waxman(1, 0.5, 0.5, 0).node_count(), 1);
     }
 }

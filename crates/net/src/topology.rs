@@ -1,8 +1,5 @@
 //! The network topology: nodes, links and adjacency.
 
-#[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
@@ -41,7 +38,6 @@ pub struct Incidence {
 /// let l = b.add_link(patra, athens, Mbps::new(2.0))?;
 /// let topo = b.build();
 /// assert_eq!(topo.link(l).capacity(), Mbps::new(2.0));
-/// assert_eq!(topo.link_between(patra, athens), Some(l));
 /// assert!(topo.is_connected());
 /// # Ok(())
 /// # }
@@ -202,17 +198,6 @@ impl Topology {
         self.nodes.iter().find(|n| n.name() == name).map(Node::id)
     }
 
-    /// Returns the link connecting `a` and `b`, if one exists.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        if a.index() >= self.nodes.len() {
-            return None;
-        }
-        self.adjacent(a)
-            .iter()
-            .find(|inc| inc.neighbor == b)
-            .map(|inc| inc.link)
-    }
-
     /// Returns true if every node can reach every other node.
     ///
     /// An empty topology is considered connected.
@@ -256,8 +241,6 @@ impl Topology {
 pub struct TopologyBuilder {
     nodes: Vec<Node>,
     links: Vec<Link>,
-    #[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
-    names: HashMap<String, NodeId>,
 }
 
 impl TopologyBuilder {
@@ -267,10 +250,8 @@ impl TopologyBuilder {
     }
 
     /// Adds a video-server node with the given name and returns its id.
-    ///
-    /// Duplicate names are allowed here but rejected by
-    /// [`TopologyBuilder::try_add_node`]; prefer the fallible variant when
-    /// names come from external input.
+    /// Names need not be unique; [`Topology::find_node`] returns the
+    /// first node of a name.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         self.add_node_with_kind(name, NodeKind::VideoServer)
     }
@@ -278,28 +259,8 @@ impl TopologyBuilder {
     /// Adds a node with an explicit [`NodeKind`] and returns its id.
     pub fn add_node_with_kind(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
         let id = NodeId::new(self.nodes.len() as u32);
-        let name = name.into();
-        self.names.entry(name.clone()).or_insert(id);
-        self.nodes.push(Node::new(id, name, kind));
+        self.nodes.push(Node::new(id, name.into(), kind));
         id
-    }
-
-    /// Adds a node, rejecting duplicate names.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::DuplicateNodeName`] if a node with this name
-    /// already exists.
-    pub fn try_add_node(
-        &mut self,
-        name: impl Into<String>,
-        kind: NodeKind,
-    ) -> Result<NodeId, NetError> {
-        let name = name.into();
-        if self.names.contains_key(&name) {
-            return Err(NetError::DuplicateNodeName(name));
-        }
-        Ok(self.add_node_with_kind(name, kind))
     }
 
     /// Adds a bidirectional link between `a` and `b` with the given
@@ -413,15 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn link_between_finds_links_both_ways() {
-        let (topo, [a, b, c], [l0, l1, l2]) = triangle();
-        assert_eq!(topo.link_between(a, b), Some(l0));
-        assert_eq!(topo.link_between(b, a), Some(l0));
-        assert_eq!(topo.link_between(b, c), Some(l1));
-        assert_eq!(topo.link_between(c, a), Some(l2));
-    }
-
-    #[test]
     fn self_loops_rejected() {
         let mut b = TopologyBuilder::new();
         let n = b.add_node("solo");
@@ -448,16 +400,6 @@ mod tests {
         assert_eq!(
             b.add_link(x, ghost, Mbps::new(1.0)),
             Err(NetError::UnknownNode(ghost))
-        );
-    }
-
-    #[test]
-    fn duplicate_names_rejected_by_try_add() {
-        let mut b = TopologyBuilder::new();
-        b.try_add_node("Athens", NodeKind::VideoServer).unwrap();
-        assert_eq!(
-            b.try_add_node("Athens", NodeKind::Transit),
-            Err(NetError::DuplicateNodeName("Athens".into()))
         );
     }
 

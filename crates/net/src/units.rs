@@ -72,26 +72,10 @@ impl Mbps {
         Mbps::new(kbps / 1_000.0)
     }
 
-    /// Creates a bandwidth value from bits per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bps` is negative, NaN or infinite.
-    #[inline]
-    pub fn from_bps(bps: f64) -> Self {
-        Mbps::new(bps / 1_000_000.0)
-    }
-
     /// Returns the value in megabits per second.
     #[inline]
     pub const fn as_f64(self) -> f64 {
         self.0
-    }
-
-    /// Returns the value in bits per second.
-    #[inline]
-    pub fn as_bps(self) -> f64 {
-        self.0 * 1_000_000.0
     }
 
     /// Returns the smaller of two bandwidths.
@@ -270,12 +254,6 @@ impl Fraction {
     pub fn as_percent(self) -> f64 {
         self.0 * 100.0
     }
-
-    /// Clamps the fraction into `[0, 1]`.
-    #[inline]
-    pub fn clamp_unit(self) -> Fraction {
-        Fraction(self.0.clamp(0.0, 1.0))
-    }
 }
 
 impl fmt::Display for Fraction {
@@ -305,8 +283,6 @@ mod tests {
     #[test]
     fn mbps_unit_conversions() {
         assert_eq!(Mbps::from_kbps(1_820.0).as_f64(), 1.82);
-        assert_eq!(Mbps::from_bps(100.0).as_f64(), 0.0001);
-        assert_eq!(Mbps::new(2.0).as_bps(), 2_000_000.0);
     }
 
     #[test]
@@ -344,7 +320,6 @@ mod tests {
         assert!(Fraction::try_new(f64::NAN).is_none());
         // Over-subscription is representable.
         assert_eq!(Fraction::new(1.5).get(), 1.5);
-        assert_eq!(Fraction::new(1.5).clamp_unit(), Fraction::ONE);
     }
 
     #[test]

@@ -588,11 +588,6 @@ impl TimeSeriesSink {
         }
     }
 
-    /// Window width in microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.width_us
-    }
-
     /// Events observed so far.
     pub fn events(&self) -> u64 {
         self.events

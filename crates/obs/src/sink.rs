@@ -172,16 +172,6 @@ impl<A: EventSink, B: EventSink> TeeSink<A, B> {
         TeeSink { first, second }
     }
 
-    /// The first sink, shared.
-    pub fn first(&self) -> &A {
-        &self.first
-    }
-
-    /// The second sink, shared.
-    pub fn second(&self) -> &B {
-        &self.second
-    }
-
     /// Splits the tee back into its parts.
     pub fn into_parts(self) -> (A, B) {
         (self.first, self.second)
@@ -208,14 +198,17 @@ impl<A: EventSink, B: EventSink> EventSink for TeeSink<A, B> {
 ///
 /// One line per event, formatted by [`Event::write_json`]; given the
 /// same event sequence the byte stream is identical across runs and
-/// platforms. Write errors are counted, not propagated — tracing must
-/// never abort a simulation.
+/// platforms. A failed write loses its line but does not stop the
+/// simulation; the first such error is kept and returned by
+/// [`JsonlWriter::into_inner`], so a trace with a hole is never taken
+/// for a whole one.
 #[derive(Debug)]
 pub struct JsonlWriter<W: io::Write> {
     writer: W,
     buf: String,
     lines: u64,
-    write_errors: u64,
+    /// The first write that failed, if any.
+    error: Option<io::Error>,
 }
 
 impl<W: io::Write> JsonlWriter<W> {
@@ -226,7 +219,7 @@ impl<W: io::Write> JsonlWriter<W> {
             writer,
             buf: String::with_capacity(128),
             lines: 0,
-            write_errors: 0,
+            error: None,
         }
     }
 
@@ -235,15 +228,18 @@ impl<W: io::Write> JsonlWriter<W> {
         self.lines
     }
 
-    /// Events whose write failed (the line is lost, the run continues).
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors
-    }
-
     /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.writer.flush();
-        self.writer
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write that failed while recording, or else the
+    /// flush's error.
+    pub fn into_inner(mut self) -> io::Result<W> {
+        let flushed = self.writer.flush();
+        match self.error {
+            Some(e) => Err(e),
+            None => flushed.map(|()| self.writer),
+        }
     }
 }
 
@@ -252,10 +248,11 @@ impl<W: io::Write> EventSink for JsonlWriter<W> {
         self.buf.clear();
         event.write_json(at, &mut self.buf);
         self.buf.push('\n');
-        if self.writer.write_all(self.buf.as_bytes()).is_ok() {
-            self.lines += 1;
-        } else {
-            self.write_errors += 1;
+        match self.writer.write_all(self.buf.as_bytes()) {
+            Ok(()) => self.lines += 1,
+            Err(e) => {
+                self.error.get_or_insert(e);
+            }
         }
     }
 }
@@ -325,10 +322,10 @@ mod tests {
         assert!(tee.enabled());
         tee.record(SimTime::ZERO, &event(1));
         tee.record(SimTime::from_secs(1), &event(2));
-        assert_eq!(tee.first().len(), 2);
-        assert_eq!(tee.second().lines(), 2);
+        assert_eq!(tee.first.len(), 2);
+        assert_eq!(tee.second.lines(), 2);
         let (ring, writer) = tee.into_parts();
-        let text = String::from_utf8(writer.into_inner()).unwrap_or_default();
+        let text = String::from_utf8(writer.into_inner().unwrap()).unwrap_or_default();
         assert_eq!(ring.to_jsonl(), text);
     }
 
@@ -338,8 +335,7 @@ mod tests {
         w.record(SimTime::ZERO, &event(1));
         w.record(SimTime::from_micros(5), &event(2));
         assert_eq!(w.lines(), 2);
-        assert_eq!(w.write_errors(), 0);
-        let bytes = w.into_inner();
+        let bytes = w.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(
             text,
@@ -349,19 +345,30 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_writer_counts_write_errors() {
-        struct Failing;
-        impl io::Write for Failing {
-            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-                Err(io::Error::other("full"))
+    fn jsonl_writer_returns_a_transient_write_error() {
+        /// Fails the second write and takes every other one.
+        #[derive(Debug)]
+        struct FailsOnce {
+            writes: u32,
+        }
+        impl io::Write for FailsOnce {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                if self.writes == 2 {
+                    return Err(io::Error::other("transient"));
+                }
+                Ok(buf.len())
             }
             fn flush(&mut self) -> io::Result<()> {
                 Ok(())
             }
         }
-        let mut w = JsonlWriter::new(Failing);
-        w.record(SimTime::ZERO, &event(1));
-        assert_eq!(w.lines(), 0);
-        assert_eq!(w.write_errors(), 1);
+        let mut w = JsonlWriter::new(FailsOnce { writes: 0 });
+        for i in 0..3 {
+            w.record(SimTime::from_secs(u64::from(i)), &event(i));
+        }
+        assert_eq!(w.lines(), 2);
+        let err = w.into_inner().unwrap_err();
+        assert_eq!(err.to_string(), "transient");
     }
 }

@@ -15,8 +15,8 @@
 //! precede the previous phase), so phase durations are non-negative
 //! and the phases never overlap; the proptest suite drives this under
 //! random fault plans. The finished [`SpanReport`] yields the
-//! phase-duration histograms — startup latency, stall time and
-//! time-to-switch — the service report does not keep.
+//! phase-duration histograms — startup latency and time-to-switch — the
+//! service report does not keep.
 
 use std::collections::BTreeMap;
 
@@ -67,12 +67,6 @@ pub struct SessionSpan {
 }
 
 impl SessionSpan {
-    /// Admission-phase duration: request to first VRA selection
-    /// (non-zero only when retries deferred admission).
-    pub fn admission_wait(&self) -> SimDuration {
-        self.admitted_at - self.requested_at
-    }
-
     /// Startup latency: request to playout start.
     pub fn startup_latency(&self) -> Option<SimDuration> {
         self.started_at.map(|s| s - self.requested_at)
@@ -147,18 +141,6 @@ impl SpanReport {
         for span in &self.spans {
             if let Some(latency) = span.startup_latency() {
                 h.record_duration(latency);
-            }
-        }
-        h
-    }
-
-    /// Histogram of total per-session stall time (seconds), recorded
-    /// for sessions that stalled at least once.
-    pub fn stall_histogram(&self) -> Histogram {
-        let mut h = Histogram::new(1e-6, 40, 8);
-        for span in &self.spans {
-            if span.stalls > 0 {
-                h.record_duration(span.stall_time);
             }
         }
         h

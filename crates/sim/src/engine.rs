@@ -91,12 +91,6 @@ impl<M: Model> Simulation<M> {
         &self.model
     }
 
-    /// The model (write access) — for seeding state before a run or
-    /// inspecting/adjusting between runs.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// The scheduler, e.g. for seeding initial events.
     pub fn scheduler_mut(&mut self) -> &mut Scheduler<M::Event> {
         &mut self.scheduler

@@ -594,15 +594,6 @@ impl FlowNetwork {
         self.capacity_input_stored(changed);
     }
 
-    /// Whether `link` is administratively down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn link_admin_down(&self, link: LinkId) -> bool {
-        self.admin_down[link.index()]
-    }
-
     /// Scales the deliverable capacity of `link` to `scale` × nominal
     /// (soft degradation, `0.0 ≤ scale ≤ 1.0`); `1.0` restores full
     /// health.
@@ -618,15 +609,6 @@ impl FlowNetwork {
         let changed = self.capacity_scale[link.index()].to_bits() != scale.to_bits();
         self.capacity_scale[link.index()] = scale;
         self.capacity_input_stored(changed);
-    }
-
-    /// The current deliverable-capacity fraction of `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn link_capacity_scale(&self, link: LinkId) -> f64 {
-        self.capacity_scale[link.index()]
     }
 
     /// Ids of the flows whose route crosses `link`, in creation order —
@@ -1964,7 +1946,6 @@ mod tests {
         assert!(net.rate(crossing).unwrap().as_f64() > 0.0);
 
         net.set_link_admin_down(l0, true);
-        assert!(net.link_admin_down(l0));
         assert_eq!(net.rate(crossing).unwrap(), Mbps::ZERO);
         // Flows avoiding the dead link keep (and inherit) its bandwidth.
         assert_eq!(net.rate(spared).unwrap(), Mbps::new(18.0));
@@ -1982,7 +1963,6 @@ mod tests {
         assert_eq!(net.rate(f).unwrap(), Mbps::new(2.0));
         net.set_link_capacity_scale(l0, 0.25);
         assert!((net.rate(f).unwrap().as_f64() - 0.5).abs() < 1e-9);
-        assert!((net.link_capacity_scale(l0) - 0.25).abs() < 1e-12);
         net.set_link_capacity_scale(l0, 1.0);
         assert_eq!(net.rate(f).unwrap(), Mbps::new(2.0));
     }

@@ -179,15 +179,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Exact minimum sample (0 when empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {
@@ -369,7 +360,6 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.bucket_total(), 3);
         assert!((h.sum() - 4.0).abs() < 1e-12);
-        assert!((h.mean() - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!(h.min(), 0.5);
         assert_eq!(h.max(), 2.0);
     }
@@ -416,7 +406,6 @@ mod tests {
         let h = Histogram::default();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.nonzero_buckets().count(), 0);

@@ -61,12 +61,6 @@ impl SimTime {
         debug_assert!(earlier <= self, "duration_since with a later instant");
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl fmt::Display for SimTime {
@@ -267,16 +261,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn negative_float_duration_rejected() {
         let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    fn checked_add_detects_overflow() {
-        assert!(SimTime::from_micros(u64::MAX)
-            .checked_add(SimDuration::from_micros(1))
-            .is_none());
-        assert!(SimTime::ZERO
-            .checked_add(SimDuration::from_secs(1))
-            .is_some());
     }
 
     #[test]

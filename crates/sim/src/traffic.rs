@@ -225,15 +225,6 @@ impl BackgroundModel {
         self.profiles.len()
     }
 
-    /// The profile of `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn profile(&self, link: LinkId) -> &DiurnalProfile {
-        &self.profiles[link.index()]
-    }
-
     /// The background load on `link` at `at`.
     ///
     /// # Panics

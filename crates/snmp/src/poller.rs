@@ -51,7 +51,6 @@ use crate::utilization::combined_utilization;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SnmpSystem {
-    agents: Vec<ServerAgent>,
     counters: CounterBank,
     interval: SimDuration,
     last_poll: SimTime,
@@ -79,7 +78,6 @@ impl SnmpSystem {
             reporters[link.index()] += 1;
         }
         SnmpSystem {
-            agents,
             counters,
             interval,
             last_poll: SimTime::ZERO,
@@ -90,30 +88,9 @@ impl SnmpSystem {
         }
     }
 
-    /// Uses a non-default administrator credential for database writes.
-    pub fn with_credential(mut self, credential: AdminCredential) -> Self {
-        self.credential = credential;
-        self
-    }
-
-    /// The polling interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     /// Number of polls performed.
     pub fn polls(&self) -> u64 {
         self.polls
-    }
-
-    /// The per-server agents.
-    pub fn agents(&self) -> &[ServerAgent] {
-        &self.agents
-    }
-
-    /// Read access to the counters (diagnostics).
-    pub fn counters(&self) -> &CounterBank {
-        &self.counters
     }
 
     /// Restarts the polling clock at `now` (e.g. when a simulation begins
@@ -277,7 +254,6 @@ mod tests {
         assert_eq!(snmp.next_poll_at(), SimTime::from_secs(120));
         assert!(!snmp.due(SimTime::from_secs(119)));
         assert!(snmp.due(SimTime::from_secs(120)));
-        assert_eq!(snmp.interval(), SimDuration::from_mins(2));
     }
 
     #[test]
@@ -289,13 +265,12 @@ mod tests {
             .unwrap();
         // Every link has two adjacent video servers on GRNET → 14 writes.
         assert_eq!(written, 14);
-        assert_eq!(snmp.agents().len(), 6);
     }
 
     #[test]
     fn bad_credential_is_rejected() {
-        let (grnet, mut db, _, snmp) = setup();
-        let mut snmp = snmp.with_credential(AdminCredential::new("intruder"));
+        let (grnet, mut db, _, mut snmp) = setup();
+        snmp.credential = AdminCredential::new("intruder");
         let err = snmp
             .poll(grnet.topology(), &mut db, SimTime::from_secs(120))
             .unwrap_err();
@@ -321,7 +296,7 @@ mod tests {
         let elapsed = now.duration_since(snmp.last_poll);
         let mut admin = db.limited_access(&snmp.credential).unwrap();
         let mut written = 0;
-        for agent in &snmp.agents {
+        for agent in &ServerAgent::all_servers(topology) {
             for &link in agent.links() {
                 let avg =
                     snmp.counters

@@ -64,15 +64,6 @@ impl Disk {
     pub fn release(&mut self, size: Megabytes) {
         self.used = self.used.saturating_sub(size);
     }
-
-    /// Fraction of capacity in use (0 for a zero-capacity disk).
-    pub fn fill_fraction(&self) -> f64 {
-        if self.capacity.is_zero() {
-            0.0
-        } else {
-            self.used.as_f64() / self.capacity.as_f64()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +77,6 @@ mod tests {
         d.allocate(Megabytes::new(60.0)).unwrap();
         assert_eq!(d.used().as_f64(), 60.0);
         assert_eq!(d.free().as_f64(), 40.0);
-        assert!((d.fill_fraction() - 0.6).abs() < 1e-12);
         d.release(Megabytes::new(10.0));
         assert_eq!(d.used().as_f64(), 50.0);
     }
@@ -119,7 +109,6 @@ mod tests {
     #[test]
     fn zero_capacity_disk() {
         let d = Disk::new(Megabytes::ZERO);
-        assert_eq!(d.fill_fraction(), 0.0);
         assert!(d.fits(Megabytes::ZERO));
     }
 }

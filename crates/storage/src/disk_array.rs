@@ -67,11 +67,6 @@ impl DiskArray {
         self.disks.len()
     }
 
-    /// The common cluster size.
-    pub fn cluster_size(&self) -> ClusterSize {
-        self.cluster
-    }
-
     /// Read access to one disk.
     ///
     /// # Errors

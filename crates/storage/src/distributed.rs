@@ -71,11 +71,6 @@ impl DistributedLayout {
         self.assignments.len()
     }
 
-    /// Number of servers in the pool.
-    pub fn server_count(&self) -> usize {
-        self.server_count
-    }
-
     /// Replication factor applied to every part.
     pub fn replicas(&self) -> usize {
         self.replicas

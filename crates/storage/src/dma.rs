@@ -211,11 +211,6 @@ impl DmaCache {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DmaConfig {
-        &self.config
-    }
-
     /// The underlying disk array (read access).
     pub fn array(&self) -> &DiskArray {
         &self.array

@@ -50,11 +50,6 @@ impl DiskIoModel {
         }
     }
 
-    /// Time to read `size` from one disk with a single seek.
-    pub fn read_secs(&self, size: Megabytes) -> f64 {
-        self.seek_ms / 1_000.0 + size.as_f64() / self.transfer_mb_per_s
-    }
-
     /// Time to read a whole striped video when all used disks stream
     /// their parts concurrently: the slowest disk bounds the read.
     ///
@@ -85,13 +80,6 @@ impl DiskIoModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_read_is_seek_plus_transfer() {
-        let io = DiskIoModel::new(10.0, 10.0);
-        // 10 ms + 100/10 s = 10.01 s
-        assert!((io.read_secs(Megabytes::new(100.0)) - 10.01).abs() < 1e-9);
-    }
 
     #[test]
     fn striping_parallelizes_reads() {

@@ -34,11 +34,6 @@ impl PopularityTracker {
         self.points.get(&video).copied().unwrap_or(0)
     }
 
-    /// Number of titles ever awarded a point.
-    pub fn tracked(&self) -> usize {
-        self.points.len()
-    }
-
     /// The least popular title among `candidates` (lowest points,
     /// tie-broken by lowest id for determinism). Returns `None` when
     /// `candidates` is empty.
@@ -47,18 +42,6 @@ impl PopularityTracker {
         I: IntoIterator<Item = VideoId>,
     {
         candidates.into_iter().min_by_key(|&v| (self.points(v), v))
-    }
-
-    /// The most popular titles in descending point order (ties by id).
-    pub fn ranking(&self) -> Vec<(VideoId, u64)> {
-        let mut v: Vec<(VideoId, u64)> = self.points.iter().map(|(&id, &p)| (id, p)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
-    /// Resets all points (e.g. for epoch-based aging experiments).
-    pub fn reset(&mut self) {
-        self.points.clear();
     }
 }
 
@@ -73,7 +56,6 @@ mod tests {
         assert_eq!(t.award(VideoId::new(1)), 1);
         assert_eq!(t.award(VideoId::new(1)), 2);
         assert_eq!(t.points(VideoId::new(1)), 2);
-        assert_eq!(t.tracked(), 1);
     }
 
     #[test]
@@ -104,35 +86,5 @@ mod tests {
         t.award(VideoId::new(1));
         let lp = t.least_popular([VideoId::new(1), VideoId::new(7)]);
         assert_eq!(lp, Some(VideoId::new(7)));
-    }
-
-    #[test]
-    fn ranking_descends() {
-        let mut t = PopularityTracker::new();
-        for _ in 0..5 {
-            t.award(VideoId::new(1));
-        }
-        for _ in 0..9 {
-            t.award(VideoId::new(2));
-        }
-        t.award(VideoId::new(3));
-        let r = t.ranking();
-        assert_eq!(
-            r,
-            vec![
-                (VideoId::new(2), 9),
-                (VideoId::new(1), 5),
-                (VideoId::new(3), 1)
-            ]
-        );
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut t = PopularityTracker::new();
-        t.award(VideoId::new(1));
-        t.reset();
-        assert_eq!(t.tracked(), 0);
-        assert_eq!(t.points(VideoId::new(1)), 0);
     }
 }

@@ -258,11 +258,6 @@ impl PrefixStore {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &PrefixConfig {
-        &self.config
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> PrefixStats {
         self.stats

@@ -65,11 +65,6 @@ impl StripeLayout {
         self.part_disks[index]
     }
 
-    /// Iterates over `(part_index, disk_index)` pairs in part order.
-    pub fn assignments(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
-        self.part_disks.iter().copied().enumerate()
-    }
-
     /// The part indices stored on `disk`.
     pub fn parts_on_disk(&self, disk: usize) -> Vec<usize> {
         self.part_disks
@@ -112,8 +107,8 @@ mod tests {
         let layout = StripeLayout::cyclic(3, 8);
         assert_eq!(layout.parts(), 3);
         assert_eq!(
-            layout.assignments().collect::<Vec<_>>(),
-            vec![(0, 0), (1, 1), (2, 2)]
+            (0..3).map(|i| layout.disk_of_part(i)).collect::<Vec<_>>(),
+            vec![0, 1, 2]
         );
         assert_eq!(layout.disks_used(), 3);
         for d in 3..8 {

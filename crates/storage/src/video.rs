@@ -231,11 +231,6 @@ impl VideoLibrary {
         self.videos.keys().copied()
     }
 
-    /// Finds a title by its name.
-    pub fn find_by_title(&self, title: &str) -> Option<&VideoMeta> {
-        self.videos.values().find(|v| v.title() == title)
-    }
-
     /// Total size of all titles.
     pub fn total_size(&self) -> Megabytes {
         self.videos.values().map(VideoMeta::size).sum()
@@ -322,7 +317,6 @@ mod tests {
         assert_eq!(lib.get(VideoId::new(2)).unwrap().size().as_f64(), 200.0);
         assert_eq!(lib.get(VideoId::new(9)), None);
         assert_eq!(lib.total_size().as_f64(), 350.0);
-        assert_eq!(lib.find_by_title("t2").unwrap().id(), VideoId::new(2));
         assert_eq!(
             lib.ids().collect::<Vec<_>>(),
             vec![VideoId::new(1), VideoId::new(2)]

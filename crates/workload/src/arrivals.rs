@@ -126,11 +126,6 @@ impl ArrivalProcess {
         }
     }
 
-    /// The base rate in events per second.
-    pub fn base_rate(&self) -> f64 {
-        self.base_rate_per_sec
-    }
-
     /// The instantaneous rate at `at`.
     pub fn rate_at(&self, at: SimTime) -> f64 {
         self.base_rate_per_sec * self.shape.multiplier_at(at)
@@ -238,7 +233,6 @@ mod tests {
         let p = ArrivalProcess::new(2.0, HourlyShape::evening_peak());
         assert!((p.rate_at(SimTime::from_secs(21 * 3600)) - 4.0).abs() < 1e-12);
         assert!((p.rate_at(SimTime::from_secs(2 * 3600)) - 0.4).abs() < 1e-12);
-        assert_eq!(p.base_rate(), 2.0);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl LibraryGenerator {
         LibraryGenerator { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &LibraryConfig {
-        &self.config
-    }
-
     /// Generates the library. Ids are dense `0..titles`; id order is also
     /// the intended popularity order (rank 0 hottest), matching how
     /// [`TraceConfig`](crate::TraceConfig) draws Zipf ranks.

@@ -75,38 +75,6 @@ impl RequestTrace {
             _ => SimDuration::ZERO,
         }
     }
-
-    /// Requests per video id, for popularity sanity checks.
-    pub fn counts_per_video(&self) -> std::collections::BTreeMap<VideoId, usize> {
-        let mut map = std::collections::BTreeMap::new();
-        for r in &self.requests {
-            *map.entry(r.video).or_insert(0) += 1;
-        }
-        map
-    }
-
-    /// Saves the trace as JSON, so expensive workloads can be generated
-    /// once and replayed across experiments.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(file), self).map_err(std::io::Error::other)
-    }
-
-    /// Loads a trace previously written by [`RequestTrace::save_json`].
-    /// Requests are re-sorted by time, so hand-edited files stay valid.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors and JSON parse errors (as
-    /// [`std::io::ErrorKind::Other`]).
-    pub fn load_json(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(file)).map_err(std::io::Error::other)
-    }
 }
 
 impl FromIterator<Request> for RequestTrace {
@@ -284,9 +252,9 @@ mod tests {
             ..TraceConfig::default()
         }
         .generate(grnet.topology(), &lib, 5);
-        let counts = trace.counts_per_video();
-        let hottest = counts.get(&VideoId::new(0)).copied().unwrap_or(0);
-        let coldest = counts.get(&VideoId::new(49)).copied().unwrap_or(0);
+        let count = |video| trace.iter().filter(|r| r.video == video).count();
+        let hottest = count(VideoId::new(0));
+        let coldest = count(VideoId::new(49));
         assert!(
             hottest > coldest * 5,
             "hottest {hottest} vs coldest {coldest}"
@@ -357,33 +325,7 @@ mod tests {
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.requests()[0].at, SimTime::from_secs(1));
         assert_eq!(trace.span(), SimDuration::from_secs(4));
-        assert_eq!(trace.counts_per_video()[&VideoId::new(1)], 2);
         assert_eq!(RequestTrace::default().span(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let (grnet, lib) = fixture();
-        let trace = TraceConfig {
-            rate_per_sec: 0.05,
-            ..TraceConfig::default()
-        }
-        .generate(grnet.topology(), &lib, 13);
-        let path = std::env::temp_dir().join(format!("vod-trace-test-{}.json", std::process::id()));
-        trace.save_json(&path).unwrap();
-        let loaded = RequestTrace::load_json(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(trace, loaded);
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path =
-            std::env::temp_dir().join(format!("vod-trace-garbage-{}.json", std::process::id()));
-        std::fs::write(&path, b"not json at all").unwrap();
-        assert!(RequestTrace::load_json(&path).is_err());
-        std::fs::remove_file(&path).ok();
-        assert!(RequestTrace::load_json("/definitely/missing/file.json").is_err());
     }
 
     #[test]

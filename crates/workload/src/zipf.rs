@@ -58,16 +58,6 @@ impl Zipf {
         Zipf { n, s, cdf }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The skew parameter.
-    pub fn s(&self) -> f64 {
-        self.s
-    }
-
     /// Probability of rank `k` (0-based).
     ///
     /// # Panics

@@ -2,7 +2,8 @@
 //! slow reference pipeline (LvnComputer + dijkstra_with_trace) and agrees
 //! with Bellman–Ford, on randomized connected topologies with randomized
 //! traffic — including after in-place snapshot mutations, which must
-//! invalidate every cached weight and tree.
+//! invalidate every cached weight and tree. Plain Dijkstra is held to
+//! Bellman–Ford on its own as well.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -10,12 +11,13 @@ use rand::{Rng, SeedableRng};
 
 use vod_core::selection::{SelectionContext, ServerSelector};
 use vod_core::vra::Vra;
-use vod_net::dijkstra::{bellman_ford, dijkstra_with_trace};
+use vod_integration_tests::bellman_ford;
+use vod_net::dijkstra::{dijkstra, dijkstra_with_trace};
 use vod_net::engine::RoutingEngine;
-use vod_net::lvn::{LvnComputer, LvnParams};
+use vod_net::lvn::{LinkWeights, LvnComputer, LvnParams};
 use vod_net::topologies::random::connected_gnp;
 use vod_net::units::Fraction;
-use vod_net::{LinkId, Mbps, NodeId, Topology, TrafficSnapshot};
+use vod_net::{LinkId, Mbps, NodeId, Topology, TopologyBuilder, TrafficSnapshot};
 
 /// Randomized traffic: every link carries a random fraction of its
 /// capacity; a few links additionally get explicit (rounded) utilization
@@ -203,5 +205,103 @@ fn vra_fast_path_matches_report_on_seeded_cases() {
         let report = vra.select_with_report(&ctx).unwrap();
         let fast = vra.select(&ctx).unwrap();
         assert_eq!(fast, report.selection, "case {case}");
+    }
+}
+
+/// The four-node diamond of `vod_net::dijkstra`'s unit tests:
+///
+/// ```text
+/// s - a - t
+///  \  |  /
+///     b
+/// ```
+fn diamond() -> (Topology, [NodeId; 4], [LinkId; 5]) {
+    let mut builder = TopologyBuilder::new();
+    let s = builder.add_node("s");
+    let a = builder.add_node("a");
+    let b = builder.add_node("b");
+    let t = builder.add_node("t");
+    let sa = builder.add_link(s, a, Mbps::new(1.0)).unwrap();
+    let sb = builder.add_link(s, b, Mbps::new(1.0)).unwrap();
+    let ab = builder.add_link(a, b, Mbps::new(1.0)).unwrap();
+    let at = builder.add_link(a, t, Mbps::new(1.0)).unwrap();
+    let bt = builder.add_link(b, t, Mbps::new(1.0)).unwrap();
+    (builder.build(), [s, a, b, t], [sa, sb, ab, at, bt])
+}
+
+/// Bellman–Ford masks infinite weights as Dijkstra does: with every link
+/// into `t` down, `t` is unreachable.
+#[test]
+fn infinite_weights_mask_links_in_bellman_ford() {
+    let (topo, [s, .., t], [_, sb, ab, at, bt]) = diamond();
+    let mut w = LinkWeights::uniform(5, 1.0);
+    for link in [sb, bt, ab, at] {
+        w.set_weight(link, f64::INFINITY);
+    }
+    let bf = bellman_ford(&topo, &w, s).unwrap();
+    assert_eq!(bf[t.index()], None);
+}
+
+#[test]
+fn matches_bellman_ford_on_diamond() {
+    let (topo, [s, ..], links) = diamond();
+    let mut w = LinkWeights::uniform(5, 1.0);
+    for (i, l) in links.iter().enumerate() {
+        w.set_weight(*l, 0.3 + i as f64 * 0.7);
+    }
+    let d = dijkstra(&topo, &w, s).unwrap();
+    let bf = bellman_ford(&topo, &w, s).unwrap();
+    for id in topo.node_ids() {
+        match (d.distance_to(id), bf[id.index()]) {
+            (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9),
+            (None, None) => {}
+            other => panic!("reachability mismatch: {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    /// On random connected-ish graphs, Dijkstra and Bellman–Ford agree
+    /// and every returned route is valid with the claimed cost.
+    #[test]
+    fn agrees_with_bellman_ford(
+        n in 2usize..12,
+        extra_edges in proptest::collection::vec((0usize..12, 0usize..12, 0.0f64..5.0), 0..30),
+        spine in proptest::collection::vec(0.0f64..5.0, 11),
+    ) {
+        let mut b = TopologyBuilder::new();
+        let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(format!("v{i}"))).collect();
+        let mut weights = Vec::new();
+        // Spine keeps the graph connected.
+        for i in 1..n {
+            b.add_link(nodes[i - 1], nodes[i], Mbps::new(1.0)).unwrap();
+            weights.push(spine[i - 1]);
+        }
+        for (a, c, w) in extra_edges {
+            let (a, c) = (a % n, c % n);
+            if a != c {
+                if let Ok(_l) = b.add_link(nodes[a], nodes[c], Mbps::new(1.0)) {
+                    weights.push(w);
+                }
+            }
+        }
+        let topo = b.build();
+        let w = LinkWeights::from_vec(weights);
+        let src = nodes[0];
+        let d = dijkstra(&topo, &w, src).unwrap();
+        let bf = bellman_ford(&topo, &w, src).unwrap();
+        for id in topo.node_ids() {
+            let dd = d.distance_to(id);
+            let bd = bf[id.index()];
+            prop_assert_eq!(dd.is_some(), bd.is_some());
+            if let (Some(x), Some(y)) = (dd, bd) {
+                prop_assert!((x - y).abs() < 1e-9);
+            }
+            if let Some(route) = d.route_to(id) {
+                prop_assert!(route.is_valid_in(&topo));
+                let sum: f64 = route.links().iter().map(|&l| w.weight(l)).sum();
+                prop_assert!((sum - route.cost()).abs() < 1e-9);
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@ fn traced_run(config: ServiceConfig) -> Vec<u8> {
         JsonlWriter::new(Vec::new()),
     );
     let (_report, sink) = service.run_full();
-    sink.into_inner()
+    sink.into_inner().expect("a Vec takes every write")
 }
 
 /// The golden test: two identical runs produce byte-identical traces,

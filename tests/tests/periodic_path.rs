@@ -21,7 +21,8 @@ fn traced_run(scenario: &Scenario, config: ServiceConfig) -> (String, String) {
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
     let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
+    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
+        .expect("JSONL traces are UTF-8");
     (trace, series.finish().to_json())
 }
 

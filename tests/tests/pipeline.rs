@@ -150,3 +150,73 @@ fn catalog_updates_flow_from_storage_to_routing() {
     let selection = Vra::default().select(&ctx).unwrap();
     assert!(selection.is_local());
 }
+
+/// Candidates come from the database, the VRA picks the route, the
+/// paper's minimum-QoS floor gates it. At 10 am a Patra client's copy on
+/// Thessaloniki or Xanthi is reached over U2,U3,U4 (`case_study.rs` pins
+/// that route), whose Thessaloniki–Ioannina leg is 74 % loaded: 0.52 Mbps
+/// free, too little for a 1.5 Mbps stream, enough for 0.5 Mbps. A title
+/// held only in Athens goes over Patra–Athens (91 % loaded) and is gated
+/// too.
+#[test]
+fn admission_gates_the_route_the_vra_picks_from_the_database() {
+    use vod_core::admission::{AdmissionDecision, AdmissionPolicy};
+    use vod_storage::video::{Megabytes, VideoId, VideoMeta};
+
+    let g = grnet();
+    let mut library = VideoLibrary::new();
+    for id in 0..2 {
+        library.insert(VideoMeta::new(
+            VideoId::new(id),
+            format!("t{id}"),
+            Megabytes::new(600.0),
+            1.5,
+        ));
+    }
+    let mut db = Database::from_topology(g.topology(), library);
+    {
+        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
+        la.add_title(g.node(GrnetNode::Thessaloniki), VideoId::new(0))
+            .unwrap();
+        la.add_title(g.node(GrnetNode::Xanthi), VideoId::new(0))
+            .unwrap();
+        la.add_title(g.node(GrnetNode::Athens), VideoId::new(1))
+            .unwrap();
+    }
+    let snapshot = g.snapshot(TimeOfDay::T1000);
+    let route_to = |video| {
+        let candidates = db.full_access().servers_with_title(VideoId::new(video));
+        Vra::default()
+            .select(&SelectionContext {
+                topology: g.topology(),
+                snapshot: &snapshot,
+                home: g.node(GrnetNode::Patra),
+                candidates: &candidates,
+            })
+            .unwrap()
+            .route
+    };
+
+    let policy = AdmissionPolicy::new(1.0);
+    let route = route_to(0);
+    match policy.check(g.topology(), &snapshot, &route, 1.5) {
+        AdmissionDecision::Reject {
+            bottleneck,
+            available,
+            ..
+        } => {
+            assert_eq!(
+                g.grnet_link(bottleneck),
+                Some(GrnetLink::ThessalonikiIoannina)
+            );
+            assert!((available.as_f64() - 0.52).abs() < 1e-9);
+        }
+        AdmissionDecision::Admit => panic!("a 74%-loaded 2 Mbit link cannot carry 1.5 Mbps"),
+    }
+    assert!(policy
+        .check(g.topology(), &snapshot, &route, 0.5)
+        .is_admit());
+    assert!(!policy
+        .check(g.topology(), &snapshot, &route_to(1), 1.5)
+        .is_admit());
+}

@@ -34,7 +34,10 @@ fn traced_run(scenario: &Scenario, config: ServiceConfig) -> (ServiceReport, Str
         JsonlWriter::new(Vec::new()),
     );
     let (report, sink) = service.run_full();
-    (report, String::from_utf8(sink.into_inner()).unwrap())
+    (
+        report,
+        String::from_utf8(sink.into_inner().unwrap()).unwrap(),
+    )
 }
 
 /// The seed-42 GRNET case-study trace is pinned byte-for-byte: any

@@ -29,7 +29,8 @@ fn series_run(scenario: &Scenario, config: ServiceConfig) -> (String, SeriesRepo
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
     let (_, sink) = service.run_full();
     let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
+    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
+        .expect("JSONL traces are UTF-8");
     (trace, series.finish())
 }
 
@@ -174,7 +175,8 @@ fn links_cover_rows_recorded_without_a_snapshot() {
     sink.record(SimTime::from_secs(2), &arrival(1));
     sink.record(SimTime::from_secs(150), &arrival(2));
     let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner()).expect("JSONL traces are UTF-8");
+    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
+        .expect("JSONL traces are UTF-8");
     let report = series.finish();
 
     assert_eq!((report.links, report.len()), (3, 3));

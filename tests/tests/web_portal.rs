@@ -1,177 +1,19 @@
-//! Integration test: the full user-facing path of the paper's
-//! architecture — web module → database → VRA — plus admission control.
+//! Integration test: the access split of the paper's web interface — a
+//! full-access module for users and a limited-access module "to which only
+//! the administrators of the service can have access".
 
-use std::net::Ipv4Addr;
-
-use vod_core::admission::AdmissionPolicy;
-use vod_core::ip::HomeResolver;
-use vod_core::selection::{SelectionContext, ServerSelector};
-use vod_core::vra::Vra;
-use vod_core::web::UserPortal;
 use vod_db::{AdminCredential, Database};
 use vod_integration_tests::grnet;
-use vod_net::topologies::grnet::{GrnetNode, TimeOfDay};
-use vod_sim::SimTime;
-use vod_storage::video::{Megabytes, VideoId, VideoLibrary, VideoMeta};
-
-/// Builds the paper's whole front-end around the GRNET backbone: six city
-/// prefixes, a small catalog, titles spread over two cities.
-fn front_end() -> (UserPortal, Database) {
-    let g = grnet();
-    let mut library = VideoLibrary::new();
-    for (i, name) in ["Zorba", "Stella", "Rebetiko"].iter().enumerate() {
-        library.insert(VideoMeta::new(
-            VideoId::new(i as u32),
-            *name,
-            Megabytes::new(600.0),
-            1.5,
-        ));
-    }
-    let mut db = Database::from_topology(g.topology(), library);
-    let admin = AdminCredential::new("root");
-    {
-        let mut la = db.limited_access(&admin).unwrap();
-        la.add_title(g.node(GrnetNode::Thessaloniki), VideoId::new(0))
-            .unwrap();
-        la.add_title(g.node(GrnetNode::Xanthi), VideoId::new(0))
-            .unwrap();
-        la.add_title(g.node(GrnetNode::Athens), VideoId::new(1))
-            .unwrap();
-    }
-    let mut resolver = HomeResolver::new();
-    for (i, node) in GrnetNode::ALL.iter().enumerate() {
-        resolver
-            .add(Ipv4Addr::new(150, 140 + i as u8, 0, 0), 16, g.node(*node))
-            .unwrap();
-    }
-    (UserPortal::new(resolver), db)
-}
-
-#[test]
-fn user_journey_browse_search_request_route() {
-    let g = grnet();
-    let (portal, db) = front_end();
-
-    // Browse: three titles, availability counts visible.
-    let catalog = portal.browse(&db);
-    assert_eq!(catalog.len(), 3);
-    assert_eq!(
-        catalog
-            .iter()
-            .find(|e| e.title == "Zorba")
-            .unwrap()
-            .replicas,
-        2
-    );
-
-    // Search.
-    let hits = portal.search(&db, "zor");
-    assert_eq!(hits.len(), 1);
-    let zorba = hits[0].video;
-
-    // Request from a Patra address (prefix 150.141/16 → U2).
-    let request = portal
-        .place_request(
-            &db,
-            Ipv4Addr::new(150, 141, 7, 9),
-            zorba,
-            SimTime::from_secs(60),
-        )
-        .unwrap();
-    assert_eq!(request.home, g.node(GrnetNode::Patra));
-
-    // The VRA routes it — Experiment-B conditions (title only in
-    // Thessaloniki and Xanthi).
-    let snapshot = g.snapshot(TimeOfDay::T1000);
-    let candidates = db.full_access().servers_with_title(zorba);
-    let selection = Vra::default()
-        .select(&SelectionContext {
-            topology: g.topology(),
-            snapshot: &snapshot,
-            home: request.home,
-            candidates: &candidates,
-        })
-        .unwrap();
-    assert_eq!(selection.server, g.node(GrnetNode::Thessaloniki));
-    assert_eq!(
-        selection.route.display_with(g.topology()).to_string(),
-        "U2,U3,U4"
-    );
-
-    // Admission: at 10am the Thessaloniki–Ioannina leg of U2,U3,U4 is 74%
-    // loaded (0.52 Mbps free) — the VRA's cheapest route cannot actually
-    // carry a 1.5 Mbps stream, and the QoS floor says so, naming the
-    // bottleneck. (This is exactly the routing-vs-capacity gap E6
-    // quantifies.)
-    let policy = AdmissionPolicy::new(1.0);
-    match policy.check(g.topology(), &snapshot, &selection.route, 1.5) {
-        vod_core::admission::AdmissionDecision::Reject {
-            bottleneck,
-            available,
-            ..
-        } => {
-            use vod_net::topologies::grnet::GrnetLink;
-            assert_eq!(
-                g.grnet_link(bottleneck),
-                Some(GrnetLink::ThessalonikiIoannina)
-            );
-            assert!((available.as_f64() - 0.52).abs() < 1e-9);
-        }
-        vod_core::admission::AdmissionDecision::Admit => {
-            panic!("a 74%-loaded 2 Mbit link cannot carry 1.5 Mbps")
-        }
-    }
-    // A lighter stream (e.g. 0.5 Mbps preview quality) is admitted.
-    assert!(policy
-        .check(g.topology(), &snapshot, &selection.route, 0.5)
-        .is_admit());
-    // "Stella" lives in Athens; that request is pure Patra-Athens (91%
-    // loaded) and is likewise gated.
-    let athens_route = {
-        let candidates = db.full_access().servers_with_title(VideoId::new(1));
-        Vra::default()
-            .select(&SelectionContext {
-                topology: g.topology(),
-                snapshot: &snapshot,
-                home: request.home,
-                candidates: &candidates,
-            })
-            .unwrap()
-            .route
-    };
-    assert!(!policy
-        .check(g.topology(), &snapshot, &athens_route, 1.5)
-        .is_admit());
-}
+use vod_storage::video::VideoLibrary;
 
 #[test]
 fn users_cannot_reach_the_limited_access_module() {
-    let (_, mut db) = front_end();
+    let g = grnet();
+    let mut db = Database::from_topology(g.topology(), VideoLibrary::new());
     // A random user credential is rejected; the type system already
     // prevents FullAccess from exposing link state, this checks the
     // credential gate.
     assert!(db
         .limited_access(&AdminCredential::new("not-an-admin"))
-        .is_err());
-}
-
-#[test]
-fn unknown_requests_fail_cleanly() {
-    let (portal, db) = front_end();
-    assert!(portal
-        .place_request(
-            &db,
-            Ipv4Addr::new(150, 141, 1, 1),
-            VideoId::new(99),
-            SimTime::ZERO
-        )
-        .is_err());
-    assert!(portal
-        .place_request(
-            &db,
-            Ipv4Addr::new(9, 9, 9, 9),
-            VideoId::new(0),
-            SimTime::ZERO
-        )
         .is_err());
 }
