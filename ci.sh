@@ -26,14 +26,15 @@ echo "==> benchmark/ builds and passes its tests offline against the workspace c
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # Its unit tests too: one asserts BENCHMARK.json equals `vod-benchmark manifest`.
 (cd benchmark && cargo test --release --offline -q)
-# And actually run three workloads, both trace modes (a few seconds;
+# And actually run four workloads, both trace modes (a few seconds;
 # output lands in the git-ignored benchmark/out/): the step tracer
 # matches on `Event` variants, which only a run exercises.
 # steady_traced as well: the only workload that carries JsonlWriter +
 # TimeSeriesSink and the obs.series_record_ns layer driver. And
 # grnet_diurnal: 1.9 M polls and refreshes, the workload the periodic
-# path is measured on.
-for workload in backbone_contended steady_traced grnet_diurnal; do
+# path is measured on. And gnp200_remote: 200 servers, the widest
+# replica catalog, and the only multi-hop routing workload.
+for workload in backbone_contended steady_traced grnet_diurnal gnp200_remote; do
   for trace in 0 1; do
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
       --workload "$workload" --seed 42 --seconds 1 --trace "$trace" > /dev/null

@@ -2,48 +2,35 @@
 //! server (with their trace events), admission control, and the opening
 //! of the session.
 
-use std::collections::BTreeMap;
-
 use vod_net::NodeId;
 use vod_obs::{Event as ObsEvent, EventSink};
 use vod_sim::scheduler::Scheduler;
 use vod_sim::SimTime;
 use vod_storage::dma::DmaDecision;
 use vod_storage::prefix::PrefixDecision;
-use vod_storage::video::{VideoId, VideoMeta};
+use vod_storage::video::VideoId;
 
-use super::model::{Event, ServiceModel};
+use super::model::{find_title, title, Event, ServiceModel};
 
 impl<S: EventSink> ServiceModel<S> {
     /// Runs the prefix store at `server` for one request, emitting the
     /// decision's trace events (mirroring `emit_dma_decision`), and
     /// returns how many leading clusters the proxy will stream for this
-    /// session (0 = prefix miss or tier disabled).
-    fn prefix_decision(&mut self, now: SimTime, server: NodeId, meta: &VideoMeta) -> usize {
+    /// session (0 = prefix miss or tier disabled). `video` is a library
+    /// title.
+    fn prefix_decision(&mut self, now: SimTime, server: NodeId, video: VideoId) -> usize {
         let Some(store) = self.prefix_stores.get_mut(&server) else {
             return 0;
         };
-        let traced = self.sink.enabled();
-        // Victim sizes must be read before the store mutates: the evict
-        // events report exactly the megabytes each deletion freed.
-        let pre_sizes: BTreeMap<VideoId, f64> = if traced {
-            store
-                .resident_ids()
-                .map(|id| (id, store.resident_mb(id)))
-                .collect()
-        } else {
-            BTreeMap::new()
-        };
-        let decision = store.on_request(meta);
-        let occupancy_mb = store.occupied_mb();
-        let stored_mb = store.resident_mb(meta.id());
+        let decision = store.on_request(title(&self.titles, video));
         let serve = decision.serve_clusters() as usize;
-        if !traced {
+        if !self.sink.enabled() {
             return serve;
         }
+        let occupancy_mb = store.occupied_mb();
+        let stored_mb = store.resident_mb(video);
         use vod_obs::DmaRejectKind;
         use vod_storage::prefix::PrefixRejectReason;
-        let video = meta.id();
         match &decision {
             PrefixDecision::Hit { clusters } => {
                 self.sink.record(
@@ -94,14 +81,13 @@ impl<S: EventSink> ServiceModel<S> {
                 );
             }
             PrefixDecision::AdmittedAfterEviction { evicted, clusters } => {
-                for &victim in evicted {
-                    let freed_mb = pre_sizes.get(&victim).copied().unwrap_or(0.0);
+                for eviction in evicted {
                     self.sink.record(
                         now,
                         &ObsEvent::PrefixEvict {
                             server,
-                            victim,
-                            freed_mb,
+                            victim: eviction.victim,
+                            freed_mb: eviction.freed_mb,
                         },
                     );
                 }
@@ -157,13 +143,11 @@ impl<S: EventSink> ServiceModel<S> {
             self.fail_request(now, idx, request.client);
             return;
         }
-        let meta: VideoMeta = match self.db.library().get(request.video) {
-            Some(m) => m.clone(),
-            None => {
-                self.fail_request(now, idx, request.client);
-                return;
-            }
+        let Some(meta) = find_title(&self.titles, request.video) else {
+            self.fail_request(now, idx, request.client);
+            return;
         };
+        let (video, size) = (meta.id(), meta.size());
 
         // The Disk Manipulation Algorithm runs at the home server on
         // every request.
@@ -171,10 +155,10 @@ impl<S: EventSink> ServiceModel<S> {
         let decision = self
             .caches
             .get_mut(&request.client)
-            .map(|cache| cache.on_request(&meta));
+            .map(|cache| cache.on_request(meta));
         if let Some(decision) = decision {
             if self.sink.enabled() {
-                self.emit_dma_decision(now, request.client, &meta, &decision);
+                self.emit_dma_decision(now, request.client, video, size.as_f64(), &decision);
             }
             match decision {
                 DmaDecision::Hit => {}
@@ -199,19 +183,18 @@ impl<S: EventSink> ServiceModel<S> {
 
         // The regional proxy's prefix store also sees every request
         // (only when the tier is enabled — the map is empty otherwise).
-        let prefix_serve = self.prefix_decision(now, request.client, &meta);
+        let prefix_serve = self.prefix_decision(now, request.client, video);
 
         // A prefix covering the whole title streams entirely from the
         // proxy: no origin selection, no backbone dependency at all.
-        let total_clusters = self.config.cluster.parts(meta.size());
+        let total_clusters = self.config.cluster.parts(size);
         if prefix_serve >= total_clusters {
-            self.open_session(now, &meta, request.client, cache_later, total_clusters);
+            self.open_session(now, video, request.client, cache_later, total_clusters);
             self.full_prefix_sessions += 1;
             return;
         }
 
-        let Some((selection, cache_hit)) = self.select_source(now, request.client, meta.id())
-        else {
+        let Some((selection, cache_hit)) = self.select_source(now, request.client, video) else {
             self.fail_request(now, idx, request.client);
             return;
         };
@@ -225,7 +208,7 @@ impl<S: EventSink> ServiceModel<S> {
                         &self.topology,
                         snapshot,
                         &selection.route,
-                        meta.bitrate_mbps(),
+                        title(&self.titles, video).bitrate_mbps(),
                     )
                     .is_admit()
                 {
@@ -252,7 +235,7 @@ impl<S: EventSink> ServiceModel<S> {
         // streams the resident prefix at local rate: the serve event
         // precedes the suffix selection, and the proxy→origin handoff
         // is an ordinary mid-stream switch.
-        let sid = self.open_session(now, &meta, request.client, cache_later, prefix_serve);
+        let sid = self.open_session(now, video, request.client, cache_later, prefix_serve);
         self.trace_selection(now, sid, prefix_serve, &selection, cache_hit);
         self.fetch_selected(now, sid, prefix_serve, selection.route, sched);
     }
@@ -278,13 +261,13 @@ impl<S: EventSink> ServiceModel<S> {
         &mut self,
         now: SimTime,
         server: NodeId,
-        meta: &VideoMeta,
+        video: VideoId,
+        size_mb: f64,
         decision: &DmaDecision,
     ) {
         use vod_obs::DmaRejectKind;
         use vod_storage::dma::RejectReason;
         use vod_storage::striping::StripeLayout;
-        let video = meta.id();
         // Post-decision occupancy and the admitted stripe, auditable
         // against the cache's capacity and Figure 3's `i mod n` rule.
         let occupancy_mb = |model: &Self| {
@@ -308,7 +291,7 @@ impl<S: EventSink> ServiceModel<S> {
                     server,
                     video,
                     after_eviction: false,
-                    size_mb: meta.size().as_f64(),
+                    size_mb,
                     parts: layout.parts() as u64,
                     stripe: stripe_of(layout),
                     occupancy_mb: occupancy_mb(self),
@@ -324,7 +307,7 @@ impl<S: EventSink> ServiceModel<S> {
                     server,
                     video,
                     after_eviction: true,
-                    size_mb: meta.size().as_f64(),
+                    size_mb,
                     parts: layout.parts() as u64,
                     stripe: stripe_of(layout),
                     occupancy_mb: occupancy_mb(self),

@@ -34,14 +34,11 @@ pub(super) fn catalog<'a>(db: &'a mut Database, admin: &AdminCredential) -> Limi
         .expect("service admin is registered")
 }
 
-/// The library entry of a live session's title in `titles`, the run's
-/// library in id order. A generated library numbers its titles from 0,
-/// so the entry sits at its id's index; any other library is searched.
-/// Sessions are opened only for library titles and the library is fixed
-/// for the run, so the lookup cannot miss; this is the one documented
-/// `expect` behind every per-title constant a session reads.
-#[expect(clippy::expect_used, reason = "sessions hold library titles")]
-pub(super) fn title(titles: &[VideoMeta], video: VideoId) -> &VideoMeta {
+/// The library entry of `video` in `titles`, the run's library in id
+/// order, or `None` for a title outside the library. A generated
+/// library numbers its titles from 0, so the entry sits at its id's
+/// index; any other library is searched.
+pub(super) fn find_title(titles: &[VideoMeta], video: VideoId) -> Option<&VideoMeta> {
     titles
         .get(video.index())
         .filter(|meta| meta.id() == video)
@@ -49,7 +46,16 @@ pub(super) fn title(titles: &[VideoMeta], video: VideoId) -> &VideoMeta {
             let at = titles.binary_search_by_key(&video, VideoMeta::id).ok()?;
             titles.get(at)
         })
-        .expect("sessions hold library titles")
+}
+
+/// [`find_title`] for a title known to be in the library: a live
+/// session's, or an arrival's once `on_arrival` has found it. The
+/// library is fixed for the run, so the lookup cannot miss; this is the
+/// one documented `expect` behind every per-title constant a session
+/// reads.
+#[expect(clippy::expect_used, reason = "sessions hold library titles")]
+pub(super) fn title(titles: &[VideoMeta], video: VideoId) -> &VideoMeta {
+    find_title(titles, video).expect("sessions hold library titles")
 }
 
 /// Local serve rate of `video` at `home`: striped disk throughput of the
@@ -610,13 +616,14 @@ impl<S: EventSink> ServiceModel<S> {
     pub(super) fn open_session(
         &mut self,
         now: SimTime,
-        meta: &VideoMeta,
+        video: VideoId,
         home: NodeId,
         cache_on_complete: bool,
         prefix_clusters: usize,
     ) -> SessionId {
         let sid = SessionId(self.next_session);
         self.next_session += 1;
+        let meta = title(&self.titles, video);
         let mut session = Session::new(sid, meta, home, self.config.cluster, now);
         if prefix_clusters > 0 {
             session.set_prefix_reserved(prefix_clusters);
@@ -642,7 +649,7 @@ impl<S: EventSink> ServiceModel<S> {
                     &ObsEvent::PrefixServe {
                         session: sid.0,
                         server: home,
-                        video: meta.id(),
+                        video,
                         clusters: prefix_clusters as u64,
                     },
                 );

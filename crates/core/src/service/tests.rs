@@ -112,6 +112,10 @@ fn title_lookup_finds_dense_and_sparse_ids() {
             assert_eq!((found.id(), found.size()), (expected.id(), expected.size()));
         }
     }
+    // An arrival for a title outside the library finds nothing.
+    for (titles, missing) in [(&dense, 4), (&sparse, 2), (&sparse, 21)] {
+        assert!(super::model::find_title(titles, VideoId::new(missing)).is_none());
+    }
 }
 
 #[test]
@@ -259,6 +263,48 @@ fn server_failure_reroutes_and_service_recovers() {
     // every record is internally consistent.
     for r in &report.completed {
         assert!(r.local_clusters <= r.clusters);
+    }
+}
+
+#[test]
+fn server_outage_withdraws_each_replica_it_held() {
+    let scenario = quick_scenario(17);
+    let start = scenario.trace().requests().first().unwrap().at;
+    let victim = scenario.topology().video_server_nodes()[0];
+    let down_at = start + SimDuration::from_secs(300);
+    let config = ServiceConfig {
+        initial_replicas: 2,
+        fault_plan: FaultPlan::new().server_outage(
+            down_at,
+            down_at + SimDuration::from_secs(2_400),
+            victim,
+        ),
+        ..quick_config()
+    };
+    let mut service = VodService::new(&scenario, Box::new(Vra::default()), config);
+    let ids: Vec<VideoId> = scenario.library().ids().collect();
+    let counts = |service: &VodService| -> Vec<usize> {
+        let catalog = service.sim.model().db.full_access();
+        ids.iter().map(|&v| catalog.replica_count(v)).collect()
+    };
+    service.run_until(SimTime::from_micros(down_at.as_micros() - 1));
+    let before = counts(&service);
+    let held = service
+        .sim
+        .model()
+        .db
+        .full_access()
+        .titles_at(victim)
+        .unwrap();
+    assert!(!held.is_empty());
+    service.run_until(down_at);
+    let after = counts(&service);
+    let catalog = service.sim.model().db.full_access();
+    assert!(catalog.titles_at(victim).unwrap().is_empty());
+    for (i, &video) in ids.iter().enumerate() {
+        let lost = usize::from(held.contains(&video));
+        assert_eq!(after[i], before[i] - lost, "{video:?}");
+        assert_eq!(after[i], catalog.servers_with_title(video).len());
     }
 }
 

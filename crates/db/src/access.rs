@@ -81,21 +81,28 @@ impl<'a> FullAccess<'a> {
     }
 
     /// [`FullAccess::servers_with_title`] without the allocation, for
-    /// callers that run once per cluster and keep their own buffer.
+    /// callers that run once per cluster and keep their own buffer. It
+    /// walks the title's holders only, whatever the number of servers.
     pub fn servers_with_title_iter(&self, video: VideoId) -> impl Iterator<Item = NodeId> + 'a {
-        self.db
-            .servers()
-            .filter(move |s| s.has_title(video))
-            .map(ServerEntry::node)
+        self.db.catalog().holders(video).iter().copied()
     }
 
-    /// The titles available on `server`.
+    /// How many servers list `video`: the number of replicas the network
+    /// can serve it from (0 once the last copy is withdrawn). One catalog
+    /// lookup; no server is visited.
+    pub fn replica_count(&self, video: VideoId) -> usize {
+        self.db.catalog().holders(video).len()
+    }
+
+    /// The titles available on `server`, in id order. This scans the
+    /// whole catalog; the service asks it only when a server fails.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::UnknownServer`] for an unregistered node.
     pub fn titles_at(&self, server: NodeId) -> Result<Vec<VideoId>, DbError> {
-        Ok(self.db.server(server)?.titles().collect())
+        self.db.server(server)?;
+        Ok(self.db.catalog().titles_at(server).collect())
     }
 }
 
@@ -192,7 +199,8 @@ impl<'a> LimitedAccess<'a> {
         if self.db.library().get(video).is_none() {
             return Err(DbError::UnknownVideo(video));
         }
-        Ok(self.db.server_mut(server)?.add_title(video))
+        self.db.server(server)?;
+        Ok(self.db.catalog_mut().add_holder(video, server))
     }
 
     /// Removes `video` from `server`'s catalog (the DMA evicted it).
@@ -202,7 +210,8 @@ impl<'a> LimitedAccess<'a> {
     ///
     /// Returns [`DbError::UnknownServer`] for an unregistered node.
     pub fn remove_title(&mut self, server: NodeId, video: VideoId) -> Result<bool, DbError> {
-        Ok(self.db.server_mut(server)?.remove_title(video))
+        self.db.server(server)?;
+        Ok(self.db.catalog_mut().remove_holder(video, server))
     }
 
     /// Records an SNMP utilization reading for `link` — what the
@@ -318,6 +327,8 @@ mod tests {
     fn add_title_validates_video_and_server() {
         let (grnet, mut db) = setup();
         let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let patra = grnet.node(GrnetNode::Patra);
+        assert_eq!(la.server(patra).unwrap().node(), patra);
         assert_eq!(
             la.add_title(grnet.node(GrnetNode::Patra), VideoId::new(99)),
             Err(DbError::UnknownVideo(VideoId::new(99)))
@@ -343,10 +354,58 @@ mod tests {
         la.add_title(patra, VideoId::new(0)).unwrap();
         assert!(la.remove_title(patra, VideoId::new(0)).unwrap());
         assert!(!la.remove_title(patra, VideoId::new(0)).unwrap());
+        assert!(matches!(
+            la.remove_title(NodeId::new(77), VideoId::new(0)),
+            Err(DbError::UnknownServer(_))
+        ));
         assert!(db
             .full_access()
             .servers_with_title(VideoId::new(0))
             .is_empty());
+    }
+
+    #[test]
+    fn replica_count_follows_adds_removes_and_outages() {
+        let (grnet, mut db) = setup();
+        let admin = AdminCredential::new("root");
+        let [patra, athens, xanthi] =
+            [GrnetNode::Patra, GrnetNode::Athens, GrnetNode::Xanthi].map(|n| grnet.node(n));
+        let v = VideoId::new(0);
+        assert_eq!(db.full_access().replica_count(v), 0);
+        {
+            let mut la = db.limited_access(&admin).unwrap();
+            for server in [patra, athens, xanthi] {
+                la.add_title(server, v).unwrap();
+            }
+            // A repeated placement is not a second replica.
+            la.add_title(patra, v).unwrap();
+            la.add_title(patra, VideoId::new(1)).unwrap();
+        }
+        assert_eq!(db.full_access().replica_count(v), 3);
+        db.limited_access(&admin)
+            .unwrap()
+            .remove_title(athens, v)
+            .unwrap();
+        assert_eq!(db.full_access().replica_count(v), 2);
+        // A server outage withdraws everything the server lists, the way
+        // the service does it: ask for its titles, remove each.
+        let listed = db.full_access().titles_at(patra).unwrap();
+        assert_eq!(listed, vec![v, VideoId::new(1)]);
+        {
+            let mut la = db.limited_access(&admin).unwrap();
+            for title in listed {
+                assert!(la.remove_title(patra, title).unwrap());
+            }
+        }
+        let fa = db.full_access();
+        assert_eq!(fa.replica_count(v), 1);
+        assert_eq!(fa.replica_count(VideoId::new(1)), 0);
+        assert_eq!(fa.servers_with_title(v), vec![xanthi]);
+        assert!(fa.titles_at(patra).unwrap().is_empty());
+        assert_eq!(
+            fa.titles_at(NodeId::new(77)),
+            Err(DbError::UnknownServer(NodeId::new(77)))
+        );
     }
 
     #[test]

@@ -8,11 +8,13 @@ use vod_net::{LinkId, NodeId, Topology};
 use vod_storage::video::VideoLibrary;
 
 use crate::access::{AdminCredential, FullAccess, LimitedAccess};
+use crate::catalog::Catalog;
 use crate::entry::{LinkEntry, ServerConfig, ServerEntry};
 use crate::error::DbError;
 
 /// The service database: one entry per server and per link, the
-/// service-wide video library, and the set of registered administrators.
+/// catalog of which server holds which title, the service-wide video
+/// library, and the set of registered administrators.
 ///
 /// Reads and writes go through the typed views returned by
 /// [`Database::full_access`] and [`Database::limited_access`]; see the
@@ -21,6 +23,8 @@ use crate::error::DbError;
 pub struct Database {
     servers: BTreeMap<NodeId, ServerEntry>,
     links: BTreeMap<LinkId, LinkEntry>,
+    /// The full-access sub-module: each title's holders.
+    catalog: Catalog,
     library: VideoLibrary,
     admins: BTreeSet<String>,
     /// Monotonic counter bumped on every traffic write (SNMP reading),
@@ -37,6 +41,7 @@ impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
         self.servers == other.servers
             && self.links == other.links
+            && self.catalog == other.catalog
             && self.library == other.library
             && self.admins == other.admins
     }
@@ -51,6 +56,7 @@ impl Database {
         Database {
             servers: BTreeMap::new(),
             links: BTreeMap::new(),
+            catalog: Catalog::default(),
             library,
             admins,
             traffic_version: 0,
@@ -135,10 +141,12 @@ impl Database {
         self.servers.get(&node).ok_or(DbError::UnknownServer(node))
     }
 
-    pub(crate) fn server_mut(&mut self, node: NodeId) -> Result<&mut ServerEntry, DbError> {
-        self.servers
-            .get_mut(&node)
-            .ok_or(DbError::UnknownServer(node))
+    pub(crate) fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    pub(crate) fn catalog_mut(&mut self) -> &mut Catalog {
+        &mut self.catalog
     }
 
     pub(crate) fn link(&self, link: LinkId) -> Result<&LinkEntry, DbError> {
@@ -147,10 +155,6 @@ impl Database {
 
     pub(crate) fn link_mut(&mut self, link: LinkId) -> Result<&mut LinkEntry, DbError> {
         self.links.get_mut(&link).ok_or(DbError::UnknownLink(link))
-    }
-
-    pub(crate) fn servers(&self) -> impl Iterator<Item = &ServerEntry> {
-        self.servers.values()
     }
 
     pub(crate) fn links(&self) -> impl Iterator<Item = &LinkEntry> {

@@ -1,8 +1,9 @@
 //! Database entries: one per server and one per link.
 //!
-//! Each entry is conceptually split into the paper's two sub-modules:
-//! the *full-access* part (the titles available on a server) and the
-//! *limited-access* part (network and configuration information).
+//! Both belong to the paper's *limited-access* sub-module (network and
+//! configuration information). The *full-access* part — the titles
+//! available on each server — is the database's title-major catalog,
+//! not a field of the server entry.
 //!
 //! A link entry keeps its last [`READING_HISTORY`] SNMP readings in a
 //! ring: storage grows with the first readings to exactly that many
@@ -10,14 +11,12 @@
 //! a poll moves no retained reading. Readers see the ring oldest first,
 //! and it serialises as that list.
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize, Value};
 
 use vod_net::units::Fraction;
 use vod_net::{LinkId, Mbps, NodeId};
 use vod_sim::SimTime;
-use vod_storage::video::{Megabytes, VideoId};
+use vod_storage::video::Megabytes;
 
 /// Per-server configuration recorded during service initialization
 /// ("Network links' bandwidth … the video titles available on each VoD
@@ -46,20 +45,14 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerEntry {
     node: NodeId,
-    /// Full-access sub-module: the titles this server can provide.
-    titles: BTreeSet<VideoId>,
     /// Limited-access sub-module: configuration information.
     config: ServerConfig,
 }
 
 impl ServerEntry {
-    /// Creates an entry with no titles.
+    /// Creates an entry.
     pub fn new(node: NodeId, config: ServerConfig) -> Self {
-        ServerEntry {
-            node,
-            titles: BTreeSet::new(),
-            config,
-        }
+        ServerEntry { node, config }
     }
 
     /// The server's node.
@@ -67,27 +60,9 @@ impl ServerEntry {
         self.node
     }
 
-    /// Titles available on this server (full access).
-    pub fn titles(&self) -> impl ExactSizeIterator<Item = VideoId> + '_ {
-        self.titles.iter().copied()
-    }
-
-    /// Returns true if this server can provide `video`.
-    pub fn has_title(&self, video: VideoId) -> bool {
-        self.titles.contains(&video)
-    }
-
     /// The limited-access configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
-    }
-
-    pub(crate) fn add_title(&mut self, video: VideoId) -> bool {
-        self.titles.insert(video)
-    }
-
-    pub(crate) fn remove_title(&mut self, video: VideoId) -> bool {
-        self.titles.remove(&video)
     }
 }
 
@@ -241,20 +216,6 @@ impl LinkEntry {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn server_entry_title_management() {
-        let mut e = ServerEntry::new(NodeId::new(1), ServerConfig::default());
-        assert_eq!(e.titles().len(), 0);
-        assert!(e.add_title(VideoId::new(5)));
-        assert!(!e.add_title(VideoId::new(5)));
-        assert!(e.has_title(VideoId::new(5)));
-        assert!(!e.has_title(VideoId::new(6)));
-        assert_eq!(e.titles().collect::<Vec<_>>(), vec![VideoId::new(5)]);
-        assert!(e.remove_title(VideoId::new(5)));
-        assert!(!e.remove_title(VideoId::new(5)));
-        assert_eq!(e.node(), NodeId::new(1));
-    }
 
     fn reading(secs: u64, used: f64) -> UtilizationReading {
         UtilizationReading {

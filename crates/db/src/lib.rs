@@ -47,6 +47,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod access;
+mod catalog;
 pub mod database;
 pub mod entry;
 pub mod error;

@@ -13,8 +13,8 @@
 //! removing an id empties its slot, and empty slots are popped off both
 //! ends, so a non-empty window always starts and ends on a live id and
 //! an emptied one holds no slots. The workspace has three users: the
-//! live sessions of a service run (a boxed record, 8 B a slot), the
-//! flow → session map (16 B) and [`FlowNetwork`](crate::flow::FlowNetwork)'s
+//! live sessions of a service run (the record inline, 160 B a slot),
+//! the flow → session map (16 B) and [`FlowNetwork`](crate::flow::FlowNetwork)'s
 //! local flows (48 B). Widest windows on the five seed-42 workloads of
 //! `benchmark/`: 400 801 / 2 000 / 1 500 / 107 / 2 108 session slots
 //! against 400 801 / 2 000 / 1 071 / 37 / 166 sessions live at the

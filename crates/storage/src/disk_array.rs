@@ -171,11 +171,11 @@ impl DiskArray {
         self.stored.len()
     }
 
-    /// Megabytes of `video`'s parts that land on `disk`.
+    /// Megabytes of `video`'s parts that land on `disk`, summed over
+    /// parts `d, d + n, …` in ascending order.
     fn share_of_disk(&self, layout: &StripeLayout, size: Megabytes, disk: usize) -> Megabytes {
         layout
-            .parts_on_disk(disk)
-            .into_iter()
+            .part_indices(disk)
             .map(|part| self.cluster.part_size(size, part))
             .sum()
     }

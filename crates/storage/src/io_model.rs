@@ -55,15 +55,17 @@ impl DiskIoModel {
     ///
     /// Each disk pays one seek per part it holds (parts of one video are
     /// not contiguous once other titles share the disk).
+    ///
+    /// The slowest disk is disk 0, which holds ⌈p / n⌉ parts: every disk
+    /// pays the same time per part, and rounding a product is monotone
+    /// in the part count, so no other disk's time can round above it.
     pub fn striped_read_secs(&self, layout: &StripeLayout, video_size: Megabytes) -> f64 {
         let parts = layout.parts();
         let part_mb = video_size.as_f64() / parts as f64;
-        (0..layout.disk_count())
-            .map(|d| {
-                let k = layout.load_of_disk(d);
-                k as f64 * (self.seek_ms / 1_000.0 + part_mb / self.transfer_mb_per_s)
-            })
-            .fold(0.0, f64::max)
+        let per_part = self.seek_ms / 1_000.0 + part_mb / self.transfer_mb_per_s;
+        // `max` against 0 maps a NaN time to 0, as a fold over the disks
+        // from 0 would.
+        0.0f64.max(layout.load_of_disk(0) as f64 * per_part)
     }
 
     /// Effective sustained throughput (MB/s) reading a striped video.

@@ -106,8 +106,9 @@ pub enum PrefixDecision {
     },
     /// The prefix was stored after evicting colder prefixes.
     AdmittedAfterEviction {
-        /// The evicted victims, in eviction order.
-        evicted: Vec<VideoId>,
+        /// The evicted victims with the space each freed, in eviction
+        /// order.
+        evicted: Vec<PrefixEviction>,
         /// Stored prefix length, in clusters.
         clusters: u32,
     },
@@ -116,6 +117,16 @@ pub enum PrefixDecision {
         /// Why the prefix was not stored.
         reason: PrefixRejectReason,
     },
+}
+
+/// One resident prefix deleted to make room for a hotter one.
+#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PrefixEviction {
+    /// The evicted title.
+    pub victim: VideoId,
+    /// Megabytes the deletion freed: the victim's resident size just
+    /// before the request that evicted it.
+    pub freed_mb: f64,
 }
 
 impl PrefixDecision {
@@ -273,11 +284,6 @@ impl PrefixStore {
         self.residents.get(&video).map(|r| r.clusters)
     }
 
-    /// Ids of titles with a resident prefix, in id order.
-    pub fn resident_ids(&self) -> impl Iterator<Item = VideoId> + '_ {
-        self.residents.keys().copied()
-    }
-
     /// Current popularity points of `video`.
     pub fn points(&self, video: VideoId) -> u64 {
         self.tracker.points(video)
@@ -381,12 +387,13 @@ impl PrefixStore {
 
         let mut freed = 0.0;
         let mut planned = Vec::new();
-        for &v in &candidates {
+        for &victim in &candidates {
             if self.free_mb() + freed >= need {
                 break;
             }
-            freed += self.resident_mb(v);
-            planned.push(v);
+            let freed_mb = self.resident_mb(victim);
+            freed += freed_mb;
+            planned.push(PrefixEviction { victim, freed_mb });
         }
         if self.free_mb() + freed < need {
             self.stats.rejections += 1;
@@ -397,9 +404,9 @@ impl PrefixStore {
             };
             return PrefixDecision::NotAdmitted { reason };
         }
-        for &v in &planned {
-            self.occupied_mb = (self.occupied_mb - self.resident_mb(v)).max(0.0);
-            self.residents.remove(&v);
+        for eviction in &planned {
+            self.occupied_mb = (self.occupied_mb - eviction.freed_mb).max(0.0);
+            self.residents.remove(&eviction.victim);
             self.stats.evictions += 1;
         }
         self.residents.insert(video.id(), stored);
@@ -439,6 +446,7 @@ impl PrefixStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn video(id: u32, mb: f64) -> VideoMeta {
         VideoMeta::new(VideoId::new(id), format!("t{id}"), Megabytes::new(mb), 1.5)
@@ -570,7 +578,10 @@ mod tests {
         assert_eq!(
             d,
             PrefixDecision::AdmittedAfterEviction {
-                evicted: vec![VideoId::new(1)],
+                evicted: vec![PrefixEviction {
+                    victim: VideoId::new(1),
+                    freed_mb: 100.0,
+                }],
                 clusters: 1,
             }
         );
@@ -659,13 +670,60 @@ mod tests {
         ));
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every eviction reports what the victim held just before the
+        /// request, and the reports add up to the space the evictions
+        /// gave back: the occupancy before, plus the newcomer, minus
+        /// the freed megabytes, is the occupancy after.
+        #[test]
+        fn evictions_carry_the_space_they_free(
+            requests in proptest::collection::vec((0u32..16, 1usize..9), 1..400),
+            capacity_clusters in 2u32..8,
+        ) {
+            let mut store = PrefixStore::new(PrefixConfig {
+                capacity: Megabytes::new(capacity_clusters as f64 * 100.0),
+                cluster_size: ClusterSize::new(Megabytes::new(100.0)),
+                admit_threshold: 0,
+                base_clusters: 1,
+                max_clusters: 3,
+                growth_points: 1,
+            })
+            .unwrap();
+            let mut evictions = 0;
+            for &(id, half_clusters) in &requests {
+                let v = video(id, half_clusters as f64 * 50.0);
+                let before = store.clone();
+                let PrefixDecision::AdmittedAfterEviction { evicted, .. } = store.on_request(&v)
+                else {
+                    continue;
+                };
+                prop_assert!(!evicted.is_empty());
+                let mut freed = 0.0;
+                for e in &evicted {
+                    prop_assert_eq!(
+                        e.freed_mb.to_bits(),
+                        before.resident_mb(e.victim).to_bits()
+                    );
+                    prop_assert!(e.freed_mb > 0.0);
+                    prop_assert_eq!(store.resident_clusters(e.victim), None);
+                    freed += e.freed_mb;
+                }
+                let drop = before.occupied_mb() + store.resident_mb(v.id()) - store.occupied_mb();
+                prop_assert!((drop - freed).abs() < 1e-9, "dropped {} freed {}", drop, freed);
+                evictions += evicted.len() as u64;
+            }
+            prop_assert_eq!(evictions, store.stats().evictions);
+        }
+    }
+
     /// A001-style differential check: an independent, deliberately naive
     /// reimplementation of the prefix discipline replays random request
     /// streams and must agree with [`PrefixStore`] decision for
     /// decision, byte for byte of occupancy.
     mod replay_properties {
         use super::*;
-        use proptest::prelude::*;
 
         /// The independent model: plain data, no shared helpers.
         struct NaiveStore {
@@ -738,8 +796,9 @@ mod tests {
                 let mut free = self.capacity - self.occupied();
                 let mut i = 0;
                 while free < need && i < colder.len() {
-                    free += self.resident[&colder[i]].1;
-                    victims.push(colder[i]);
+                    let mb = self.resident[&colder[i]].1;
+                    free += mb;
+                    victims.push((colder[i], mb));
                     i += 1;
                 }
                 if free < need {
@@ -751,7 +810,7 @@ mod tests {
                         },
                     };
                 }
-                for v in &victims {
+                for (v, _) in &victims {
                     self.resident.remove(v);
                 }
                 self.resident.insert(id, (target, need));
@@ -759,7 +818,13 @@ mod tests {
                     PrefixDecision::Admitted { clusters: target }
                 } else {
                     PrefixDecision::AdmittedAfterEviction {
-                        evicted: victims.into_iter().map(VideoId::new).collect(),
+                        evicted: victims
+                            .into_iter()
+                            .map(|(v, freed_mb)| PrefixEviction {
+                                victim: VideoId::new(v),
+                                freed_mb,
+                            })
+                            .collect(),
                         clusters: target,
                     }
                 }

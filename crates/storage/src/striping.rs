@@ -8,22 +8,30 @@
 //! disks starting from disk 1 and reusing as many of them as needed."*
 //!
 //! In other words, part `i` lands on disk `i mod n`.
+//!
+//! A layout is therefore two numbers, `(parts, disks)`, and every
+//! question about it — which disk holds a part, how many parts a disk
+//! holds, how uneven the disks are — has a closed-form answer that
+//! costs the same for a 2-part trailer as for a 2 000-part feature.
 
-use serde::{Deserialize, Serialize};
+use std::iter::StepBy;
+use std::ops::Range;
+
+use serde::{Deserialize, Serialize, Value};
 
 use crate::cluster::ClusterSize;
 use crate::video::Megabytes;
 
 /// The stripe placement of one video across a disk array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StripeLayout {
+    parts: usize,
     disk_count: usize,
-    part_disks: Vec<usize>,
 }
 
 impl StripeLayout {
-    /// Computes the cyclic layout of `parts` video parts over `disk_count`
-    /// disks: part `i` on disk `i mod n`.
+    /// The cyclic layout of `parts` video parts over `disk_count` disks:
+    /// part `i` on disk `i mod n`.
     ///
     /// # Panics
     ///
@@ -31,10 +39,7 @@ impl StripeLayout {
     pub fn cyclic(parts: usize, disk_count: usize) -> Self {
         assert!(disk_count > 0, "striping needs at least one disk");
         assert!(parts > 0, "a video has at least one part");
-        StripeLayout {
-            disk_count,
-            part_disks: (0..parts).map(|i| i % disk_count).collect(),
-        }
+        StripeLayout { parts, disk_count }
     }
 
     /// Computes the layout of a whole video given the common cluster size.
@@ -48,7 +53,7 @@ impl StripeLayout {
 
     /// Number of parts in the stripe.
     pub fn parts(&self) -> usize {
-        self.part_disks.len()
+        self.parts
     }
 
     /// Number of disks in the array the layout was computed for.
@@ -56,43 +61,70 @@ impl StripeLayout {
         self.disk_count
     }
 
-    /// The disk holding part `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
+    /// The disk holding part `index` (`index mod n`; an index past the
+    /// last part names the disk the cyclic rule would give it).
     pub fn disk_of_part(&self, index: usize) -> usize {
-        self.part_disks[index]
+        index % self.disk_count
     }
 
-    /// The part indices stored on `disk`.
+    /// The part indices stored on `disk`, ascending: `d, d + n, …`.
     pub fn parts_on_disk(&self, disk: usize) -> Vec<usize> {
-        self.part_disks
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == disk)
-            .map(|(i, _)| i)
-            .collect()
+        self.part_indices(disk).collect()
     }
 
-    /// Number of parts stored on `disk`.
+    /// [`StripeLayout::parts_on_disk`] without the allocation. A disk
+    /// outside the array holds nothing.
+    pub(crate) fn part_indices(&self, disk: usize) -> StepBy<Range<usize>> {
+        let first = if disk < self.disk_count {
+            disk
+        } else {
+            self.parts
+        };
+        (first..self.parts).step_by(self.disk_count)
+    }
+
+    /// Number of parts stored on `disk`: ⌈(p − d) / n⌉ for a disk of the
+    /// array that the stripe reaches, 0 otherwise. Disk 0 holds the
+    /// most, ⌈p / n⌉.
     pub fn load_of_disk(&self, disk: usize) -> usize {
-        self.part_disks.iter().filter(|&&d| d == disk).count()
+        if disk < self.disk_count && disk < self.parts {
+            (self.parts - disk - 1) / self.disk_count + 1
+        } else {
+            0
+        }
     }
 
     /// Number of distinct disks actually holding parts
     /// (`min(parts, disk_count)` for cyclic striping).
     pub fn disks_used(&self) -> usize {
-        self.parts().min(self.disk_count)
+        self.parts.min(self.disk_count)
     }
 
-    /// The maximum imbalance between any two disks' part counts. Cyclic
-    /// striping guarantees this is at most 1.
+    /// The maximum imbalance between any two disks' part counts: 1 when
+    /// `n` does not divide `p` (the first `p mod n` disks hold one part
+    /// more), 0 when it does.
     pub fn imbalance(&self) -> usize {
-        let loads: Vec<usize> = (0..self.disk_count).map(|d| self.load_of_disk(d)).collect();
-        let max = loads.iter().copied().max().unwrap_or(0);
-        let min = loads.iter().copied().min().unwrap_or(0);
-        max - min
+        usize::from(!self.parts.is_multiple_of(self.disk_count))
+    }
+}
+
+// Deserialisation goes through `cyclic`'s rule, so a stored layout
+// with no disks or no parts is an error, not a division by zero later.
+impl Deserialize for StripeLayout {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let field = |name: &str| -> Result<usize, serde::Error> {
+            let value = v.get_field(name).ok_or_else(|| {
+                serde::Error::custom(format!("missing field `{name}` of `StripeLayout`"))
+            })?;
+            usize::from_value(value)
+        };
+        let (parts, disk_count) = (field("parts")?, field("disk_count")?);
+        if parts == 0 || disk_count == 0 {
+            return Err(serde::Error::custom(
+                "a stripe layout needs at least one part and one disk",
+            ));
+        }
+        Ok(StripeLayout { parts, disk_count })
     }
 }
 
@@ -159,6 +191,132 @@ mod tests {
     #[should_panic(expected = "at least one part")]
     fn zero_parts_rejected() {
         let _ = StripeLayout::cyclic(0, 5);
+    }
+
+    #[test]
+    fn deserialising_checks_the_rule() {
+        let layout = StripeLayout::cyclic(7, 3);
+        let json = serde_json::to_string(&layout).unwrap();
+        assert_eq!(json, r#"{"parts":7,"disk_count":3}"#);
+        assert_eq!(serde_json::from_str::<StripeLayout>(&json).unwrap(), layout);
+        for bad in [
+            r#"{"parts":7,"disk_count":0}"#,
+            r#"{"parts":0,"disk_count":3}"#,
+        ] {
+            assert!(serde_json::from_str::<StripeLayout>(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// The layout as it was before the closed forms: one disk index per
+    /// part, every question answered by a scan. Kept as their oracle.
+    struct VecLayout {
+        disk_count: usize,
+        part_disks: Vec<usize>,
+    }
+
+    impl VecLayout {
+        fn cyclic(parts: usize, disk_count: usize) -> Self {
+            VecLayout {
+                disk_count,
+                part_disks: (0..parts).map(|i| i % disk_count).collect(),
+            }
+        }
+
+        fn parts_on_disk(&self, disk: usize) -> Vec<usize> {
+            self.part_disks
+                .iter()
+                .enumerate()
+                .filter(|&(_, &d)| d == disk)
+                .map(|(i, _)| i)
+                .collect()
+        }
+
+        fn load_of_disk(&self, disk: usize) -> usize {
+            self.part_disks.iter().filter(|&&d| d == disk).count()
+        }
+
+        fn imbalance(&self) -> usize {
+            let loads: Vec<usize> = (0..self.disk_count).map(|d| self.load_of_disk(d)).collect();
+            let max = loads.iter().copied().max().unwrap_or(0);
+            let min = loads.iter().copied().min().unwrap_or(0);
+            max - min
+        }
+
+        /// `DiskArray`'s per-disk share, summed over the scanned parts.
+        fn share_of_disk(&self, cluster: ClusterSize, size: Megabytes, disk: usize) -> Megabytes {
+            self.parts_on_disk(disk)
+                .into_iter()
+                .map(|part| cluster.part_size(size, part))
+                .sum()
+        }
+
+        /// `DiskIoModel::striped_read_secs` as a fold over every disk.
+        fn read_secs(&self, io: &crate::io_model::DiskIoModel, size: Megabytes) -> f64 {
+            let part_mb = size.as_f64() / self.part_disks.len() as f64;
+            (0..self.disk_count)
+                .map(|d| {
+                    let k = self.load_of_disk(d);
+                    k as f64 * (io.seek_ms / 1_000.0 + part_mb / io.transfer_mb_per_s)
+                })
+                .fold(0.0, f64::max)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Differential, bit for bit: every closed form, `DiskArray`'s
+        /// per-disk shares and the striped read timing against the
+        /// per-part scan, for every `parts` in 1..=64 and `disks` in
+        /// 1..=16 (`parts < disks` included), with a random cluster, a
+        /// random partial last part and a random I/O model per case.
+        #[test]
+        fn closed_forms_match_the_per_part_scan(
+            cluster_mb in 1.0f64..500.0,
+            last_part in 0.01f64..1.0,
+            seek_ms in 0.0f64..20.0,
+            transfer in 0.5f64..200.0,
+        ) {
+            use crate::disk_array::DiskArray;
+            use crate::io_model::DiskIoModel;
+            use crate::video::{VideoId, VideoMeta};
+            let cluster = ClusterSize::new(Megabytes::new(cluster_mb));
+            let io = DiskIoModel::new(seek_ms, transfer);
+            for p in 1..=64usize {
+                let size = Megabytes::new(cluster_mb * (p - 1) as f64 + cluster_mb * last_part);
+                for n in 1..=16usize {
+                    let layout = StripeLayout::for_video(size, cluster, n);
+                    let parts = layout.parts();
+                    let oracle = VecLayout::cyclic(parts, n);
+                    for i in 0..parts {
+                        prop_assert_eq!(layout.disk_of_part(i), oracle.part_disks[i]);
+                    }
+                    // Disks past the array hold nothing in either form.
+                    for d in 0..n + 2 {
+                        prop_assert_eq!(layout.load_of_disk(d), oracle.load_of_disk(d));
+                        prop_assert_eq!(layout.parts_on_disk(d), oracle.parts_on_disk(d));
+                    }
+                    prop_assert_eq!(layout.imbalance(), oracle.imbalance());
+                    let mut array = DiskArray::uniform(n, Megabytes::new(1e9), cluster).unwrap();
+                    let video = VideoMeta::new(VideoId::new(0), "v", size, 1.5);
+                    prop_assert_eq!(array.store(&video).unwrap(), layout.clone());
+                    for d in 0..n {
+                        prop_assert_eq!(
+                            array.disk(d).unwrap().used().as_f64().to_bits(),
+                            oracle.share_of_disk(cluster, size, d).as_f64().to_bits()
+                        );
+                    }
+                    let secs = io.striped_read_secs(&layout, size);
+                    prop_assert_eq!(secs.to_bits(), oracle.read_secs(&io, size).to_bits());
+                    let t = oracle.read_secs(&io, size);
+                    let throughput = if t <= 0.0 { 0.0 } else { size.as_f64() / t };
+                    prop_assert_eq!(
+                        io.striped_throughput_mb_per_s(&layout, size).to_bits(),
+                        throughput.to_bits()
+                    );
+                }
+            }
+        }
     }
 
     proptest! {
