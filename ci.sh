@@ -51,9 +51,6 @@ cargo test -q -p vod-integration-tests --test observability
 echo "==> series determinism (golden --series test)"
 cargo test -q -p vod-integration-tests --test series
 
-echo "==> vod-check analyze (L008 panic reachability, L010 sort keys; zero findings, zero stale grants)"
-cargo run -q --release -p vod-check -- analyze
-
 echo "==> vod-check audit (GRNET case-study trace replays clean)"
 cargo run -q --release -p vod-check -- audit --grnet
 
@@ -94,8 +91,8 @@ echo "==> perf gate (every fresh row vs its committed BENCH_*.json row)"
 #   1.0   exact for seed 42 (session and event counts, the E17 pair):
 #         fails on any host, however noisy.
 #   1.75  an iteration takes milliseconds (the scale run, a poll's
-#         worth of gnp200 re-selection, the analyzer pass): identical
-#         runs on this shared host differ by up to 1.7x.
+#         worth of gnp200 re-selection): identical runs on this shared
+#         host differ by up to 1.7x.
 #   3.0   a ns-to-us loop, measured as the median of twenty 2 ms
 #         samples: one stalled sample no longer shows, but a burst from
 #         a neighbouring container covers all 40 ms, and whole rows have

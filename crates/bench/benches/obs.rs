@@ -13,11 +13,6 @@
 //! about two events per window, so nearly every emission also seals one
 //! window into the packed log.
 //!
-//! `check/analyze` is the wall time of one full `vod-check analyze`
-//! pass over this workspace, source scan included: what `ci.sh` or a
-//! pre-commit hook waits for, and the row that catches an analyzer
-//! turning superlinear as the tree grows.
-//!
 //! `CRITERION_JSON=out.json cargo bench --bench obs` writes the fresh
 //! rows `ci.sh` holds against the committed `BENCH_obs.json`; a
 //! re-recorded row keeps its `limit`.
@@ -25,8 +20,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use vod_check::analyze::analyze;
-use vod_check::source::{workspace_sources, Allowlist};
 use vod_net::NodeId;
 use vod_obs::{Event, EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink, TimeSeriesSink};
 use vod_sim::{SimDuration, SimTime};
@@ -209,26 +202,5 @@ fn bench_serialize(c: &mut Criterion) {
     );
 }
 
-/// One full analyzer pass over the real workspace tree: source
-/// loading, lexing, item extraction, call-graph reachability and the
-/// determinism scans.
-fn bench_analyze(c: &mut Criterion) {
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let allow = std::fs::read_to_string(root.join("crates/check/lint_allow.txt")).unwrap();
-    let allow = Allowlist::parse(&allow);
-    c.bench_function("check/analyze", |b| {
-        b.iter(|| {
-            let files = workspace_sources(black_box(root)).unwrap();
-            black_box(analyze(&files, &allow).findings.len())
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_emit,
-    bench_sparse_year,
-    bench_serialize,
-    bench_analyze
-);
+criterion_group!(benches, bench_emit, bench_sparse_year, bench_serialize);
 criterion_main!(benches);

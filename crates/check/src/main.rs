@@ -1,61 +1,50 @@
-//! `vod-check` — semantic analyzer and trace auditor.
+//! `vod-check` — trace auditor.
 //!
 //! ```text
-//! vod-check analyze [--root DIR] [--allowlist FILE] [--json]
-//! vod-check audit   [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)
+//! vod-check audit [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)
 //! vod-check help
 //! ```
 //!
-//! Both subcommands share one contract (`vod-check help` prints
-//! it): exit 0 when clean, 1 when any finding was emitted, 2 on a
-//! usage or I/O error, and `--json` emits a single object of the shape
-//! `{"tool":...,"findings":[{"rule","where","line","message"}],"stats":{...}}`.
+//! `vod-check help` prints the contract: exit 0 when clean, 1 when any
+//! finding was emitted, 2 on a usage or I/O error, and `--json` emits a
+//! single object of the shape
+//! `{"tool":"audit","findings":[{"rule","where","line","message"}],"stats":{...}}`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vod_check::analyze::analyze;
 use vod_check::audit::{audit_trace, AuditSummary};
 use vod_check::series::audit_series;
-use vod_check::source::{workspace_sources, Allowlist};
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_obs::JsonlWriter;
 use vod_workload::scenario::Scenario;
 
-const HELP: &str = "vod-check — static analysis and trace auditing for the VoD workspace
+const HELP: &str = "vod-check — trace auditing for the VoD workspace
 
 USAGE:
-    vod-check analyze [--root DIR] [--allowlist FILE] [--json]
-    vod-check audit   [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)
+    vod-check audit [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)
     vod-check help
 
 SUBCOMMANDS:
-    analyze   Semantic rules over crates/*/src (L008, L010): reachability
-              of panic macros and computed indices from the sim hot-path
-              roots, and partial_cmp sort keys. The line-level rules
-              (wall clock, threads, HashMap/HashSet, unwrap/expect,
-              unsafe) are clippy lints: see clippy.toml. Retired codes
-              are not reused.
     audit     Replays a JSONL trace against reference implementations of
               the paper's invariants (A000-A016); --series reconciles a
               time-series export against the same run's trace (A013).
+              The source rules (wall clock, threads, HashMap/HashSet,
+              unwrap/expect, panic macros, indexing, unsafe) are
+              compiler lints: see clippy.toml.
 
 OPTIONS:
-    --root DIR        Workspace root to scan (default: current directory).
-    --allowlist FILE  Allowlist path (default: ROOT/crates/check/lint_allow.txt).
-                      Lines are `L008 PATH NEEDLE`; an entry that grants
-                      nothing is itself a finding (L000).
     --json            Emit one JSON object instead of human-readable text.
-    --series FILE     (audit) Reconcile FILE against the run's trace.
-    --grnet           (audit) Replay the paper's GRNET case study in-process.
+    --series FILE     Reconcile FILE against the run's trace.
+    --grnet           Replay the paper's GRNET case study in-process.
 
-JSON SHAPE (same for every subcommand):
-    {\"tool\":\"analyze|audit\",
-     \"findings\":[{\"rule\":\"L008\",\"where\":\"crates/...\",\"line\":42,\"message\":\"...\"}],
-     \"stats\":{...per-tool counters...}}
-    `where` is a source path for analyze, a trace or series label
-    for audit. `line` is a source line, trace line, or window index.
+JSON SHAPE:
+    {\"tool\":\"audit\",
+     \"findings\":[{\"rule\":\"A005\",\"where\":\"run.jsonl\",\"line\":42,\"message\":\"...\"}],
+     \"stats\":{...audit counters...}}
+    `where` is a trace or series label; `line` is a trace line or
+    window index.
 
 EXIT CODES:
     0  clean — no findings
@@ -66,7 +55,6 @@ EXIT CODES:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") => run_analyze(&args[1..]),
         Some("audit") => run_audit(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             print!("{HELP}");
@@ -74,8 +62,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: vod-check analyze [--root DIR] [--allowlist FILE] [--json]\n\
-                        vod-check audit   [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)\n\
+                "usage: vod-check audit [--json] [--series SERIES.json] (--grnet | TRACE.jsonl ...)\n\
                  see `vod-check help` for the JSON shape and exit codes"
             );
             ExitCode::from(2)
@@ -83,17 +70,17 @@ fn main() -> ExitCode {
     }
 }
 
-/// One entry of the unified findings array shared by every subcommand.
-struct UnifiedFinding {
+/// One entry of the findings array.
+struct Finding {
     rule: String,
     location: String,
     line: usize,
     message: String,
 }
 
-/// Prints the unified JSON object: findings array plus per-tool stats.
-fn print_json(tool: &str, findings: &[UnifiedFinding], stats: &[(&str, usize)]) {
-    let mut out = format!("{{\"tool\":{},\"findings\":[", json_string(tool));
+/// Prints the JSON object: findings array plus audit stats.
+fn print_json(findings: &[Finding], stats: &[(&str, usize)]) {
+    let mut out = String::from("{\"tool\":\"audit\",\"findings\":[");
     for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -125,76 +112,6 @@ fn verdict(findings: usize) -> ExitCode {
     }
 }
 
-fn run_analyze(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut allowlist: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => return usage("--root needs a directory"),
-            },
-            "--allowlist" => match it.next() {
-                Some(v) => allowlist = Some(PathBuf::from(v)),
-                None => return usage("--allowlist needs a file"),
-            },
-            "--json" => json = true,
-            other => return usage(&format!("unknown analyze option `{other}`")),
-        }
-    }
-    let allow_path = allowlist.unwrap_or_else(|| root.join("crates/check/lint_allow.txt"));
-    let allow = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => Allowlist::parse(&text),
-        Err(_) => Allowlist::default(),
-    };
-    let files = match workspace_sources(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("vod-check: cannot scan {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    let outcome = analyze(&files, &allow);
-    let findings: Vec<UnifiedFinding> = outcome
-        .findings
-        .iter()
-        .map(|f| UnifiedFinding {
-            rule: f.rule.code().to_string(),
-            location: f.path.clone(),
-            line: f.line,
-            message: f.message.clone(),
-        })
-        .collect();
-    if json {
-        print_json(
-            "analyze",
-            &findings,
-            &[
-                ("files", outcome.files),
-                ("fns", outcome.fns),
-                ("reachable_fns", outcome.reachable_fns),
-                ("stale_allow", outcome.unused_allow.len()),
-            ],
-        );
-    } else {
-        for f in &findings {
-            println!("{}:{}: [{}] {}", f.location, f.line, f.rule, f.message);
-        }
-        println!(
-            "vod-check analyze: {} findings ({} stale entries in {}); {} files, {} fns ({} reachable from sim roots)",
-            findings.len(),
-            outcome.unused_allow.len(),
-            allow_path.display(),
-            outcome.files,
-            outcome.fns,
-            outcome.reachable_fns
-        );
-    }
-    verdict(findings.len())
-}
-
 fn run_audit(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut grnet = false;
@@ -222,7 +139,7 @@ fn run_audit(args: &[String]) -> ExitCode {
         return usage("--series reconciles against exactly one run (--grnet or one trace)");
     }
 
-    let mut findings: Vec<UnifiedFinding> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
     let mut stats = AuditStats::default();
     let mut series_trace: Option<(String, String)> = None;
     if grnet {
@@ -263,7 +180,7 @@ fn run_audit(args: &[String]) -> ExitCode {
         stats.windows += summary.windows;
         stats.totals_verified += summary.totals_verified;
         for v in &summary.violations {
-            findings.push(UnifiedFinding {
+            findings.push(Finding {
                 rule: v.rule.to_string(),
                 location: label.clone(),
                 line: v.line,
@@ -284,7 +201,6 @@ fn run_audit(args: &[String]) -> ExitCode {
     }
     if json {
         print_json(
-            "audit",
             &findings,
             &[
                 ("traces", stats.traces),
@@ -318,7 +234,7 @@ struct AuditStats {
 fn collect_audit(
     label: &str,
     summary: &AuditSummary,
-    findings: &mut Vec<UnifiedFinding>,
+    findings: &mut Vec<Finding>,
     stats: &mut AuditStats,
     json: bool,
 ) {
@@ -329,7 +245,7 @@ fn collect_audit(
     stats.evictions_verified += summary.evictions_verified;
     stats.prefix_verified += summary.prefix_verified;
     for v in &summary.violations {
-        findings.push(UnifiedFinding {
+        findings.push(Finding {
             rule: v.rule.to_string(),
             location: label.to_string(),
             line: v.line,

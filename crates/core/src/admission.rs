@@ -79,6 +79,10 @@ impl AdmissionPolicy {
     /// # Panics
     ///
     /// Panics if `headroom_factor` is not strictly positive and finite.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `headroom_factor.is_finite()` and positive; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(headroom_factor: f64) -> Self {
         assert!(
             headroom_factor.is_finite() && headroom_factor > 0.0,

@@ -265,6 +265,10 @@ impl RandomizedVra {
     /// # Panics
     ///
     /// Panics if `slack` is negative or not finite.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `slack.is_finite() && slack >= 0.0`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(slack: f64, seed: u64) -> Self {
         assert!(slack.is_finite() && slack >= 0.0, "slack must be >= 0");
         RandomizedVra {
@@ -280,6 +284,10 @@ impl ServerSelector for RandomizedVra {
         "randomized-vra"
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug check: the best route always qualifies"
+    )]
     fn select(&mut self, ctx: &SelectionContext<'_>) -> Result<Selection, CoreError> {
         ensure_candidates(ctx)?;
         let report = self.inner.select_with_report(ctx)?;
@@ -302,6 +310,10 @@ impl ServerSelector for RandomizedVra {
             .collect();
         debug_assert!(!eligible.is_empty(), "the best route always qualifies");
         let pick = self.rng.gen_range(0..eligible.len());
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`pick` is drawn from `0..eligible.len()`"
+        )]
         Ok(eligible[pick].clone())
     }
 }

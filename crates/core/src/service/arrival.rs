@@ -127,6 +127,10 @@ impl<S: EventSink> ServiceModel<S> {
     }
 
     pub(super) fn on_arrival(&mut self, now: SimTime, idx: usize, sched: &mut Scheduler<Event>) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "an arrival's `idx` is a position in the trace the input lane walks"
+        )]
         let request = self.trace.requests()[idx];
         if self.sink.enabled() {
             self.sink.record(

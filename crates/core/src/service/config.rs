@@ -108,6 +108,10 @@ impl PrefixTierConfig {
     }
 }
 
+/// Hard stop for recurring events after the last arrival (stalled
+/// zero-rate sessions past this point are reported as unfinished).
+pub(super) const DRAIN_GRACE: SimDuration = SimDuration::from_secs(24 * 3600);
+
 /// Tunables of a service run.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -124,9 +128,6 @@ pub struct ServiceConfig {
     /// disks (bus/NIC bound); the actual local rate is the smaller of
     /// this and the striped disk throughput of the title's layout.
     pub local_rate: Mbps,
-    /// Per-disk seek/transfer model used to derive local serve rates
-    /// from each title's stripe layout (Figure 3's parallelism).
-    pub disk_io: vod_storage::io_model::DiskIoModel,
     /// Disks per video server.
     pub disk_count: usize,
     /// VoD space per disk.
@@ -157,9 +158,6 @@ pub struct ServiceConfig {
     /// How sessions respond to transient fetch failures (default:
     /// instant abort, the pre-retry behaviour).
     pub retry: RetryPolicy,
-    /// Hard stop for recurring events after the last arrival (stalled
-    /// zero-rate sessions past this point are reported as unfinished).
-    pub drain_grace: SimDuration,
     /// Optional regional prefix-caching tier (`None` = paper-exact:
     /// every cluster comes from the selected origin server).
     pub prefix_tier: Option<PrefixTierConfig>,
@@ -173,7 +171,6 @@ impl Default for ServiceConfig {
             snmp_interval: SimDuration::from_mins(2),
             background_interval: SimDuration::from_mins(1),
             local_rate: Mbps::new(100.0),
-            disk_io: vod_storage::io_model::DiskIoModel::default(),
             disk_count: 4,
             disk_capacity: Megabytes::new(20_000.0),
             dma_admit_threshold: 0,
@@ -183,7 +180,6 @@ impl Default for ServiceConfig {
             snmp_smoothing: None,
             fault_plan: FaultPlan::new(),
             retry: RetryPolicy::default(),
-            drain_grace: SimDuration::from_secs(24 * 3600),
             prefix_tier: None,
         }
     }

@@ -51,6 +51,7 @@ use vod_storage::prefix::{PrefixStats, PrefixStore};
 use vod_storage::video::VideoMeta;
 use vod_workload::scenario::Scenario;
 
+use config::DRAIN_GRACE;
 pub use config::{PrefixTierConfig, RetryPolicy, ServiceConfig};
 use model::{catalog, Event, ServiceModel};
 
@@ -147,6 +148,10 @@ impl<S: EventSink> VodService<S> {
     ) -> Self {
         match VodService::try_with_sink(scenario, selector, config, sink) {
             Ok(service) => service,
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "config validation: `invalid service setup` stops the run (`try_with_sink` is the typed path); ROADMAP 4(a)"
+            )]
             Err(e) => panic!("invalid service setup: {e}"),
         }
     }
@@ -307,6 +312,10 @@ impl<S: EventSink> VodService<S> {
             let replicas = config.initial_replicas.clamp(1, servers.len());
             for (i, video) in titles.iter().enumerate() {
                 for k in 0..replicas {
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "`% servers.len()` keeps the index in range, and `servers` is non-empty"
+                    )]
                     let server = servers[(i + k) % servers.len()];
                     let Some(cache) = caches.get_mut(&server) else {
                         continue;
@@ -361,7 +370,7 @@ impl<S: EventSink> VodService<S> {
         // above). Grown by doubling instead, each outgrown buffer is freed
         // into the allocator, where it stays resident. Unused capacity is
         // never touched, so it costs address space, not memory.
-        let recurring_deadline = end + config.drain_grace;
+        let recurring_deadline = end + DRAIN_GRACE;
         let polls =
             recurring_deadline.duration_since(start).as_micros() / config.snmp_interval.as_micros();
         let polls = usize::try_from(polls).unwrap_or(0);

@@ -15,6 +15,7 @@ use vod_sim::traffic::BackgroundModel;
 use vod_sim::{IdWindow, SimDuration, SimTime};
 use vod_snmp::SnmpSystem;
 use vod_storage::dma::{DmaCache, DmaStats};
+use vod_storage::io_model::DiskIoModel;
 use vod_storage::prefix::{PrefixStats, PrefixStore};
 use vod_storage::video::{VideoId, VideoMeta};
 use vod_workload::trace::RequestTrace;
@@ -59,8 +60,9 @@ pub(super) fn title(titles: &[VideoMeta], video: VideoId) -> &VideoMeta {
 }
 
 /// Local serve rate of `video` at `home`: striped disk throughput of the
-/// title's layout (converted MB/s → Mbps), capped by the configured
-/// ceiling. Falls back to the ceiling when the layout is unknown (title
+/// title's layout (converted MB/s → Mbps) on the default per-disk
+/// seek/transfer model (Figure 3's parallelism), capped by the
+/// configured ceiling. Falls back to the ceiling when the layout is unknown (title
 /// still being assembled).
 fn local_serve_rate(
     caches: &BTreeMap<NodeId, DmaCache>,
@@ -75,7 +77,7 @@ fn local_serve_rate(
         .and_then(|c| c.array().layout(video))
         .map(|layout| {
             let size = title(titles, video).size();
-            config.disk_io.striped_throughput_mb_per_s(layout, size) * 8.0
+            DiskIoModel::default().striped_throughput_mb_per_s(layout, size) * 8.0
         })
         .unwrap_or(ceiling);
     Mbps::new(disk_mbps.min(ceiling).max(0.0))
@@ -175,6 +177,10 @@ pub(super) struct SessionRecord {
 // of padding), the origin flow's 16, the pinned route's 8, the retry
 // episode's 16 (`NonZeroU32` lends its niche), the prefix phase's 16 (its
 // `bool` lends its niche), and the DMA flag with 7 bytes of padding.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "compile-time check: a `SessionRecord` stays within 160 bytes"
+)]
 const _: () = assert!(std::mem::size_of::<SessionRecord>() <= 160);
 
 /// The simulation model (internal state of a

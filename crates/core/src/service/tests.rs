@@ -1,7 +1,4 @@
 //! Unit tests of the service simulation.
-// The inner attribute repeats `mod.rs`'s gate for file-local tools:
-// `vod-check` masks test code per file.
-#![cfg(test)]
 
 use vod_net::{Mbps, Topology};
 use vod_sim::fault::FaultPlan;

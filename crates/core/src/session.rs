@@ -216,6 +216,10 @@ impl Session {
     /// # Panics
     ///
     /// Panics if the session is already fully fetched.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "per-event contract `self.clusters_fetched < self.clusters_total`: the trace auditor relies on it"
+    )]
     pub fn on_cluster_fetched(&mut self, now: SimTime) -> bool {
         assert!(
             self.clusters_fetched < self.clusters_total,
@@ -234,6 +238,10 @@ impl Session {
     /// # Panics
     ///
     /// Panics if it would overtake fetching.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "per-event contract `self.clusters_played < self.clusters_fetched`: the trace auditor relies on it"
+    )]
     pub fn on_cluster_played(&mut self) {
         assert!(
             self.clusters_played < self.clusters_fetched,
@@ -247,6 +255,10 @@ impl Session {
     /// # Panics
     ///
     /// Panics if already stalled.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "per-event contract: a session that is `already stalled` cannot stall again"
+    )]
     pub fn stall(&mut self, now: SimTime) {
         assert!(self.stall_started_at.is_none(), "already stalled");
         self.stall_started_at = Some(now);
@@ -281,6 +293,10 @@ impl Session {
     /// # Panics
     ///
     /// Panics if playback is not complete.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "per-event contract: no `finish before playback completed`, and with the session's own title"
+    )]
     pub fn finish(&self, now: SimTime, video: &VideoMeta) -> QosRecord {
         assert!(self.playback_complete(), "finish before playback completed");
         debug_assert_eq!(video.id(), self.video, "finish with another title");

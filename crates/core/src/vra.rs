@@ -114,49 +114,10 @@ impl Vra {
         // "IF the adjacent to the client video server can provide the
         // requested video THEN … QUIT."
         if ctx.candidates.contains(&ctx.home) {
-            return Ok(VraReport {
-                selection: Selection {
-                    server: ctx.home,
-                    route: Route::trivial(ctx.home),
-                },
-                candidate_routes: vec![(ctx.home, Some(Route::trivial(ctx.home)))],
-                trace: None,
-            });
+            return Ok(VraReport::local(ctx.home));
         }
-
         // "Calculate the Link Validation Number for each network link."
-        let weights = self.weights(ctx.topology, ctx.snapshot);
-        // "Run the Dijkstra's routing algorithm … from the client's
-        // adjacent server to all other network nodes."
-        let (paths, trace) = dijkstra_with_trace(ctx.topology, &weights, ctx.home)?;
-
-        // "Select those least expensive paths that … end at the servers
-        // that can provide the video; choose the one with the smallest
-        // cost."
-        let candidate_routes: Vec<(NodeId, Option<Route>)> = ctx
-            .candidates
-            .iter()
-            .map(|&c| (c, paths.route_to(c)))
-            .collect();
-        let best = candidate_routes
-            .iter()
-            .filter_map(|(c, r)| r.as_ref().map(|r| (*c, r.clone())))
-            .min_by(|a, b| a.1.cost().total_cmp(&b.1.cost()).then(a.0.cmp(&b.0)));
-
-        match best {
-            Some((server, route)) => {
-                debug_check_optimal(&route, &candidate_routes);
-                Ok(VraReport {
-                    selection: Selection { server, route },
-                    candidate_routes,
-                    trace: Some(trace),
-                })
-            }
-            None => Err(CoreError::Unreachable {
-                home: ctx.home,
-                candidates: ctx.candidates.to_vec(),
-            }),
-        }
+        self.select_with_weights(ctx, &self.weights(ctx.topology, ctx.snapshot))
     }
 
     /// Runs Dijkstra over *caller-provided* weights instead of computing
@@ -172,16 +133,15 @@ impl Vra {
         weights: &vod_net::lvn::LinkWeights,
     ) -> Result<VraReport, CoreError> {
         if ctx.candidates.contains(&ctx.home) {
-            return Ok(VraReport {
-                selection: Selection {
-                    server: ctx.home,
-                    route: Route::trivial(ctx.home),
-                },
-                candidate_routes: vec![(ctx.home, Some(Route::trivial(ctx.home)))],
-                trace: None,
-            });
+            return Ok(VraReport::local(ctx.home));
         }
+        // "Run the Dijkstra's routing algorithm … from the client's
+        // adjacent server to all other network nodes."
         let (paths, trace) = dijkstra_with_trace(ctx.topology, weights, ctx.home)?;
+
+        // "Select those least expensive paths that … end at the servers
+        // that can provide the video; choose the one with the smallest
+        // cost."
         let candidate_routes: Vec<(NodeId, Option<Route>)> = ctx
             .candidates
             .iter()
@@ -208,9 +168,28 @@ impl Vra {
     }
 }
 
+impl VraReport {
+    /// The report of a local serve: the home server holds the title, so
+    /// the algorithm stops before Dijkstra.
+    fn local(home: NodeId) -> Self {
+        VraReport {
+            selection: Selection {
+                server: home,
+                route: Route::trivial(home),
+            },
+            candidate_routes: vec![(home, Some(Route::trivial(home)))],
+            trace: None,
+        }
+    }
+}
+
 /// Dev-run mirror of the auditor's VRA-optimality rule (`vod-check audit`
 /// A005): the chosen route costs no more than any reachable candidate's.
 #[inline]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "debug mirror of audit rule A005: the chosen route is optimal"
+)]
 fn debug_check_optimal(route: &Route, candidate_routes: &[(NodeId, Option<Route>)]) {
     debug_assert!(
         candidate_routes

@@ -185,6 +185,10 @@ impl LinkEntry {
     /// # Panics
     ///
     /// Panics if `alpha` is not within `(0, 1]`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `alpha > 0.0 && alpha <= 1.0` is the caller's contract"
+    )]
     pub fn smoothed_used(&self, alpha: f64) -> Option<Mbps> {
         assert!(
             alpha > 0.0 && alpha <= 1.0 && alpha.is_finite(),

@@ -45,6 +45,8 @@
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
+#![cfg_attr(test, allow(clippy::indexing_slicing, clippy::disallowed_macros))]
 
 pub mod access;
 mod catalog;

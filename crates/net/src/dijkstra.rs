@@ -47,6 +47,10 @@ impl ShortestPaths {
     ///
     /// Panics if `target` is out of range.
     pub fn distance_to(&self, target: NodeId) -> Option<f64> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented panic: `target` is a node of the searched topology"
+        )]
         let d = self.dist[target.index()];
         d.is_finite().then_some(d)
     }
@@ -56,6 +60,10 @@ impl ShortestPaths {
     /// # Panics
     ///
     /// Panics if `target` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `target` is a node of the searched topology"
+    )]
     pub fn is_reachable(&self, target: NodeId) -> bool {
         self.dist[target.index()].is_finite()
     }
@@ -66,11 +74,19 @@ impl ShortestPaths {
     /// # Panics
     ///
     /// Panics if `target` is out of range.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug check: the parent chain ends at the source"
+    )]
     pub fn route_to(&self, target: NodeId) -> Option<Route> {
         let cost = self.distance_to(target)?;
         let mut nodes = vec![target];
         let mut links = Vec::new();
         let mut cur = target;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`prev` holds one entry per node, and `target` and every parent are nodes of the searched topology"
+        )]
         while let Some((parent, link)) = self.prev[cur.index()] {
             nodes.push(parent);
             links.push(link);
@@ -151,6 +167,10 @@ pub fn dijkstra(
 /// # Errors
 ///
 /// Same conditions as [`dijkstra`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`dist`, `prev` and `settled` are sized by `node_count`; `try_node` checked `source`, and neighbours come from the same topology's CSR"
+)]
 pub fn dijkstra_with_scratch(
     topology: &Topology,
     weights: &LinkWeights,
@@ -218,6 +238,10 @@ pub fn dijkstra_with_trace(
     Ok((paths, trace))
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`dist`, `prev` and `settled` are sized by `node_count`; `try_node` checked `source`, and neighbours come from the same topology's CSR"
+)]
 fn run(
     topology: &Topology,
     weights: &LinkWeights,
@@ -301,6 +325,10 @@ fn label_path(
     let mut nodes = vec![target];
     let mut cur = target;
     while cur != source {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`prev` holds one entry per node of the searched topology"
+        )]
         match prev[cur.index()] {
             Some((parent, _)) => {
                 nodes.push(parent);

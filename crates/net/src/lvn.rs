@@ -91,6 +91,10 @@ impl LvnParams {
     /// # Panics
     ///
     /// Panics if `normalization_constant` is not strictly positive.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: the normalization constant is positive and finite; a typed error is ROADMAP 4(a)"
+    )]
     pub fn with_normalization(normalization_constant: f64) -> Self {
         assert!(
             normalization_constant > 0.0 && normalization_constant.is_finite(),
@@ -139,6 +143,10 @@ impl LinkWeights {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the weighted topology"
+    )]
     pub fn weight(&self, link: LinkId) -> f64 {
         self.weights[link.index()]
     }
@@ -148,6 +156,10 @@ impl LinkWeights {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the weighted topology"
+    )]
     pub fn set_weight(&mut self, link: LinkId, weight: f64) {
         self.weights[link.index()] = weight;
     }
@@ -329,6 +341,10 @@ impl<'a> LvnComputer<'a> {
     /// derived once, by the same adjacency-order sums as
     /// [`Self::node_validation`], so every weight is bit-identical to
     /// [`Self::lvn`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`nv` holds one validation per node of the same topology"
+    )]
     pub fn weights(&self) -> LinkWeights {
         let nv: Vec<f64> = self
             .topology

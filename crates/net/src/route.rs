@@ -25,6 +25,10 @@ impl Route {
     /// # Panics
     ///
     /// Panics if `nodes` is empty or `links.len() + 1 != nodes.len()`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: a route has at least one node, and `links.len() + 1` nodes; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(nodes: Vec<NodeId>, links: Vec<LinkId>, cost: f64) -> Self {
         assert!(!nodes.is_empty(), "a route has at least one node");
         assert_eq!(
@@ -45,6 +49,10 @@ impl Route {
     }
 
     /// First node of the route.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Route::new` asserts a route has at least one node"
+    )]
     pub fn source(&self) -> NodeId {
         self.nodes[0]
     }
@@ -82,6 +90,10 @@ impl Route {
 
     /// Checks this route is well-formed in `topology`: consecutive nodes
     /// joined by the listed links.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` indexes `links`, and `nodes` holds `links.len() + 1` entries"
+    )]
     pub fn is_valid_in(&self, topology: &Topology) -> bool {
         self.links.iter().enumerate().all(|(i, &link)| {
             topology

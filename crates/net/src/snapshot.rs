@@ -189,6 +189,10 @@ impl TrafficSnapshot {
     /// Panics if `link` is out of range for the topology this snapshot was
     /// created from.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per-link vectors are sized by `link_count`; `link` belongs to the snapshot's topology"
+    )]
     pub fn set_used(&mut self, link: LinkId, used: Mbps) {
         self.used[link.index()] = used;
         self.version += 1;
@@ -199,6 +203,10 @@ impl TrafficSnapshot {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the snapshot's topology"
+    )]
     pub fn add_used(&mut self, link: LinkId, delta: Mbps) {
         self.used[link.index()] += delta;
         self.version += 1;
@@ -211,6 +219,10 @@ impl TrafficSnapshot {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the snapshot's topology"
+    )]
     pub fn set_explicit_utilization(&mut self, link: LinkId, utilization: Fraction) {
         self.explicit_utilization[link.index()] = Some(utilization);
         self.version += 1;
@@ -223,6 +235,10 @@ impl TrafficSnapshot {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the snapshot's topology"
+    )]
     pub fn set_admin_down(&mut self, link: LinkId, down: bool) {
         if self.admin_down[link.index()] != down {
             self.admin_down[link.index()] = down;
@@ -236,6 +252,10 @@ impl TrafficSnapshot {
     ///
     /// Panics if `link` is out of range.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the snapshot's topology"
+    )]
     pub fn is_admin_down(&self, link: LinkId) -> bool {
         self.admin_down[link.index()]
     }
@@ -246,6 +266,10 @@ impl TrafficSnapshot {
     ///
     /// Panics if `link` is out of range.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the snapshot's topology"
+    )]
     pub fn used(&self, link: LinkId) -> Mbps {
         self.used[link.index()]
     }
@@ -260,6 +284,10 @@ impl TrafficSnapshot {
     /// was built for a different topology.
     #[inline]
     pub fn utilization(&self, topology: &Topology, link: LinkId) -> Fraction {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented panic: `link` belongs to the snapshot's topology"
+        )]
         if let Some(explicit) = self.explicit_utilization[link.index()] {
             return explicit;
         }

@@ -334,10 +334,18 @@ impl Grnet {
     pub fn new() -> Self {
         let mut b = TopologyBuilder::new();
         let mut nodes = [NodeId::new(0); 6];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`GrnetNode::position` is below 6, the array's length"
+        )]
         for n in GrnetNode::ALL {
             nodes[n.position()] = b.add_node(n.u_label());
         }
         let mut links = [LinkId::new(0); 7];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`GrnetNode::position` is below 6 and `GrnetLink::position` below 7, the arrays' lengths"
+        )]
         #[expect(clippy::expect_used, reason = "GRNET links are well-formed")]
         for l in GrnetLink::ALL {
             let (a, c) = l.endpoints();
@@ -358,11 +366,19 @@ impl Grnet {
     }
 
     /// The [`NodeId`] of a GRNET city.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`GrnetNode::position` is below 6, the array's length"
+    )]
     pub fn node(&self, node: GrnetNode) -> NodeId {
         self.nodes[node.position()]
     }
 
     /// The [`LinkId`] of a GRNET backbone link.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`GrnetLink::position` is below 7, the array's length"
+    )]
     pub fn link(&self, link: GrnetLink) -> LinkId {
         self.links[link.position()]
     }
@@ -378,6 +394,10 @@ impl Grnet {
     }
 
     /// The Table 2 reading for one link at one time.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Table 2 has a row per `GrnetLink::position` and a column per `TimeOfDay::column`"
+    )]
     pub fn table2(&self, link: GrnetLink, time: TimeOfDay) -> Table2Cell {
         TABLE2[link.position()][time.column()]
     }
@@ -402,6 +422,10 @@ impl Grnet {
     /// printed.
     pub fn paper_table3_weights(&self, time: TimeOfDay) -> LinkWeights {
         let mut w = vec![0.0; self.topology.link_count()];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "Table 3 has a row per `GrnetLink::position` and a column per `TimeOfDay::column`; `w` is sized by the GRNET link count"
+        )]
         for l in GrnetLink::ALL {
             w[self.link(l).index()] = TABLE3_LVN[l.position()][time.column()];
         }
@@ -409,6 +433,10 @@ impl Grnet {
     }
 
     /// The paper's published Table 3 LVN for one link and time.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Table 3 has a row per `GrnetLink::position` and a column per `TimeOfDay::column`"
+    )]
     pub fn paper_table3_lvn(&self, link: GrnetLink, time: TimeOfDay) -> f64 {
         TABLE3_LVN[link.position()][time.column()]
     }

@@ -10,11 +10,19 @@ use crate::units::Mbps;
 /// # Panics
 ///
 /// Panics if `n == 0`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "config validation: a line needs at least one node; a typed error is ROADMAP 4(a)"
+)]
 pub fn line(n: usize, capacity: Mbps) -> Topology {
     assert!(n > 0, "a line needs at least one node");
     let mut b = TopologyBuilder::new();
     let nodes: Vec<_> = (0..n).map(|i| b.add_node(format!("v{i}"))).collect();
     for i in 1..n {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`1 <= i < n`, the length of `nodes`"
+        )]
         #[expect(clippy::expect_used, reason = "line links are well-formed")]
         b.add_link(nodes[i - 1], nodes[i], capacity)
             .expect("line links are well-formed");

@@ -26,6 +26,10 @@ pub const CAPACITY_TIERS: [f64; 4] = [2.0, 18.0, 34.0, 155.0];
 /// # Panics
 ///
 /// Panics if `n == 0` or `p` is not within `[0, 1]`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "config validation: at least one node and `p` in [0, 1]; a typed error is ROADMAP 4(a)"
+)]
 pub fn connected_gnp(n: usize, p: f64, seed: u64) -> Topology {
     assert!(n > 0, "need at least one node");
     assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
@@ -37,6 +41,10 @@ pub fn connected_gnp(n: usize, p: f64, seed: u64) -> Topology {
     // random earlier node.
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`order` and `nodes` hold `n` entries and `order` is a permutation of `0..n`"
+    )]
     for i in 1..n {
         let parent = order[rng.gen_range(0..i)];
         let child = order[i];
@@ -45,6 +53,10 @@ pub fn connected_gnp(n: usize, p: f64, seed: u64) -> Topology {
             .expect("spanning tree links are distinct");
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i < j < n`, the length of `nodes`"
+    )]
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.gen_bool(p) {

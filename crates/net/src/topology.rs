@@ -60,6 +60,10 @@ pub struct Topology {
 /// same order the old per-node `Vec<Incidence>` lists had, which keeps
 /// relaxation order (and therefore float summation and tie-breaking)
 /// bit-identical.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "CSR: `offsets` holds `node_count + 1` entries (`offsets[link.a().index() + 1]`, `offsets[link.b().index() + 1]`, `offsets[i + 1] += offsets[i]`) and each cursor stays below its node's prefix sum (`entries[cursor[a] as usize]`, `entries[cursor[b] as usize]`)"
+)]
 fn build_csr(node_count: usize, links: &[Link]) -> (Vec<u32>, Vec<Incidence>) {
     let mut offsets = vec![0u32; node_count + 1];
     for link in links {
@@ -123,6 +127,10 @@ impl Topology {
     ///
     /// Panics if `id` does not belong to this topology.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `id` belongs to this topology"
+    )]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
@@ -133,6 +141,10 @@ impl Topology {
     ///
     /// Panics if `id` does not belong to this topology.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `id` belongs to this topology"
+    )]
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
     }
@@ -178,6 +190,10 @@ impl Topology {
     ///
     /// Panics if `node` does not belong to this topology.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic for a foreign node; the CSR holds `node_count + 1` offsets, so `adj_offsets[node.index() + 1]` is in range"
+    )]
     pub fn adjacent(&self, node: NodeId) -> &[Incidence] {
         let start = self.adj_offsets[node.index()] as usize;
         let end = self.adj_offsets[node.index() + 1] as usize;
@@ -201,6 +217,10 @@ impl Topology {
     /// Returns true if every node can reach every other node.
     ///
     /// An empty topology is considered connected.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`seen` holds one flag per node, and node 0 exists because `nodes` is non-empty"
+    )]
     pub fn is_connected(&self) -> bool {
         if self.nodes.is_empty() {
             return true;

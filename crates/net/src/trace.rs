@@ -93,6 +93,10 @@ impl DijkstraTrace {
                 ),
             ];
             for &t in &targets {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`labels` holds one entry per node of the traced topology"
+                )]
                 let label = &step.labels[t.index()];
                 match label.dist {
                     Some(d) => {
@@ -136,8 +140,16 @@ pub(crate) fn render_table(rows: &[Vec<String>]) -> String {
     if rows.is_empty() {
         return String::new();
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`rows` is non-empty (checked above)"
+    )]
     let cols = rows[0].len();
     let mut widths = vec![0usize; cols];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the table is rectangular: every row has `cols` cells"
+    )]
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
@@ -146,6 +158,10 @@ pub(crate) fn render_table(rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     for (r, row) in rows.iter().enumerate() {
         for (i, cell) in row.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the table is rectangular: every row has `cols` cells"
+            )]
             let _ = write!(out, "| {:width$} ", cell, width = widths[i]);
         }
         out.push_str("|\n");

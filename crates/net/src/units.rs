@@ -141,6 +141,10 @@ impl Sub for Mbps {
     /// Panics (in debug builds) if the result would be negative; use
     /// [`Mbps::saturating_sub`] when underflow is expected.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug check: `Mbps` subtraction never underflows (`saturating_sub` is for when it may)"
+    )]
     fn sub(self, rhs: Mbps) -> Mbps {
         debug_assert!(
             self.0 >= rhs.0,

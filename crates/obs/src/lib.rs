@@ -56,6 +56,8 @@
 //! the guarded path at ≈0 ns/event).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
+#![cfg_attr(test, allow(clippy::indexing_slicing, clippy::disallowed_macros))]
 #![warn(missing_docs)]
 
 pub mod event;

@@ -40,6 +40,7 @@ static DIGIT_PAIRS: [[u8; 2]; 100] = digit_pairs();
 const fn digit_pairs() -> [[u8; 2]; 100] {
     let mut pairs = [[0; 2]; 100];
     let mut i = 0;
+    #[expect(clippy::indexing_slicing, reason = "`i < 100`, the table's length")]
     while i < 100 {
         pairs[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
         i += 1;
@@ -137,6 +138,10 @@ impl Digits {
             let low = (rest % 100_000_000) as u32;
             rest /= 100_000_000;
             let (high4, low4) = (low / 10_000, low % 10_000);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "every pair is below 100 (a quotient or remainder of four digits by 100), the table's length"
+            )]
             for (slot, pair) in
                 chunk
                     .iter_mut()
@@ -192,6 +197,10 @@ fn shortest(ieee_mantissa: u64, ieee_exponent: u32) -> (u64, i32) {
         let k = POW5_INV_BITCOUNT + pow5_bits(q as i32) - 1;
         let shift = (-e2 + q as i32 + k) as u32;
         // q ≤ log10(2^969) = 291 < 342.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`q <= 291 < 342`, the table's length (see above)"
+        )]
         let mul = POW5_INV_SPLIT[q as usize];
         vr = mul_shift(mv, mul, shift);
         vp = mul_shift(mp, mul, shift);
@@ -213,6 +222,10 @@ fn shortest(ieee_mantissa: u64, ieee_exponent: u32) -> (u64, i32) {
         let k = pow5_bits(i) - POW5_BITCOUNT;
         let shift = (q as i32 - k) as u32;
         // i ≤ 1076 − log10(5^1076) = 325 < 326.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i <= 325 < 326`, the table's length (see above)"
+        )]
         let mul = POW5_SPLIT[i as usize];
         vr = mul_shift(mv, mul, shift);
         vp = mul_shift(mp, mul, shift);

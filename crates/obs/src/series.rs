@@ -571,6 +571,10 @@ impl TimeSeriesSink {
     /// # Panics
     ///
     /// Panics if `window` is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `TimeSeriesSink window must be non-zero`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn with_window(window: SimDuration) -> Self {
         let width_us = window.as_micros();
         assert!(width_us > 0, "TimeSeriesSink window must be non-zero");

@@ -90,6 +90,10 @@ impl RingRecorder {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `flight recorder capacity must be positive`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight recorder capacity must be positive");
         RingRecorder {
@@ -139,6 +143,10 @@ impl RingRecorder {
 }
 
 impl EventSink for RingRecorder {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "once the ring is full, `head < capacity == entries.len()`"
+    )]
     fn record(&mut self, at: SimTime, event: &Event) {
         if self.entries.len() < self.capacity {
             self.entries.push((at, event.clone()));

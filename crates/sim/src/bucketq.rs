@@ -79,6 +79,10 @@ const WHOLE_BUCKET: usize = 256;
 
 // A bucket that holds the whole queue is folded before it could be moved
 // whole, so a shallow queue never has a run.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "compile-time check: a bucket holding the whole queue is folded before it could move whole"
+)]
 const _: () = assert!(WHOLE_BUCKET < FOLD_BELOW);
 
 /// A bucket being split gives its buffer back this many entries at a

@@ -135,6 +135,10 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Processes the next event if it is due by `deadline`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "per-event contract `at >= self.now`: an event scheduled in the past means the simulator itself is broken"
+    )]
     fn step_by(&mut self, deadline: SimTime) -> bool {
         let Some((at, event)) = self.next_event_by(deadline) else {
             return false;

@@ -256,6 +256,10 @@ fn remaining_at(remaining_mbit: f64, synced_at: u64, rate: Mbps, clock_us: u64) 
 /// anchored like this reaches the completion epsilon. Zero-rate flows
 /// never finish (`None`) — except ones already at the epsilon (float
 /// dust), which are due immediately so the next advance collects them.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "debug check: divides only by a rate checked > 0.0"
+)]
 fn predicted_finish(remaining_mbit: f64, synced_at: u64, rate: Mbps) -> Option<f64> {
     let sync_secs = synced_at as f64 / 1e6;
     let rate = rate.as_f64();
@@ -564,6 +568,10 @@ impl FlowNetwork {
         I: IntoIterator<Item = (LinkId, Mbps)>,
     {
         let mut changed = false;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "per-link vectors are sized by `link_count`; every background link belongs to the network's topology"
+        )]
         for (link, load) in loads {
             let slot = &mut self.background[link.index()];
             changed |= slot.as_f64().to_bits() != load.as_f64().to_bits();
@@ -577,6 +585,10 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the network's topology"
+    )]
     pub fn background(&self, link: LinkId) -> Mbps {
         self.background[link.index()]
     }
@@ -588,6 +600,10 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the network's topology"
+    )]
     pub fn set_link_admin_down(&mut self, link: LinkId, down: bool) {
         let changed = self.admin_down[link.index()] != down;
         self.admin_down[link.index()] = down;
@@ -601,6 +617,14 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `link` is out of range or `scale` is not in `[0, 1]`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `(0.0..=1.0).contains(&scale)` is the caller's contract"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the network's topology"
+    )]
     pub fn set_link_capacity_scale(&mut self, link: LinkId, scale: f64) {
         assert!(
             scale.is_finite() && (0.0..=1.0).contains(&scale),
@@ -619,6 +643,10 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `unknown link` is a caller bug"
+    )]
     pub fn flows_crossing(&self, link: LinkId) -> impl Iterator<Item = FlowId> + '_ {
         assert!(link.index() < self.topology.link_count(), "unknown link");
         self.slab
@@ -803,6 +831,10 @@ impl FlowNetwork {
         self.slab.get(pos)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a flow's `class` names a slot of `classes` for as long as the flow lives"
+    )]
     fn class_links(&self, flow: &NetFlow) -> &[LinkId] {
         &self.classes[flow.class as usize].links
     }
@@ -933,6 +965,10 @@ impl FlowNetwork {
             done.extend(finished.map(|f| f.id));
             // Only a network completion releases link bandwidth (the
             // allocation goes stale); local completions never perturb it.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`local_done` is `done.len()` before the network completions were appended"
+            )]
             for &id in &done[local_done..] {
                 self.take_net_flow(id);
             }
@@ -962,6 +998,14 @@ impl FlowNetwork {
     }
 
     /// [`FlowNetwork::link_flow_load`] of link `i` on a settled network.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug check: the per-settle sums never drift negative"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is a link index below `link_count`, the length of `link_loads`"
+    )]
     fn flow_load(&self, i: usize) -> Mbps {
         let raw = self.link_loads[i];
         // The sums are rebuilt from scratch by every settle (and zeroed
@@ -972,6 +1016,10 @@ impl FlowNetwork {
     }
 
     /// [`FlowNetwork::link_total_load`] of link `i` on a settled network.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i` is a link index below `link_count`, the length of `background`"
+    )]
     fn total_load(&self, i: usize) -> Mbps {
         self.background[i] + self.flow_load(i)
     }
@@ -983,6 +1031,10 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the network's topology"
+    )]
     pub fn link_cumulative_mbit(&self, link: LinkId) -> f64 {
         self.link_cumulative_mbit[link.index()]
     }
@@ -1007,6 +1059,10 @@ impl FlowNetwork {
     /// # Panics
     ///
     /// Panics if `snap` was built for a different topology.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `snap.link_count()` must match the network's topology"
+    )]
     pub fn snapshot_into(&mut self, snap: &mut TrafficSnapshot) {
         assert_eq!(
             snap.link_count(),
@@ -1028,6 +1084,10 @@ impl FlowNetwork {
     /// counters anyway, so skipping them is bit-exact.
     fn integrate(&mut self, dt: SimDuration) {
         let secs = dt.as_secs_f64();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`active_links` lists link indices below `link_count`"
+        )]
         for k in 0..self.active_links.len() {
             let i = self.active_links[k] as usize;
             self.link_cumulative_mbit[i] += self.total_load(i).as_f64() * secs;
@@ -1037,6 +1097,10 @@ impl FlowNetwork {
     /// The class following `route` (non-empty), one member larger: the
     /// existing one (possibly emptied since the last settle), else a new
     /// one in a retired or fresh slot. The allocation goes stale.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "route links belong to the topology, and class ids name slots of `classes`"
+    )]
     fn join_class(&mut self, route: &[LinkId]) -> u32 {
         let crossing_first = route.first().map(|l| &self.link_classes[l.index()]);
         let existing = crossing_first.and_then(|list| {
@@ -1071,6 +1135,10 @@ impl FlowNetwork {
     /// Removes `id` from the slab and from its class. The allocation
     /// goes stale; an emptied class stays listed on its links until the
     /// settle, for a flow added by then along the same route to rejoin.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a flow's `class` names a slot of `classes` for as long as the flow lives"
+    )]
     fn take_net_flow(&mut self, id: FlowId) -> Option<NetFlow> {
         let pos = self.slab.binary_search_by_key(&id, |f| f.id).ok()?;
         let flow = self.slab.remove(pos);
@@ -1152,6 +1220,10 @@ impl FlowNetwork {
         self.stats.settles += 1;
         let mut moved = std::mem::take(&mut self.capacity_moved);
         let mut touched = std::mem::take(&mut self.touched_classes);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "touched class ids name slots of `classes`, and class links belong to the topology"
+        )]
         for c in touched.drain(..) {
             let class = &mut self.classes[c as usize];
             moved |= class.members != class.filled_members;
@@ -1192,6 +1264,14 @@ impl FlowNetwork {
     /// visits only the classes on the links that saturated: `O(rounds ×
     /// (crossed links + classes on saturated links))`, independent of
     /// the number of flows and of the size of the topology.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug check: a non-finite increment only once no counted link is live"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pos` is sized by `link_count`, a row indexes `live`/`cap`/`count` while `pos` lists it, and class ids name slots of `classes`"
+    )]
     fn fill_classes(&mut self) {
         let FlowNetwork {
             topology,
@@ -1336,6 +1416,10 @@ impl FlowNetwork {
         self.net_due_secs = f64::INFINITY;
         self.net_next = None;
         let mut next_finish = f64::INFINITY;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a flow's `class` names a slot of `classes`, and class links belong to the topology"
+        )]
         for (slot, flow) in self.slab.iter_mut().enumerate() {
             let class = &self.classes[flow.class as usize];
             if flow.rate != class.rate {

@@ -24,6 +24,10 @@ pub struct Summary {
 
 impl Summary {
     /// Computes a summary from values (NaNs are ignored).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`v` is non-empty (checked above), so `v[0]` and `v[count - 1]` exist"
+    )]
     pub fn from_values<I: IntoIterator<Item = f64>>(values: I) -> Self {
         let mut v: Vec<f64> = values.into_iter().filter(|x| !x.is_nan()).collect();
         if v.is_empty() {
@@ -119,6 +123,10 @@ impl Histogram {
     /// Panics when `min_value` is not finite and positive, `octaves` is
     /// zero, or `sub_per_octave` is not a power of two (the sub-bucket
     /// index is taken from the top mantissa bits).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `min_value must be finite and positive`, `histogram needs at least one octave`, `sub_per_octave must be a power of two`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(min_value: f64, octaves: u32, sub_per_octave: u32) -> Self {
         assert!(
             min_value.is_finite() && min_value > 0.0,
@@ -147,6 +155,10 @@ impl Histogram {
     }
 
     /// Records `n` occurrences of `value` (NaNs are ignored).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`bucket_index` returns an index below `counts.len()`"
+    )]
     pub fn record_n(&mut self, value: f64, n: u64) {
         if value.is_nan() || n == 0 {
             return;
@@ -206,6 +218,10 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics when `q` is outside `[0, 1]`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: the quantile rank lies in [0, 1]"
+    )]
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile rank out of range");
         if self.count == 0 {
@@ -298,6 +314,14 @@ impl Histogram {
 /// # Panics
 ///
 /// Panics if `sorted` is empty or `p` is outside `[0, 1]`.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "documented panic: non-empty data and a rank in [0, 1]"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`rank` is clamped to `1..=sorted.len()`"
+)]
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty data");
     assert!((0.0..=1.0).contains(&p), "percentile rank out of range");

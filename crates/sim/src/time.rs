@@ -57,6 +57,10 @@ impl SimTime {
     /// Panics in debug builds if `earlier` is later than `self`; saturates
     /// to zero in release builds.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug check: `earlier` is not later than `self` (release builds saturate)"
+    )]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         debug_assert!(earlier <= self, "duration_since with a later instant");
         SimDuration(self.0.saturating_sub(earlier.0))
@@ -134,6 +138,10 @@ impl SimDuration {
     ///
     /// Panics if `secs` is negative, NaN or too large for the clock.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `secs.is_finite() && secs >= 0.0` and within the clock's range"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0 && secs < u64::MAX as f64 / 1e6,
@@ -207,6 +215,10 @@ impl Sub for SimDuration {
     /// release builds (use [`SimDuration::saturating_sub`] to opt in
     /// explicitly).
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug check: durations never underflow (release builds saturate)"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         debug_assert!(rhs <= self, "duration subtraction underflow");
         self.saturating_sub(rhs)

@@ -92,6 +92,10 @@ impl DiurnalProfile {
     /// # Panics
     ///
     /// Panics if `points` is empty or any hour is outside `[0, 24)`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `a profile needs at least one point` and no hour `outside [0, 24)`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(points: Vec<(f64, Mbps)>) -> Self {
         assert!(!points.is_empty(), "a profile needs at least one point");
         for (h, _) in &points {
@@ -132,6 +136,10 @@ impl DiurnalProfile {
     /// # Panics
     ///
     /// Panics if `hour` is negative, NaN or infinite.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: the hour is finite and non-negative"
+    )]
     pub fn sample(&self, hour: f64) -> Mbps {
         assert!(hour.is_finite() && hour >= 0.0, "invalid hour {hour}");
         self.sample_wrapped(hour % 24.0)
@@ -207,6 +215,10 @@ impl BackgroundModel {
     /// interpolates through its four recorded readings.
     pub fn grnet_table2(grnet: &Grnet) -> Self {
         let mut profiles = vec![DiurnalProfile::constant(Mbps::ZERO); 7];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "Table 2 has a row per GRNET link and a column per time of day; `profiles` holds the 7 GRNET links"
+        )]
         for link in GrnetLink::ALL {
             let points = TimeOfDay::ALL
                 .iter()
@@ -230,6 +242,10 @@ impl BackgroundModel {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the modelled topology"
+    )]
     pub fn load_at(&self, link: LinkId, at: SimTime) -> Mbps {
         self.profiles[link.index()].sample_at(at)
     }
@@ -240,6 +256,10 @@ impl BackgroundModel {
     /// # Panics
     ///
     /// Panics if `net`'s topology has a different number of links.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `net.topology().link_count()` must match the profiles"
+    )]
     pub fn apply(&self, net: &mut FlowNetwork, at: SimTime) {
         assert_eq!(
             net.topology().link_count(),

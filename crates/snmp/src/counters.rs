@@ -35,6 +35,10 @@ impl CounterBank {
     /// # Panics
     ///
     /// Panics if `link` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the polled topology"
+    )]
     pub fn total_mbit(&self, link: LinkId) -> f64 {
         self.accumulated_mbit[link.index()]
     }
@@ -44,6 +48,14 @@ impl CounterBank {
     /// # Panics
     ///
     /// Panics if `link` is out of range or `volume_mbit` is negative/NaN.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: counter increments are finite and non-negative"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `link` belongs to the polled topology"
+    )]
     pub fn add(&mut self, link: LinkId, volume_mbit: f64) {
         assert!(
             volume_mbit.is_finite() && volume_mbit >= 0.0,
@@ -59,6 +71,10 @@ impl CounterBank {
     /// # Panics
     ///
     /// Panics if `net` covers a different number of links.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `net.topology().link_count()` must match the counter bank"
+    )]
     pub fn accumulate(&mut self, net: &mut FlowNetwork, dt: SimDuration) {
         assert_eq!(
             net.topology().link_count(),
@@ -66,6 +82,10 @@ impl CounterBank {
             "counter bank does not match topology"
         );
         let secs = dt.as_secs_f64();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i` ranges over `0..accumulated_mbit.len()`"
+        )]
         for i in 0..self.accumulated_mbit.len() {
             let link = LinkId::new(i as u32);
             self.accumulated_mbit[i] += net.link_total_load(link).as_f64() * secs;
@@ -82,12 +102,20 @@ impl CounterBank {
     ///
     /// Panics if `net` covers a different number of links, or if a
     /// counter would move backwards.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `net.topology().link_count()` must match the counter bank, and `SNMP counters are monotone`"
+    )]
     pub fn sync_from_network(&mut self, net: &FlowNetwork) {
         assert_eq!(
             net.topology().link_count(),
             self.accumulated_mbit.len(),
             "counter bank does not match topology"
         );
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i` ranges over `0..accumulated_mbit.len()`"
+        )]
         for i in 0..self.accumulated_mbit.len() {
             let total = net.link_cumulative_mbit(LinkId::new(i as u32));
             assert!(
@@ -106,12 +134,20 @@ impl CounterBank {
     /// # Panics
     ///
     /// Panics if `link` is out of range or the counter went backwards.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "per-poll contract `delta >= -1e-9`: SNMP counters are monotone"
+    )]
     pub fn average_rate_since(
         &self,
         link: LinkId,
         baseline_mbit: f64,
         elapsed: SimDuration,
     ) -> Mbps {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "documented panic: `link` belongs to the polled topology"
+        )]
         let delta = self.accumulated_mbit[link.index()] - baseline_mbit;
         assert!(delta >= -1e-9, "SNMP counters are monotone");
         let secs = elapsed.as_secs_f64();

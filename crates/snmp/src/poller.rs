@@ -68,12 +68,20 @@ impl SnmpSystem {
     /// # Panics
     ///
     /// Panics if `interval` is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `polling interval must be positive`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(topology: &Topology, interval: SimDuration) -> Self {
         assert!(!interval.is_zero(), "polling interval must be positive");
         let counters = CounterBank::new(topology.link_count());
         let baseline = counters.snapshot();
         let agents = ServerAgent::all_servers(topology);
         let mut reporters = vec![0; topology.link_count()];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`reporters` is sized by `link_count`, and agents report links of the same topology"
+        )]
         for link in agents.iter().flat_map(ServerAgent::links) {
             reporters[link.index()] += 1;
         }

@@ -23,6 +23,10 @@ impl ClusterSize {
     /// # Panics
     ///
     /// Panics if `size` is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `cluster size must be positive`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(size: Megabytes) -> Self {
         assert!(!size.is_zero(), "cluster size must be positive");
         ClusterSize(size)
@@ -49,6 +53,10 @@ impl ClusterSize {
     /// # Panics
     ///
     /// Panics if `index >= self.parts(video_size)`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `index < p` is the caller's contract"
+    )]
     pub fn part_size(self, video_size: Megabytes, index: usize) -> Megabytes {
         let p = self.parts(video_size);
         assert!(index < p, "part index {index} out of range (p = {p})");

@@ -91,6 +91,7 @@ impl DiskArray {
     /// Returns true if `video` would fit right now — the pseudocode's
     /// *"IF (Disks can tolerate the Video)"* check. Because parts are
     /// placed cyclically, each disk must fit its own share of parts.
+    #[expect(clippy::indexing_slicing, reason = "`d` ranges over `0..disks.len()`")]
     pub fn can_tolerate(&self, video: &VideoMeta) -> bool {
         let layout = StripeLayout::for_video(video.size(), self.cluster, self.disks.len());
         (0..self.disks.len()).all(|d| {
@@ -119,6 +120,7 @@ impl DiskArray {
         }
         for d in 0..self.disks.len() {
             let share = self.share_of_disk(&layout, video.size(), d);
+            #[expect(clippy::indexing_slicing, reason = "`d` ranges over `0..disks.len()`")]
             #[expect(clippy::expect_used, reason = "`can_tolerate` checked every disk")]
             self.disks[d]
                 .allocate(share)
@@ -144,6 +146,7 @@ impl DiskArray {
             .stored
             .remove(&video)
             .ok_or(StorageError::UnknownVideo(video))?;
+        #[expect(clippy::indexing_slicing, reason = "`d` ranges over `0..disks.len()`")]
         for d in 0..self.disks.len() {
             let share = self.share_of_disk(&stored.layout, stored.size, d);
             self.disks[d].release(share);

@@ -37,6 +37,10 @@ impl DistributedLayout {
     ///
     /// Panics if `parts` or `server_count` is zero, `max_replicas` is
     /// zero, or `popularity` is outside `[0, 1]`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: at least one part, server and replica, and a popularity in [0, 1]; a typed error is ROADMAP 4(a)"
+    )]
     pub fn by_popularity(
         parts: usize,
         server_count: usize,
@@ -81,6 +85,10 @@ impl DistributedLayout {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `index` is a part of the video"
+    )]
     pub fn servers_of_part(&self, index: usize) -> &[usize] {
         &self.assignments[index]
     }

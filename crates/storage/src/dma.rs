@@ -287,6 +287,10 @@ impl DmaCache {
     /// Dev-run mirror of the auditor's capacity rule (`vod-check audit`
     /// A001): resident bytes never exceed the array's allocation.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug mirror of audit rule A001: resident bytes never exceed the allocation"
+    )]
     fn debug_check_occupancy(&self) {
         debug_assert!(
             self.array.total_free().as_f64() >= -1e-9,
@@ -297,6 +301,10 @@ impl DmaCache {
 
     /// Figure 2 verbatim: one comparison against the least popular
     /// resident, one deletion, one re-check.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug mirror of audit rule A003: the victim is a least-popular resident, colder than the newcomer"
+    )]
     fn evict_single_attempt(&mut self, video: &VideoMeta, points: u64) -> DmaDecision {
         let victim = match self.tracker.least_popular(self.array.stored_ids()) {
             Some(v) => v,

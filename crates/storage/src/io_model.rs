@@ -38,6 +38,10 @@ impl DiskIoModel {
     ///
     /// Panics if `seek_ms` is negative or `transfer_mb_per_s` is not
     /// strictly positive.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `invalid seek time`, and `transfer_mb_per_s > 0.0`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(seek_ms: f64, transfer_mb_per_s: f64) -> Self {
         assert!(seek_ms >= 0.0 && seek_ms.is_finite(), "invalid seek time");
         assert!(

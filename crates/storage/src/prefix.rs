@@ -433,6 +433,10 @@ impl PrefixStore {
     /// Dev-run mirror of the auditor's capacity rule (A014): resident
     /// prefix bytes never exceed the store's allocation.
     #[inline]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug mirror of audit rule A014: resident prefix bytes never exceed the allocation"
+    )]
     fn debug_check_occupancy(&self) {
         debug_assert!(
             self.occupied_mb <= self.config.capacity.as_f64() + 1e-9,

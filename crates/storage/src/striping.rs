@@ -36,6 +36,10 @@ impl StripeLayout {
     /// # Panics
     ///
     /// Panics if `disk_count` or `parts` is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `striping needs at least one disk` and `a video has at least one part`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn cyclic(parts: usize, disk_count: usize) -> Self {
         assert!(disk_count > 0, "striping needs at least one disk");
         assert!(parts > 0, "a video has at least one part");

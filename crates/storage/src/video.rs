@@ -136,6 +136,10 @@ impl VideoMeta {
     ///
     /// Panics if `bitrate_mbps` is not strictly positive and finite, or if
     /// `size` is zero.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `bitrate must be positive` and `a video has a positive size`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(id: VideoId, title: impl Into<String>, size: Megabytes, bitrate_mbps: f64) -> Self {
         assert!(
             bitrate_mbps.is_finite() && bitrate_mbps > 0.0,

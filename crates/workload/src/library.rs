@@ -56,6 +56,10 @@ impl LibraryGenerator {
     ///
     /// Panics if the config is inconsistent (no titles, min > max,
     /// non-positive sizes or bitrate).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `need at least one title`, `config.min_size_mb > 0.0` and below the max, no `invalid bitrate`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(config: LibraryConfig) -> Self {
         assert!(config.titles > 0, "need at least one title");
         assert!(

@@ -131,6 +131,10 @@ impl Scenario {
     /// local) and the event-driven flow kernel to hold 10⁵+ concurrent
     /// sessions; the arrival count is Poisson around the target
     /// (deterministic per seed).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: at least one session; a typed error is ROADMAP 4(a)"
+    )]
     pub fn scale_stress(seed: u64, target_sessions: usize) -> Self {
         assert!(target_sessions > 0, "need at least one session");
         let grnet = Grnet::new();

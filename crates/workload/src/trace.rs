@@ -123,6 +123,10 @@ impl TraceConfig {
     ///
     /// Panics if the library is empty, the topology has no video-server
     /// nodes, or explicit client weights are empty / non-positive.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: a non-empty library, servers to request from, and usable client weights; a typed error is ROADMAP 4(a)"
+    )]
     pub fn generate(&self, topology: &Topology, library: &VideoLibrary, seed: u64) -> RequestTrace {
         assert!(!library.is_empty(), "library must not be empty");
         let origins: Vec<(NodeId, f64)> = match &self.client_weights {
@@ -157,6 +161,10 @@ impl TraceConfig {
             }
             let rank = zipf.sample(&mut rng);
             let client = pick_weighted(&origins, total_weight, &mut rng);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the Zipf sampler draws a rank below `library.len()`, the length of `ids`"
+            )]
             requests.push(Request {
                 at: t,
                 client,

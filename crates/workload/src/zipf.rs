@@ -40,6 +40,10 @@ impl Zipf {
     ///
     /// Panics if `n == 0`, or if `s` is negative, NaN or infinite.
     #[expect(clippy::expect_used, reason = "`n > 0` is asserted on entry")]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "config validation: `Zipf needs at least one rank` and the `skew must be non-negative`; a typed error is ROADMAP 4(a)"
+    )]
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s.is_finite() && s >= 0.0, "skew must be non-negative");
@@ -63,6 +67,14 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `k >= n`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: the rank is below `n`"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`k < n`, the length of `cdf` (asserted above)"
+    )]
     pub fn pmf(&self, k: usize) -> f64 {
         assert!(k < self.n, "rank out of range");
         if k == 0 {
