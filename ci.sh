@@ -51,7 +51,7 @@ cargo test -q -p vod-integration-tests --test observability
 echo "==> series determinism (golden --series test)"
 cargo test -q -p vod-integration-tests --test series
 
-echo "==> vod-check audit (GRNET case-study trace replays clean)"
+echo "==> vod-check audit --grnet (GRNET case study replays clean in-process through AuditSink; the file audits below cover the JSONL reader)"
 cargo run -q --release -p vod-check -- audit --grnet
 
 echo "==> rustdoc (no broken intra-doc links)"

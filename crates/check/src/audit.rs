@@ -1,15 +1,18 @@
-//! The trace invariant auditor: rules `A000`–`A016` over JSONL traces.
+//! The trace invariant auditor: rules `A000`–`A016` over typed events.
 //!
 //! A trace written by `vod-obs`'s `JsonlWriter` is *self-auditing*: it
 //! opens with the topology, the run configuration, each server's DMA
 //! sizing and the initial placement, and then interleaves every link
-//! state the selector worked from plus every catalog mutation. This
-//! module replays that stream with independent re-implementations of
-//! the paper's algorithms and reports every divergence:
+//! state the selector worked from plus every catalog mutation.
+//! [`AuditSink`] replays that stream with independent re-implementations
+//! of the paper's algorithms and reports every divergence. It is an
+//! [`EventSink`], so a run can be audited in-process; [`audit_trace`]
+//! and the CLI read a JSONL file through [`Event::read_json`] into the
+//! same sink.
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | A000 | well-formed stream: parseable JSON, required fields, preamble first, non-decreasing `at_us` |
+//! | A000 | well-formed stream: every line reads as an event (parseable JSON, the kind's fields), preamble first, non-decreasing `at_us` |
 //! | A001 | DMA occupancy: resident megabytes match the traced occupancy and never exceed `disks × capacity_mb` |
 //! | A002 | DMA admission threshold: admits only after a title's points exceed the threshold (Figure 2) |
 //! | A003 | DMA eviction victim is the least-popular resident, ties to the lowest id |
@@ -21,8 +24,8 @@
 //! | A009 | catalog/residency consistency: hits are resident, selections come from advertising servers, no double add/remove |
 //! | A010 | fault windows: `link_down`/`link_up` pair up, `link_state.down` matches the replayed outage set, and the A005 reference masks down links (no selection routes over them) |
 //! | A011 | retry budget: `session_retry` attempts are 1-based, step by one within an episode, and never exceed `retry_max_attempts` from the run config |
-//! | A012 | abort accounting: every `session_aborted.reason` is a known cause and consistent with the configured budget and the session's observed retries |
-//! | A013 | series reconciliation ([`crate::series`]): a `TimeSeriesSink` export's windows are contiguous and aligned, per-window counter sums equal the raw trace's event counts, and per-link utilization never exceeds capacity |
+//! | A012 | abort accounting: every `session_aborted.reason` is consistent with the configured budget and the session's observed retries |
+//! | A013 | series reconciliation ([`crate::series`]): a `TimeSeriesSink` export's windows are contiguous and aligned, per-window counter sums equal the sink's per-kind event counts, and per-link utilization never exceeds capacity |
 //! | A014 | prefix-store occupancy/residency: replayed occupancy matches the traced `occupancy_mb`, never exceeds the proxy's capacity, and hits/serves/extensions only touch resident prefixes |
 //! | A015 | prefix admission sizing: admits only after points exceed the threshold, stored lengths never exceed the popularity target `min(base + (points−1)/growth, max)`, sizes fit the cluster geometry, and reject reasons respect the gate order |
 //! | A016 | prefix eviction discipline: victims are the least-popular residents (ties to the lowest id), strictly colder than the admitted newcomer, freed space matches the replayed resident size, and every eviction run is immediately followed by its admission |
@@ -39,15 +42,16 @@ use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::node::NodeKind;
 use vod_net::units::Fraction;
 use vod_net::{LinkId, Mbps, NodeId, Topology, TopologyBuilder, TrafficSnapshot};
-
-use serde::Value;
+use vod_obs::{AbortReason, DmaRejectKind, Event, EventSink, ReadError};
+use vod_sim::SimTime;
+use vod_storage::VideoId;
 
 /// One invariant violation, pointing at a trace line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
-    /// The violated rule (`"A000"`…`"A013"`).
+    /// The violated rule (`"A000"`…`"A016"`).
     pub rule: &'static str,
-    /// 1-based line number in the trace.
+    /// 1-based line number in the trace (the event's ordinal).
     pub line: usize,
     /// What diverged.
     pub message: String,
@@ -56,7 +60,7 @@ pub struct Violation {
 /// The outcome of one audit run.
 #[derive(Debug, Default)]
 pub struct AuditSummary {
-    /// Events processed (parseable lines).
+    /// Events replayed, lines of an unknown kind included.
     pub events: usize,
     /// `vra_select` events re-derived against the reference Dijkstra.
     pub selections_verified: usize,
@@ -67,10 +71,17 @@ pub struct AuditSummary {
     /// `prefix_*` decision events replayed against the reference
     /// prefix store (hits, admits, evictions, rejections).
     pub prefix_verified: usize,
-    /// Events whose kind this auditor neither replays nor lists in its
-    /// unaudited set: tolerated (a trace from a newer writer must still
-    /// replay under the invariants known here), but counted.
+    /// Lines whose kind is outside this build's taxonomy: tolerated (a
+    /// trace from a newer writer must still replay under the invariants
+    /// known here), but counted.
     pub unknown_kinds: usize,
+    /// Events replayed per kind, which rule A013 reconciles a series
+    /// against.
+    pub kinds: BTreeMap<&'static str, u64>,
+    /// `vra_select` events flagged `local`.
+    pub vra_local: u64,
+    /// `vra_select` events not flagged `local`.
+    pub vra_remote: u64,
     /// All violations, in trace order.
     pub violations: Vec<Violation>,
 }
@@ -189,13 +200,19 @@ struct PendingSwitch {
     to: u64,
 }
 
+/// The trace auditor as an [`EventSink`]: tee it into a run to audit
+/// the run in-process, or feed it a JSONL file with
+/// [`AuditSink::record_line`]. [`AuditSink::finish`] closes the replay
+/// and returns the findings.
 #[derive(Default)]
-struct Auditor {
+pub struct AuditSink {
+    /// 1-based ordinal of the event being replayed: the JSONL line
+    /// number, as `JsonlWriter` writes one line per event.
+    line: usize,
     topology: Option<Topology>,
     link_capacities: Vec<f64>,
-    saw_run_config: bool,
     lvn_normalization: Option<f64>,
-    retry_max_attempts: Option<u64>,
+    retry_max_attempts: u64,
     /// The run config turned dynamic re-routing off: a session selects
     /// only at its start and after a severed route, and fetches the
     /// clusters in between along the route it kept.
@@ -222,73 +239,91 @@ struct Auditor {
 /// sums and path costs re-derived in a different evaluation order).
 const EPS: f64 = 1e-6;
 
-/// Trace kinds the auditor deliberately does not replay: they carry no
-/// invariant beyond the time-order check every event already gets.
-/// Request and session-lifecycle markers are reconciled against the
-/// time-series export by rule `A013` instead; SNMP/outage/degrade and
-/// background-update markers only *explain* the link-state snapshots
-/// that the replay rules (`A005`, `A008`, `A010`) verify directly.
-///
-/// Every kind in `vod_obs::Event::KINDS` is either dispatched in
-/// `Auditor::on_event` or listed here; the
-/// `every_event_kind_is_dispatched_or_unaudited` test holds that, so a
-/// new variant forces the decision.
-const UNAUDITED: &[&str] = &[
-    "request_arrival",
-    "request_failed",
-    "request_rejected",
-    "session_start",
-    "session_stall",
-    "session_resume",
-    "snmp_poll",
-    "background_update",
-    "server_up",
-    "link_degrade_start",
-    "link_degrade_end",
-    "snmp_outage_start",
-    "snmp_outage_end",
-    "snmp_stale_view",
-];
+/// The raw index of an id, as the auditor's state and messages key it.
+trait Raw {
+    fn raw(self) -> u64;
+}
+
+macro_rules! raw_via_index {
+    ($($ty:ty),*) => {$(
+        impl Raw for $ty {
+            fn raw(self) -> u64 {
+                self.index() as u64
+            }
+        }
+    )*};
+}
+raw_via_index!(NodeId, LinkId, VideoId);
 
 /// Audits one JSONL trace; never panics on malformed input — every
 /// problem becomes an [`AuditSummary`] violation instead.
 pub fn audit_trace(text: &str) -> AuditSummary {
-    let mut a = Auditor::default();
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<Value>(line) {
-            Ok(event) => a.on_event(line_no, &event),
-            Err(e) => a.violate("A000", line_no, format!("unparseable JSON: {e}")),
-        }
+    let mut sink = AuditSink::new();
+    for line in text.lines() {
+        sink.record_line(line);
     }
-    if let Some(p) = a.pending_switch.take() {
-        a.violate(
-            "A006",
-            p.line,
-            format!(
-                "selection moved session {} to server {} but no switch event followed",
-                p.session, p.to
-            ),
-        );
-    }
-    for p in std::mem::take(&mut a.prefix_pending_evicts) {
-        a.violate(
-            "A016",
-            p.line,
-            format!(
-                "prefix eviction of v{} at proxy {} was never followed by an admission",
-                p.victim, p.server
-            ),
-        );
-    }
-    a.summary
+    sink.finish()
 }
 
-impl Auditor {
-    fn violate(&mut self, rule: &'static str, line: usize, message: String) {
+impl EventSink for AuditSink {
+    fn record(&mut self, at: SimTime, event: &Event) {
+        self.line += 1;
+        self.replay(at, event);
+    }
+}
+
+impl AuditSink {
+    /// An auditor that has seen nothing yet.
+    pub fn new() -> Self {
+        AuditSink::default()
+    }
+
+    /// Reads the next JSONL line and replays its event. A line that does
+    /// not read is an `A000` finding; a kind outside the taxonomy is
+    /// only counted ([`AuditSummary::unknown_kinds`]); a blank line is
+    /// skipped.
+    pub fn record_line(&mut self, line: &str) {
+        self.line += 1;
+        if line.trim().is_empty() {
+            return;
+        }
+        match Event::read_json(line) {
+            Ok((at, event)) => self.replay(at, &event),
+            Err(ReadError::UnknownKind(_)) => {
+                self.summary.events += 1;
+                self.summary.unknown_kinds += 1;
+            }
+            Err(e) => self.violate("A000", e.to_string()),
+        }
+    }
+
+    /// Closes the replay: a selection still waiting for its switch and
+    /// evictions still waiting for their admission are findings.
+    pub fn finish(mut self) -> AuditSummary {
+        if let Some(p) = self.pending_switch.take() {
+            self.violate_at(
+                "A006",
+                p.line,
+                format!(
+                    "selection moved session {} to server {} but no switch event followed",
+                    p.session, p.to
+                ),
+            );
+        }
+        for p in std::mem::take(&mut self.prefix_pending_evicts) {
+            self.violate_at(
+                "A016",
+                p.line,
+                format!(
+                    "prefix eviction of v{} at proxy {} was never followed by an admission",
+                    p.victim, p.server
+                ),
+            );
+        }
+        self.summary
+    }
+
+    fn violate_at(&mut self, rule: &'static str, line: usize, message: String) {
         self.summary.violations.push(Violation {
             rule,
             line,
@@ -296,24 +331,34 @@ impl Auditor {
         });
     }
 
+    /// A finding at the event being replayed.
+    fn violate(&mut self, rule: &'static str, message: String) {
+        self.violate_at(rule, self.line, message);
+    }
+
     /// Flushes violations collected while a server's replay state was
     /// mutably borrowed.
-    fn flush(&mut self, line: usize, pending: Vec<(&'static str, String)>) {
+    fn flush(&mut self, pending: Vec<(&'static str, String)>) {
         for (rule, message) in pending {
-            self.violate(rule, line, message);
+            self.violate(rule, message);
         }
     }
 
-    fn on_event(&mut self, line: usize, event: &Value) {
+    fn replay(&mut self, at: SimTime, event: &Event) {
         self.summary.events += 1;
-        let Some(at_us) = event.get_field("at_us").and_then(Value::as_u64) else {
-            self.violate("A000", line, "missing integer `at_us`".to_string());
-            return;
-        };
+        let kind = event.kind();
+        *self.summary.kinds.entry(kind).or_insert(0) += 1;
+        if let Event::VraSelect { local, .. } = event {
+            if *local {
+                self.summary.vra_local += 1;
+            } else {
+                self.summary.vra_remote += 1;
+            }
+        }
+        let at_us = at.as_micros();
         if self.last_at_us.is_some_and(|prev| at_us < prev) {
             self.violate(
                 "A000",
-                line,
                 format!(
                     "time went backwards: at_us {at_us} after {:?}",
                     self.last_at_us
@@ -321,41 +366,35 @@ impl Auditor {
             );
         }
         self.last_at_us = Some(at_us);
-        let Some(kind) = event.get_field("kind").and_then(Value::as_str) else {
-            self.violate("A000", line, "missing string `kind`".to_string());
-            return;
-        };
-        let kind = kind.to_string();
 
-        if self.topology.is_none() && kind != "topology" {
-            self.violate(
-                "A000",
-                line,
-                format!("`{kind}` before the topology preamble"),
-            );
+        if self.topology.is_none() && !matches!(event, Event::TopologySnapshot { .. }) {
+            self.violate("A000", format!("`{kind}` before the topology preamble"));
             return;
         }
 
         // A pending server change must be confirmed by the very next
         // event (the service emits the switch immediately).
         if let Some(p) = self.pending_switch.take() {
-            if kind != "switch" {
-                self.violate(
-                    "A006",
-                    line,
-                    format!(
-                        "selection moved session {} from {} to {} but the next event is `{kind}`, not a switch",
-                        p.session, p.from, p.to
-                    ),
-                );
-            } else {
-                self.check_switch(line, event, &p);
+            if let Event::Switch {
+                session,
+                cluster,
+                from,
+                to,
+            } = event
+            {
+                self.check_switch(*session, *cluster, from.raw(), to.raw(), &p);
                 return;
             }
-        } else if kind == "switch" {
             self.violate(
                 "A006",
-                line,
+                format!(
+                    "selection moved session {} from {} to {} but the next event is `{kind}`, not a switch",
+                    p.session, p.from, p.to
+                ),
+            );
+        } else if let Event::Switch { .. } = event {
+            self.violate(
+                "A006",
                 "switch without a preceding server-changing selection".to_string(),
             );
             return;
@@ -365,11 +404,10 @@ impl Auditor {
         // so a run of prefix_evict events must lead straight into the
         // prefix_admit that caused it.
         if !self.prefix_pending_evicts.is_empty()
-            && kind != "prefix_evict"
-            && kind != "prefix_admit"
+            && !matches!(event, Event::PrefixEvict { .. } | Event::PrefixAdmit { .. })
         {
             for p in std::mem::take(&mut self.prefix_pending_evicts) {
-                self.violate(
+                self.violate_at(
                     "A016",
                     p.line,
                     format!(
@@ -379,153 +417,243 @@ impl Auditor {
                 );
             }
         }
+        self.dispatch(event);
+    }
 
-        let handled = match kind.as_str() {
-            "topology" => self.on_topology(line, event),
-            "run_config" => self.on_run_config(event),
-            "cache_config" => self.on_cache_config(event),
-            "dma_seed" => self.on_dma_seed(line, event),
-            "catalog_add" => self.on_catalog(line, event, true),
-            "catalog_remove" => self.on_catalog(line, event, false),
-            "link_state" => self.on_link_state(line, event),
-            "dma_hit" => self.on_dma_hit(line, event),
-            "dma_admit" => self.on_dma_admit(line, event),
-            "dma_evict" => self.on_dma_evict(line, event),
-            "dma_reject" => self.on_dma_reject(line, event),
-            "prefix_cache_config" => self.on_prefix_config(event),
-            "prefix_hit" => self.on_prefix_hit(line, event),
-            "prefix_extend" => self.on_prefix_extend(line, event),
-            "prefix_admit" => self.on_prefix_admit(line, event),
-            "prefix_evict" => self.on_prefix_evict(line, event),
-            "prefix_reject" => self.on_prefix_reject(line, event),
-            "prefix_serve" => self.on_prefix_serve(line, event),
-            "vra_select" => self.on_vra_select(line, event),
-            "link_down" => self.on_link_down(line, event),
-            "link_up" => self.on_link_up(line, event),
-            "session_retry" => self.on_session_retry(line, event),
-            "session_complete" => {
-                if let Some(s) = event.get_field("session").and_then(Value::as_u64) {
-                    self.sessions.remove(&s);
-                    self.retries.remove(&s);
+    /// One arm per kind, so a new `Event` variant does not compile until
+    /// the auditor replays it or says why not.
+    #[deny(clippy::wildcard_enum_match_arm)]
+    fn dispatch(&mut self, event: &Event) {
+        match event {
+            Event::TopologySnapshot { nodes, links } => self.on_topology(nodes, links),
+            Event::RunConfig {
+                dynamic_rerouting,
+                lvn_normalization,
+                retry_max_attempts,
+                ..
+            } => {
+                self.lvn_normalization = *lvn_normalization;
+                self.static_routing = !dynamic_rerouting;
+                self.retry_max_attempts = u64::from(*retry_max_attempts);
+            }
+            Event::CacheConfig {
+                server,
+                disks,
+                capacity_mb,
+                cluster_mb,
+                admit_threshold,
+            } => {
+                let state = ServerState {
+                    disks: *disks,
+                    capacity_mb: *capacity_mb,
+                    cluster_mb: *cluster_mb,
+                    admit_threshold: *admit_threshold,
+                    ..ServerState::default()
+                };
+                self.servers.insert(server.raw(), state);
+            }
+            Event::PrefixCacheConfig {
+                server,
+                capacity_mb,
+                cluster_mb,
+                admit_threshold,
+                base_clusters,
+                max_clusters,
+                growth_points,
+            } => {
+                let state = PrefixState {
+                    capacity_mb: *capacity_mb,
+                    cluster_mb: *cluster_mb,
+                    admit_threshold: *admit_threshold,
+                    base_clusters: *base_clusters,
+                    max_clusters: *max_clusters,
+                    growth_points: *growth_points,
+                    ..PrefixState::default()
+                };
+                self.prefixes.insert(server.raw(), state);
+            }
+            Event::DmaSeed {
+                server,
+                video,
+                size_mb,
+                ..
+            } => self.on_dma_seed(server.raw(), video.raw(), *size_mb),
+            Event::CatalogAdd { server, video } => self.on_catalog(server.raw(), video.raw(), true),
+            Event::CatalogRemove { server, video } => {
+                self.on_catalog(server.raw(), video.raw(), false)
+            }
+            Event::LinkState {
+                used,
+                utilization,
+                down,
+            } => self.on_link_state(used, utilization, down),
+            Event::DmaHit { server, video } => self.on_dma_hit(server.raw(), video.raw()),
+            Event::DmaAdmit {
+                server,
+                video,
+                size_mb,
+                parts,
+                stripe,
+                occupancy_mb,
+                ..
+            } => self.on_dma_admit(
+                server.raw(),
+                video.raw(),
+                *size_mb,
+                *parts,
+                stripe,
+                *occupancy_mb,
+            ),
+            Event::DmaEvict { server, victim } => self.on_dma_evict(server.raw(), victim.raw()),
+            Event::DmaReject {
+                server,
+                video,
+                reason,
+            } => self.on_dma_reject(server.raw(), video.raw(), *reason),
+            Event::PrefixHit {
+                server,
+                video,
+                clusters,
+            } => self.on_prefix_hit(server.raw(), video.raw(), *clusters),
+            Event::PrefixExtend {
+                server,
+                video,
+                from_clusters,
+                to_clusters,
+                occupancy_mb,
+            } => self.on_prefix_extend(
+                server.raw(),
+                video.raw(),
+                *from_clusters,
+                *to_clusters,
+                *occupancy_mb,
+            ),
+            Event::PrefixAdmit {
+                server,
+                video,
+                after_eviction,
+                clusters,
+                size_mb,
+                occupancy_mb,
+            } => self.on_prefix_admit(
+                server.raw(),
+                video.raw(),
+                *after_eviction,
+                *clusters,
+                *size_mb,
+                *occupancy_mb,
+            ),
+            Event::PrefixEvict {
+                server,
+                victim,
+                freed_mb,
+            } => self.on_prefix_evict(server.raw(), victim.raw(), *freed_mb),
+            Event::PrefixReject {
+                server,
+                video,
+                reason,
+            } => self.on_prefix_reject(server.raw(), video.raw(), *reason),
+            Event::PrefixServe {
+                session,
+                server,
+                video,
+                clusters,
+            } => self.on_prefix_serve(*session, server.raw(), video.raw(), *clusters),
+            Event::VraSelect {
+                session,
+                cluster,
+                video,
+                home,
+                server,
+                cost,
+                local,
+                ..
+            } => self.on_vra_select(
+                *session,
+                *cluster,
+                video.raw(),
+                home.raw(),
+                server.raw(),
+                *cost,
+                *local,
+            ),
+            Event::LinkDown { link } => self.on_link_down(link.raw()),
+            Event::LinkUp { link } => self.on_link_up(link.raw()),
+            Event::SessionRetry {
+                session, attempt, ..
+            } => self.on_session_retry(*session, u64::from(*attempt)),
+            Event::SessionComplete { session, .. } => {
+                self.sessions.remove(session);
+                self.retries.remove(session);
+            }
+            Event::SessionAborted { session, reason } => self.on_session_aborted(*session, *reason),
+            Event::ServerDown { server } => {
+                // The cache is retired with the server; a recovering
+                // server starts cold (fresh points, empty disks).
+                if let Some(state) = self.servers.get_mut(&server.raw()) {
+                    state.residents.clear();
+                    state.points.clear();
                 }
-                Some(())
-            }
-            "session_aborted" => self.on_session_aborted(line, event),
-            "server_down" => {
-                if let Some(s) = event.get_field("server").and_then(Value::as_u64) {
-                    // The cache is retired with the server; a recovering
-                    // server starts cold (fresh points, empty disks).
-                    if let Some(state) = self.servers.get_mut(&s) {
-                        state.residents.clear();
-                        state.points.clear();
-                    }
-                    if let Some(state) = self.prefixes.get_mut(&s) {
-                        state.residents.clear();
-                        state.points.clear();
-                    }
+                if let Some(state) = self.prefixes.get_mut(&server.raw()) {
+                    state.residents.clear();
+                    state.points.clear();
                 }
-                Some(())
             }
-            k if UNAUDITED.contains(&k) => Some(()),
-            // Unknown kinds are tolerated for forward compatibility:
-            // a trace from a newer writer must still replay under the
-            // invariants this auditor does know. No kind this
-            // workspace's writer emits lands here (see UNAUDITED).
-            _ => {
-                self.summary.unknown_kinds += 1;
-                Some(())
-            }
-        };
-        if handled.is_none() {
-            self.violate(
-                "A000",
-                line,
-                format!("`{kind}` event is missing required fields"),
-            );
+            // Checked before the dispatch: it must follow its selection.
+            Event::Switch { .. } => {}
+            // Request and session-lifecycle markers carry no invariant
+            // beyond the time order every event gets; A013 reconciles
+            // their counts with a series instead.
+            Event::RequestArrival { .. }
+            | Event::RequestFailed { .. }
+            | Event::RequestRejected { .. }
+            | Event::SessionStart { .. }
+            | Event::SessionStall { .. }
+            | Event::SessionResume { .. } => {}
+            // SNMP, outage, degradation and background markers only
+            // explain the link states that A005, A008 and A010 verify
+            // directly; a recovering server is replayed cold already.
+            Event::SnmpPoll { .. }
+            | Event::BackgroundUpdate
+            | Event::ServerUp { .. }
+            | Event::LinkDegradeStart { .. }
+            | Event::LinkDegradeEnd { .. }
+            | Event::SnmpOutageStart
+            | Event::SnmpOutageEnd
+            | Event::SnmpStaleView { .. } => {}
         }
     }
 
-    fn on_topology(&mut self, line: usize, event: &Value) -> Option<()> {
+    fn on_topology(&mut self, nodes: &[(String, bool)], links: &[(NodeId, NodeId, f64)]) {
         if self.topology.is_some() {
-            self.violate("A000", line, "duplicate topology preamble".to_string());
-            return Some(());
+            self.violate("A000", "duplicate topology preamble".to_string());
+            return;
         }
-        let nodes = event.get_field("nodes")?.as_array()?;
-        let links = event.get_field("links")?.as_array()?;
         let mut b = TopologyBuilder::new();
-        for n in nodes {
-            let pair = n.as_array()?;
-            let name = pair.first()?.as_str()?;
-            let is_server = pair.get(1)?.as_bool()?;
-            let kind = if is_server {
+        for (name, is_server) in nodes {
+            let kind = if *is_server {
                 NodeKind::VideoServer
             } else {
                 NodeKind::Transit
             };
             b.add_node_with_kind(name, kind);
         }
-        let mut capacities = Vec::with_capacity(links.len());
-        for l in links {
-            let triple = l.as_array()?;
-            let from = triple.first()?.as_u64()?;
-            let to = triple.get(1)?.as_u64()?;
-            let cap = triple.get(2)?.as_f64()?;
-            let (Ok(from), Ok(to)) = (u32::try_from(from), u32::try_from(to)) else {
-                return None;
-            };
-            let mbps = Mbps::try_new(cap)?;
-            if b.add_link(NodeId::new(from), NodeId::new(to), mbps)
-                .is_err()
-            {
-                self.violate("A000", line, "topology link is malformed".to_string());
-                return Some(());
+        for &(from, to, cap) in links {
+            let added = Mbps::try_new(cap).map(|mbps| b.add_link(from, to, mbps));
+            if !matches!(added, Some(Ok(_))) {
+                self.violate("A000", "topology link is malformed".to_string());
+                return;
             }
-            capacities.push(cap);
         }
         self.topology = Some(b.build());
-        self.link_capacities = capacities;
-        Some(())
+        self.link_capacities = links.iter().map(|&(_, _, cap)| cap).collect();
     }
 
-    fn on_run_config(&mut self, event: &Value) -> Option<()> {
-        self.saw_run_config = true;
-        self.lvn_normalization = event.get_field("lvn_normalization").and_then(Value::as_f64);
-        self.static_routing = event
-            .get_field("dynamic_rerouting")
-            .and_then(Value::as_bool)
-            == Some(false);
-        self.retry_max_attempts = event
-            .get_field("retry_max_attempts")
-            .and_then(Value::as_u64);
-        Some(())
-    }
-
-    fn on_cache_config(&mut self, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let state = ServerState {
-            disks: event.get_field("disks")?.as_u64()?,
-            capacity_mb: event.get_field("capacity_mb")?.as_f64()?,
-            cluster_mb: event.get_field("cluster_mb")?.as_f64()?,
-            admit_threshold: event.get_field("admit_threshold")?.as_u64()?,
-            residents: BTreeMap::new(),
-            points: BTreeMap::new(),
-        };
-        self.servers.insert(server, state);
-        Some(())
-    }
-
-    fn on_dma_seed(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let size_mb = event.get_field("size_mb")?.as_f64()?;
+    fn on_dma_seed(&mut self, server: u64, video: u64, size_mb: f64) {
         let mut pending = Vec::new();
         let Some(state) = self.servers.get_mut(&server) else {
-            self.violate(
-                "A009",
-                line,
-                format!("seed on unconfigured server {server}"),
-            );
-            return Some(());
+            self.violate("A009", format!("seed on unconfigured server {server}"));
+            return;
         };
         if state.residents.insert(video, size_mb).is_some() {
             pending.push(("A009", format!("video {video} seeded twice on {server}")));
@@ -537,54 +665,32 @@ impl Auditor {
                 format!("seeding overflows server {server}: {occ:.3} MB > {cap:.3} MB"),
             ));
         }
-        self.flush(line, pending);
+        self.flush(pending);
         if !self.catalog.insert((server, video)) {
-            self.violate(
-                "A009",
-                line,
-                format!("seed re-advertises v{video} at {server}"),
-            );
+            self.violate("A009", format!("seed re-advertises v{video} at {server}"));
         }
-        Some(())
     }
 
-    fn on_catalog(&mut self, line: usize, event: &Value, add: bool) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
+    fn on_catalog(&mut self, server: u64, video: u64, add: bool) {
         if add && !self.catalog.insert((server, video)) {
             self.violate(
                 "A009",
-                line,
                 format!("catalog_add of already-advertised v{video} at server {server}"),
             );
         }
         if !add && !self.catalog.remove(&(server, video)) {
             self.violate(
                 "A009",
-                line,
                 format!("catalog_remove of unadvertised v{video} at server {server}"),
             );
         }
-        Some(())
     }
 
-    fn on_link_state(&mut self, line: usize, event: &Value) -> Option<()> {
-        let used = event.get_field("used")?.as_array()?;
-        let utilization = event.get_field("utilization")?.as_array()?;
-        // Traces predating the fault layer omit `down`; that reads as an
-        // empty outage set, which A010 then checks against the replay.
-        let down_listed: BTreeSet<u64> = match event.get_field("down") {
-            Some(v) => v
-                .as_array()?
-                .iter()
-                .map(Value::as_u64)
-                .collect::<Option<BTreeSet<u64>>>()?,
-            None => BTreeSet::new(),
-        };
+    fn on_link_state(&mut self, used: &[f64], utilization: &[f64], down: &[u64]) {
+        let down_listed: BTreeSet<u64> = down.iter().copied().collect();
         if down_listed != self.down_links {
             self.violate(
                 "A010",
-                line,
                 format!(
                     "link_state lists down links {:?} but replayed outage windows say {:?}",
                     down_listed.iter().collect::<Vec<_>>(),
@@ -592,11 +698,12 @@ impl Auditor {
                 ),
             );
         }
-        let topo = self.topology.as_ref()?;
+        let Some(topo) = self.topology.as_ref() else {
+            return;
+        };
         if used.len() != self.link_capacities.len() || utilization.len() != used.len() {
             self.violate(
                 "A000",
-                line,
                 format!(
                     "link_state has {} used / {} utilization entries for {} links",
                     used.len(),
@@ -604,12 +711,11 @@ impl Auditor {
                     self.link_capacities.len()
                 ),
             );
-            return Some(());
+            return;
         }
         let mut snap = TrafficSnapshot::zero(topo);
         let mut violations: Vec<String> = Vec::new();
-        for (i, (u, f)) in used.iter().zip(utilization).enumerate() {
-            let (u, f) = (u.as_f64()?, f.as_f64()?);
+        for (i, (&u, &f)) in used.iter().zip(utilization).enumerate() {
             let cap = self.link_capacities[i];
             if !u.is_finite() || u < -EPS {
                 violations.push(format!("link {i}: negative used bandwidth {u}"));
@@ -630,7 +736,7 @@ impl Auditor {
             }
         }
         for v in violations {
-            self.violate("A008", line, v);
+            self.violate("A008", v);
         }
         // Mask down links on the replay snapshot so the A005 reference
         // Dijkstra refuses to route over them, exactly like the service.
@@ -640,191 +746,120 @@ impl Auditor {
             }
         }
         self.snapshot = Some(snap);
-        Some(())
     }
 
     /// A010: a `link_down` opens an outage; the service emits it only on
     /// the 0 → 1 depth edge, so seeing a link go down twice is a bug.
-    fn on_link_down(&mut self, line: usize, event: &Value) -> Option<()> {
-        let link = event.get_field("link")?.as_u64()?;
+    fn on_link_down(&mut self, link: u64) {
         if link as usize >= self.link_capacities.len() {
-            self.violate("A010", line, format!("link_down names unknown link {link}"));
-            return Some(());
+            self.violate("A010", format!("link_down names unknown link {link}"));
+            return;
         }
         if !self.down_links.insert(link) {
             self.violate(
                 "A010",
-                line,
                 format!("link {link} went down twice without coming back up"),
             );
         }
-        Some(())
     }
 
     /// A010: a `link_up` must close a previously-opened outage.
-    fn on_link_up(&mut self, line: usize, event: &Value) -> Option<()> {
-        let link = event.get_field("link")?.as_u64()?;
+    fn on_link_up(&mut self, link: u64) {
         if !self.down_links.remove(&link) {
             self.violate(
                 "A010",
-                line,
                 format!("link {link} came up without a matching link_down"),
             );
         }
-        Some(())
     }
 
     /// A011: retry attempts are 1-based, step by one within a failure
     /// episode (a successful relaunch resets the counter), and never
     /// exceed the configured budget.
-    fn on_session_retry(&mut self, line: usize, event: &Value) -> Option<()> {
-        let session = event.get_field("session")?.as_u64()?;
-        let attempt = event.get_field("attempt")?.as_u64()?;
-        event.get_field("backoff_us")?.as_u64()?;
+    fn on_session_retry(&mut self, session: u64, attempt: u64) {
         let prev = self.retries.get(&session).copied();
         if attempt == 0 {
             self.violate(
                 "A011",
-                line,
                 format!("session {session} retries with attempt 0 (attempts are 1-based)"),
             );
         } else if attempt != 1 && prev.is_none_or(|p| attempt != p + 1) {
             self.violate(
                 "A011",
-                line,
                 format!("session {session} jumps to retry attempt {attempt} (previous: {prev:?})"),
             );
         }
-        match self.retry_max_attempts {
-            Some(max) if attempt > max => {
-                self.violate(
-                    "A011",
-                    line,
-                    format!(
-                        "session {session} retry attempt {attempt} exceeds the configured budget {max}"
-                    ),
-                );
-            }
-            None => {
-                self.violate(
-                    "A011",
-                    line,
-                    format!(
-                        "session {session} retries but the run config declares no retry budget"
-                    ),
-                );
-            }
-            _ => {}
+        let max = self.retry_max_attempts;
+        if attempt > max {
+            self.violate(
+                "A011",
+                format!(
+                    "session {session} retry attempt {attempt} exceeds the configured budget {max}"
+                ),
+            );
         }
         self.retries.insert(session, attempt);
-        Some(())
     }
 
-    /// A012: abort reasons come from a closed set and agree with the
-    /// configured retry budget and the session's observed retries.
-    fn on_session_aborted(&mut self, line: usize, event: &Value) -> Option<()> {
-        let session = event.get_field("session")?.as_u64()?;
-        let reason = event.get_field("reason")?.as_str()?.to_string();
+    /// A012: abort reasons agree with the configured retry budget and
+    /// the session's observed retries.
+    fn on_session_aborted(&mut self, session: u64, reason: AbortReason) {
         let max = self.retry_max_attempts;
         let last = self.retries.get(&session).copied();
-        match reason.as_str() {
-            "home_down" => {}
-            "no_source" => {
-                if let Some(m) = max.filter(|&m| m > 0) {
-                    self.violate(
-                        "A012",
-                        line,
-                        format!(
-                            "session {session} aborted `no_source` although the retry budget is {m}"
-                        ),
-                    );
-                }
-            }
-            "retry_exhausted" => match max {
-                Some(m) if m > 0 => {
-                    if last != Some(m) {
-                        self.violate(
-                            "A012",
-                            line,
-                            format!(
-                                "session {session} aborted `retry_exhausted` after {last:?} retries (budget {m})"
-                            ),
-                        );
-                    }
-                }
-                _ => {
-                    self.violate(
-                        "A012",
-                        line,
-                        format!(
-                            "session {session} aborted `retry_exhausted` with no retry budget configured"
-                        ),
-                    );
-                }
-            },
-            "stall_budget" => {
-                if max.is_none_or(|m| m == 0) {
-                    self.violate(
-                        "A012",
-                        line,
-                        format!(
-                            "session {session} aborted `stall_budget` with no retry budget configured"
-                        ),
-                    );
-                }
-            }
-            other => {
-                self.violate(
-                    "A012",
-                    line,
-                    format!("session {session} aborted with unknown reason `{other}`"),
-                );
-            }
+        let inconsistent = match reason {
+            AbortReason::HomeDown => None,
+            AbortReason::NoSource if max > 0 => Some(format!(
+                "session {session} aborted `no_source` although the retry budget is {max}"
+            )),
+            AbortReason::NoSource => None,
+            AbortReason::RetryExhausted if max == 0 => Some(format!(
+                "session {session} aborted `retry_exhausted` with no retry budget configured"
+            )),
+            AbortReason::RetryExhausted => (last != Some(max)).then(|| {
+                format!(
+                    "session {session} aborted `retry_exhausted` after {last:?} retries (budget {max})"
+                )
+            }),
+            AbortReason::StallBudget => (max == 0).then(|| {
+                format!("session {session} aborted `stall_budget` with no retry budget configured")
+            }),
+        };
+        if let Some(message) = inconsistent {
+            self.violate("A012", message);
         }
         self.sessions.remove(&session);
         self.retries.remove(&session);
-        Some(())
     }
 
-    fn on_dma_hit(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
+    fn on_dma_hit(&mut self, server: u64, video: u64) {
         let Some(state) = self.servers.get_mut(&server) else {
-            self.violate(
-                "A009",
-                line,
-                format!("dma_hit on unconfigured server {server}"),
-            );
-            return Some(());
+            self.violate("A009", format!("dma_hit on unconfigured server {server}"));
+            return;
         };
         state.award(video);
         let resident = state.residents.contains_key(&video);
         if !resident {
             self.violate(
                 "A009",
-                line,
                 format!("dma_hit for v{video} which is not resident on server {server}"),
             );
         }
-        Some(())
     }
 
-    fn on_dma_admit(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let size_mb = event.get_field("size_mb")?.as_f64()?;
-        let parts = event.get_field("parts")?.as_u64()?;
-        let stripe = event.get_field("stripe")?.as_array()?;
-        let occupancy_mb = event.get_field("occupancy_mb")?.as_f64()?;
+    fn on_dma_admit(
+        &mut self,
+        server: u64,
+        video: u64,
+        size_mb: f64,
+        parts: u64,
+        stripe: &[u32],
+        occupancy_mb: f64,
+    ) {
         self.summary.admits_verified += 1;
         let mut pending = Vec::new();
         let Some(state) = self.servers.get_mut(&server) else {
-            self.violate(
-                "A009",
-                line,
-                format!("dma_admit on unconfigured server {server}"),
-            );
-            return Some(());
+            self.violate("A009", format!("dma_admit on unconfigured server {server}"));
+            return;
         };
 
         // Figure 2: the request awards a point first; admission requires
@@ -851,11 +886,8 @@ impl Auditor {
                 ),
             ));
         }
-        for (i, disk) in stripe.iter().enumerate() {
-            let Some(disk) = disk.as_u64() else {
-                self.flush(line, pending);
-                return None;
-            };
+        for (i, &disk) in stripe.iter().enumerate() {
+            let disk = u64::from(disk);
             if state.disks > 0 && disk != i as u64 % state.disks {
                 pending.push((
                     "A004",
@@ -890,22 +922,15 @@ impl Auditor {
                 ),
             ));
         }
-        self.flush(line, pending);
-        Some(())
+        self.flush(pending);
     }
 
-    fn on_dma_evict(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let victim = event.get_field("victim")?.as_u64()?;
+    fn on_dma_evict(&mut self, server: u64, victim: u64) {
         self.summary.evictions_verified += 1;
         let mut pending = Vec::new();
         let Some(state) = self.servers.get_mut(&server) else {
-            self.violate(
-                "A009",
-                line,
-                format!("dma_evict on unconfigured server {server}"),
-            );
-            return Some(());
+            self.violate("A009", format!("dma_evict on unconfigured server {server}"));
+            return;
         };
         match state.least_popular() {
             Some(expected) if expected != victim => {
@@ -932,21 +957,16 @@ impl Auditor {
                 format!("evicted v{victim} was not resident on server {server}"),
             ));
         }
-        self.flush(line, pending);
-        Some(())
+        self.flush(pending);
     }
 
-    fn on_dma_reject(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let reason = event.get_field("reason")?.as_str()?.to_string();
+    fn on_dma_reject(&mut self, server: u64, video: u64, reason: DmaRejectKind) {
         let Some(state) = self.servers.get_mut(&server) else {
             self.violate(
                 "A009",
-                line,
                 format!("dma_reject on unconfigured server {server}"),
             );
-            return Some(());
+            return;
         };
         let points = state.award(video);
         let threshold = state.admit_threshold;
@@ -954,64 +974,38 @@ impl Auditor {
         // two values extracted above.
         // Figure 2's gates run in order: a below-threshold verdict means
         // the counter had not yet passed, any later verdict means it had.
-        if reason == "below_threshold" && points > threshold {
+        if reason == DmaRejectKind::BelowThreshold && points > threshold {
             self.violate(
                 "A002",
-                line,
                 format!(
                     "v{video} rejected below-threshold at {points} points (> threshold {threshold})"
                 ),
             );
         }
-        if reason != "below_threshold" && points <= threshold {
+        if reason != DmaRejectKind::BelowThreshold && points <= threshold {
             self.violate(
                 "A002",
-                line,
                 format!(
-                    "v{video} reached the `{reason}` gate with only {points} points (threshold {threshold})"
+                    "v{video} reached the `{}` gate with only {points} points (threshold {threshold})",
+                    reason.label()
                 ),
             );
         }
-        Some(())
-    }
-
-    fn on_prefix_config(&mut self, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let state = PrefixState {
-            capacity_mb: event.get_field("capacity_mb")?.as_f64()?,
-            cluster_mb: event.get_field("cluster_mb")?.as_f64()?,
-            admit_threshold: event.get_field("admit_threshold")?.as_u64()?,
-            base_clusters: event.get_field("base_clusters")?.as_u64()?,
-            max_clusters: event.get_field("max_clusters")?.as_u64()?,
-            growth_points: event.get_field("growth_points")?.as_u64()?,
-            residents: BTreeMap::new(),
-            points: BTreeMap::new(),
-        };
-        self.prefixes.insert(server, state);
-        Some(())
     }
 
     /// A014: a prefix hit names a resident prefix and serves its exact
     /// replayed length. Awards the decision's popularity point.
-    fn on_prefix_hit(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let clusters = event.get_field("clusters")?.as_u64()?;
+    fn on_prefix_hit(&mut self, server: u64, video: u64, clusters: u64) {
         self.summary.prefix_verified += 1;
         let Some(state) = self.prefixes.get_mut(&server) else {
-            self.violate(
-                "A014",
-                line,
-                format!("prefix_hit on unconfigured proxy {server}"),
-            );
-            return Some(());
+            self.violate("A014", format!("prefix_hit on unconfigured proxy {server}"));
+            return;
         };
         state.award(video);
         match state.residents.get(&video) {
             Some(&(resident, _)) if resident != clusters => {
                 self.violate(
                     "A014",
-                    line,
                     format!(
                         "prefix_hit serves {clusters} clusters of v{video} but the replayed prefix is {resident} clusters"
                     ),
@@ -1020,32 +1014,24 @@ impl Auditor {
             None => {
                 self.violate(
                     "A014",
-                    line,
                     format!("prefix_hit for v{video} which is not resident at proxy {server}"),
                 );
             }
             _ => {}
         }
-        Some(())
     }
 
     /// A014/A015: an in-place extension grows a resident prefix toward
     /// the popularity target without exceeding capacity. Rides the
     /// point its accompanying `prefix_hit` already awarded.
-    fn on_prefix_extend(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let from = event.get_field("from_clusters")?.as_u64()?;
-        let to = event.get_field("to_clusters")?.as_u64()?;
-        let occupancy_mb = event.get_field("occupancy_mb")?.as_f64()?;
+    fn on_prefix_extend(&mut self, server: u64, video: u64, from: u64, to: u64, occupancy_mb: f64) {
         let mut pending = Vec::new();
         let Some(state) = self.prefixes.get_mut(&server) else {
             self.violate(
                 "A014",
-                line,
                 format!("prefix_extend on unconfigured proxy {server}"),
             );
-            return Some(());
+            return;
         };
         let points = state.points.get(&video).copied().unwrap_or(0);
         if to <= from {
@@ -1104,20 +1090,21 @@ impl Auditor {
                 ),
             ));
         }
-        self.flush(line, pending);
-        Some(())
+        self.flush(pending);
     }
 
     /// A014/A015/A016: an admission stores a popularity-sized prefix
     /// within capacity, above the threshold, and settles any pending
     /// evictions (whose victims must be strictly colder).
-    fn on_prefix_admit(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let after_eviction = event.get_field("after_eviction")?.as_bool()?;
-        let clusters = event.get_field("clusters")?.as_u64()?;
-        let size_mb = event.get_field("size_mb")?.as_f64()?;
-        let occupancy_mb = event.get_field("occupancy_mb")?.as_f64()?;
+    fn on_prefix_admit(
+        &mut self,
+        server: u64,
+        video: u64,
+        after_eviction: bool,
+        clusters: u64,
+        size_mb: f64,
+        occupancy_mb: f64,
+    ) {
         self.summary.prefix_verified += 1;
         let mut pending = Vec::new();
 
@@ -1141,10 +1128,9 @@ impl Auditor {
         let Some(state) = self.prefixes.get_mut(&server) else {
             self.violate(
                 "A014",
-                line,
                 format!("prefix_admit on unconfigured proxy {server}"),
             );
-            return Some(());
+            return;
         };
         let points = state.award(video);
         if points <= state.admit_threshold {
@@ -1218,25 +1204,20 @@ impl Auditor {
                 ),
             ));
         }
-        self.flush(line, pending);
-        Some(())
+        self.flush(pending);
     }
 
     /// A016: the victim is the least-popular resident (ties to the
     /// lowest id) and frees exactly its replayed footprint.
-    fn on_prefix_evict(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let victim = event.get_field("victim")?.as_u64()?;
-        let freed_mb = event.get_field("freed_mb")?.as_f64()?;
+    fn on_prefix_evict(&mut self, server: u64, victim: u64, freed_mb: f64) {
         self.summary.prefix_verified += 1;
         let mut pending = Vec::new();
         let Some(state) = self.prefixes.get_mut(&server) else {
             self.violate(
                 "A014",
-                line,
                 format!("prefix_evict on unconfigured proxy {server}"),
             );
-            return Some(());
+            return;
         };
         match state.least_popular() {
             Some(expected) if expected != victim => {
@@ -1277,30 +1258,25 @@ impl Auditor {
             }
         }
         self.prefix_pending_evicts.push(PendingPrefixEvict {
-            line,
+            line: self.line,
             server,
             victim,
             victim_points,
         });
-        self.flush(line, pending);
-        Some(())
+        self.flush(pending);
     }
 
     /// A014/A015: reject reasons respect the Figure-2-style gate order
     /// and never name a resident prefix.
-    fn on_prefix_reject(&mut self, line: usize, event: &Value) -> Option<()> {
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let reason = event.get_field("reason")?.as_str()?.to_string();
+    fn on_prefix_reject(&mut self, server: u64, video: u64, reason: DmaRejectKind) {
         self.summary.prefix_verified += 1;
         let mut pending = Vec::new();
         let Some(state) = self.prefixes.get_mut(&server) else {
             self.violate(
                 "A014",
-                line,
                 format!("prefix_reject on unconfigured proxy {server}"),
             );
-            return Some(());
+            return;
         };
         let points = state.award(video);
         let threshold = state.admit_threshold;
@@ -1310,7 +1286,7 @@ impl Auditor {
                 format!("prefix_reject of v{video} whose prefix is resident at proxy {server}"),
             ));
         }
-        if reason == "below_threshold" && points > threshold {
+        if reason == DmaRejectKind::BelowThreshold && points > threshold {
             pending.push((
                 "A015",
                 format!(
@@ -1318,11 +1294,12 @@ impl Auditor {
                 ),
             ));
         }
-        if reason != "below_threshold" && points <= threshold {
+        if reason != DmaRejectKind::BelowThreshold && points <= threshold {
             pending.push((
                 "A015",
                 format!(
-                    "v{video} reached the `{reason}` gate with only {points} points (threshold {threshold})"
+                    "v{video} reached the `{}` gate with only {points} points (threshold {threshold})",
+                    reason.label()
                 ),
             ));
         }
@@ -1333,7 +1310,7 @@ impl Auditor {
             .residents
             .keys()
             .any(|v| state.points.get(v).copied().unwrap_or(0) < points);
-        if reason == "not_popular_enough" && colder {
+        if reason == DmaRejectKind::NotPopularEnough && colder {
             pending.push((
                 "A016",
                 format!(
@@ -1341,7 +1318,7 @@ impl Auditor {
                 ),
             ));
         }
-        if reason == "does_not_fit" && !colder {
+        if reason == DmaRejectKind::DoesNotFit && !colder {
             pending.push((
                 "A016",
                 format!(
@@ -1349,19 +1326,14 @@ impl Auditor {
                 ),
             ));
         }
-        self.flush(line, pending);
-        Some(())
+        self.flush(pending);
     }
 
     /// A014 + session registration: a proxy serves at most the resident
     /// prefix length, and the serve opens the session's cluster
     /// bookkeeping so the suffix selection (A006/A007) continues from
     /// the prefix boundary.
-    fn on_prefix_serve(&mut self, line: usize, event: &Value) -> Option<()> {
-        let session = event.get_field("session")?.as_u64()?;
-        let server = event.get_field("server")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let clusters = event.get_field("clusters")?.as_u64()?;
+    fn on_prefix_serve(&mut self, session: u64, server: u64, video: u64, clusters: u64) {
         let mut pending = Vec::new();
         if clusters == 0 {
             pending.push((
@@ -1408,26 +1380,26 @@ impl Auditor {
             }
             std::collections::btree_map::Entry::Vacant(_) => {}
         }
-        self.flush(line, pending);
-        Some(())
+        self.flush(pending);
     }
 
-    fn on_vra_select(&mut self, line: usize, event: &Value) -> Option<()> {
-        let session = event.get_field("session")?.as_u64()?;
-        let cluster = event.get_field("cluster")?.as_u64()?;
-        let video = event.get_field("video")?.as_u64()?;
-        let home = event.get_field("home")?.as_u64()?;
-        let server = event.get_field("server")?.as_u64()?;
-        let cost = event.get_field("cost")?.as_f64()?;
-        let local = event.get_field("local")?.as_bool()?;
-
+    #[allow(clippy::too_many_arguments)]
+    fn on_vra_select(
+        &mut self,
+        session: u64,
+        cluster: u64,
+        video: u64,
+        home: u64,
+        server: u64,
+        cost: f64,
+        local: bool,
+    ) {
         // A007: cluster bookkeeping per session.
         match self.sessions.get(&session) {
             None => {
                 if cluster != 0 {
                     self.violate(
                         "A007",
-                        line,
                         format!("session {session} opens at cluster {cluster}, expected 0"),
                     );
                 }
@@ -1437,14 +1409,12 @@ impl Auditor {
                 if cluster != prev_cluster && cluster != prev_cluster + 1 && !skipped {
                     self.violate(
                         "A007",
-                        line,
                         format!("session {session} jumps from cluster {prev_cluster} to {cluster}"),
                     );
                 }
                 if video != prev_video {
                     self.violate(
                         "A007",
-                        line,
                         format!(
                             "session {session} switched title v{prev_video} → v{video} mid-stream"
                         ),
@@ -1457,14 +1427,12 @@ impl Auditor {
         if !self.catalog.contains(&(server, video)) {
             self.violate(
                 "A009",
-                line,
                 format!("selected server {server} does not advertise v{video}"),
             );
         }
         if local && server != home {
             self.violate(
                 "A005",
-                line,
                 format!("selection flagged local but server {server} != home {home}"),
             );
         }
@@ -1473,7 +1441,7 @@ impl Auditor {
         // Selectors that do not route by the LVN argmin leave
         // `lvn_normalization` null in the preamble, which exempts them.
         if let Some(norm) = self.lvn_normalization {
-            self.check_selection_optimal(line, video, home, server, cost, local, norm);
+            self.check_selection_optimal(video, home, server, cost, local, norm);
         }
 
         // A006: a server change must be announced by the next event.
@@ -1481,7 +1449,7 @@ impl Auditor {
         if let Some(prev) = prev_server {
             if prev != server {
                 self.pending_switch = Some(PendingSwitch {
-                    line,
+                    line: self.line,
                     session,
                     cluster,
                     from: prev,
@@ -1490,17 +1458,14 @@ impl Auditor {
             }
         }
         self.sessions.insert(session, (server, cluster, video));
-        Some(())
     }
 
     /// The reference re-derivation of one routed selection (Figure 5):
     /// LVN weights from the traced link state, Dijkstra from the home
     /// server, argmin over the advertising servers with ties to the
     /// lowest node id.
-    #[allow(clippy::too_many_arguments)]
     fn check_selection_optimal(
         &mut self,
-        line: usize,
         video: u64,
         home: u64,
         server: u64,
@@ -1519,7 +1484,6 @@ impl Auditor {
             if !local || server != home || cost != 0.0 {
                 self.violate(
                     "A005",
-                    line,
                     format!(
                         "home {home} advertises v{video} but the selection went to server {server} (cost {cost}) instead of serving locally"
                     ),
@@ -1530,21 +1494,16 @@ impl Auditor {
         if local {
             self.violate(
                 "A005",
-                line,
                 format!("selection flagged local but home {home} does not advertise v{video}"),
             );
             return;
         }
         let (Some(topo), Some(snap)) = (self.topology.as_ref(), self.snapshot.as_ref()) else {
-            self.violate(
-                "A000",
-                line,
-                "vra_select before any link_state event".to_string(),
-            );
+            self.violate("A000", "vra_select before any link_state event".to_string());
             return;
         };
         let Ok(src) = u32::try_from(home) else {
-            self.violate("A000", line, format!("home {home} is not a node index"));
+            self.violate("A000", format!("home {home} is not a node index"));
             return;
         };
         let params = LvnParams::with_normalization(norm);
@@ -1552,7 +1511,7 @@ impl Auditor {
         let paths = match dijkstra(topo, &weights, NodeId::new(src)) {
             Ok(p) => p,
             Err(e) => {
-                self.violate("A005", line, format!("reference Dijkstra failed: {e}"));
+                self.violate("A005", format!("reference Dijkstra failed: {e}"));
                 return;
             }
         };
@@ -1569,7 +1528,6 @@ impl Auditor {
                 if server != ref_server || !cost_ok {
                     self.violate(
                         "A005",
-                        line,
                         format!(
                             "selection (server {server}, cost {cost}) diverges from the reference optimum (server {ref_server}, cost {ref_cost})"
                         ),
@@ -1579,7 +1537,6 @@ impl Auditor {
             None => {
                 self.violate(
                     "A005",
-                    line,
                     format!(
                         "no advertising server of v{video} is reachable from home {home}, yet server {server} was selected"
                     ),
@@ -1588,24 +1545,10 @@ impl Auditor {
         }
     }
 
-    fn check_switch(&mut self, line: usize, event: &Value, p: &PendingSwitch) {
-        let session = event.get_field("session").and_then(Value::as_u64);
-        let cluster = event.get_field("cluster").and_then(Value::as_u64);
-        let from = event.get_field("from").and_then(Value::as_u64);
-        let to = event.get_field("to").and_then(Value::as_u64);
-        let (Some(session), Some(cluster), Some(from), Some(to)) = (session, cluster, from, to)
-        else {
-            self.violate(
-                "A000",
-                line,
-                "switch event is missing required fields".to_string(),
-            );
-            return;
-        };
+    fn check_switch(&mut self, session: u64, cluster: u64, from: u64, to: u64, p: &PendingSwitch) {
         if session != p.session || cluster != p.cluster || from != p.from || to != p.to {
             self.violate(
                 "A006",
-                line,
                 format!(
                     "switch (session {session}, cluster {cluster}, {from} → {to}) does not match the \
                      selection that caused it (session {}, cluster {}, {} → {})",
@@ -1616,7 +1559,6 @@ impl Auditor {
         if from == to {
             self.violate(
                 "A006",
-                line,
                 format!("switch of session {session} to the same server {to}"),
             );
         }

@@ -10,14 +10,14 @@
 //! single object of the shape
 //! `{"tool":"audit","findings":[{"rule","where","line","message"}],"stats":{...}}`.
 
-use std::path::PathBuf;
+use std::io::BufRead;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vod_check::audit::{audit_trace, AuditSummary};
+use vod_check::audit::{AuditSink, AuditSummary};
 use vod_check::series::audit_series;
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
-use vod_obs::JsonlWriter;
 use vod_workload::scenario::Scenario;
 
 const HELP: &str = "vod-check — trace auditing for the VoD workspace
@@ -141,29 +141,25 @@ fn run_audit(args: &[String]) -> ExitCode {
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut stats = AuditStats::default();
-    let mut series_trace: Option<(String, String)> = None;
+    // The last run audited, for --series to reconcile against.
+    let mut series_trace: Option<(String, AuditSummary)> = None;
     if grnet {
-        let text = grnet_case_study_trace();
-        collect_audit(
-            "grnet-case-study",
-            &audit_trace(&text),
-            &mut findings,
-            &mut stats,
-            json,
-        );
-        series_trace = Some(("grnet-case-study".into(), text));
+        let label = "grnet-case-study".to_string();
+        let summary = grnet_case_study_audit();
+        collect_audit(&label, &summary, &mut findings, &mut stats, json);
+        series_trace = Some((label, summary));
     }
     for path in traces {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let summary = match audit_file(&path) {
+            Ok(summary) => summary,
             Err(e) => {
                 eprintln!("vod-check: cannot read {}: {e}", path.display());
                 return ExitCode::from(2);
             }
         };
         let label = path.display().to_string();
-        collect_audit(&label, &audit_trace(&text), &mut findings, &mut stats, json);
-        series_trace = Some((label, text));
+        collect_audit(&label, &summary, &mut findings, &mut stats, json);
+        series_trace = Some((label, summary));
     }
     if let Some(series_path) = series {
         let series_text = match std::fs::read_to_string(&series_path) {
@@ -173,10 +169,10 @@ fn run_audit(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let (trace_label, trace_text) =
+        let (trace_label, trace) =
             series_trace.expect("audit requires --grnet or a trace before this point");
         let label = format!("{} vs {trace_label}", series_path.display());
-        let summary = audit_series(&series_text, &trace_text);
+        let summary = audit_series(&series_text, &trace);
         stats.windows += summary.windows;
         stats.totals_verified += summary.totals_verified;
         for v in &summary.violations {
@@ -268,22 +264,28 @@ fn collect_audit(
     }
 }
 
-/// Runs the paper's GRNET case study (seed 42, VRA selector) with a
-/// JSONL sink and returns the trace text.
-fn grnet_case_study_trace() -> String {
+/// Streams a JSONL trace file line by line through an [`AuditSink`].
+fn audit_file(path: &Path) -> std::io::Result<AuditSummary> {
+    let file = std::io::BufReader::new(std::fs::File::open(path)?);
+    let mut sink = AuditSink::new();
+    for line in file.lines() {
+        sink.record_line(&line?);
+    }
+    Ok(sink.finish())
+}
+
+/// Runs the paper's GRNET case study (seed 42, VRA selector) with the
+/// auditor as its sink.
+fn grnet_case_study_audit() -> AuditSummary {
     let scenario = Scenario::grnet_case_study(42);
-    let sink = JsonlWriter::new(Vec::new());
     let service = VodService::with_sink(
         &scenario,
         Box::new(Vra::default()),
         ServiceConfig::default(),
-        sink,
+        AuditSink::new(),
     );
     let (_, sink) = service.run_full();
-    sink.into_inner()
-        .ok()
-        .and_then(|bytes| String::from_utf8(bytes).ok())
-        .unwrap_or_default()
+    sink.finish()
 }
 
 fn json_string(s: &str) -> String {

@@ -3,9 +3,10 @@
 //!
 //! A `TimeSeriesSink` export (`--series` on the experiment binaries) is
 //! a *derived* artifact: every per-window counter is a fold over the
-//! JSONL trace the run also emits. This module re-derives those totals
-//! independently and flags any divergence, so a series file can be
-//! trusted as far as its trace can:
+//! event stream the run also traces. This module checks those totals
+//! against the per-kind counts an [`AuditSink`](crate::audit::AuditSink)
+//! kept while replaying the same run, and flags any divergence, so a
+//! series file can be trusted as far as its trace can:
 //!
 //! * **shape** — the header (`window_us`, `links`) is sane, windows are
 //!   width-aligned to absolute sim time, contiguous (each window starts
@@ -14,7 +15,7 @@
 //! * **totals** — summed over all windows, every reconcilable counter
 //!   (arrivals, starts, completes, aborts, failures, rejections,
 //!   retries, switches, DMA hits/admits/rejects and the VRA
-//!   local/remote split) equals the raw trace's count of the
+//!   local/remote split) equals the audit's count of the
 //!   corresponding event kind. These kinds cannot occur before the
 //!   first `request_arrival`, so the sink's lazy window opening drops
 //!   none of them. (`snmp_polls` is deliberately *not* reconciled: the
@@ -30,7 +31,7 @@
 
 use serde::Value;
 
-use crate::audit::Violation;
+use crate::audit::{AuditSummary, Violation};
 
 /// Tolerance for utilization comparisons, matching the auditor's.
 const EPS: f64 = 1e-6;
@@ -75,9 +76,9 @@ const RECONCILED: &[(&str, &str)] = &[
     ("prefix_rejects", "prefix_reject"),
 ];
 
-/// Audits a `TimeSeriesSink` JSON export against the JSONL trace of
-/// the same run.
-pub fn audit_series(series_text: &str, trace_text: &str) -> SeriesAuditSummary {
+/// Audits a `TimeSeriesSink` JSON export against the audit of the same
+/// run's events.
+pub fn audit_series(series_text: &str, trace: &AuditSummary) -> SeriesAuditSummary {
     let mut summary = SeriesAuditSummary::default();
     let series: Value = match serde_json::from_str(series_text.trim()) {
         Ok(v) => v,
@@ -111,7 +112,7 @@ pub fn audit_series(series_text: &str, trace_text: &str) -> SeriesAuditSummary {
     summary.windows = windows.len();
 
     check_shape(&mut summary, windows, width, links);
-    check_totals(&mut summary, windows, trace_text);
+    check_totals(&mut summary, windows, trace);
     summary
 }
 
@@ -220,8 +221,7 @@ fn check_shape(summary: &mut SeriesAuditSummary, windows: &[Value], width: u64, 
     }
 }
 
-fn check_totals(summary: &mut SeriesAuditSummary, windows: &[Value], trace_text: &str) {
-    // Series-side sums.
+fn check_totals(summary: &mut SeriesAuditSummary, windows: &[Value], trace: &AuditSummary) {
     let mut series_totals = vec![0u64; RECONCILED.len()];
     let (mut series_local, mut series_remote) = (0u64, 0u64);
     for (i, w) in windows.iter().enumerate() {
@@ -237,34 +237,13 @@ fn check_totals(summary: &mut SeriesAuditSummary, windows: &[Value], trace_text:
         series_remote += field_u64(w, "vra_remote").unwrap_or(0);
     }
 
-    // Trace-side counts, by event kind.
-    let mut trace_totals = vec![0u64; RECONCILED.len()];
-    let (mut trace_local, mut trace_remote) = (0u64, 0u64);
-    for line in trace_text.lines() {
-        let Ok(event) = serde_json::from_str::<Value>(line) else {
-            continue;
-        };
-        let Some(kind) = event.get_field("kind").and_then(Value::as_str) else {
-            continue;
-        };
-        if kind == "vra_select" {
-            match event.get_field("local").and_then(Value::as_bool) {
-                Some(true) => trace_local += 1,
-                _ => trace_remote += 1,
-            }
-        }
-        if let Some(slot) = RECONCILED.iter().position(|(_, k)| *k == kind) {
-            trace_totals[slot] += 1;
-        }
-    }
-
-    for (slot, (field, kind)) in RECONCILED.iter().enumerate() {
-        if series_totals[slot] != trace_totals[slot] {
+    for (&(field, kind), series_n) in RECONCILED.iter().zip(series_totals) {
+        let trace_n = trace.kinds.get(kind).copied().unwrap_or(0);
+        if series_n != trace_n {
             summary.violations.push(violation(
                 0,
                 format!(
-                    "series total {field} = {} but the trace has {} {kind} events",
-                    series_totals[slot], trace_totals[slot]
+                    "series total {field} = {series_n} but the trace has {trace_n} {kind} events"
                 ),
             ));
         } else {
@@ -272,8 +251,8 @@ fn check_totals(summary: &mut SeriesAuditSummary, windows: &[Value], trace_text:
         }
     }
     for (name, series_n, trace_n) in [
-        ("vra_local", series_local, trace_local),
-        ("vra_remote", series_remote, trace_remote),
+        ("vra_local", series_local, trace.vra_local),
+        ("vra_remote", series_remote, trace.vra_remote),
     ] {
         if series_n != trace_n {
             summary.violations.push(violation(

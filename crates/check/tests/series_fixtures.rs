@@ -4,28 +4,27 @@
 //! sample, and a misaligned window — each asserting that exactly
 //! `A013` fires with the expected complaint.
 
+use std::collections::BTreeMap;
+
+use vod_check::audit::{AuditSink, AuditSummary};
 use vod_check::series::{audit_series, SeriesAuditSummary};
-use vod_core::service::{ServiceConfig, VodService};
+use vod_core::service::{PrefixTierConfig, ServiceConfig, VodService};
 use vod_core::vra::Vra;
-use vod_obs::{JsonlWriter, TeeSink, TimeSeriesSink};
+use vod_obs::{TeeSink, TimeSeriesSink};
 use vod_workload::scenario::Scenario;
 
-/// Runs the GRNET case study with a tee'd trace + series sink and
-/// returns `(trace_jsonl, series_json)`.
-fn instrumented_grnet_run() -> (String, String) {
-    let scenario = Scenario::grnet_case_study(42);
-    let sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
-    let service = VodService::with_sink(
-        &scenario,
-        Box::new(Vra::default()),
-        ServiceConfig::default(),
-        sink,
-    );
-    let (_, sink) = service.run_full();
-    let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
-        .expect("JSONL traces are UTF-8");
-    (trace, series.finish().to_json())
+/// Runs `scenario` under `config` with the auditor and a series sink
+/// tee'd in; returns the audit and the series JSON.
+fn audited_run(scenario: &Scenario, config: ServiceConfig) -> (AuditSummary, String) {
+    let sink = TeeSink::new(AuditSink::new(), TimeSeriesSink::new());
+    let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
+    let (audit, series) = service.run_full().1.into_parts();
+    (audit.finish(), series.finish().to_json())
+}
+
+/// The GRNET case study, audited, with its series.
+fn instrumented_grnet_run() -> (AuditSummary, String) {
+    audited_run(&Scenario::grnet_case_study(42), ServiceConfig::default())
 }
 
 fn assert_single_a013(summary: &SeriesAuditSummary, needle: &str) {
@@ -62,27 +61,15 @@ fn real_run_series_reconciles_clean() {
 
 #[test]
 fn prefix_tier_series_reconciles_clean() {
-    use vod_core::service::PrefixTierConfig;
     // A repeat-heavy workload with the prefix tier on: the four
     // prefix_* counters reconcile with nonzero trace counts.
-    let scenario = Scenario::flash_crowd(42);
-    let sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
-    let service = VodService::with_sink(
-        &scenario,
-        Box::new(Vra::default()),
-        ServiceConfig {
-            prefix_tier: Some(PrefixTierConfig::default()),
-            ..ServiceConfig::default()
-        },
-        sink,
-    );
-    let (_, sink) = service.run_full();
-    let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
-        .expect("JSONL traces are UTF-8");
-    let series = series.finish().to_json();
+    let config = ServiceConfig {
+        prefix_tier: Some(PrefixTierConfig::default()),
+        ..ServiceConfig::default()
+    };
+    let (trace, series) = audited_run(&Scenario::flash_crowd(42), config);
     assert!(
-        trace.contains("\"kind\":\"prefix_hit\""),
+        trace.kinds.get("prefix_hit") > Some(&0),
         "flash crowd must produce prefix hits"
     );
     let summary = audit_series(&series, &trace);
@@ -107,7 +94,10 @@ fn tampered_counter_trips_a013() {
 
 #[test]
 fn over_capacity_utilization_trips_a013() {
-    let trace = r#"{"at_us":0,"kind":"request_arrival","session":0,"video":0,"home":0}"#;
+    let trace = AuditSummary {
+        kinds: BTreeMap::from([("request_arrival", 1)]),
+        ..AuditSummary::default()
+    };
     let series = concat!(
         r#"{"window_us":60000000,"links":1,"events":1,"windows":["#,
         "\n",
@@ -117,7 +107,7 @@ fn over_capacity_utilization_trips_a013() {
         r#""max_staleness_us":0,"sessions":0,"peak_sessions":0,"utilization":[1.5],"util_max":[1.5]}"#,
         "\n]}\n",
     );
-    let summary = audit_series(series, trace);
+    let summary = audit_series(series, &trace);
     assert_single_a013(&summary, "exceeds link capacity");
 }
 
@@ -143,7 +133,7 @@ fn misaligned_window_trips_a013() {
 
 #[test]
 fn gapped_series_trips_a013() {
-    let trace = "";
+    let trace = AuditSummary::default();
     // Two aligned windows with a missing window between them.
     let series = concat!(
         r#"{"window_us":10,"links":0,"events":0,"windows":["#,
@@ -159,12 +149,12 @@ fn gapped_series_trips_a013() {
         r#""max_staleness_us":0,"sessions":0,"peak_sessions":0,"utilization":[],"util_max":[]}"#,
         "\n]}\n",
     );
-    let summary = audit_series(series, trace);
+    let summary = audit_series(series, &trace);
     assert_single_a013(&summary, "gap-free");
 }
 
 #[test]
 fn unparseable_series_trips_a013() {
-    let summary = audit_series("not json at all", "");
+    let summary = audit_series("not json at all", &AuditSummary::default());
     assert_single_a013(&summary, "not valid JSON");
 }

@@ -13,12 +13,13 @@
 //!
 //! The taxonomy is declared once, in the `event_taxonomy!` table below:
 //! a row names the variant, its kind string and its fields, and expands
-//! to the enum, [`Event::kind`], [`Event::KINDS`] and the JSONL writer,
-//! so they cannot disagree. Adding an event is one row (DESIGN.md §10
-//! has the recipe).
+//! to the enum, [`Event::kind`], [`Event::KINDS`], the JSONL writer and
+//! its reader ([`Event::read_json`]), so they cannot disagree. Adding an
+//! event is one row (DESIGN.md §10 has the recipe).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
+use serde::Value;
 use vod_net::{LinkId, NodeId};
 use vod_sim::{SimDuration, SimTime};
 use vod_storage::VideoId;
@@ -77,8 +78,8 @@ impl AbortReason {
 /// name, its kind string and its fields, with the JSON key spelled out
 /// (`field as "key"`) only where it differs from the field name. The
 /// expansion is the [`Event`] enum itself plus everything that must
-/// agree with it row by row: [`Event::KINDS`], [`Event::kind`] and
-/// [`Event::write_json`].
+/// agree with it row by row: [`Event::KINDS`], [`Event::kind`],
+/// [`Event::write_json`] and [`Event::read_json`].
 macro_rules! event_taxonomy {
     (
         $(#[$enum_attr:meta])*
@@ -140,6 +141,47 @@ macro_rules! event_taxonomy {
                 }
                 out.push('}');
             }
+
+            /// Reads one line [`Event::write_json`] wrote back into its
+            /// instant and event. Keys beyond the kind's fields are
+            /// ignored; a missing or mistyped one is an error naming it.
+            ///
+            /// # Errors
+            ///
+            /// [`ReadError`] when the line is not JSON, lacks `at_us` or
+            /// `kind`, names a kind outside [`Event::KINDS`], or lacks a
+            /// field of its kind.
+            pub fn read_json(line: &str) -> Result<(SimTime, Event), ReadError> {
+                let value: Value =
+                    serde_json::from_str(line).map_err(|e| ReadError::Json(e.to_string()))?;
+                let at = value
+                    .get_field("at_us")
+                    .and_then(Value::as_u64)
+                    .ok_or(ReadError::AtUs)?;
+                let kind = value
+                    .get_field("kind")
+                    .and_then(Value::as_str)
+                    .ok_or(ReadError::Kind)?;
+                let event = match kind {
+                    $(
+                        $kind => Event::$variant $({ $(
+                            $field: read_field(&value, $kind, json_key!($field $(, $key)?))?,
+                        )* })?,
+                    )*
+                    other => return Err(ReadError::UnknownKind(other.to_string())),
+                };
+                Ok((SimTime::from_micros(at), event))
+            }
+
+            /// A `kind` event with every field drawn from `g`, or `None`
+            /// for a kind outside the taxonomy.
+            #[cfg(test)]
+            pub(crate) fn random(kind: &str, g: &mut tests::Gen) -> Option<Event> {
+                Some(match kind {
+                    $($kind => Event::$variant $({ $($field: g.draw(),)* })?,)*
+                    _ => return None,
+                })
+            }
         }
     };
 }
@@ -176,7 +218,6 @@ event_taxonomy! {
     /// victims, `i mod n` striping, VRA optimality) against an independent
     /// reference implementation, with no access to the original scenario.
     #[derive(Debug, Clone, PartialEq)]
-    #[non_exhaustive]
     pub enum Event {
         /// The network the run is played over: node names with their
         /// video-server flag, and links as `(a, b, capacity_mbps)` triples in
@@ -568,14 +609,67 @@ impl Event {
     }
 }
 
-/// How a field type renders as a JSON value inside [`Event::write_json`].
-trait JsonValue {
+/// Why a JSONL line did not read back as an [`Event`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadError {
+    /// The line is not JSON (the tokenizer's message).
+    Json(String),
+    /// No integer `at_us`.
+    AtUs,
+    /// No string `kind`.
+    Kind,
+    /// A kind outside [`Event::KINDS`] (a newer writer's, say).
+    UnknownKind(String),
+    /// A field of a known kind is missing or has the wrong type.
+    Field {
+        /// The event's kind.
+        kind: &'static str,
+        /// The JSON key of the field.
+        field: &'static str,
+    },
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadError::Json(e) => write!(f, "unparseable JSON: {e}"),
+            ReadError::AtUs => f.write_str("missing integer `at_us`"),
+            ReadError::Kind => f.write_str("missing string `kind`"),
+            ReadError::UnknownKind(kind) => write!(f, "unknown kind `{kind}`"),
+            ReadError::Field { kind, field } => {
+                write!(f, "`{kind}` event is missing or mistypes field `{field}`")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+/// One field of a `kind` event, read from the line's JSON object.
+fn read_field<T: JsonValue>(
+    object: &Value,
+    kind: &'static str,
+    field: &'static str,
+) -> Result<T, ReadError> {
+    object
+        .get_field(field)
+        .and_then(T::read_value)
+        .ok_or(ReadError::Field { kind, field })
+}
+
+/// How a field type renders as a JSON value inside [`Event::write_json`]
+/// and reads back inside [`Event::read_json`].
+trait JsonValue: Sized {
     fn write_value(&self, out: &mut String);
+    fn read_value(value: &Value) -> Option<Self>;
 }
 
 impl JsonValue for u32 {
     fn write_value(&self, out: &mut String) {
         number::write_u64(u64::from(*self), out);
+    }
+    fn read_value(value: &Value) -> Option<Self> {
+        u32::try_from(value.as_u64()?).ok()
     }
 }
 
@@ -583,11 +677,8 @@ impl JsonValue for u64 {
     fn write_value(&self, out: &mut String) {
         number::write_u64(*self, out);
     }
-}
-
-impl JsonValue for usize {
-    fn write_value(&self, out: &mut String) {
-        number::write_u64(*self as u64, out);
+    fn read_value(value: &Value) -> Option<Self> {
+        value.as_u64()
     }
 }
 
@@ -595,11 +686,17 @@ impl JsonValue for f64 {
     fn write_value(&self, out: &mut String) {
         number::write_f64(*self, out);
     }
+    fn read_value(value: &Value) -> Option<Self> {
+        value.as_f64()
+    }
 }
 
 impl JsonValue for bool {
     fn write_value(&self, out: &mut String) {
         number::write_bool(*self, out);
+    }
+    fn read_value(value: &Value) -> Option<Self> {
+        value.as_bool()
     }
 }
 
@@ -607,7 +704,10 @@ macro_rules! json_value_via_index {
     ($($ty:ty),*) => {$(
         impl JsonValue for $ty {
             fn write_value(&self, out: &mut String) {
-                self.index().write_value(out);
+                number::write_u64(self.index() as u64, out);
+            }
+            fn read_value(value: &Value) -> Option<Self> {
+                u32::read_value(value).map(<$ty>::new)
             }
         }
     )*};
@@ -615,27 +715,40 @@ macro_rules! json_value_via_index {
 json_value_via_index!(NodeId, LinkId, VideoId);
 
 macro_rules! json_value_via_label {
-    ($($ty:ty),*) => {$(
+    ($($ty:ident [$($variant:ident),*]),*) => {$(
         impl JsonValue for $ty {
             fn write_value(&self, out: &mut String) {
                 out.push('"');
                 out.push_str(self.label());
                 out.push('"');
             }
+            fn read_value(value: &Value) -> Option<Self> {
+                let label = value.as_str()?;
+                [$($ty::$variant),*].into_iter().find(|v| v.label() == label)
+            }
         }
     )*};
 }
-json_value_via_label!(DmaRejectKind, AbortReason);
+json_value_via_label!(
+    DmaRejectKind [BelowThreshold, NotPopularEnough, DoesNotFit],
+    AbortReason [HomeDown, NoSource, RetryExhausted, StallBudget]
+);
 
 impl JsonValue for SimDuration {
     fn write_value(&self, out: &mut String) {
         self.as_micros().write_value(out);
+    }
+    fn read_value(value: &Value) -> Option<Self> {
+        value.as_u64().map(SimDuration::from_micros)
     }
 }
 
 impl JsonValue for String {
     fn write_value(&self, out: &mut String) {
         write_json_string(self, out);
+    }
+    fn read_value(value: &Value) -> Option<Self> {
+        value.as_str().map(str::to_string)
     }
 }
 
@@ -644,6 +757,12 @@ impl<T: JsonValue> JsonValue for Option<T> {
         match self {
             Some(value) => value.write_value(out),
             None => out.push_str("null"),
+        }
+    }
+    fn read_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::Null => Some(None),
+            value => T::read_value(value).map(Some),
         }
     }
 }
@@ -659,6 +778,9 @@ impl<T: JsonValue> JsonValue for Vec<T> {
         }
         out.push(']');
     }
+    fn read_value(value: &Value) -> Option<Self> {
+        value.as_array()?.iter().map(T::read_value).collect()
+    }
 }
 
 impl<A: JsonValue, B: JsonValue> JsonValue for (A, B) {
@@ -668,6 +790,12 @@ impl<A: JsonValue, B: JsonValue> JsonValue for (A, B) {
         out.push(',');
         self.1.write_value(out);
         out.push(']');
+    }
+    fn read_value(value: &Value) -> Option<Self> {
+        match value.as_array()? {
+            [a, b] => Some((A::read_value(a)?, B::read_value(b)?)),
+            _ => None,
+        }
     }
 }
 
@@ -680,6 +808,12 @@ impl<A: JsonValue, B: JsonValue, C: JsonValue> JsonValue for (A, B, C) {
         out.push(',');
         self.2.write_value(out);
         out.push(']');
+    }
+    fn read_value(value: &Value) -> Option<Self> {
+        match value.as_array()? {
+            [a, b, c] => Some((A::read_value(a)?, B::read_value(b)?, C::read_value(c)?)),
+            _ => None,
+        }
     }
 }
 
@@ -1256,12 +1390,239 @@ pub(crate) mod tests {
         assert_eq!(Event::KINDS.len(), 40);
         for (event, line) in &table {
             assert_eq!(event.to_json(SimTime::from_micros(7)), *line);
-            let parsed: serde::Value = serde_json::from_str(line).expect("line is valid JSON");
             assert_eq!(
-                parsed.get_field("kind").and_then(serde::Value::as_str),
-                Some(event.kind())
+                Event::read_json(line),
+                Ok((SimTime::from_micros(7), event.clone()))
             );
         }
+    }
+
+    /// A deterministic stream of field values for [`Event::random`]
+    /// (splitmix64).
+    pub(crate) struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A value below `n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        pub(crate) fn draw<T: Draw>(&mut self) -> T {
+            T::draw(self)
+        }
+    }
+
+    /// A field type [`Gen`] can draw.
+    pub(crate) trait Draw {
+        fn draw(g: &mut Gen) -> Self;
+    }
+
+    impl Draw for u64 {
+        fn draw(g: &mut Gen) -> Self {
+            // Small values half the time: ids and counts are small.
+            match g.below(2) {
+                0 => g.below(1000),
+                _ => g.next(),
+            }
+        }
+    }
+
+    impl Draw for u32 {
+        fn draw(g: &mut Gen) -> Self {
+            u64::draw(g) as u32
+        }
+    }
+
+    impl Draw for bool {
+        fn draw(g: &mut Gen) -> Self {
+            g.below(2) == 1
+        }
+    }
+
+    /// Any finite value but `-0.0` (see
+    /// `negative_zero_reads_back_equal_but_positive`): plain decimals,
+    /// or any bit pattern, subnormals and extremes included.
+    impl Draw for f64 {
+        fn draw(g: &mut Gen) -> Self {
+            loop {
+                let x = match g.below(3) {
+                    0 => g.below(10_000_000) as f64 / 1000.0,
+                    _ => f64::from_bits(g.next()),
+                };
+                if x.is_finite() && x.to_bits() != (-0.0f64).to_bits() {
+                    return x;
+                }
+            }
+        }
+    }
+
+    impl Draw for NodeId {
+        fn draw(g: &mut Gen) -> Self {
+            NodeId::new(g.draw())
+        }
+    }
+
+    impl Draw for LinkId {
+        fn draw(g: &mut Gen) -> Self {
+            LinkId::new(g.draw())
+        }
+    }
+
+    impl Draw for VideoId {
+        fn draw(g: &mut Gen) -> Self {
+            VideoId::new(g.draw())
+        }
+    }
+
+    impl Draw for SimDuration {
+        fn draw(g: &mut Gen) -> Self {
+            SimDuration::from_micros(g.draw())
+        }
+    }
+
+    impl Draw for DmaRejectKind {
+        fn draw(g: &mut Gen) -> Self {
+            use DmaRejectKind::*;
+            [BelowThreshold, NotPopularEnough, DoesNotFit][g.below(3) as usize]
+        }
+    }
+
+    impl Draw for AbortReason {
+        fn draw(g: &mut Gen) -> Self {
+            use AbortReason::*;
+            [HomeDown, NoSource, RetryExhausted, StallBudget][g.below(4) as usize]
+        }
+    }
+
+    /// Escapes, control characters and multi-byte characters included.
+    impl Draw for String {
+        fn draw(g: &mut Gen) -> Self {
+            (0..g.below(8))
+                .map(|_| match g.below(3) {
+                    0 => ['"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '/'][g.below(8) as usize],
+                    1 => char::from(b' ' + g.below(95) as u8),
+                    _ => char::from_u32(g.below(0x11_0000) as u32).unwrap_or('\u{e9}'),
+                })
+                .collect()
+        }
+    }
+
+    impl<T: Draw> Draw for Option<T> {
+        fn draw(g: &mut Gen) -> Self {
+            (g.below(2) == 1).then(|| g.draw())
+        }
+    }
+
+    impl<T: Draw> Draw for Vec<T> {
+        fn draw(g: &mut Gen) -> Self {
+            (0..g.below(5)).map(|_| g.draw()).collect()
+        }
+    }
+
+    impl<A: Draw, B: Draw> Draw for (A, B) {
+        fn draw(g: &mut Gen) -> Self {
+            (g.draw(), g.draw())
+        }
+    }
+
+    impl<A: Draw, B: Draw, C: Draw> Draw for (A, B, C) {
+        fn draw(g: &mut Gen) -> Self {
+            (g.draw(), g.draw(), g.draw())
+        }
+    }
+
+    proptest::proptest! {
+        /// The round-trip oracle of the writer: every kind, with random
+        /// field values, reads back as the instant and event it was
+        /// rendered from. `Debug` prints each `f64` as its shortest
+        /// round-trip digits, so equal `Debug` text means every float
+        /// came back bit for bit. One exception, kept out of the draw:
+        /// `-0.0` renders as `-0`, which the tokenizer reads as the
+        /// integer 0, so it reads back `== -0.0` but with other bits.
+        #[test]
+        fn every_kind_reads_back_what_it_wrote(seed in proptest::prelude::any::<u64>()) {
+            let mut g = Gen(seed);
+            for (sample, _) in every_kind() {
+                let at = SimTime::from_micros(g.draw());
+                let event = Event::random(sample.kind(), &mut g).expect("every kind is in the table");
+                let line = event.to_json(at);
+                let read = Event::read_json(&line);
+                let Ok((read_at, read)) = read else {
+                    return Err(proptest::prelude::TestCaseError::fail(format!("{line}: {read:?}")));
+                };
+                proptest::prop_assert_eq!(read_at, at);
+                proptest::prop_assert_eq!(format!("{read:?}"), format!("{event:?}"), "{}", line);
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_reads_back_equal_but_positive() {
+        let event = Event::LinkDegradeEnd {
+            link: LinkId::new(0),
+            factor: -0.0,
+        };
+        let line = event.to_json(SimTime::ZERO);
+        assert!(line.ends_with("\"factor\":-0}"), "{line}");
+        let Ok((_, Event::LinkDegradeEnd { factor, .. })) = Event::read_json(&line) else {
+            panic!("{line} reads back as its kind");
+        };
+        assert_eq!(factor, -0.0);
+        assert_eq!(factor.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn read_errors_name_what_is_wrong() {
+        let read = |line: &str| Event::read_json(line).map(|(at, e)| (at.as_micros(), e));
+        assert_eq!(
+            read(r#"{"at_us":3,"kind":"server_up","server":2,"extra":[1]}"#),
+            Ok((
+                3,
+                Event::ServerUp {
+                    server: NodeId::new(2)
+                }
+            )),
+            "unknown fields are ignored"
+        );
+        assert_eq!(
+            read(r#"{"at_us":3,"kind":"server_up"}"#),
+            Err(ReadError::Field {
+                kind: "server_up",
+                field: "server"
+            })
+        );
+        assert_eq!(
+            read(r#"{"at_us":3,"kind":"session_start","session":1,"startup_us":-4}"#),
+            Err(ReadError::Field {
+                kind: "session_start",
+                field: "startup_us"
+            })
+        );
+        assert_eq!(
+            read(r#"{"at_us":3,"kind":"session_aborted","session":1,"reason":"cosmic_rays"}"#),
+            Err(ReadError::Field {
+                kind: "session_aborted",
+                field: "reason"
+            })
+        );
+        assert_eq!(
+            read(r#"{"at_us":3,"kind":"phantom"}"#),
+            Err(ReadError::UnknownKind("phantom".into()))
+        );
+        assert_eq!(
+            read(r#"{"kind":"server_up","server":2}"#),
+            Err(ReadError::AtUs)
+        );
+        assert_eq!(read(r#"{"at_us":3,"kind":7}"#), Err(ReadError::Kind));
+        assert!(matches!(read(r#"{"at_us":NaN}"#), Err(ReadError::Json(_))));
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod series;
 pub mod sink;
 pub mod span;
 
-pub use event::{AbortReason, DmaRejectKind, Event};
+pub use event::{AbortReason, DmaRejectKind, Event, ReadError};
 pub use series::{SeriesReport, SeriesWindow, TimeSeriesSink};
 pub use sink::{EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink};
 pub use span::{SessionSpan, SpanBuilder, SpanOutcome, SpanReport};

@@ -157,7 +157,7 @@ fn silent_gap_trace_and_series_are_pinned() {
 
     let summary = vod_check::audit::audit_trace(&text);
     assert!(summary.is_clean(), "audit violations: {summary:?}");
-    let summary = vod_check::series::audit_series(&series, &text);
+    let summary = vod_check::series::audit_series(&series, &summary);
     assert!(
         summary.is_clean(),
         "A013 violations: {:?}",

@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 
+use vod_check::audit::{audit_trace, AuditSink};
 use vod_check::series::audit_series;
 use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
@@ -119,7 +120,7 @@ fn golden_seed42_series_exports_are_pinned() {
         assert_eq!(fnv1a(text.as_bytes()), hash, "{name}: content drifted");
     }
 
-    let summary = audit_series(&faulted.to_json(), &trace);
+    let summary = audit_series(&faulted.to_json(), &audit_trace(&trace));
     assert!(
         summary.is_clean(),
         "A013 violations: {:?}",
@@ -139,12 +140,21 @@ fn series_is_byte_identical_across_runs() {
     assert_eq!(csv_a, csv_b, "series CSV must replay byte-for-byte");
 }
 
-/// The series a run exports reconciles with the trace the same run
-/// wrote, under the independent `A013` auditor.
+/// The series a run exports reconciles with the events the same run
+/// emitted, under the independent `A013` auditor tee'd into the run.
 #[test]
 fn series_reconciles_with_own_trace() {
-    let (trace, json, _) = instrumented_run(ServiceConfig::default());
-    let summary = audit_series(&json, &trace);
+    let sink = TeeSink::new(AuditSink::new(), TimeSeriesSink::new());
+    let service = VodService::with_sink(
+        &Scenario::grnet_case_study(42),
+        Box::new(Vra::default()),
+        ServiceConfig::default(),
+        sink,
+    );
+    let (audit, series) = service.run_full().1.into_parts();
+    let trace = audit.finish();
+    assert!(trace.is_clean(), "{:?}", trace.violations);
+    let summary = audit_series(&series.finish().to_json(), &trace);
     assert!(
         summary.is_clean(),
         "A013 violations on a clean run: {:?}",
@@ -163,7 +173,7 @@ fn links_cover_rows_recorded_without_a_snapshot() {
         client: NodeId::new(0),
         video: VideoId::new(0),
     };
-    let mut sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
+    let mut sink = TeeSink::new(AuditSink::new(), TimeSeriesSink::new());
     sink.record(
         SimTime::from_secs(1),
         &Event::LinkState {
@@ -174,9 +184,8 @@ fn links_cover_rows_recorded_without_a_snapshot() {
     );
     sink.record(SimTime::from_secs(2), &arrival(1));
     sink.record(SimTime::from_secs(150), &arrival(2));
-    let (jsonl, series) = sink.into_parts();
-    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
-        .expect("JSONL traces are UTF-8");
+    let (audit, series) = sink.into_parts();
+    let trace = audit.finish();
     let report = series.finish();
 
     assert_eq!((report.links, report.len()), (3, 3));
