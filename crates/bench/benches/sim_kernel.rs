@@ -1,7 +1,7 @@
 //! Criterion bench: the event-driven flow kernel at a population of
-//! ~10 000 live flows — the per-event primitives the service run is made
-//! of: `advance` with nothing finishing, `next_completion`, and an
-//! add/advance/remove churn cycle — the max-min reallocation a
+//! 10 000 live network flows — the per-event primitives the service run
+//! is made of: `advance` with nothing finishing and `next_completion` —
+//! the max-min reallocation a
 //! backbone arrival and departure pay under contention
 //! (`sim_kernel/reallocate/*`: many flows on GRNET's few routes, and
 //! as many routes as flows on a 200-node random graph), and what a
@@ -9,8 +9,9 @@
 //! transfer replaced at one instant, along its route or along another),
 //! and a simulated day of the periodic path — background refreshes and
 //! SNMP polls — over an idle GRNET backbone (`sim_kernel/tick/*`), and
-//! the two event queues under the hold model at the depth of a quiet
-//! day and of 400 000 live sessions (`sim_kernel/queue/*`).
+//! the scheduler under the hold model at the depth of a quiet day and of
+//! 400 000 live sessions (`sim_kernel/queue/*`), the queue every playout
+//! tick and every local serve's timer goes through.
 //!
 //! `CRITERION_JSON=out.json cargo bench --bench sim_kernel` writes the
 //! fresh rows `ci.sh` holds against the committed `BENCH_kernel.json`,
@@ -18,35 +19,33 @@
 //! `BENCH_sim.json` end-to-end numbers come from `--bin scale` instead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::VecDeque;
 use std::hint::black_box;
 
 use vod_db::Database;
 use vod_net::lvn::LvnParams;
 use vod_net::topologies::grnet::Grnet;
 use vod_net::topologies::random::connected_gnp;
-use vod_net::{LinkId, Mbps, NodeId, RoutingEngine, Topology, TrafficSnapshot};
+use vod_net::{LinkId, NodeId, RoutingEngine, Topology, TrafficSnapshot};
 use vod_sim::flow::FlowNetwork;
 use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
-use vod_sim::{SimDuration, SimTime, COMPLETION_CHECK_SLACK};
+use vod_sim::{SimDuration, SimTime};
 use vod_snmp::SnmpSystem;
 use vod_storage::video::VideoLibrary;
 
 const FLOWS: usize = 10_000;
 
-/// A GRNET network holding `FLOWS` long-lived local flows (far from
-/// completion, so `advance` never materializes any of them) plus a few
-/// network flows so reallocation work is represented.
+/// A settled GRNET network holding `FLOWS` long-lived flows spread
+/// round-robin over its city-to-city routes, far from completion, so
+/// `advance` never collects any of them.
 fn populated() -> FlowNetwork {
     let grnet = Grnet::new();
+    let routes = engine_routes(grnet.topology(), usize::MAX);
     let mut net = FlowNetwork::new(grnet.topology().clone());
-    for _ in 0..FLOWS {
-        net.add_local_flow(1e9, Mbps::new(2.0)).unwrap();
+    for i in 0..FLOWS {
+        net.add_flow(&routes[i % routes.len()], 1e9).unwrap();
     }
-    for link in 0..grnet.topology().link_count() {
-        net.add_flow(vec![LinkId::new(link as u32)], 1e9).unwrap();
-    }
+    net.settle();
     net
 }
 
@@ -69,35 +68,6 @@ fn bench_next_completion(c: &mut Criterion) {
     c.bench_function("sim_kernel/next_completion_10k", |b| {
         b.iter(|| black_box(net.next_completion()))
     });
-}
-
-/// Session churn at a standing population of 10k local flows: the
-/// newest session arrives, the clock moves a millisecond, the oldest
-/// leaves a few milliseconds short of finishing. Nothing about the
-/// state may grow with the iteration count. Flow ids only grow, so the
-/// live ones slide upwards as in a service run (one flow churned above
-/// a population that never leaves widens the `IdWindow` by a slot per
-/// iteration), and a removed flow's completion prediction stays queued
-/// until its instant passes, so every transfer is sized to be nearly
-/// over when it is removed (predictions an hour out pile up for ever).
-fn bench_churn(c: &mut Criterion) {
-    let rate = Mbps::new(2.0);
-    // A flow removed after `ticks` milliseconds has 8 ms left.
-    let volume_mbit = |ticks: usize| rate.as_f64() * (ticks + 8) as f64 / 1e3;
-    let mut net = FlowNetwork::new(Grnet::new().topology().clone());
-    let mut live: VecDeque<_> = (1..=FLOWS)
-        .map(|ticks| net.add_local_flow(volume_mbit(ticks), rate).unwrap())
-        .collect();
-    let mut done = Vec::new();
-    c.bench_function("sim_kernel/churn_10k", |b| {
-        b.iter(|| {
-            live.push_back(net.add_local_flow(volume_mbit(FLOWS + 1), rate).unwrap());
-            net.advance_into(SimDuration::from_millis(1), &mut done);
-            assert!(done.is_empty());
-            black_box(net.remove_flow(live.pop_front().unwrap()).unwrap());
-        })
-    });
-    assert_eq!(net.flow_count(), FLOWS);
 }
 
 /// The routes the routing engine selects on an idle network between
@@ -275,41 +245,15 @@ fn bench_queue_hold_at(c: &mut Criterion, id: &str, depth: u64) {
     assert_eq!(queue.len() as u64, depth);
 }
 
-/// The same over the kernel's predicted completions (`f64` finish
-/// keys): 400 000 local transfers, advance to the next completion,
-/// start a transfer of under a second for each one that finished.
-fn bench_queue_completions(c: &mut Criterion) {
-    let rate = Mbps::new(2.0);
-    let mut jitter_us = jitter_us();
-    let mut volume_mbit = move || rate.as_f64() * jitter_us() as f64 / 1e6;
-    let mut net = FlowNetwork::new(Grnet::new().topology().clone());
-    for _ in 0..400_000 {
-        net.add_local_flow(volume_mbit(), rate).unwrap();
-    }
-    let mut done = Vec::new();
-    c.bench_function("sim_kernel/queue/completions_400k", |b| {
-        b.iter(|| {
-            let (_, dt) = net.next_completion().unwrap();
-            net.advance_into(dt + COMPLETION_CHECK_SLACK, &mut done);
-            for _ in &done {
-                net.add_local_flow(volume_mbit(), rate).unwrap();
-            }
-        })
-    });
-    assert_eq!(net.flow_count(), 400_000);
-}
-
 fn bench_queue(c: &mut Criterion) {
     bench_queue_hold_at(c, "sim_kernel/queue/hold_150", 150);
     bench_queue_hold_at(c, "sim_kernel/queue/hold_400k", 400_000);
-    bench_queue_completions(c);
 }
 
 criterion_group!(
     benches,
     bench_advance,
     bench_next_completion,
-    bench_churn,
     bench_reallocate,
     bench_boundary,
     bench_tick,

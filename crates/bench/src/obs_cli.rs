@@ -149,12 +149,8 @@ pub fn print_stats(report: &ServiceReport) {
         k.fill_rounds, k.classes_filled, k.links_scanned
     );
     println!(
-        "          {} flows re-rated, {} completion scans, {} heap pushes, {} stale pops",
-        k.flows_rerated, k.completion_scans, k.heap_pushes, k.stale_pops
-    );
-    println!(
-        "          {} bucket splits, {} entries moved between buckets",
-        k.queue.splits, k.queue.moved
+        "          {} flows re-rated, {} completion scans",
+        k.flows_rerated, k.completion_scans
     );
     let q = &report.scheduler;
     println!(

@@ -193,7 +193,14 @@ impl<S: EventSink> ServiceModel<S> {
         // proxy: no origin selection, no backbone dependency at all.
         let total_clusters = self.config.cluster.parts(size);
         if prefix_serve >= total_clusters {
-            self.open_session(now, video, request.client, cache_later, total_clusters);
+            self.open_session(
+                now,
+                video,
+                request.client,
+                cache_later,
+                total_clusters,
+                sched,
+            );
             self.full_prefix_sessions += 1;
             return;
         }
@@ -239,7 +246,7 @@ impl<S: EventSink> ServiceModel<S> {
         // streams the resident prefix at local rate: the serve event
         // precedes the suffix selection, and the proxy→origin handoff
         // is an ordinary mid-stream switch.
-        let sid = self.open_session(now, video, request.client, cache_later, prefix_serve);
+        let sid = self.open_session(now, video, request.client, cache_later, prefix_serve, sched);
         self.trace_selection(now, sid, prefix_serve, &selection, cache_hit);
         self.fetch_selected(now, sid, prefix_serve, selection.route, sched);
     }

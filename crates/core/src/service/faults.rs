@@ -10,7 +10,7 @@ use vod_sim::SimTime;
 use vod_storage::dma::{DmaCache, DmaConfig};
 use vod_storage::prefix::PrefixStore;
 
-use super::model::{Event, ServiceModel};
+use super::model::{Event, InFlight, ServiceModel};
 use crate::session::SessionId;
 
 impl<S: EventSink> ServiceModel<S> {
@@ -62,14 +62,17 @@ impl<S: EventSink> ServiceModel<S> {
         }
 
         // Transfers sourced from the dead server re-route mid-cluster,
-        // in ascending `FlowId` of the origin flow (prefix flows are
-        // local to the home and never candidates). An origin transfer's
-        // source is the session's current server.
+        // in ascending `FlowId`. An origin transfer's source is the
+        // session's current server; a local serve's is its home, and
+        // every session homed here has just been dropped.
         let mut severed: Vec<(FlowId, SessionId)> = self
             .sessions
             .iter()
             .filter(|(_, rec)| rec.session.current_server() == Some(node))
-            .filter_map(|(sid, rec)| Some((rec.flow?, SessionId(sid))))
+            .filter_map(|(sid, rec)| match rec.origin {
+                Some(InFlight::Network(flow)) => Some((flow, SessionId(sid))),
+                _ => None,
+            })
             .collect();
         severed.sort_unstable();
         self.reroute(now, severed, sched);
@@ -88,7 +91,7 @@ impl<S: EventSink> ServiceModel<S> {
             let _ = self.flows.remove_flow(flow);
             self.flow_owner.remove(flow.raw());
             if let Some(rec) = self.sessions.get_mut(sid.0) {
-                rec.flow = None;
+                rec.origin = None;
                 rec.pinned = None;
             }
             self.start_cluster_fetch(now, sid, sched);

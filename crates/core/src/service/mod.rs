@@ -3,8 +3,9 @@
 //! [`VodService`] wires every substrate together the way the paper's
 //! architecture diagram does:
 //!
-//! * a [`FlowNetwork`] carries video transfers and diurnal background
-//!   traffic over the topology;
+//! * a [`FlowNetwork`] carries backbone video transfers and diurnal
+//!   background traffic over the topology (a cluster a server streams
+//!   from its own disks is a timer, `⌈volume / rate⌉` long);
 //! * an [`SnmpSystem`] periodically averages link counters into the
 //!   limited-access [`Database`] (so the routing application always works
 //!   from *slightly stale* state, as in the real service);
@@ -39,7 +40,7 @@ mod tests;
 use std::collections::BTreeMap;
 
 use vod_db::{AdminCredential, Database};
-use vod_net::NodeId;
+use vod_net::{Mbps, NodeId};
 use vod_obs::{Event as ObsEvent, EventSink, NullSink};
 use vod_sim::engine::Simulation;
 use vod_sim::fault::FaultKind;
@@ -173,6 +174,8 @@ impl<S: EventSink> VodService<S> {
     ///
     /// Returns [`CoreError::InvalidConfig`] when the topology has no
     /// video servers, `snmp_interval` or `background_interval` is zero,
+    /// `local_rate` or the prefix tier's `proxy_rate` is not a positive
+    /// finite rate,
     /// the scenario's background model covers a different number of
     /// links than its topology, a DMA cache cannot be built, the seeded
     /// titles do not fit the configured disks, or the failure schedule
@@ -200,6 +203,21 @@ impl<S: EventSink> VodService<S> {
                 return Err(CoreError::InvalidConfig(format!(
                     "{field} must be positive"
                 )));
+            }
+        }
+        // A local serve is a timer of `volume / rate`: a rate that is
+        // not a positive number has no instant to fire at.
+        let proxy_rate = config.prefix_tier.map(|tier| tier.proxy_rate);
+        for (field, rate) in [
+            ("local_rate", Some(config.local_rate)),
+            ("proxy_rate", proxy_rate),
+        ] {
+            if let Some(rate) = rate.map(Mbps::as_f64) {
+                if !(rate.is_finite() && rate > 0.0) {
+                    return Err(CoreError::InvalidConfig(format!(
+                        "{field} must be a positive finite rate, got {rate} Mbps"
+                    )));
+                }
             }
         }
         let (profiled, links) = (scenario.background().link_count(), topology.link_count());
@@ -342,7 +360,6 @@ impl<S: EventSink> VodService<S> {
         }
 
         let mut flows = FlowNetwork::new(topology.clone());
-        flows.set_local_rate(config.local_rate);
         scenario.background().apply(&mut flows, start);
 
         let mut snmp = SnmpSystem::new(&topology, config.snmp_interval);

@@ -9,7 +9,7 @@ use vod_db::{AdminCredential, Database, LimitedAccess};
 use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
 use vod_obs::{AbortReason, Event as ObsEvent, EventSink};
 use vod_sim::engine::Model;
-use vod_sim::flow::{FlowId, FlowNetwork, COMPLETION_CHECK_SLACK};
+use vod_sim::flow::{transfer_time, FlowId, FlowNetwork};
 use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
 use vod_sim::{IdWindow, SimDuration, SimTime};
@@ -89,10 +89,16 @@ pub(super) enum Event {
     /// The `idx`-th request of the trace arrives. Never scheduled: the
     /// engine takes arrivals from the model's input lane (`pop_input`).
     Arrival(usize),
-    /// Re-check flow completions at the next predicted finish instant.
-    /// Stale checks are harmless no-ops (`advance_to` has already
-    /// collected anything due), so the event carries no version.
+    /// Collect the network flows finishing at this instant: the
+    /// earliest finish instant the flow network stores. `advance_to`
+    /// collects whatever is due at any event, so the handler is empty
+    /// and a stale or extra check changes nothing.
     FlowCheck,
+    /// Cluster `cluster` of `session`, served from its home's (or its
+    /// proxy's) own disks, has arrived: the timer of a local serve,
+    /// scheduled at launch. A no-op once the session has closed, or no
+    /// longer has that cluster in flight locally.
+    LocalFetched { session: SessionId, cluster: u32 },
     /// A session finished playing its current cluster.
     PlayoutTick(SessionId),
     /// Periodic SNMP poll.
@@ -128,10 +134,22 @@ struct RetryState {
     first_failure: SimTime,
 }
 
+/// Where a session's in-flight origin (or suffix) cluster comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum InFlight {
+    /// The home server's own disks: a [`Event::LocalFetched`] timer for
+    /// this cluster is pending.
+    Local(u32),
+    /// A network flow along the selected route.
+    Network(FlowId),
+}
+
 /// One session's proxy-streamed prefix phase. Present on a
 /// [`SessionRecord`] exactly while prefix clusters are still in flight:
 /// it opens with the launch of the first and each delivered cluster
-/// hands over to the next launch in the same instant.
+/// hands over to the next launch in the same instant. The cluster
+/// streaming is always the session's `clusters_fetched()`, on a local
+/// timer.
 /// While it is, a completing suffix cluster is only noted
 /// (`suffix_landed`) — playout needs contiguous clusters — and taking
 /// the phase off the record is what hands the session back to the
@@ -141,8 +159,6 @@ struct RetryState {
 /// fetched cluster is a prefix cluster, of `prefix_reserved()` in all.
 #[derive(Debug)]
 struct PrefixPhase {
-    /// The local flow carrying the prefix cluster now streaming.
-    flow: FlowId,
     /// The concurrent suffix cluster landed before the prefix drained;
     /// its accounting waits for the drain.
     suffix_landed: bool,
@@ -156,7 +172,7 @@ pub(super) struct SessionRecord {
     pub(super) session: Session,
     /// The in-flight origin (or suffix) cluster transfer. Its source is
     /// `session.current_server()`: only a launch assigns the server.
-    pub(super) flow: Option<FlowId>,
+    pub(super) origin: Option<InFlight>,
     /// Static routing only (`dynamic_rerouting: false`): the route of
     /// the last launch, which the next cluster re-uses. A fault that
     /// severs the transfer clears it, so the session selects afresh.
@@ -172,11 +188,11 @@ pub(super) struct SessionRecord {
 
 // Every live session holds one record, inline in `ServiceModel::sessions`
 // (400 801 of them at once on `local_scale`), so a field must pay for its
-// bytes. The 160 are: the session's 96 (three ids, two instants, seven
-// `u32` counters, the current server, the stall marker and total, 4 bytes
-// of padding), the origin flow's 16, the pinned route's 8, the retry
-// episode's 16 (`NonZeroU32` lends its niche), the prefix phase's 16 (its
-// `bool` lends its niche), and the DMA flag with 7 bytes of padding.
+// bytes, within a budget of 160. The 144 are: the session's 96 (three
+// ids, two instants, seven `u32` counters, the current server, the stall
+// marker and total, 4 bytes of padding), the origin transfer's 16, the
+// pinned route's 8, the retry episode's 16 (`NonZeroU32` lends its
+// niche), and the prefix phase and the DMA flag with 6 bytes of padding.
 #[expect(
     clippy::disallowed_macros,
     reason = "compile-time check: a `SessionRecord` stays within 160 bytes"
@@ -210,9 +226,8 @@ pub(super) struct ServiceModel<S: EventSink> {
     /// for 166 live on `steady_traced`). Boxing would add a pointer and
     /// a heap chunk to every live record to save bytes in dead slots.
     pub(super) sessions: IdWindow<SessionRecord>,
-    /// Every in-flight transfer (origin and prefix alike) back to its
-    /// session, by `FlowId::raw`; the record says which of its flows it
-    /// is.
+    /// Every in-flight network flow back to its session, by
+    /// `FlowId::raw`. Local serves are timers and have no entry.
     pub(super) flow_owner: IdWindow<SessionId>,
     /// Reused buffer for the replica holders handed to the selector.
     pub(super) candidates: Vec<NodeId>,
@@ -303,15 +318,13 @@ impl<S: EventSink> ServiceModel<S> {
         self.done_scratch = done;
     }
 
-    /// Schedules a flow-completion check just after the next predicted
-    /// completion (skipped when that exact check is already pending —
-    /// stale checks are no-ops, so duplicates are only queue noise).
+    /// Schedules a flow-completion check at the earliest finish
+    /// instant the flow network stores (skipped when that exact check
+    /// is already pending — stale checks are no-ops, so duplicates are
+    /// only queue noise).
     fn schedule_flow_check(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         if let Some((_, dt)) = self.flows.next_completion() {
-            // The slack absorbs the prediction's µs rounding,
-            // guaranteeing the completion has happened by the time the
-            // check fires (see `COMPLETION_CHECK_SLACK`).
-            let at = now + dt + COMPLETION_CHECK_SLACK;
+            let at = now + dt;
             if self.scheduled_check != Some(at) {
                 self.scheduled_check = Some(at);
                 sched.schedule(at, Event::FlowCheck);
@@ -545,22 +558,28 @@ impl<S: EventSink> ServiceModel<S> {
         }
         let (home, video) = (sess.home(), sess.video());
         let volume = cluster_volume_mbit(title(&self.titles, video), self.config.cluster, idx);
-        // A network flow along the route, or a disk-limited local flow
-        // when the home serves itself. A launch error (an empty cluster,
-        // a route foreign to the flow network) does not arise for
-        // sessions built from library titles.
-        let launched = if route.hops() == 0 {
+        // A disk-limited local serve when the home serves itself — a
+        // timer, its instant fixed at launch — or a network flow along
+        // the route. A launch error (an empty cluster, a route foreign to
+        // the flow network) does not arise for sessions built from
+        // library titles.
+        let cluster = idx as u32;
+        if route.hops() == 0 {
             let rate = local_serve_rate(&self.caches, &self.titles, &self.config, home, video);
-            self.flows.add_local_flow(volume, rate)
+            let session = sid;
+            sched.schedule(
+                now + transfer_time(volume, rate),
+                Event::LocalFetched { session, cluster },
+            );
+            rec.origin = Some(InFlight::Local(cluster));
         } else {
-            self.flows.add_flow(route.links(), volume)
-        };
-        let Ok(flow) = launched else {
-            self.handle_fetch_failure(now, sid, sched);
-            return false;
-        };
-        self.flow_owner.insert(flow.raw(), sid);
-        rec.flow = Some(flow);
+            let Ok(flow) = self.flows.add_flow(route.links(), volume) else {
+                self.handle_fetch_failure(now, sid, sched);
+                return false;
+            };
+            self.flow_owner.insert(flow.raw(), sid);
+            rec.origin = Some(InFlight::Network(flow));
+        }
         // A successful launch closes the failure episode.
         rec.retry = None;
         true
@@ -616,9 +635,9 @@ impl<S: EventSink> ServiceModel<S> {
     /// Opens a session: the only place that allocates a [`SessionId`],
     /// inserts a record and moves `peak_sessions`. A nonzero
     /// `prefix_clusters` makes the home server, as regional proxy,
-    /// stream that many leading clusters on its own flow chain, starting
-    /// now; the caller starts the origin chain (if the prefix leaves
-    /// anything to fetch).
+    /// stream that many leading clusters on its own timer chain,
+    /// starting now; the caller starts the origin chain (if the prefix
+    /// leaves anything to fetch).
     pub(super) fn open_session(
         &mut self,
         now: SimTime,
@@ -626,6 +645,7 @@ impl<S: EventSink> ServiceModel<S> {
         home: NodeId,
         cache_on_complete: bool,
         prefix_clusters: usize,
+        sched: &mut Scheduler<Event>,
     ) -> SessionId {
         let sid = SessionId(self.next_session);
         self.next_session += 1;
@@ -640,7 +660,7 @@ impl<S: EventSink> ServiceModel<S> {
             sid.0,
             SessionRecord {
                 session,
-                flow: None,
+                origin: None,
                 pinned: None,
                 retry: None,
                 prefix: None,
@@ -660,22 +680,20 @@ impl<S: EventSink> ServiceModel<S> {
                     },
                 );
             }
-            self.launch_prefix_cluster(now, sid, 0);
+            self.launch_prefix_cluster(now, sid, 0, sched);
         }
         sid
     }
 
     /// Closes a session: the only erase. Completion and every abort
-    /// reason come through here, so the record and its at most two
-    /// in-flight transfers always leave together.
+    /// reason come through here, so the record and its network flow, if
+    /// any, always leave together; its pending local timers find no
+    /// record and do nothing.
     fn close_session(&mut self, sid: SessionId) {
         let Some(rec) = self.sessions.remove(sid.0) else {
             return;
         };
-        // Order is part of the fixed point: the origin flow leaves the
-        // network before the prefix flow.
-        let prefix_flow = rec.prefix.map(|phase| phase.flow);
-        for flow in rec.flow.into_iter().chain(prefix_flow) {
+        if let Some(InFlight::Network(flow)) = rec.origin {
             let _ = self.flows.remove_flow(flow);
             self.flow_owner.remove(flow.raw());
         }
@@ -714,19 +732,50 @@ impl<S: EventSink> ServiceModel<S> {
         }
     }
 
-    /// One cluster finished transferring.
+    /// A network flow finished: its session's origin cluster arrived.
     fn on_flow_complete(&mut self, now: SimTime, flow: FlowId, sched: &mut Scheduler<Event>) {
         let Some(sid) = self.flow_owner.remove(flow.raw()) else {
             return;
         };
+        self.on_origin_cluster_done(now, sid, InFlight::Network(flow), sched);
+    }
+
+    /// The timer of a local serve fired: the prefix cluster now
+    /// streaming, or the origin cluster served from the home's disks.
+    fn on_local_fetched(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        cluster: u32,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let Some(rec) = self.sessions.get(sid.0) else {
+            return;
+        };
+        let streaming = rec.prefix.is_some() && rec.session.clusters_fetched() == cluster as usize;
+        if streaming {
+            self.on_prefix_cluster_done(now, sid, sched);
+        } else {
+            self.on_origin_cluster_done(now, sid, InFlight::Local(cluster), sched);
+        }
+    }
+
+    /// The origin transfer `done` finished, if it is still the one the
+    /// session has in flight.
+    fn on_origin_cluster_done(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        done: InFlight,
+        sched: &mut Scheduler<Event>,
+    ) {
         let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
-        if rec.flow != Some(flow) {
-            self.on_prefix_cluster_done(now, sid, sched);
+        if rec.origin != Some(done) {
             return;
         }
-        rec.flow = None;
+        rec.origin = None;
         if let Some(phase) = &mut rec.prefix {
             // The concurrent suffix cluster landed while the prefix is
             // still streaming. Playout needs contiguous clusters, so
@@ -838,7 +887,7 @@ impl<S: EventSink> ServiceModel<S> {
         };
         let next = rec.session.clusters_fetched();
         if next < rec.session.prefix_reserved() {
-            self.launch_prefix_cluster(now, sid, next);
+            self.launch_prefix_cluster(now, sid, next, sched);
             return;
         }
         // Prefix phase drained: the suffix chain owns the session again.
@@ -854,11 +903,16 @@ impl<S: EventSink> ServiceModel<S> {
         // its completion resumes the normal sequential chain.
     }
 
-    /// Starts the local flow streaming prefix cluster `index` from the
-    /// session's proxy; cluster 0 opens the prefix phase. A launch
-    /// failure is a dead proxy disk in disguise and aborts the session
-    /// like any unreachable source.
-    fn launch_prefix_cluster(&mut self, now: SimTime, sid: SessionId, index: usize) {
+    /// Starts streaming prefix cluster `index` from the session's proxy
+    /// at the proxy rate, a timer like any local serve; cluster 0 opens
+    /// the prefix phase.
+    fn launch_prefix_cluster(
+        &mut self,
+        now: SimTime,
+        sid: SessionId,
+        index: usize,
+        sched: &mut Scheduler<Event>,
+    ) {
         let Some(rec) = self.sessions.get_mut(sid.0) else {
             return;
         };
@@ -874,23 +928,16 @@ impl<S: EventSink> ServiceModel<S> {
             .prefix_tier
             .map(|t| t.proxy_rate)
             .unwrap_or(self.config.local_rate);
-        match self.flows.add_local_flow(volume, rate) {
-            Ok(flow) => {
-                self.flow_owner.insert(flow.raw(), sid);
-                match &mut rec.prefix {
-                    Some(phase) => phase.flow = flow,
-                    None => {
-                        rec.prefix = Some(PrefixPhase {
-                            flow,
-                            suffix_landed: false,
-                        })
-                    }
-                }
-                self.prefix_served_clusters += 1;
-                self.prefix_served_mbit += volume;
-            }
-            Err(_) => self.abort_session(now, sid, AbortReason::NoSource),
-        }
+        let (session, cluster) = (sid, index as u32);
+        sched.schedule(
+            now + transfer_time(volume, rate),
+            Event::LocalFetched { session, cluster },
+        );
+        rec.prefix.get_or_insert(PrefixPhase {
+            suffix_landed: false,
+        });
+        self.prefix_served_clusters += 1;
+        self.prefix_served_mbit += volume;
     }
 
     fn on_playout_tick(&mut self, now: SimTime, sid: SessionId, sched: &mut Scheduler<Event>) {
@@ -978,7 +1025,7 @@ impl<S: EventSink> ServiceModel<S> {
 
     fn on_background_update(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         self.ticks.refreshes += 1;
-        self.ticks.idle_refreshes += u64::from(self.flows.network_flow_count() == 0);
+        self.ticks.idle_refreshes += u64::from(self.flows.flow_count() == 0);
         self.background.apply(&mut self.flows, now);
         if self.sink.enabled() {
             self.sink.record(now, &ObsEvent::BackgroundUpdate);
@@ -995,23 +1042,24 @@ impl<S: EventSink> ServiceModel<S> {
 #[cfg(test)]
 impl<S: EventSink> ServiceModel<S> {
     /// The session-state invariant: `flow_owner`, the records and the
-    /// flow network agree on which transfers are in flight, and a
-    /// session waiting out a retry backoff has no origin transfer.
+    /// flow network agree on which network flows are in flight, a local
+    /// origin serve is the session's next cluster, and a session
+    /// waiting out a retry backoff has no origin transfer.
     pub(super) fn assert_consistent(&self) {
-        let flows_of = |rec: &SessionRecord| {
-            let prefix_flow = rec.prefix.as_ref().map(|phase| phase.flow);
-            rec.flow.into_iter().chain(prefix_flow)
+        let flow_of = |rec: &SessionRecord| match rec.origin {
+            Some(InFlight::Network(flow)) => Some(flow),
+            _ => None,
         };
         for (flow, sid) in self.flow_owner.iter() {
             let rec = self.sessions.get(sid.0);
             assert!(
-                rec.is_some_and(|rec| flows_of(rec).any(|f| f.raw() == flow)),
+                rec.is_some_and(|rec| flow_of(rec).is_some_and(|f| f.raw() == flow)),
                 "flow {flow} is owned by {sid}, whose record does not name it: {rec:?}"
             );
         }
         for (sid, rec) in self.sessions.iter() {
             let sid = SessionId(sid);
-            for flow in flows_of(rec) {
+            if let Some(flow) = flow_of(rec) {
                 let owner = self.flow_owner.get(flow.raw());
                 assert_eq!(owner, Some(&sid), "{flow:?} of {sid}");
                 assert!(
@@ -1019,8 +1067,12 @@ impl<S: EventSink> ServiceModel<S> {
                     "{flow:?} of {sid} left the network"
                 );
             }
+            if let Some(InFlight::Local(cluster)) = rec.origin {
+                let next = rec.session.next_cluster();
+                assert_eq!(next, Some(cluster as usize), "{sid} serves out of order");
+            }
             assert!(
-                rec.retry.is_none() || rec.flow.is_none(),
+                rec.retry.is_none() || rec.origin.is_none(),
                 "{sid} retries with an origin transfer in flight"
             );
         }
@@ -1037,6 +1089,9 @@ impl<S: EventSink> Model for ServiceModel<S> {
             Event::Arrival(idx) => self.on_arrival(now, idx, sched),
             Event::FlowCheck => {
                 // Completions were already processed by advance_to.
+            }
+            Event::LocalFetched { session, cluster } => {
+                self.on_local_fetched(now, session, cluster, sched);
             }
             Event::PlayoutTick(sid) => self.on_playout_tick(now, sid, sched),
             Event::SnmpPoll => self.on_snmp_poll(now, sched),

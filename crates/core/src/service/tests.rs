@@ -782,7 +782,7 @@ fn city_outage_costs_one_fill() {
     let sourced = |node| {
         let sessions = model.sessions.iter().map(|(_, rec)| rec);
         sessions
-            .filter(|rec| rec.flow.is_some() && rec.session.home() != node)
+            .filter(|rec| rec.origin.is_some() && rec.session.home() != node)
             .filter(|rec| rec.session.current_server() == Some(node))
             .count()
     };
@@ -886,6 +886,37 @@ fn zero_background_interval_is_a_typed_error() {
     assert!(message.contains("background_interval"), "{message}");
 }
 
+/// A local serve is a timer of `volume / rate`. Before the check a zero
+/// rate parked every local session until the run ended, as unfinished.
+#[test]
+fn a_local_rate_that_is_not_positive_and_finite_is_a_typed_error() {
+    // `Mbps::new` refuses a negative rate; a deserialized one is not
+    // checked.
+    let negative: Mbps = serde_json::from_str("-2.0").unwrap();
+    for rate in [Mbps::ZERO, negative] {
+        let config = ServiceConfig {
+            local_rate: rate,
+            ..quick_config()
+        };
+        let message = invalid_config(&quick_scenario(3), config);
+        assert!(message.contains("local_rate"), "{rate:?}: {message}");
+    }
+}
+
+/// The proxy streams prefix clusters on the same kind of timer.
+#[test]
+fn a_proxy_rate_that_is_not_positive_and_finite_is_a_typed_error() {
+    let config = ServiceConfig {
+        prefix_tier: Some(PrefixTierConfig {
+            proxy_rate: Mbps::ZERO,
+            ..PrefixTierConfig::default()
+        }),
+        ..quick_config()
+    };
+    let message = invalid_config(&quick_scenario(3), config);
+    assert!(message.contains("proxy_rate"), "{message}");
+}
+
 /// A scenario restored from JSON can pair a topology with a background
 /// model of another size; `Scenario::new` does not compare them either.
 #[test]
@@ -904,4 +935,127 @@ fn background_of_another_topology_is_a_typed_error() {
         message.contains("background covers 5 links") && message.contains("has 7"),
         "{message}"
     );
+}
+
+/// The three runs the bookkeeping-invariance property is checked on:
+/// the GRNET case study under a fault plan with retries, the contended
+/// `scale_stress(42, 400)` backbone, and a prefix-tier flash crowd
+/// under faults — every completion path, the retry and abort paths and
+/// the split prefix/suffix start between them.
+fn invariance_case(which: u8) -> (Scenario, ServiceConfig) {
+    let chaotic = |scenario: Scenario, span_secs: u64, config: ServiceConfig| {
+        let start = scenario.trace().requests()[0].at;
+        let end = start + SimDuration::from_secs(span_secs);
+        let fault_plan = FaultPlan::random(42, scenario.topology(), start, end, 10);
+        let config = ServiceConfig {
+            fault_plan,
+            retry: RetryPolicy::with_attempts(2),
+            ..config
+        };
+        (scenario, config)
+    };
+    match which {
+        0 => chaotic(
+            Scenario::grnet_case_study(42),
+            6 * 3600,
+            ServiceConfig::default(),
+        ),
+        1 => (
+            Scenario::scale_stress(42, 400),
+            ServiceConfig {
+                initial_replicas: 1,
+                local_rate: Mbps::new(2.0),
+                ..ServiceConfig::default()
+            },
+        ),
+        _ => chaotic(
+            Scenario::flash_crowd(42),
+            3600,
+            ServiceConfig {
+                prefix_tier: Some(PrefixTierConfig::default()),
+                ..ServiceConfig::default()
+            },
+        ),
+    }
+}
+
+/// One run of `invariance_case(which)` into a JSONL trace, with an
+/// extra `Event::FlowCheck` at each of `checks`: the report and the
+/// trace bytes.
+fn run_with_checks(which: u8, checks: &[SimTime]) -> (crate::qos::ServiceReport, Vec<u8>) {
+    use vod_obs::JsonlWriter;
+    let (scenario, config) = invariance_case(which);
+    let sink = JsonlWriter::new(Vec::new());
+    let mut service = VodService::with_sink(&scenario, Box::new(Vra::default()), config, sink);
+    for &at in checks {
+        let sched = service.sim.scheduler_mut();
+        sched.schedule(at, super::model::Event::FlowCheck);
+    }
+    let (report, sink) = service.run_full();
+    (report, sink.into_inner().unwrap())
+}
+
+/// The instants of a trace's events, in order (each line opens with
+/// `{"at_us":N`).
+fn trace_instants(jsonl: &[u8]) -> Vec<u64> {
+    let text = std::str::from_utf8(jsonl).unwrap();
+    let instants = text.lines().map(|line| {
+        let digits = line.strip_prefix("{\"at_us\":").unwrap();
+        let end = digits.find(',').unwrap();
+        digits[..end].parse::<u64>().unwrap()
+    });
+    let mut instants: Vec<u64> = instants.collect();
+    instants.dedup();
+    instants
+}
+
+mod bookkeeping_invariance {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Checks scheduled where nothing is due, on an instant something
+    /// else happens, one microsecond either side of it, or on the
+    /// instant a completion is due: none of them may move a byte of the
+    /// trace or a field of the report but the scheduler's counters. A
+    /// completion instant and a link integral are closed forms of the
+    /// load history, so no event that changes no load can reach them.
+    fn check(which: u8, picks: &[(bool, u64, u64)]) -> Result<(), TestCaseError> {
+        let (plain, plain_trace) = run_with_checks(which, &[]);
+        let instants = trace_instants(&plain_trace);
+        let (first, last) = (instants[0], instants[instants.len() - 1]);
+        let checks: Vec<SimTime> = picks
+            .iter()
+            .map(|&(near_event, pick, offset)| {
+                let at = if near_event {
+                    instants[pick as usize % instants.len()] + offset % 3
+                } else {
+                    first + pick % (last - first)
+                };
+                SimTime::from_micros(at.saturating_sub(1).max(first).min(last))
+            })
+            .collect();
+        let (mut checked, checked_trace) = run_with_checks(which, &checks);
+        prop_assert!(checked.scheduler.pushes > plain.scheduler.pushes);
+        checked.scheduler = plain.scheduler;
+        prop_assert_eq!(&checked, &plain, "case {}: the report moved", which);
+        prop_assert!(
+            checked_trace == plain_trace,
+            "case {}: the trace moved",
+            which
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn extra_flow_checks_move_no_byte(
+            picks in proptest::collection::vec((any::<bool>(), any::<u64>(), any::<u64>()), 1..400),
+        ) {
+            for which in 0..3 {
+                check(which, &picks)?;
+            }
+        }
+    }
 }

@@ -99,16 +99,16 @@ impl ShortestPaths {
     }
 }
 
-/// Priority-queue entry ordered for a min-heap over f64 costs.
+/// A Dijkstra frontier entry, ordered for a min-heap over f64 costs.
 #[derive(Debug, PartialEq)]
-struct HeapEntry {
+struct Frontier {
     cost: f64,
     node: NodeId,
 }
 
-impl Eq for HeapEntry {}
+impl Eq for Frontier {}
 
-impl Ord for HeapEntry {
+impl Ord for Frontier {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse so that BinaryHeap (a max-heap) pops the smallest cost;
         // tie-break on node id for determinism.
@@ -119,7 +119,7 @@ impl Ord for HeapEntry {
     }
 }
 
-impl PartialOrd for HeapEntry {
+impl PartialOrd for Frontier {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -134,7 +134,7 @@ impl PartialOrd for HeapEntry {
 /// warm.
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Frontier>,
     settled: Vec<bool>,
 }
 
@@ -188,12 +188,12 @@ pub fn dijkstra_with_scratch(
     scratch.heap.clear();
 
     dist[source.index()] = 0.0;
-    scratch.heap.push(HeapEntry {
+    scratch.heap.push(Frontier {
         cost: 0.0,
         node: source,
     });
 
-    while let Some(HeapEntry { cost, node }) = scratch.heap.pop() {
+    while let Some(Frontier { cost, node }) = scratch.heap.pop() {
         if scratch.settled[node.index()] {
             continue;
         }
@@ -211,7 +211,7 @@ pub fn dijkstra_with_scratch(
             if next < *entry {
                 *entry = next;
                 prev[inc.neighbor.index()] = Some((node, inc.link));
-                scratch.heap.push(HeapEntry {
+                scratch.heap.push(Frontier {
                     cost: next,
                     node: inc.neighbor,
                 });
@@ -259,12 +259,12 @@ fn run(
 
     let mut heap = BinaryHeap::new();
     dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
+    heap.push(Frontier {
         cost: 0.0,
         node: source,
     });
 
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
+    while let Some(Frontier { cost, node }) = heap.pop() {
         if settled[node.index()] {
             continue;
         }
@@ -283,7 +283,7 @@ fn run(
             if next < *entry {
                 *entry = next;
                 prev[inc.neighbor.index()] = Some((node, inc.link));
-                heap.push(HeapEntry {
+                heap.push(Frontier {
                     cost: next,
                     node: inc.neighbor,
                 });

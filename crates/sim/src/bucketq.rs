@@ -1,9 +1,9 @@
 //! A priority queue whose cost does not grow with its depth.
 //!
-//! Both deep queues of a run — the [`Scheduler`](crate::scheduler::Scheduler)
-//! and [`FlowNetwork`](crate::flow::FlowNetwork)'s predicted local
-//! completions — hold one entry per live session and are *almost
-//! monotone*: nearly every push lies ahead of the entry popped last. A
+//! The deep queue of a run — the [`Scheduler`](crate::scheduler::Scheduler),
+//! which holds a playout tick or a local serve's timer per live session —
+//! is *almost monotone*: nearly every push lies ahead of the entry
+//! popped last. A
 //! binary heap pays a cache miss per level for that, some twenty levels
 //! at 400 000 entries. [`BucketQueue`] is a radix heap instead: entries
 //! wait unordered in one of 64 buckets chosen by the highest bit in
@@ -59,7 +59,9 @@ pub trait RadixKey: Ord {
 
 /// The radix of a time in seconds held as an `f64`: the bit pattern of
 /// a positive value (positive floats, `+∞` included, order like their
-/// bits), and zero for everything at or below zero.
+/// bits), and zero for everything at or below zero. No queue of the
+/// workspace keys on seconds since completions became integer instants;
+/// the float-key tests below keep the path exact.
 #[inline]
 pub fn seconds_radix(secs: f64) -> u64 {
     if secs > 0.0 {
@@ -423,7 +425,7 @@ mod tests {
         }
     }
 
-    /// The completion heap's key shape: `(finish_secs, id, epoch)` under
+    /// A float key shaped like `(finish_secs, id, epoch)`, under
     /// `total_cmp`.
     #[derive(Debug, Clone, Copy)]
     struct Finish(f64, u64, u64);
@@ -733,8 +735,8 @@ mod tests {
             );
         }
 
-        /// `predicted_finish`-shaped keys: the kernel clock in seconds
-        /// plus a volume over a rate, with the values the radix folds
+        /// Float finish keys: a clock in seconds plus a volume over a
+        /// rate, with the values the radix folds
         /// onto zero (`-0.0`, negative dust, a kernel at time zero),
         /// subnormals, and equal finishes under different ids.
         #[test]

@@ -12,15 +12,14 @@
 //! `size_of::<Option<T>>() × (newest live id − oldest live id + 1)`:
 //! removing an id empties its slot, and empty slots are popped off both
 //! ends, so a non-empty window always starts and ends on a live id and
-//! an emptied one holds no slots. The workspace has three users: the
-//! live sessions of a service run (the record inline, 160 B a slot),
-//! the flow → session map (16 B) and [`FlowNetwork`](crate::flow::FlowNetwork)'s
-//! local flows (48 B). Widest windows on the five seed-42 workloads of
-//! `benchmark/`: 400 801 / 2 000 / 1 500 / 107 / 2 108 session slots
-//! against 400 801 / 2 000 / 1 071 / 37 / 166 sessions live at the
-//! peak, at most 4 872 flow-owner slots and 1 539 local-flow slots
-//! outside `local_scale` — where all 400 801 ids are live at once, so
-//! no map could hold fewer entries.
+//! an emptied one holds no slots. The workspace has two users, both in
+//! a service run: the live sessions (the record inline, 144 B a slot)
+//! and the network flow → session map (16 B). Widest session windows on
+//! the five seed-42 workloads of `benchmark/`: 400 801 / 2 000 / 1 500 /
+//! 107 / 2 108 slots against 400 801 / 2 000 / 1 071 / 37 / 166
+//! sessions live at the peak — on `local_scale` all 400 801 ids are
+//! live at once, so no map could hold fewer entries. Local serves are
+//! timers, so only backbone transfers take a flow-owner slot.
 //!
 //! The one way it degrades: a single id that never dies pins the front,
 //! and the window then spans every id issued after it, dead or alive.

@@ -14,13 +14,13 @@
 //! * [`flow`] — a fluid-flow network model over a
 //!   [`Topology`](vod_net::Topology): each video transfer is a flow along
 //!   a route, links share bandwidth **max-min fairly** among flows after
-//!   subtracting background traffic, and flow completions are predicted
-//!   exactly;
+//!   subtracting background traffic, and every completion is an instant
+//!   stored when the flow's rate last changed;
 //! * [`idwindow`] — the dense id-keyed map ([`IdWindow`]) behind the
-//!   live flows here and the live sessions in `vod-core`;
+//!   live sessions and the flow → session map in `vod-core`;
 //! * [`bucketq`] — the radix-bucketed priority queue behind the
-//!   scheduler and the flow kernel's predicted completions, whose cost
-//!   does not grow with the number of live sessions;
+//!   scheduler, whose cost does not grow with the number of live
+//!   sessions;
 //! * [`traffic`] — diurnal background-traffic profiles (piecewise-linear
 //!   in hour-of-day), including profiles fitted to the paper's Table 2
 //!   readings;
@@ -77,7 +77,7 @@ pub mod traffic;
 
 pub use engine::{Model, Simulation};
 pub use fault::{FaultKind, FaultPlan, FaultWindow};
-pub use flow::{FlowId, FlowNetwork, KernelStats, COMPLETION_CHECK_SLACK};
+pub use flow::{FlowId, FlowNetwork, KernelStats};
 pub use idwindow::IdWindow;
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use time::{SimDuration, SimTime};

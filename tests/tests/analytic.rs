@@ -12,13 +12,20 @@
 //!
 //! The flow kernel rounds each completion up to the clock's microsecond,
 //! so an instant may trail the closed form by at most that much.
+//!
+//! A local serve on an idle service. A client whose home holds the
+//! title streams it from its own disks at the configured rate `r`,
+//! whatever else is running, so its first cluster of `v` megabits has
+//! arrived exactly `⌈v / r⌉` microseconds after the request — the
+//! startup delay, to the microsecond.
 
 use vod_core::service::{ServiceConfig, VodService};
+use vod_core::session::cluster_volume_mbit;
 use vod_core::vra::Vra;
 use vod_integration_tests::grnet;
 use vod_net::topologies::grnet::GrnetLink;
 use vod_net::Mbps;
-use vod_obs::TimeSeriesSink;
+use vod_obs::{Event, RingRecorder, TimeSeriesSink};
 use vod_sim::flow::{FlowId, FlowNetwork};
 use vod_sim::traffic::BackgroundModel;
 use vod_sim::{SimDuration, SimTime};
@@ -185,4 +192,83 @@ fn mean_live_sessions_follow_littles_law() {
             "seed {seed}: mean live sessions {measured:.2}, Little's law predicts λ·E[D] = {predicted:.2}"
         );
     }
+}
+
+/// Every session of an all-local run starts exactly `⌈v / r⌉` after its
+/// request: `v` the title's first cluster, `r` the local rate. Each of
+/// GRNET's video servers holds every title, so the VRA never leaves
+/// the home, and a home's striped disks deliver far more than the
+/// 3.3 Mbps ceiling, so the ceiling is the rate.
+#[test]
+fn local_startup_is_the_closed_form_transfer_time() {
+    let g = grnet();
+    let rate = 3.3;
+    let config = ServiceConfig {
+        initial_replicas: g.topology().video_server_nodes().len(),
+        local_rate: Mbps::new(rate),
+        ..ServiceConfig::default()
+    };
+    let library = LibraryConfig {
+        titles: 30,
+        min_size_mb: 40.0,
+        max_size_mb: 90.0,
+        ..LibraryConfig::default()
+    };
+    let titles = LibraryGenerator::new(library).generate(5);
+    let arrivals = TraceConfig {
+        start: SimTime::ZERO,
+        duration: SimDuration::from_secs(6 * 3600),
+        rate_per_sec: 0.05,
+        shape: HourlyShape::flat(),
+        zipf_skew: 0.8,
+        client_weights: None,
+    };
+    let trace = arrivals.generate(g.topology(), &titles, 5);
+    let background = BackgroundModel::uniform(g.topology().link_count(), Mbps::ZERO);
+    let scenario = Scenario::new(
+        "all-local",
+        g.topology().clone(),
+        titles.clone(),
+        trace,
+        background,
+        5,
+    );
+    let sink = RingRecorder::new(1 << 20);
+    let service = VodService::with_sink(&scenario, Box::new(Vra::default()), config.clone(), sink);
+    let (report, recorder) = service.run_full();
+    assert_eq!(recorder.dropped(), 0);
+
+    let mut video_of = std::collections::BTreeMap::new();
+    let mut starts = 0;
+    for (_, event) in recorder.iter() {
+        match event {
+            Event::VraSelect {
+                session,
+                cluster,
+                video,
+                local,
+                ..
+            } => {
+                assert!(
+                    *local,
+                    "session {session} cluster {cluster} is served remotely"
+                );
+                video_of.entry(*session).or_insert(*video);
+            }
+            Event::SessionStart { session, startup } => {
+                let meta = titles.get(video_of[session]).expect("a library title");
+                let volume = cluster_volume_mbit(meta, config.cluster, 0);
+                let micros = (volume / rate * 1e6).ceil() as u64;
+                assert_eq!(
+                    startup.as_micros(),
+                    micros,
+                    "session {session}: {volume} Mbit at {rate} Mbps"
+                );
+                starts += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(starts > 500, "{starts} sessions started");
+    assert_eq!(starts, report.completed.len());
 }

@@ -116,7 +116,7 @@ fn contended_report_is_sink_independent_and_reconciles() {
         local_rate: Mbps::new(2.0),
         ..ServiceConfig::default()
     };
-    check(&scenario, config, [384, 0, 0, 0, 175, 489]);
+    check(&scenario, config, [384, 0, 0, 0, 170, 463]);
 }
 
 #[test]

@@ -40,11 +40,11 @@ fn golden_seed42_smoothed_trace_is_pinned() {
     let (raw, _) = traced_run(&Scenario::grnet_case_study(42), ServiceConfig::default());
     assert_ne!(text, raw, "smoothing must change the routed view");
 
-    assert_eq!(text.len(), 279_884, "trace byte length drifted");
+    assert_eq!(text.len(), 267_102, "trace byte length drifted");
     assert_eq!(text.lines().count(), 3_007, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0x44a9_9c52_1312_54d3,
+        0xfc9d_ac3e_a01a_0df9,
         "trace content drifted"
     );
 
@@ -137,21 +137,21 @@ fn silent_gap_trace_and_series_are_pinned() {
     assert_eq!(after_gap.len(), 24);
     assert_eq!(
         fnv1a(after_gap.join("\n").as_bytes()),
-        0xae16_fffa_9432_a3e4,
+        0xead0_8de1_108e_1eac,
         "a post-gap link_state line drifted"
     );
 
-    assert_eq!(text.len(), 488_652, "trace byte length drifted");
+    assert_eq!(text.len(), 487_480, "trace byte length drifted");
     assert_eq!(lines.len(), 7_330, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0x5faf_62c2_f183_7372,
+        0x8c77_80a0_934b_147c,
         "trace content drifted"
     );
-    assert_eq!(series.len(), 3_025_467, "series byte length drifted");
+    assert_eq!(series.len(), 3_022_596, "series byte length drifted");
     assert_eq!(
         fnv1a(series.as_bytes()),
-        0x433d_5515_39a4_753e,
+        0x14de_b0ed_bfca_01f8,
         "series content drifted"
     );
 

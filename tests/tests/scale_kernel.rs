@@ -50,11 +50,11 @@ fn golden_seed42_grnet_trace_is_pinned_and_audits_clean() {
     let scenario = Scenario::grnet_case_study(42);
     let (_, text) = traced_run(&scenario, ServiceConfig::default());
 
-    assert_eq!(text.len(), 269_541, "trace byte length drifted");
-    assert_eq!(text.lines().count(), 3_026, "trace line count drifted");
+    assert_eq!(text.len(), 266_128, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 3_031, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0xe734_c43e_1097_1b45,
+        0x8f11_1f6a_ec5a_7b46,
         "trace content drifted"
     );
 
@@ -114,11 +114,11 @@ fn golden_seed42_prefix_fault_trace_is_pinned_and_audits_clean() {
         "no full prefix"
     );
 
-    assert_eq!(text.len(), 167_289, "trace byte length drifted");
-    assert_eq!(text.lines().count(), 1_923, "trace line count drifted");
+    assert_eq!(text.len(), 166_044, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 1_932, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0x4ab4_d31a_06c1_dcb7,
+        0xb20f_15d2_8a7d_7978,
         "trace content drifted"
     );
 
@@ -158,11 +158,11 @@ fn golden_seed42_static_routing_trace_is_pinned_and_audits_clean() {
         "no re-selection after a severed route"
     );
 
-    assert_eq!(text.len(), 250_784, "trace byte length drifted");
+    assert_eq!(text.len(), 250_317, "trace byte length drifted");
     assert_eq!(text.lines().count(), 3_694, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0xd7f9_e4e3_0692_4926,
+        0x8912_a8b0_bdff_927b,
         "trace content drifted"
     );
 
@@ -222,11 +222,11 @@ fn golden_seed42_contended_trace_is_pinned_and_audits_clean() {
     }
     assert!(peak > 100, "peak of {peak} concurrent network flows");
 
-    assert_eq!(text.len(), 415_502, "trace byte length drifted");
-    assert_eq!(text.lines().count(), 4_643, "trace line count drifted");
+    assert_eq!(text.len(), 404_950, "trace byte length drifted");
+    assert_eq!(text.lines().count(), 4_537, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0xada6_ce69_c832_ce83,
+        0xc58e_5ebc_7148_4fda,
         "trace content drifted"
     );
 
@@ -283,11 +283,11 @@ fn golden_seed42_gnp200_trace_is_pinned_and_audits_clean() {
         per_fill(kernel.fill_rounds)
     );
 
-    assert_eq!(text.len(), 2_016_894, "trace byte length drifted");
+    assert_eq!(text.len(), 1_970_800, "trace byte length drifted");
     assert_eq!(text.lines().count(), 4_894, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0x0056_dd83_f8e7_3298,
+        0x2dd0_2156_28f1_c6a2,
         "trace content drifted"
     );
 
@@ -527,11 +527,11 @@ fn same_instant_arrivals_precede_ticks_and_faults() {
     let degrade = position(&at_fault, "\"kind\":\"link_degrade_start\"");
     assert!(arrival < degrade, "the fault ran before the arrival");
 
-    assert_eq!(text.len(), 19_840, "trace byte length drifted");
+    assert_eq!(text.len(), 19_740, "trace byte length drifted");
     assert_eq!(text.lines().count(), 221, "trace line count drifted");
     assert_eq!(
         fnv1a(text.as_bytes()),
-        0xf626_236b_c340_34ff,
+        0x1cc1_0606_fafe_bede,
         "trace content drifted"
     );
 

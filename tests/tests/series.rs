@@ -98,21 +98,21 @@ fn golden_seed42_series_exports_are_pinned() {
         (
             "grnet json",
             grnet.to_json(),
-            806_542usize,
-            0x5e78_f148_bf1a_e887u64,
+            780_308usize,
+            0x81b5_29a7_cd14_d089u64,
         ),
-        ("grnet csv", grnet.to_csv(), 226_364, 0xa5ef_bdf0_2f16_3d04),
+        ("grnet csv", grnet.to_csv(), 213_262, 0x1487_42e4_646b_5523),
         (
             "prefix x fault json",
             faulted.to_json(),
-            401_551,
-            0xf22a_7eca_b2ba_22ec,
+            399_144,
+            0xa004_0fcb_e45a_d695,
         ),
         (
             "prefix x fault csv",
             faulted.to_csv(),
-            115_204,
-            0xba8e_ac4b_1c99_a073,
+            112_967,
+            0xfe56_6e7d_d4ad_0bd5,
         ),
     ];
     for (name, text, len, hash) in pins {
