@@ -6,7 +6,7 @@
 //! Run with: `cargo run -p vod-bench --bin table2`
 
 use vod_bench::Table;
-use vod_db::{AdminCredential, Database};
+use vod_db::Database;
 use vod_net::topologies::grnet::{Grnet, GrnetLink, TimeOfDay};
 use vod_sim::flow::FlowNetwork;
 use vod_sim::traffic::BackgroundModel;
@@ -53,11 +53,12 @@ fn main() {
         let at = SimTime::from_secs(time.hour() as u64 * 3600);
         snmp.reset_epoch(at);
         model.apply(&mut net, at);
-        snmp.accumulate(&mut net, SimDuration::from_mins(2));
+        let _ = net.advance(SimDuration::from_mins(2));
+        snmp.sync_counters(&net);
         let poll_at = at + SimDuration::from_mins(2);
         snmp.poll(grnet.topology(), &mut db, poll_at).unwrap();
 
-        let admin = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let admin = db.limited_access();
         for (i, link) in GrnetLink::ALL.iter().enumerate() {
             let reading = admin
                 .link(grnet.link(*link))

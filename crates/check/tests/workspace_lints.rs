@@ -3,9 +3,10 @@
 //! member manifest outside `vendor/` adopts `[workspace.lints]` (which
 //! forbids `unsafe_code`), each library root except `vod-bench`'s
 //! denies `unwrap`/`expect`, and the eight simulation crates deny
-//! indexing and the panic macros `clippy.toml` lists. One rule is not a
-//! lint: no `partial_cmp` sort key, checked here by a scan of the
-//! source.
+//! indexing and the panic macros `clippy.toml` lists. Two rules are not
+//! lints and are checked here by a scan of the source: no `partial_cmp`
+//! sort key, and serde only on the report `experiments --metrics`
+//! writes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -234,5 +235,132 @@ fn partial_cmp_scan_spares_only_the_impl_body() {
     assert_eq!(partial_cmp_uses(delegating), vec![7]);
     assert!(
         partial_cmp_uses("// a.partial_cmp(b) in a comment\nfn my_partial_cmp_x() {}\n").is_empty()
+    );
+}
+
+/// The types `experiments --metrics` writes: the `ServiceReport` and
+/// everything it holds. They are the only bytes the workspace
+/// serializes, so they are the only types that derive `Serialize`.
+const REPORT_TYPES: [&str; 16] = [
+    "ServiceReport",
+    "QosRecord",
+    "PrefixTierReport",
+    "TickStats",
+    "SessionId",
+    "NodeId",
+    "EngineStats",
+    "SimTime",
+    "SimDuration",
+    "Summary",
+    "KernelStats",
+    "SchedulerStats",
+    "QueueStats",
+    "VideoId",
+    "DmaStats",
+    "PrefixStats",
+];
+
+/// The reading half of serde, spelled in two pieces so that this file
+/// is not a hit of its own scan, nor of a `grep` for it.
+const READ_TRAIT: &str = concat!("Deser", "ialize");
+
+/// `(line, type)` of every `#[derive(…)]` in `text` that lists
+/// `Serialize`, with the struct or enum it is attached to.
+fn serialize_derives(text: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("#[derive(") {
+        let line = text.len() - rest.len() + at;
+        let line = text[..line].matches('\n').count() + 1;
+        let after = &rest[at + "#[derive(".len()..];
+        let close = after.find(")]").unwrap_or(after.len());
+        let listed = after[..close]
+            .split(',')
+            .any(|name| name.trim() == "Serialize");
+        rest = &after[close..];
+        if listed {
+            let mut words = rest.split_whitespace();
+            let name = words
+                .by_ref()
+                .find(|&w| w == "struct" || w == "enum")
+                .and(words.next())
+                .unwrap_or("");
+            let name = name
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or("");
+            out.push((line, name.to_string()));
+        }
+    }
+    out
+}
+
+/// What `text` has of serde beyond the report's derives: any mention of
+/// the reading trait, a hand-written `Serialize` impl, and `Serialize`
+/// derived on a type outside [`REPORT_TYPES`].
+fn serde_findings(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        if line.contains(READ_TRAIT) {
+            out.push(format!("{}: {READ_TRAIT}", n + 1));
+        }
+        if line.contains("impl") && line.contains("Serialize for") {
+            out.push(format!("{}: hand-written Serialize impl", n + 1));
+        }
+    }
+    for (n, name) in serialize_derives(text) {
+        if !REPORT_TYPES.contains(&name.as_str()) {
+            out.push(format!("{n}: Serialize derived on `{name}`"));
+        }
+    }
+    out
+}
+
+/// The sources the serde rule covers: `crates/*/src` and `tests/`.
+fn serde_scanned_files(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for dir in crate_dirs(root) {
+        rust_files(&dir.join("src"), &mut files);
+    }
+    rust_files(&root.join("tests"), &mut files);
+    files
+}
+
+#[test]
+fn serde_serves_the_metrics_report_alone() {
+    let files = serde_scanned_files(&root());
+    assert!(files.len() > 50, "found only {} source files", files.len());
+    let mut derived = Vec::new();
+    let mut findings = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("source is readable");
+        derived.extend(serialize_derives(&text).into_iter().map(|(_, name)| name));
+        let found = serde_findings(&text);
+        findings.extend(found.into_iter().map(|f| format!("{}:{f}", path.display())));
+    }
+    assert!(findings.is_empty(), "serde beyond the report: {findings:?}");
+    derived.sort();
+    let mut expected: Vec<String> = REPORT_TYPES.iter().map(|s| s.to_string()).collect();
+    expected.sort();
+    assert_eq!(derived, expected, "`Serialize` derives");
+}
+
+#[test]
+fn serde_scan_catches_a_planted_derive() {
+    let planted = format!(
+        "use serde::{{{READ_TRAIT}, Serialize}};\n\n/// A link.\n#[derive(\n    Debug, Clone, Serialize, {READ_TRAIT},\n)]\npub struct Link {{\n    id: u32,\n}}\n\n#[derive(Debug, Serialize)]\n#[serde(transparent)]\npub struct NodeId(u32);\n\nimpl Serialize for Topology {{}}\n"
+    );
+    assert_eq!(
+        serialize_derives(&planted),
+        vec![(4, "Link".to_string()), (11, "NodeId".to_string())]
+    );
+    assert_eq!(
+        serde_findings(&planted),
+        vec![
+            format!("1: {READ_TRAIT}"),
+            format!("5: {READ_TRAIT}"),
+            "15: hand-written Serialize impl".to_string(),
+            "4: Serialize derived on `Link`".to_string(),
+        ]
     );
 }

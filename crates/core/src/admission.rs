@@ -12,12 +12,10 @@
 //! same (possibly stale) snapshot the VRA used, so it deliberately
 //! inherits the paper's information model.
 
-use serde::{Deserialize, Serialize};
-
 use vod_net::{LinkId, Mbps, Route, Topology, TrafficSnapshot};
 
 /// Outcome of an admission check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionDecision {
     /// The route can carry the stream; start the transfer.
     Admit,
@@ -66,7 +64,7 @@ impl AdmissionDecision {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionPolicy {
     headroom_factor: f64,
 }

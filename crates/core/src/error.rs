@@ -80,7 +80,7 @@ mod tests {
         assert!(e.source().is_none());
         let n: CoreError = NetError::UnknownNode(NodeId::new(1)).into();
         assert!(n.source().is_some());
-        let d: CoreError = vod_db::DbError::AccessDenied.into();
+        let d: CoreError = vod_db::DbError::UnknownLink(vod_net::LinkId::new(2)).into();
         assert!(d.to_string().contains("database"));
     }
 

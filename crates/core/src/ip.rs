@@ -8,13 +8,11 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use vod_net::NodeId;
 
 /// One routing entry: clients inside `network/prefix_len` are homed at
 /// `server`.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub struct HomePrefix {
     /// Network address.
     pub network: Ipv4Addr,
@@ -41,7 +39,7 @@ pub struct HomePrefix {
 /// assert_eq!(resolver.resolve(Ipv4Addr::new(150, 140, 9, 7)), Some(NodeId::new(1)));
 /// assert_eq!(resolver.resolve(Ipv4Addr::new(10, 0, 0, 1)), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HomeResolver {
     prefixes: Vec<HomePrefix>,
 }

@@ -7,7 +7,7 @@
 //! [`QosRecord`] captures those quantities per session and
 //! [`ServiceReport`] aggregates them per experiment.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use vod_net::{EngineStats, NodeId};
 use vod_sim::metrics::Summary;
@@ -19,7 +19,7 @@ use vod_storage::video::VideoId;
 use crate::session::SessionId;
 
 /// Per-session quality-of-service outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QosRecord {
     /// The session.
     pub session: SessionId,
@@ -76,7 +76,7 @@ impl QosRecord {
 /// Aggregated outcome of the regional prefix-caching tier over one run
 /// (present only when [`crate::service::ServiceConfig::prefix_tier`] is
 /// enabled).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PrefixTierReport {
     /// Store decisions aggregated over every proxy (including stores
     /// retired by server failures).
@@ -100,7 +100,7 @@ impl PrefixTierReport {
 
 /// Work counters of the periodic path — what a run's recurring ticks
 /// did, not what they computed. Exact per seed: no clock is read.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize)]
 pub struct TickStats {
     /// SNMP poll ticks handled, those a poller outage skipped included.
     pub polls: u64,
@@ -115,7 +115,7 @@ pub struct TickStats {
 }
 
 /// Aggregated outcome of one service run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceReport {
     /// Selector policy that produced this run.
     pub selector: String,

@@ -39,7 +39,7 @@ mod tests;
 
 use std::collections::BTreeMap;
 
-use vod_db::{AdminCredential, Database};
+use vod_db::Database;
 use vod_net::{Mbps, NodeId};
 use vod_obs::{Event as ObsEvent, EventSink, NullSink};
 use vod_sim::engine::Simulation;
@@ -54,7 +54,7 @@ use vod_workload::scenario::Scenario;
 
 use config::DRAIN_GRACE;
 pub use config::{PrefixTierConfig, RetryPolicy, ServiceConfig};
-use model::{catalog, Event, ServiceModel};
+use model::{Event, ServiceModel};
 
 use crate::error::CoreError;
 use crate::qos::{ServiceReport, TickStats};
@@ -295,7 +295,6 @@ impl<S: EventSink> VodService<S> {
         }
 
         let mut db = Database::from_topology(&topology, scenario.library().clone());
-        let admin = AdminCredential::new("root");
 
         // Per-server DMA caches.
         let mut caches: BTreeMap<NodeId, DmaCache> = BTreeMap::new();
@@ -326,7 +325,7 @@ impl<S: EventSink> VodService<S> {
         // Service initialization: seed titles round-robin.
         let titles: Vec<VideoMeta> = scenario.library().iter().cloned().collect();
         {
-            let mut la = catalog(&mut db, &admin);
+            let mut la = db.limited_access();
             let replicas = config.initial_replicas.clamp(1, servers.len());
             for (i, video) in titles.iter().enumerate() {
                 for k in 0..replicas {
@@ -368,7 +367,7 @@ impl<S: EventSink> VodService<S> {
         // Bootstrap reading: the service has been polling before our
         // window opens, so seed the database with the instantaneous state.
         {
-            let mut la = catalog(&mut db, &admin);
+            let mut la = db.limited_access();
             for link in topology.link_ids() {
                 let load = flows.link_total_load(link);
                 let capacity = topology.link(link).capacity();
@@ -400,7 +399,6 @@ impl<S: EventSink> VodService<S> {
             live_snap,
             snmp,
             db,
-            admin,
             caches,
             selector,
             background: scenario.background().clone(),

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::num::NonZeroU32;
 
-use vod_db::{AdminCredential, Database, LimitedAccess};
+use vod_db::Database;
 use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
 use vod_obs::{AbortReason, Event as ObsEvent, EventSink};
 use vod_sim::engine::Model;
@@ -24,16 +24,6 @@ use super::config::ServiceConfig;
 use crate::qos::{QosRecord, TickStats};
 use crate::selection::{Selection, SelectionContext, ServerSelector};
 use crate::session::{cluster_play_time, cluster_volume_mbit, Session, SessionId};
-
-/// The service's administrative view of the shared database. The
-/// credential is registered at construction and never revoked, so the
-/// access check cannot fail for a live model; this is the one documented
-/// `expect` behind every catalog mutation.
-#[expect(clippy::expect_used, reason = "the service admin is registered")]
-pub(super) fn catalog<'a>(db: &'a mut Database, admin: &AdminCredential) -> LimitedAccess<'a> {
-    db.limited_access(admin)
-        .expect("service admin is registered")
-}
 
 /// The library entry of `video` in `titles`, the run's library in id
 /// order, or `None` for a title outside the library. A generated
@@ -207,7 +197,6 @@ pub(super) struct ServiceModel<S: EventSink> {
     pub(super) flows: FlowNetwork,
     pub(super) snmp: SnmpSystem,
     pub(super) db: Database,
-    pub(super) admin: AdminCredential,
     pub(super) caches: BTreeMap<NodeId, DmaCache>,
     pub(super) selector: Box<dyn ServerSelector>,
     pub(super) background: BackgroundModel,
@@ -359,7 +348,7 @@ impl<S: EventSink> ServiceModel<S> {
         if matches!(&self.db_snap_cache, Some((k, _)) if *k == key) {
             return;
         }
-        let la = catalog(&mut self.db, &self.admin);
+        let la = self.db.limited_access();
         let mut snap = match self.config.snmp_smoothing {
             Some(alpha) => la.smoothed_snapshot(&self.topology, alpha),
             None => la.snapshot(&self.topology),
@@ -719,7 +708,7 @@ impl<S: EventSink> ServiceModel<S> {
     /// tracing each entry that was actually removed.
     pub(super) fn withdraw_titles(&mut self, now: SimTime, server: NodeId, victims: &[VideoId]) {
         for &victim in victims {
-            let removed = catalog(&mut self.db, &self.admin).remove_title(server, victim);
+            let removed = self.db.limited_access().remove_title(server, victim);
             if matches!(removed, Ok(true)) && self.sink.enabled() {
                 self.sink.record(
                     now,
@@ -854,7 +843,7 @@ impl<S: EventSink> ServiceModel<S> {
             .map(|c| c.contains(video))
             .unwrap_or(false)
         {
-            let added = catalog(&mut self.db, &self.admin).add_title(home, video);
+            let added = self.db.limited_access().add_title(home, video);
             if matches!(added, Ok(true)) && self.sink.enabled() {
                 self.sink.record(
                     now,

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use vod_net::NodeId;
 use vod_sim::{SimDuration, SimTime};
@@ -19,7 +19,7 @@ use vod_storage::video::{VideoId, VideoMeta};
 use crate::qos::QosRecord;
 
 /// Identifier of a playback session.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
 #[serde(transparent)]
 pub struct SessionId(pub u64);
 
@@ -35,7 +35,7 @@ impl fmt::Display for SessionId {
 /// bitrate and the service's cluster size are read where they are used
 /// ([`cluster_volume_mbit`], [`cluster_play_time`], [`Session::finish`]),
 /// not copied into every live session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Session {
     id: SessionId,
     video: VideoId,

@@ -13,31 +13,8 @@ use vod_sim::{SimDuration, SimTime};
 use vod_storage::video::{VideoId, VideoMeta};
 
 use crate::database::Database;
-use crate::entry::{LinkEntry, ServerEntry, UtilizationReading};
+use crate::entry::{LinkEntry, UtilizationReading};
 use crate::error::DbError;
-
-/// An administrator identity presented to
-/// [`Database::limited_access`](crate::Database::limited_access).
-///
-/// This stands in for the paper's password-protected admin web module; in
-/// a simulation there is nothing to authenticate against, so a credential
-/// is just a name checked against the registered-admin set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AdminCredential {
-    name: String,
-}
-
-impl AdminCredential {
-    /// Creates a credential for `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        AdminCredential { name: name.into() }
-    }
-
-    /// The administrator name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
 
 /// One link's share of an SNMP poll: the reading taken on the link and
 /// the number of agents (adjacent video servers) that each insert it.
@@ -101,13 +78,13 @@ impl<'a> FullAccess<'a> {
     ///
     /// Returns [`DbError::UnknownServer`] for an unregistered node.
     pub fn titles_at(&self, server: NodeId) -> Result<Vec<VideoId>, DbError> {
-        self.db.server(server)?;
+        self.db.check_server(server)?;
         Ok(self.db.catalog().titles_at(server).collect())
     }
 }
 
-/// The administrator view: limited-access sub-module (network state and
-/// configuration), plus all writes.
+/// The administrator view: limited-access sub-module (network state),
+/// plus all writes.
 #[derive(Debug)]
 pub struct LimitedAccess<'a> {
     db: &'a mut Database,
@@ -119,15 +96,6 @@ impl<'a> LimitedAccess<'a> {
     }
 
     // ---- reads -----------------------------------------------------
-
-    /// One server's entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::UnknownServer`] for an unregistered node.
-    pub fn server(&self, node: NodeId) -> Result<&ServerEntry, DbError> {
-        self.db.server(node)
-    }
 
     /// One link's entry.
     ///
@@ -199,7 +167,7 @@ impl<'a> LimitedAccess<'a> {
         if self.db.library().get(video).is_none() {
             return Err(DbError::UnknownVideo(video));
         }
-        self.db.server(server)?;
+        self.db.check_server(server)?;
         Ok(self.db.catalog_mut().add_holder(video, server))
     }
 
@@ -210,7 +178,7 @@ impl<'a> LimitedAccess<'a> {
     ///
     /// Returns [`DbError::UnknownServer`] for an unregistered node.
     pub fn remove_title(&mut self, server: NodeId, video: VideoId) -> Result<bool, DbError> {
-        self.db.server(server)?;
+        self.db.check_server(server)?;
         Ok(self.db.catalog_mut().remove_holder(video, server))
     }
 
@@ -304,11 +272,10 @@ mod tests {
     #[test]
     fn catalog_queries_via_full_access() {
         let (grnet, mut db) = setup();
-        let admin = AdminCredential::new("root");
         let patra = grnet.node(GrnetNode::Patra);
         let athens = grnet.node(GrnetNode::Athens);
         {
-            let mut la = db.limited_access(&admin).unwrap();
+            let mut la = db.limited_access();
             la.add_title(patra, VideoId::new(0)).unwrap();
             la.add_title(athens, VideoId::new(0)).unwrap();
             la.add_title(patra, VideoId::new(1)).unwrap();
@@ -326,9 +293,7 @@ mod tests {
     #[test]
     fn add_title_validates_video_and_server() {
         let (grnet, mut db) = setup();
-        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
-        let patra = grnet.node(GrnetNode::Patra);
-        assert_eq!(la.server(patra).unwrap().node(), patra);
+        let mut la = db.limited_access();
         assert_eq!(
             la.add_title(grnet.node(GrnetNode::Patra), VideoId::new(99)),
             Err(DbError::UnknownVideo(VideoId::new(99)))
@@ -350,7 +315,7 @@ mod tests {
     fn remove_title_round_trip() {
         let (grnet, mut db) = setup();
         let patra = grnet.node(GrnetNode::Patra);
-        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let mut la = db.limited_access();
         la.add_title(patra, VideoId::new(0)).unwrap();
         assert!(la.remove_title(patra, VideoId::new(0)).unwrap());
         assert!(!la.remove_title(patra, VideoId::new(0)).unwrap());
@@ -367,13 +332,12 @@ mod tests {
     #[test]
     fn replica_count_follows_adds_removes_and_outages() {
         let (grnet, mut db) = setup();
-        let admin = AdminCredential::new("root");
         let [patra, athens, xanthi] =
             [GrnetNode::Patra, GrnetNode::Athens, GrnetNode::Xanthi].map(|n| grnet.node(n));
         let v = VideoId::new(0);
         assert_eq!(db.full_access().replica_count(v), 0);
         {
-            let mut la = db.limited_access(&admin).unwrap();
+            let mut la = db.limited_access();
             for server in [patra, athens, xanthi] {
                 la.add_title(server, v).unwrap();
             }
@@ -382,17 +346,14 @@ mod tests {
             la.add_title(patra, VideoId::new(1)).unwrap();
         }
         assert_eq!(db.full_access().replica_count(v), 3);
-        db.limited_access(&admin)
-            .unwrap()
-            .remove_title(athens, v)
-            .unwrap();
+        db.limited_access().remove_title(athens, v).unwrap();
         assert_eq!(db.full_access().replica_count(v), 2);
         // A server outage withdraws everything the server lists, the way
         // the service does it: ask for its titles, remove each.
         let listed = db.full_access().titles_at(patra).unwrap();
         assert_eq!(listed, vec![v, VideoId::new(1)]);
         {
-            let mut la = db.limited_access(&admin).unwrap();
+            let mut la = db.limited_access();
             for title in listed {
                 assert!(la.remove_title(patra, title).unwrap());
             }
@@ -412,7 +373,7 @@ mod tests {
     fn snapshot_reflects_latest_readings_only() {
         let (grnet, mut db) = setup();
         let link = grnet.link(GrnetLink::PatraAthens);
-        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let mut la = db.limited_access();
         la.record_reading(
             link,
             SimTime::from_secs(60),
@@ -447,7 +408,7 @@ mod tests {
     fn smoothed_snapshot_averages_history() {
         let (grnet, mut db) = setup();
         let link = grnet.link(GrnetLink::PatraAthens);
-        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let mut la = db.limited_access();
         for (i, mb) in [0.0, 2.0, 0.0, 2.0].iter().enumerate() {
             la.record_reading(
                 link,

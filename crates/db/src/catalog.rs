@@ -10,9 +10,7 @@
 //! A title nobody holds has no entry, so two catalogs listing the same
 //! placements are equal however they got there.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
 
 use vod_net::NodeId;
 use vod_storage::video::VideoId;
@@ -65,33 +63,13 @@ impl Catalog {
     }
 }
 
-impl Serialize for Catalog {
-    fn to_value(&self) -> Value {
-        self.holders.to_value()
-    }
-}
-
-// Read through sets, so a hand-edited file with repeated or unordered
-// holders still yields sorted, duplicate-free lists; empty lists are
-// dropped to keep the no-holder-no-entry rule.
-impl Deserialize for Catalog {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let sets = BTreeMap::<VideoId, BTreeSet<NodeId>>::from_value(v)?;
-        let holders = sets
-            .into_iter()
-            .filter(|(_, set)| !set.is_empty())
-            .map(|(video, set)| (video, set.into_iter().collect()))
-            .collect();
-        Ok(Catalog { holders })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
-    use crate::{AdminCredential, Database};
+    use crate::Database;
     use vod_net::topologies::grnet::Grnet;
     use vod_storage::video::{Megabytes, VideoLibrary, VideoMeta};
 
@@ -116,17 +94,6 @@ mod tests {
         assert_eq!(c, Catalog::default());
     }
 
-    #[test]
-    fn wire_form_is_sorted_and_drops_empty_titles() {
-        let mut c = Catalog::default();
-        c.add_holder(VideoId::new(2), NodeId::new(3));
-        c.add_holder(VideoId::new(2), NodeId::new(0));
-        let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(json, r#"{"2":[0,3]}"#);
-        let messy: Catalog = serde_json::from_str(r#"{"2":[3,0,3],"7":[]}"#).unwrap();
-        assert_eq!(messy, c);
-    }
-
     const TITLES: u32 = 8;
 
     fn database() -> (Vec<NodeId>, Database) {
@@ -149,7 +116,6 @@ mod tests {
             ops in proptest::collection::vec((0u8..3, 0usize..6, 0u32..TITLES), 1..200),
         ) {
             let (servers, mut db) = database();
-            let admin = AdminCredential::new("root");
             let mut per_server: BTreeMap<NodeId, BTreeSet<VideoId>> =
                 servers.iter().map(|&s| (s, BTreeSet::new())).collect();
             for &(op, s, v) in &ops {
@@ -157,17 +123,17 @@ mod tests {
                 let set = per_server.get_mut(&server).unwrap();
                 match op {
                     0 => {
-                        let added = db.limited_access(&admin).unwrap().add_title(server, video);
+                        let added = db.limited_access().add_title(server, video);
                         prop_assert_eq!(added, Ok(set.insert(video)));
                     }
                     1 => {
-                        let removed = db.limited_access(&admin).unwrap().remove_title(server, video);
+                        let removed = db.limited_access().remove_title(server, video);
                         prop_assert_eq!(removed, Ok(set.remove(&video)));
                     }
                     _ => {
                         // A server outage: everything listed there goes.
                         let listed = db.full_access().titles_at(server).unwrap();
-                        let mut la = db.limited_access(&admin).unwrap();
+                        let mut la = db.limited_access();
                         for &title in &listed {
                             prop_assert_eq!(la.remove_title(server, title), Ok(true));
                         }
@@ -192,16 +158,6 @@ mod tests {
                         titles.iter().copied().collect::<Vec<_>>()
                     );
                 }
-            }
-            let json = serde_json::to_string(&db).unwrap();
-            let restored: Database = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(&restored, &db);
-            for v in 0..TITLES {
-                let video = VideoId::new(v);
-                prop_assert_eq!(
-                    restored.full_access().servers_with_title(video),
-                    db.full_access().servers_with_title(video)
-                );
             }
         }
     }

@@ -2,85 +2,67 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use vod_net::{LinkId, NodeId, Topology};
 use vod_storage::video::VideoLibrary;
 
-use crate::access::{AdminCredential, FullAccess, LimitedAccess};
+use crate::access::{FullAccess, LimitedAccess};
 use crate::catalog::Catalog;
-use crate::entry::{LinkEntry, ServerConfig, ServerEntry};
+use crate::entry::LinkEntry;
 use crate::error::DbError;
 
-/// The service database: one entry per server and per link, the
-/// catalog of which server holds which title, the service-wide video
-/// library, and the set of registered administrators.
+/// The service database: the registered servers, one entry per link,
+/// the catalog of which server holds which title, and the service-wide
+/// video library.
 ///
 /// Reads and writes go through the typed views returned by
 /// [`Database::full_access`] and [`Database::limited_access`]; see the
 /// [crate-level example](crate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Database {
-    servers: BTreeMap<NodeId, ServerEntry>,
+    servers: BTreeSet<NodeId>,
     links: BTreeMap<LinkId, LinkEntry>,
     /// The full-access sub-module: each title's holders.
     catalog: Catalog,
     library: VideoLibrary,
-    admins: BTreeSet<String>,
     /// Monotonic counter bumped on every traffic write (SNMP reading),
     /// letting consumers cache snapshots derived from the link entries.
-    /// Bookkeeping only: not persisted, ignored by equality.
-    #[serde(skip)]
+    /// Bookkeeping only: ignored by equality.
     traffic_version: u64,
 }
 
 // Two databases are equal iff their *data* is; the traffic-version
-// counter is cache bookkeeping (a deserialized copy restarts at 0 yet
-// must compare equal to its source).
+// counter is cache bookkeeping.
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
         self.servers == other.servers
             && self.links == other.links
             && self.catalog == other.catalog
             && self.library == other.library
-            && self.admins == other.admins
     }
 }
 
 impl Database {
-    /// Creates an empty database with one registered administrator,
-    /// `"root"`.
+    /// Creates an empty database.
     pub fn new(library: VideoLibrary) -> Self {
-        let mut admins = BTreeSet::new();
-        admins.insert("root".to_string());
         Database {
-            servers: BTreeMap::new(),
+            servers: BTreeSet::new(),
             links: BTreeMap::new(),
             catalog: Catalog::default(),
             library,
-            admins,
             traffic_version: 0,
         }
     }
 
     /// Initializes the database from a topology: every video-server node
-    /// gets a [`ServerEntry`] with the default configuration, every link a
-    /// [`LinkEntry`] carrying its capacity — the paper's service
-    /// initialization, where participants contribute their links'
-    /// bandwidth and title lists.
+    /// is registered and every link gets a [`LinkEntry`] — the paper's
+    /// service initialization, where participants contribute their
+    /// links and title lists. The links' bandwidth stays in the
+    /// topology, which every reader of a snapshot already holds.
     pub fn from_topology(topology: &Topology, library: VideoLibrary) -> Self {
         let mut db = Database::new(library);
-        for node in topology.nodes() {
-            if node.is_video_server() {
-                db.servers.insert(
-                    node.id(),
-                    ServerEntry::new(node.id(), ServerConfig::default()),
-                );
-            }
-        }
+        db.servers.extend(topology.video_server_nodes());
         for link in topology.links() {
-            db.links
-                .insert(link.id(), LinkEntry::new(link.id(), link.capacity()));
+            db.links.insert(link.id(), LinkEntry::new(link.id()));
         }
         db
     }
@@ -91,20 +73,8 @@ impl Database {
     }
 
     /// The administrator view of the limited-access sub-module.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::AccessDenied`] if `credential` is not a
-    /// registered administrator.
-    pub fn limited_access(
-        &mut self,
-        credential: &AdminCredential,
-    ) -> Result<LimitedAccess<'_>, DbError> {
-        if self.admins.contains(credential.name()) {
-            Ok(LimitedAccess::new(self))
-        } else {
-            Err(DbError::AccessDenied)
-        }
+    pub fn limited_access(&mut self) -> LimitedAccess<'_> {
+        LimitedAccess::new(self)
     }
 
     /// The service-wide video library.
@@ -112,7 +82,7 @@ impl Database {
         &self.library
     }
 
-    /// Number of server entries.
+    /// Number of registered servers.
     pub fn server_count(&self) -> usize {
         self.servers.len()
     }
@@ -137,8 +107,12 @@ impl Database {
 
     // Crate-internal accessors used by the views.
 
-    pub(crate) fn server(&self, node: NodeId) -> Result<&ServerEntry, DbError> {
-        self.servers.get(&node).ok_or(DbError::UnknownServer(node))
+    pub(crate) fn check_server(&self, node: NodeId) -> Result<(), DbError> {
+        if self.servers.contains(&node) {
+            Ok(())
+        } else {
+            Err(DbError::UnknownServer(node))
+        }
     }
 
     pub(crate) fn catalog(&self) -> &Catalog {
@@ -201,45 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn root_admin_is_preregistered() {
-        let grnet = Grnet::new();
-        let mut db = Database::from_topology(grnet.topology(), VideoLibrary::new());
-        assert!(db.limited_access(&AdminCredential::new("root")).is_ok());
-        assert_eq!(
-            db.limited_access(&AdminCredential::new("mallory")).err(),
-            Some(DbError::AccessDenied)
-        );
-    }
-
-    #[test]
-    fn database_serde_round_trip_preserves_everything() {
-        // The service's state survives restarts: serialize the whole
-        // database (entries, catalog, admins) and read it back.
-        let grnet = Grnet::new();
-        let mut db = Database::from_topology(grnet.topology(), library(2));
-        db.limited_access(&AdminCredential::new("root"))
-            .unwrap()
-            .add_title(grnet.topology().video_server_nodes()[1], VideoId::new(1))
-            .unwrap();
-        let json = serde_json::to_string(&db).unwrap();
-        let restored: Database = serde_json::from_str(&json).unwrap();
-        assert_eq!(db, restored);
-        // Restored database still honours access control.
-        let mut restored = restored;
-        assert!(restored
-            .limited_access(&AdminCredential::new("root"))
-            .is_ok());
-        assert!(restored
-            .limited_access(&AdminCredential::new("mallory"))
-            .is_err());
-    }
-
-    #[test]
     fn unknown_lookups_error() {
         let db = Database::new(VideoLibrary::new());
         assert_eq!(
-            db.server(NodeId::new(0)).err(),
-            Some(DbError::UnknownServer(NodeId::new(0)))
+            db.check_server(NodeId::new(0)),
+            Err(DbError::UnknownServer(NodeId::new(0)))
         );
         assert_eq!(
             db.link(LinkId::new(0)).err(),

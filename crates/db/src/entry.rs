@@ -1,73 +1,20 @@
-//! Database entries: one per server and one per link.
+//! Database entries: one per link.
 //!
-//! Both belong to the paper's *limited-access* sub-module (network and
-//! configuration information). The *full-access* part — the titles
-//! available on each server — is the database's title-major catalog,
-//! not a field of the server entry.
+//! They belong to the paper's *limited-access* sub-module (network
+//! information). The *full-access* part — the titles available on each
+//! server — is the database's title-major catalog.
 //!
 //! A link entry keeps its last [`READING_HISTORY`] SNMP readings in a
 //! ring: storage grows with the first readings to exactly that many
 //! slots, after which each new reading overwrites the oldest in place —
-//! a poll moves no retained reading. Readers see the ring oldest first,
-//! and it serialises as that list.
-
-use serde::{Deserialize, Serialize, Value};
+//! a poll moves no retained reading. Readers see the ring oldest first.
 
 use vod_net::units::Fraction;
-use vod_net::{LinkId, Mbps, NodeId};
+use vod_net::{LinkId, Mbps};
 use vod_sim::SimTime;
-use vod_storage::video::Megabytes;
-
-/// Per-server configuration recorded during service initialization
-/// ("Network links' bandwidth … the video titles available on each VoD
-/// server") and updated by administrators on configuration changes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServerConfig {
-    /// Number of disks in the server's array.
-    pub disk_count: usize,
-    /// Space allocated to the VoD service per disk.
-    pub disk_capacity: Megabytes,
-    /// The bandwidth of the server's connection to the network.
-    pub access_bandwidth: Mbps,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            disk_count: 4,
-            disk_capacity: Megabytes::new(10_000.0),
-            access_bandwidth: Mbps::new(2.0),
-        }
-    }
-}
-
-/// One server's database entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServerEntry {
-    node: NodeId,
-    /// Limited-access sub-module: configuration information.
-    config: ServerConfig,
-}
-
-impl ServerEntry {
-    /// Creates an entry.
-    pub fn new(node: NodeId, config: ServerConfig) -> Self {
-        ServerEntry { node, config }
-    }
-
-    /// The server's node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The limited-access configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-}
 
 /// One SNMP utilization reading, as inserted by the statistics module.
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 pub struct UtilizationReading {
     /// When the reading was inserted.
     pub at: SimTime,
@@ -116,41 +63,20 @@ impl PartialEq for ReadingRing {
     }
 }
 
-impl Serialize for ReadingRing {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl Deserialize for ReadingRing {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let slots = Vec::<UtilizationReading>::from_value(v)?;
-        if slots.len() > READING_HISTORY {
-            return Err(serde::Error::custom(format!(
-                "a link retains at most {READING_HISTORY} readings, got {}",
-                slots.len()
-            )));
-        }
-        Ok(ReadingRing { slots, head: 0 })
-    }
-}
-
 /// One link's database entry (limited access only — users never see link
 /// state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkEntry {
     link: LinkId,
-    total_bandwidth: Mbps,
     last_reading: Option<UtilizationReading>,
     history: ReadingRing,
 }
 
 impl LinkEntry {
     /// Creates an entry with no readings yet.
-    pub fn new(link: LinkId, total_bandwidth: Mbps) -> Self {
+    pub fn new(link: LinkId) -> Self {
         LinkEntry {
             link,
-            total_bandwidth,
             last_reading: None,
             history: ReadingRing::default(),
         }
@@ -231,7 +157,7 @@ mod tests {
 
     #[test]
     fn history_is_bounded_and_ordered() {
-        let mut e = LinkEntry::new(LinkId::new(0), Mbps::new(2.0));
+        let mut e = LinkEntry::new(LinkId::new(0));
         assert_eq!(e.history().count(), 0);
         for i in 0..(READING_HISTORY as u64 + 10) {
             e.record(reading(i * 120, (i % 5) as f64 * 0.1), 1);
@@ -245,7 +171,7 @@ mod tests {
 
     #[test]
     fn smoothing_blends_history() {
-        let mut e = LinkEntry::new(LinkId::new(0), Mbps::new(2.0));
+        let mut e = LinkEntry::new(LinkId::new(0));
         assert_eq!(e.smoothed_used(0.5), None);
         e.record(reading(0, 0.0), 1);
         e.record(reading(120, 2.0), 1);
@@ -258,14 +184,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_rejected() {
-        let mut e = LinkEntry::new(LinkId::new(0), Mbps::new(2.0));
+        let mut e = LinkEntry::new(LinkId::new(0));
         e.record(reading(0, 1.0), 1);
         let _ = e.smoothed_used(0.0);
     }
 
     #[test]
     fn link_entry_readings() {
-        let mut e = LinkEntry::new(LinkId::new(0), Mbps::new(2.0));
+        let mut e = LinkEntry::new(LinkId::new(0));
         assert_eq!(e.last_reading(), None);
         assert_eq!(e.reading_age(SimTime::from_secs(10)), None);
         let reading = UtilizationReading {
@@ -283,7 +209,7 @@ mod tests {
 
     /// The history as it was before the ring: a `Vec` that drops its
     /// front (`remove(0)`) once full. Kept as the ring's reference.
-    #[derive(Debug, Default, Serialize)]
+    #[derive(Debug, Default)]
     struct VecHistory {
         last_reading: Option<UtilizationReading>,
         history: Vec<UtilizationReading>,
@@ -311,9 +237,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Differential: after every write the ring reads, smooths and
-        /// serialises exactly like the `Vec` it replaced — writes of
-        /// several copies (a link two agents report) included.
+        /// Differential: after every write the ring reads and smooths
+        /// exactly like the `Vec` it replaced — writes of several copies
+        /// (a link two agents report) included.
         #[test]
         fn ring_matches_vec_history(
             writes in proptest::collection::vec(
@@ -321,7 +247,7 @@ mod tests {
                 1..5 * READING_HISTORY,
             ),
         ) {
-            let mut entry = LinkEntry::new(LinkId::new(3), Mbps::new(18.0));
+            let mut entry = LinkEntry::new(LinkId::new(3));
             let mut reference = VecHistory::default();
             for (i, &(used, copies)) in writes.iter().enumerate() {
                 let r = UtilizationReading {
@@ -349,34 +275,7 @@ mod tests {
                         reference.smoothed_used(alpha).map(f64::to_bits)
                     );
                 }
-                // On the wire: the oldest-first list, and no new field.
-                let json = serde_json::to_string(&entry).unwrap();
-                let wire = serde_json::to_string(&reference).unwrap();
-                prop_assert_eq!(
-                    &json,
-                    &format!(
-                        "{{\"link\":3,\"total_bandwidth\":18.0,{}",
-                        wire.strip_prefix('{').unwrap()
-                    )
-                );
-                let restored: LinkEntry = serde_json::from_str(&json).unwrap();
-                prop_assert_eq!(&restored, &entry);
-                prop_assert_eq!(
-                    restored.history().collect::<Vec<_>>(),
-                    reference.history.clone()
-                );
             }
         }
-    }
-
-    #[test]
-    fn overlong_history_is_rejected_on_the_wire() {
-        let r = serde_json::to_string(&reading(60, 1.0)).unwrap();
-        let list = vec![r.as_str(); READING_HISTORY + 1].join(",");
-        let json = format!(
-            "{{\"link\":0,\"total_bandwidth\":2.0,\"last_reading\":{r},\"history\":[{list}]}}"
-        );
-        let err = serde_json::from_str::<LinkEntry>(&json).unwrap_err();
-        assert!(err.to_string().contains("at most 32 readings"), "{err}");
     }
 }

@@ -16,8 +16,6 @@ pub enum DbError {
     UnknownLink(LinkId),
     /// The video id is not in the service-wide library.
     UnknownVideo(VideoId),
-    /// The credential was rejected (not registered as an administrator).
-    AccessDenied,
 }
 
 impl fmt::Display for DbError {
@@ -26,7 +24,6 @@ impl fmt::Display for DbError {
             DbError::UnknownServer(id) => write!(f, "no server entry for node {id}"),
             DbError::UnknownLink(id) => write!(f, "no link entry for link {id}"),
             DbError::UnknownVideo(id) => write!(f, "video {id} is not in the library"),
-            DbError::AccessDenied => write!(f, "credential lacks limited-access rights"),
         }
     }
 }
@@ -39,7 +36,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(DbError::AccessDenied.to_string().contains("limited-access"));
         assert!(DbError::UnknownServer(NodeId::new(2))
             .to_string()
             .contains("n2"));

@@ -8,13 +8,13 @@
 //! * the **limited-access sub-module**, readable only by the service's
 //!   administrators and by the application running the Virtual Routing
 //!   Algorithm: per-link bandwidth and the latest SNMP utilization
-//!   readings, plus per-server configuration.
+//!   readings.
 //!
 //! This crate models the database as an in-memory store ([`Database`])
 //! with typed views enforcing the two access levels at compile time:
-//! [`FullAccess`] can only see the catalog, [`LimitedAccess`] (obtained
-//! from an [`AdminCredential`]) additionally sees network state and
-//! records what the service writes: SNMP readings and title placements.
+//! [`FullAccess`] can only see the catalog, [`LimitedAccess`]
+//! additionally sees network state and records what the service writes:
+//! SNMP readings and title placements.
 //! The simulation is single-threaded, so the service owns its one
 //! [`Database`] and lends it to the SNMP poller and the DMA mirror by
 //! reference.
@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use vod_db::{AdminCredential, Database};
+//! use vod_db::Database;
 //! use vod_net::topologies::grnet::{Grnet, GrnetNode};
 //! use vod_storage::video::{Megabytes, VideoId, VideoLibrary, VideoMeta};
 //!
@@ -33,9 +33,8 @@
 //! library.insert(VideoMeta::new(id, "Zorba", Megabytes::new(700.0), 1.5));
 //!
 //! let mut db = Database::from_topology(grnet.topology(), library);
-//! let admin = AdminCredential::new("root");
 //! let patra = grnet.node(GrnetNode::Patra);
-//! db.limited_access(&admin)?.add_title(patra, id)?;
+//! db.limited_access().add_title(patra, id)?;
 //!
 //! // Any user can ask who has the title…
 //! assert_eq!(db.full_access().servers_with_title(id), vec![patra]);
@@ -54,7 +53,7 @@ pub mod database;
 pub mod entry;
 pub mod error;
 
-pub use access::{AdminCredential, FullAccess, LimitedAccess, LinkPoll};
+pub use access::{FullAccess, LimitedAccess, LinkPoll};
 pub use database::Database;
-pub use entry::{LinkEntry, ServerConfig, ServerEntry, UtilizationReading};
+pub use entry::{LinkEntry, UtilizationReading};
 pub use error::DbError;

@@ -60,7 +60,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::dijkstra::{dijkstra_with_scratch, DijkstraScratch, ShortestPaths};
 use crate::error::NetError;
@@ -96,7 +96,7 @@ impl TopologyKey {
 ///
 /// Useful for tests ("the warm path must not run Dijkstra") and for
 /// operational visibility; see [`RoutingEngine::stats`].
-#[derive(Debug, Copy, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct EngineStats {
     /// Total [`RoutingEngine::select`] calls.
     pub requests: u64,

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a node within a [`Topology`](crate::Topology).
 ///
@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(id.index(), 3);
 /// assert_eq!(id.to_string(), "n3");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
 #[serde(transparent)]
 pub struct NodeId(u32);
 
@@ -64,8 +64,7 @@ impl From<NodeId> for usize {
 /// assert_eq!(id.index(), 0);
 /// assert_eq!(id.to_string(), "l0");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct LinkId(u32);
 
 impl LinkId {
@@ -132,13 +131,5 @@ mod tests {
     fn display_is_compact() {
         assert_eq!(NodeId::new(42).to_string(), "n42");
         assert_eq!(LinkId::new(7).to_string(), "l7");
-    }
-
-    #[test]
-    fn serde_is_transparent() {
-        let json = serde_json::to_string(&NodeId::new(5)).unwrap();
-        assert_eq!(json, "5");
-        let back: NodeId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, NodeId::new(5));
     }
 }

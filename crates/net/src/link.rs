@@ -1,7 +1,5 @@
 //! Network links.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{LinkId, NodeId};
 use crate::units::Mbps;
 
@@ -11,7 +9,7 @@ use crate::units::Mbps;
 /// whose SNMP utilization is `(traffic_in + traffic_out) / capacity`
 /// (its equation (5)); we follow that convention, so a `Link` carries one
 /// capacity and is shared by both directions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     id: LinkId,
     a: NodeId,

@@ -25,8 +25,6 @@
 //! [`NodeCombiner`] generalizes the `max` in equation (1) so the design
 //! choice can be ablated (see DESIGN.md §6).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetError;
 use crate::ids::{LinkId, NodeId};
 use crate::snapshot::TrafficSnapshot;
@@ -35,7 +33,7 @@ use crate::units::Mbps;
 
 /// How the two endpoint node-validation values are combined in
 /// equation (1). The paper uses [`NodeCombiner::Max`].
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub enum NodeCombiner {
     /// `max{NV_a, NV_b}` — the paper's choice.
     #[default]
@@ -66,7 +64,7 @@ impl NodeCombiner {
 /// let params = LvnParams::default();
 /// assert_eq!(params.normalization_constant, 10.0);
 /// ```
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 pub struct LvnParams {
     /// The normalization constant of equation (4); the paper suggests an
     /// integer approaching 10.
@@ -109,7 +107,7 @@ impl LvnParams {
 
 /// A table of per-link weights, indexed by [`LinkId`], fed to
 /// [Dijkstra](crate::dijkstra::dijkstra).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkWeights {
     weights: Vec<f64>,
 }

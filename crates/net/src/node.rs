@@ -1,7 +1,5 @@
 //! Network nodes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 
 /// A node of the VoD network.
@@ -20,7 +18,7 @@ use crate::ids::NodeId;
 /// let topo = b.build();
 /// assert_eq!(topo.node(athens).name(), "Athens");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     id: NodeId,
     name: String,
@@ -28,7 +26,7 @@ pub struct Node {
 }
 
 /// The role a node plays in the VoD service.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub enum NodeKind {
     /// The node hosts a video server participating in the service.
     #[default]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{LinkId, NodeId};
 use crate::topology::Topology;
 
@@ -12,7 +10,7 @@ use crate::topology::Topology;
 ///
 /// A `Route` always contains at least one node; a single-node route (the
 /// source itself) has zero links and zero cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     nodes: Vec<NodeId>,
     links: Vec<LinkId>,

@@ -7,8 +7,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetError;
 use crate::ids::LinkId;
 use crate::topology::Topology;
@@ -23,8 +21,8 @@ fn fresh_token() -> u64 {
 
 /// Identity + mutation count of a [`TrafficSnapshot`] at one instant.
 ///
-/// The `token` is unique per snapshot *instance* (clones and
-/// deserialized copies get fresh tokens), and `version` counts
+/// The `token` is unique per snapshot *instance* (clones get fresh
+/// tokens), and `version` counts
 /// mutations of that instance. Together they let a cache decide whether
 /// memoized derived state (link weights, shortest-path trees) is still
 /// valid: equal epoch ⇒ byte-identical traffic state.
@@ -100,58 +98,6 @@ impl Clone for TrafficSnapshot {
             token: fresh_token(),
             version: 0,
         }
-    }
-}
-
-impl Serialize for TrafficSnapshot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("used".to_string(), self.used.to_value()),
-            (
-                "explicit_utilization".to_string(),
-                self.explicit_utilization.to_value(),
-            ),
-            ("admin_down".to_string(), self.admin_down.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TrafficSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let used: Vec<Mbps> = match v.get_field("used") {
-            Some(f) => Deserialize::from_value(f)?,
-            None => {
-                return Err(serde::Error::custom(
-                    "missing field `used` of `TrafficSnapshot`",
-                ))
-            }
-        };
-        let explicit_utilization: Vec<Option<Fraction>> = match v.get_field("explicit_utilization")
-        {
-            Some(f) => Deserialize::from_value(f)?,
-            None => {
-                return Err(serde::Error::custom(
-                    "missing field `explicit_utilization` of `TrafficSnapshot`",
-                ))
-            }
-        };
-        // Older traces predate administrative link state; default to all-up.
-        let admin_down: Vec<bool> = match v.get_field("admin_down") {
-            Some(f) => Deserialize::from_value(f)?,
-            None => vec![false; used.len()],
-        };
-        if used.len() != explicit_utilization.len() || used.len() != admin_down.len() {
-            return Err(serde::Error::custom(
-                "TrafficSnapshot field lengths disagree",
-            ));
-        }
-        Ok(TrafficSnapshot {
-            used,
-            explicit_utilization,
-            admin_down,
-            token: fresh_token(),
-            version: 0,
-        })
     }
 }
 
@@ -407,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn admin_down_bumps_version_once_and_round_trips() {
+    fn admin_down_bumps_version_once_and_survives_a_clone() {
         let (topo, l0, l1) = two_link_topo();
         let mut snap = TrafficSnapshot::zero(&topo);
         assert!(!snap.is_admin_down(l0));
@@ -419,9 +365,8 @@ mod tests {
         assert_eq!(snap.epoch().version, before.version + 1);
         assert!(snap.is_admin_down(l0));
 
-        // Down state survives serde and distinguishes snapshots.
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: TrafficSnapshot = serde_json::from_str(&json).unwrap();
+        // Down state survives a clone and distinguishes snapshots.
+        let back = snap.clone();
         assert_eq!(back, snap);
         assert!(back.is_admin_down(l0));
         snap.set_admin_down(l0, false);
@@ -472,19 +417,6 @@ mod tests {
         assert_eq!(snap, clone);
         assert_ne!(snap.epoch().token, clone.epoch().token);
         assert_eq!(clone.epoch().version, 0);
-    }
-
-    #[test]
-    fn serde_drops_cache_bookkeeping() {
-        let (topo, l0, _) = two_link_topo();
-        let mut snap = TrafficSnapshot::zero(&topo);
-        snap.set_used(l0, Mbps::new(1.25));
-        snap.set_explicit_utilization(l0, Fraction::from_percent(9.4));
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: TrafficSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        assert_ne!(back.epoch().token, snap.epoch().token);
-        assert_eq!(back.epoch().version, 0);
     }
 
     #[test]

@@ -12,10 +12,8 @@ use crate::snapshot::TrafficSnapshot;
 use crate::topology::{Topology, TopologyBuilder};
 use crate::units::{Fraction, Mbps};
 
-use serde::{Deserialize, Serialize};
-
 /// The four times of day at which the paper sampled SNMP statistics.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum TimeOfDay {
     /// 8:00 am.
     T0800,
@@ -68,7 +66,7 @@ impl TimeOfDay {
 }
 
 /// The six GRNET backbone nodes of the paper's Figure 6.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum GrnetNode {
     /// U1 — Athens.
     Athens,
@@ -132,7 +130,7 @@ impl GrnetNode {
 }
 
 /// The seven GRNET backbone links of the paper's Table 2, in table order.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum GrnetLink {
     /// Patra–Athens, 2 Mbit.
     PatraAthens,
@@ -212,7 +210,7 @@ impl GrnetLink {
 /// One cell of the paper's Table 2: combined in+out traffic and the
 /// utilization percentage as printed (the percentages are rounded in the
 /// paper, and its Table 3 was computed from the rounded values).
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 pub struct Table2Cell {
     /// Combined in+out traffic in Mbps.
     pub traffic: Mbps,

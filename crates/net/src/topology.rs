@@ -1,7 +1,5 @@
 //! The network topology: nodes, links and adjacency.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetError;
 use crate::ids::{LinkId, NodeId};
 use crate::link::Link;
@@ -10,7 +8,7 @@ use crate::units::Mbps;
 
 /// An entry in a node's adjacency list: the incident link and the node at
 /// its far end.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub struct Incidence {
     /// The incident link.
     pub link: LinkId,
@@ -99,16 +97,6 @@ fn build_csr(node_count: usize, links: &[Link]) -> (Vec<u32>, Vec<Incidence>) {
 }
 
 impl Topology {
-    fn from_parts(nodes: Vec<Node>, links: Vec<Link>) -> Self {
-        let (adj_offsets, adj_entries) = build_csr(nodes.len(), &links);
-        Topology {
-            nodes,
-            links,
-            adj_offsets,
-            adj_entries,
-        }
-    }
-
     /// Returns the number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -321,33 +309,13 @@ impl TopologyBuilder {
 
     /// Finalizes the topology, computing the CSR adjacency arrays.
     pub fn build(self) -> Topology {
-        Topology::from_parts(self.nodes, self.links)
-    }
-}
-
-// Manual serde impls: only nodes and links are persisted; the CSR
-// adjacency is derived data and is rebuilt on deserialize, so a stored
-// topology can never carry inconsistent adjacency.
-impl Serialize for Topology {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("links".to_string(), self.links.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Topology {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let nodes: Vec<Node> = match v.get_field("nodes") {
-            Some(f) => Deserialize::from_value(f)?,
-            None => return Err(serde::Error::custom("missing field `nodes` of `Topology`")),
-        };
-        let links: Vec<Link> = match v.get_field("links") {
-            Some(f) => Deserialize::from_value(f)?,
-            None => return Err(serde::Error::custom("missing field `links` of `Topology`")),
-        };
-        Ok(Topology::from_parts(nodes, links))
+        let (adj_offsets, adj_entries) = build_csr(self.nodes.len(), &self.links);
+        Topology {
+            nodes: self.nodes,
+            links: self.links,
+            adj_offsets,
+            adj_entries,
+        }
     }
 }
 
@@ -465,13 +433,5 @@ mod tests {
         assert!(topo.try_node(NodeId::new(99)).is_err());
         assert!(topo.try_link(LinkId::new(99)).is_err());
         assert!(topo.try_node(NodeId::new(0)).is_ok());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (topo, ..) = triangle();
-        let json = serde_json::to_string(&topo).unwrap();
-        let back: Topology = serde_json::from_str(&json).unwrap();
-        assert_eq!(topo, back);
     }
 }

@@ -7,13 +7,11 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 use crate::topology::Topology;
 
 /// The label of one node at one step of the algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeLabel {
     /// The labelled node.
     pub node: NodeId,
@@ -26,7 +24,7 @@ pub struct NodeLabel {
 
 /// One settle step: the set of settled nodes (in settle order) and the
 /// label of every node after relaxation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStep {
     /// Nodes settled so far, in settle order.
     pub settled: Vec<NodeId>,
@@ -36,7 +34,7 @@ pub struct TraceStep {
 }
 
 /// A full run trace, one [`TraceStep`] per settled node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DijkstraTrace {
     source: NodeId,
     steps: Vec<TraceStep>,

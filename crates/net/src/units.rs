@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative bandwidth or traffic volume in megabits per second.
 ///
 /// # Examples
@@ -22,8 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let used = Mbps::from_kbps(1_700.0);
 /// assert!((used / capacity - 0.094_444).abs() < 1e-5);
 /// ```
-#[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Default)]
 pub struct Mbps(f64);
 
 impl Mbps {
@@ -202,8 +199,7 @@ impl Sum for Mbps {
 /// assert!((u.get() - 0.388).abs() < 1e-12);
 /// assert_eq!(u.as_percent(), 38.8);
 /// ```
-#[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Default)]
 pub struct Fraction(f64);
 
 impl Fraction {

@@ -30,7 +30,7 @@
 //! The run's totals are not kept here: the service's own
 //! `ServiceReport` (in `vod-core`) is the one record of a run — every
 //! finished session's QoS plus every subsystem's work counters — and
-//! serializes as JSON. This crate only adds views the report does not
+//! `experiments --metrics` writes it as JSON. This crate only adds views the report does not
 //! hold (the trace, time-resolved windows, per-session phases).
 //!
 //! # Determinism contract

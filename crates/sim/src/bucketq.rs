@@ -46,7 +46,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A key a [`BucketQueue`] can bucket: totally ordered, with a `u64`
 /// projection that never decreases along that order
@@ -55,20 +55,6 @@ use serde::{Deserialize, Serialize};
 pub trait RadixKey: Ord {
     /// The projection the buckets are chosen by.
     fn radix(&self) -> u64;
-}
-
-/// The radix of a time in seconds held as an `f64`: the bit pattern of
-/// a positive value (positive floats, `+∞` included, order like their
-/// bits), and zero for everything at or below zero. No queue of the
-/// workspace keys on seconds since completions became integer instants;
-/// the float-key tests below keep the path exact.
-#[inline]
-pub fn seconds_radix(secs: f64) -> u64 {
-    if secs > 0.0 {
-        secs.to_bits()
-    } else {
-        0
-    }
 }
 
 /// A shallow queue spills into the buckets when it grows past this.
@@ -93,7 +79,7 @@ const RELEASE_EVERY: usize = 4096;
 
 /// What the queue moved on its own account — exact per push/pop
 /// sequence, so exact per seed.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueueStats {
     /// Buckets split around their minimum.
     pub splits: u64,
@@ -272,15 +258,6 @@ impl<K: RadixKey> BucketQueue<K> {
         Some(popped)
     }
 
-    /// Removes and returns the smallest entry if `due` says so.
-    pub fn pop_if(&mut self, due: impl FnOnce(&K) -> bool) -> Option<K> {
-        if due(self.peek()?) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// Discards every entry and returns to the shallow regime.
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -410,7 +387,6 @@ fn bucket_of(horizon: u64, radix: u64) -> Option<usize> {
 
 #[cfg(test)]
 mod tests {
-    use std::cmp::Ordering;
     use std::fmt::Debug;
 
     use proptest::prelude::*;
@@ -422,35 +398,6 @@ mod tests {
     impl RadixKey for (u64, u64) {
         fn radix(&self) -> u64 {
             self.0
-        }
-    }
-
-    /// A float key shaped like `(finish_secs, id, epoch)`, under
-    /// `total_cmp`.
-    #[derive(Debug, Clone, Copy)]
-    struct Finish(f64, u64, u64);
-
-    impl Ord for Finish {
-        fn cmp(&self, other: &Self) -> Ordering {
-            let order = self.0.total_cmp(&other.0);
-            order.then_with(|| (self.1, self.2).cmp(&(other.1, other.2)))
-        }
-    }
-    impl PartialOrd for Finish {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl PartialEq for Finish {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other).is_eq()
-        }
-    }
-    impl Eq for Finish {}
-
-    impl RadixKey for Finish {
-        fn radix(&self) -> u64 {
-            seconds_radix(self.0)
         }
     }
 
@@ -632,63 +579,17 @@ mod tests {
         pair.drain();
     }
 
-    #[test]
-    fn seconds_radix_is_monotone_under_total_cmp() {
-        let mut sample = vec![
-            f64::NEG_INFINITY,
-            f64::MIN,
-            -1.0,
-            -1e-9,
-            -f64::MIN_POSITIVE,
-            -5e-324,
-            -0.0,
-            0.0,
-            5e-324,
-            f64::MIN_POSITIVE / 2.0,
-            f64::MIN_POSITIVE,
-            1e-9,
-            1.0 - f64::EPSILON,
-            1.0,
-            1.0 + f64::EPSILON,
-            86_400.0,
-            f64::MAX,
-            f64::INFINITY,
-        ];
-        let mut rng = 11;
-        for _ in 0..2_000 {
-            let secs = lcg(&mut rng) as f64 / 1e3;
-            sample.extend([secs, -secs, secs * 1e-300, f64::from_bits(lcg(&mut rng))]);
-        }
-        sample.sort_by(f64::total_cmp);
-        for pair in sample.windows(2) {
-            assert!(
-                seconds_radix(pair[0]) <= seconds_radix(pair[1]),
-                "{:e} then {:e}",
-                pair[0],
-                pair[1]
-            );
-        }
-        assert_eq!(seconds_radix(-0.0), 0);
-        assert_eq!(seconds_radix(0.0), 0);
-        assert!(seconds_radix(5e-324) > 0);
-    }
-
     /// Runs coded ops `(kind, a, b)` against both queues, returning how
-    /// often the queue spilled and folded. `key(clock, ahead, seq)`
-    /// makes the `seq`-th key `ahead` of `clock`, which is `clock_of`
-    /// the key popped last.
-    fn differential<K: RadixKey + Clone + Debug>(
-        ops: Vec<(u8, u64, u64)>,
-        clock_of: impl Fn(&K) -> u64,
-        key: impl Fn(u64, i64, u64) -> K,
-    ) -> (u32, u32) {
-        let mut pair: Pair<K> = Pair::new();
+    /// often the queue spilled and folded. The `seq`-th key pushed is
+    /// `ahead` of the clock, the instant of the key popped last.
+    fn differential(ops: Vec<(u8, u64, u64)>) -> (u32, u32) {
+        let mut pair: Pair<(u64, u64)> = Pair::new();
         let mut clock = 0u64;
         let mut seq = 0u64;
         let mut rng = 0x9E37_79B9_7F4A_7C15;
-        let mut push = |pair: &mut Pair<K>, clock: u64, ahead: i64| {
+        let mut push = |pair: &mut Pair<(u64, u64)>, clock: u64, ahead: i64| {
             seq += 1;
-            pair.push(key(clock, ahead, seq));
+            pair.push((clock.saturating_add_signed(ahead), seq));
         };
         for (kind, a, b) in ops {
             match kind {
@@ -704,11 +605,11 @@ mod tests {
                     .for_each(|_| push(&mut pair, clock, (lcg(&mut rng) % 1_000_000) as i64)),
                 // Pop a run; pop one; hold (pop and reschedule) a run.
                 7 | 8 => (0..a % 3_000).for_each(|_| {
-                    clock = pair.pop().map_or(clock, |k| clock_of(&k));
+                    clock = pair.pop().map_or(clock, |(at, _)| at);
                 }),
-                9 => clock = pair.pop().map_or(clock, |k| clock_of(&k)),
+                9 => clock = pair.pop().map_or(clock, |(at, _)| at),
                 10 => (0..a % 2_000).for_each(|_| {
-                    clock = pair.pop().map_or(clock, |k| clock_of(&k));
+                    clock = pair.pop().map_or(clock, |(at, _)| at);
                     push(&mut pair, clock, 1 + (lcg(&mut rng) % 1_000_000) as i64);
                 }),
                 // Rarely, clear.
@@ -728,36 +629,7 @@ mod tests {
         fn instants_match_a_binary_heap_after_every_op(
             ops in proptest::collection::vec((0u8..12, 0u64..1 << 20, 0u64..1 << 20), 1..60),
         ) {
-            differential::<(u64, u64)>(
-                ops,
-                |&(at, _)| at,
-                |clock, ahead, seq| (clock.saturating_add_signed(ahead), seq),
-            );
-        }
-
-        /// Float finish keys: a clock in seconds plus a volume over a
-        /// rate, with the values the radix folds
-        /// onto zero (`-0.0`, negative dust, a kernel at time zero),
-        /// subnormals, and equal finishes under different ids.
-        #[test]
-        fn finishes_match_a_binary_heap_after_every_op(
-            ops in proptest::collection::vec((0u8..12, 0u64..1 << 20, 0u64..1 << 20), 1..60),
-        ) {
-            differential::<Finish>(
-                ops,
-                |finish| finish.0.max(0.0) as u64,
-                |clock, ahead, seq| {
-                    let secs = match seq % 23 {
-                        0 => -0.0,
-                        1 => -1e-9 * ahead as f64,
-                        2 => 5e-324 * seq as f64,
-                        3 => f64::MIN_POSITIVE * ahead as f64,
-                        _ => clock as f64 + ahead as f64 / 1e6 * 8.0 / 1.5,
-                    };
-                    // Half the keys tie with another id on the finish.
-                    Finish(secs, seq % 2, seq)
-                },
-            );
+            differential(ops);
         }
     }
 
@@ -771,11 +643,7 @@ mod tests {
                 lcg(&mut rng) % (1 << 20),
             )
         });
-        let (bucketed, shallow) = differential::<(u64, u64)>(
-            ops.collect(),
-            |&(at, _)| at,
-            |clock, ahead, seq| (clock.saturating_add_signed(ahead), seq),
-        );
+        let (bucketed, shallow) = differential(ops.collect());
         assert!(
             bucketed >= 3 && shallow >= 3,
             "{bucketed} spills, {shallow} folds"

@@ -103,7 +103,7 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use vod_net::{LinkId, Mbps, Topology, TrafficSnapshot};
 
@@ -133,8 +133,7 @@ pub fn transfer_time(volume_mbit: f64, rate: Mbps) -> SimDuration {
 }
 
 /// Identifier of a flow within a [`FlowNetwork`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct FlowId(u64);
 
 impl FlowId {
@@ -182,7 +181,7 @@ impl Error for FlowError {}
 
 /// Work counters of the flow kernel — what a run cost, not what it
 /// computed. Read them with [`FlowNetwork::stats`].
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize)]
 pub struct KernelStats {
     /// Settles that found the allocation stale and recomputed it:
     /// `reallocations + fills_unchanged`.

@@ -1,10 +1,10 @@
 //! Metrics collection for experiments: summary statistics and a
 //! log-bucketed histogram.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary statistics of a set of float values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of values.
     pub count: usize,

@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::bucketq::{BucketQueue, QueueStats, RadixKey};
 use crate::time::SimTime;
@@ -45,7 +45,7 @@ impl<E> PartialOrd for Entry<E> {
 /// Work counters of one run's event queue, next to
 /// [`KernelStats`](crate::flow::KernelStats): how much went through the
 /// queue, how deep it got, and how much bypassed it.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SchedulerStats {
     /// Events scheduled.
     pub pushes: u64,

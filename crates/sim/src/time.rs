@@ -7,12 +7,10 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An instant of simulated time (microseconds since simulation start).
-#[derive(
-    Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default, Serialize)]
 #[serde(transparent)]
 pub struct SimTime(u64);
 
@@ -97,9 +95,7 @@ impl Sub for SimTime {
 }
 
 /// A span of simulated time (microseconds).
-#[derive(
-    Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default, Serialize)]
 #[serde(transparent)]
 pub struct SimDuration(u64);
 

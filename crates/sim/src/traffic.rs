@@ -15,8 +15,6 @@
 //! its segments with the differences the interpolation divides and
 //! multiplies by already taken.
 
-use serde::{Deserialize, Serialize, Value};
-
 use vod_net::topologies::grnet::{Grnet, GrnetLink, TimeOfDay, TABLE2};
 use vod_net::{LinkId, Mbps};
 
@@ -171,29 +169,8 @@ fn hour_of_day(at: SimTime) -> f64 {
     at.as_hours_f64() % 24.0
 }
 
-impl Serialize for DiurnalProfile {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![("points".to_string(), self.points.to_value())])
-    }
-}
-
-impl Deserialize for DiurnalProfile {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let points = v
-            .get_field("points")
-            .ok_or_else(|| serde::Error::custom("missing field `points` of `DiurnalProfile`"))?;
-        let points = Vec::<(f64, Mbps)>::from_value(points)?;
-        if points.is_empty() || points.iter().any(|(h, _)| !(0.0..24.0).contains(h)) {
-            return Err(serde::Error::custom(
-                "a profile needs at least one point, each at an hour in [0, 24)",
-            ));
-        }
-        Ok(Self::from_valid_points(points))
-    }
-}
-
 /// Per-link diurnal background traffic for a whole topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackgroundModel {
     profiles: Vec<DiurnalProfile>,
 }
@@ -450,20 +427,6 @@ mod tests {
                 proptest::prop_assert_eq!(profile.sample_at(at), expected);
                 proptest::prop_assert_eq!(model.load_at(LinkId::new(0), at), expected);
             }
-        }
-    }
-
-    #[test]
-    fn profile_round_trips_as_its_points_and_rejects_bad_ones() {
-        let p = DiurnalProfile::new(vec![(22.0, Mbps::new(2.0)), (2.0, Mbps::new(0.0))]);
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(json, "{\"points\":[[2.0,0.0],[22.0,2.0]]}");
-        assert_eq!(serde_json::from_str::<DiurnalProfile>(&json).unwrap(), p);
-        for bad in ["{\"points\":[]}", "{\"points\":[[24.0,1.0]]}", "{}"] {
-            assert!(
-                serde_json::from_str::<DiurnalProfile>(bad).is_err(),
-                "{bad}"
-            );
         }
     }
 }

@@ -4,13 +4,11 @@
 //! adjacent to the node links used by the VoD network"; a [`ServerAgent`]
 //! captures that responsibility set.
 
-use serde::{Deserialize, Serialize};
-
 use vod_net::{LinkId, NodeId, Topology};
 
 /// The SNMP statistics module of one video server: the node it runs on
 /// and the links it reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerAgent {
     node: NodeId,
     links: Vec<LinkId>,

@@ -8,15 +8,15 @@
 //!
 //! The emulation mirrors real SNMP semantics:
 //!
-//! * [`counters`] — per-link octet counters accumulate traffic volume as
-//!   simulated time advances (driven from the fluid-flow network);
 //! * [`utilization`] — the paper's equation (5),
 //!   `(traffic_in + traffic_out) / total bandwidth`;
 //! * [`agent`] — one agent per video-server node, responsible for the
 //!   links adjacent to it;
-//! * [`poller`] — the periodic system that, every `interval`, has each
-//!   agent compute the **average** utilization since the previous poll
-//!   from counter deltas and insert it into the limited-access database.
+//! * [`poller`] — the periodic system that, every `interval`, reads the
+//!   per-link traffic counters (the volume the fluid-flow network has
+//!   carried), has each agent compute the **average** utilization since
+//!   the previous poll from counter deltas and insert it into the
+//!   limited-access database.
 //!
 //! Because readings are written only at poll instants, everything
 //! downstream (the Virtual Routing Algorithm above all) sees *stale*
@@ -29,10 +29,8 @@
 #![cfg_attr(test, allow(clippy::indexing_slicing, clippy::disallowed_macros))]
 
 pub mod agent;
-pub mod counters;
 pub mod poller;
 pub mod utilization;
 
 pub use agent::ServerAgent;
-pub use counters::CounterBank;
 pub use poller::SnmpSystem;

@@ -10,25 +10,27 @@
 //! is written twice with the same value. The poll allocates nothing:
 //! the per-link reporter counts are fixed at construction and the
 //! counter baseline is refreshed in place.
+//!
+//! Real SNMP agents expose monotone octet counters, and utilization over
+//! an interval is computed from counter *deltas*. Here the counters are
+//! the per-link volume integrals the flow network keeps
+//! ([`FlowNetwork::link_cumulative_mbit`]), read at each sync.
 
-use vod_db::{AdminCredential, Database, LinkPoll};
-use vod_net::Topology;
+use vod_db::{Database, LinkPoll};
+use vod_net::{Mbps, Topology};
 use vod_sim::flow::FlowNetwork;
 use vod_sim::{SimDuration, SimTime};
 
 use crate::agent::ServerAgent;
-use crate::counters::CounterBank;
 use crate::utilization::combined_utilization;
 
 /// The service-wide SNMP statistics system.
 ///
-/// Drive it from the simulation loop:
-///
-/// 1. whenever simulated time advances by `dt` with a constant flow
-///    allocation, call [`SnmpSystem::accumulate`];
-/// 2. whenever `now >= `[`SnmpSystem::next_poll_at`], call
-///    [`SnmpSystem::poll`], which writes one utilization reading per link
-///    into the limited-access database.
+/// Drive it from the simulation loop: whenever `now >=
+/// `[`SnmpSystem::next_poll_at`], advance the [`FlowNetwork`] to `now`,
+/// call [`SnmpSystem::sync_counters`], then [`SnmpSystem::poll`], which
+/// writes one utilization reading per link into the limited-access
+/// database.
 ///
 /// # Examples
 ///
@@ -45,19 +47,22 @@ use crate::utilization::combined_utilization;
 /// let mut net = FlowNetwork::new(grnet.topology().clone());
 /// let mut snmp = SnmpSystem::new(grnet.topology(), SimDuration::from_mins(2));
 ///
-/// snmp.accumulate(&mut net, SimDuration::from_mins(2));
+/// let _ = net.advance(SimDuration::from_mins(2));
+/// snmp.sync_counters(&net);
 /// let written = snmp.poll(grnet.topology(), &mut db, SimTime::from_secs(120)).unwrap();
 /// assert_eq!(written, 14); // every GRNET link reported by both adjacent servers
 /// ```
 #[derive(Debug, Clone)]
 pub struct SnmpSystem {
-    counters: CounterBank,
+    /// Per link, the megabits carried up to the last sync: the agents'
+    /// monotone counters.
+    counters: Vec<f64>,
     interval: SimDuration,
     last_poll: SimTime,
+    /// The counters at the previous poll.
     baseline: Vec<f64>,
     /// Per link, the number of agents reporting it.
     reporters: Vec<usize>,
-    credential: AdminCredential,
     polls: u64,
 }
 
@@ -74,8 +79,8 @@ impl SnmpSystem {
     )]
     pub fn new(topology: &Topology, interval: SimDuration) -> Self {
         assert!(!interval.is_zero(), "polling interval must be positive");
-        let counters = CounterBank::new(topology.link_count());
-        let baseline = counters.snapshot();
+        let counters = vec![0.0; topology.link_count()];
+        let baseline = counters.clone();
         let agents = ServerAgent::all_servers(topology);
         let mut reporters = vec![0; topology.link_count()];
         #[expect(
@@ -91,7 +96,6 @@ impl SnmpSystem {
             last_poll: SimTime::ZERO,
             baseline,
             reporters,
-            credential: AdminCredential::new("root"),
             polls: 0,
         }
     }
@@ -112,28 +116,34 @@ impl SnmpSystem {
     /// Takes the current counters as the next poll's baseline, in place.
     fn rebase(&mut self) {
         self.baseline.clear();
-        self.baseline.extend_from_slice(self.counters.totals());
-    }
-
-    /// Accumulates `dt` of the current link loads into the counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` has a different link count.
-    pub fn accumulate(&mut self, net: &mut FlowNetwork, dt: SimDuration) {
-        self.counters.accumulate(net, dt);
+        self.baseline.extend_from_slice(&self.counters);
     }
 
     /// Adopts the volume integrals `net` maintains incrementally as the
-    /// counter values — call once just before [`SnmpSystem::poll`]
-    /// instead of calling [`SnmpSystem::accumulate`] on every event.
+    /// counter values — call once just before [`SnmpSystem::poll`].
+    /// Counters and integrals share the same origin (both start at
+    /// zero), so the sync preserves monotonicity.
     ///
     /// # Panics
     ///
     /// Panics if `net` has a different link count or a counter would
     /// move backwards.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: `net` covers the polled topology, and `SNMP counters are monotone`"
+    )]
     pub fn sync_counters(&mut self, net: &FlowNetwork) {
-        self.counters.sync_from_network(net);
+        let links = net.topology().link_ids();
+        assert_eq!(
+            links.len(),
+            self.counters.len(),
+            "counters do not match topology"
+        );
+        for (counter, link) in self.counters.iter_mut().zip(links) {
+            let total = net.link_cumulative_mbit(link);
+            assert!(total >= *counter - 1e-9, "SNMP counters are monotone");
+            *counter = total;
+        }
     }
 
     /// The instant of the most recent poll (or the epoch start before
@@ -163,8 +173,7 @@ impl SnmpSystem {
     ///
     /// # Errors
     ///
-    /// Propagates database errors (missing link entries, rejected
-    /// credential).
+    /// Propagates database errors (missing link entries).
     pub fn poll(
         &mut self,
         topology: &Topology,
@@ -172,27 +181,37 @@ impl SnmpSystem {
         now: SimTime,
     ) -> Result<usize, vod_db::DbError> {
         let elapsed = now.duration_since(self.last_poll);
-        let counters = &self.counters;
-        let per_link = topology.links().zip(&self.reporters).zip(&self.baseline);
-        let readings =
-            per_link
-                .filter(|((_, &agents), _)| agents > 0)
-                .map(|((link, &agents), &baseline)| {
-                    let used = counters.average_rate_since(link.id(), baseline, elapsed);
-                    LinkPoll {
-                        link: link.id(),
-                        used,
-                        utilization: combined_utilization(used, link.capacity()),
-                        agents,
-                    }
-                });
-        let written = db
-            .limited_access(&self.credential)?
-            .record_poll(now, readings)?;
+        let per_link = topology
+            .links()
+            .zip(&self.reporters)
+            .zip(self.counters.iter().zip(&self.baseline));
+        let readings = per_link.filter(|((_, &agents), _)| agents > 0).map(
+            |((link, &agents), (&counter, &baseline))| {
+                let used = average_rate(counter - baseline, elapsed);
+                LinkPoll {
+                    link: link.id(),
+                    used,
+                    utilization: combined_utilization(used, link.capacity()),
+                    agents,
+                }
+            },
+        );
+        let written = db.limited_access().record_poll(now, readings)?;
         self.rebase();
         self.last_poll = now;
         self.polls += 1;
         Ok(written)
+    }
+}
+
+/// The average rate that carried `delta_mbit` over `elapsed`: the SNMP
+/// delta computation. Zero for a zero-length interval.
+fn average_rate(delta_mbit: f64, elapsed: SimDuration) -> Mbps {
+    let secs = elapsed.as_secs_f64();
+    if secs <= 0.0 {
+        Mbps::ZERO
+    } else {
+        Mbps::new((delta_mbit / secs).max(0.0))
     }
 }
 
@@ -217,15 +236,16 @@ mod tests {
         let link = grnet.link(GrnetLink::PatraAthens);
         // 1 Mbps for the first minute, idle for the second → 0.5 Mbps avg.
         net.set_background(link, Mbps::new(1.0));
-        snmp.accumulate(&mut net, SimDuration::from_mins(1));
+        let _ = net.advance(SimDuration::from_mins(1));
         net.set_background(link, Mbps::ZERO);
-        snmp.accumulate(&mut net, SimDuration::from_mins(1));
+        let _ = net.advance(SimDuration::from_mins(1));
 
         let t = SimTime::from_secs(120);
         assert!(snmp.due(t));
+        snmp.sync_counters(&net);
         snmp.poll(grnet.topology(), &mut db, t).unwrap();
 
-        let admin = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let admin = db.limited_access();
         let entry = admin.link(link).unwrap();
         let reading = entry.last_reading().unwrap();
         assert!((reading.used.as_f64() - 0.5).abs() < 1e-9);
@@ -241,15 +261,17 @@ mod tests {
         let (grnet, mut db, mut net, mut snmp) = setup();
         let link = grnet.link(GrnetLink::AthensHeraklio);
         net.set_background(link, Mbps::new(9.0));
-        snmp.accumulate(&mut net, SimDuration::from_mins(2));
+        let _ = net.advance(SimDuration::from_mins(2));
+        snmp.sync_counters(&net);
         snmp.poll(grnet.topology(), &mut db, SimTime::from_secs(120))
             .unwrap();
         // Second interval idle.
         net.set_background(link, Mbps::ZERO);
-        snmp.accumulate(&mut net, SimDuration::from_mins(2));
+        let _ = net.advance(SimDuration::from_mins(2));
+        snmp.sync_counters(&net);
         snmp.poll(grnet.topology(), &mut db, SimTime::from_secs(240))
             .unwrap();
-        let admin = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let admin = db.limited_access();
         let reading = admin.link(link).unwrap().last_reading().unwrap();
         assert_eq!(reading.used, Mbps::ZERO);
         assert_eq!(snmp.polls(), 2);
@@ -267,7 +289,8 @@ mod tests {
     #[test]
     fn shared_links_written_twice_consistently() {
         let (grnet, mut db, mut net, mut snmp) = setup();
-        snmp.accumulate(&mut net, SimDuration::from_mins(2));
+        let _ = net.advance(SimDuration::from_mins(2));
+        snmp.sync_counters(&net);
         let written = snmp
             .poll(grnet.topology(), &mut db, SimTime::from_secs(120))
             .unwrap();
@@ -276,13 +299,38 @@ mod tests {
     }
 
     #[test]
-    fn bad_credential_is_rejected() {
-        let (grnet, mut db, _, mut snmp) = setup();
-        snmp.credential = AdminCredential::new("intruder");
-        let err = snmp
-            .poll(grnet.topology(), &mut db, SimTime::from_secs(120))
-            .unwrap_err();
-        assert_eq!(err, vod_db::DbError::AccessDenied);
+    fn sync_reads_the_network_integrals() {
+        let (grnet, _, mut net, mut snmp) = setup();
+        let link = grnet.link(GrnetLink::PatraAthens);
+        net.set_background(link, Mbps::new(1.0));
+        let _ = net.advance(SimDuration::from_secs(60));
+        snmp.sync_counters(&net);
+        assert_eq!(snmp.counters[link.index()], 60.0);
+        let _ = net.advance(SimDuration::from_secs(30));
+        snmp.sync_counters(&net);
+        assert_eq!(snmp.counters[link.index()], 90.0);
+    }
+
+    #[test]
+    fn average_rate_from_deltas() {
+        let rate = average_rate(240.0, SimDuration::from_secs(120));
+        assert_eq!(rate, Mbps::new(2.0));
+    }
+
+    #[test]
+    fn average_rate_over_zero_interval_is_zero() {
+        assert_eq!(average_rate(5.0, SimDuration::ZERO), Mbps::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotone")]
+    fn a_counter_moving_backwards_panics() {
+        let (grnet, _, mut net, mut snmp) = setup();
+        net.set_background(grnet.link(GrnetLink::PatraAthens), Mbps::new(1.0));
+        let _ = net.advance(SimDuration::from_secs(60));
+        snmp.sync_counters(&net);
+        // A network restarted from zero would run the counters back.
+        snmp.sync_counters(&FlowNetwork::new(grnet.topology().clone()));
     }
 
     #[test]
@@ -302,13 +350,12 @@ mod tests {
         now: SimTime,
     ) -> usize {
         let elapsed = now.duration_since(snmp.last_poll);
-        let mut admin = db.limited_access(&snmp.credential).unwrap();
+        let mut admin = db.limited_access();
         let mut written = 0;
         for agent in &ServerAgent::all_servers(topology) {
             for &link in agent.links() {
-                let avg =
-                    snmp.counters
-                        .average_rate_since(link, snmp.baseline[link.index()], elapsed);
+                let i = link.index();
+                let avg = average_rate(snmp.counters[i] - snmp.baseline[i], elapsed);
                 let utilization = combined_utilization(avg, topology.link(link).capacity());
                 admin.record_reading(link, now, avg, utilization).unwrap();
                 written += 1;
@@ -330,7 +377,8 @@ mod tests {
                 let load = 0.07 * ((round * 5 + link.index() as u64 * 3) % 11) as f64;
                 net.set_background(link, Mbps::new(load));
             }
-            snmp.accumulate(&mut net, SimDuration::from_mins(2));
+            let _ = net.advance(SimDuration::from_mins(2));
+            snmp.sync_counters(&net);
             let now = SimTime::from_secs(120 * round);
             let expected = poll_per_reading(&snmp, topology, &mut reference, now);
             let written = snmp.poll(topology, &mut db, now).unwrap();
@@ -368,7 +416,7 @@ mod tests {
         let mut snmp = SnmpSystem::new(&topology, SimDuration::from_mins(2));
         snmp.poll(&topology, &mut db, SimTime::from_secs(120))
             .unwrap();
-        let admin = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let admin = db.limited_access();
         assert_eq!(admin.link(dark).unwrap().last_reading(), None);
     }
 

@@ -9,12 +9,10 @@
 //! is fetched, so `c` "plays a decisive part in dealing with network
 //! congestion".
 
-use serde::{Deserialize, Serialize};
-
 use crate::video::Megabytes;
 
 /// The common cluster size `c`, in megabytes per cluster.
-#[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, PartialOrd, Debug)]
 pub struct ClusterSize(Megabytes);
 
 impl ClusterSize {

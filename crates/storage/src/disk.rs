@@ -1,7 +1,5 @@
 //! A single capacity-tracked disk.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::StorageError;
 use crate::video::Megabytes;
 
@@ -9,7 +7,7 @@ use crate::video::Megabytes;
 ///
 /// The DMA "allocates a predefined disk space for use by the VoD service";
 /// `capacity` is that allocation, not necessarily the physical disk size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Disk {
     capacity: Megabytes,
     used: Megabytes,

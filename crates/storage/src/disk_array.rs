@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::ClusterSize;
 use crate::disk::Disk;
 use crate::error::StorageError;
@@ -27,7 +25,7 @@ use crate::video::{Megabytes, VideoId, VideoMeta};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskArray {
     disks: Vec<Disk>,
     cluster: ClusterSize,
@@ -35,7 +33,7 @@ pub struct DiskArray {
 }
 
 /// Bookkeeping for one stored video.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct StoredVideo {
     size: Megabytes,
     layout: StripeLayout,

@@ -11,10 +11,8 @@
 //! popularity — popular titles end up on many servers, cold titles on
 //! few, at strip granularity rather than whole-video granularity.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-part server assignment for one video.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistributedLayout {
     server_count: usize,
     replicas: usize,

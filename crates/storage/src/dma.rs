@@ -24,7 +24,7 @@
 //! pseudocode's single eviction attempt vs. evicting until the newcomer
 //! fits).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cluster::ClusterSize;
 use crate::disk_array::DiskArray;
@@ -34,7 +34,7 @@ use crate::striping::StripeLayout;
 use crate::video::{Megabytes, VideoId, VideoMeta};
 
 /// How the DMA evicts when the cache is full.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, Default)]
 pub enum EvictionMode {
     /// Exactly one eviction attempt per request, as in Figure 2. If the
     /// newcomer still does not fit after deleting the least popular
@@ -48,7 +48,7 @@ pub enum EvictionMode {
 }
 
 /// Configuration of a DMA cache.
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 pub struct DmaConfig {
     /// Number of disks in the server's array ("we propose the use of as
     /// many disks as possible").
@@ -77,7 +77,7 @@ impl Default for DmaConfig {
 }
 
 /// Why a request did not result in the title being cached.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RejectReason {
     /// The title has not yet exceeded the admission threshold.
@@ -95,7 +95,7 @@ pub enum RejectReason {
 }
 
 /// Outcome of one [`DmaCache::on_request`] call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DmaDecision {
     /// The title was already resident; it got a point and is served
@@ -138,7 +138,7 @@ impl DmaDecision {
 }
 
 /// Cumulative statistics of a DMA cache.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct DmaStats {
     /// Total requests observed.
     pub requests: u64,
@@ -186,7 +186,7 @@ impl DmaStats {
 /// A per-server popularity cache running the Disk Manipulation Algorithm.
 ///
 /// See the [crate-level example](crate) for basic usage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DmaCache {
     config: DmaConfig,
     array: DiskArray,

@@ -7,13 +7,11 @@
 //! transfers, so sustained throughput scales with
 //! [`StripeLayout::disks_used`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::striping::StripeLayout;
 use crate::video::Megabytes;
 
 /// Seek + sequential-transfer timing of one disk.
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 pub struct DiskIoModel {
     /// Average positioning time per part read, in milliseconds.
     pub seek_ms: f64,

@@ -6,12 +6,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::video::VideoId;
 
 /// Per-title request points.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PopularityTracker {
     points: BTreeMap<VideoId, u64>,
 }

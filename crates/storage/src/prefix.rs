@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::cluster::ClusterSize;
 use crate::error::StorageError;
@@ -37,7 +37,7 @@ use crate::popularity::PopularityTracker;
 use crate::video::{Megabytes, VideoId, VideoMeta};
 
 /// Configuration of a per-proxy prefix store.
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 pub struct PrefixConfig {
     /// Total space the proxy dedicates to prefixes.
     pub capacity: Megabytes,
@@ -70,7 +70,7 @@ impl Default for PrefixConfig {
 }
 
 /// Why a request did not result in the prefix being stored.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PrefixRejectReason {
     /// The title has not yet exceeded the admission threshold.
@@ -82,7 +82,7 @@ pub enum PrefixRejectReason {
 }
 
 /// Outcome of one [`PrefixStore::on_request`] call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PrefixDecision {
     /// The prefix is resident; serve `clusters` of startup locally.
@@ -120,7 +120,7 @@ pub enum PrefixDecision {
 }
 
 /// One resident prefix deleted to make room for a hotter one.
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 pub struct PrefixEviction {
     /// The evicted title.
     pub victim: VideoId,
@@ -148,7 +148,7 @@ impl PrefixDecision {
 }
 
 /// Cumulative statistics of a prefix store.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct PrefixStats {
     /// Total requests observed.
     pub requests: u64,
@@ -217,7 +217,7 @@ impl PrefixStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefixStore {
     config: PrefixConfig,
     tracker: PopularityTracker,
@@ -231,7 +231,7 @@ pub struct PrefixStore {
 }
 
 /// A resident prefix: its length and the exact space it occupies.
-#[derive(Debug, Copy, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq)]
 struct ResidentPrefix {
     clusters: u32,
     mb: f64,

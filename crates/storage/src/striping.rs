@@ -17,13 +17,11 @@
 use std::iter::StepBy;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize, Value};
-
 use crate::cluster::ClusterSize;
 use crate::video::Megabytes;
 
 /// The stripe placement of one video across a disk array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StripeLayout {
     parts: usize,
     disk_count: usize,
@@ -112,26 +110,6 @@ impl StripeLayout {
     }
 }
 
-// Deserialisation goes through `cyclic`'s rule, so a stored layout
-// with no disks or no parts is an error, not a division by zero later.
-impl Deserialize for StripeLayout {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| -> Result<usize, serde::Error> {
-            let value = v.get_field(name).ok_or_else(|| {
-                serde::Error::custom(format!("missing field `{name}` of `StripeLayout`"))
-            })?;
-            usize::from_value(value)
-        };
-        let (parts, disk_count) = (field("parts")?, field("disk_count")?);
-        if parts == 0 || disk_count == 0 {
-            return Err(serde::Error::custom(
-                "a stripe layout needs at least one part and one disk",
-            ));
-        }
-        Ok(StripeLayout { parts, disk_count })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,20 +173,6 @@ mod tests {
     #[should_panic(expected = "at least one part")]
     fn zero_parts_rejected() {
         let _ = StripeLayout::cyclic(0, 5);
-    }
-
-    #[test]
-    fn deserialising_checks_the_rule() {
-        let layout = StripeLayout::cyclic(7, 3);
-        let json = serde_json::to_string(&layout).unwrap();
-        assert_eq!(json, r#"{"parts":7,"disk_count":3}"#);
-        assert_eq!(serde_json::from_str::<StripeLayout>(&json).unwrap(), layout);
-        for bad in [
-            r#"{"parts":7,"disk_count":0}"#,
-            r#"{"parts":0,"disk_count":3}"#,
-        ] {
-            assert!(serde_json::from_str::<StripeLayout>(bad).is_err(), "{bad}");
-        }
     }
 
     /// The layout as it was before the closed forms: one disk index per

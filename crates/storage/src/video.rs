@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A validated, non-negative size in megabytes.
 ///
@@ -16,8 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(size.as_f64(), 700.0);
 /// assert_eq!(size.as_megabits(), 5_600.0);
 /// ```
-#[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Default)]
 pub struct Megabytes(f64);
 
 impl Megabytes {
@@ -94,7 +93,7 @@ impl std::iter::Sum for Megabytes {
 }
 
 /// Identifier of a video title, unique across the whole service.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
 #[serde(transparent)]
 pub struct VideoId(u32);
 
@@ -121,7 +120,7 @@ impl fmt::Display for VideoId {
 /// The playback bitrate is in Mbps; the paper targets "the minimum video
 /// frame rate for which a video can be considered decent", which for
 /// MPEG-1-era content is roughly 1.5 Mbps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoMeta {
     id: VideoId,
     title: String,
@@ -193,7 +192,7 @@ impl VideoMeta {
 /// assert_eq!(lib.get(id).unwrap().title(), "Z");
 /// assert_eq!(lib.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct VideoLibrary {
     videos: BTreeMap<VideoId, VideoMeta>,
 }

@@ -6,7 +6,6 @@
 //! with probability `rate(t) / peak_rate`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use vod_sim::{SimDuration, SimTime};
 
@@ -32,7 +31,7 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate_per_sec: f64) -> SimDurati
 }
 
 /// An hour-of-day rate multiplier, piecewise-constant over 24 slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HourlyShape {
     multipliers: [f64; 24],
 }
@@ -114,7 +113,7 @@ impl HourlyShape {
 /// let t2 = process.next_after(&mut rng, t1);
 /// assert!(t2 > t1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalProcess {
     base_rate_per_sec: f64,
     shape: HourlyShape,

@@ -2,12 +2,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use vod_storage::video::{Megabytes, VideoId, VideoLibrary, VideoMeta};
 
 /// Parameters of a generated library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LibraryConfig {
     /// Number of titles.
     pub titles: usize,

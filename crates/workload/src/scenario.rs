@@ -1,8 +1,6 @@
 //! Ready-made experiment scenarios: topology + library + background
 //! traffic + request trace, all derived from one seed.
 
-use serde::{Deserialize, Serialize};
-
 use vod_net::topologies::grnet::Grnet;
 use vod_net::topologies::random::connected_gnp;
 use vod_net::Topology;
@@ -17,7 +15,7 @@ use crate::trace::{RequestTrace, TraceConfig};
 /// A complete experiment input: where requests happen (topology +
 /// background traffic), what can be requested (library) and the requests
 /// themselves (trace).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     name: String,
     topology: Topology,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use vod_net::{NodeId, Topology};
 use vod_sim::{SimDuration, SimTime};
@@ -13,7 +12,7 @@ use crate::zipf::Zipf;
 
 /// One client request: at `at`, a client attached to `client` asks for
 /// `video`.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Arrival instant.
     pub at: SimTime,
@@ -24,21 +23,9 @@ pub struct Request {
 }
 
 /// A time-ordered request trace.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestTrace {
     requests: Vec<Request>,
-}
-
-// Hand-written so that a trace read from JSON — on its own or inside a
-// `Scenario` — is sorted like one built in code: the service walks the
-// requests with a cursor and relies on the order.
-impl Deserialize for RequestTrace {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let requests = v
-            .get_field("requests")
-            .ok_or_else(|| serde::Error::custom("missing field `requests` of `RequestTrace`"))?;
-        Ok(RequestTrace::new(Deserialize::from_value(requests)?))
-    }
 }
 
 impl RequestTrace {
@@ -84,7 +71,7 @@ impl FromIterator<Request> for RequestTrace {
 }
 
 /// Parameters of a generated trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Trace starts at this instant.
     pub start: SimTime,
@@ -285,41 +272,6 @@ mod tests {
         assert_eq!(patra_count + athens_count, trace.len());
         let ratio = patra_count as f64 / athens_count.max(1) as f64;
         assert!((6.0..14.0).contains(&ratio), "ratio = {ratio}");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (grnet, lib) = fixture();
-        let trace = TraceConfig {
-            rate_per_sec: 0.05,
-            ..TraceConfig::default()
-        }
-        .generate(grnet.topology(), &lib, 1);
-        let json = serde_json::to_string(&trace).unwrap();
-        let back: RequestTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(trace, back);
-    }
-
-    /// JSON keeps file order; a deserialised trace must not.
-    #[test]
-    fn deserialised_trace_is_sorted_with_ties_in_file_order() {
-        let line = |secs: u64, video: u32| {
-            let request = Request {
-                at: SimTime::from_secs(secs),
-                client: NodeId::new(0),
-                video: VideoId::new(video),
-            };
-            serde_json::to_string(&request).unwrap()
-        };
-        let shuffled = [line(9, 0), line(2, 1), line(5, 2), line(2, 3), line(0, 4)];
-        let json = format!("{{\"requests\":[{}]}}", shuffled.join(","));
-        let trace: RequestTrace = serde_json::from_str(&json).unwrap();
-        let order: Vec<(u64, usize)> = trace
-            .iter()
-            .map(|r| (r.at.as_micros() / 1_000_000, r.video.index()))
-            .collect();
-        assert_eq!(order, vec![(0, 4), (2, 1), (2, 3), (5, 2), (9, 0)]);
-        assert!(serde_json::from_str::<RequestTrace>("{\"rows\":[]}").is_err());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! the `rand` core traits.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Zipf distribution over ranks `0..n` (rank 0 is the most popular).
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// // Rank 0 is the single most likely outcome.
 /// assert!(zipf.pmf(0) > zipf.pmf(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     n: usize,
     s: f64,

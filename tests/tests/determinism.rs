@@ -1,12 +1,10 @@
-//! Integration test: determinism and serializability guarantees across
-//! the whole stack — the properties that make every number in
-//! EXPERIMENTS.md reproducible.
+//! Integration test: determinism guarantees across the whole stack —
+//! the properties that make every number in EXPERIMENTS.md reproducible.
 
 use vod_core::selection::{SelectionContext, ServerSelector};
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
-use vod_core::ServiceReport;
-use vod_integration_tests::{grnet, TEST_SEED};
+use vod_integration_tests::grnet;
 use vod_net::topologies::grnet::{GrnetNode, TimeOfDay};
 use vod_net::NodeId;
 use vod_sim::{SimDuration, SimTime};
@@ -48,53 +46,6 @@ fn vra_decisions_are_pure_functions_of_state() {
     }
     // 4 times × 6 homes.
     assert_eq!(first_pass.len(), 24);
-}
-
-/// A service report survives a JSON round trip intact — experiment
-/// artifacts can be archived and diffed.
-#[test]
-fn service_report_serde_round_trip() {
-    let scenario = Scenario::random_network(TEST_SEED);
-    let report = VodService::new(
-        &scenario,
-        Box::new(Vra::default()),
-        ServiceConfig::default(),
-    )
-    .run();
-    let json = serde_json::to_string(&report).unwrap();
-    let back: ServiceReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(report, back);
-    assert!(!report.completed.is_empty());
-}
-
-/// A scenario read back from JSON runs like the original even when the
-/// file lists its requests out of order: the service walks the trace
-/// with a cursor, so a deserialised trace has to come back sorted.
-#[test]
-fn scenario_from_shuffled_json_runs_like_the_original() {
-    let scenario = Scenario::grnet_case_study(TEST_SEED);
-    let json = serde_json::to_string(&scenario).unwrap();
-    let trace_json = serde_json::to_string(scenario.trace()).unwrap();
-    let reversed: Vec<String> = scenario
-        .trace()
-        .requests()
-        .iter()
-        .rev()
-        .map(|r| serde_json::to_string(r).unwrap())
-        .collect();
-    let shuffled_trace = format!("{{\"requests\":[{}]}}", reversed.join(","));
-    assert_ne!(trace_json, shuffled_trace);
-    assert!(json.contains(&trace_json), "the trace is embedded verbatim");
-    let shuffled: Scenario =
-        serde_json::from_str(&json.replace(&trace_json, &shuffled_trace)).unwrap();
-    assert_eq!(shuffled, scenario);
-
-    let run = |scenario: &Scenario| {
-        VodService::new(scenario, Box::new(Vra::default()), ServiceConfig::default()).run()
-    };
-    let (original, replayed) = (run(&scenario), run(&shuffled));
-    assert!(!original.completed.is_empty());
-    assert_eq!(replayed, original);
 }
 
 /// Incremental execution (run_until in steps) reaches exactly the same

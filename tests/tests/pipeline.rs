@@ -4,7 +4,7 @@
 
 use vod_core::selection::{SelectionContext, ServerSelector};
 use vod_core::vra::Vra;
-use vod_db::{AdminCredential, Database};
+use vod_db::Database;
 use vod_integration_tests::grnet;
 use vod_net::topologies::grnet::{GrnetLink, GrnetNode, TimeOfDay};
 use vod_net::Mbps;
@@ -24,15 +24,15 @@ fn vra_sees_the_database_not_the_network() {
     // Load the Patra-Athens link heavily and poll at t = 2 min.
     let pa = g.link(GrnetLink::PatraAthens);
     net.set_background(pa, Mbps::new(1.8));
-    snmp.accumulate(&mut net, SimDuration::from_mins(2));
+    let _ = net.advance(SimDuration::from_mins(2));
+    snmp.sync_counters(&net);
     snmp.poll(g.topology(), &mut db, SimTime::from_secs(120))
         .unwrap();
 
     // The network then changes, but no poll happens.
     net.set_background(pa, Mbps::ZERO);
 
-    let admin = AdminCredential::new("root");
-    let snapshot = db.limited_access(&admin).unwrap().snapshot(g.topology());
+    let snapshot = db.limited_access().snapshot(g.topology());
     // The database still reports the congested reading…
     assert!((snapshot.used(pa).as_f64() - 1.8).abs() < 1e-9);
     // …so the VRA avoids Patra-Athens even though the real link is idle.
@@ -52,10 +52,11 @@ fn vra_sees_the_database_not_the_network() {
 
     // After the next poll the fresh state is visible and the direct link
     // wins again.
-    snmp.accumulate(&mut net, SimDuration::from_mins(2));
+    let _ = net.advance(SimDuration::from_mins(2));
+    snmp.sync_counters(&net);
     snmp.poll(g.topology(), &mut db, SimTime::from_secs(240))
         .unwrap();
-    let snapshot = db.limited_access(&admin).unwrap().snapshot(g.topology());
+    let snapshot = db.limited_access().snapshot(g.topology());
     let ctx = SelectionContext {
         topology: g.topology(),
         snapshot: &snapshot,
@@ -69,7 +70,7 @@ fn vra_sees_the_database_not_the_network() {
 
 #[test]
 fn background_model_through_snmp_matches_table2() {
-    // Drive the Table 2 diurnal model through counters + polling and
+    // Drive the Table 2 diurnal model through the network + polling and
     // compare the database readings against the recorded values.
     let g = grnet();
     let model = BackgroundModel::grnet_table2(&g);
@@ -80,12 +81,12 @@ fn background_model_through_snmp_matches_table2() {
     let at = SimTime::from_secs(16 * 3600); // 4pm
     snmp.reset_epoch(at);
     model.apply(&mut net, at);
-    snmp.accumulate(&mut net, SimDuration::from_mins(2));
+    let _ = net.advance(SimDuration::from_mins(2));
+    snmp.sync_counters(&net);
     snmp.poll(g.topology(), &mut db, at + SimDuration::from_mins(2))
         .unwrap();
 
-    let admin = AdminCredential::new("root");
-    let la = db.limited_access(&admin).unwrap();
+    let la = db.limited_access();
     for link in GrnetLink::ALL {
         let reading = la.link(g.link(link)).unwrap().last_reading().unwrap();
         let expected = g.table2(link, TimeOfDay::T1600).traffic;
@@ -112,15 +113,11 @@ fn catalog_updates_flow_from_storage_to_routing() {
     let video = VideoMeta::new(VideoId::new(0), "hot", Megabytes::new(200.0), 1.5);
     library.insert(video.clone());
     let mut db = Database::from_topology(g.topology(), library);
-    let admin = AdminCredential::new("root");
 
     // Initially only Athens lists the title.
     let athens = g.node(GrnetNode::Athens);
     let patra = g.node(GrnetNode::Patra);
-    db.limited_access(&admin)
-        .unwrap()
-        .add_title(athens, video.id())
-        .unwrap();
+    db.limited_access().add_title(athens, video.id()).unwrap();
 
     // Patra's DMA caches the title after a request; the service mirrors
     // the admission into the database (as vod-core does on completion).
@@ -132,15 +129,12 @@ fn catalog_updates_flow_from_storage_to_routing() {
     })
     .unwrap();
     assert!(cache.on_request(&video).is_resident_after());
-    db.limited_access(&admin)
-        .unwrap()
-        .add_title(patra, video.id())
-        .unwrap();
+    db.limited_access().add_title(patra, video.id()).unwrap();
 
     // A Patra client is now served locally.
     let candidates = db.full_access().servers_with_title(video.id());
     assert_eq!(candidates, vec![athens, patra]);
-    let snapshot = db.limited_access(&admin).unwrap().snapshot(g.topology());
+    let snapshot = db.limited_access().snapshot(g.topology());
     let ctx = SelectionContext {
         topology: g.topology(),
         snapshot: &snapshot,
@@ -175,7 +169,7 @@ fn admission_gates_the_route_the_vra_picks_from_the_database() {
     }
     let mut db = Database::from_topology(g.topology(), library);
     {
-        let mut la = db.limited_access(&AdminCredential::new("root")).unwrap();
+        let mut la = db.limited_access();
         la.add_title(g.node(GrnetNode::Thessaloniki), VideoId::new(0))
             .unwrap();
         la.add_title(g.node(GrnetNode::Xanthi), VideoId::new(0))
