@@ -190,7 +190,7 @@ fn bench_boundary(c: &mut Criterion) {
 fn bench_tick(c: &mut Criterion) {
     let grnet = Grnet::new();
     let topology = grnet.topology();
-    let background = BackgroundModel::grnet_table2(&grnet);
+    let mut background = BackgroundModel::grnet_table2(&grnet);
     let minute = SimDuration::from_mins(1);
     let mut net = FlowNetwork::new(topology.clone());
     let mut db = Database::from_topology(topology, VideoLibrary::new());

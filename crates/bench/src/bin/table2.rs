@@ -36,7 +36,7 @@ fn main() {
     // Regeneration: drive the diurnal background model through the SNMP
     // pipeline and read the utilizations back out of the database.
     println!("\nRegenerated via simulation (background model → SNMP poll → database):\n");
-    let model = BackgroundModel::grnet_table2(&grnet);
+    let mut model = BackgroundModel::grnet_table2(&grnet);
     let mut table = Table::new(["Link", "8am", "10am", "4pm", "6pm"]);
     let mut rows: Vec<Vec<String>> = GrnetLink::ALL
         .iter()

@@ -154,8 +154,8 @@ pub fn print_stats(report: &ServiceReport) {
     );
     let q = &report.scheduler;
     println!(
-        "  scheduler: {} arrivals from the input lane, {} pushes, {} pops, peak depth {}",
-        q.inputs, q.pushes, q.pops, q.peak_depth
+        "  scheduler: {} arrivals from the input lane, {} pushes, {} pops, {} timer events, peak depth {}",
+        q.inputs, q.pushes, q.pops, q.timers, q.peak_depth
     );
     println!(
         "             {} bucket splits, {} entries moved between buckets",

@@ -133,9 +133,14 @@ pub struct ServiceReport {
     pub rejected_requests: u64,
     /// Sessions still unfinished when the simulation drained.
     pub unfinished_sessions: usize,
-    /// Summary of per-poll maximum link utilization (instantaneous).
+    /// Summary of per-poll maximum link utilization (instantaneous),
+    /// streamed: `count`, `min` and `max` are exact, `mean` is the
+    /// running sum in poll order over the count, and the quantiles are
+    /// histogram estimates at most 1/64 (relative) above the exact ones
+    /// (see [`Histogram::summary`](vod_sim::metrics::Histogram::summary)).
     pub max_link_utilization: Summary,
-    /// Summary of per-poll mean link utilization (instantaneous).
+    /// Summary of per-poll mean link utilization (instantaneous),
+    /// streamed like [`ServiceReport::max_link_utilization`].
     pub mean_link_utilization: Summary,
     /// Aggregated DMA statistics over all servers.
     pub dma: DmaStats,

@@ -54,7 +54,7 @@ use vod_workload::scenario::Scenario;
 
 use config::DRAIN_GRACE;
 pub use config::{PrefixTierConfig, RetryPolicy, ServiceConfig};
-use model::{Event, ServiceModel};
+use model::{Event, ServiceModel, BACKGROUND_SLOT, SNMP_POLL_SLOT};
 
 use crate::error::CoreError;
 use crate::qos::{ServiceReport, TickStats};
@@ -359,7 +359,8 @@ impl<S: EventSink> VodService<S> {
         }
 
         let mut flows = FlowNetwork::new(topology.clone());
-        scenario.background().apply(&mut flows, start);
+        let mut background = scenario.background().clone();
+        background.apply(&mut flows, start);
 
         let mut snmp = SnmpSystem::new(&topology, config.snmp_interval);
         snmp.reset_epoch(start);
@@ -380,28 +381,21 @@ impl<S: EventSink> VodService<S> {
             }
         }
 
-        // The report's sample lists are sized once, for the most they can
-        // hold: a record per request, a utilization sample per SNMP poll
-        // up to the recurring deadline (the interval is non-zero, checked
-        // above). Grown by doubling instead, each outgrown buffer is freed
-        // into the allocator, where it stays resident. Unused capacity is
-        // never touched, so it costs address space, not memory.
-        let recurring_deadline = end + DRAIN_GRACE;
-        let polls =
-            recurring_deadline.duration_since(start).as_micros() / config.snmp_interval.as_micros();
-        let polls = usize::try_from(polls).unwrap_or(0);
-        let live_snap = flows.snapshot();
+        // The completion records are sized once, for the most there can
+        // be: one per request. Grown by doubling instead, each outgrown
+        // buffer is freed into the allocator, where it stays resident.
+        // Unused capacity is never touched, so it costs address space,
+        // not memory.
         let model = ServiceModel {
-            recurring_deadline,
+            recurring_deadline: end + DRAIN_GRACE,
             topology,
             flows,
             db_snap_cache: None,
-            live_snap,
             snmp,
             db,
             caches,
             selector,
-            background: scenario.background().clone(),
+            background,
             trace: scenario.trace().clone(),
             next_arrival: 0,
             titles,
@@ -425,19 +419,18 @@ impl<S: EventSink> VodService<S> {
             aborted_sessions: 0,
             next_session: 0,
             last_sync: start,
-            scheduled_check: None,
             done_scratch: Vec::new(),
             peak_sessions: 0,
             ticks: TickStats::default(),
-            max_util_samples: Vec::with_capacity(polls),
-            mean_util_samples: Vec::with_capacity(polls),
+            max_util_samples: model::utilization_histogram(),
+            mean_util_samples: model::utilization_histogram(),
             seed: scenario.seed(),
             config,
             sink,
         };
 
         // Arrivals are the model's input lane; only the recurring ticks
-        // and the fault plan are seeded.
+        // (armed in their timer slots) and the fault plan are seeded.
         let mut sim = Simulation::new(model);
         let (snmp_next, bg_next) = {
             let m = sim.model();
@@ -446,9 +439,9 @@ impl<S: EventSink> VodService<S> {
                 start + m.config.background_interval,
             )
         };
-        sim.scheduler_mut().schedule(snmp_next, Event::SnmpPoll);
-        sim.scheduler_mut()
-            .schedule(bg_next, Event::BackgroundUpdate);
+        let scheduler = sim.scheduler_mut();
+        scheduler.arm(SNMP_POLL_SLOT, snmp_next, Event::SnmpPoll);
+        scheduler.arm(BACKGROUND_SLOT, bg_next, Event::BackgroundUpdate);
         // Scheduled faults.
         let plan = sim.model().config.fault_plan.clone();
         plan.validate(&sim.model().topology)

@@ -10,6 +10,7 @@ use vod_net::{LinkId, Mbps, NodeId, Route, Topology};
 use vod_obs::{AbortReason, Event as ObsEvent, EventSink};
 use vod_sim::engine::Model;
 use vod_sim::flow::{transfer_time, FlowId, FlowNetwork};
+use vod_sim::metrics::Histogram;
 use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
 use vod_sim::{IdWindow, SimDuration, SimTime};
@@ -73,6 +74,27 @@ fn local_serve_rate(
     Mbps::new(disk_mbps.min(ceiling).max(0.0))
 }
 
+/// The scheduler's timer slot of the SNMP poll.
+pub(super) const SNMP_POLL_SLOT: usize = 0;
+/// The scheduler's timer slot of the background-traffic refresh.
+pub(super) const BACKGROUND_SLOT: usize = 1;
+/// The scheduler's timer slot of the flow-completion check.
+const FLOW_CHECK_SLOT: usize = 2;
+
+/// The lowest utilization [`utilization_histogram`] tells apart from
+/// zero: 2⁻³⁰.
+const UTILIZATION_FLOOR: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// An empty histogram for one of the report's per-poll utilization
+/// samples: 64 sub-buckets per octave from 2⁻³⁰ up to 2¹⁰, so every
+/// quantile the report reads from it lies within 1/64 (relative) above
+/// the exact one, or within 2⁻³⁰ of it below 2⁻³⁰ (see
+/// [`Histogram::summary`]). The floor is a power of two, so bucketing
+/// divides exactly.
+pub(super) fn utilization_histogram() -> Histogram {
+    Histogram::new(UTILIZATION_FLOOR, 40, 64)
+}
+
 /// Events driving the service simulation.
 #[derive(Debug)]
 pub(super) enum Event {
@@ -80,9 +102,11 @@ pub(super) enum Event {
     /// engine takes arrivals from the model's input lane (`pop_input`).
     Arrival(usize),
     /// Collect the network flows finishing at this instant: the
-    /// earliest finish instant the flow network stores. `advance_to`
-    /// collects whatever is due at any event, so the handler is empty
-    /// and a stale or extra check changes nothing.
+    /// earliest finish instant the flow network stores, armed in
+    /// [`FLOW_CHECK_SLOT`] after every event (re-arming discards the
+    /// superseded check). `advance_to` collects whatever is due at any
+    /// event, so the handler is empty and a stale or extra check changes
+    /// nothing.
     FlowCheck,
     /// Cluster `cluster` of `session`, served from its home's (or its
     /// proxy's) own disks, has arrived: the timer of a local serve,
@@ -91,9 +115,10 @@ pub(super) enum Event {
     LocalFetched { session: SessionId, cluster: u32 },
     /// A session finished playing its current cluster.
     PlayoutTick(SessionId),
-    /// Periodic SNMP poll.
+    /// Periodic SNMP poll, on the [`SNMP_POLL_SLOT`] timer.
     SnmpPoll,
-    /// Periodic background-traffic refresh.
+    /// Periodic background-traffic refresh, on the [`BACKGROUND_SLOT`]
+    /// timer.
     BackgroundUpdate,
     /// A video server goes down.
     ServerDown(NodeId),
@@ -242,9 +267,6 @@ pub(super) struct ServiceModel<S: EventSink> {
     /// epoch token stays stable and the VRA's routing engine serves them
     /// from its weight and shortest-path caches.
     pub(super) db_snap_cache: Option<((u64, u64), vod_net::TrafficSnapshot)>,
-    /// Reused buffer for the instantaneous utilization samples taken at
-    /// each SNMP poll (avoids one snapshot allocation per poll).
-    pub(super) live_snap: vod_net::TrafficSnapshot,
     pub(super) retired_dma: DmaStats,
     /// Stats of prefix stores retired by server failures.
     pub(super) retired_prefix: PrefixStats,
@@ -260,11 +282,6 @@ pub(super) struct ServiceModel<S: EventSink> {
     pub(super) aborted_sessions: u64,
     pub(super) next_session: u64,
     pub(super) last_sync: SimTime,
-    /// The instant of the already-scheduled pending flow check, if any —
-    /// lets `schedule_flow_check` skip duplicate events when the
-    /// prediction is unchanged (every handler re-checks, but between
-    /// completions the predicted instant rarely moves).
-    pub(super) scheduled_check: Option<SimTime>,
     /// Reused buffer for flow completions per `advance_to` call.
     pub(super) done_scratch: Vec<FlowId>,
     /// High-water mark of concurrently live sessions.
@@ -272,9 +289,10 @@ pub(super) struct ServiceModel<S: EventSink> {
     pub(super) recurring_deadline: SimTime,
     /// What the recurring ticks did, for the report.
     pub(super) ticks: TickStats,
-    /// Per-poll link-utilisation samples, summarised by the report.
-    pub(super) max_util_samples: Vec<f64>,
-    pub(super) mean_util_samples: Vec<f64>,
+    /// Per-poll link-utilisation samples, streamed into the histograms
+    /// the report summarises (see [`utilization_histogram`]).
+    pub(super) max_util_samples: Histogram,
+    pub(super) mean_util_samples: Histogram,
     pub(super) seed: u64,
     /// Where trace events go; [`vod_obs::NullSink`] compiles the emission sites
     /// away entirely.
@@ -307,17 +325,11 @@ impl<S: EventSink> ServiceModel<S> {
         self.done_scratch = done;
     }
 
-    /// Schedules a flow-completion check at the earliest finish
-    /// instant the flow network stores (skipped when that exact check
-    /// is already pending — stale checks are no-ops, so duplicates are
-    /// only queue noise).
-    fn schedule_flow_check(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+    /// Arms the flow-completion check at the earliest finish instant
+    /// the flow network stores, replacing the pending one.
+    fn arm_flow_check(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         if let Some((_, dt)) = self.flows.next_completion() {
-            let at = now + dt;
-            if self.scheduled_check != Some(at) {
-                self.scheduled_check = Some(at);
-                sched.schedule(at, Event::FlowCheck);
-            }
+            sched.arm(FLOW_CHECK_SLOT, now + dt, Event::FlowCheck);
         }
     }
 
@@ -325,16 +337,19 @@ impl<S: EventSink> ServiceModel<S> {
         self.next_arrival < self.trace.len() || !self.sessions.is_empty()
     }
 
-    fn reschedule_recurring(
+    /// Re-arms the recurring tick of `slot` one `interval` ahead, while
+    /// the run has work left and the recurring deadline allows.
+    fn rearm_recurring(
         &self,
         now: SimTime,
         interval: SimDuration,
-        make: impl FnOnce() -> Event,
+        slot: usize,
+        event: Event,
         sched: &mut Scheduler<Event>,
     ) {
         let at = now + interval;
         if at <= self.recurring_deadline && self.has_pending_work() {
-            sched.schedule(at, make());
+            sched.arm(slot, at, event);
         }
     }
 
@@ -997,19 +1012,18 @@ impl<S: EventSink> ServiceModel<S> {
                 );
             }
         }
-        // Sample true instantaneous utilization for the report, reusing
-        // the buffer instead of allocating a snapshot per poll; one scan
-        // of it yields both samples.
-        self.flows.snapshot_into(&mut self.live_snap);
-        match self.live_snap.max_and_mean_utilization(&self.topology) {
+        // Sample true instantaneous utilization for the report: one scan
+        // of the settled loads yields both samples.
+        match self.flows.max_and_mean_utilization() {
             Some((max, mean)) => {
-                self.max_util_samples.push(max.get());
-                self.mean_util_samples.push(mean.get());
+                self.max_util_samples.record(max.get());
+                self.mean_util_samples.record(mean.get());
             }
             // No links: no maximum, and a mean of zero.
-            None => self.mean_util_samples.push(0.0),
+            None => self.mean_util_samples.record(0.0),
         }
-        self.reschedule_recurring(now, self.config.snmp_interval, || Event::SnmpPoll, sched);
+        let interval = self.config.snmp_interval;
+        self.rearm_recurring(now, interval, SNMP_POLL_SLOT, Event::SnmpPoll, sched);
     }
 
     fn on_background_update(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
@@ -1019,10 +1033,12 @@ impl<S: EventSink> ServiceModel<S> {
         if self.sink.enabled() {
             self.sink.record(now, &ObsEvent::BackgroundUpdate);
         }
-        self.reschedule_recurring(
+        let interval = self.config.background_interval;
+        self.rearm_recurring(
             now,
-            self.config.background_interval,
-            || Event::BackgroundUpdate,
+            interval,
+            BACKGROUND_SLOT,
+            Event::BackgroundUpdate,
             sched,
         );
     }
@@ -1095,7 +1111,7 @@ impl<S: EventSink> Model for ServiceModel<S> {
             Event::SnmpOutageEnd => self.on_snmp_outage_end(now),
             Event::RetryFetch(sid) => self.start_cluster_fetch(now, sid, sched),
         }
-        self.schedule_flow_check(now, sched);
+        self.arm_flow_check(now, sched);
     }
 
     fn peek_input(&self) -> Option<SimTime> {

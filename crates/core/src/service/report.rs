@@ -2,7 +2,6 @@
 
 use vod_net::NodeId;
 use vod_obs::EventSink;
-use vod_sim::metrics::Summary;
 use vod_sim::SchedulerStats;
 use vod_storage::dma::DmaStats;
 
@@ -49,8 +48,8 @@ impl<S: EventSink> ServiceModel<S> {
             aborted_sessions: self.aborted_sessions,
             rejected_requests: self.rejected_requests,
             unfinished_sessions: self.sessions.len(),
-            max_link_utilization: Summary::from_values(self.max_util_samples),
-            mean_link_utilization: Summary::from_values(self.mean_util_samples),
+            max_link_utilization: self.max_util_samples.summary(),
+            mean_link_utilization: self.mean_util_samples.summary(),
             dma,
             per_server_dma,
             engine: self.selector.engine_stats(),

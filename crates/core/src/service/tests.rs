@@ -73,6 +73,30 @@ fn vra_run_completes_all_sessions() {
     assert_eq!(report.dma.requests, n as u64);
 }
 
+/// Every event the engine handles came from exactly one place: the
+/// scheduler's queue, one of its timer slots (the SNMP poll, the
+/// background refresh, the flow-completion check) or the input lane.
+#[test]
+fn every_event_is_a_pop_a_timer_or_an_input() {
+    let scenario = Scenario::grnet_case_study(42);
+    let mut service = VodService::new(&scenario, Box::new(Vra::default()), quick_config());
+    service.run_to_end();
+    let processed = service.events_processed();
+    let report = service.into_report();
+    let stats = report.scheduler;
+    assert_eq!(
+        stats.pops + stats.timers + stats.inputs,
+        processed,
+        "{stats:?}"
+    );
+    assert_eq!(stats.inputs, scenario.trace().len() as u64);
+    assert_eq!(stats.pushes, stats.pops, "the queue drained");
+    // Every poll and every refresh is a timer event, and so is at
+    // least one flow check.
+    let ticks = report.ticks.polls + report.ticks.refreshes;
+    assert!(stats.timers > ticks, "{stats:?}, {ticks} ticks");
+}
+
 #[test]
 fn runs_are_deterministic() {
     let a = VodService::new(&quick_scenario(7), Box::new(Vra::default()), quick_config()).run();

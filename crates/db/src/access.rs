@@ -205,40 +205,34 @@ impl<'a> LimitedAccess<'a> {
         Ok(())
     }
 
-    /// Records one whole SNMP poll taken at `at` in a single walk over
-    /// the link entries: each link's reading is inserted once per
+    /// Records one whole SNMP poll taken at `at`, each reading straight
+    /// into its link's entry: each link's reading is inserted once per
     /// reporting agent, exactly as that many
-    /// [`LimitedAccess::record_reading`] calls would. `readings` must
-    /// ascend strictly by link. Returns the number of readings
-    /// inserted.
+    /// [`LimitedAccess::record_reading`] calls would. Returns the number
+    /// of readings inserted.
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::UnknownLink`] for a link that has no entry or
-    /// is out of order; the readings before it stay recorded.
+    /// Returns [`DbError::UnknownLink`] for a link that has no entry;
+    /// the readings before it stay recorded.
     pub fn record_poll<I>(&mut self, at: SimTime, readings: I) -> Result<usize, DbError>
     where
         I: IntoIterator<Item = LinkPoll>,
     {
         let mut written = 0;
         let mut unknown = None;
-        {
-            let mut entries = self.db.links_mut();
-            for poll in readings {
-                // Both sides ascend, so the walk never turns back.
-                let entry = entries.find(|e| e.link() >= poll.link);
-                let Some(entry) = entry.filter(|e| e.link() == poll.link) else {
-                    unknown = Some(poll.link);
-                    break;
-                };
-                let reading = UtilizationReading {
-                    at,
-                    used: poll.used,
-                    utilization: poll.utilization,
-                };
-                entry.record(reading, poll.agents);
-                written += poll.agents;
-            }
+        for poll in readings {
+            let Ok(entry) = self.db.link_mut(poll.link) else {
+                unknown = Some(poll.link);
+                break;
+            };
+            let reading = UtilizationReading {
+                at,
+                used: poll.used,
+                utilization: poll.utilization,
+            };
+            entry.record(reading, poll.agents);
+            written += poll.agents;
         }
         self.db.bump_traffic_version(written as u64);
         match unknown {

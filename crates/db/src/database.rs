@@ -1,6 +1,6 @@
 //! The in-memory database store.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use vod_net::{LinkId, NodeId, Topology};
 use vod_storage::video::VideoLibrary;
@@ -20,7 +20,8 @@ use crate::error::DbError;
 #[derive(Debug, Clone)]
 pub struct Database {
     servers: BTreeSet<NodeId>,
-    links: BTreeMap<LinkId, LinkEntry>,
+    /// The link entries, indexed by [`LinkId`]: entry `i` is link `i`'s.
+    links: Vec<LinkEntry>,
     /// The full-access sub-module: each title's holders.
     catalog: Catalog,
     library: VideoLibrary,
@@ -46,7 +47,7 @@ impl Database {
     pub fn new(library: VideoLibrary) -> Self {
         Database {
             servers: BTreeSet::new(),
-            links: BTreeMap::new(),
+            links: Vec::new(),
             catalog: Catalog::default(),
             library,
             traffic_version: 0,
@@ -61,9 +62,7 @@ impl Database {
     pub fn from_topology(topology: &Topology, library: VideoLibrary) -> Self {
         let mut db = Database::new(library);
         db.servers.extend(topology.video_server_nodes());
-        for link in topology.links() {
-            db.links.insert(link.id(), LinkEntry::new(link.id()));
-        }
+        db.links.extend(topology.link_ids().map(LinkEntry::new));
         db
     }
 
@@ -124,19 +123,19 @@ impl Database {
     }
 
     pub(crate) fn link(&self, link: LinkId) -> Result<&LinkEntry, DbError> {
-        self.links.get(&link).ok_or(DbError::UnknownLink(link))
+        self.links
+            .get(link.index())
+            .ok_or(DbError::UnknownLink(link))
     }
 
     pub(crate) fn link_mut(&mut self, link: LinkId) -> Result<&mut LinkEntry, DbError> {
-        self.links.get_mut(&link).ok_or(DbError::UnknownLink(link))
+        self.links
+            .get_mut(link.index())
+            .ok_or(DbError::UnknownLink(link))
     }
 
     pub(crate) fn links(&self) -> impl Iterator<Item = &LinkEntry> {
-        self.links.values()
-    }
-
-    pub(crate) fn links_mut(&mut self) -> impl Iterator<Item = &mut LinkEntry> {
-        self.links.values_mut()
+        self.links.iter()
     }
 }
 

@@ -260,24 +260,6 @@ impl TrafficSnapshot {
             })
         }
     }
-
-    /// The highest and the mean link utilization, from one pass over the
-    /// links, or `None` for an empty topology.
-    pub fn max_and_mean_utilization(&self, topology: &Topology) -> Option<(Fraction, Fraction)> {
-        let mut max: Option<f64> = None;
-        let per_link = topology.link_ids().map(|l| {
-            let u = self.utilization(topology, l).get();
-            // Ties go to the later link, as `max_by` has them.
-            max = Some(match max {
-                Some(m) if u.total_cmp(&m).is_lt() => m,
-                _ => u,
-            });
-            u
-        });
-        let sum: f64 = per_link.sum();
-        let mean = sum / topology.link_count() as f64;
-        max.map(|max| (Fraction::new(max), Fraction::new(mean)))
-    }
 }
 
 #[cfg(test)]
@@ -293,28 +275,6 @@ mod tests {
         let l0 = b.add_link(a, c, Mbps::new(2.0)).unwrap();
         let l1 = b.add_link(c, d, Mbps::new(18.0)).unwrap();
         (b.build(), l0, l1)
-    }
-
-    /// The most-utilized link and its utilization, or `None` for an
-    /// empty topology: with [`mean_utilization`], the two-scan reference
-    /// for [`TrafficSnapshot::max_and_mean_utilization`].
-    fn max_utilization(snap: &TrafficSnapshot, topology: &Topology) -> Option<(LinkId, Fraction)> {
-        topology
-            .link_ids()
-            .map(|l| (l, snap.utilization(topology, l)))
-            .max_by(|a, b| a.1.get().total_cmp(&b.1.get()))
-    }
-
-    /// Mean utilization over all links (zero for an empty topology).
-    fn mean_utilization(snap: &TrafficSnapshot, topology: &Topology) -> Fraction {
-        if topology.link_count() == 0 {
-            return Fraction::ZERO;
-        }
-        let sum: f64 = topology
-            .link_ids()
-            .map(|l| snap.utilization(topology, l).get())
-            .sum();
-        Fraction::new(sum / topology.link_count() as f64)
     }
 
     #[test]
@@ -371,29 +331,6 @@ mod tests {
         assert!(back.is_admin_down(l0));
         snap.set_admin_down(l0, false);
         assert_ne!(back, snap);
-    }
-
-    #[test]
-    fn max_and_mean_utilization() {
-        let (topo, l0, l1) = two_link_topo();
-        let mut snap = TrafficSnapshot::zero(&topo);
-        snap.set_used(l0, Mbps::new(1.0)); // 50%
-        snap.set_used(l1, Mbps::new(1.8)); // 10%
-        let (link, frac) = max_utilization(&snap, &topo).unwrap();
-        assert_eq!(link, l0);
-        assert!((frac.get() - 0.5).abs() < 1e-12);
-        assert!((mean_utilization(&snap, &topo).get() - 0.3).abs() < 1e-12);
-        // The one-pass fold agrees with the two scans to the bit, with
-        // explicit readings, equal maxima and an empty topology too.
-        snap.set_explicit_utilization(l1, Fraction::new(0.5));
-        for snap in [&snap, &TrafficSnapshot::zero(&topo)] {
-            let both = snap.max_and_mean_utilization(&topo);
-            let max = max_utilization(snap, &topo).map(|(_, max)| max);
-            assert_eq!(both, max.map(|max| (max, mean_utilization(snap, &topo))));
-        }
-        let empty = TopologyBuilder::new().build();
-        let none = TrafficSnapshot::zero(&empty).max_and_mean_utilization(&empty);
-        assert_eq!(none, None);
     }
 
     #[test]

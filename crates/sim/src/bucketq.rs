@@ -22,7 +22,8 @@
 //! is then either moved below the horizon whole (a few hundred entries:
 //! the horizon jumps to the top of the bucket's range) or split around
 //! its minimum (the horizon becomes that radix; the entries at it go
-//! near, the rest to lower buckets). Neither step changes the highest
+//! near, the rest to lower buckets — the largest of those shares without
+//! leaving the buffer it is in). Neither step changes the highest
 //! differing bit of an entry in a higher bucket, so nothing else moves.
 //!
 //! Near has two parts. A bucket moved whole is sorted once and becomes
@@ -337,8 +338,8 @@ impl<K: RadixKey> BucketQueue<K> {
             self.run.sort_unstable_by(|a, b| b.cmp(a));
             bucket.min = u64::MAX;
         } else {
-            // The buffer of a split bucket is freed: at depth it is the
-            // largest allocation of the queue.
+            // Every entry of the split bucket goes below it, where no
+            // bucket is occupied: it was the lowest occupied one.
             let Bucket { entries, min } = std::mem::take(bucket);
             self.horizon = min;
             self.stats.splits += 1;
@@ -347,7 +348,10 @@ impl<K: RadixKey> BucketQueue<K> {
     }
 
     /// Places `entries` under the current horizon, sizing each
-    /// destination exactly before anything moves.
+    /// destination exactly before anything moves. Every far bucket an
+    /// entry is bound for must be empty: the entries bound for the
+    /// largest such share stay in `entries`' buffer, which becomes that
+    /// bucket's, and only the rest are copied into other buffers.
     fn scatter(&mut self, mut entries: Vec<K>) {
         let horizon = self.horizon;
         let mut to_near = 0;
@@ -359,21 +363,58 @@ impl<K: RadixKey> BucketQueue<K> {
                 None => to_near += 1,
             }
         }
+        // The largest far share (the lowest bucket among equals).
+        let shares = to_far.iter().copied().enumerate();
+        let keep = shares.fold(
+            None,
+            |best: Option<(usize, usize)>, (bit, count)| match best {
+                Some((_, most)) if most >= count => best,
+                _ if count > 0 => Some((bit, count)),
+                _ => best,
+            },
+        );
+        // Gather the kept share at the front of the buffer. Every entry
+        // is swapped, kept or not (a kept-or-not branch would be a coin
+        // toss per entry): `kept..i` holds only entries that leave.
+        let mut kept = 0;
+        let mut kept_min = u64::MAX;
+        if let Some((bit, _)) = keep {
+            for i in 0..entries.len() {
+                let Some(radix) = entries.get(i).map(RadixKey::radix) else {
+                    break;
+                };
+                let stays = bucket_of(horizon, radix) == Some(bit);
+                kept_min = kept_min.min(if stays { radix } else { u64::MAX });
+                entries.swap(kept, i);
+                kept += usize::from(stays);
+            }
+        }
         self.heap.reserve(to_near);
-        for (bucket, &count) in self.far.iter_mut().zip(&to_far) {
-            if count > 0 {
+        for (bit, (bucket, &count)) in self.far.iter_mut().zip(&to_far).enumerate() {
+            if count > 0 && keep.is_none_or(|(kept_bit, _)| kept_bit != bit) {
                 bucket.entries.reserve_exact(count);
             }
         }
         self.stats.moved += entries.len() as u64;
-        // Back to front, handing the emptied end of the buffer back as
-        // it goes: the destinations fill while the source shrinks, so
-        // a large bucket is never held twice.
-        while let Some(key) = entries.pop() {
+        // The rest back to front, handing the emptied end of the buffer
+        // back as it goes: the destinations fill while the source
+        // shrinks, so no share of a large bucket is held twice.
+        while entries.len() > kept {
+            let Some(key) = entries.pop() else {
+                break;
+            };
             self.place(key);
             if entries.len().is_multiple_of(RELEASE_EVERY) {
                 entries.shrink_to_fit();
             }
+        }
+        if let Some((bit, _)) = keep {
+            if let Some(bucket) = self.far.get_mut(bit) {
+                bucket.entries = entries;
+                bucket.min = kept_min;
+            }
+            self.occupied |= 1 << bit;
+            self.far_len += kept;
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The discrete-event simulation loop.
 //!
 //! Events reach a [`Model`] from two sources. The [`Scheduler`] holds
-//! what the model scheduled for itself — its depth follows the live
-//! state. The model's *input lane* ([`Model::peek_input`] /
+//! what the model scheduled or armed for itself — its queue's depth
+//! follows the live state, and its timer slots hold the recurring ticks.
+//! The model's *input lane* ([`Model::peek_input`] /
 //! [`Model::pop_input`]) holds what is known before the run starts and
 //! is already in time order, such as a request trace: it is read
 //! through a cursor and never enters the queue, so a long horizon costs
@@ -115,23 +116,25 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Takes the next event if it is due by `deadline`: the input lane's
-    /// when it is due no later than the queue's head, the queue's
-    /// otherwise. Each lane is peeked once.
+    /// Takes the next event if it is due by `deadline`: the scheduler's
+    /// when it is due strictly before the input lane's head (the input
+    /// wins a tie), the input's otherwise. Each lane is peeked once.
     fn next_event_by(&mut self, deadline: SimTime) -> Option<(SimTime, M::Event)> {
-        let queued = self.scheduler.peek_time();
-        match self.model.peek_input() {
-            Some(at) if queued.is_none_or(|queued| at <= queued) => {
-                if at > deadline {
-                    return None;
-                }
-                let event = self.model.pop_input()?;
-                self.inputs += 1;
-                Some((at, event))
-            }
-            _ if queued.is_some_and(|at| at <= deadline) => self.scheduler.pop(),
-            _ => None,
+        let input = self.model.peek_input();
+        let queued_by = match input {
+            Some(at) => at
+                .as_micros()
+                .checked_sub(1)
+                .map(|before| SimTime::from_micros(before).min(deadline)),
+            None => Some(deadline),
+        };
+        if let Some(queued) = queued_by.and_then(|by| self.scheduler.pop_by(by)) {
+            return Some(queued);
         }
+        let at = input.filter(|&at| at <= deadline)?;
+        let event = self.model.pop_input()?;
+        self.inputs += 1;
+        Some((at, event))
     }
 
     /// Processes the next event if it is due by `deadline`.

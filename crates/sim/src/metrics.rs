@@ -302,6 +302,32 @@ impl Histogram {
         self.min_value * 2f64.powi(octave as i32) * (1.0 + sub as f64 / self.sub_per_octave as f64)
     }
 
+    /// The [`Summary`] of the recorded samples, streamed: `count`,
+    /// `min` and `max` are exact, `mean` is the running [`Histogram::sum`]
+    /// in recording order over the count, and `p50`, `p95` and `p99`
+    /// are [`Histogram::quantile`] estimates. Each estimate lies at or
+    /// above the exact nearest-rank quantile `x` — by at most `x /
+    /// sub_per_octave` when `x >= min_value` (up to the rounding of
+    /// `x / min_value`, exact for a power-of-two `min_value`), and at
+    /// most at `min_value` below it. Empty, it is the all-zero summary
+    /// of [`Summary::from_values`].
+    pub fn summary(&self) -> Summary {
+        let mean = if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        };
+        Summary {
+            count: self.count as usize,
+            mean,
+            min: self.min(),
+            max: self.max(),
+            p50: self.quantile(0.50),
+            p95: self.quantile(0.95),
+            p99: self.quantile(0.99),
+        }
+    }
+
     /// Sum over all buckets — always equals [`Histogram::count`]; used by
     /// the property tests pinning the invariant.
     pub fn bucket_total(&self) -> u64 {
@@ -433,6 +459,77 @@ mod tests {
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.nonzero_buckets().count(), 0);
+    }
+
+    /// One stream into both summaries: utilization-like samples in
+    /// `[0, 1.5]` with runs of exact `0.0` and `1.0` (an idle link, a
+    /// saturated one), through `Histogram::summary` at 64 sub-buckets
+    /// per octave from 2⁻³⁰ and through `Summary::from_values`.
+    mod streaming_summary {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        const FLOOR: f64 = 1.0 / (1u64 << 30) as f64;
+        const SUB: u32 = 64;
+
+        fn check(values: &[f64]) -> Result<(), TestCaseError> {
+            let mut h = Histogram::new(FLOOR, 40, SUB);
+            for &v in values {
+                h.record(v);
+            }
+            let streamed = h.summary();
+            let exact = Summary::from_values(values.iter().copied());
+            prop_assert_eq!(streamed.count, exact.count);
+            prop_assert_eq!(streamed.min.to_bits(), exact.min.to_bits());
+            prop_assert_eq!(streamed.max.to_bits(), exact.max.to_bits());
+            let scale = exact.mean.abs().max(f64::MIN_POSITIVE);
+            prop_assert!(
+                (streamed.mean - exact.mean).abs() <= 1e-9 * scale,
+                "mean {} vs {}",
+                streamed.mean,
+                exact.mean
+            );
+            for (est, x) in [
+                (streamed.p50, exact.p50),
+                (streamed.p95, exact.p95),
+                (streamed.p99, exact.p99),
+            ] {
+                let bound = if x >= FLOOR {
+                    x / f64::from(SUB)
+                } else {
+                    FLOOR
+                };
+                prop_assert!(est >= x && est - x <= bound, "estimate {} of {}", est, x);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn histogram_summary_keeps_its_declared_bounds(
+                runs in proptest::collection::vec((0u8..4, 0.0f64..1.5, 1usize..40), 1..60),
+            ) {
+                let mut values = Vec::new();
+                for (kind, v, len) in runs {
+                    let v = match kind {
+                        0 => 0.0,
+                        1 => 1.0,
+                        _ => v,
+                    };
+                    values.extend(std::iter::repeat_n(v, len));
+                }
+                check(&values)?;
+            }
+        }
+
+        #[test]
+        fn empty_summary_is_the_all_zero_one() {
+            let h = Histogram::new(FLOOR, 40, SUB);
+            assert_eq!(h.summary(), Summary::from_values(std::iter::empty()));
+        }
     }
 
     #[test]

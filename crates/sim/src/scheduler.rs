@@ -1,4 +1,14 @@
 //! The pending-event queue of the discrete-event engine.
+//!
+//! Events reach a [`Scheduler`] two ways. [`Scheduler::schedule`] queues
+//! one more event; [`Scheduler::arm`] sets one of a few fixed *timer
+//! slots*, each holding at most one pending event, for what recurs or is
+//! superseded rather than accumulated: a periodic tick, which re-arms
+//! its own slot, or a prediction a newer one replaces. Both draw their
+//! sequence number from one counter, and [`Scheduler::pop`] delivers the
+//! smaller `(at, seq)` of the queue's head and the earliest armed slot,
+//! so the delivery order is exactly the order of a single queue in which
+//! re-arming a slot removes its pending entry and queues the new one.
 
 use std::cmp::Ordering;
 
@@ -6,6 +16,9 @@ use serde::Serialize;
 
 use crate::bucketq::{BucketQueue, QueueStats, RadixKey};
 use crate::time::SimTime;
+
+/// The number of timer slots of a [`Scheduler`].
+pub const TIMER_SLOTS: usize = 3;
 
 /// A monotonically increasing sequence number breaks ties between events
 /// scheduled for the same instant, making execution order deterministic
@@ -47,12 +60,15 @@ impl<E> PartialOrd for Entry<E> {
 /// queue, how deep it got, and how much bypassed it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SchedulerStats {
-    /// Events scheduled.
+    /// Events scheduled into the queue.
     pub pushes: u64,
-    /// Events popped.
+    /// Events popped from the queue.
     pub pops: u64,
     /// Deepest the queue has been.
     pub peak_depth: u64,
+    /// Events delivered from a timer slot ([`Scheduler::arm`]) instead
+    /// of the queue.
+    pub timers: u64,
     /// Events the engine took from the model's input lane
     /// ([`Model::pop_input`](crate::engine::Model::pop_input)) instead
     /// of the queue; counted by the
@@ -63,10 +79,11 @@ pub struct SchedulerStats {
     pub queue: QueueStats,
 }
 
-/// A time-ordered queue of pending events.
+/// A time-ordered queue of pending events, plus [`TIMER_SLOTS`] timer
+/// slots (see the [module docs](self)).
 ///
-/// Events scheduled for the same instant are delivered in the order they
-/// were scheduled.
+/// Events due at the same instant are delivered in the order they were
+/// scheduled or armed.
 ///
 /// # Examples
 ///
@@ -77,13 +94,22 @@ pub struct SchedulerStats {
 /// let mut s = Scheduler::new();
 /// s.schedule(SimTime::from_secs(2), "late");
 /// s.schedule(SimTime::from_secs(1), "early");
+/// s.arm(0, SimTime::from_secs(1), "tick");
+/// // Re-arming replaces what the slot held.
+/// s.arm(0, SimTime::from_secs(3), "tock");
 /// assert_eq!(s.pop(), Some((SimTime::from_secs(1), "early")));
 /// assert_eq!(s.pop(), Some((SimTime::from_secs(2), "late")));
+/// assert_eq!(s.pop(), Some((SimTime::from_secs(3), "tock")));
 /// assert_eq!(s.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct Scheduler<E> {
     queue: BucketQueue<Entry<E>>,
+    /// The pending event of each timer slot, if armed.
+    timers: [Option<Entry<E>>; TIMER_SLOTS],
+    /// `(at, seq, slot)` of the earliest armed slot: rebuilt when a slot
+    /// is armed or delivered, so a pop compares one key.
+    next_timer: Option<(SimTime, u64, usize)>,
     next_seq: u64,
     stats: SchedulerStats,
 }
@@ -99,6 +125,8 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             queue: BucketQueue::new(),
+            timers: std::array::from_fn(|_| None),
+            next_timer: None,
             next_seq: 0,
             stats: SchedulerStats::default(),
         }
@@ -113,10 +141,79 @@ impl<E> Scheduler<E> {
         self.stats.peak_depth = self.stats.peak_depth.max(self.queue.len() as u64);
     }
 
-    /// Removes and returns the earliest pending event.
+    /// Arms timer `slot` to deliver `event` at `at`, discarding whatever
+    /// the slot still held. The event takes the next sequence number, as
+    /// [`Scheduler::schedule`] would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below [`TIMER_SLOTS`].
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented panic: a slot beyond `TIMER_SLOTS` means the model is broken"
+    )]
+    pub fn arm(&mut self, slot: usize, at: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let Some(held) = self.timers.get_mut(slot) else {
+            panic!("timer slot {slot} out of range (a scheduler has {TIMER_SLOTS})");
+        };
+        *held = Some(Entry { at, seq, event });
+        self.next_timer = self.earliest_timer();
+    }
+
+    /// `(at, seq, slot)` of the earliest armed slot.
+    fn earliest_timer(&self) -> Option<(SimTime, u64, usize)> {
+        let armed = self.timers.iter().enumerate();
+        let keys = armed.filter_map(|(slot, held)| held.as_ref().map(|e| (e.at, e.seq, slot)));
+        keys.min()
+    }
+
+    /// Removes and returns the earliest pending event, queued or armed.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if self.next_timer.is_some() {
+            return self.pop_armed();
+        }
         let entry = self.queue.pop()?;
         self.stats.pops += 1;
+        Some((entry.at, entry.event))
+    }
+
+    /// [`Scheduler::pop`] with a slot armed, kept out of line so that a
+    /// bare queue's pop stays small enough to inline.
+    #[inline(never)]
+    fn pop_armed(&mut self) -> Option<(SimTime, E)> {
+        self.pop_by(SimTime::from_micros(u64::MAX))
+    }
+
+    /// Removes and returns the earliest pending event, queued or armed,
+    /// if it is due by `by`: one look at the queue's head and one at the
+    /// earliest armed slot.
+    pub fn pop_by(&mut self, by: SimTime) -> Option<(SimTime, E)> {
+        let head = self.queue.peek().map(|e| (e.at, e.seq));
+        if let Some((at, seq, slot)) = self.next_timer {
+            if head.is_none_or(|head| (at, seq) < head) {
+                return if at <= by {
+                    self.deliver_timer(slot)
+                } else {
+                    None
+                };
+            }
+        }
+        if head?.0 > by {
+            return None;
+        }
+        let entry = self.queue.pop()?;
+        self.stats.pops += 1;
+        Some((entry.at, entry.event))
+    }
+
+    /// Empties timer `slot` and hands over its event.
+    #[inline(never)]
+    fn deliver_timer(&mut self, slot: usize) -> Option<(SimTime, E)> {
+        let entry = self.timers.get_mut(slot)?.take()?;
+        self.next_timer = self.earliest_timer();
+        self.stats.timers += 1;
         Some((entry.at, entry.event))
     }
 
@@ -128,24 +225,32 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// The instant of the earliest pending event, if any.
+    /// The instant of the earliest pending event, queued or armed, if
+    /// any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|e| e.at)
+        let queued = self.queue.peek().map(|e| e.at);
+        let armed = self.next_timer.map(|(at, ..)| at);
+        match (queued, armed) {
+            (Some(queued), Some(armed)) => Some(queued.min(armed)),
+            (queued, armed) => queued.or(armed),
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events: queued ones plus armed slots.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.timers.iter().filter(|held| held.is_some()).count()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.is_empty() && self.next_timer.is_none()
     }
 
-    /// Discards all pending events.
+    /// Discards all pending events, armed slots included.
     pub fn clear(&mut self) {
         self.queue.clear();
+        self.timers = std::array::from_fn(|_| None);
+        self.next_timer = None;
     }
 }
 
@@ -201,6 +306,7 @@ mod tests {
             pushes: 4,
             pops: 4,
             peak_depth: 3,
+            timers: 0,
             inputs: 0,
             queue: QueueStats::default(),
         };
@@ -262,5 +368,161 @@ mod tests {
         s.schedule(SimTime::from_secs(1), "d"); // earlier than c
         assert_eq!(s.pop().unwrap().1, "d");
         assert_eq!(s.pop().unwrap().1, "c");
+    }
+
+    #[test]
+    fn armed_slots_merge_with_the_queue_by_time_then_sequence() {
+        let mut s = Scheduler::new();
+        s.arm(1, SimTime::from_secs(4), "poll");
+        s.schedule(SimTime::from_secs(2), "a");
+        s.arm(0, SimTime::from_secs(2), "check");
+        s.schedule(SimTime::from_secs(2), "b");
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.peek_time(), Some(SimTime::from_secs(2)));
+        let order: Vec<&str> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["a", "check", "b", "poll"]);
+        assert!(s.is_empty());
+        let stats = s.stats();
+        assert_eq!((stats.pushes, stats.pops, stats.timers), (2, 2, 2));
+        assert_eq!(stats.peak_depth, 2);
+    }
+
+    /// An entry scheduled before a slot is armed for the same instant
+    /// pops first: a timer has no priority on a tie (unlike the
+    /// engine's input lane, which wins every tie).
+    #[test]
+    fn an_earlier_scheduled_entry_beats_a_later_armed_timer_on_a_tie() {
+        let mut s = Scheduler::new();
+        let t = SimTime::from_secs(60);
+        s.schedule(t, "fault");
+        s.arm(0, t, "poll");
+        assert_eq!(s.pop(), Some((t, "fault")));
+        assert_eq!(s.pop(), Some((t, "poll")));
+        assert_eq!(s.pop(), None);
+    }
+
+    #[test]
+    fn pop_by_takes_only_what_is_due() {
+        let mut s = Scheduler::new();
+        s.schedule(SimTime::from_secs(3), "queued");
+        s.arm(1, SimTime::from_secs(5), "armed");
+        assert_eq!(s.pop_by(SimTime::from_secs(2)), None);
+        assert_eq!(
+            s.pop_by(SimTime::from_secs(3)),
+            Some((SimTime::from_secs(3), "queued"))
+        );
+        assert_eq!(s.pop_by(SimTime::from_secs(4)), None);
+        assert_eq!(
+            s.pop_by(SimTime::from_secs(5)),
+            Some((SimTime::from_secs(5), "armed"))
+        );
+        assert_eq!(s.pop_by(SimTime::from_secs(9)), None);
+        assert_eq!(s.len(), 0);
+    }
+
+    #[test]
+    fn rearming_discards_the_superseded_event() {
+        let mut s = Scheduler::new();
+        s.arm(2, SimTime::from_secs(5), 1);
+        s.arm(2, SimTime::from_secs(9), 2);
+        s.arm(2, SimTime::from_secs(7), 3);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.pop(), Some((SimTime::from_secs(7), 3)));
+        assert_eq!(s.pop(), None);
+        s.arm(0, SimTime::from_secs(8), 4);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.peek_time(), None);
+        assert_eq!(s.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_slot_beyond_the_last_panics() {
+        Scheduler::new().arm(TIMER_SLOTS, SimTime::ZERO, ());
+    }
+
+    mod timer_order {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// The reference: one binary heap of `(at, seq, event)`, in
+        /// which arming a slot removes the slot's pending entry and
+        /// pushes the new one.
+        #[derive(Default)]
+        struct Reference {
+            heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+            armed: [Option<u64>; TIMER_SLOTS],
+            next_seq: u64,
+        }
+
+        impl Reference {
+            fn push(&mut self, at: SimTime, event: u32) -> u64 {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.heap.push(Reverse((at, seq, event)));
+                seq
+            }
+
+            fn arm(&mut self, slot: usize, at: SimTime, event: u32) {
+                if let Some(held) = self.armed[slot] {
+                    self.heap.retain(|Reverse((_, seq, _))| *seq != held);
+                }
+                self.armed[slot] = Some(self.push(at, event));
+            }
+
+            fn pop(&mut self) -> Option<(SimTime, u32)> {
+                let Reverse((at, seq, event)) = self.heap.pop()?;
+                for held in &mut self.armed {
+                    if *held == Some(seq) {
+                        *held = None;
+                    }
+                }
+                Some((at, event))
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random interleavings of `schedule`, `arm` over every
+            /// slot and `pop`, on few distinct instants so that ties
+            /// abound, against the single-heap reference.
+            #[test]
+            fn timers_pop_in_the_order_of_one_queue(
+                ops in proptest::collection::vec((0u8..3, 0usize..TIMER_SLOTS, 0u64..6), 1..200),
+            ) {
+                let mut s = Scheduler::new();
+                let mut reference = Reference::default();
+                for (n, &(op, slot, at)) in ops.iter().enumerate() {
+                    let at = SimTime::from_secs(at);
+                    let event = n as u32;
+                    match op {
+                        0 => {
+                            s.schedule(at, event);
+                            reference.push(at, event);
+                        }
+                        1 => {
+                            s.arm(slot, at, event);
+                            reference.arm(slot, at, event);
+                        }
+                        _ => prop_assert_eq!(s.pop(), reference.pop()),
+                    }
+                    prop_assert_eq!(s.len(), reference.heap.len());
+                    let head = reference.heap.peek().map(|Reverse((at, ..))| *at);
+                    prop_assert_eq!(s.peek_time(), head);
+                }
+                while let Some(expected) = reference.pop() {
+                    prop_assert_eq!(s.pop(), Some(expected));
+                }
+                prop_assert_eq!(s.pop(), None);
+                let stats = s.stats();
+                prop_assert_eq!(stats.pushes, stats.pops);
+            }
+        }
     }
 }

@@ -11,9 +11,12 @@
 //! Because the interpolation is continuous, every refresh stores a new
 //! load on every link: no refresh is a no-op. What a refresh costs is
 //! kept to what it changes — [`BackgroundModel::apply`] wraps the
-//! instant to an hour of day once for all links, and each profile holds
-//! its segments with the differences the interpolation divides and
-//! multiplies by already taken.
+//! instant to an hour of day once for all links, each profile holds its
+//! segments with the differences the interpolation divides and
+//! multiplies by already taken, and each link keeps a cursor on the
+//! segment it sampled last: refreshes move forward through the day, so
+//! the segment search starts where the previous one stopped and is one
+//! comparison in the common case.
 
 use vod_net::topologies::grnet::{Grnet, GrnetLink, TimeOfDay, TABLE2};
 use vod_net::{LinkId, Mbps};
@@ -66,10 +69,6 @@ impl Segment {
             dv: v1.as_f64() - v0.as_f64(),
             span: h1 - h0,
         }
-    }
-
-    fn covers(&self, hour: f64) -> bool {
-        (self.h0..=self.h1).contains(&hour)
     }
 
     fn load_at(&self, hour: f64) -> Mbps {
@@ -140,21 +139,43 @@ impl DiurnalProfile {
     )]
     pub fn sample(&self, hour: f64) -> Mbps {
         assert!(hour.is_finite() && hour >= 0.0, "invalid hour {hour}");
-        self.sample_wrapped(hour % 24.0)
+        self.sample_wrapped(hour % 24.0, &mut 0)
     }
 
     /// Samples at a simulated instant (hours since simulation start,
     /// wrapping daily).
     pub fn sample_at(&self, at: SimTime) -> Mbps {
-        self.sample_wrapped(hour_of_day(at))
+        self.sample_wrapped(hour_of_day(at), &mut 0)
     }
 
-    /// [`DiurnalProfile::sample`] of an hour already in `[0, 24)`.
-    fn sample_wrapped(&self, hour: f64) -> Mbps {
+    /// [`DiurnalProfile::sample`] of an hour already in `[0, 24)`,
+    /// searching from `cursor`, the segment the previous sample through
+    /// the same cursor stopped at (0 for a fresh search), and leaving it
+    /// at this one's: the one sampling function.
+    ///
+    /// The segment between two consecutive points is the first whose
+    /// far end `h1` is not below `hour`, if it starts at or before
+    /// `hour` — the first segment that covers the hour, so at a shared
+    /// boundary the earlier segment wins. The inner segments tile the
+    /// day in order, so their `h1` never decrease: the search may start
+    /// at the cursor whenever the segment before it ends below `hour`,
+    /// and starts over at the first segment otherwise (the clock
+    /// wrapped to a new day, or the cursor is fresh).
+    fn sample_wrapped(&self, hour: f64, cursor: &mut usize) -> Mbps {
         let Some((wrap, inner)) = self.segments.split_last() else {
             return self.points.first().map_or(Mbps::ZERO, |only| only.1);
         };
-        if let Some(segment) = inner.iter().find(|s| s.covers(hour)) {
+        let before = cursor.checked_sub(1).and_then(|i| inner.get(i));
+        let mut at = if before.is_some_and(|s| s.h1 < hour) {
+            *cursor
+        } else {
+            0
+        };
+        while inner.get(at).is_some_and(|s| s.h1 < hour) {
+            at += 1;
+        }
+        *cursor = at;
+        if let Some(segment) = inner.get(at).filter(|s| s.h0 <= hour) {
             return segment.load_at(hour);
         }
         // Before the first point or after the last: the stretch across
@@ -170,22 +191,33 @@ fn hour_of_day(at: SimTime) -> f64 {
 }
 
 /// Per-link diurnal background traffic for a whole topology.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two models are equal when their profiles are: the per-link segment
+/// cursors [`BackgroundModel::apply`] keeps are a search hint, not data.
+#[derive(Debug, Clone)]
 pub struct BackgroundModel {
     profiles: Vec<DiurnalProfile>,
+    /// Per link, the segment `apply` sampled last (see
+    /// [`DiurnalProfile::sample_wrapped`]).
+    cursors: Vec<usize>,
+}
+
+impl PartialEq for BackgroundModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.profiles == other.profiles
+    }
 }
 
 impl BackgroundModel {
     /// Creates a model from one profile per link, in [`LinkId`] order.
     pub fn new(profiles: Vec<DiurnalProfile>) -> Self {
-        BackgroundModel { profiles }
+        let cursors = vec![0; profiles.len()];
+        BackgroundModel { profiles, cursors }
     }
 
     /// A model with the same constant load on every link.
     pub fn uniform(link_count: usize, load: Mbps) -> Self {
-        BackgroundModel {
-            profiles: vec![DiurnalProfile::constant(load); link_count],
-        }
+        BackgroundModel::new(vec![DiurnalProfile::constant(load); link_count])
     }
 
     /// The background model fitted to the paper's Table 2: each GRNET link
@@ -206,7 +238,7 @@ impl BackgroundModel {
                 .collect();
             profiles[grnet.link(link).index()] = DiurnalProfile::new(points);
         }
-        BackgroundModel { profiles }
+        BackgroundModel::new(profiles)
     }
 
     /// Number of links covered.
@@ -228,7 +260,9 @@ impl BackgroundModel {
     }
 
     /// Writes the background load of every link at `at` into `net`: one
-    /// hour of day for the instant, one sample per link.
+    /// hour of day for the instant, one sample per link, each searched
+    /// from the link's cursor — the same loads [`BackgroundModel::load_at`]
+    /// gives, found in one step while `at` moves forward.
     ///
     /// # Panics
     ///
@@ -237,16 +271,19 @@ impl BackgroundModel {
         clippy::disallowed_macros,
         reason = "documented panic: `net.topology().link_count()` must match the profiles"
     )]
-    pub fn apply(&self, net: &mut FlowNetwork, at: SimTime) {
+    pub fn apply(&mut self, net: &mut FlowNetwork, at: SimTime) {
         assert_eq!(
             net.topology().link_count(),
             self.profiles.len(),
             "background model does not match topology"
         );
         let hour = hour_of_day(at);
-        let loads = (0u32..).zip(&self.profiles);
+        let per_link = self.profiles.iter().zip(self.cursors.iter_mut());
+        let loads = (0u32..).zip(per_link);
         net.set_background_many(
-            loads.map(|(i, profile)| (LinkId::new(i), profile.sample_wrapped(hour))),
+            loads.map(|(i, (profile, cursor))| {
+                (LinkId::new(i), profile.sample_wrapped(hour, cursor))
+            }),
         );
     }
 }
@@ -349,7 +386,7 @@ mod tests {
     #[test]
     fn apply_sets_flow_network_background() {
         let grnet = Grnet::new();
-        let model = BackgroundModel::grnet_table2(&grnet);
+        let mut model = BackgroundModel::grnet_table2(&grnet);
         let mut net = FlowNetwork::new(grnet.topology().clone());
         model.apply(&mut net, SimTime::from_secs(10 * 3600));
         let ta = grnet.link(GrnetLink::ThessalonikiAthens);
@@ -428,5 +465,59 @@ mod tests {
                 proptest::prop_assert_eq!(model.load_at(LinkId::new(0), at), expected);
             }
         }
+
+        /// Bit-for-bit through a cursor: a random profile sampled along
+        /// a clock that moves forward in random steps (across
+        /// midnights, landing on control points and on the same hour
+        /// twice) and, for good measure, jumps back.
+        #[test]
+        fn cursor_matches_the_search(
+            points in proptest::collection::vec((0u32..96, 0.0f64..18.0), 1..7),
+            steps in proptest::collection::vec((0u8..8, 0u64..100), 1..120),
+        ) {
+            let points: Vec<(f64, Mbps)> = points
+                .into_iter()
+                .map(|(quarter, load)| (f64::from(quarter) / 4.0, Mbps::new(load)))
+                .collect();
+            let profile = DiurnalProfile::new(points);
+            let mut cursor = 0;
+            let mut quarter_hours = 0u64;
+            for (kind, step) in steps {
+                quarter_hours = match kind {
+                    // Back to an earlier instant.
+                    0 => quarter_hours / 2,
+                    // Stay.
+                    1 => quarter_hours,
+                    _ => quarter_hours + step,
+                };
+                let hour = (quarter_hours as f64 / 4.0) % 24.0;
+                let hour = if kind == 2 { hour + 0.1 * (step % 3) as f64 } else { hour };
+                let got = profile.sample_wrapped(hour.min(23.99), &mut cursor);
+                let expected = sample_by_search(profile.points(), hour.min(23.99));
+                proptest::prop_assert_eq!(got.as_f64().to_bits(), expected.as_f64().to_bits());
+            }
+        }
+    }
+
+    /// `apply` walks every link's cursor along a refresh clock and
+    /// writes what `load_at` gives at each instant.
+    #[test]
+    fn apply_through_cursors_matches_load_at() {
+        let grnet = Grnet::new();
+        let mut model = BackgroundModel::grnet_table2(&grnet);
+        let reference = model.clone();
+        let mut net = FlowNetwork::new(grnet.topology().clone());
+        for minute in (0..3 * 24 * 60).step_by(7) {
+            let at = SimTime::from_secs(minute * 60);
+            model.apply(&mut net, at);
+            for link in grnet.topology().link_ids() {
+                assert_eq!(
+                    net.background(link),
+                    reference.load_at(link, at),
+                    "{link:?} at {at}"
+                );
+            }
+        }
+        assert_eq!(model, reference);
     }
 }

@@ -180,14 +180,14 @@ impl SnmpSystem {
         db: &mut Database,
         now: SimTime,
     ) -> Result<usize, vod_db::DbError> {
-        let elapsed = now.duration_since(self.last_poll);
+        let secs = now.duration_since(self.last_poll).as_secs_f64();
         let per_link = topology
             .links()
             .zip(&self.reporters)
             .zip(self.counters.iter().zip(&self.baseline));
         let readings = per_link.filter(|((_, &agents), _)| agents > 0).map(
             |((link, &agents), (&counter, &baseline))| {
-                let used = average_rate(counter - baseline, elapsed);
+                let used = average_rate(counter - baseline, secs);
                 LinkPoll {
                     link: link.id(),
                     used,
@@ -204,10 +204,9 @@ impl SnmpSystem {
     }
 }
 
-/// The average rate that carried `delta_mbit` over `elapsed`: the SNMP
-/// delta computation. Zero for a zero-length interval.
-fn average_rate(delta_mbit: f64, elapsed: SimDuration) -> Mbps {
-    let secs = elapsed.as_secs_f64();
+/// The average rate that carried `delta_mbit` over `secs` seconds: the
+/// SNMP delta computation. Zero for a zero-length interval.
+fn average_rate(delta_mbit: f64, secs: f64) -> Mbps {
     if secs <= 0.0 {
         Mbps::ZERO
     } else {
@@ -313,13 +312,13 @@ mod tests {
 
     #[test]
     fn average_rate_from_deltas() {
-        let rate = average_rate(240.0, SimDuration::from_secs(120));
+        let rate = average_rate(240.0, 120.0);
         assert_eq!(rate, Mbps::new(2.0));
     }
 
     #[test]
     fn average_rate_over_zero_interval_is_zero() {
-        assert_eq!(average_rate(5.0, SimDuration::ZERO), Mbps::ZERO);
+        assert_eq!(average_rate(5.0, 0.0), Mbps::ZERO);
     }
 
     #[test]
@@ -349,13 +348,13 @@ mod tests {
         db: &mut Database,
         now: SimTime,
     ) -> usize {
-        let elapsed = now.duration_since(snmp.last_poll);
+        let secs = now.duration_since(snmp.last_poll).as_secs_f64();
         let mut admin = db.limited_access();
         let mut written = 0;
         for agent in &ServerAgent::all_servers(topology) {
             for &link in agent.links() {
                 let i = link.index();
-                let avg = average_rate(snmp.counters[i] - snmp.baseline[i], elapsed);
+                let avg = average_rate(snmp.counters[i] - snmp.baseline[i], secs);
                 let utilization = combined_utilization(avg, topology.link(link).capacity());
                 admin.record_reading(link, now, avg, utilization).unwrap();
                 written += 1;

@@ -1,5 +1,7 @@
 //! Request traces: timestamped `(client node, video)` pairs.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,16 +25,22 @@ pub struct Request {
 }
 
 /// A time-ordered request trace.
+///
+/// The requests are immutable once the trace is built and shared by its
+/// clones: a service run takes its own copy of the scenario's trace, and
+/// on a long trace a deep copy would double its memory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestTrace {
-    requests: Vec<Request>,
+    requests: Arc<Vec<Request>>,
 }
 
 impl RequestTrace {
     /// Creates a trace from requests, sorting them by time (stable).
     pub fn new(mut requests: Vec<Request>) -> Self {
         requests.sort_by_key(|r| r.at);
-        RequestTrace { requests }
+        RequestTrace {
+            requests: Arc::new(requests),
+        }
     }
 
     /// The requests in time order.

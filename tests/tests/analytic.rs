@@ -13,6 +13,14 @@
 //! The flow kernel rounds each completion up to the clock's microsecond,
 //! so an instant may trail the closed form by at most that much.
 //!
+//! A cache under the independent reference model. Requests drawn
+//! i.i.d. from a Zipf law over `n` equal-size titles, against a cache
+//! that holds exactly `C` of them: the DMA (Figure 2) gives a title a
+//! point per request and replaces the least popular resident only with
+//! a title that has more points, so once the counts have settled it
+//! holds the `C` most popular titles, and its hit ratio tends to their
+//! Zipf mass `Σ_{i<C} pmf(i)`.
+//!
 //! A local serve on an idle service. A client whose home holds the
 //! title streams it from its own disks at the configured rate `r`,
 //! whatever else is running, so its first cluster of `v` megabits has
@@ -29,6 +37,9 @@ use vod_obs::{Event, RingRecorder, TimeSeriesSink};
 use vod_sim::flow::{FlowId, FlowNetwork};
 use vod_sim::traffic::BackgroundModel;
 use vod_sim::{SimDuration, SimTime};
+use vod_storage::cluster::ClusterSize;
+use vod_storage::dma::{DmaCache, DmaConfig, EvictionMode};
+use vod_storage::video::{Megabytes, VideoId, VideoMeta};
 use vod_workload::arrivals::HourlyShape;
 use vod_workload::scenario::Scenario;
 use vod_workload::{LibraryConfig, LibraryGenerator, TraceConfig, Zipf};
@@ -271,4 +282,54 @@ fn local_startup_is_the_closed_form_transfer_time() {
     }
     assert!(starts > 500, "{starts} sessions started");
     assert_eq!(starts, report.completed.len());
+}
+
+/// The DMA's hit ratio under i.i.d. Zipf(0.8) requests over 100 equal
+/// titles, with room for exactly 10, against the Zipf mass of the top
+/// 10. Each seed draws 200 000 requests and measures the hit ratio
+/// after the first 20 000, by which the points have sorted the top 10
+/// from the rest. The tolerance and seeds are fixed in EXPERIMENTS.md
+/// ("Cache hit ratio under Zipf"), from seeds 1–8.
+#[test]
+fn dma_hit_ratio_tends_to_the_top_c_zipf_mass() {
+    use rand::{rngs::StdRng, SeedableRng};
+
+    const SEEDS: [u64; 4] = [1, 2, 3, 4];
+    const TOLERANCE: f64 = 0.005;
+    const TITLES: usize = 100;
+    const CAPACITY: usize = 10;
+    const REQUESTS: usize = 200_000;
+    const WARM_UP: usize = 20_000;
+    let size = Megabytes::new(100.0);
+    let titles: Vec<VideoMeta> = (0..TITLES as u32)
+        .map(|i| VideoMeta::new(VideoId::new(i), format!("t{i}"), size, 1.5))
+        .collect();
+    let zipf = Zipf::new(TITLES, 0.8);
+    let predicted: f64 = (0..CAPACITY).map(|rank| zipf.pmf(rank)).sum();
+    for seed in SEEDS {
+        // One disk with room for `CAPACITY` titles and half of another.
+        let mut dma = DmaCache::new(DmaConfig {
+            disk_count: 1,
+            disk_capacity: Megabytes::new(size.as_f64() * (CAPACITY as f64 + 0.5)),
+            cluster_size: ClusterSize::new(size),
+            admit_threshold: 0,
+            eviction: EvictionMode::SingleAttempt,
+        })
+        .expect("a valid DMA configuration");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut hits = 0usize;
+        for n in 0..REQUESTS {
+            let title = &titles[zipf.sample(&mut rng)];
+            let hit = dma.on_request(title).is_hit();
+            if n >= WARM_UP {
+                hits += usize::from(hit);
+            }
+        }
+        assert_eq!(dma.resident_ids().len(), CAPACITY, "seed {seed}");
+        let measured = hits as f64 / (REQUESTS - WARM_UP) as f64;
+        assert!(
+            (measured - predicted).abs() <= TOLERANCE,
+            "seed {seed}: hit ratio {measured:.4}, the top-{CAPACITY} Zipf mass is {predicted:.4}"
+        );
+    }
 }

@@ -73,7 +73,7 @@ fn background_model_through_snmp_matches_table2() {
     // Drive the Table 2 diurnal model through the network + polling and
     // compare the database readings against the recorded values.
     let g = grnet();
-    let model = BackgroundModel::grnet_table2(&g);
+    let mut model = BackgroundModel::grnet_table2(&g);
     let mut db = Database::from_topology(g.topology(), VideoLibrary::new());
     let mut net = FlowNetwork::new(g.topology().clone());
     let mut snmp = SnmpSystem::new(g.topology(), SimDuration::from_mins(2));

@@ -319,10 +319,11 @@ fn grnet_30d() -> Scenario {
     Scenario::new("grnet-30d", topology, library, trace, background, 42)
 }
 
-/// Arrivals come off the trace through the engine's input lane, so the
-/// queue only ever holds the two recurring ticks and what the live
-/// sessions scheduled (stale flow checks included). A scheduler seeded
-/// with the trace would start at `arrivals + 2`.
+/// Arrivals come off the trace through the engine's input lane and the
+/// recurring ticks and the flow check sit in the scheduler's timer
+/// slots, so the queue only ever holds what the live sessions
+/// scheduled. A scheduler seeded with the trace would start at
+/// `arrivals`.
 #[test]
 fn scheduler_depth_follows_live_sessions_not_the_trace() {
     let scenario = grnet_30d();
