@@ -75,8 +75,9 @@ cargo run -q --release -p vod-bench --bin scale -- \
   --json "$tmp/sim.json" --trace "$tmp/scale.jsonl"
 cargo run -q --release -p vod-check -- audit "$tmp/scale.jsonl"
 
-echo "==> fresh bench rows (E17 proxy pair; routing engine, flow kernel and obs benches)"
+echo "==> fresh bench rows (E17 proxy pair; paper-mode work counters; routing engine, flow kernel and obs benches)"
 cargo run -q --release -p vod-bench --bin ext_proxy -- --json "$tmp/proxy.json" > /dev/null
+cargo run -q --release -p vod-bench --bin paper_counters -- --json "$tmp/paper.json" > /dev/null
 CRITERION_JSON="$tmp/routing.json" cargo bench -q --bench routing_engine > /dev/null
 CRITERION_JSON="$tmp/kernel.json" cargo bench -q --bench sim_kernel > /dev/null
 CRITERION_JSON="$tmp/obs.json" cargo bench -q --bench obs > /dev/null
@@ -88,8 +89,9 @@ echo "==> perf gate (every fresh row vs its committed BENCH_*.json row)"
 # baseline row and a timing of 0 ns fail too, so "measured" and
 # "gated" are the same set. The limits come in three sizes, and `why`
 # names what the row guards and any reason to depart from them:
-#   1.0   exact for seed 42 (session and event counts, the E17 pair):
-#         fails on any host, however noisy.
+#   1.0   exact for seed 42 (session and event counts, the E17 pair,
+#         the paper-mode work counters): fails on any host, however
+#         noisy.
 #   1.75  an iteration takes milliseconds (the scale run, a poll's
 #         worth of gnp200 re-selection): identical runs on this shared
 #         host differ by up to 1.7x.
@@ -99,12 +101,13 @@ echo "==> perf gate (every fresh row vs its committed BENCH_*.json row)"
 #         read 2.0-2.7x high for minutes. It catches a cliff, not a
 #         drift. 4.0 for the three rows under 100 ns that
 #         a floor used to mute, 2.5 for queue/hold_400k.
-# Baseline values are the median of nine runs of the five producers
-# above, in this order, with the extremes kept as min/max. To re-record
-# a row, copy its fresh value in and leave the limit alone.
+# Timing baselines are the median of nine runs of the producers above
+# (seven for BENCH_paper.json), with the extremes kept as min/max. To
+# re-record a row, copy its fresh value in and leave the limit alone.
 cargo run -q --release -p vod-bench -- compare \
   BENCH_sim.json "$tmp/sim.json" \
   BENCH_proxy.json "$tmp/proxy.json" \
+  BENCH_paper.json "$tmp/paper.json" \
   BENCH_routing.json "$tmp/routing.json" \
   BENCH_kernel.json "$tmp/kernel.json" \
   BENCH_obs.json "$tmp/obs.json"

@@ -22,7 +22,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use vod_bench::compare::{rows_json, Direction, Row};
+use vod_bench::compare::{peak_rss_mb, rows_json, Direction, Row};
 use vod_bench::obs_cli;
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
@@ -110,23 +110,6 @@ struct KernelResult {
     peak_sessions: usize,
     completed: u64,
     peak_rss_mb: f64,
-}
-
-/// `VmHWM` of this process in MB (`/proc/self/status`; Linux only).
-///
-/// # Panics
-///
-/// Panics when the field cannot be read: a row that silently read 0 MB
-/// would say nothing about memory.
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    let kb: f64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().strip_suffix("kB"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("VmHWM line in /proc/self/status");
-    kb / 1024.0
 }
 
 /// Runs the scenario to completion.

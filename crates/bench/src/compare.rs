@@ -52,6 +52,23 @@ impl Row {
     }
 }
 
+/// `VmHWM` of this process in MB (`/proc/self/status`; Linux only).
+///
+/// # Panics
+///
+/// Panics when the field cannot be read: a row that silently read 0 MB
+/// would say nothing about memory.
+pub fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("VmHWM line in /proc/self/status");
+    kb / 1024.0
+}
+
 /// Renders freshly measured rows as a bench file.
 pub fn rows_json(rows: &[Row]) -> String {
     let mut out = String::from("{\"rows\":[\n");
@@ -441,6 +458,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(files, 5, "BENCH_*.json files at the repo root");
+        assert_eq!(files, 6, "BENCH_*.json files at the repo root");
     }
 }

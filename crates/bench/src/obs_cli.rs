@@ -133,8 +133,8 @@ pub fn print_stats(report: &ServiceReport) {
                 e.requests, e.local_hits, e.path_cache_hits, e.dijkstra_runs
             );
             println!(
-                "          {} weight-cache hits, {} full rebuilds",
-                e.weight_cache_hits, e.full_rebuilds
+                "          {} weight-cache hits, {} full rebuilds, {} nodes settled",
+                e.weight_cache_hits, e.full_rebuilds, e.nodes_settled
             );
         }
         None => println!("  engine: n/a (selector is not engine-backed)"),
@@ -145,8 +145,8 @@ pub fn print_stats(report: &ServiceReport) {
         k.settles, k.reallocations, k.fills_unchanged, k.reallocations_skipped
     );
     println!(
-        "          {} fill rounds over {} classes, {} links scanned",
-        k.fill_rounds, k.classes_filled, k.links_scanned
+        "          {} fill rounds over {} classes, {} links scanned, {} links pruned",
+        k.fill_rounds, k.classes_filled, k.links_scanned, k.links_pruned
     );
     println!(
         "          {} flows re-rated, {} completion scans",

@@ -22,16 +22,54 @@ use crate::trace::{DijkstraTrace, NodeLabel, TraceStep};
 
 /// Shortest paths from a single source, as produced by [`dijkstra`].
 ///
-/// Distances are stored densely as `f64` with `f64::INFINITY` marking
-/// unreachable nodes — every finite label is a genuine path cost (the
-/// relaxations skip non-finite weights), so the sentinel is unambiguous
-/// and the hot loops compare plain floats instead of branching on an
-/// `Option` discriminant.
+/// One [`Label`] per node, in node order: distances are `f64` with
+/// `f64::INFINITY` marking unreachable nodes — every finite label is a
+/// genuine path cost (the relaxations skip non-finite weights), so the
+/// sentinel is unambiguous and the hot loops compare plain floats
+/// instead of branching on an `Option` discriminant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShortestPaths {
     source: NodeId,
-    dist: Vec<f64>,
-    prev: Vec<Option<(NodeId, LinkId)>>,
+    labels: Vec<Label>,
+}
+
+/// One node's entry of a Dijkstra run, 16 bytes: the cost of the
+/// cheapest path found so far, the node and link it arrives from, and
+/// whether the cost is final.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Label {
+    /// `f64::INFINITY` while unreached.
+    dist: f64,
+    /// The parent node, or [`Label::NO_PARENT`] at the source and while
+    /// unreached.
+    parent: u32,
+    /// The link from `parent`, with [`Label::SETTLED`] set once `dist`
+    /// is final (link ids stay below 2³¹).
+    link: u32,
+}
+
+impl Label {
+    const NO_PARENT: u32 = u32::MAX;
+    const SETTLED: u32 = 1 << 31;
+    const UNREACHED: Label = Label {
+        dist: f64::INFINITY,
+        parent: Label::NO_PARENT,
+        link: 0,
+    };
+
+    /// The parent node and the link from it.
+    fn prev(self) -> Option<(NodeId, LinkId)> {
+        (self.parent != Label::NO_PARENT).then(|| {
+            (
+                NodeId::new(self.parent),
+                LinkId::new(self.link & !Label::SETTLED),
+            )
+        })
+    }
+
+    fn is_settled(self) -> bool {
+        self.link & Label::SETTLED != 0
+    }
 }
 
 impl ShortestPaths {
@@ -51,7 +89,7 @@ impl ShortestPaths {
             clippy::indexing_slicing,
             reason = "documented panic: `target` is a node of the searched topology"
         )]
-        let d = self.dist[target.index()];
+        let d = self.labels[target.index()].dist;
         d.is_finite().then_some(d)
     }
 
@@ -65,7 +103,7 @@ impl ShortestPaths {
         reason = "documented panic: `target` is a node of the searched topology"
     )]
     pub fn is_reachable(&self, target: NodeId) -> bool {
-        self.dist[target.index()].is_finite()
+        self.labels[target.index()].dist.is_finite()
     }
 
     /// Reconstructs the cheapest route from the source to `target`, or
@@ -85,9 +123,9 @@ impl ShortestPaths {
         let mut cur = target;
         #[expect(
             clippy::indexing_slicing,
-            reason = "`prev` holds one entry per node, and `target` and every parent are nodes of the searched topology"
+            reason = "`labels` holds one entry per node, and `target` and every parent are nodes of the searched topology"
         )]
-        while let Some((parent, link)) = self.prev[cur.index()] {
+        while let Some((parent, link)) = self.labels[cur.index()].prev() {
             nodes.push(parent);
             links.push(link);
             cur = parent;
@@ -100,8 +138,8 @@ impl ShortestPaths {
 }
 
 /// A Dijkstra frontier entry, ordered for a min-heap over f64 costs.
-#[derive(Debug, PartialEq)]
-struct Frontier {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Frontier {
     cost: f64,
     node: NodeId,
 }
@@ -125,17 +163,161 @@ impl PartialOrd for Frontier {
     }
 }
 
+/// The frontier of a Dijkstra run: a lazy min-heap of (cost, node).
+pub(crate) type FrontierHeap = BinaryHeap<Frontier>;
+
+/// One Dijkstra run from one source that can stop between two settles
+/// and resume later: its labels and settled flags.
+///
+/// Every entry point of this module drives one: [`dijkstra`] and
+/// [`dijkstra_with_trace`] to exhaustion, and the routing engine
+/// (`RoutingEngine`) only as far as a request needs. A stopped run keeps
+/// no frontier: [`Search::resume`] rebuilds it from the labels — one
+/// entry per reached, unsettled node at its label. The heap a run had
+/// when it stopped holds those entries plus stale ones, which are never
+/// the minimum before their node settles and are skipped after, so the
+/// rebuilt frontier pops the same nodes in the same order (the (cost,
+/// node id) order is total). Resuming therefore replays exactly the
+/// settles of the uninterrupted run: a settled node's label and parent
+/// chain are already the final ones, and every unsettled node costs at
+/// least the cheapest frontier entry (weights are non-negative).
+#[derive(Debug, Clone)]
+pub(crate) struct Search {
+    paths: ShortestPaths,
+}
+
+/// A [`Search`] being advanced, with its frontier.
+pub(crate) struct Resumed<'a> {
+    search: &'a mut Search,
+    heap: &'a mut FrontierHeap,
+}
+
+impl Search {
+    /// A search with empty buffers, to be [`restart`](Self::restart)ed.
+    pub(crate) fn new() -> Self {
+        Search {
+            paths: ShortestPaths {
+                source: NodeId::new(0),
+                labels: Vec::new(),
+            },
+        }
+    }
+
+    /// Starts over from `source` on a topology of `nodes` nodes, keeping
+    /// the buffers' allocations.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`labels` was just sized by `nodes`, and callers pass a `source` of the topology"
+    )]
+    pub(crate) fn restart(&mut self, nodes: usize, source: NodeId) {
+        let ShortestPaths {
+            source: from,
+            labels,
+        } = &mut self.paths;
+        *from = source;
+        labels.clear();
+        labels.resize(nodes, Label::UNREACHED);
+        labels[source.index()].dist = 0.0;
+    }
+
+    /// The run with its frontier rebuilt into `heap` (emptied first).
+    pub(crate) fn resume<'a>(&'a mut self, heap: &'a mut FrontierHeap) -> Resumed<'a> {
+        heap.clear();
+        heap.extend(
+            self.paths
+                .labels
+                .iter()
+                .enumerate()
+                .filter(|(_, label)| !label.is_settled() && label.dist.is_finite())
+                .map(|(i, label)| Frontier {
+                    cost: label.dist,
+                    node: NodeId::new(i as u32),
+                }),
+        );
+        Resumed { search: self, heap }
+    }
+
+    /// Whether `node`'s label is final.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `node` is a node of the searched topology"
+    )]
+    pub(crate) fn is_settled(&self, node: NodeId) -> bool {
+        self.paths.labels[node.index()].is_settled()
+    }
+
+    /// The labels so far: final for the settled nodes, and the complete
+    /// shortest-path tree once a resume has run dry.
+    pub(crate) fn paths(&self) -> &ShortestPaths {
+        &self.paths
+    }
+}
+
+impl Resumed<'_> {
+    /// Pops the frontier until it settles a node costing at most
+    /// `limit`, relaxes that node's links and returns it with its cost;
+    /// `None` once the frontier is empty or its cheapest entry costs
+    /// more than `limit`.
+    ///
+    /// `weights` must have passed [`LinkWeights::validate`] against
+    /// `topology`, and `topology` must be the one the search restarted
+    /// on.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`labels` is sized by `node_count`, and frontier nodes and neighbours come from the same topology's CSR"
+    )]
+    pub(crate) fn settle_next(
+        &mut self,
+        topology: &Topology,
+        weights: &LinkWeights,
+        limit: f64,
+    ) -> Option<(NodeId, f64)> {
+        let labels = &mut self.search.paths.labels;
+        while self.heap.peek().is_some_and(|top| top.cost <= limit) {
+            let Frontier { cost, node } = self.heap.pop()?;
+            let label = &mut labels[node.index()];
+            if label.is_settled() {
+                continue;
+            }
+            label.link |= Label::SETTLED;
+            for inc in topology.adjacent(node) {
+                let w = weights.weight(inc.link);
+                // Non-finite weights mask administratively-down links: an
+                // unreachable-only-through-them node must stay `None`.
+                if !w.is_finite() {
+                    continue;
+                }
+                let next = cost + w;
+                let entry = &mut labels[inc.neighbor.index()];
+                if next < entry.dist {
+                    *entry = Label {
+                        dist: next,
+                        parent: node.index() as u32,
+                        link: inc.link.index() as u32,
+                    };
+                    self.heap.push(Frontier {
+                        cost: next,
+                        node: inc.neighbor,
+                    });
+                }
+            }
+            return Some((node, cost));
+        }
+        None
+    }
+}
+
 /// Reusable working memory for repeated Dijkstra runs.
 ///
-/// [`dijkstra_with_scratch`] keeps its heap and settled-flag buffers
-/// here between runs, so steady-state routing (the engine's per-request
-/// hot path) performs no heap allocation beyond the returned
-/// [`ShortestPaths`] — and none at all once the engine's path cache is
-/// warm.
+/// [`dijkstra_with_scratch`] keeps its heap here between runs, so
+/// repeated runs allocate nothing beyond the returned [`ShortestPaths`].
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
-    heap: BinaryHeap<Frontier>,
-    settled: Vec<bool>,
+    heap: FrontierHeap,
 }
 
 impl DijkstraScratch {
@@ -157,7 +339,7 @@ pub fn dijkstra(
     weights: &LinkWeights,
     source: NodeId,
 ) -> Result<ShortestPaths, NetError> {
-    run(topology, weights, source, None).map(|(paths, _)| paths)
+    run(topology, weights, source, None)
 }
 
 /// Like [`dijkstra`], reusing `scratch`'s internal buffers instead of
@@ -167,10 +349,6 @@ pub fn dijkstra(
 /// # Errors
 ///
 /// Same conditions as [`dijkstra`].
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`dist`, `prev` and `settled` are sized by `node_count`; `try_node` checked `source`, and neighbours come from the same topology's CSR"
-)]
 pub fn dijkstra_with_scratch(
     topology: &Topology,
     weights: &LinkWeights,
@@ -179,47 +357,11 @@ pub fn dijkstra_with_scratch(
 ) -> Result<ShortestPaths, NetError> {
     weights.validate(topology)?;
     topology.try_node(source)?;
-
-    let n = topology.node_count();
-    let mut dist: Vec<f64> = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-    scratch.settled.clear();
-    scratch.settled.resize(n, false);
-    scratch.heap.clear();
-
-    dist[source.index()] = 0.0;
-    scratch.heap.push(Frontier {
-        cost: 0.0,
-        node: source,
-    });
-
-    while let Some(Frontier { cost, node }) = scratch.heap.pop() {
-        if scratch.settled[node.index()] {
-            continue;
-        }
-        scratch.settled[node.index()] = true;
-
-        for inc in topology.adjacent(node) {
-            let w = weights.weight(inc.link);
-            // Non-finite weights mask administratively-down links: an
-            // unreachable-only-through-them node must stay `None`.
-            if !w.is_finite() {
-                continue;
-            }
-            let next = cost + w;
-            let entry = &mut dist[inc.neighbor.index()];
-            if next < *entry {
-                *entry = next;
-                prev[inc.neighbor.index()] = Some((node, inc.link));
-                scratch.heap.push(Frontier {
-                    cost: next,
-                    node: inc.neighbor,
-                });
-            }
-        }
-    }
-
-    Ok(ShortestPaths { source, dist, prev })
+    let mut search = Search::new();
+    search.restart(topology.node_count(), source);
+    let mut run = search.resume(&mut scratch.heap);
+    while run.settle_next(topology, weights, f64::INFINITY).is_some() {}
+    Ok(search.paths)
 }
 
 /// Like [`dijkstra`], but also records a [`DijkstraTrace`] with the label
@@ -234,70 +376,38 @@ pub fn dijkstra_with_trace(
     source: NodeId,
 ) -> Result<(ShortestPaths, DijkstraTrace), NetError> {
     let mut trace = DijkstraTrace::new(source);
-    let (paths, _) = run(topology, weights, source, Some(&mut trace))?;
+    let paths = run(topology, weights, source, Some(&mut trace))?;
     Ok((paths, trace))
 }
 
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`dist`, `prev` and `settled` are sized by `node_count`; `try_node` checked `source`, and neighbours come from the same topology's CSR"
-)]
 fn run(
     topology: &Topology,
     weights: &LinkWeights,
     source: NodeId,
     mut trace: Option<&mut DijkstraTrace>,
-) -> Result<(ShortestPaths, ()), NetError> {
+) -> Result<ShortestPaths, NetError> {
     weights.validate(topology)?;
     topology.try_node(source)?;
 
-    let n = topology.node_count();
-    let mut dist: Vec<f64> = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut settled_order = Vec::with_capacity(n);
-
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(Frontier {
-        cost: 0.0,
-        node: source,
-    });
-
-    while let Some(Frontier { cost, node }) = heap.pop() {
-        if settled[node.index()] {
-            continue;
-        }
-        settled[node.index()] = true;
-        settled_order.push(node);
-
-        for inc in topology.adjacent(node) {
-            let w = weights.weight(inc.link);
-            // Same non-finite masking as `dijkstra_with_scratch` — the
-            // two paths must stay bit-identical.
-            if !w.is_finite() {
-                continue;
-            }
-            let next = cost + w;
-            let entry = &mut dist[inc.neighbor.index()];
-            if next < *entry {
-                *entry = next;
-                prev[inc.neighbor.index()] = Some((node, inc.link));
-                heap.push(Frontier {
-                    cost: next,
-                    node: inc.neighbor,
-                });
-            }
-        }
-
+    let mut search = Search::new();
+    search.restart(topology.node_count(), source);
+    let mut heap = FrontierHeap::new();
+    let mut run = search.resume(&mut heap);
+    let mut settled_order = Vec::new();
+    while let Some((node, _)) = run.settle_next(topology, weights, f64::INFINITY) {
         if let Some(trace) = trace.as_deref_mut() {
-            let labels = (0..n)
-                .map(|i| {
+            settled_order.push(node);
+            let paths = &run.search.paths;
+            let labels = paths
+                .labels
+                .iter()
+                .enumerate()
+                .map(|(i, label)| {
                     let id = NodeId::new(i as u32);
                     NodeLabel {
                         node: id,
-                        dist: dist[i].is_finite().then_some(dist[i]),
-                        path: label_path(&prev, source, id, dist[i].is_finite()),
+                        dist: label.dist.is_finite().then_some(label.dist),
+                        path: label_path(paths, id),
                     }
                 })
                 .collect();
@@ -308,28 +418,23 @@ fn run(
         }
     }
 
-    Ok((ShortestPaths { source, dist, prev }, ()))
+    Ok(search.paths)
 }
 
 /// Reconstructs the tentative path for the trace table (empty when the
 /// node is still unreached — rendered as the paper's "R").
-fn label_path(
-    prev: &[Option<(NodeId, LinkId)>],
-    source: NodeId,
-    target: NodeId,
-    reached: bool,
-) -> Vec<NodeId> {
-    if !reached {
+fn label_path(paths: &ShortestPaths, target: NodeId) -> Vec<NodeId> {
+    if !paths.is_reachable(target) {
         return Vec::new();
     }
     let mut nodes = vec![target];
     let mut cur = target;
-    while cur != source {
+    while cur != paths.source {
         #[expect(
             clippy::indexing_slicing,
-            reason = "`prev` holds one entry per node of the searched topology"
+            reason = "`labels` holds one entry per node of the searched topology"
         )]
-        match prev[cur.index()] {
+        match paths.labels[cur.index()].prev() {
             Some((parent, _)) => {
                 nodes.push(parent);
                 cur = parent;

@@ -11,19 +11,25 @@
 //! [`RoutingEngine`] memoizes every derived artefact and keys the cache on
 //! the snapshot's [`SnapshotEpoch`]:
 //!
-//! * the **link-weight table** is computed once per epoch by
-//!   [`LvnComputer::weights`](crate::lvn::LvnComputer::weights);
-//! * **shortest-path trees** are cached per home server in an
-//!   [`Arc<ShortestPaths>`] and built lazily, at most once per
-//!   (epoch, home) pair;
-//! * cold Dijkstra runs reuse a [`DijkstraScratch`], so the steady state
-//!   allocates nothing beyond the cached trees themselves.
+//! * the **link-weight table** is computed (and validated) once per
+//!   epoch by [`LvnComputer::weights`](crate::lvn::LvnComputer::weights);
+//! * each home server keeps one **resumable Dijkstra** per epoch, started
+//!   at the home's first remote request and run only as far as a request
+//!   needs: until the cheapest candidate is settled, plus every node at
+//!   exactly its cost, so the `(cost, node id)` tie rule sees every
+//!   candidate it could pick (DESIGN.md §9). A later request from the
+//!   same home resumes the same run; [`RoutingEngine::paths_from`] runs
+//!   it to the end;
+//! * a stopped run keeps its labels only; a resume rebuilds its frontier
+//!   in one heap the engine shares between homes, and the labels'
+//!   buffers are recycled from epoch to epoch, so the steady state
+//!   allocates nothing.
 //!
 //! Any other (topology, epoch) pair — an in-place snapshot mutation, a
-//! new snapshot instance, a different topology — drops both and rebuilds
-//! the weight table. The SNMP module re-reads every link each poll, so
-//! between two routing epochs every reading has moved and there is no
-//! smaller unit of invalidation worth tracking (DESIGN.md §9).
+//! new snapshot instance, a different topology — drops every run and
+//! rebuilds the weight table. The SNMP module re-reads every link each
+//! poll, so between two routing epochs every reading has moved and there
+//! is no smaller unit of invalidation worth tracking (DESIGN.md §9).
 //!
 //! The engine's results are bit-identical to the slow reference path —
 //! the property test `engine_vs_reference` and the unit tests below pin
@@ -56,13 +62,9 @@
 //! # }
 //! ```
 
-#[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use serde::Serialize;
 
-use crate::dijkstra::{dijkstra_with_scratch, DijkstraScratch, ShortestPaths};
+use crate::dijkstra::{FrontierHeap, Search, ShortestPaths};
 use crate::error::NetError;
 use crate::ids::NodeId;
 use crate::lvn::{LinkWeights, LvnComputer, LvnParams};
@@ -109,10 +111,16 @@ pub struct EngineStats {
     /// Weight tables rebuilt from scratch (cold cache, topology change,
     /// snapshot instance change or in-place mutation).
     pub full_rebuilds: u64,
-    /// Dijkstra executions (cache misses on the shortest-path cache).
+    /// Dijkstra runs started: requests (and [`RoutingEngine::paths_from`]
+    /// calls) that found no run from their home at this epoch.
     pub dijkstra_runs: u64,
-    /// Requests answered from a cached shortest-path tree.
+    /// Requests answered from the run their home already started at this
+    /// epoch, resumed or not.
     pub path_cache_hits: u64,
+    /// Nodes Dijkstra settled, over all runs: a request stops its run
+    /// once the cheapest candidate and every node at its cost are
+    /// settled.
+    pub nodes_settled: u64,
 }
 
 /// The outcome of one engine selection: the chosen server and the
@@ -134,21 +142,70 @@ pub struct EngineSelection {
 struct EngineCache {
     key: TopologyKey,
     epoch: SnapshotEpoch,
-    /// Per-link LVN weights (equation (1)), in link-id order.
+    /// Per-link LVN weights (equation (1)), in link-id order, validated
+    /// against the topology once for every run of the epoch.
     weights: LinkWeights,
-    /// Shortest-path trees at this epoch, keyed by home server, built on
-    /// demand.
-    #[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
-    paths: HashMap<NodeId, Arc<ShortestPaths>>,
+    /// The Dijkstra runs of this epoch.
+    runs: Runs,
+}
+
+/// The Dijkstra runs of one epoch, one per home that asked, in buffers
+/// recycled across epochs.
+#[derive(Debug, Clone, Default)]
+struct Runs {
+    /// Per node: the index in `searches` of the run from it, or
+    /// [`NO_RUN`].
+    slot: Vec<u32>,
+    /// The runs started this epoch (the first `started`), then spares
+    /// from earlier epochs whose buffers the next homes take over.
+    searches: Vec<Search>,
+    started: usize,
+}
+
+/// `Runs::slot` of a node with no run this epoch.
+const NO_RUN: u32 = u32::MAX;
+
+impl Runs {
+    /// Forgets every run for a topology of `nodes` nodes, keeping the
+    /// buffers.
+    fn reset(&mut self, nodes: usize) {
+        self.slot.clear();
+        self.slot.resize(nodes, NO_RUN);
+        self.started = 0;
+    }
+
+    /// The run from `home` (a node of the topology `reset` sized for),
+    /// started in a recycled buffer if the epoch has none yet.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`slot` is sized by `node_count` and `home` was checked by `try_node`; a slot names one of the `started` searches"
+    )]
+    fn run_from(&mut self, home: NodeId, stats: &mut EngineStats) -> &mut Search {
+        let nodes = self.slot.len();
+        let slot = &mut self.slot[home.index()];
+        if *slot == NO_RUN {
+            if self.started == self.searches.len() {
+                self.searches.push(Search::new());
+            }
+            *slot = self.started as u32;
+            self.searches[self.started].restart(nodes, home);
+            self.started += 1;
+            stats.dijkstra_runs += 1;
+        } else {
+            stats.path_cache_hits += 1;
+        }
+        &mut self.searches[*slot as usize]
+    }
 }
 
 /// Epoch-cached implementation of the paper's Virtual Routing Algorithm
 /// hot path. See the [module docs](self) for the caching model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoutingEngine {
     params: LvnParams,
     cache: Option<EngineCache>,
-    scratch: DijkstraScratch,
+    /// The frontier of whichever run is being resumed.
+    frontier: FrontierHeap,
     stats: EngineStats,
 }
 
@@ -158,25 +215,13 @@ impl Default for RoutingEngine {
     }
 }
 
-impl Clone for RoutingEngine {
-    fn clone(&self) -> Self {
-        RoutingEngine {
-            params: self.params,
-            cache: self.cache.clone(),
-            // Scratch buffers are cheap to regrow; don't clone the heap.
-            scratch: DijkstraScratch::new(),
-            stats: self.stats,
-        }
-    }
-}
-
 impl RoutingEngine {
     /// Creates an engine with the given LVN parameters and a cold cache.
     pub fn new(params: LvnParams) -> Self {
         RoutingEngine {
             params,
             cache: None,
-            scratch: DijkstraScratch::new(),
+            frontier: FrontierHeap::new(),
             stats: EngineStats::default(),
         }
     }
@@ -241,8 +286,9 @@ impl RoutingEngine {
             .weights)
     }
 
-    /// The shortest-path tree from `home` at `snapshot`'s current epoch,
-    /// computed at most once per (epoch, home) pair.
+    /// The shortest-path tree from `home` at `snapshot`'s current epoch:
+    /// the epoch's run from `home`, started if there is none and run to
+    /// the end — at most one run per (epoch, home) pair.
     ///
     /// # Errors
     ///
@@ -253,30 +299,25 @@ impl RoutingEngine {
         topology: &Topology,
         snapshot: &TrafficSnapshot,
         home: NodeId,
-    ) -> Result<Arc<ShortestPaths>, NetError> {
+    ) -> Result<&ShortestPaths, NetError> {
         self.prepare(topology, snapshot)?;
         topology.try_node(home)?;
         #[expect(clippy::expect_used, reason = "`prepare` populates the cache")]
-        let cache = self.cache.as_mut().expect("prepare populates the cache");
-        if let Some(paths) = cache.paths.get(&home) {
-            self.stats.path_cache_hits += 1;
-            return Ok(Arc::clone(paths));
+        let EngineCache { weights, runs, .. } =
+            self.cache.as_mut().expect("prepare populates the cache");
+        let search = runs.run_from(home, &mut self.stats);
+        let mut run = search.resume(&mut self.frontier);
+        while run.settle_next(topology, weights, f64::INFINITY).is_some() {
+            self.stats.nodes_settled += 1;
         }
-        let paths = Arc::new(dijkstra_with_scratch(
-            topology,
-            &cache.weights,
-            home,
-            &mut self.scratch,
-        )?);
-        self.stats.dijkstra_runs += 1;
-        cache.paths.insert(home, Arc::clone(&paths));
-        Ok(paths)
+        Ok(search.paths())
     }
 
     /// Runs the VRA selection for one request: local short circuit, then
-    /// cheapest candidate by (cost, node id) over the cached tree.
-    /// Returns `None` when no candidate is reachable (including an empty
-    /// candidate list) — identical decisions, costs and tie-breaks to the
+    /// cheapest candidate by (cost, node id), resuming the home's run
+    /// only until that candidate is certain. Returns `None` when no
+    /// candidate is reachable (including an empty candidate list) —
+    /// identical decisions, costs, routes and tie-breaks to the
     /// trace-producing slow path.
     ///
     /// # Errors
@@ -298,12 +339,19 @@ impl RoutingEngine {
             self.stats.local_hits += 1;
             return Ok(Some(local_selection(home)));
         }
-        let paths = self.paths_from(topology, snapshot, home)?;
-        Ok(pick_candidate(&paths, candidates))
+        self.prepare(topology, snapshot)?;
+        topology.try_node(home)?;
+        #[expect(clippy::expect_used, reason = "`prepare` populates the cache")]
+        let EngineCache { weights, runs, .. } =
+            self.cache.as_mut().expect("prepare populates the cache");
+        let search = runs.run_from(home, &mut self.stats);
+        self.stats.nodes_settled +=
+            settle_cheapest(search, &mut self.frontier, topology, weights, candidates);
+        Ok(pick_candidate(search, candidates))
     }
 
-    /// Rebuilds the whole cache for (`key`, `epoch`), reusing the path
-    /// map's allocation when possible.
+    /// Rebuilds the whole cache for (`key`, `epoch`): a new, validated
+    /// weight table and no run, in the previous epoch's buffers.
     fn rebuild_full(
         &mut self,
         topology: &Topology,
@@ -312,24 +360,57 @@ impl RoutingEngine {
         epoch: SnapshotEpoch,
     ) -> Result<(), NetError> {
         let weights = LvnComputer::try_new(topology, snapshot, self.params)?.weights();
-        #[expect(clippy::disallowed_types, reason = "lookup only, never iterated")]
-        let paths = match self.cache.take() {
-            Some(old) => {
-                let mut paths = old.paths;
-                paths.clear();
-                paths
-            }
-            None => HashMap::new(),
-        };
+        weights.validate(topology)?;
+        let mut runs = self.cache.take().map(|old| old.runs).unwrap_or_default();
+        runs.reset(topology.node_count());
         self.cache = Some(EngineCache {
             key,
             epoch,
             weights,
-            paths,
+            runs,
         });
         self.stats.full_rebuilds += 1;
         Ok(())
     }
+}
+
+/// Resumes `search` until the cheapest of `candidates` by (cost, node
+/// id) is certain, and returns how many nodes it settled.
+///
+/// A run always stops having settled exactly the nodes that cost at
+/// most some `c`, every other node costing more. So a candidate already
+/// settled beats every unsettled one, and the answer is among the
+/// settled candidates. Otherwise the run resumes until the first
+/// candidate settles, at cost `c`, and then settles every node at
+/// exactly `c`: a candidate of lower id at that cost may still sit in
+/// the frontier, or behind a zero-weight link from a node that does.
+fn settle_cheapest(
+    search: &mut Search,
+    frontier: &mut FrontierHeap,
+    topology: &Topology,
+    weights: &LinkWeights,
+    candidates: &[NodeId],
+) -> u64 {
+    if candidates.iter().any(|&c| search.is_settled(c)) {
+        return 0;
+    }
+    let mut run = search.resume(frontier);
+    let mut settled = 0;
+    let cost = loop {
+        match run.settle_next(topology, weights, f64::INFINITY) {
+            None => return settled,
+            Some((node, cost)) => {
+                settled += 1;
+                if candidates.contains(&node) {
+                    break cost;
+                }
+            }
+        }
+    };
+    while run.settle_next(topology, weights, cost).is_some() {
+        settled += 1;
+    }
+    settled
 }
 
 /// The trivial selection for a locally-served request.
@@ -341,15 +422,20 @@ fn local_selection(home: NodeId) -> EngineSelection {
     }
 }
 
-/// The cheapest reachable candidate by (cost, node id) — the exact
-/// tie-break of the slow reference path.
+/// The cheapest settled candidate by (cost, node id) — after
+/// [`settle_cheapest`], the exact pick and tie-break of the slow
+/// reference path over every reachable candidate.
 #[expect(
     clippy::expect_used,
-    reason = "a candidate with a distance was reached by Dijkstra, so it has a route"
+    reason = "a settled candidate was reached by Dijkstra, so it has a route"
 )]
-fn pick_candidate(paths: &ShortestPaths, candidates: &[NodeId]) -> Option<EngineSelection> {
+fn pick_candidate(search: &Search, candidates: &[NodeId]) -> Option<EngineSelection> {
+    let paths = search.paths();
     let mut best: Option<(NodeId, f64)> = None;
     for &candidate in candidates {
+        if !search.is_settled(candidate) {
+            continue;
+        }
         if let Some(dist) = paths.distance_to(candidate) {
             let better = match best {
                 None => true,
@@ -577,6 +663,69 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(sel.server, c1);
+    }
+
+    /// Home 0 and candidates 1–4 on a zero-weight chain 0–4–3–2–1 (an
+    /// idle snapshot): candidate 4 is the first to settle, at cost 0,
+    /// but the full run's (cost, node id) pick is 1 — found only by
+    /// settling every node at that cost before picking.
+    #[test]
+    fn early_stop_settles_every_node_at_the_winning_cost() {
+        let mut b = TopologyBuilder::new();
+        let nodes: Vec<NodeId> = (0..5).map(|i| b.add_node(format!("n{i}"))).collect();
+        for pair in [[0, 4], [4, 3], [3, 2], [2, 1]] {
+            b.add_link(nodes[pair[0]], nodes[pair[1]], Mbps::new(2.0))
+                .unwrap();
+        }
+        let topo = b.build();
+        let snap = TrafficSnapshot::zero(&topo);
+        let weights = LvnComputer::new(&topo, &snap, LvnParams::default()).weights();
+        assert!(weights.iter().all(|(_, w)| w == 0.0));
+        let candidates = [nodes[4], nodes[3], nodes[2], nodes[1]];
+        let mut engine = RoutingEngine::default();
+        let sel = engine
+            .select(&topo, &snap, nodes[0], &candidates)
+            .unwrap()
+            .unwrap();
+        let reference = dijkstra(&topo, &weights, nodes[0]).unwrap();
+        assert_eq!(sel.server, nodes[1]);
+        assert_eq!(Some(sel.route), reference.route_to(nodes[1]));
+        assert_eq!(engine.stats().nodes_settled, 5);
+    }
+
+    /// A request stops its home's run early; the next one from the same
+    /// home resumes it (or answers from it), and `paths_from` completes
+    /// it into the full tree — one run per (epoch, home) throughout.
+    #[test]
+    fn requests_resume_one_run_per_home() {
+        let (grnet, snap) = grnet_fixture();
+        let topo = grnet.topology();
+        let weights = LvnComputer::new(topo, &snap, LvnParams::default()).weights();
+        let home = grnet.node(GrnetNode::Patra);
+        let reference = dijkstra(topo, &weights, home).unwrap();
+        let mut by_cost: Vec<NodeId> = topo.node_ids().filter(|&n| n != home).collect();
+        by_cost.sort_by(|a, b| {
+            let (da, db) = (reference.distance_to(*a), reference.distance_to(*b));
+            da.unwrap().total_cmp(&db.unwrap()).then(a.cmp(b))
+        });
+        let mut engine = RoutingEngine::default();
+        let nearest = engine
+            .select(topo, &snap, home, &by_cost[..1])
+            .unwrap()
+            .unwrap();
+        assert_eq!(nearest.server, by_cost[0]);
+        let partial = engine.stats().nodes_settled;
+        assert!(partial < topo.node_count() as u64, "{partial}");
+        let farthest = engine
+            .select(topo, &snap, home, &by_cost[by_cost.len() - 1..])
+            .unwrap()
+            .unwrap();
+        assert_eq!(Some(farthest.route), reference.route_to(farthest.server));
+        assert_eq!(engine.paths_from(topo, &snap, home).unwrap(), &reference);
+        let stats = engine.stats();
+        assert_eq!(stats.dijkstra_runs, 1);
+        assert_eq!(stats.path_cache_hits, 2);
+        assert_eq!(stats.nodes_settled, topo.node_count() as u64);
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //! **route class** — one distinct link sequence with a live-member
 //! count. Flows of one class cross the same links, so progressive
 //! filling freezes them in the same round at the same level: the fill
-//! runs over classes and crossed links, `O(rounds × (crossed links +
-//! classes on saturated links))`, whatever the number of flows. One
+//! runs over classes and crossed links, and its rounds over only the
+//! links that can saturate — a link whose classes' bottlenecks sum to
+//! less than its residual capacity is dropped before the first round —
+//! `O(crossed links + rounds × (kept links + classes on saturated
+//! links))`, whatever the number of flows. One
 //! dense pass then hands each slot its class's rate, re-anchors the
 //! slots whose rate moved and rebuilds the per-link loads.
 //!
@@ -87,6 +90,8 @@
 //! * each link sees the same f64 sequence, `cap -= inc × count` once per
 //!   round with `inc = min cap / count` (a minimum is order-free, so the
 //!   order the live links sit in their dense arrays cannot matter);
+//!   a link the fill prunes is provably never that minimum and never
+//!   saturates, so leaving it out moves no increment and no freeze;
 //! * "some link of the route is saturated" is a function of the route,
 //!   so class members freeze together and class order cannot matter;
 //! * link loads are summed slot by slot in creation order, the
@@ -212,6 +217,10 @@ pub struct KernelStats {
     pub classes_filled: u64,
     /// Links visited by the per-round increment pass.
     pub links_scanned: u64,
+    /// Links given no row before a fill's first round because their
+    /// bound — the sum of the bottlenecks of the classes crossing them
+    /// — shows they can never saturate (DESIGN.md §13).
+    pub links_pruned: u64,
     /// Flows whose rate moved and were re-anchored.
     pub flows_rerated: u64,
     /// Advances that reached the earliest stored completion instant and
@@ -232,6 +241,7 @@ impl std::ops::AddAssign for KernelStats {
             fill_rounds,
             classes_filled,
             links_scanned,
+            links_pruned,
             flows_rerated,
             completion_scans,
         } = rhs;
@@ -242,6 +252,7 @@ impl std::ops::AddAssign for KernelStats {
         self.fill_rounds += fill_rounds;
         self.classes_filled += classes_filled;
         self.links_scanned += links_scanned;
+        self.links_pruned += links_pruned;
         self.flows_rerated += flows_rerated;
         self.completion_scans += completion_scans;
     }

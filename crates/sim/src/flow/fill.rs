@@ -17,6 +17,10 @@ pub(super) struct FillScratch {
     /// Unfrozen flows crossing each live link — an integer, held as
     /// `f64` so a round's division and product convert nothing.
     pub(super) count: Vec<f64>,
+    /// Per live link, while the rows are built: the most flow load it
+    /// can ever carry, the sum of the bottlenecks of the classes
+    /// crossing it. Empty once the fill's rounds start.
+    pub(super) bound: Vec<f64>,
     /// Per link of the topology: its row above, or [`NO_ROW`].
     pub(super) pos: Vec<u32>,
     /// Links that ran out of capacity in the current round.
@@ -25,6 +29,50 @@ pub(super) struct FillScratch {
 
 /// `FillScratch::pos` of a link that is not live.
 pub(super) const NO_ROW: u32 = u32::MAX;
+
+/// Relative and absolute slack of the pruning test: a fill drops the
+/// row of a link whose bound `B` and residual capacity `C` satisfy
+/// `B·(1 + m) + m < C`.
+///
+/// `B` is the sum, over the classes crossing the link (once per
+/// crossing), of each class's bottleneck `b` — the least residual
+/// capacity on its route. A class of `k` members frozen at rate `r`
+/// loads each link it crosses with `k·r`, and the fill never loads a
+/// link past its residual, so `k·r ≤ b`; the link's final flow load
+/// is then at most `B`. In exact arithmetic a link with `B < C` ends
+/// the fill with residual `C − load ≥ C − B > 0`: it never saturates,
+/// so no class freezes on it, and it is never a round's minimum (nor
+/// tied with it), since the round whose increment is its own
+/// `cap / count` leaves it at `cap − (cap / count)·count = 0`.
+/// Removing a row that is never the minimum and never saturates
+/// changes no round's increment, no saturated set and no rate: the
+/// kept rows' arithmetic is the arithmetic of the full fill.
+///
+/// In `f64`, each round's `cap −= inc·count` and `level += inc` round
+/// by at most `ε = 2⁻⁵³` of operands bounded by `C`, so after `R`
+/// rounds the link's computed load exceeds its exact one by at most
+/// about `3Rε·C`, and the `b` side by as much; `B` itself is a sum
+/// with `ε` relative error per term. A kept-versus-pruned decision
+/// could only differ from exact arithmetic where `C − B` is within
+/// those errors: the relative slack `m·B = 10⁻⁹·B` covers them up to
+/// `R ≈ 10⁻⁹ / 3.3·10⁻¹⁶ ≈ 3·10⁶` rounds (a fill has at most one
+/// round per live class), and the absolute `10⁻⁹` covers the
+/// `1e-12` saturation threshold and bounds near zero. The cut
+/// changes nothing that the unpruned fill computed: the kernel stays
+/// bitwise equal to the lockstep oracle.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Fewest links of a topology whose fills prune. The bound costs a pass
+/// over every (class, link) crossing and the compaction one over the
+/// rows, and a pruned row saves two row visits per round. GRNET's seven
+/// links (`grnet_diurnal`: 1.3 M fills of 1.4 rounds) cannot repay
+/// that: a settle after a background change took 243 ns with pruning
+/// and 215 without (3 flows on GRNET, 10⁶ settles, medians of five
+/// runs on a shared 2-core x86-64 host; 10 flows: 558 and 506 ns). On `gnp200_remote`'s 1 190 links
+/// the fills average 54 rounds over about 300 rows and pruning removes
+/// six of every ten row scans (DESIGN.md §13). A topology below this
+/// runs the fill with no pruning code in it.
+pub(super) const PRUNE_MIN_LINKS: usize = 16;
 
 impl FlowNetwork {
     /// Whether an input of the allocation changed since the last settle.
@@ -87,7 +135,11 @@ impl FlowNetwork {
             // Every live class has a member in the slab: over an idle
             // backbone the fill has no class to visit and is not entered.
             if !self.slab.is_empty() {
-                self.fill_classes();
+                if self.topology.link_count() >= PRUNE_MIN_LINKS {
+                    self.fill_classes::<true>();
+                } else {
+                    self.fill_classes::<false>();
+                }
             }
         } else {
             self.stats.fills_unchanged += 1;
@@ -100,11 +152,16 @@ impl FlowNetwork {
     /// afford, freeze the classes crossing a link that ran out, repeat.
     /// Leaves each live class's max-min rate in `RouteClass::rate`.
     ///
-    /// Each round saturates at least one link and makes two passes over
-    /// dense arrays of the links an unfrozen class still crosses, then
-    /// visits only the classes on the links that saturated: `O(rounds ×
-    /// (crossed links + classes on saturated links))`, independent of
-    /// the number of flows and of the size of the topology.
+    /// With `PRUNE`, before the first round, a link whose bound
+    /// (`PRUNE_MARGIN`) shows it can never saturate gives up its row
+    /// (see `PRUNE_MIN_LINKS` for when): it is never a round's
+    /// minimum and never freezes a class, so the rounds that follow are
+    /// the ones a full fill would run. Each round saturates at least one
+    /// link and makes two passes over dense arrays of the links that can
+    /// still saturate and an unfrozen class still crosses, then visits
+    /// only the classes on the links that saturated: `O(crossed links +
+    /// rounds × (kept links + classes on saturated links))`, independent
+    /// of the number of flows and of the size of the topology.
     #[expect(
         clippy::disallowed_macros,
         reason = "debug check: a non-finite increment only once no counted link is live"
@@ -113,7 +170,7 @@ impl FlowNetwork {
         clippy::indexing_slicing,
         reason = "`pos` is sized by `link_count`, a row indexes `live`/`cap`/`count` while `pos` lists it, and class ids name slots of `classes`"
     )]
-    fn fill_classes(&mut self) {
+    fn fill_classes<const PRUNE: bool>(&mut self) {
         let FlowNetwork {
             topology,
             background,
@@ -129,24 +186,31 @@ impl FlowNetwork {
             live,
             cap,
             count,
+            bound,
             pos,
             saturated,
         } = fill;
 
-        // Give every crossed link a row: the flows on it, and its
+        // Give every crossed link a row: the flows on it and its
         // residual capacity after degradation, outages and background
-        // traffic.
+        // traffic. With `PRUNE`, also its bound: each class's bottleneck
+        // (the least residual on its route) added once per crossing, as
+        // soon as the class's own rows exist.
         let mut remaining = 0u64;
         for class in classes.iter_mut().filter(|c| c.members > 0) {
             class.frozen = false;
             remaining += 1;
             let members = f64::from(class.members);
+            let mut bottleneck = f64::INFINITY;
             for l in &class.links {
                 let i = l.index();
                 if pos[i] == NO_ROW {
                     pos[i] = live.len() as u32;
                     live.push(i as u32);
                     count.push(0.0);
+                    if PRUNE {
+                        bound.push(0.0);
+                    }
                     cap.push(if admin_down[i] {
                         0.0
                     } else {
@@ -156,9 +220,40 @@ impl FlowNetwork {
                 }
                 let row = pos[i] as usize;
                 count[row] += members;
+                if PRUNE {
+                    bottleneck = bottleneck.min(cap[row]);
+                }
+            }
+            if PRUNE {
+                for l in &class.links {
+                    bound[pos[l.index()] as usize] += bottleneck;
+                }
             }
         }
         stats.classes_filled += remaining;
+
+        // Drop the rows that cannot saturate (see `PRUNE_MARGIN`),
+        // compacting the kept ones in place.
+        if PRUNE {
+            let mut kept = 0;
+            for row in 0..live.len() {
+                let link = live[row];
+                if bound[row] * (1.0 + PRUNE_MARGIN) + PRUNE_MARGIN < cap[row] {
+                    pos[link as usize] = NO_ROW;
+                    continue;
+                }
+                pos[link as usize] = kept as u32;
+                live[kept] = link;
+                cap[kept] = cap[row];
+                count[kept] = count[row];
+                kept += 1;
+            }
+            stats.links_pruned += (live.len() - kept) as u64;
+            live.truncate(kept);
+            cap.truncate(kept);
+            count.truncate(kept);
+            bound.clear();
+        }
 
         let mut level = 0.0f64;
         while remaining > 0 {
@@ -209,7 +304,12 @@ impl FlowNetwork {
                     remaining -= 1;
                     let members = f64::from(class.members);
                     for l in &class.links {
-                        let row = pos[l.index()] as usize;
+                        // A pruned link has no row to give up.
+                        let row = pos[l.index()];
+                        if PRUNE && row == NO_ROW {
+                            continue;
+                        }
+                        let row = row as usize;
                         count[row] -= members;
                         if count[row] == 0.0 {
                             pos[l.index()] = NO_ROW;

@@ -1181,6 +1181,7 @@ fn kernel_stats_add_field_wise() {
         fill_rounds: 3,
         classes_filled: 3,
         links_scanned: 4,
+        links_pruned: 0,
         flows_rerated: 3,
         completion_scans: 1,
     };
@@ -1200,6 +1201,7 @@ fn kernel_stats_add_field_wise() {
         fill_rounds: 6,
         classes_filled: 6,
         links_scanned: 8,
+        links_pruned: 0,
         flows_rerated: 6,
         completion_scans: 5,
     };
@@ -1588,5 +1590,313 @@ mod kernel_parity {
         ) {
             drive(&ops)?;
         }
+    }
+}
+
+/// The pruning step of the fill: a link whose classes' bottlenecks sum
+/// to less than its residual capacity gives up its row before the first
+/// round, and no rate, load, integral or completion moves.
+mod pruning {
+    use super::fill::PRUNE_MIN_LINKS;
+    use super::*;
+    use proptest::prelude::*;
+    use vod_net::dijkstra::dijkstra;
+    use vod_net::lvn::LinkWeights;
+    use vod_net::topologies::random::connected_gnp;
+    use vod_net::NodeId;
+
+    /// SplitMix64: the schedule's choices, from one drawn seed.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A connected random network of `nodes` nodes over the 2, 18, 34
+    /// and 155 Mbps tiers, and the fewest-hop routes between `routes`
+    /// random node pairs: multi-hop, one link at least.
+    fn network(nodes: usize, seed: u64, routes: usize) -> (Topology, Vec<Vec<LinkId>>) {
+        let topology = connected_gnp(nodes, 0.12, seed);
+        let hops = LinkWeights::uniform(topology.link_count(), 1.0);
+        let mut mix = Mix(seed);
+        let mut pool = Vec::new();
+        while pool.len() < routes {
+            let from = NodeId::new(mix.below(nodes) as u32);
+            let to = NodeId::new(mix.below(nodes) as u32);
+            if from == to {
+                continue;
+            }
+            let paths = dijkstra(&topology, &hops, from).unwrap();
+            pool.push(paths.route_to(to).unwrap().links().to_vec());
+        }
+        (topology, pool)
+    }
+
+    /// The network's residual capacity of `link` as the test set it.
+    struct Inputs {
+        background: Vec<f64>,
+        scale: Vec<f64>,
+        down: Vec<bool>,
+    }
+
+    impl Inputs {
+        fn residual(&self, topology: &Topology, link: LinkId) -> f64 {
+            let i = link.index();
+            if self.down[i] {
+                return 0.0;
+            }
+            (topology.link(link).capacity().as_f64() * self.scale[i] - self.background[i]).max(0.0)
+        }
+    }
+
+    /// Whether a fill over the live `routes` must prune: the topology has
+    /// `PRUNE_MIN_LINKS` links, and one of the fill's rows carries at
+    /// most 99 % of its residual even when every class crossing it runs
+    /// at its bottleneck. Each route counts as its own class (equal
+    /// routes merge into one in the kernel, which only lowers its
+    /// bounds).
+    fn must_prune(topology: &Topology, inputs: &Inputs, routes: &[&[LinkId]]) -> bool {
+        let mut bound = vec![0.0; topology.link_count()];
+        let mut crossed = vec![false; topology.link_count()];
+        for route in routes {
+            let bottleneck = route
+                .iter()
+                .map(|&l| inputs.residual(topology, l))
+                .fold(f64::INFINITY, f64::min);
+            for l in route.iter() {
+                bound[l.index()] += bottleneck;
+                crossed[l.index()] = true;
+            }
+        }
+        topology.link_count() >= PRUNE_MIN_LINKS
+            && topology.link_ids().any(|l| {
+                crossed[l.index()] && bound[l.index()] < 0.99 * inputs.residual(topology, l)
+            })
+    }
+
+    /// Drives the production network and the lockstep oracle through
+    /// `steps` random operations on a random multi-hop network: bursts
+    /// of flows onto random routes, removals, background loads up to
+    /// and within a hair of capacity, administrative outages, capacity
+    /// degradations and advances. After every operation every rate,
+    /// link load and integral and the next completion must be bitwise
+    /// equal, and a fill that [`must_prune`] must have pruned. Returns
+    /// the links the network pruned.
+    fn drive(nodes: usize, seed: u64, steps: usize) -> Result<u64, TestCaseError> {
+        let (topology, pool) = network(nodes, seed, 3 * nodes);
+        let links: Vec<LinkId> = topology.link_ids().collect();
+        let mut lazy = FlowNetwork::new(topology.clone());
+        let mut reference = LockstepNetwork::new(topology.clone());
+        let mut inputs = Inputs {
+            background: vec![0.0; links.len()],
+            scale: vec![1.0; links.len()],
+            down: vec![false; links.len()],
+        };
+        let mut live: Vec<(FlowId, usize)> = Vec::new();
+        let mut mix = Mix(seed ^ 0x5eed);
+        for _ in 0..steps {
+            let link = links[mix.below(links.len())];
+            let capacity = topology.link(link).capacity().as_f64();
+            match mix.below(12) {
+                0..=3 => {
+                    let route = mix.below(pool.len());
+                    for _ in 0..1 + mix.below(12) {
+                        let volume = 1.0 + 400.0 * mix.unit();
+                        let a = lazy.add_flow(&pool[route], volume).unwrap();
+                        let b = reference.add_flow(&pool[route], volume).unwrap();
+                        prop_assert_eq!(a, b);
+                        live.push((a, route));
+                    }
+                }
+                4 if !live.is_empty() => {
+                    let (id, _) = live.remove(mix.below(live.len()));
+                    let ra = lazy.remove_flow(id).unwrap();
+                    let rb = reference.remove_flow(id).unwrap();
+                    prop_assert_eq!(ra.to_bits(), rb.to_bits());
+                }
+                5 | 6 => {
+                    // Background anywhere from idle to a hair below
+                    // capacity.
+                    let share = match mix.below(3) {
+                        0 => 0.0,
+                        1 => 0.9 + 0.1 * mix.unit(),
+                        _ => 1.0 - 1e-9 * mix.unit(),
+                    };
+                    let load = capacity * share;
+                    inputs.background[link.index()] = load;
+                    lazy.set_background(link, Mbps::new(load));
+                    reference.set_background(link, Mbps::new(load));
+                }
+                7 => {
+                    let down = !inputs.down[link.index()];
+                    inputs.down[link.index()] = down;
+                    lazy.set_link_admin_down(link, down);
+                    reference.set_link_admin_down(link, down);
+                }
+                8 => {
+                    let scale = [0.0, 0.5, mix.unit(), 1.0][mix.below(4)];
+                    inputs.scale[link.index()] = scale;
+                    lazy.set_link_capacity_scale(link, scale);
+                    reference.set_link_capacity_scale(link, scale);
+                }
+                9 => {
+                    if let Some((_, dt)) = lazy.next_completion() {
+                        let da = lazy.advance(dt);
+                        let db = reference.advance(dt);
+                        prop_assert_eq!(&da, &db);
+                        live.retain(|(id, _)| !da.contains(id));
+                    }
+                }
+                _ => {
+                    let dt = SimDuration::from_millis(50 + mix.below(5_000) as u64);
+                    let da = lazy.advance(dt);
+                    let db = reference.advance(dt);
+                    prop_assert_eq!(&da, &db);
+                    live.retain(|(id, _)| !da.contains(id));
+                }
+            }
+            let before = lazy.stats();
+            let routes: Vec<&[LinkId]> = live.iter().map(|&(_, r)| pool[r].as_slice()).collect();
+            let expect_pruning = must_prune(&topology, &inputs, &routes);
+            for &(id, _) in &live {
+                prop_assert_eq!(
+                    lazy.rate(id).unwrap().as_f64().to_bits(),
+                    reference.rate(id).unwrap().as_f64().to_bits(),
+                    "rate of {} diverged",
+                    id
+                );
+            }
+            let after = lazy.stats();
+            if after.reallocations > before.reallocations && expect_pruning {
+                prop_assert!(
+                    after.links_pruned > before.links_pruned,
+                    "a fill with a clearly unsaturable row pruned nothing"
+                );
+            }
+            for &l in &links {
+                prop_assert_eq!(
+                    lazy.link_flow_load(l).as_f64().to_bits(),
+                    reference.link_flow_load(l).as_f64().to_bits(),
+                    "load of {} diverged",
+                    l
+                );
+                prop_assert_eq!(
+                    lazy.link_cumulative_mbit(l).to_bits(),
+                    reference.link_cumulative_mbit(l).to_bits(),
+                    "integral of {} diverged",
+                    l
+                );
+            }
+            prop_assert_eq!(lazy.next_completion(), reference.next_completion());
+        }
+        Ok(lazy.stats().links_pruned)
+    }
+
+    /// A fixed contended case: the random schedules above reach the
+    /// pruning branch, and prune.
+    #[test]
+    fn pruning_fires_on_a_contended_network() {
+        let pruned = drive(40, 7, 120).unwrap();
+        assert!(pruned > 0, "no link pruned");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn pruned_fills_agree_with_lockstep(
+            nodes in 12usize..48,
+            seed in any::<u64>(),
+            steps in 10usize..80,
+        ) {
+            drive(nodes, seed, steps)?;
+        }
+    }
+
+    /// A builder holding a line of `PRUNE_MIN_LINKS` links no flow
+    /// crosses, so that the topology's fills prune.
+    fn pruning_builder() -> TopologyBuilder {
+        let mut b = TopologyBuilder::new();
+        let mut prev = b.add_node("pad0");
+        for i in 1..=PRUNE_MIN_LINKS {
+            let next = b.add_node(format!("pad{i}"));
+            b.add_link(prev, next, Mbps::new(1.0)).unwrap();
+            prev = next;
+        }
+        b
+    }
+
+    /// Adds one flow per route to both kernels and checks every rate
+    /// bitwise; returns the production network and the flow ids.
+    fn fill_both(topology: Topology, routes: &[Vec<LinkId>]) -> (FlowNetwork, Vec<FlowId>) {
+        let mut lazy = FlowNetwork::new(topology.clone());
+        let mut reference = LockstepNetwork::new(topology);
+        let mut ids = Vec::new();
+        for route in routes {
+            let a = lazy.add_flow(route, 100.0).unwrap();
+            assert_eq!(a, reference.add_flow(route, 100.0).unwrap());
+            ids.push(a);
+        }
+        for &id in &ids {
+            assert_eq!(
+                lazy.rate(id).unwrap().as_f64().to_bits(),
+                reference.rate(id).unwrap().as_f64().to_bits()
+            );
+        }
+        (lazy, ids)
+    }
+
+    /// A link whose bound is within the margin of its residual keeps its
+    /// row; one just past the margin is pruned. Either way every rate
+    /// is the oracle's.
+    #[test]
+    fn a_link_within_the_margin_stays_a_row() {
+        // One class over [a, l]: a (5 Mbps) is its bottleneck, so l's
+        // bound is 5, and the margin admits l up to
+        // 5·(1 + 1e-9) + 1e-9 ≈ 5.000000006. One round freezes the
+        // class, scanning every kept row once.
+        for (l_capacity, pruned) in [(5.000_000_005, 0), (5.000_000_02, 1)] {
+            let mut b = pruning_builder();
+            let [x, y, z] = ["x", "y", "z"].map(|n| b.add_node(n));
+            let a = b.add_link(x, y, Mbps::new(5.0)).unwrap();
+            let l = b.add_link(y, z, Mbps::new(l_capacity)).unwrap();
+            let (lazy, _) = fill_both(b.build(), &[vec![a, l]]);
+            let stats = lazy.stats();
+            assert_eq!(stats.links_pruned, pruned, "capacity {l_capacity}");
+            assert_eq!(stats.links_scanned, 2 - pruned);
+        }
+    }
+
+    /// A pruned link next to a near-tie: b1 and b2 differ by one ulp,
+    /// both saturate in the first round (the second within the 1e-12
+    /// threshold), and the pruned 100 Mbps link both classes cross moves
+    /// neither rate.
+    #[test]
+    fn a_pruned_link_next_to_a_near_tie_moves_no_rate() {
+        let mut b = pruning_builder();
+        let [p, q, r, s] = ["p", "q", "r", "s"].map(|n| b.add_node(n));
+        let b1 = b.add_link(p, q, Mbps::new(3.0)).unwrap();
+        let b2 = b.add_link(r, q, Mbps::new(3.0f64.next_up())).unwrap();
+        let fat = b.add_link(q, s, Mbps::new(100.0)).unwrap();
+        let (mut lazy, ids) = fill_both(b.build(), &[vec![b1, fat], vec![b2, fat]]);
+        for &id in &ids {
+            assert_eq!(lazy.rate(id).unwrap().as_f64(), 3.0);
+        }
+        assert_eq!(lazy.stats().links_pruned, 1);
+        assert_eq!(lazy.link_flow_load(fat).as_f64(), 6.0);
     }
 }

@@ -63,7 +63,7 @@ proptest! {
         let home = NodeId::new(rng.gen_range(0..n as u32));
         let engine_paths = engine.paths_from(&topology, &snapshot, home).unwrap();
         let (trace_paths, _) = dijkstra_with_trace(&topology, &reference, home).unwrap();
-        prop_assert_eq!(&*engine_paths, &trace_paths);
+        prop_assert_eq!(engine_paths, &trace_paths);
         let bf = bellman_ford(&topology, &reference, home).unwrap();
         for node in topology.node_ids() {
             match (engine_paths.distance_to(node), bf[node.index()]) {
@@ -105,7 +105,7 @@ proptest! {
         prop_assert_eq!(&patched, &recomputed);
         let after = engine.paths_from(&topology, &snapshot, home).unwrap();
         let (trace_after, _) = dijkstra_with_trace(&topology, &recomputed, home).unwrap();
-        prop_assert_eq!(&*after, &trace_after);
+        prop_assert_eq!(after, &trace_after);
     }
 }
 
@@ -167,7 +167,7 @@ proptest! {
             for home in topology.node_ids() {
                 let tree = engine.paths_from(&topology, &snapshot, home).unwrap();
                 let (oracle, _) = dijkstra_with_trace(&topology, &reference, home).unwrap();
-                prop_assert_eq!(&*tree, &oracle, "epoch {} home {:?}", epoch, home);
+                prop_assert_eq!(tree, &oracle, "epoch {} home {:?}", epoch, home);
                 let bf = bellman_ford(&topology, &reference, home).unwrap();
                 for node in topology.node_ids() {
                     match (tree.distance_to(node), bf[node.index()]) {
