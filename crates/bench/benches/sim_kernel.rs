@@ -10,8 +10,10 @@
 //! and a simulated day of the periodic path — background refreshes and
 //! SNMP polls — over an idle GRNET backbone (`sim_kernel/tick/*`), and
 //! the scheduler under the hold model at the depth of a quiet day and of
-//! 400 000 live sessions (`sim_kernel/queue/*`), the queue every playout
-//! tick and every local serve's timer goes through.
+//! 400 000 live sessions, and at that depth with every entry
+//! rescheduled at one of three fixed delays, the shape a service run's
+//! sessions give it (`sim_kernel/queue/*`), the queue every playout tick
+//! and every local serve's timer goes through.
 //!
 //! `CRITERION_JSON=out.json cargo bench --bench sim_kernel` writes the
 //! fresh rows `ci.sh` holds against the committed `BENCH_kernel.json`,
@@ -245,9 +247,38 @@ fn bench_queue_hold_at(c: &mut Criterion, id: &str, depth: u64) {
     assert_eq!(queue.len() as u64, depth);
 }
 
+/// The scheduler holding 400 000 pending events, each popped and
+/// rescheduled at the next of three fixed delays: a session's next
+/// event lies one of a few fixed delays ahead, so the pushes are the
+/// merge of three sorted sequences. Timed from the steady state, once
+/// every entry of the fill has been popped.
+fn bench_queue_streams(c: &mut Criterion) {
+    const DEPTH: u64 = 400_000;
+    const DELAYS_US: [u64; 3] = [40_000, 400_000, 4_000_000];
+    let mut jitter_us = jitter_us();
+    let mut queue: Scheduler<u64> = Scheduler::new();
+    for session in 0..DEPTH {
+        queue.schedule(SimTime::from_micros(jitter_us()), session);
+    }
+    let mut delays = DELAYS_US.iter().cycle();
+    let mut hold = move |queue: &mut Scheduler<u64>| {
+        let (at, session) = queue.pop().unwrap();
+        let delay = SimDuration::from_micros(*delays.next().unwrap());
+        queue.schedule(at + delay, session);
+    };
+    for _ in 0..2 * DEPTH {
+        hold(&mut queue);
+    }
+    c.bench_function("sim_kernel/queue/streams_400k", |b| {
+        b.iter(|| hold(&mut queue))
+    });
+    assert_eq!(queue.len() as u64, DEPTH);
+}
+
 fn bench_queue(c: &mut Criterion) {
     bench_queue_hold_at(c, "sim_kernel/queue/hold_150", 150);
     bench_queue_hold_at(c, "sim_kernel/queue/hold_400k", 400_000);
+    bench_queue_streams(c);
 }
 
 criterion_group!(

@@ -12,7 +12,8 @@
 //!
 //! `--json` writes the run as bench rows for `vod-bench compare`
 //! against the committed `BENCH_sim.json`: throughput, peak RSS, and
-//! the peak session and event counts, which are exact for a seed. `--trace`
+//! the peak session and event counts and the scheduler queue's own work
+//! counters, which are exact for a seed. `--trace`
 //! additionally writes the JSONL event trace of a smaller
 //! (`--trace-sessions`) scale run for `vod-check audit`; `--series`
 //! writes the same smaller run's one-minute windowed time-series
@@ -28,6 +29,7 @@ use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::Mbps;
 use vod_obs::{JsonlWriter, TeeSink, TimeSeriesSink};
+use vod_sim::bucketq::QueueStats;
 use vod_workload::scenario::Scenario;
 
 struct Options {
@@ -110,6 +112,7 @@ struct KernelResult {
     peak_sessions: usize,
     completed: u64,
     peak_rss_mb: f64,
+    queue: QueueStats,
 }
 
 /// Runs the scenario to completion.
@@ -135,6 +138,7 @@ fn run_lazy(scenario: &Scenario) -> KernelResult {
         peak_sessions: peak,
         completed: report.completed.len() as u64,
         peak_rss_mb,
+        queue: report.scheduler.queue,
     }
 }
 
@@ -186,6 +190,10 @@ fn main() {
         lazy.sim_secs,
         lazy.peak_rss_mb,
     );
+    println!(
+        "queue:     {} streams opened, {} bucket splits, {} entries moved",
+        lazy.queue.streams, lazy.queue.splits, lazy.queue.moved
+    );
 
     if let Some(path) = &opts.json {
         use Direction::{HigherBetter, LowerBetter};
@@ -198,6 +206,12 @@ fn main() {
             ),
             Row::new("sim/lazy/events", lazy.events as f64, LowerBetter),
             Row::new("sim/lazy/peak_rss_mb", lazy.peak_rss_mb, LowerBetter),
+            Row::new("sim/lazy/queue_moved", lazy.queue.moved as f64, LowerBetter),
+            Row::new(
+                "sim/lazy/queue_streams",
+                lazy.queue.streams as f64,
+                LowerBetter,
+            ),
         ];
         std::fs::write(path, rows_json(&rows)).expect("write json output");
         println!("wrote {path}");

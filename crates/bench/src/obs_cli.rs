@@ -158,8 +158,8 @@ pub fn print_stats(report: &ServiceReport) {
         q.inputs, q.pushes, q.pops, q.timers, q.peak_depth
     );
     println!(
-        "             {} bucket splits, {} entries moved between buckets",
-        q.queue.splits, q.queue.moved
+        "             {} streams opened, {} bucket splits, {} entries moved between parts of the queue",
+        q.queue.streams, q.queue.splits, q.queue.moved
     );
     let t = &report.ticks;
     println!(

@@ -311,22 +311,6 @@ impl Resumed<'_> {
     }
 }
 
-/// Reusable working memory for repeated Dijkstra runs.
-///
-/// [`dijkstra_with_scratch`] keeps its heap here between runs, so
-/// repeated runs allocate nothing beyond the returned [`ShortestPaths`].
-#[derive(Debug, Default)]
-pub struct DijkstraScratch {
-    heap: FrontierHeap,
-}
-
-impl DijkstraScratch {
-    /// Creates empty scratch space (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Runs Dijkstra's algorithm from `source` over the given link weights.
 ///
 /// # Errors
@@ -340,28 +324,6 @@ pub fn dijkstra(
     source: NodeId,
 ) -> Result<ShortestPaths, NetError> {
     run(topology, weights, source, None)
-}
-
-/// Like [`dijkstra`], reusing `scratch`'s internal buffers instead of
-/// allocating fresh ones per run. Produces bit-identical results to
-/// [`dijkstra`] (same relaxation order, same tie-breaking).
-///
-/// # Errors
-///
-/// Same conditions as [`dijkstra`].
-pub fn dijkstra_with_scratch(
-    topology: &Topology,
-    weights: &LinkWeights,
-    source: NodeId,
-    scratch: &mut DijkstraScratch,
-) -> Result<ShortestPaths, NetError> {
-    weights.validate(topology)?;
-    topology.try_node(source)?;
-    let mut search = Search::new();
-    search.restart(topology.node_count(), source);
-    let mut run = search.resume(&mut scratch.heap);
-    while run.settle_next(topology, weights, f64::INFINITY).is_some() {}
-    Ok(search.paths)
 }
 
 /// Like [`dijkstra`], but also records a [`DijkstraTrace`] with the label
@@ -533,16 +495,12 @@ mod tests {
         assert!(paths.is_reachable(b), "b is still reachable via a");
         assert_eq!(paths.distance_to(b), Some(2.0)); // s-a-b
 
-        // Masking every incident link makes the node unreachable, on
-        // both implementations identically.
+        // Masking every incident link makes the node unreachable.
         w.set_weight(ab, f64::INFINITY);
         w.set_weight(at, f64::INFINITY);
         let paths = dijkstra(&topo, &w, s).unwrap();
         assert!(!paths.is_reachable(t));
         assert_eq!(paths.distance_to(a), Some(1.0));
-        let mut scratch = DijkstraScratch::new();
-        let scratch_paths = dijkstra_with_scratch(&topo, &w, s, &mut scratch).unwrap();
-        assert_eq!(scratch_paths.distance_to(t), None);
     }
 
     #[test]
@@ -586,34 +544,6 @@ mod tests {
         let label = &last.labels[t.index()];
         assert_eq!(label.dist, paths.distance_to(t));
         assert_eq!(label.path, paths.route_to(t).unwrap().nodes().to_vec());
-    }
-
-    #[test]
-    fn scratch_variant_matches_plain_dijkstra() {
-        let (topo, [s, a, b, t], links) = diamond();
-        let mut w = LinkWeights::uniform(5, 1.0);
-        for (i, l) in links.iter().enumerate() {
-            w.set_weight(*l, 0.25 + i as f64 * 0.5);
-        }
-        let mut scratch = DijkstraScratch::new();
-        for src in [s, a, b, t] {
-            let plain = dijkstra(&topo, &w, src).unwrap();
-            let scratched = dijkstra_with_scratch(&topo, &w, src, &mut scratch).unwrap();
-            assert_eq!(plain, scratched);
-        }
-        // Scratch adapts when reused across topologies of other sizes.
-        let mut builder = TopologyBuilder::new();
-        let x = builder.add_node("x");
-        let y = builder.add_node("y");
-        builder.add_link(x, y, Mbps::new(1.0)).unwrap();
-        let small = builder.build();
-        let w1 = LinkWeights::uniform(1, 2.0);
-        let p = dijkstra_with_scratch(&small, &w1, x, &mut scratch).unwrap();
-        assert_eq!(p.distance_to(y), Some(2.0));
-        assert!(matches!(
-            dijkstra_with_scratch(&small, &w1, NodeId::new(9), &mut scratch),
-            Err(NetError::UnknownNode(..))
-        ));
     }
 
     proptest! {

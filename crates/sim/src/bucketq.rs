@@ -5,9 +5,10 @@
 //! is *almost monotone*: nearly every push lies ahead of the entry
 //! popped last. A
 //! binary heap pays a cache miss per level for that, some twenty levels
-//! at 400 000 entries. [`BucketQueue`] is a radix heap instead: entries
-//! wait unordered in one of 64 buckets chosen by the highest bit in
-//! which their [`RadixKey::radix`] differs from the queue's `horizon`,
+//! at 400 000 entries. [`BucketQueue`] keeps such pushes in a few
+//! sorted *streams* instead (below), and is a radix heap for the rest:
+//! entries wait unordered in one of 64 buckets chosen by the highest bit
+//! in which their [`RadixKey::radix`] differs from the queue's `horizon`,
 //! and only the few that are due next are kept in order.
 //!
 //! # Invariant
@@ -16,10 +17,10 @@
 //! full key; `far[i]` holds the entries above the horizon whose radix
 //! first differs from it at bit `i`. Because the radix never decreases
 //! along the key order, every far entry is greater than every near
-//! entry, and bucket `i`'s entries are smaller than bucket `i + 1`'s: the
-//! minimum of the queue is the minimum of near, and when near runs dry
-//! the next entries are all in the lowest occupied bucket. That bucket
-//! is then either moved below the horizon whole (a few hundred entries:
+//! entry, and bucket `i`'s entries are smaller than bucket `i + 1`'s:
+//! the least entry outside the streams is near's least, and when near
+//! runs dry the next entries are all in the lowest occupied bucket. That
+//! bucket is then either moved below the horizon whole (a few hundred entries:
 //! the horizon jumps to the top of the bucket's range) or split around
 //! its minimum (the horizon becomes that radix; the entries at it go
 //! near, the rest to lower buckets — the largest of those shares without
@@ -35,19 +36,37 @@
 //! sequence — a caller that keeps pushing into the past only turns the
 //! structure back into the binary heap it replaces.
 //!
+//! # Streams
+//!
+//! At depth a push does not go to the buckets first. It is appended to
+//! the sorted stream whose tail is the greatest key at or below it, or
+//! opens a stream of its own. A session's next event lies one of a few
+//! fixed delays ahead of the one being handled, so the pushes of a
+//! service run are the merge of a handful of non-decreasing sequences:
+//! each lands at the end of its stream and never moves again. A pop
+//! takes the least of the streams' least head and near's head. Only a
+//! push below every tail while `MAX_STREAMS` streams are live goes under
+//! the horizon as above, so the buckets are the fallback for push
+//! sequences that are not almost monotone, and the cap keeps a random
+//! one from paying for ever more streams.
+//!
 //! # Regimes
 //!
 //! While the queue is shallow it is one plain heap: the horizon sits at
-//! `u64::MAX`, everything is in `heap` and no bucket is touched. Past
-//! `SPILL_ABOVE` (2 048) entries it spills into the buckets, and once it
-//! has drained below `FOLD_BELOW` (512) it folds back. The thresholds
-//! are constants because they follow from the machine (a heap this
-//! shallow stays in L1), not from the workload.
+//! `u64::MAX`, everything is in `heap` and no bucket or stream is
+//! touched. Past `SPILL_ABOVE` (2 048) entries it spills into the
+//! buckets, and once it has drained below `FOLD_BELOW` (512) it folds
+//! back. The thresholds are constants because they follow from the
+//! machine (a heap this shallow stays in L1), not from the workload.
+
+mod streams;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use serde::Serialize;
+
+use streams::Streams;
 
 /// A key a [`BucketQueue`] can bucket: totally ordered, with a `u64`
 /// projection that never decreases along that order
@@ -85,14 +104,18 @@ pub struct QueueStats {
     /// Buckets split around their minimum.
     pub splits: u64,
     /// Entries moved from one part of the queue to another: by a split,
-    /// a whole-bucket move, a spill or a fold.
+    /// a whole-bucket move, a spill or a fold. An append to a stream is
+    /// not a move.
     pub moved: u64,
+    /// Sorted streams opened at depth.
+    pub streams: u64,
 }
 
 impl std::ops::AddAssign for QueueStats {
     fn add_assign(&mut self, rhs: QueueStats) {
         self.splits += rhs.splits;
         self.moved += rhs.moved;
+        self.streams += rhs.streams;
     }
 }
 
@@ -140,8 +163,8 @@ impl<K> Default for Bucket<K> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BucketQueue<K> {
-    /// Near, pushed one at a time. Near is non-empty whenever the queue
-    /// is.
+    /// Near, pushed one at a time. Near is non-empty whenever a bucket
+    /// is occupied.
     heap: BinaryHeap<Reverse<K>>,
     /// Near, moved whole: descending, so the smallest entry is last.
     run: Vec<K>,
@@ -151,7 +174,16 @@ pub struct BucketQueue<K> {
     far: Vec<Bucket<K>>,
     /// Bit `i` is set while `far[i]` holds entries.
     occupied: u64,
-    far_len: usize,
+    /// Sorted streams of pushes at depth; empty while shallow.
+    streams: Streams<K>,
+    /// Entries outside near: in the buckets or the streams.
+    parked: usize,
+    /// The key `push` hands to `push_bucketed`. Passed as an argument,
+    /// it was written to the stack before the regime test and read back
+    /// by one wide load across two narrow stores on the shallow path (a
+    /// stalled store forward: the shallow hold model 7 % slower); through
+    /// a field the shallow path writes it to the heap from registers.
+    inbox: Option<K>,
     stats: QueueStats,
 }
 
@@ -170,14 +202,16 @@ impl<K: RadixKey> BucketQueue<K> {
             horizon: u64::MAX,
             far: Vec::new(),
             occupied: 0,
-            far_len: 0,
+            streams: Streams::new(),
+            parked: 0,
+            inbox: None,
             stats: QueueStats::default(),
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.run.len() + self.far_len
+        self.heap.len() + self.run.len() + self.parked
     }
 
     /// Returns true if the queue holds nothing.
@@ -192,10 +226,10 @@ impl<K: RadixKey> BucketQueue<K> {
 
     // `peek`, `push` and `pop` are shaped for the shallow regime, which
     // is all that four of the five benchmark workloads ever run: each
-    // does to `heap` exactly what a plain `BinaryHeap` user would, tests
-    // the horizon, and leaves the rest to an out-of-line function. In
-    // `pop` both regimes hand back one `Option<Reverse<K>>` that is
-    // unwrapped once; with a second unwrapping site (the run's `K` next to
+    // tests the horizon, does to `heap` exactly what a plain
+    // `BinaryHeap` user would, and leaves the rest to an out-of-line
+    // function. In `pop` both regimes hand back one `Option<Reverse<K>>`
+    // that is unwrapped once; with a second unwrapping site (the run's `K` next to
     // the heap's `Reverse<K>`, or a `map` on the shallow path only) the
     // popped entry took an extra trip through the stack and the
     // 3 M-event workloads read 3–5 % slower.
@@ -211,18 +245,61 @@ impl<K: RadixKey> BucketQueue<K> {
 
     #[inline(never)]
     fn peek_bucketed<'a>(&'a self, pushed: Option<&'a K>) -> Option<&'a K> {
-        match (self.run.last(), pushed) {
-            (Some(run), Some(pushed)) => Some(run.min(pushed)),
-            (run, pushed) => run.or(pushed),
+        self.least(pushed).map(|(key, _)| key)
+    }
+
+    /// The least entry at depth and the part it is in: the least of the
+    /// run's last, the heap's top (`pushed`) and the streams' least head.
+    #[inline]
+    fn least<'a>(&'a self, pushed: Option<&'a K>) -> Option<(&'a K, Part)> {
+        let near = match (self.run.last(), pushed) {
+            (Some(run), Some(pushed)) if pushed < run => Some((pushed, Part::Heap)),
+            (Some(run), _) => Some((run, Part::Run)),
+            (None, pushed) => pushed.map(|pushed| (pushed, Part::Heap)),
+        };
+        match (near, self.streams.head()) {
+            (Some((near, _)), Some(streamed)) if streamed < near => Some((streamed, Part::Streams)),
+            (None, streamed) => streamed.map(|streamed| (streamed, Part::Streams)),
+            (near, _) => near,
         }
     }
 
     /// Adds `key`.
     #[inline]
     pub fn push(&mut self, key: K) {
-        self.place(key);
-        if self.horizon == u64::MAX && self.heap.len() > SPILL_ABOVE {
+        if self.horizon != u64::MAX {
+            self.inbox = Some(key);
+            return self.push_bucketed();
+        }
+        self.heap.push(Reverse(key));
+        if self.heap.len() > SPILL_ABOVE {
             self.spill();
+        }
+    }
+
+    /// `push` in the bucketed regime, of the key in `inbox`: appended to
+    /// the best-fitting stream, or to a new one, or placed under the
+    /// horizon once `MAX_STREAMS` are live.
+    #[inline(never)]
+    fn push_bucketed(&mut self) {
+        let Some(key) = self.inbox.take() else {
+            return;
+        };
+        let key = match self.streams.append(key) {
+            Ok(()) => return self.parked += 1,
+            Err(key) => key,
+        };
+        let key = match self.streams.open(key) {
+            Ok(()) => {
+                self.stats.streams += 1;
+                return self.parked += 1;
+            }
+            Err(key) => key,
+        };
+        self.place(key);
+        // Near may have been empty, with everything in the streams.
+        if self.heap.is_empty() && self.run.is_empty() && self.occupied != 0 {
+            self.refill();
         }
     }
 
@@ -238,22 +315,24 @@ impl<K: RadixKey> BucketQueue<K> {
         Some(key)
     }
 
-    /// `pop` in the bucketed regime: the smaller of the run's last and
-    /// the heap's top, then near refilled or the drained queue folded.
+    /// `pop` in the bucketed regime: the least of the run's last, the
+    /// heap's top and the streams' least head, then near refilled or the
+    /// drained queue folded.
     #[inline(never)]
     fn pop_bucketed(&mut self) -> Option<Reverse<K>> {
-        let from_run = match (self.run.last(), self.heap.peek()) {
-            (Some(run), Some(Reverse(pushed))) => run < pushed,
-            (run, _) => run.is_some(),
-        };
-        let popped = if from_run {
-            Reverse(self.run.pop()?)
-        } else {
-            self.heap.pop()?
+        let (_, part) = self.least(self.heap.peek().map(|Reverse(pushed)| pushed))?;
+        let popped = match part {
+            Part::Run => Reverse(self.run.pop()?),
+            Part::Heap => self.heap.pop()?,
+            Part::Streams => {
+                let key = self.streams.pop()?;
+                self.parked -= 1;
+                Reverse(key)
+            }
         };
         if self.len() < FOLD_BELOW {
             self.fold();
-        } else if self.heap.is_empty() && self.run.is_empty() && self.far_len > 0 {
+        } else if self.heap.is_empty() && self.run.is_empty() && self.occupied != 0 {
             self.refill();
         }
         Some(popped)
@@ -264,9 +343,10 @@ impl<K: RadixKey> BucketQueue<K> {
         self.heap.clear();
         self.run.clear();
         self.far.clear();
+        self.streams = Streams::new();
         self.horizon = u64::MAX;
         self.occupied = 0;
-        self.far_len = 0;
+        self.parked = 0;
     }
 
     /// Puts `key` where the invariant wants it under the current
@@ -279,7 +359,7 @@ impl<K: RadixKey> BucketQueue<K> {
                 bucket.entries.push(key);
                 bucket.min = bucket.min.min(radix);
                 self.occupied |= 1 << bit;
-                self.far_len += 1;
+                self.parked += 1;
                 return;
             }
         }
@@ -303,18 +383,20 @@ impl<K: RadixKey> BucketQueue<K> {
         self.scatter(entries.into_iter().map(|Reverse(key)| key).collect());
     }
 
-    /// Bucketed → shallow: the run and every bucket empty into the heap.
+    /// Bucketed → shallow: the run, every bucket and every stream empty
+    /// into the heap.
     #[cold]
     #[inline(never)]
     fn fold(&mut self) {
-        self.stats.moved += (self.run.len() + self.far_len) as u64;
+        self.stats.moved += (self.run.len() + self.parked) as u64;
         self.heap.extend(self.run.drain(..).map(Reverse));
         for bucket in self.far.drain(..) {
             self.heap.extend(bucket.entries.into_iter().map(Reverse));
         }
+        self.heap.extend(self.streams.take().map(Reverse));
         self.horizon = u64::MAX;
         self.occupied = 0;
-        self.far_len = 0;
+        self.parked = 0;
     }
 
     /// Near ran dry: advances the horizon into the lowest occupied
@@ -326,13 +408,20 @@ impl<K: RadixKey> BucketQueue<K> {
         let Some(bucket) = self.far.get_mut(bit as usize) else {
             return;
         };
+        // A bucket moved whole up to the top radix would leave the
+        // horizon at `u64::MAX`, the mark of the shallow regime; no radix
+        // could lie above it again, so the queue folds instead.
+        let top = self.horizon | u64::MAX >> (63 - bit);
+        if bucket.entries.len() <= WHOLE_BUCKET && top == u64::MAX {
+            return self.fold();
+        }
         self.occupied &= !(1 << bit);
-        self.far_len -= bucket.entries.len();
+        self.parked -= bucket.entries.len();
         if bucket.entries.len() <= WHOLE_BUCKET {
             // The bucket's range ends where bits `0..=bit` are all set.
             // Its buffer becomes the run, and the spent run's buffer
             // the bucket's: nothing is copied.
-            self.horizon |= u64::MAX >> (63 - bit);
+            self.horizon = top;
             self.stats.moved += bucket.entries.len() as u64;
             std::mem::swap(&mut self.run, &mut bucket.entries);
             self.run.sort_unstable_by(|a, b| b.cmp(a));
@@ -414,9 +503,17 @@ impl<K: RadixKey> BucketQueue<K> {
                 bucket.min = kept_min;
             }
             self.occupied |= 1 << bit;
-            self.far_len += kept;
+            self.parked += kept;
         }
     }
+}
+
+/// Where a bucketed queue's least entry is.
+#[derive(Debug, Clone, Copy)]
+enum Part {
+    Run,
+    Heap,
+    Streams,
 }
 
 /// The bucket of a radix above `horizon`: the highest bit in which the
@@ -432,6 +529,7 @@ mod tests {
 
     use proptest::prelude::*;
 
+    use super::streams::{CHUNK, MAX_STREAMS};
     use super::*;
 
     /// The scheduler's key shape: an instant and a unique sequence
@@ -450,6 +548,19 @@ mod tests {
         /// The queue has been on both sides of each threshold.
         bucketed: u32,
         shallow: u32,
+        /// What the streams went through.
+        seen: StreamsSeen,
+    }
+
+    /// How often a stream retired, a push at depth found every stream
+    /// taken and went to the buckets, and a stream outgrew one chunk;
+    /// and the most streams live at once.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct StreamsSeen {
+        retired: u32,
+        overflowed: u32,
+        chunked: u32,
+        most_live: usize,
     }
 
     impl<K: RadixKey + Clone + Debug> Pair<K> {
@@ -459,25 +570,38 @@ mod tests {
                 oracle: BinaryHeap::new(),
                 bucketed: 0,
                 shallow: 0,
+                seen: StreamsSeen::default(),
             }
         }
 
         fn push(&mut self, key: K) {
             let was_shallow = self.queue.horizon == u64::MAX;
+            let streamed = self.queue.streams.len();
             self.queue.push(key.clone());
             self.oracle.push(Reverse(key));
             if was_shallow && self.queue.horizon != u64::MAX {
                 self.bucketed += 1;
             }
+            if !was_shallow && self.queue.streams.len() == streamed {
+                assert_eq!(self.queue.streams.live(), MAX_STREAMS);
+                self.seen.overflowed += 1;
+            }
+            if self.queue.streams.longest() > CHUNK {
+                self.seen.chunked += 1;
+            }
+            self.seen.most_live = self.seen.most_live.max(self.queue.streams.live());
             self.check();
         }
 
         fn pop(&mut self) -> Option<K> {
             let was_bucketed = self.queue.horizon != u64::MAX;
+            let streams = self.queue.streams.live();
             let popped = self.queue.pop();
             assert_eq!(popped, self.oracle.pop().map(|Reverse(key)| key));
             if was_bucketed && self.queue.horizon == u64::MAX {
                 self.shallow += 1;
+            } else if self.queue.streams.live() < streams {
+                self.seen.retired += 1;
             }
             self.check();
             popped
@@ -504,10 +628,8 @@ mod tests {
             assert!(q.heap.iter().all(|Reverse(key)| key.radix() <= q.horizon));
             assert!(q.run.iter().all(|key| key.radix() <= q.horizon));
             assert!(q.run.windows(2).all(|pair| pair[0] > pair[1]));
-            let mut far_len = 0;
             for (bit, bucket) in q.far.iter().enumerate() {
                 assert_eq!(q.occupied >> bit & 1 == 1, !bucket.entries.is_empty());
-                far_len += bucket.entries.len();
                 let min = bucket.entries.iter().map(RadixKey::radix).min();
                 assert_eq!(bucket.min, min.unwrap_or(u64::MAX));
                 for key in &bucket.entries {
@@ -515,13 +637,22 @@ mod tests {
                     assert_eq!((key.radix() ^ q.horizon).ilog2() as usize, bit);
                 }
             }
-            assert_eq!(q.far_len, far_len);
-            assert!(q.horizon != u64::MAX || (far_len == 0 && q.run.is_empty()));
+            let far_len = q.far_entries();
+            let streamed = q.streams.check();
+            assert_eq!(q.parked, far_len + streamed);
+            assert!(q.occupied == 0 || !q.heap.is_empty() || !q.run.is_empty());
+            assert!(q.horizon != u64::MAX || (q.parked == 0 && q.run.is_empty()));
         }
 
         fn drain(&mut self) {
             while self.pop().is_some() {}
             assert_eq!(self.queue.horizon, u64::MAX);
+        }
+    }
+
+    impl<K> BucketQueue<K> {
+        fn far_entries(&self) -> usize {
+            self.far.iter().map(|bucket| bucket.entries.len()).sum()
         }
     }
 
@@ -620,10 +751,14 @@ mod tests {
         pair.drain();
     }
 
+    /// A session's next event: one of a few fixed delays ahead.
+    const DELAYS: [i64; 4] = [1_000, 40_000, 400_000, 4_000_000];
+
     /// Runs coded ops `(kind, a, b)` against both queues, returning how
-    /// often the queue spilled and folded. The `seq`-th key pushed is
-    /// `ahead` of the clock, the instant of the key popped last.
-    fn differential(ops: Vec<(u8, u64, u64)>) -> (u32, u32) {
+    /// often the queue spilled and folded, and what its streams went
+    /// through. The `seq`-th key pushed is `ahead` of the clock, the
+    /// instant of the key popped last.
+    fn differential(ops: Vec<(u8, u64, u64)>) -> (u32, u32, StreamsSeen) {
         let mut pair: Pair<(u64, u64)> = Pair::new();
         let mut clock = 0u64;
         let mut seq = 0u64;
@@ -653,6 +788,21 @@ mod tests {
                     clock = pair.pop().map_or(clock, |(at, _)| at);
                     push(&mut pair, clock, 1 + (lcg(&mut rng) % 1_000_000) as i64);
                 }),
+                // Hold a run at one of `k` fixed delays, cycling; push a
+                // burst the same way.
+                11 => {
+                    let k = 1 + b as usize % DELAYS.len();
+                    for i in 0..(a % 4_000) as usize {
+                        clock = pair.pop().map_or(clock, |(at, _)| at);
+                        push(&mut pair, clock, DELAYS.get(i % k).copied().unwrap_or(0));
+                    }
+                }
+                12 => {
+                    let k = 1 + b as usize % DELAYS.len();
+                    for i in 0..(a % 2_500) as usize {
+                        push(&mut pair, clock, DELAYS.get(i % k).copied().unwrap_or(0));
+                    }
+                }
                 // Rarely, clear.
                 _ if a % 8 == 0 => pair.clear(),
                 _ => {}
@@ -660,7 +810,9 @@ mod tests {
             pair.check_invariant();
         }
         pair.drain();
-        (pair.bucketed, pair.shallow)
+        let opened = pair.queue.stats().streams;
+        assert!(opened == 0 || pair.bucketed > 0);
+        (pair.bucketed, pair.shallow, pair.seen)
     }
 
     proptest! {
@@ -668,7 +820,7 @@ mod tests {
 
         #[test]
         fn instants_match_a_binary_heap_after_every_op(
-            ops in proptest::collection::vec((0u8..12, 0u64..1 << 20, 0u64..1 << 20), 1..60),
+            ops in proptest::collection::vec((0u8..14, 0u64..1 << 20, 0u64..1 << 20), 1..60),
         ) {
             differential(ops);
         }
@@ -677,17 +829,170 @@ mod tests {
     #[test]
     fn the_proptest_ops_cross_both_thresholds_repeatedly() {
         let mut rng = 99;
-        let ops = (0..400).map(|_| {
+        let ops = (0..600).map(|_| {
             (
-                (lcg(&mut rng) % 12) as u8,
+                (lcg(&mut rng) % 14) as u8,
                 lcg(&mut rng) % (1 << 20),
                 lcg(&mut rng) % (1 << 20),
             )
         });
-        let (bucketed, shallow) = differential(ops.collect());
+        let (bucketed, shallow, seen) = differential(ops.collect());
         assert!(
             bucketed >= 3 && shallow >= 3,
             "{bucketed} spills, {shallow} folds"
         );
+        // Streams opened (`retired` implies it), outgrew a chunk, retired,
+        // and overflowed the cap into the buckets.
+        assert!(
+            seen.retired > 0 && seen.chunked > 0 && seen.overflowed > 0,
+            "{seen:?}"
+        );
+    }
+
+    /// A queue at depth whose pushes cycle through three fixed delays,
+    /// the shape of a service run's sessions.
+    fn hold_at_three_delays(pair: &mut Pair<(u64, u64)>, seqs: std::ops::Range<u64>) {
+        for (i, seq) in seqs.enumerate() {
+            let (at, _) = pair.pop().unwrap();
+            let delay = [1_000, 40_000, 400_000][i % 3];
+            pair.push((at + delay, seq));
+        }
+    }
+
+    fn filled_past_the_spill(pair: &mut Pair<(u64, u64)>) {
+        let mut rng = 11;
+        // The last push spills.
+        for seq in 0..=SPILL_ABOVE as u64 {
+            pair.push((lcg(&mut rng) % 100_000, seq));
+        }
+        assert_eq!((pair.bucketed, pair.queue.stats().streams), (1, 0));
+    }
+
+    /// Three fixed delays make the pushes the merge of three sorted
+    /// sequences: never more than three streams live, and once near has
+    /// drained what the spill put there, nothing moves.
+    #[test]
+    fn fixed_delays_fill_three_streams_and_move_nothing() {
+        let mut pair: Pair<(u64, u64)> = Pair::new();
+        filled_past_the_spill(&mut pair);
+        hold_at_three_delays(&mut pair, 10_000..20_000);
+        assert_eq!(pair.queue.len(), pair.queue.streams.len());
+        let moved = pair.queue.stats().moved;
+        hold_at_three_delays(&mut pair, 20_000..40_000);
+        pair.check_invariant();
+        assert_eq!(pair.queue.stats().moved, moved);
+        assert_eq!(pair.seen.most_live, 3);
+        assert!(pair.seen.chunked > 0);
+        pair.drain();
+    }
+
+    #[test]
+    fn a_stream_head_and_a_near_entry_at_one_instant_pop_in_seq_order() {
+        let mut pair: Pair<(u64, u64)> = Pair::new();
+        filled_past_the_spill(&mut pair);
+        // Near holds the spill's head; a stream opens at the same
+        // instant with a smaller sequence number, and another entry at
+        // that instant follows it into the stream.
+        let (at, _) = *pair.queue.peek().unwrap();
+        pair.push((at, 0));
+        pair.push((at, u64::MAX));
+        assert!(pair.queue.stats().streams > 0);
+        pair.check_invariant();
+        let mut last = (0, 0);
+        while let Some(key) = pair.pop() {
+            assert!(key > last);
+            last = key;
+        }
+    }
+
+    #[test]
+    fn a_stream_head_and_a_bucketed_entry_at_one_instant_pop_in_seq_order() {
+        let mut pair: Pair<(u64, u64)> = Pair::new();
+        filled_past_the_spill(&mut pair);
+        // Far above near, each below the last: sixteen streams of one
+        // entry, the least `(t, 115)`. An earlier sequence number at `t`
+        // is below every tail and goes to a bucket; a later one at `t`
+        // is appended to that stream.
+        let t = 10_000_000;
+        for i in 0..MAX_STREAMS as u64 {
+            pair.push((t + 15 - i, 100 + i));
+        }
+        // Enough behind them to keep the queue at depth once the spill's
+        // entries are gone.
+        for j in 0..FOLD_BELOW as u64 {
+            pair.push((t + 16 + j, 1_000 + j));
+        }
+        assert_eq!(pair.queue.streams.live(), MAX_STREAMS);
+        pair.push((t, 1));
+        assert_eq!(pair.seen.overflowed, 1);
+        pair.push((t, 200));
+        assert_eq!(pair.seen.overflowed, 1);
+        pair.check_invariant();
+        while pair.queue.peek().unwrap().0 < t {
+            pair.pop();
+        }
+        assert_ne!(pair.queue.horizon, u64::MAX);
+        assert_eq!(pair.pop(), Some((t, 1)));
+        assert_eq!(pair.pop(), Some((t, 115)));
+        assert_eq!(pair.pop(), Some((t, 200)));
+        pair.drain();
+    }
+
+    #[test]
+    fn with_every_stream_taken_a_push_below_every_tail_goes_to_the_buckets() {
+        let mut pair: Pair<(u64, u64)> = Pair::new();
+        filled_past_the_spill(&mut pair);
+        let mut seq = 10_000..;
+        // Each push below the last opens a stream, until the cap; then
+        // each stream takes a hundred more.
+        for i in 0..MAX_STREAMS as u64 {
+            pair.push((5_000_000 - 1_000 * i, seq.next().unwrap()));
+        }
+        for j in 1..=100 {
+            for i in 0..MAX_STREAMS as u64 {
+                pair.push((5_000_000 - 1_000 * i + j, seq.next().unwrap()));
+            }
+        }
+        let streams = pair.queue.stats().streams;
+        assert_eq!(streams, MAX_STREAMS as u64);
+        let far = pair.queue.far_entries();
+        pair.push((4_000_000, seq.next().unwrap()));
+        assert_eq!(pair.queue.stats().streams, streams);
+        assert_eq!(pair.queue.far_entries(), far + 1);
+        assert_eq!(pair.seen.overflowed, 1);
+        pair.check_invariant();
+        // Drain the spill's entries until near runs dry with everything
+        // else in the streams, then overflow once more below every tail.
+        while pair.queue.peek().unwrap().0 < 100_000 {
+            pair.pop();
+        }
+        pair.check_invariant();
+        pair.push((3_000_000, seq.next().unwrap()));
+        pair.check_invariant();
+        assert_eq!(pair.seen.overflowed, 2);
+        pair.drain();
+    }
+
+    #[test]
+    fn clear_at_depth_with_streams_live_returns_to_the_shallow_regime() {
+        let mut pair: Pair<(u64, u64)> = Pair::new();
+        filled_past_the_spill(&mut pair);
+        hold_at_three_delays(&mut pair, 10_000..15_000);
+        assert!(pair.queue.streams.live() > 0);
+        pair.clear();
+        assert_eq!(pair.queue.horizon, u64::MAX);
+        assert_eq!(pair.queue.streams.live(), 0);
+        pair.check_invariant();
+        let stats = pair.queue.stats();
+        let mut rng = 5;
+        for seq in 0..150 {
+            pair.push((lcg(&mut rng) % 1_000, seq));
+        }
+        for seq in 150..2_000 {
+            let (at, _) = pair.pop().unwrap();
+            pair.push((at + 1 + lcg(&mut rng) % 1_000, seq));
+        }
+        assert_eq!(pair.queue.stats(), stats);
+        pair.drain();
     }
 }
