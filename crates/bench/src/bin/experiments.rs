@@ -170,17 +170,17 @@ fn main() {
 
     if obs.trace.is_some() || obs.metrics.is_some() || obs.series.is_some() || obs.stats {
         let report = if let Some(series_path) = &obs.series {
-            let artifacts =
-                obs_cli::case_study_run_full(obs.trace.as_deref()).unwrap_or_else(|e| {
+            let (report, series) = obs_cli::case_study_run_full(obs.trace.as_deref())
+                .unwrap_or_else(|e| {
                     eprintln!("observability run failed: {e}");
                     std::process::exit(1);
                 });
-            if let Err(e) = obs_cli::write_series(&artifacts.series, series_path) {
+            if let Err(e) = obs_cli::write_series(&series, series_path) {
                 eprintln!("failed to write series to {series_path}: {e}");
                 std::process::exit(1);
             }
             eprintln!("series written to {series_path}");
-            artifacts.report
+            report
         } else {
             obs_cli::case_study_run(obs.trace.as_deref()).unwrap_or_else(|e| {
                 eprintln!("observability run failed: {e}");

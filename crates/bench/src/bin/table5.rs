@@ -66,10 +66,11 @@ fn main() {
     let series = obs_cli::series_flag();
     if obs_cli::stats_flag() || series.is_some() {
         let report = if let Some(series_path) = series {
-            let artifacts = obs_cli::case_study_run_full(None).expect("no trace file involved");
-            obs_cli::write_series(&artifacts.series, &series_path).expect("write series");
+            let (report, series) =
+                obs_cli::case_study_run_full(None).expect("no trace file involved");
+            obs_cli::write_series(&series, &series_path).expect("write series");
             eprintln!("series written to {series_path}");
-            artifacts.report
+            report
         } else {
             obs_cli::case_study_run(None).expect("no trace file involved")
         };

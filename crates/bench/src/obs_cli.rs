@@ -20,7 +20,7 @@ use std::io::{BufWriter, Write};
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_core::ServiceReport;
-use vod_obs::{JsonlWriter, SeriesReport, SpanBuilder, SpanReport, TeeSink, TimeSeriesSink};
+use vod_obs::{JsonlWriter, SeriesReport, TeeSink, TimeSeriesSink};
 use vod_workload::scenario::Scenario;
 
 /// Returns true when `--stats` appears in the process arguments.
@@ -48,16 +48,6 @@ pub fn series_flag() -> Option<String> {
     None
 }
 
-/// Everything an instrumented GRNET case-study run produces.
-pub struct CaseStudyArtifacts {
-    /// The paper-facing service report.
-    pub report: ServiceReport,
-    /// Windowed time-series of the run.
-    pub series: SeriesReport,
-    /// Assembled per-session lifecycle spans.
-    pub spans: SpanReport,
-}
-
 /// Runs the GRNET case study (seed 42, the VRA selector) and returns
 /// its report, streaming the JSONL trace to `trace` when given.
 pub fn case_study_run(trace: Option<&str>) -> std::io::Result<ServiceReport> {
@@ -78,11 +68,11 @@ pub fn case_study_run(trace: Option<&str>) -> std::io::Result<ServiceReport> {
 
 /// Runs the GRNET case study once with the full observability stack —
 /// a [`TeeSink`] fanning the stream out to a JSONL trace (or a
-/// discarding writer when `trace` is `None`), a [`TimeSeriesSink`]
-/// (one-minute windows) and a [`SpanBuilder`] — and returns all the
-/// artifacts. The simulation itself is identical to
-/// [`case_study_run`]'s; only the sinks differ.
-pub fn case_study_run_full(trace: Option<&str>) -> std::io::Result<CaseStudyArtifacts> {
+/// discarding writer when `trace` is `None`) and a [`TimeSeriesSink`]
+/// (one-minute windows) — and returns the report and the series. The
+/// simulation itself is identical to [`case_study_run`]'s; only the
+/// sinks differ.
+pub fn case_study_run_full(trace: Option<&str>) -> std::io::Result<(ServiceReport, SeriesReport)> {
     let scenario = Scenario::grnet_case_study(42);
     let selector = Box::new(Vra::default());
     let config = ServiceConfig::default();
@@ -90,19 +80,11 @@ pub fn case_study_run_full(trace: Option<&str>) -> std::io::Result<CaseStudyArti
         Some(path) => Box::new(BufWriter::new(File::create(path)?)),
         None => Box::new(std::io::sink()),
     };
-    let sink = TeeSink::new(
-        JsonlWriter::new(writer),
-        TeeSink::new(TimeSeriesSink::new(), SpanBuilder::new()),
-    );
+    let sink = TeeSink::new(JsonlWriter::new(writer), TimeSeriesSink::new());
     let (report, sink) = VodService::with_sink(&scenario, selector, config, sink).run_full();
-    let (jsonl, aggregators) = sink.into_parts();
+    let (jsonl, series) = sink.into_parts();
     jsonl.into_inner()?;
-    let (series_sink, span_builder) = aggregators.into_parts();
-    Ok(CaseStudyArtifacts {
-        report,
-        series: series_sink.finish(),
-        spans: span_builder.finish(),
-    })
+    Ok((report, series.finish()))
 }
 
 /// Streams a finished series to `path`, one window at a time: CSV when

@@ -19,7 +19,7 @@
 //! | A004 | striping: part `i` lands on disk `i mod n`, and the part count matches `ceil(size/cluster)` (Figure 3) |
 //! | A005 | VRA optimality: each selection matches a reference LVN-weighted Dijkstra over the traced link state (Figure 5) |
 //! | A006 | switches: every server change is announced by a `switch` matching the adjacent selection, and vice versa |
-//! | A007 | sessions: cluster indices start at 0 and step by at most 1 (repeats only after a re-route; with `dynamic_rerouting` off a selection may skip the clusters fetched along the kept route) |
+//! | A007 | sessions: cluster indices start at 0 and step by at most 1 (repeats only after a re-route; with `dynamic_rerouting` off a selection may skip the clusters fetched along the kept route); the lifecycle is ordered: at most one `session_start`, `session_complete` only after it, a `switch` before it only at the first cluster to fetch (0, or the prefix length after a `prefix_serve`), and no event naming the session after its `session_complete`/`session_aborted` |
 //! | A008 | link conservation: traced used bandwidth and utilization are non-negative and leave no negative residual |
 //! | A009 | catalog/residency consistency: hits are resident, selections come from advertising servers, no double add/remove |
 //! | A010 | fault windows: `link_down`/`link_up` pair up, `link_state.down` matches the replayed outage set, and the A005 reference masks down links (no selection routes over them) |
@@ -190,6 +190,16 @@ struct PendingPrefixEvict {
     victim_points: u64,
 }
 
+/// Where a session stands in its lifecycle (A007); a session the
+/// auditor has seen neither start nor take a prefix is absent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lifecycle {
+    /// A proxy serves this many leading clusters; playout not started.
+    Prefixed(u64),
+    Started,
+    Ended,
+}
+
 /// A selection whose server change must be confirmed by the next event.
 #[derive(Debug, Clone)]
 struct PendingSwitch {
@@ -224,6 +234,9 @@ pub struct AuditSink {
     snapshot: Option<TrafficSnapshot>,
     /// session → (current server, last selected cluster, video).
     sessions: BTreeMap<u64, (u64, u64, u64)>,
+    /// session → lifecycle phase, kept after the session ends so a late
+    /// event naming it is caught.
+    lifecycle: BTreeMap<u64, Lifecycle>,
     /// session → last `session_retry` attempt number seen.
     retries: BTreeMap<u64, u64>,
     /// Links currently inside an outage window, replayed from
@@ -383,6 +396,7 @@ impl AuditSink {
             } = event
             {
                 self.check_switch(*session, *cluster, from.raw(), to.raw(), &p);
+                self.check_lifecycle(*session, event);
                 return;
             }
             self.violate(
@@ -558,7 +572,10 @@ impl AuditSink {
                 server,
                 video,
                 clusters,
-            } => self.on_prefix_serve(*session, server.raw(), video.raw(), *clusters),
+            } => {
+                self.check_lifecycle(*session, event);
+                self.on_prefix_serve(*session, server.raw(), video.raw(), *clusters);
+            }
             Event::VraSelect {
                 session,
                 cluster,
@@ -568,25 +585,38 @@ impl AuditSink {
                 cost,
                 local,
                 ..
-            } => self.on_vra_select(
-                *session,
-                *cluster,
-                video.raw(),
-                home.raw(),
-                server.raw(),
-                *cost,
-                *local,
-            ),
+            } => {
+                self.check_lifecycle(*session, event);
+                self.on_vra_select(
+                    *session,
+                    *cluster,
+                    video.raw(),
+                    home.raw(),
+                    server.raw(),
+                    *cost,
+                    *local,
+                );
+            }
             Event::LinkDown { link } => self.on_link_down(link.raw()),
             Event::LinkUp { link } => self.on_link_up(link.raw()),
             Event::SessionRetry {
                 session, attempt, ..
-            } => self.on_session_retry(*session, u64::from(*attempt)),
+            } => {
+                self.check_lifecycle(*session, event);
+                self.on_session_retry(*session, u64::from(*attempt));
+            }
+            Event::SessionStart { session, .. }
+            | Event::SessionStall { session }
+            | Event::SessionResume { session, .. } => self.check_lifecycle(*session, event),
             Event::SessionComplete { session, .. } => {
+                self.check_lifecycle(*session, event);
                 self.sessions.remove(session);
                 self.retries.remove(session);
             }
-            Event::SessionAborted { session, reason } => self.on_session_aborted(*session, *reason),
+            Event::SessionAborted { session, reason } => {
+                self.check_lifecycle(*session, event);
+                self.on_session_aborted(*session, *reason);
+            }
             Event::ServerDown { server } => {
                 // The cache is retired with the server; a recovering
                 // server starts cold (fresh points, empty disks).
@@ -601,15 +631,12 @@ impl AuditSink {
             }
             // Checked before the dispatch: it must follow its selection.
             Event::Switch { .. } => {}
-            // Request and session-lifecycle markers carry no invariant
-            // beyond the time order every event gets; A013 reconciles
-            // their counts with a series instead.
+            // Request markers carry no invariant beyond the time order
+            // every event gets; A013 reconciles their counts with a
+            // series instead.
             Event::RequestArrival { .. }
             | Event::RequestFailed { .. }
-            | Event::RequestRejected { .. }
-            | Event::SessionStart { .. }
-            | Event::SessionStall { .. }
-            | Event::SessionResume { .. } => {}
+            | Event::RequestRejected { .. } => {}
             // SNMP, outage, degradation and background markers only
             // explain the link states that A005, A008 and A010 verify
             // directly; a recovering server is replayed cold already.
@@ -799,6 +826,66 @@ impl AuditSink {
             );
         }
         self.retries.insert(session, attempt);
+    }
+
+    /// A007 lifecycle order for an event naming `session`: it starts at
+    /// most once, completes only after its start, switches before its
+    /// start only at its first cluster to fetch, and no event names it
+    /// after it completed or aborted.
+    fn check_lifecycle(&mut self, session: u64, event: &Event) {
+        let phase = self.lifecycle.get(&session).copied();
+        let kind = event.kind();
+        if phase == Some(Lifecycle::Ended) {
+            self.violate(
+                "A007",
+                format!("`{kind}` names session {session} after it ended"),
+            );
+            return;
+        }
+        let started = phase == Some(Lifecycle::Started);
+        match event {
+            Event::SessionStart { .. } if started => {
+                self.violate("A007", format!("session {session} starts twice"));
+            }
+            Event::SessionStart { .. } => {
+                self.lifecycle.insert(session, Lifecycle::Started);
+            }
+            Event::PrefixServe { clusters, .. } if phase.is_none() => {
+                self.lifecycle
+                    .insert(session, Lifecycle::Prefixed(*clusters));
+            }
+            // Before playout only the first cluster to fetch is in
+            // flight: a retry may re-route it, and a prefix session's
+            // origin takes over from the proxy at the prefix boundary.
+            Event::Switch { cluster, .. } if !started => {
+                let first = match phase {
+                    Some(Lifecycle::Prefixed(clusters)) => clusters,
+                    _ => 0,
+                };
+                if *cluster != first {
+                    self.violate(
+                        "A007",
+                        format!(
+                            "session {session} switches at cluster {cluster} before its \
+                             `session_start` (only cluster {first} is in flight)"
+                        ),
+                    );
+                }
+            }
+            Event::SessionComplete { .. } if !started => {
+                self.violate(
+                    "A007",
+                    format!("session {session} completes without a `session_start`"),
+                );
+            }
+            _ => {}
+        }
+        if matches!(
+            event,
+            Event::SessionComplete { .. } | Event::SessionAborted { .. }
+        ) {
+            self.lifecycle.insert(session, Lifecycle::Ended);
+        }
     }
 
     /// A012: abort reasons agree with the configured retry budget and

@@ -30,6 +30,10 @@ SUBCOMMANDS:
     audit     Replays a JSONL trace against reference implementations of
               the paper's invariants (A000-A016); --series reconciles a
               time-series export against the same run's trace (A013).
+              A007 holds each session's lifecycle in order: at most one
+              session_start; session_complete only after it; before it,
+              a switch only at the first cluster to fetch; no event
+              naming the session after its end.
               The source rules (wall clock, threads, HashMap/HashSet,
               unwrap/expect, panic macros, indexing, unsafe) are
               compiler lints: see clippy.toml.

@@ -101,6 +101,27 @@ fn select_line(at_us: u64, session: u64, cluster: u64, cost: f64) -> String {
     ev! { at_us, VraSelect { session, cluster, video: v(1), home: n(0), server: n(1), cost, cache_hit: false, local: false } }
 }
 
+/// Session 0's playout start, 5 µs after its request.
+fn start_line(at_us: u64) -> String {
+    ev! { at_us, SessionStart { session: 0, startup: us(5) } }
+}
+
+/// Session 0 fetches from S1, then its home S0 advertises the title
+/// and the selection for `cluster` moves the session there: every
+/// selection is optimal and the switch matches the one that moved the
+/// session (A005/A006 hold); playout has not started.
+fn rerouted_home(cluster: u64) -> Vec<String> {
+    with(
+        preamble(),
+        &[
+            select_line(10, 0, 0, fixture_cost()),
+            ev! { 20, CatalogAdd { server: n(0), video: v(1) } },
+            ev! { 30, VraSelect { session: 0, cluster, video: v(1), home: n(0), server: n(0), cost: 0.0, cache_hit: false, local: true } },
+            ev! { 30, Switch { session: 0, cluster, from: n(1), to: n(0) } },
+        ],
+    )
+}
+
 fn retry_line(at_us: u64, attempt: u32) -> String {
     ev! { at_us, SessionRetry { session: 0, attempt, backoff: us(2_000_000 * u64::from(attempt)) } }
 }
@@ -202,6 +223,16 @@ fixtures! {
         ev! { 10, Switch { session: 0, cluster: 1, from: n(0), to: n(1) } },
     ]);
     a007_session_opens_mid_stream: "A007" => with(preamble(), &[select_line(10, 7, 3, fixture_cost())]);
+    a007_session_starts_twice: "A007" => with(preamble(), &[start_line(10), start_line(20)]);
+    a007_session_completes_without_a_start: "A007" => with(preamble(), &[
+        ev! { 10, SessionComplete { session: 0, stalls: 0, stall_time: us(0), switches: 0 } },
+    ]);
+    // Cluster 1 cannot be in flight before playout starts.
+    a007_switch_before_the_start: "A007" => rerouted_home(1);
+    a007_event_after_an_abort: "A007" => with(preamble(), &[
+        ev! { 10, SessionAborted { session: 0, reason: AbortReason::HomeDown } },
+        ev! { 20, SessionStall { session: 0 } },
+    ]);
     a008_link_used_exceeds_capacity: "A008" => with(preamble(), &[link_state(10, 999.0, &[])]);
     a009_hit_on_a_title_that_is_not_resident: "A009" => with(preamble(), &[
         ev! { 10, DmaHit { server: n(0), video: v(5) } },
@@ -288,6 +319,7 @@ fn clean_fixture_audits_green() {
         preamble(),
         &[
             select_line(10, 0, 0, cost),
+            start_line(15),
             select_line(20, 0, 1, cost),
             ev! { 30, SessionComplete { session: 0, stalls: 0, stall_time: us(0), switches: 0 } },
         ],
@@ -300,6 +332,13 @@ fn clean_fixture_audits_green() {
     );
     assert_eq!(summary.events, t.len());
     assert_eq!(summary.selections_verified, 2);
+}
+
+/// A retry may re-route the first cluster before playout starts.
+#[test]
+fn a007_first_cluster_rerouted_before_the_start_audits_green() {
+    let summary = audit(&with(rerouted_home(0), &[start_line(40)]));
+    assert!(summary.is_clean(), "{:?}", summary.violations);
 }
 
 #[test]

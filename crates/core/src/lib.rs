@@ -17,8 +17,7 @@
 //!   switch accounting;
 //! * [`qos`] — per-session QoS records and per-run reports;
 //! * [`service`] — the end-to-end discrete-event service simulation
-//!   (flows + SNMP + database + DMA caches + selector);
-//! * [`ip`] — client-IP → home-server resolution (Figure 5's first step).
+//!   (flows + SNMP + database + DMA caches + selector).
 //!
 //! # Quickstart
 //!
@@ -54,7 +53,6 @@
 
 pub mod admission;
 pub mod error;
-pub mod ip;
 pub mod qos;
 pub mod selection;
 pub mod service;

@@ -20,18 +20,15 @@
 //!   local-vs-remote split, SNMP staleness), kept in one packed
 //!   append-only log and exported as byte-stable JSON/CSV one window
 //!   at a time — the time-resolved view behind the paper's Figs 2/3/5;
-//! * [`SpanBuilder`] / [`SpanReport`] — per-session
-//!   request → admission → streaming → switch → completion/abort
-//!   lifecycle spans assembled from a live or ring-recorded trace,
-//!   feeding the phase-duration histograms;
 //! * [`TeeSink`] — fan-out combinator so one run can, say, stream
-//!   JSONL *and* feed the series/span aggregators simultaneously.
+//!   JSONL *and* feed the series aggregator simultaneously.
 //!
 //! The run's totals are not kept here: the service's own
 //! `ServiceReport` (in `vod-core`) is the one record of a run — every
 //! finished session's QoS plus every subsystem's work counters — and
 //! `experiments --metrics` writes it as JSON. This crate only adds views the report does not
-//! hold (the trace, time-resolved windows, per-session phases).
+//! hold: the trace, whose session events carry each lifecycle step
+//! (start, switches, end), and the time-resolved windows.
 //!
 //! # Determinism contract
 //!
@@ -64,9 +61,7 @@ pub mod event;
 mod number;
 pub mod series;
 pub mod sink;
-pub mod span;
 
 pub use event::{AbortReason, DmaRejectKind, Event, ReadError};
 pub use series::{SeriesReport, SeriesWindow, TimeSeriesSink};
 pub use sink::{EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink};
-pub use span::{SessionSpan, SpanBuilder, SpanOutcome, SpanReport};

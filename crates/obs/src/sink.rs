@@ -166,8 +166,9 @@ impl EventSink for RingRecorder {
 /// `enabled()` is the OR of the parts and each part only sees events
 /// while it is itself enabled, so a `TeeSink<NullSink, NullSink>`
 /// still folds away entirely. Nest tees for wider fan-out:
-/// `TeeSink::new(jsonl, TeeSink::new(series, spans))` records a trace
-/// and feeds both aggregators in a single run.
+/// `TeeSink::new(jsonl, TeeSink::new(series, auditor))` records a
+/// trace, folds its series and audits it (`vod-check`'s `AuditSink`)
+/// in a single run.
 #[derive(Debug, Default, Clone)]
 pub struct TeeSink<A, B> {
     first: A,

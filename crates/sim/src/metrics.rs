@@ -171,11 +171,6 @@ impl Histogram {
         self.max_seen = self.max_seen.max(value);
     }
 
-    /// Records a simulated duration in seconds.
-    pub fn record_duration(&mut self, d: crate::time::SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -530,14 +525,5 @@ mod tests {
             let h = Histogram::new(FLOOR, 40, SUB);
             assert_eq!(h.summary(), Summary::from_values(std::iter::empty()));
         }
-    }
-
-    #[test]
-    fn histogram_records_durations() {
-        use crate::time::SimDuration;
-        let mut h = Histogram::default();
-        h.record_duration(SimDuration::from_secs(2));
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 2.0);
     }
 }

@@ -3,14 +3,11 @@
 //! The paper argues its service "grows with the network and has the
 //! ability to adjust to a large variety of diverse networks". This
 //! example builds a custom hub-and-spoke topology from scratch with the
-//! public `TopologyBuilder` API, maps client IP prefixes to home servers
-//! (Figure 5's first step), generates a workload, and runs the service.
+//! public `TopologyBuilder` API, generates a workload whose requests
+//! each carry the client's home node, and runs the service.
 //!
 //! Run with: `cargo run --release --example custom_topology`
 
-use std::net::Ipv4Addr;
-
-use vod_core::ip::HomeResolver;
 use vod_core::service::{ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::{Mbps, TopologyBuilder};
@@ -28,16 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hub_a = b.add_node("hub-a");
     let hub_b = b.add_node("hub-b");
     b.add_link(hub_a, hub_b, Mbps::new(34.0))?;
-    let mut leaves = Vec::new();
     for i in 0..3 {
         let leaf = b.add_node(format!("a{i}"));
         b.add_link(hub_a, leaf, Mbps::new(10.0))?;
-        leaves.push(leaf);
     }
     for i in 0..3 {
         let leaf = b.add_node(format!("b{i}"));
         b.add_link(hub_b, leaf, Mbps::new(10.0))?;
-        leaves.push(leaf);
     }
     let topology = b.build();
     println!(
@@ -45,20 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         topology.node_count(),
         topology.link_count(),
         topology.is_connected()
-    );
-
-    // Figure 5, step one: determine the home server from the client IP.
-    let mut resolver = HomeResolver::new();
-    for (i, &leaf) in leaves.iter().enumerate() {
-        resolver
-            .add(Ipv4Addr::new(10, i as u8, 0, 0), 16, leaf)
-            .map_err(std::io::Error::other)?;
-    }
-    let client_ip = Ipv4Addr::new(10, 2, 14, 7);
-    let home = resolver.resolve(client_ip).expect("prefix configured");
-    println!(
-        "client {client_ip} is homed at {}",
-        topology.node(home).name()
     );
 
     // Workload: 40 titles, evening-peak arrivals over 4 hours.

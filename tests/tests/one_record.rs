@@ -1,7 +1,7 @@
 //! `ServiceReport` is the one record of a run: the sink a run records
-//! into never changes it, and the event folds a traced run builds
-//! (series windows, session spans) count the same outcomes, switches
-//! and polls it does. Four runs that between them reach every session
+//! into never changes it, and what a traced run writes (the series
+//! windows, the JSONL trace) counts the same outcomes, switches and
+//! polls it does. Four runs that between them reach every session
 //! outcome (chaos with retries, the prefix tier under faults, a
 //! contended backbone, admission refusals) are run untraced and under
 //! the full obs stack.
@@ -10,7 +10,7 @@ use vod_core::admission::AdmissionPolicy;
 use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::Mbps;
-use vod_obs::{JsonlWriter, SpanBuilder, TeeSink, TimeSeriesSink};
+use vod_obs::{JsonlWriter, TeeSink, TimeSeriesSink};
 use vod_sim::fault::FaultPlan;
 use vod_sim::SimDuration;
 use vod_workload::scenario::Scenario;
@@ -26,37 +26,26 @@ fn chaos(scenario: &Scenario, span: SimDuration) -> FaultPlan {
     FaultPlan::random(42, scenario.topology(), start, start + span, 10)
 }
 
-/// Runs `scenario` untraced and traced into JSONL + series + spans,
-/// checks the two reports are one, reconciles the report with both
-/// folds, and checks the tally against `expected` so no case goes
+/// Runs `scenario` untraced and traced into JSONL + series, checks the
+/// two reports are one, reconciles the report with the series and the
+/// trace, and checks the tally against `expected` so no case goes
 /// vacuous.
 fn check(scenario: &Scenario, config: ServiceConfig, expected: Tally) {
     let plain = VodService::new(scenario, Box::new(Vra::default()), config.clone()).run();
-    let sink = TeeSink::new(
-        JsonlWriter::new(Vec::new()),
-        TeeSink::new(TimeSeriesSink::new(), SpanBuilder::new()),
-    );
+    let sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
     let (report, sink) = service.run_full();
     assert_eq!(plain, report, "the sink changed the report");
 
-    let (_, folds) = sink.into_parts();
-    let (series, spans) = folds.into_parts();
-    let (series, spans) = (series.finish(), spans.finish());
+    let (jsonl, series) = sink.into_parts();
+    let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
+        .expect("JSONL traces are UTF-8");
+    let series = series.finish();
 
-    let completed = report.completed.len();
-    assert_eq!(
-        spans.outcome_counts(),
-        (
-            completed,
-            report.aborted_sessions as usize,
-            report.unfinished_sessions
-        ),
-        "spans: (completed, aborted, unfinished)"
-    );
-
+    let mut arrivals = 0;
     let mut summed = [0u64; 6];
     for w in series.windows() {
+        arrivals += w.arrivals;
         let row = [
             w.completes,
             w.aborts,
@@ -69,13 +58,22 @@ fn check(scenario: &Scenario, config: ServiceConfig, expected: Tally) {
             *total += v;
         }
     }
-    let span_switches: usize = spans.spans.iter().map(|s| s.switch_times.len()).sum();
+    let [completes, aborts, failures, rejections, ..] = summed;
+    assert_eq!(
+        arrivals,
+        completes + aborts + failures + rejections + report.unfinished_sessions as u64,
+        "every arrival completes, aborts, fails, is rejected or is still live"
+    );
+    let switches = trace
+        .lines()
+        .filter(|l| l.contains(r#""kind":"switch""#))
+        .count();
     let tally = [
-        completed as u64,
+        report.completed.len() as u64,
         report.aborted_sessions,
         report.failed_requests,
         report.rejected_requests,
-        span_switches as u64,
+        switches as u64,
         report.snmp_polls,
     ];
     assert_eq!(
