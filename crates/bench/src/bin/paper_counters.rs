@@ -144,6 +144,7 @@ fn counter_rows(
     if k.links_pruned > 0 {
         row("links_pruned", k.links_pruned, HigherBetter);
     }
+    row("row_updates", k.row_updates, LowerBetter);
     row("flows_rerated", k.flows_rerated, LowerBetter);
     row("full_rebuilds", engine.full_rebuilds, LowerBetter);
     row("dijkstra_runs", engine.dijkstra_runs, LowerBetter);
@@ -187,12 +188,13 @@ fn main() {
         let e = report.engine.unwrap_or_default();
         println!(
             "{name}: {} arrivals, {events} events in {wall:.3} s; {} fills, {} rounds, \
-             {} links scanned, {} pruned; {} Dijkstra runs settled {} nodes",
+             {} links scanned, {} pruned, {} row updates; {} Dijkstra runs settled {} nodes",
             scenario.trace().len(),
             k.reallocations,
             k.fill_rounds,
             k.links_scanned,
             k.links_pruned,
+            k.row_updates,
             e.dijkstra_runs,
             e.nodes_settled,
         );

@@ -131,8 +131,8 @@ pub fn print_stats(report: &ServiceReport) {
         k.fill_rounds, k.classes_filled, k.links_scanned, k.links_pruned
     );
     println!(
-        "          {} flows re-rated, {} completion scans",
-        k.flows_rerated, k.completion_scans
+        "          {} kept-row updates, {} flows re-rated, {} completion scans",
+        k.row_updates, k.flows_rerated, k.completion_scans
     );
     let q = &report.scheduler;
     println!(

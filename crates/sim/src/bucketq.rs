@@ -307,7 +307,7 @@ impl<K: RadixKey> BucketQueue<K> {
     #[inline]
     pub fn pop(&mut self) -> Option<K> {
         let popped = if self.horizon != u64::MAX {
-            self.pop_bucketed()
+            self.pop_bucketed(|_| true)
         } else {
             self.heap.pop()
         };
@@ -315,12 +315,34 @@ impl<K: RadixKey> BucketQueue<K> {
         Some(key)
     }
 
-    /// `pop` in the bucketed regime: the least of the run's last, the
-    /// heap's top and the streams' least head, then near refilled or the
-    /// drained queue folded.
+    /// Removes and returns the smallest entry if `take` accepts it
+    /// (`peek` then `pop`, with the smallest entry found once): a
+    /// caller popping only what is due by some instant asks the
+    /// question of the entry it gets.
+    #[inline]
+    pub fn pop_if(&mut self, take: impl FnOnce(&K) -> bool) -> Option<K> {
+        let popped = if self.horizon != u64::MAX {
+            self.pop_bucketed(take)
+        } else {
+            if !take(&self.heap.peek()?.0) {
+                return None;
+            }
+            self.heap.pop()
+        };
+        let Reverse(key) = popped?;
+        Some(key)
+    }
+
+    /// `pop_if` in the bucketed regime: the least of the run's last, the
+    /// heap's top and the streams' least head, taken from its part if
+    /// `take` accepts it, then near refilled or the drained queue
+    /// folded.
     #[inline(never)]
-    fn pop_bucketed(&mut self) -> Option<Reverse<K>> {
-        let (_, part) = self.least(self.heap.peek().map(|Reverse(pushed)| pushed))?;
+    fn pop_bucketed(&mut self, take: impl FnOnce(&K) -> bool) -> Option<Reverse<K>> {
+        let (least, part) = self.least(self.heap.peek().map(|Reverse(pushed)| pushed))?;
+        if !take(least) {
+            return None;
+        }
         let popped = match part {
             Part::Run => Reverse(self.run.pop()?),
             Part::Heap => self.heap.pop()?,
@@ -607,6 +629,31 @@ mod tests {
             popped
         }
 
+        /// `pop_if` of the entry due by `by`, against the oracle's
+        /// head.
+        fn pop_by(&mut self, by: u64) -> Option<K> {
+            let was_bucketed = self.queue.horizon != u64::MAX;
+            let mut asked = None;
+            let popped = self.queue.pop_if(|head| {
+                asked = Some(head.clone());
+                head.radix() <= by
+            });
+            let head = self.oracle.peek().map(|Reverse(key)| key.clone());
+            // The predicate saw the least entry, once, and only when
+            // there was one.
+            assert_eq!(asked, head);
+            let due = head.filter(|key| key.radix() <= by);
+            if due.is_some() {
+                self.oracle.pop();
+            }
+            assert_eq!(popped, due);
+            if was_bucketed && self.queue.horizon == u64::MAX {
+                self.shallow += 1;
+            }
+            self.check();
+            popped
+        }
+
         fn clear(&mut self) {
             self.queue.clear();
             self.oracle.clear();
@@ -803,6 +850,19 @@ mod tests {
                         push(&mut pair, clock, DELAYS.get(i % k).copied().unwrap_or(0));
                     }
                 }
+                // Pop a run of what is due by a deadline, past which the
+                // pops find nothing due; pop one due at, just behind or
+                // just past the clock.
+                14 => {
+                    let by = clock + b % 100_000;
+                    (0..a % 3_000).for_each(|_| {
+                        clock = pair.pop_by(by).map_or(clock, |(at, _)| at);
+                    });
+                }
+                15 => {
+                    let by = clock.saturating_add_signed((a % 3) as i64 - 1);
+                    clock = pair.pop_by(by).map_or(clock, |(at, _)| at);
+                }
                 // Rarely, clear.
                 _ if a % 8 == 0 => pair.clear(),
                 _ => {}
@@ -820,7 +880,7 @@ mod tests {
 
         #[test]
         fn instants_match_a_binary_heap_after_every_op(
-            ops in proptest::collection::vec((0u8..14, 0u64..1 << 20, 0u64..1 << 20), 1..60),
+            ops in proptest::collection::vec((0u8..16, 0u64..1 << 20, 0u64..1 << 20), 1..60),
         ) {
             differential(ops);
         }

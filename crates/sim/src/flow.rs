@@ -24,7 +24,11 @@
 //! links that can saturate — a link whose classes' bottlenecks sum to
 //! less than its residual capacity is dropped before the first round —
 //! `O(crossed links + rounds × (kept links + classes on saturated
-//! links))`, whatever the number of flows. One
+//! links))`, whatever the number of flows. The per-link member counts,
+//! residual capacities and bottleneck sums a fill starts from are kept
+//! between fills: a settle moves them by the classes whose member count
+//! changed, and recomputes the capacity-derived ones only after a
+//! capacity input moved. One
 //! dense pass then hands each slot its class's rate, re-anchors the
 //! slots whose rate moved and rebuilds the per-link loads.
 //!
@@ -119,7 +123,7 @@ mod classes;
 mod fill;
 
 use classes::RouteClass;
-use fill::{FillScratch, NO_ROW};
+use fill::{FillScratch, KeptRows, NO_ROW};
 
 /// Volume (megabits) at or below which a flow counts as transferred
 /// whatever its rate: a re-anchor that leaves no more than this makes
@@ -221,6 +225,10 @@ pub struct KernelStats {
     /// bound — the sum of the bottlenecks of the classes crossing them
     /// — shows they can never saturate (DESIGN.md §13).
     pub links_pruned: u64,
+    /// Kept per-link member counts a settle moved: one per link crossed
+    /// by each class whose member count changed since the last settle
+    /// (DESIGN.md §13, "Kept rows").
+    pub row_updates: u64,
     /// Flows whose rate moved and were re-anchored.
     pub flows_rerated: u64,
     /// Advances that reached the earliest stored completion instant and
@@ -242,6 +250,7 @@ impl std::ops::AddAssign for KernelStats {
             classes_filled,
             links_scanned,
             links_pruned,
+            row_updates,
             flows_rerated,
             completion_scans,
         } = rhs;
@@ -253,6 +262,7 @@ impl std::ops::AddAssign for KernelStats {
         self.classes_filled += classes_filled;
         self.links_scanned += links_scanned;
         self.links_pruned += links_pruned;
+        self.row_updates += row_updates;
         self.flows_rerated += flows_rerated;
         self.completion_scans += completion_scans;
     }
@@ -390,6 +400,9 @@ pub struct FlowNetwork {
     /// instants, `next` and the integrals' loads are out of date until
     /// [`FlowNetwork::settle`] runs.
     touched_classes: Vec<u32>,
+    /// Per-link member counts, residuals and pruning bounds, kept from
+    /// one fill to the next.
+    rows: KeptRows,
     fill: FillScratch,
     stats: KernelStats,
 }
@@ -415,6 +428,7 @@ impl FlowNetwork {
             integrals: vec![LinkIntegral::default(); links],
             capacity_moved: false,
             touched_classes: Vec::new(),
+            rows: KeptRows::new(links),
             fill: FillScratch {
                 pos: vec![NO_ROW; links],
                 ..FillScratch::default()

@@ -16,8 +16,9 @@ pub(super) struct RouteClass {
     pub(super) filled_members: u32,
     /// The max-min rate of every member, as of the last fill.
     pub(super) rate: Mbps,
-    /// Fill scratch: the class has been assigned its rate this fill.
-    pub(super) frozen: bool,
+    /// The fill that assigned `rate` (`FillScratch::epoch`): equal to
+    /// the running fill's once the class froze in it.
+    pub(super) frozen_in: u64,
 }
 
 impl FlowNetwork {

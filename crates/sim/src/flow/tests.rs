@@ -1182,6 +1182,7 @@ fn kernel_stats_add_field_wise() {
         classes_filled: 3,
         links_scanned: 4,
         links_pruned: 0,
+        row_updates: 5,
         flows_rerated: 3,
         completion_scans: 1,
     };
@@ -1202,6 +1203,7 @@ fn kernel_stats_add_field_wise() {
         classes_filled: 6,
         links_scanned: 8,
         links_pruned: 0,
+        row_updates: 10,
         flows_rerated: 6,
         completion_scans: 5,
     };
@@ -1824,6 +1826,76 @@ mod pruning {
             steps in 10usize..80,
         ) {
             drive(nodes, seed, steps)?;
+        }
+    }
+
+    /// Drives the production network alone through `steps` random
+    /// operations on a random multi-hop network — bursts of flows onto
+    /// random routes, removals, completions, background loads,
+    /// outages, degradations and advances, settled after most of them
+    /// and so also in batches — and after every settle checks the kept
+    /// rows against a rebuild (`FlowNetwork::check_kept_rows`).
+    fn drive_kept_rows(nodes: usize, seed: u64, steps: usize) -> Result<(), TestCaseError> {
+        let (topology, pool) = network(nodes, seed, 3 * nodes);
+        prop_assert!(topology.link_count() >= PRUNE_MIN_LINKS);
+        let links: Vec<LinkId> = topology.link_ids().collect();
+        let mut net = FlowNetwork::new(topology.clone());
+        let mut live: Vec<FlowId> = Vec::new();
+        let mut mix = Mix(seed ^ 0x0c0u64);
+        for _ in 0..steps {
+            let link = links[mix.below(links.len())];
+            let capacity = topology.link(link).capacity().as_f64();
+            match mix.below(11) {
+                0..=3 => {
+                    let route = &pool[mix.below(pool.len())];
+                    for _ in 0..1 + mix.below(8) {
+                        live.push(net.add_flow(route, 1.0 + 400.0 * mix.unit()).unwrap());
+                    }
+                }
+                4 | 5 if !live.is_empty() => {
+                    let id = live.remove(mix.below(live.len()));
+                    net.remove_flow(id).unwrap();
+                }
+                6 => {
+                    let share = [0.0, 0.5, 1.0 - 1e-9 * mix.unit()][mix.below(3)];
+                    net.set_background(link, Mbps::new(capacity * share));
+                }
+                7 => {
+                    let down = mix.below(2) == 0;
+                    net.set_link_admin_down(link, down);
+                }
+                8 => net.set_link_capacity_scale(link, [0.0, 0.5, mix.unit(), 1.0][mix.below(4)]),
+                9 => {
+                    if let Some((_, dt)) = net.next_completion() {
+                        let done = net.advance(dt);
+                        live.retain(|id| !done.contains(id));
+                    }
+                }
+                _ => {
+                    let done = net.advance(SimDuration::from_millis(50 + mix.below(5_000) as u64));
+                    live.retain(|id| !done.contains(id));
+                }
+            }
+            if mix.below(3) > 0 {
+                net.settle();
+                if let Err(why) = net.check_kept_rows() {
+                    return Err(TestCaseError::fail(why));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn kept_rows_equal_a_rebuild_after_every_settle(
+            nodes in 16usize..40,
+            seed in any::<u64>(),
+            steps in 10usize..120,
+        ) {
+            drive_kept_rows(nodes, seed, steps)?;
         }
     }
 

@@ -9,10 +9,17 @@
 //!
 //! # Memory
 //!
-//! `size_of::<Option<T>>() × (newest live id − oldest live id + 1)`:
-//! removing an id empties its slot, and empty slots are popped off both
-//! ends, so a non-empty window always starts and ends on a live id and
-//! an emptied one holds no slots. The workspace has two users, both in
+//! `size_of::<Option<T>>() × (newest live id − oldest live id + 1)` in
+//! slots: removing an id empties its slot, and empty slots are popped
+//! off both ends, so a non-empty window always starts and ends on a live
+//! id and an emptied one holds no slots. The buffer behind them is
+//! another matter: the `VecDeque` keeps its high-water capacity, so a
+//! window holds the memory of its widest span until it is dropped, and
+//! the pages of drained slots stay resident. On `local_scale` (seed 42)
+//! all 400 801 sessions are live at once, 57.7 MB of 144 B slots, and
+//! the run's peak RSS (104 MB) comes at its end: the drained slots are
+//! still resident then, next to the completion records that piled up
+//! meanwhile. The workspace has two users, both in
 //! a service run: the live sessions (the record inline, 144 B a slot)
 //! and the network flow → session map (16 B). Widest session windows on
 //! the five seed-42 workloads of `benchmark/`: 400 801 / 2 000 / 1 500 /
@@ -118,7 +125,13 @@ impl<T> IdWindow<T> {
         // any collection asked for more than memory holds.
         let index = self.index(id).unwrap_or(usize::MAX);
         if index >= self.slots.len() {
-            self.slots.resize_with(index.saturating_add(1), || None);
+            // Pushed rather than written into a fresh `None` slot:
+            // `Option::replace` moves a large value through a copy
+            // routine.
+            self.slots.resize_with(index, || None);
+            self.slots.push_back(Some(value));
+            self.live += 1;
+            return None;
         }
         let old = self.slots.get_mut(index)?.replace(value);
         if old.is_none() {

@@ -187,25 +187,26 @@ impl<E> Scheduler<E> {
     }
 
     /// Removes and returns the earliest pending event, queued or armed,
-    /// if it is due by `by`: one look at the queue's head and one at the
-    /// earliest armed slot.
+    /// if it is due by `by`: one look at the queue's head, which is
+    /// taken in the same step if it goes first and is due, and one at
+    /// the earliest armed slot.
     pub fn pop_by(&mut self, by: SimTime) -> Option<(SimTime, E)> {
-        let head = self.queue.peek().map(|e| (e.at, e.seq));
-        if let Some((at, seq, slot)) = self.next_timer {
-            if head.is_none_or(|head| (at, seq) < head) {
-                return if at <= by {
-                    self.deliver_timer(slot)
-                } else {
-                    None
-                };
+        let timer = self.next_timer;
+        let mut timer_first = false;
+        let queued = self.queue.pop_if(|head| {
+            timer_first = timer.is_some_and(|(at, seq, _)| (at, seq) < (head.at, head.seq));
+            !timer_first && head.at <= by
+        });
+        if let Some(entry) = queued {
+            self.stats.pops += 1;
+            return Some((entry.at, entry.event));
+        }
+        match timer {
+            Some((at, _, slot)) if at <= by && (timer_first || self.queue.is_empty()) => {
+                self.deliver_timer(slot)
             }
+            _ => None,
         }
-        if head?.0 > by {
-            return None;
-        }
-        let entry = self.queue.pop()?;
-        self.stats.pops += 1;
-        Some((entry.at, entry.event))
     }
 
     /// Empties timer `slot` and hands over its event.

@@ -191,6 +191,13 @@ pub struct DmaCache {
     config: DmaConfig,
     array: DiskArray,
     tracker: PopularityTracker,
+    /// The residents ascending by `(points, id)`, each at the points it
+    /// had when it was last ranked. Points only grow, so those are a
+    /// lower bound: a hit costs nothing here, and an eviction re-ranks
+    /// the entries it reads until they are current (`least_popular`,
+    /// `colder_than`). Kept in step with `array` by every store and
+    /// removal.
+    ranked: Vec<(u64, VideoId)>,
     stats: DmaStats,
 }
 
@@ -207,6 +214,7 @@ impl DmaCache {
             config,
             array,
             tracker: PopularityTracker::new(),
+            ranked: Vec::new(),
             stats: DmaStats::default(),
         })
     }
@@ -244,7 +252,65 @@ impl DmaCache {
     /// Propagates [`StorageError`] if the title is already present or does
     /// not fit.
     pub fn preload(&mut self, video: &VideoMeta) -> Result<StripeLayout, StorageError> {
-        self.array.store(video)
+        let layout = self.array.store(video)?;
+        self.rank(video.id(), self.tracker.points(video.id()));
+        Ok(layout)
+    }
+
+    /// Stores `video`, which the caller made sure fits, as a resident of
+    /// `points` points.
+    fn admit(&mut self, video: &VideoMeta, points: u64) -> StripeLayout {
+        #[expect(clippy::expect_used, reason = "the caller checked the fit")]
+        let layout = self.array.store(video).expect("the caller checked the fit");
+        self.rank(video.id(), points);
+        self.stats.admissions += 1;
+        layout
+    }
+
+    /// Ranks a new resident.
+    fn rank(&mut self, video: VideoId, points: u64) {
+        let key = (points, video);
+        let at = self.ranked.partition_point(|&ranked| ranked < key);
+        self.ranked.insert(at, key);
+    }
+
+    /// Moves the entry at `at` to its place if its title was awarded
+    /// points since it was ranked: whether it moved, or `None` past the
+    /// end. A moved entry only moves up, past `at`'s successors.
+    fn rerank_at(&mut self, at: usize) -> Option<bool> {
+        let &(ranked, video) = self.ranked.get(at)?;
+        let points = self.tracker.points(video);
+        if points == ranked {
+            return Some(false);
+        }
+        self.ranked.remove(at);
+        self.rank(video, points);
+        Some(true)
+    }
+
+    /// The least popular resident and its points — lowest points, ties
+    /// to the lowest id: the ranking's first entry, once it is current
+    /// (every later entry's points are at least its ranked ones).
+    fn least_popular(&mut self) -> Option<(u64, VideoId)> {
+        while self.rerank_at(0)? {}
+        self.ranked.first().copied()
+    }
+
+    /// How many residents have fewer than `points` points. They lead the
+    /// ranking afterwards, current and in `(points, id)` order; every
+    /// entry past them was ranked at `points` or more.
+    fn colder_than(&mut self, points: u64) -> usize {
+        let mut at = 0;
+        while self
+            .ranked
+            .get(at)
+            .is_some_and(|&(ranked, _)| ranked < points)
+        {
+            if self.rerank_at(at) != Some(true) {
+                at += 1;
+            }
+        }
+        at
     }
 
     /// Processes one request for `video` — the body of Figure 2's loop.
@@ -266,12 +332,7 @@ impl DmaCache {
         }
 
         if self.array.can_tolerate(video) {
-            #[expect(clippy::expect_used, reason = "`can_tolerate` checked the fit")]
-            let layout = self
-                .array
-                .store(video)
-                .expect("can_tolerate checked the fit");
-            self.stats.admissions += 1;
+            let layout = self.admit(video, points);
             self.debug_check_occupancy();
             return DmaDecision::Admitted { layout };
         }
@@ -306,18 +367,15 @@ impl DmaCache {
         reason = "debug mirror of audit rule A003: the victim is a least-popular resident, colder than the newcomer"
     )]
     fn evict_single_attempt(&mut self, video: &VideoMeta, points: u64) -> DmaDecision {
-        let victim = match self.tracker.least_popular(self.array.stored_ids()) {
-            Some(v) => v,
-            None => {
-                // Empty cache but the video still doesn't fit: it is
-                // simply larger than the allocated space.
-                self.stats.rejections += 1;
-                return DmaDecision::NotAdmitted {
-                    reason: RejectReason::DoesNotFit { evicted: vec![] },
-                };
-            }
+        let Some((victim_points, victim)) = self.least_popular() else {
+            // Empty cache but the video still doesn't fit: it is simply
+            // larger than the allocated space.
+            self.stats.rejections += 1;
+            return DmaDecision::NotAdmitted {
+                reason: RejectReason::DoesNotFit { evicted: vec![] },
+            };
         };
-        if points <= self.tracker.points(victim) {
+        if points <= victim_points {
             self.stats.rejections += 1;
             return DmaDecision::NotAdmitted {
                 reason: RejectReason::NotPopularEnough,
@@ -336,18 +394,12 @@ impl DmaCache {
             self.tracker.points(victim) < points,
             "eviction victim {victim} is not colder than the newcomer"
         );
-        #[expect(clippy::expect_used, reason = "the victim came from `stored_ids`")]
-        self.array
-            .remove(victim)
-            .expect("victim came from stored_ids");
+        #[expect(clippy::expect_used, reason = "the victim is ranked, so resident")]
+        self.array.remove(victim).expect("the victim is resident");
+        self.ranked.remove(0);
         self.stats.evictions += 1;
         if self.array.can_tolerate(video) {
-            #[expect(clippy::expect_used, reason = "`can_tolerate` checked the fit")]
-            let layout = self
-                .array
-                .store(video)
-                .expect("can_tolerate checked the fit");
-            self.stats.admissions += 1;
+            let layout = self.admit(video, points);
             DmaDecision::AdmittedAfterEviction {
                 evicted: vec![victim],
                 layout,
@@ -366,13 +418,10 @@ impl DmaCache {
     /// popularity) until the newcomer fits; evict nothing if it can never
     /// fit.
     fn evict_until_fit(&mut self, video: &VideoMeta, points: u64) -> DmaDecision {
-        // Candidates strictly less popular than the newcomer, worst first.
-        let mut candidates: Vec<VideoId> = self
-            .array
-            .stored_ids()
-            .filter(|&v| self.tracker.points(v) < points)
-            .collect();
-        candidates.sort_by_key(|&v| (self.tracker.points(v), v));
+        // Candidates strictly less popular than the newcomer, worst first:
+        // a prefix of the ranking.
+        let colder = self.colder_than(points);
+        let candidates: Vec<VideoId> = self.ranked.iter().take(colder).map(|&(_, v)| v).collect();
 
         // Feasibility check on a scratch copy: would evicting all of them
         // make room?
@@ -402,12 +451,10 @@ impl DmaCache {
             self.array.remove(v).expect("planned victim is stored");
             self.stats.evictions += 1;
         }
-        #[expect(clippy::expect_used, reason = "feasibility was simulated on a copy")]
-        let layout = self
-            .array
-            .store(video)
-            .expect("feasibility was simulated on a copy");
-        self.stats.admissions += 1;
+        // The victims are the ranking's first.
+        self.ranked.drain(..planned.len());
+        // Feasibility was simulated on a copy.
+        let layout = self.admit(video, points);
         if planned.is_empty() {
             DmaDecision::Admitted { layout }
         } else {
@@ -623,5 +670,197 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, StorageError::NoDisks);
+    }
+
+    /// Figure 2 with the victim found by a scan of every resident: the
+    /// DMA as it was before it kept its residents ranked.
+    struct ScanDma {
+        config: DmaConfig,
+        array: DiskArray,
+        tracker: PopularityTracker,
+    }
+
+    impl ScanDma {
+        fn new(config: DmaConfig) -> Self {
+            let array =
+                DiskArray::uniform(config.disk_count, config.disk_capacity, config.cluster_size)
+                    .unwrap();
+            ScanDma {
+                config,
+                array,
+                tracker: PopularityTracker::new(),
+            }
+        }
+
+        fn on_request(&mut self, video: &VideoMeta) -> DmaDecision {
+            let points = self.tracker.award(video.id());
+            if self.array.contains(video.id()) {
+                return DmaDecision::Hit;
+            }
+            if points <= self.config.admit_threshold {
+                return DmaDecision::NotAdmitted {
+                    reason: RejectReason::BelowThreshold,
+                };
+            }
+            if self.array.can_tolerate(video) {
+                let layout = self.array.store(video).unwrap();
+                return DmaDecision::Admitted { layout };
+            }
+            match self.config.eviction {
+                EvictionMode::SingleAttempt => {
+                    let Some(victim) = self.tracker.least_popular(self.array.stored_ids()) else {
+                        return DmaDecision::NotAdmitted {
+                            reason: RejectReason::DoesNotFit { evicted: vec![] },
+                        };
+                    };
+                    if points <= self.tracker.points(victim) {
+                        return DmaDecision::NotAdmitted {
+                            reason: RejectReason::NotPopularEnough,
+                        };
+                    }
+                    self.array.remove(victim).unwrap();
+                    if self.array.can_tolerate(video) {
+                        let layout = self.array.store(video).unwrap();
+                        DmaDecision::AdmittedAfterEviction {
+                            evicted: vec![victim],
+                            layout,
+                        }
+                    } else {
+                        DmaDecision::NotAdmitted {
+                            reason: RejectReason::DoesNotFit {
+                                evicted: vec![victim],
+                            },
+                        }
+                    }
+                }
+                EvictionMode::UntilFit => {
+                    let mut candidates: Vec<VideoId> = self
+                        .array
+                        .stored_ids()
+                        .filter(|&v| self.tracker.points(v) < points)
+                        .collect();
+                    candidates.sort_by_key(|&v| (self.tracker.points(v), v));
+                    let mut scratch = self.array.clone();
+                    let mut planned = Vec::new();
+                    let mut fits = scratch.can_tolerate(video);
+                    for &v in &candidates {
+                        if fits {
+                            break;
+                        }
+                        scratch.remove(v).unwrap();
+                        planned.push(v);
+                        fits = scratch.can_tolerate(video);
+                    }
+                    if !fits {
+                        let reason = if candidates.is_empty() {
+                            RejectReason::NotPopularEnough
+                        } else {
+                            RejectReason::DoesNotFit { evicted: vec![] }
+                        };
+                        return DmaDecision::NotAdmitted { reason };
+                    }
+                    for &v in &planned {
+                        self.array.remove(v).unwrap();
+                    }
+                    let layout = self.array.store(video).unwrap();
+                    if planned.is_empty() {
+                        DmaDecision::Admitted { layout }
+                    } else {
+                        DmaDecision::AdmittedAfterEviction {
+                            evicted: planned,
+                            layout,
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs one request stream through the ranked DMA and the scan:
+    /// every decision, victims included, must be the same, and after
+    /// every request the ranking must hold each resident once, sorted,
+    /// at no more points than it has.
+    fn ranked_against_scan(
+        eviction: EvictionMode,
+        admit_threshold: u64,
+        preload: &[u32],
+        requests: &[u32],
+        sizes: &[f64],
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        let config = DmaConfig {
+            disk_count: 3,
+            disk_capacity: Megabytes::new(400.0),
+            cluster_size: ClusterSize::new(Megabytes::new(50.0)),
+            admit_threshold,
+            eviction,
+        };
+        let title = |id: u32| video(id, sizes[id as usize % sizes.len()]);
+        let mut ranked = DmaCache::new(config).unwrap();
+        let mut scan = ScanDma::new(config);
+        for &id in preload {
+            let a = ranked.preload(&title(id)).ok();
+            let b = scan.array.store(&title(id)).ok();
+            proptest::prop_assert_eq!(a, b);
+        }
+        for &id in requests {
+            let a = ranked.on_request(&title(id));
+            let b = scan.on_request(&title(id));
+            proptest::prop_assert_eq!(a, b);
+            let mut ids: Vec<VideoId> = ranked.ranked.iter().map(|&(_, v)| v).collect();
+            ids.sort_unstable();
+            proptest::prop_assert_eq!(ids, scan.array.stored_ids().collect::<Vec<_>>());
+            proptest::prop_assert!(ranked.ranked.windows(2).all(|w| w[0] < w[1]));
+            for &(points, v) in &ranked.ranked {
+                proptest::prop_assert!(points <= scan.tracker.points(v));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn ranked_victims_are_the_scans(
+            until_fit in proptest::prelude::any::<bool>(),
+            admit_threshold in 0u64..3,
+            preload in proptest::collection::vec(0u32..24, 0..6),
+            requests in proptest::collection::vec(0u32..24, 1..300),
+            sizes in proptest::collection::vec(20.0f64..500.0, 1..8),
+        ) {
+            let eviction = if until_fit {
+                EvictionMode::UntilFit
+            } else {
+                EvictionMode::SingleAttempt
+            };
+            ranked_against_scan(eviction, admit_threshold, &preload, &requests, &sizes)?;
+        }
+    }
+
+    /// A fixed stream that reaches every branch of both modes: hits,
+    /// admissions, evictions, refusals.
+    #[test]
+    fn ranked_victims_cover_every_outcome() {
+        let requests: Vec<u32> = (0..400u32).map(|i| (i * 7 + i / 13) % 17).collect();
+        let sizes = [120.0, 260.0, 75.0, 410.0];
+        for eviction in [EvictionMode::SingleAttempt, EvictionMode::UntilFit] {
+            ranked_against_scan(eviction, 0, &[3, 5], &requests, &sizes).unwrap();
+            let config = DmaConfig {
+                disk_count: 3,
+                disk_capacity: Megabytes::new(400.0),
+                cluster_size: ClusterSize::new(Megabytes::new(50.0)),
+                admit_threshold: 0,
+                eviction,
+            };
+            let mut c = DmaCache::new(config).unwrap();
+            for &id in &requests {
+                c.on_request(&video(id, sizes[id as usize % sizes.len()]));
+            }
+            let s = c.stats();
+            assert!(
+                s.hits > 0 && s.admissions > 0 && s.evictions > 0 && s.rejections > 0,
+                "{s:?}"
+            );
+        }
     }
 }
