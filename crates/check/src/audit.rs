@@ -42,7 +42,7 @@ use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::node::NodeKind;
 use vod_net::units::Fraction;
 use vod_net::{LinkId, Mbps, NodeId, Topology, TopologyBuilder, TrafficSnapshot};
-use vod_obs::{AbortReason, DmaRejectKind, Event, EventSink, ReadError};
+use vod_obs::{AbortReason, DmaRejectKind, Event, EventSink, ReadError, Tally};
 use vod_sim::SimTime;
 use vod_storage::VideoId;
 
@@ -75,13 +75,9 @@ pub struct AuditSummary {
     /// trace from a newer writer must still replay under the invariants
     /// known here), but counted.
     pub unknown_kinds: usize,
-    /// Events replayed per kind, which rule A013 reconciles a series
-    /// against.
-    pub kinds: BTreeMap<&'static str, u64>,
-    /// `vra_select` events flagged `local`.
-    pub vra_local: u64,
-    /// `vra_select` events not flagged `local`.
-    pub vra_remote: u64,
+    /// The replayed events' per-kind counts, which rule A013 reconciles
+    /// a series against.
+    pub tally: Tally,
     /// All violations, in trace order.
     pub violations: Vec<Violation>,
 }
@@ -359,15 +355,8 @@ impl AuditSink {
 
     fn replay(&mut self, at: SimTime, event: &Event) {
         self.summary.events += 1;
+        self.summary.tally.apply(event);
         let kind = event.kind();
-        *self.summary.kinds.entry(kind).or_insert(0) += 1;
-        if let Event::VraSelect { local, .. } = event {
-            if *local {
-                self.summary.vra_local += 1;
-            } else {
-                self.summary.vra_remote += 1;
-            }
-        }
         let at_us = at.as_micros();
         if self.last_at_us.is_some_and(|prev| at_us < prev) {
             self.violate(

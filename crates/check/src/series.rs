@@ -4,7 +4,7 @@
 //! A `TimeSeriesSink` export (`--series` on the experiment binaries) is
 //! a *derived* artifact: every per-window counter is a fold over the
 //! event stream the run also traces. This module checks those totals
-//! against the per-kind counts an [`AuditSink`](crate::audit::AuditSink)
+//! against the [`Tally`] an [`AuditSink`](crate::audit::AuditSink)
 //! kept while replaying the same run, and flags any divergence, so a
 //! series file can be trusted as far as its trace can:
 //!
@@ -12,14 +12,14 @@
 //!   width-aligned to absolute sim time, contiguous (each window starts
 //!   where the previous one ended) and internally consistent
 //!   (`end = start + width`, `peak_sessions ≥ sessions`);
-//! * **totals** — summed over all windows, every reconcilable counter
-//!   (arrivals, starts, completes, aborts, failures, rejections,
-//!   retries, switches, DMA hits/admits/rejects and the VRA
-//!   local/remote split) equals the audit's count of the
-//!   corresponding event kind. These kinds cannot occur before the
-//!   first `request_arrival`, so the sink's lazy window opening drops
-//!   none of them. (`snmp_polls` is deliberately *not* reconciled: the
-//!   poller runs from simulation start, before the series opens.)
+//! * **totals** — summed over all windows, every counter of the
+//!   windows' [`Tally`] equals the same counter of the tally the audit
+//!   kept over the whole trace, field by field under the tally's export
+//!   names. The counted kinds cannot occur before the first
+//!   `request_arrival`, so the sink's lazy window opening drops none of
+//!   them — except SNMP polls, which run from simulation start, before
+//!   the series opens, so `snmp_polls` is the one counter *not*
+//!   reconciled.
 //! * **capacity** — per-link utilization never exceeds capacity
 //!   (`≤ 1 + EPS`, and never negative), in both the end-of-window gauge
 //!   and the within-window maximum, and the gauge never exceeds the
@@ -30,6 +30,7 @@
 //! file-level problems).
 
 use serde::Value;
+use vod_obs::Tally;
 
 use crate::audit::{AuditSummary, Violation};
 
@@ -54,27 +55,10 @@ impl SeriesAuditSummary {
     }
 }
 
-/// The counters that must reconcile 1:1 with trace event kinds:
-/// `(series field, trace kind)`. The VRA split is handled separately
-/// (two fields sum to one kind).
-const RECONCILED: &[(&str, &str)] = &[
-    ("arrivals", "request_arrival"),
-    ("starts", "session_start"),
-    ("completes", "session_complete"),
-    ("aborts", "session_aborted"),
-    ("failures", "request_failed"),
-    ("rejections", "request_rejected"),
-    ("retries", "session_retry"),
-    ("switches", "switch"),
-    ("dma_hits", "dma_hit"),
-    ("dma_admits", "dma_admit"),
-    ("dma_evicts", "dma_evict"),
-    ("dma_rejects", "dma_reject"),
-    ("prefix_hits", "prefix_hit"),
-    ("prefix_admits", "prefix_admit"),
-    ("prefix_evicts", "prefix_evict"),
-    ("prefix_rejects", "prefix_reject"),
-];
+/// The one tally counter a series does not reconcile: the poller runs
+/// from simulation start, before the series opens at the first
+/// arrival, so the windows miss the polls before it.
+const UNRECONCILED: &str = "snmp_polls";
 
 /// Audits a `TimeSeriesSink` JSON export against the audit of the same
 /// run's events.
@@ -222,44 +206,28 @@ fn check_shape(summary: &mut SeriesAuditSummary, windows: &[Value], width: u64, 
 }
 
 fn check_totals(summary: &mut SeriesAuditSummary, windows: &[Value], trace: &AuditSummary) {
-    let mut series_totals = vec![0u64; RECONCILED.len()];
-    let (mut series_local, mut series_remote) = (0u64, 0u64);
+    let mut series = Tally::default();
     for (i, w) in windows.iter().enumerate() {
-        for (slot, (field, _)) in RECONCILED.iter().enumerate() {
-            match field_u64(w, field) {
-                Some(v) => series_totals[slot] += v,
+        series.each_mut(|name, total| {
+            if name == UNRECONCILED {
+                return;
+            }
+            match field_u64(w, name) {
+                Some(v) => *total += v,
                 None => summary
                     .violations
-                    .push(violation(i + 1, format!("window missing counter {field}"))),
+                    .push(violation(i + 1, format!("window missing counter {name}"))),
             }
-        }
-        series_local += field_u64(w, "vra_local").unwrap_or(0);
-        series_remote += field_u64(w, "vra_remote").unwrap_or(0);
+        });
     }
-
-    for (&(field, kind), series_n) in RECONCILED.iter().zip(series_totals) {
-        let trace_n = trace.kinds.get(kind).copied().unwrap_or(0);
+    for ((name, series_n), (_, trace_n)) in series.fields().into_iter().zip(trace.tally.fields()) {
+        if name == UNRECONCILED {
+            continue;
+        }
         if series_n != trace_n {
             summary.violations.push(violation(
                 0,
-                format!(
-                    "series total {field} = {series_n} but the trace has {trace_n} {kind} events"
-                ),
-            ));
-        } else {
-            summary.totals_verified += 1;
-        }
-    }
-    for (name, series_n, trace_n) in [
-        ("vra_local", series_local, trace.vra_local),
-        ("vra_remote", series_remote, trace.vra_remote),
-    ] {
-        if series_n != trace_n {
-            summary.violations.push(violation(
-                0,
-                format!(
-                    "series total {name} = {series_n} but the trace has {trace_n} matching vra_select events"
-                ),
+                format!("series total {name} = {series_n} but the trace tallies {trace_n}"),
             ));
         } else {
             summary.totals_verified += 1;

@@ -1,16 +1,14 @@
 //! Fixtures for rule `A013` (time-series reconciliation): a clean
 //! series straight from an instrumented GRNET run, plus injected
-//! violations — a tampered counter, an over-capacity utilization
-//! sample, and a misaligned window — each asserting that exactly
-//! `A013` fires with the expected complaint.
-
-use std::collections::BTreeMap;
+//! violations — each reconciled counter tampered in turn, an
+//! over-capacity utilization sample, and a misaligned window — each
+//! asserting that exactly `A013` fires with the expected complaint.
 
 use vod_check::audit::{AuditSink, AuditSummary};
 use vod_check::series::{audit_series, SeriesAuditSummary};
 use vod_core::service::{PrefixTierConfig, ServiceConfig, VodService};
 use vod_core::vra::Vra;
-use vod_obs::{TeeSink, TimeSeriesSink};
+use vod_obs::{Tally, TeeSink, TimeSeriesSink};
 use vod_workload::scenario::Scenario;
 
 /// Runs `scenario` under `config` with the auditor and a series sink
@@ -55,8 +53,8 @@ fn real_run_series_reconciles_clean() {
         summary.violations
     );
     assert!(summary.windows > 0, "case study must span several windows");
-    // 16 one-to-one counters + the two-way VRA split.
-    assert_eq!(summary.totals_verified, 18);
+    // Every tally counter but `snmp_polls`.
+    assert_eq!(summary.totals_verified, Tally::LEN - 1);
 }
 
 #[test]
@@ -69,7 +67,7 @@ fn prefix_tier_series_reconciles_clean() {
     };
     let (trace, series) = audited_run(&Scenario::flash_crowd(42), config);
     assert!(
-        trace.kinds.get("prefix_hit") > Some(&0),
+        trace.tally.prefix_hits > 0,
         "flash crowd must produce prefix hits"
     );
     let summary = audit_series(&series, &trace);
@@ -78,24 +76,43 @@ fn prefix_tier_series_reconciles_clean() {
         "prefix series should reconcile: {:?}",
         summary.violations
     );
-    assert_eq!(summary.totals_verified, 18);
+    assert_eq!(summary.totals_verified, Tally::LEN - 1);
+}
+
+/// `series` with `by` added to the first window's integer field `name`.
+fn bump_first(series: &str, name: &str, by: u64) -> String {
+    let marker = format!("\"{name}\":");
+    let at = series.find(&marker).expect("series has windows") + marker.len();
+    let end = at + series[at..].find(',').expect("the field is not last");
+    let value: u64 = series[at..end].parse().expect("the field is an integer");
+    format!("{}{}{}", &series[..at], value + by, &series[end..])
 }
 
 #[test]
 fn tampered_counter_trips_a013() {
     let (trace, series) = instrumented_grnet_run();
-    // Inflate every window's arrival count by rewriting the field; the
-    // series total then disagrees with the trace's request_arrival count.
-    let tampered = series.replace("\"arrivals\":", "\"arrivals\":1000, \"was\":");
-    assert_ne!(tampered, series, "fixture must actually change the series");
-    let summary = audit_series(&tampered, &trace);
-    assert_single_a013(&summary, "arrivals");
+    for (name, _) in Tally::default().fields() {
+        let summary = audit_series(&bump_first(&series, name, 1), &trace);
+        let total = format!("series total {name} = ");
+        let found: Vec<_> = summary
+            .violations
+            .iter()
+            .map(|v| (v.rule, v.message.starts_with(&total)))
+            .collect();
+        // `snmp_polls` is not reconciled: the poller runs before the
+        // series opens.
+        let expected = vec![("A013", true); usize::from(name != "snmp_polls")];
+        assert_eq!(found, expected, "{name}: {:?}", summary.violations);
+    }
 }
 
 #[test]
 fn over_capacity_utilization_trips_a013() {
     let trace = AuditSummary {
-        kinds: BTreeMap::from([("request_arrival", 1)]),
+        tally: Tally {
+            arrivals: 1,
+            ..Tally::default()
+        },
         ..AuditSummary::default()
     };
     let series = concat!(
@@ -103,7 +120,8 @@ fn over_capacity_utilization_trips_a013() {
         "\n",
         r#"{"start_us":0,"end_us":60000000,"arrivals":1,"starts":0,"completes":0,"aborts":0,"#,
         r#""failures":0,"rejections":0,"retries":0,"switches":0,"dma_hits":0,"dma_admits":0,"dma_evicts":0,"#,
-        r#""dma_rejects":0,"dma_hit_ratio":null,"vra_local":0,"vra_remote":0,"snmp_polls":0,"#,
+        r#""dma_rejects":0,"dma_hit_ratio":null,"prefix_hits":0,"prefix_admits":0,"prefix_evicts":0,"#,
+        r#""prefix_rejects":0,"vra_local":0,"vra_remote":0,"snmp_polls":0,"#,
         r#""max_staleness_us":0,"sessions":0,"peak_sessions":0,"utilization":[1.5],"util_max":[1.5]}"#,
         "\n]}\n",
     );
@@ -115,18 +133,7 @@ fn over_capacity_utilization_trips_a013() {
 fn misaligned_window_trips_a013() {
     let (trace, series) = instrumented_grnet_run();
     // Shift the first window start off the width grid.
-    let marker = "{\"start_us\":";
-    let at = series.find(marker).expect("series has windows") + marker.len();
-    let end = at
-        + series[at..]
-            .find(',')
-            .expect("start_us is followed by a comma");
-    let shifted: u64 = series[at..end].parse::<u64>().expect("start_us is numeric") + 7;
-    let misaligned = format!("{}{shifted}{}", &series[..at], &series[end..]);
-    assert_ne!(
-        misaligned, series,
-        "fixture must actually change the series"
-    );
+    let misaligned = bump_first(&series, "start_us", 7);
     let summary = audit_series(&misaligned, &trace);
     assert_single_a013(&summary, "not aligned");
 }
@@ -140,12 +147,14 @@ fn gapped_series_trips_a013() {
         "\n",
         r#"{"start_us":0,"end_us":10,"arrivals":0,"starts":0,"completes":0,"aborts":0,"#,
         r#""failures":0,"rejections":0,"retries":0,"switches":0,"dma_hits":0,"dma_admits":0,"dma_evicts":0,"#,
-        r#""dma_rejects":0,"dma_hit_ratio":null,"vra_local":0,"vra_remote":0,"snmp_polls":0,"#,
+        r#""dma_rejects":0,"dma_hit_ratio":null,"prefix_hits":0,"prefix_admits":0,"prefix_evicts":0,"#,
+        r#""prefix_rejects":0,"vra_local":0,"vra_remote":0,"snmp_polls":0,"#,
         r#""max_staleness_us":0,"sessions":0,"peak_sessions":0,"utilization":[],"util_max":[]}"#,
         ",\n",
         r#"{"start_us":20,"end_us":30,"arrivals":0,"starts":0,"completes":0,"aborts":0,"#,
         r#""failures":0,"rejections":0,"retries":0,"switches":0,"dma_hits":0,"dma_admits":0,"dma_evicts":0,"#,
-        r#""dma_rejects":0,"dma_hit_ratio":null,"vra_local":0,"vra_remote":0,"snmp_polls":0,"#,
+        r#""dma_rejects":0,"dma_hit_ratio":null,"prefix_hits":0,"prefix_admits":0,"prefix_evicts":0,"#,
+        r#""prefix_rejects":0,"vra_local":0,"vra_remote":0,"snmp_polls":0,"#,
         r#""max_staleness_us":0,"sessions":0,"peak_sessions":0,"utilization":[],"util_max":[]}"#,
         "\n]}\n",
     );

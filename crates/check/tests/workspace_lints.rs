@@ -3,13 +3,16 @@
 //! member manifest outside `vendor/` adopts `[workspace.lints]` (which
 //! forbids `unsafe_code`), each library root except `vod-bench`'s
 //! denies `unwrap`/`expect`, and the eight simulation crates deny
-//! indexing and the panic macros `clippy.toml` lists. Two rules are not
-//! lints and are checked here by a scan of the source: no `partial_cmp`
-//! sort key, and serde only on the report `experiments --metrics`
-//! writes.
+//! indexing and the panic macros `clippy.toml` lists. Three rules are
+//! not lints and are checked here by a scan of the source: no
+//! `partial_cmp` sort key, serde only on the report `experiments
+//! --metrics` writes, and the taxonomy's counters counted by
+//! `vod_obs::Tally` alone.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+use vod_obs::Tally;
 
 /// The simulation crates: everything a service run executes.
 const SIM_CRATES: [&str; 8] = [
@@ -132,52 +135,80 @@ fn clippy_toml_disallows_the_panic_macros() {
     }
 }
 
+/// What precedes and what follows each occurrence of `name` in `code`
+/// that is not part of a longer identifier.
+fn occurrences<'a>(code: &'a str, name: &str) -> Vec<(&'a str, &'a str)> {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    code.match_indices(name)
+        .map(|(at, _)| (&code[..at], &code[at + name.len()..]))
+        .filter(|(before, after)| {
+            !ident(before.chars().next_back()) && !ident(after.chars().next())
+        })
+        .collect()
+}
+
+/// `(line, code)` of each line of `text` (1-based, `//` comment cut
+/// off), except the lines inside the body of a block whose head names
+/// `head` (`fn partial_cmp`, `mod oracle`); the head line is kept.
+fn code_outside<'a>(text: &'a str, head: &str) -> Vec<(usize, &'a str)> {
+    let mut out = Vec::new();
+    let mut depth = 0usize;
+    // Brace depth at which the current skipped body closes.
+    let mut inside: Option<usize> = None;
+    let mut pending = false;
+    for (n, line) in text.lines().enumerate() {
+        let code = line.find("//").map_or(line, |at| &line[..at]);
+        if inside.is_none() {
+            out.push((n + 1, code));
+        }
+        pending |= !occurrences(code, head).is_empty();
+        for c in code.chars() {
+            if c == '{' {
+                if std::mem::take(&mut pending) {
+                    inside = Some(depth);
+                }
+                depth += 1;
+            } else if c == '}' {
+                depth = depth.saturating_sub(1);
+                if inside == Some(depth) {
+                    inside = None;
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Lines (1-based) of `text` that name `partial_cmp` outside the body
 /// of a `fn partial_cmp` definition; `//` comments are skipped. A
 /// `PartialOrd` impl may delegate to another `partial_cmp`, but a sort
 /// key or comparator built on it is order-unstable under NaN, which
 /// `total_cmp` is not.
 fn partial_cmp_uses(text: &str) -> Vec<usize> {
-    const NAME: &str = "partial_cmp";
     let mut hits = Vec::new();
-    let mut depth = 0usize;
-    // Brace depth at which the current `fn partial_cmp` body closes.
-    let mut inside: Option<usize> = None;
-    let mut pending_fn = false;
-    for (n, line) in text.lines().enumerate() {
-        let code = line.find("//").map_or(line, |at| &line[..at]);
-        let mut rest = code;
-        while let Some(at) = rest.find(NAME) {
-            let before = &rest[..at];
-            let after = &rest[at + NAME.len()..];
-            let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
-            if !ident(before.chars().next_back()) && !ident(after.chars().next()) {
-                if before.trim_end().ends_with("fn") {
-                    pending_fn = true;
-                } else if inside.is_none() {
-                    hits.push(n + 1);
-                }
-            }
-            rest = after;
-        }
-        for c in code.chars() {
-            match c {
-                '{' => {
-                    if pending_fn {
-                        pending_fn = false;
-                        inside = Some(depth);
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth = depth.saturating_sub(1);
-                    if inside == Some(depth) {
-                        inside = None;
-                    }
-                }
-                _ => {}
+    for (n, code) in code_outside(text, "fn partial_cmp") {
+        for (before, _) in occurrences(code, "partial_cmp") {
+            if !before.trim_end().ends_with("fn") {
+                hits.push(n);
             }
         }
+    }
+    hits
+}
+
+/// `path:hit` for every hit `scan` reports in one of `files`.
+fn scan_hits<T: std::fmt::Display>(
+    files: &[PathBuf],
+    scan: impl Fn(&str) -> Vec<T>,
+) -> Vec<String> {
+    let mut hits = Vec::new();
+    for path in files {
+        let text = fs::read_to_string(path).expect("source is readable");
+        hits.extend(
+            scan(&text)
+                .into_iter()
+                .map(|hit| format!("{}:{hit}", path.display())),
+        );
     }
     hits
 }
@@ -208,15 +239,7 @@ fn no_partial_cmp_sort_key_in_the_sources() {
         }
     }
     assert!(files.len() > 50, "found only {} source files", files.len());
-    let hits: Vec<String> = files
-        .iter()
-        .flat_map(|path| {
-            let text = fs::read_to_string(path).expect("source is readable");
-            partial_cmp_uses(&text)
-                .into_iter()
-                .map(move |line| format!("{}:{line}", path.display()))
-        })
-        .collect();
+    let hits = scan_hits(&files, partial_cmp_uses);
     assert!(
         hits.is_empty(),
         "`partial_cmp` outside a `PartialOrd` impl (use `total_cmp`): {hits:?}"
@@ -362,5 +385,53 @@ fn serde_scan_catches_a_planted_derive() {
             "15: hand-written Serialize impl".to_string(),
             "4: Serialize derived on `Link`".to_string(),
         ]
+    );
+}
+
+/// `line: counter` for every `+=` on a name in `names` in `text`,
+/// outside any `mod oracle` block (the series' reference fold, which
+/// the tally is tested against); `//` comments are skipped.
+fn tally_increments(text: &str, names: &[&str]) -> Vec<String> {
+    let mut hits = Vec::new();
+    for (n, code) in code_outside(text, "mod oracle") {
+        for name in names {
+            for (_, after) in occurrences(code, name) {
+                if after.trim_start().starts_with("+=") {
+                    hits.push(format!("{n}: {name}"));
+                }
+            }
+        }
+    }
+    hits
+}
+
+/// The per-kind counts a series window, the auditor and the tests keep
+/// are one `Tally`, folded by `Tally::apply` and summed by its
+/// `AddAssign`: nothing in the obs and check sources or the tests
+/// increments a counter of that name by hand.
+#[test]
+fn tally_counters_are_kept_by_the_tally_alone() {
+    let root = root();
+    let mut files = Vec::new();
+    for dir in ["crates/obs/src", "crates/check/src", "tests"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    files.retain(|path| !path.ends_with("crates/obs/src/tally.rs"));
+    assert!(files.len() > 20, "found only {} source files", files.len());
+    let names: Vec<_> = Tally::default().fields().into_iter().map(|f| f.0).collect();
+    let hits = scan_hits(&files, |text| tally_increments(text, &names));
+    assert!(
+        hits.is_empty(),
+        "a tally counter kept by hand (apply or add a `Tally`): {hits:?}"
+    );
+}
+
+#[test]
+fn tally_scan_catches_a_planted_increment() {
+    let planted = "fn f(w: &mut W) {\n    w.arrivals += 1;\n    total.vra_local+=n; // snmp_polls += 1\n    my_arrivals += 1;\n    started += 1;\n}\nmod tests {\n    mod oracle {\n        fn g(acc: &mut W) { acc.switches += 1; }\n    }\n    fn h(mut retries: u64) { retries += 2; }\n}\n";
+    let names: Vec<_> = Tally::default().fields().into_iter().map(|f| f.0).collect();
+    assert_eq!(
+        tally_increments(planted, &names),
+        ["2: arrivals", "3: vra_local", "11: retries"]
     );
 }

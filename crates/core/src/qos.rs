@@ -37,7 +37,10 @@ pub struct QosRecord {
     pub stall_count: u32,
     /// Total stalled time.
     pub stall_time: SimDuration,
-    /// Mid-stream server switches.
+    /// Server switches: every change of source after the first
+    /// assignment, including one before playout starts (a retry
+    /// re-routing cluster 0, or a prefix session's origin taking over
+    /// from the proxy).
     pub switches: u32,
     /// Number of clusters in the video.
     pub clusters: usize,
@@ -195,7 +198,8 @@ impl ServiceReport {
             / self.completed.len() as f64
     }
 
-    /// Mean mid-stream switches per completed session.
+    /// Mean server switches per completed session (see
+    /// [`QosRecord::switches`] for what counts as one).
     pub fn mean_switches(&self) -> f64 {
         if self.completed.is_empty() {
             return 0.0;

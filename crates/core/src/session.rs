@@ -194,7 +194,8 @@ impl Session {
     }
 
     /// Records which server the next cluster will be fetched from,
-    /// returning `true` when this is a mid-stream switch.
+    /// returning `true` when it changes the source: any assignment after
+    /// the first, whether or not playout has started.
     pub fn assign_server(&mut self, server: NodeId, local: bool) -> bool {
         let switched = match self.current_server {
             Some(prev) => prev != server,

@@ -481,8 +481,11 @@ event_taxonomy! {
             /// True when the home server serves its own client.
             local: bool,
         },
-        /// Dynamic re-routing moved the session to a different server
-        /// mid-stream — the paper's headline feature.
+        /// Dynamic re-routing moved the session to a different server —
+        /// the paper's headline feature. Emitted on every change of
+        /// source after the session's first assignment, including one
+        /// before its `session_start`: a retry re-routing cluster 0, or
+        /// a prefix session's origin taking over from the proxy.
         Switch = "switch" {
             /// The session that switched.
             session: u64,
@@ -520,7 +523,8 @@ event_taxonomy! {
             stalls: u32,
             /// Total stalled time.
             stall_time as "stall_time_us": SimDuration,
-            /// Mid-stream server switches.
+            /// Server switches over the session's lifetime (its
+            /// `switch` events).
             switches: u32,
         },
         /// The session was dropped before completing (server failure or loss

@@ -20,6 +20,10 @@
 //!   local-vs-remote split, SNMP staleness), kept in one packed
 //!   append-only log and exported as byte-stable JSON/CSV one window
 //!   at a time — the time-resolved view behind the paper's Figs 2/3/5;
+//! * [`Tally`] — the taxonomy's per-kind outcome counters (arrivals …
+//!   SNMP polls), folded by one exhaustive match and named by one
+//!   table: each series window carries one, and the `vod-check`
+//!   auditor keeps one to reconcile a series against;
 //! * [`TeeSink`] — fan-out combinator so one run can, say, stream
 //!   JSONL *and* feed the series aggregator simultaneously.
 //!
@@ -61,7 +65,9 @@ pub mod event;
 mod number;
 pub mod series;
 pub mod sink;
+pub mod tally;
 
 pub use event::{AbortReason, DmaRejectKind, Event, ReadError};
 pub use series::{SeriesReport, SeriesWindow, TimeSeriesSink};
 pub use sink::{EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink};
+pub use tally::Tally;

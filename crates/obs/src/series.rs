@@ -54,6 +54,7 @@ use vod_sim::{SimDuration, SimTime};
 
 use crate::event::Event;
 use crate::sink::EventSink;
+use crate::tally::Tally;
 
 /// One fixed-width window of aggregated counters and end-of-window
 /// gauges.
@@ -63,45 +64,8 @@ pub struct SeriesWindow {
     pub start_us: u64,
     /// Window end (exclusive), raw microseconds of sim time.
     pub end_us: u64,
-    /// `request_arrival` events in the window.
-    pub arrivals: u64,
-    /// `session_start` events (admissions that reached playout).
-    pub starts: u64,
-    /// `session_complete` events.
-    pub completes: u64,
-    /// `session_aborted` events.
-    pub aborts: u64,
-    /// `request_failed` events (admission-time failures).
-    pub failures: u64,
-    /// `request_rejected` events.
-    pub rejections: u64,
-    /// `session_retry` events.
-    pub retries: u64,
-    /// Mid-stream `switch` events.
-    pub switches: u64,
-    /// DMA cache hits.
-    pub dma_hits: u64,
-    /// DMA admissions (movements into a cache).
-    pub dma_admits: u64,
-    /// DMA evictions (titles displaced to make room for an admission).
-    pub dma_evicts: u64,
-    /// DMA rejections.
-    pub dma_rejects: u64,
-    /// Prefix-store hits at regional proxies (includes hits that
-    /// extended the resident prefix).
-    pub prefix_hits: u64,
-    /// Prefix admissions at regional proxies.
-    pub prefix_admits: u64,
-    /// Prefix evictions at regional proxies.
-    pub prefix_evicts: u64,
-    /// Prefix rejections at regional proxies.
-    pub prefix_rejects: u64,
-    /// VRA selections that chose the client's local server.
-    pub vra_local: u64,
-    /// VRA selections that chose a remote server.
-    pub vra_remote: u64,
-    /// SNMP polling rounds observed in the window.
-    pub snmp_polls: u64,
+    /// The window's per-kind event counts.
+    pub tally: Tally,
     /// Worst SNMP staleness observed in the window (µs); includes
     /// `snmp_stale_view` reports during poller outages.
     pub max_staleness_us: u64,
@@ -118,89 +82,65 @@ pub struct SeriesWindow {
 }
 
 impl SeriesWindow {
-    /// The integer fields in log order: bit `i` of a record's presence
-    /// mask says whether field `i` is stored (non-zero).
-    fn ints_mut(&mut self) -> [&mut u64; INT_FIELDS] {
-        [
-            &mut self.arrivals,
-            &mut self.starts,
-            &mut self.completes,
-            &mut self.aborts,
-            &mut self.failures,
-            &mut self.rejections,
-            &mut self.retries,
-            &mut self.switches,
-            &mut self.dma_hits,
-            &mut self.dma_admits,
-            &mut self.dma_evicts,
-            &mut self.dma_rejects,
-            &mut self.prefix_hits,
-            &mut self.prefix_admits,
-            &mut self.prefix_evicts,
-            &mut self.prefix_rejects,
-            &mut self.vra_local,
-            &mut self.vra_remote,
-            &mut self.snmp_polls,
-            &mut self.max_staleness_us,
-            &mut self.sessions,
-            &mut self.peak_sessions,
-        ]
+    /// The integer fields in log order, the tally's counters then the
+    /// three gauges: bit `i` of a record's presence mask says whether
+    /// field `i` is stored (non-zero).
+    fn ints(&self) -> [u64; INT_FIELDS] {
+        let mut ints = [0; INT_FIELDS];
+        let mut slots = ints.iter_mut();
+        let mut tally = self.tally;
+        tally.each_mut(|_, value| {
+            if let Some(slot) = slots.next() {
+                *slot = *value;
+            }
+        });
+        for (slot, value) in slots.zip([self.max_staleness_us, self.sessions, self.peak_sessions]) {
+            *slot = value;
+        }
+        ints
+    }
+
+    /// Sets the integer fields from [`ints`](Self::ints)' layout.
+    fn set_ints(&mut self, ints: [u64; INT_FIELDS]) {
+        let mut values = ints.into_iter();
+        self.tally
+            .each_mut(|_, field| *field = values.next().unwrap_or(0));
+        let [.., staleness, sessions, peak] = ints;
+        (self.max_staleness_us, self.sessions, self.peak_sessions) = (staleness, sessions, peak);
     }
 
     /// DMA hit ratio over the window's cache decisions
     /// (`hits / (hits + admits + rejects)`), or `None` when the window
     /// saw no DMA decisions.
     pub fn dma_hit_ratio(&self) -> Option<f64> {
-        let total = self.dma_hits + self.dma_admits + self.dma_rejects;
+        let t = &self.tally;
+        let total = t.dma_hits + t.dma_admits + t.dma_rejects;
         if total == 0 {
             None
         } else {
-            Some(self.dma_hits as f64 / total as f64)
+            Some(t.dma_hits as f64 / total as f64)
         }
     }
 
     fn write_json(&self, out: &mut impl io::Write) -> io::Result<()> {
         write!(
             out,
-            "{{\"start_us\":{},\"end_us\":{},\"arrivals\":{},\"starts\":{},\
-             \"completes\":{},\"aborts\":{},\"failures\":{},\"rejections\":{},\
-             \"retries\":{},\"switches\":{},\"dma_hits\":{},\"dma_admits\":{},\
-             \"dma_evicts\":{},\"dma_rejects\":{}",
-            self.start_us,
-            self.end_us,
-            self.arrivals,
-            self.starts,
-            self.completes,
-            self.aborts,
-            self.failures,
-            self.rejections,
-            self.retries,
-            self.switches,
-            self.dma_hits,
-            self.dma_admits,
-            self.dma_evicts,
-            self.dma_rejects,
+            "{{\"start_us\":{},\"end_us\":{}",
+            self.start_us, self.end_us
         )?;
-        match self.dma_hit_ratio() {
-            Some(r) => write!(out, ",\"dma_hit_ratio\":{r}")?,
-            None => out.write_all(b",\"dma_hit_ratio\":null")?,
+        for (name, value) in self.tally.fields() {
+            write!(out, ",\"{name}\":{value}")?;
+            if name == HIT_RATIO_AFTER {
+                match self.dma_hit_ratio() {
+                    Some(r) => write!(out, ",\"dma_hit_ratio\":{r}")?,
+                    None => out.write_all(b",\"dma_hit_ratio\":null")?,
+                }
+            }
         }
         write!(
             out,
-            ",\"prefix_hits\":{},\"prefix_admits\":{},\"prefix_evicts\":{},\
-             \"prefix_rejects\":{},\"vra_local\":{},\"vra_remote\":{},\
-             \"snmp_polls\":{},\"max_staleness_us\":{},\"sessions\":{},\
-             \"peak_sessions\":{}",
-            self.prefix_hits,
-            self.prefix_admits,
-            self.prefix_evicts,
-            self.prefix_rejects,
-            self.vra_local,
-            self.vra_remote,
-            self.snmp_polls,
-            self.max_staleness_us,
-            self.sessions,
-            self.peak_sessions,
+            ",\"max_staleness_us\":{},\"sessions\":{},\"peak_sessions\":{}",
+            self.max_staleness_us, self.sessions, self.peak_sessions,
         )?;
         for (name, row) in [
             ("utilization", &self.utilization),
@@ -219,40 +159,20 @@ impl SeriesWindow {
     }
 
     fn write_csv(&self, out: &mut impl io::Write) -> io::Result<()> {
-        write!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},",
-            self.start_us,
-            self.end_us,
-            self.arrivals,
-            self.starts,
-            self.completes,
-            self.aborts,
-            self.failures,
-            self.rejections,
-            self.retries,
-            self.switches,
-            self.dma_hits,
-            self.dma_admits,
-            self.dma_evicts,
-            self.dma_rejects,
-        )?;
-        if let Some(r) = self.dma_hit_ratio() {
-            write!(out, "{r}")?;
+        write!(out, "{},{}", self.start_us, self.end_us)?;
+        for (name, value) in self.tally.fields() {
+            write!(out, ",{value}")?;
+            if name == HIT_RATIO_AFTER {
+                out.write_all(b",")?;
+                if let Some(r) = self.dma_hit_ratio() {
+                    write!(out, "{r}")?;
+                }
+            }
         }
         write!(
             out,
-            ",{},{},{},{},{},{},{},{},{},{}",
-            self.prefix_hits,
-            self.prefix_admits,
-            self.prefix_evicts,
-            self.prefix_rejects,
-            self.vra_local,
-            self.vra_remote,
-            self.snmp_polls,
-            self.max_staleness_us,
-            self.sessions,
-            self.peak_sessions,
+            ",{},{},{}",
+            self.max_staleness_us, self.sessions, self.peak_sessions,
         )?;
         for u in &self.utilization {
             write!(out, ",{u}")?;
@@ -261,16 +181,30 @@ impl SeriesWindow {
     }
 }
 
-/// The CSV columns every series has, before the per-link `util_*` ones.
-const CSV_FIXED_COLUMNS: &str = "start_us,end_us,arrivals,starts,completes,aborts,failures,\
-    rejections,retries,switches,dma_hits,dma_admits,dma_evicts,\
-    dma_rejects,dma_hit_ratio,prefix_hits,prefix_admits,\
-    prefix_evicts,prefix_rejects,vra_local,vra_remote,snmp_polls,\
-    max_staleness_us,sessions,peak_sessions";
+/// The tally field the derived `dma_hit_ratio` column follows in both
+/// exports.
+const HIT_RATIO_AFTER: &str = "dma_rejects";
+
+/// Writes the CSV header: the fixed columns, then one `util_*` column
+/// per link.
+fn write_csv_header(out: &mut impl io::Write, links: usize) -> io::Result<()> {
+    out.write_all(b"start_us,end_us")?;
+    for (name, _) in Tally::default().fields() {
+        write!(out, ",{name}")?;
+        if name == HIT_RATIO_AFTER {
+            out.write_all(b",dma_hit_ratio")?;
+        }
+    }
+    out.write_all(b",max_staleness_us,sessions,peak_sessions")?;
+    for i in 0..links {
+        write!(out, ",util_{i}")?;
+    }
+    out.write_all(b"\n")
+}
 
 /// Integer fields of a [`SeriesWindow`] stored in the log (everything
 /// but `start_us`/`end_us`, which the window's index gives).
-const INT_FIELDS: usize = 22;
+const INT_FIELDS: usize = Tally::LEN + 3;
 /// Mask bit: the record carries a `utilization` row.
 const UTIL_ROW: u32 = 1 << INT_FIELDS;
 /// Mask bit: the record carries a `util_max` row.
@@ -311,16 +245,15 @@ struct WindowLog {
 }
 
 impl WindowLog {
-    /// Appends `window` as the next record. Takes it mutably only to
-    /// walk [`SeriesWindow::ints_mut`]; the window is left unchanged.
-    fn push(&mut self, window: &mut SeriesWindow) {
+    /// Appends `window` as the next record.
+    fn push(&mut self, window: &SeriesWindow) {
         if self.len == 0 {
             self.first_start_us = window.start_us;
         }
         self.len += 1;
-        let ints = window.ints_mut().map(|value| *value);
         let util_changed = !same_bits(&window.utilization, &self.last_util);
         let max_differs = !same_bits(&window.util_max, &window.utilization);
+        let ints = window.ints();
         let mut mask = 0u32;
         for (bit, value) in ints.iter().enumerate() {
             if *value != 0 {
@@ -385,13 +318,13 @@ impl Decoder<'_> {
         let window = &mut self.window;
         window.start_us = window.end_us;
         window.end_us = window.start_us + self.width_us;
-        for (bit, field) in window.ints_mut().into_iter().enumerate() {
-            *field = if mask & (1 << bit) != 0 {
-                read_leb128(&mut self.rest)?
-            } else {
-                0
-            };
+        let mut ints = [0; INT_FIELDS];
+        for (bit, field) in ints.iter_mut().enumerate() {
+            if mask & (1 << bit) != 0 {
+                *field = read_leb128(&mut self.rest)?;
+            }
         }
+        window.set_ints(ints);
         if mask & UTIL_ROW != 0 {
             read_row(&mut self.rest, &mut window.utilization)?;
         }
@@ -502,11 +435,7 @@ impl SeriesReport {
     /// one end-of-window utilization column per link (`util_0..`).
     /// `dma_hit_ratio` is empty when the window saw no DMA decisions.
     pub fn write_csv(&self, out: &mut impl io::Write) -> io::Result<()> {
-        out.write_all(CSV_FIXED_COLUMNS.as_bytes())?;
-        for i in 0..self.links {
-            write!(out, ",util_{i}")?;
-        }
-        out.write_all(b"\n")?;
+        write_csv_header(out, self.links)?;
         let mut windows = self.log.decode(self.window_us);
         while let Some(w) = windows.advance() {
             w.write_csv(out)?;
@@ -614,9 +543,8 @@ impl TimeSeriesSink {
     /// counters zeroed, gauges carried in, row buffers reused.
     fn reset_acc(&mut self, start_us: u64) {
         let live = self.live.len() as u64;
-        for value in self.acc.ints_mut() {
-            *value = 0;
-        }
+        self.acc.tally = Tally::default();
+        self.acc.max_staleness_us = 0;
         self.acc.start_us = start_us;
         self.acc.end_us = start_us + self.width_us;
         self.acc.sessions = live;
@@ -635,7 +563,7 @@ impl TimeSeriesSink {
             .widest_row
             .max(self.acc.utilization.len())
             .max(self.acc.util_max.len());
-        self.log.push(&mut self.acc);
+        self.log.push(&self.acc);
         self.reset_acc(self.acc.end_us);
         self.current += 1;
     }
@@ -648,8 +576,12 @@ impl TimeSeriesSink {
         }
     }
 
-    #[deny(clippy::wildcard_enum_match_arm)]
+    /// Moves the gauges `event` bears on and, while the series is
+    /// open, counts it in the window's tally.
     fn apply(&mut self, event: &Event) {
+        if self.open {
+            self.acc.tally.apply(event);
+        }
         match event {
             Event::TopologySnapshot { links, .. } => {
                 self.links = links.len();
@@ -670,82 +602,23 @@ impl TimeSeriesSink {
                 }
             }
             _ if !self.open => {}
-            Event::RequestArrival { .. } => self.acc.arrivals += 1,
-            Event::RequestFailed { .. } => self.acc.failures += 1,
-            Event::RequestRejected { .. } => self.acc.rejections += 1,
-            Event::DmaHit { .. } => self.acc.dma_hits += 1,
-            Event::DmaAdmit { .. } => self.acc.dma_admits += 1,
-            Event::DmaEvict { .. } => self.acc.dma_evicts += 1,
-            Event::DmaReject { .. } => self.acc.dma_rejects += 1,
-            Event::PrefixHit { .. } => self.acc.prefix_hits += 1,
-            Event::PrefixAdmit { .. } => self.acc.prefix_admits += 1,
-            Event::PrefixEvict { .. } => self.acc.prefix_evicts += 1,
-            Event::PrefixReject { .. } => self.acc.prefix_rejects += 1,
-            Event::VraSelect { local, .. } => {
-                if *local {
-                    self.acc.vra_local += 1;
-                } else {
-                    self.acc.vra_remote += 1;
-                }
-            }
-            Event::Switch { .. } => self.acc.switches += 1,
             Event::SessionStart { session, .. } => {
-                self.acc.starts += 1;
                 self.live.insert(*session);
                 let live = self.live.len() as u64;
                 if live > self.acc.peak_sessions {
                     self.acc.peak_sessions = live;
                 }
             }
-            Event::SessionComplete { session, .. } => {
-                self.acc.completes += 1;
+            Event::SessionComplete { session, .. } | Event::SessionAborted { session, .. } => {
                 self.live.remove(session);
             }
-            Event::SessionAborted { session, .. } => {
-                self.acc.aborts += 1;
-                self.live.remove(session);
-            }
-            Event::SessionRetry { .. } => self.acc.retries += 1,
-            Event::SnmpPoll { staleness, .. } => {
-                self.acc.snmp_polls += 1;
+            Event::SnmpPoll { staleness, .. } | Event::SnmpStaleView { staleness } => {
                 let us = staleness.as_micros();
                 if us > self.acc.max_staleness_us {
                     self.acc.max_staleness_us = us;
                 }
             }
-            Event::SnmpStaleView { staleness } => {
-                let us = staleness.as_micros();
-                if us > self.acc.max_staleness_us {
-                    self.acc.max_staleness_us = us;
-                }
-            }
-            // Deliberately not aggregated: run preamble/config events
-            // carry no per-window signal, catalog and fault transitions
-            // are reflected in the counters and gauges they cause
-            // (arrivals, aborts, link_state utilization), and stall/
-            // resume pairs surface through SessionComplete's stall
-            // totals. Listing them (and the deny above, which forbids a
-            // bare `_` arm) keeps this match exhaustive, so a new Event
-            // variant is a compile error here.
-            Event::RunConfig { .. }
-            | Event::CacheConfig { .. }
-            | Event::PrefixCacheConfig { .. }
-            | Event::PrefixExtend { .. }
-            | Event::PrefixServe { .. }
-            | Event::DmaSeed { .. }
-            | Event::CatalogAdd { .. }
-            | Event::CatalogRemove { .. }
-            | Event::SessionStall { .. }
-            | Event::SessionResume { .. }
-            | Event::BackgroundUpdate
-            | Event::ServerDown { .. }
-            | Event::ServerUp { .. }
-            | Event::LinkDown { .. }
-            | Event::LinkUp { .. }
-            | Event::LinkDegradeStart { .. }
-            | Event::LinkDegradeEnd { .. }
-            | Event::SnmpOutageStart
-            | Event::SnmpOutageEnd => {}
+            _ => {}
         }
     }
 }
@@ -816,12 +689,12 @@ mod tests {
         for pair in windows.windows(2) {
             assert_eq!(pair[0].end_us, pair[1].start_us);
         }
-        assert_eq!(windows[0].arrivals, 1);
+        assert_eq!(windows[0].tally.arrivals, 1);
         assert_eq!(windows[0].sessions, 1);
         // Gap windows carry the live-session gauge forward.
         assert_eq!(windows[2].sessions, 1);
         assert_eq!(windows[2].peak_sessions, 1);
-        assert_eq!(windows[4].completes, 1);
+        assert_eq!(windows[4].tally.completes, 1);
         assert_eq!(windows[4].sessions, 0);
         // Peak within the final window still saw the live session.
         assert_eq!(windows[4].peak_sessions, 1);
@@ -845,7 +718,7 @@ mod tests {
         // The pre-arrival poll is counted as an event but lands in no
         // window.
         assert_eq!(report.events, 2);
-        assert_eq!(windows[0].snmp_polls, 0);
+        assert_eq!(windows[0].tally.snmp_polls, 0);
     }
 
     #[test]
@@ -927,7 +800,7 @@ mod tests {
             };
             at_us += windows * width.as_micros() + (x >> 16) % width.as_micros();
             let staleness = SimDuration::from_micros(if x % 4 == 0 { u64::MAX } else { *x });
-            let event = match kind % 48 {
+            let mut event = match kind % 48 {
                 40 | 41 => start(x % 6),
                 42 => complete(x % 6),
                 43 => Event::SessionAborted {
@@ -956,6 +829,10 @@ mod tests {
                     None => continue,
                 },
             };
+            // Both halves of the VRA split.
+            if let Event::VraSelect { local, .. } = &mut event {
+                *local = x % 2 == 0;
+            }
             emit(at_us, &event);
         }
         (packed.finish(), reference.finish())
@@ -1023,22 +900,21 @@ mod tests {
                     util_max: if *keep_row { carried.clone() } else { from_bits(util_max) },
                     ..SeriesWindow::default()
                 };
+                let mut fields = w.ints();
                 for (field, value) in ints {
-                    if let Some(slot) = w.ints_mut().into_iter().nth(*field) {
-                        // Half the values saturate, so `u64::MAX` is common.
-                        *slot = if value % 2 == 0 { u64::MAX } else { *value };
-                    }
+                    // Half the values saturate, so `u64::MAX` is common.
+                    fields[*field] = if value % 2 == 0 { u64::MAX } else { *value };
                 }
-                log.push(&mut w);
+                w.set_ints(fields);
+                log.push(&w);
                 expected.push(w);
             }
             let bits = |w: &SeriesWindow| {
-                let mut w = w.clone();
                 let rows: Vec<Vec<u64>> = [&w.utilization, &w.util_max]
                     .iter()
                     .map(|row| row.iter().map(|v| v.to_bits()).collect())
                     .collect();
-                (w.start_us, w.end_us, w.ints_mut().map(|v| *v), rows)
+                (w.start_us, w.end_us, w.ints(), rows)
             };
             let decoded: Vec<SeriesWindow> = log.decode(width_us).collect();
             proptest::prop_assert_eq!(decoded.len(), expected.len());
@@ -1092,7 +968,10 @@ mod tests {
         assert!(per_window < 32.0, "{per_window} bytes per window");
         // Not vacuous: rows do move and windows do carry counters.
         assert!(report.windows().any(|w| w.util_max != w.utilization));
-        assert_eq!(report.windows().map(|w| w.arrivals).sum::<u64>(), 175_200);
+        assert_eq!(
+            report.windows().map(|w| w.tally.arrivals).sum::<u64>(),
+            175_200
+        );
     }
 
     /// The fold as it was before the packed log: one `SeriesWindow`
@@ -1218,37 +1097,37 @@ mod tests {
                         }
                     }
                     _ if !self.open => {}
-                    Event::RequestArrival { .. } => self.acc.arrivals += 1,
-                    Event::RequestFailed { .. } => self.acc.failures += 1,
-                    Event::RequestRejected { .. } => self.acc.rejections += 1,
-                    Event::DmaHit { .. } => self.acc.dma_hits += 1,
-                    Event::DmaAdmit { .. } => self.acc.dma_admits += 1,
-                    Event::DmaEvict { .. } => self.acc.dma_evicts += 1,
-                    Event::DmaReject { .. } => self.acc.dma_rejects += 1,
-                    Event::PrefixHit { .. } => self.acc.prefix_hits += 1,
-                    Event::PrefixAdmit { .. } => self.acc.prefix_admits += 1,
-                    Event::PrefixEvict { .. } => self.acc.prefix_evicts += 1,
-                    Event::PrefixReject { .. } => self.acc.prefix_rejects += 1,
-                    Event::VraSelect { local: true, .. } => self.acc.vra_local += 1,
-                    Event::VraSelect { local: false, .. } => self.acc.vra_remote += 1,
-                    Event::Switch { .. } => self.acc.switches += 1,
+                    Event::RequestArrival { .. } => self.acc.tally.arrivals += 1,
+                    Event::RequestFailed { .. } => self.acc.tally.failures += 1,
+                    Event::RequestRejected { .. } => self.acc.tally.rejections += 1,
+                    Event::DmaHit { .. } => self.acc.tally.dma_hits += 1,
+                    Event::DmaAdmit { .. } => self.acc.tally.dma_admits += 1,
+                    Event::DmaEvict { .. } => self.acc.tally.dma_evicts += 1,
+                    Event::DmaReject { .. } => self.acc.tally.dma_rejects += 1,
+                    Event::PrefixHit { .. } => self.acc.tally.prefix_hits += 1,
+                    Event::PrefixAdmit { .. } => self.acc.tally.prefix_admits += 1,
+                    Event::PrefixEvict { .. } => self.acc.tally.prefix_evicts += 1,
+                    Event::PrefixReject { .. } => self.acc.tally.prefix_rejects += 1,
+                    Event::VraSelect { local: true, .. } => self.acc.tally.vra_local += 1,
+                    Event::VraSelect { local: false, .. } => self.acc.tally.vra_remote += 1,
+                    Event::Switch { .. } => self.acc.tally.switches += 1,
                     Event::SessionStart { session, .. } => {
-                        self.acc.starts += 1;
+                        self.acc.tally.starts += 1;
                         self.live.insert(*session);
                         let live = self.live.len() as u64;
                         self.acc.peak_sessions = self.acc.peak_sessions.max(live);
                     }
                     Event::SessionComplete { session, .. } => {
-                        self.acc.completes += 1;
+                        self.acc.tally.completes += 1;
                         self.live.remove(session);
                     }
                     Event::SessionAborted { session, .. } => {
-                        self.acc.aborts += 1;
+                        self.acc.tally.aborts += 1;
                         self.live.remove(session);
                     }
-                    Event::SessionRetry { .. } => self.acc.retries += 1,
+                    Event::SessionRetry { .. } => self.acc.tally.retries += 1,
                     Event::SnmpPoll { staleness, .. } => {
-                        self.acc.snmp_polls += 1;
+                        self.acc.tally.snmp_polls += 1;
                         self.acc.max_staleness_us =
                             self.acc.max_staleness_us.max(staleness.as_micros());
                     }
@@ -1281,11 +1160,8 @@ mod tests {
             /// The header of `SeriesReport::write_csv` over the
             /// per-window rows.
             pub fn to_csv(&self) -> String {
-                let mut out = CSV_FIXED_COLUMNS.as_bytes().to_vec();
-                for i in 0..self.links {
-                    out.extend_from_slice(format!(",util_{i}").as_bytes());
-                }
-                out.push(b'\n');
+                let mut out = Vec::new();
+                write_csv_header(&mut out, self.links).unwrap();
                 for w in &self.windows {
                     w.write_csv(&mut out).unwrap();
                 }

@@ -708,7 +708,8 @@ mod tests {
             }
             match self.config.eviction {
                 EvictionMode::SingleAttempt => {
-                    let Some(victim) = self.tracker.least_popular(self.array.stored_ids()) else {
+                    let rank = |&v: &VideoId| (self.tracker.points(v), v);
+                    let Some(victim) = self.array.stored_ids().min_by_key(rank) else {
                         return DmaDecision::NotAdmitted {
                             reason: RejectReason::DoesNotFit { evicted: vec![] },
                         };

@@ -250,7 +250,7 @@ fn local_startup_is_the_closed_form_transfer_time() {
     assert_eq!(recorder.dropped(), 0);
 
     let mut video_of = std::collections::BTreeMap::new();
-    let mut starts = 0;
+    let mut started = 0;
     for (_, event) in recorder.iter() {
         match event {
             Event::VraSelect {
@@ -275,13 +275,13 @@ fn local_startup_is_the_closed_form_transfer_time() {
                     micros,
                     "session {session}: {volume} Mbit at {rate} Mbps"
                 );
-                starts += 1;
+                started += 1;
             }
             _ => {}
         }
     }
-    assert!(starts > 500, "{starts} sessions started");
-    assert_eq!(starts, report.completed.len());
+    assert!(started > 500, "{started} sessions started");
+    assert_eq!(started, report.completed.len());
 }
 
 /// The DMA's hit ratio under i.i.d. Zipf(0.8) requests over 100 equal

@@ -10,14 +10,10 @@ use vod_core::admission::AdmissionPolicy;
 use vod_core::service::{PrefixTierConfig, RetryPolicy, ServiceConfig, VodService};
 use vod_core::vra::Vra;
 use vod_net::Mbps;
-use vod_obs::{JsonlWriter, TeeSink, TimeSeriesSink};
+use vod_obs::{JsonlWriter, Tally, TeeSink, TimeSeriesSink};
 use vod_sim::fault::FaultPlan;
 use vod_sim::SimDuration;
 use vod_workload::scenario::Scenario;
-
-/// What a run must count: completed, aborted, failed and rejected
-/// sessions, mid-stream switches and SNMP polls.
-type Tally = [u64; 6];
 
 /// A random plan of ten fault windows over `span` from the scenario's
 /// first arrival.
@@ -27,10 +23,11 @@ fn chaos(scenario: &Scenario, span: SimDuration) -> FaultPlan {
 }
 
 /// Runs `scenario` untraced and traced into JSONL + series, checks the
-/// two reports are one, reconciles the report with the series and the
-/// trace, and checks the tally against `expected` so no case goes
-/// vacuous.
-fn check(scenario: &Scenario, config: ServiceConfig, expected: Tally) {
+/// two reports are one, reconciles the report with the summed series
+/// tally and the trace, and checks the report's `[completes, aborts,
+/// failures, rejections, switches, snmp_polls]` against `expected` so
+/// no case goes vacuous.
+fn check(scenario: &Scenario, config: ServiceConfig, expected: [u64; 6]) {
     let plain = VodService::new(scenario, Box::new(Vra::default()), config.clone()).run();
     let sink = TeeSink::new(JsonlWriter::new(Vec::new()), TimeSeriesSink::new());
     let service = VodService::with_sink(scenario, Box::new(Vra::default()), config, sink);
@@ -40,47 +37,44 @@ fn check(scenario: &Scenario, config: ServiceConfig, expected: Tally) {
     let (jsonl, series) = sink.into_parts();
     let trace = String::from_utf8(jsonl.into_inner().expect("a Vec takes every write"))
         .expect("JSONL traces are UTF-8");
-    let series = series.finish();
-
-    let mut arrivals = 0;
-    let mut summed = [0u64; 6];
-    for w in series.windows() {
-        arrivals += w.arrivals;
-        let row = [
-            w.completes,
-            w.aborts,
-            w.failures,
-            w.rejections,
-            w.switches,
-            w.snmp_polls,
-        ];
-        for (total, v) in summed.iter_mut().zip(row) {
-            *total += v;
-        }
+    let mut summed = Tally::default();
+    for w in series.finish().windows() {
+        summed += w.tally;
     }
-    let [completes, aborts, failures, rejections, ..] = summed;
     assert_eq!(
-        arrivals,
-        completes + aborts + failures + rejections + report.unfinished_sessions as u64,
+        summed.arrivals,
+        summed.completes
+            + summed.aborts
+            + summed.failures
+            + summed.rejections
+            + report.unfinished_sessions as u64,
         "every arrival completes, aborts, fails, is rejected or is still live"
     );
     let switches = trace
         .lines()
         .filter(|l| l.contains(r#""kind":"switch""#))
         .count();
-    let tally = [
-        report.completed.len() as u64,
-        report.aborted_sessions,
-        report.failed_requests,
-        report.rejected_requests,
-        switches as u64,
-        report.snmp_polls,
+    // The report's counts in the series' terms; the counters the report
+    // does not keep are the series' own.
+    let reported = Tally {
+        completes: report.completed.len() as u64,
+        aborts: report.aborted_sessions,
+        failures: report.failed_requests,
+        rejections: report.rejected_requests,
+        switches: switches as u64,
+        snmp_polls: report.snmp_polls,
+        ..summed
+    };
+    assert_eq!(summed, reported, "the series and the report disagree");
+    let pinned = [
+        reported.completes,
+        reported.aborts,
+        reported.failures,
+        reported.rejections,
+        reported.switches,
+        reported.snmp_polls,
     ];
-    assert_eq!(
-        summed, tally,
-        "series [completes, aborts, failures, rejections, switches, snmp_polls]"
-    );
-    assert_eq!(tally, expected, "the run's tally moved");
+    assert_eq!(pinned, expected, "the run's counts moved");
 }
 
 #[test]

@@ -82,7 +82,7 @@ fn golden_seed42_series_exports_are_pinned() {
     // window shapes a packed representation treats differently.
     let windows = || grnet.windows().chain(faulted.windows());
     assert!(
-        windows().any(|w| w.dma_evicts > 0 || w.prefix_hits > 0),
+        windows().any(|w| w.tally.dma_evicts > 0 || w.tally.prefix_hits > 0),
         "no window with a dma_evict or prefix_hit"
     );
     assert!(
@@ -237,7 +237,7 @@ proptest! {
         );
         let summary = service.run_full().1.finish();
         prop_assert!(
-            summary.kinds.get("session_start").is_some_and(|&n| n > 0),
+            summary.tally.starts > 0,
             "case study must start sessions"
         );
         prop_assert!(
