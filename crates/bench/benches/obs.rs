@@ -1,11 +1,13 @@
 //! Criterion bench: event-emission overhead of the observability sinks.
 //!
-//! Every instrumentation site in the service is guarded by
-//! `sink.enabled()`; this bench measures what one guarded emission costs
-//! per sink. [`NullSink`]'s constant-false guard lets the whole site
-//! fold away under monomorphization, so its row should read as ~0 ns —
-//! the number that justifies leaving the instrumentation compiled into
-//! the paper-exact binaries.
+//! Every instrumentation site in the service is an
+//! [`EventSink::emit`] with a closure that builds the event; this bench
+//! measures what one such emission costs per sink, the event built from
+//! plain fields as at a service site. [`NullSink`]'s constant-false
+//! `enabled()` lets the whole call fold away under monomorphization —
+//! the closure never runs — so its row should read as ~0 ns: the number
+//! that justifies leaving the instrumentation compiled into the
+//! paper-exact binaries.
 //!
 //! `obs/emit/time_series_sink` emits at one fixed instant, so it never
 //! seals a window: it is the cost of a counter update. `obs/series/
@@ -25,13 +27,6 @@ use vod_obs::{Event, EventSink, JsonlWriter, NullSink, RingRecorder, TeeSink, Ti
 use vod_sim::{SimDuration, SimTime};
 use vod_storage::video::VideoId;
 
-/// One guarded emission site, exactly as the service is instrumented.
-fn emit<S: EventSink>(sink: &mut S, at: SimTime, event: &Event) {
-    if sink.enabled() {
-        sink.record(at, event);
-    }
-}
-
 /// A representative mid-size event (the most frequent kind in a trace).
 fn sample_event() -> Event {
     Event::VraSelect {
@@ -48,32 +43,31 @@ fn sample_event() -> Event {
 
 fn bench_emit(c: &mut Criterion) {
     let at = SimTime::from_secs(12 * 3600);
-    let event = sample_event();
     let mut group = c.benchmark_group("obs/emit");
 
     let mut null = NullSink;
     group.bench_function("null_sink", |b| {
-        b.iter(|| emit(&mut null, black_box(at), black_box(&event)))
+        b.iter(|| null.emit(black_box(at), || black_box(sample_event())))
     });
 
     let mut ring = RingRecorder::new(4096);
     group.bench_function("ring_recorder", |b| {
-        b.iter(|| emit(&mut ring, black_box(at), black_box(&event)))
+        b.iter(|| ring.emit(black_box(at), || black_box(sample_event())))
     });
 
     let mut jsonl = JsonlWriter::new(std::io::sink());
     group.bench_function("jsonl_writer", |b| {
-        b.iter(|| emit(&mut jsonl, black_box(at), black_box(&event)))
+        b.iter(|| jsonl.emit(black_box(at), || black_box(sample_event())))
     });
 
     let mut series = TimeSeriesSink::new();
     group.bench_function("time_series_sink", |b| {
-        b.iter(|| emit(&mut series, black_box(at), black_box(&event)))
+        b.iter(|| series.emit(black_box(at), || black_box(sample_event())))
     });
 
     let mut tee = TeeSink::new(NullSink, TimeSeriesSink::new());
     group.bench_function("tee_null_series", |b| {
-        b.iter(|| emit(&mut tee, black_box(at), black_box(&event)))
+        b.iter(|| tee.emit(black_box(at), || black_box(sample_event())))
     });
 
     group.finish();
@@ -83,8 +77,10 @@ fn bench_emit(c: &mut Criterion) {
 /// of one-minute windows shaped like a steady service — an SNMP poll
 /// and a `link_state` every second minute (the row moves on every
 /// fourth poll, up then down), an arrival / start / complete triple
-/// every third. Each iteration emits the year's next event; the sink is
-/// replaced when the year wraps, so the log never outgrows one year.
+/// every third. Each iteration records the year's next event — a stored
+/// one, so it goes straight to `record` (the series sink is always
+/// enabled); the sink is replaced when the year wraps, so the log never
+/// outgrows one year.
 fn bench_sparse_year(c: &mut Criterion) {
     // The pattern repeats every 96 minutes (2, 3 and the 32-minute
     // utilisation cycle).
@@ -153,7 +149,7 @@ fn bench_sparse_year(c: &mut Criterion) {
             let (minute, event) = &pattern[next];
             next += 1;
             let at = SimTime::from_secs((period * PERIOD_MINUTES + minute) * 60 + 1);
-            emit(&mut sink, black_box(at), black_box(event))
+            sink.record(black_box(at), black_box(event))
         })
     });
 }

@@ -53,8 +53,10 @@ fn main() {
                 DmaDecision::AdmittedAfterEviction { evicted, .. } => {
                     format!("admitted after evicting {evicted:?}")
                 }
-                DmaDecision::NotAdmitted { reason } => format!("not admitted ({reason:?})"),
-                _ => "other".to_string(),
+                DmaDecision::NotAdmitted { reason, evicted } if !evicted.is_empty() => {
+                    format!("not admitted ({reason:?} {{ evicted: {evicted:?} }})")
+                }
+                DmaDecision::NotAdmitted { reason, .. } => format!("not admitted ({reason:?})"),
             };
             t.row([
                 (i + 1).to_string(),

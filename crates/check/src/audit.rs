@@ -42,8 +42,9 @@ use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::node::NodeKind;
 use vod_net::units::Fraction;
 use vod_net::{LinkId, Mbps, NodeId, Topology, TopologyBuilder, TrafficSnapshot};
-use vod_obs::{AbortReason, DmaRejectKind, Event, EventSink, ReadError, Tally};
+use vod_obs::{AbortReason, Event, EventSink, ReadError, Tally};
 use vod_sim::SimTime;
+use vod_storage::dma::RejectKind;
 use vod_storage::VideoId;
 
 /// One invariant violation, pointing at a trace line.
@@ -1036,7 +1037,7 @@ impl AuditSink {
         self.flush(pending);
     }
 
-    fn on_dma_reject(&mut self, server: u64, video: u64, reason: DmaRejectKind) {
+    fn on_dma_reject(&mut self, server: u64, video: u64, reason: RejectKind) {
         let Some(state) = self.servers.get_mut(&server) else {
             self.violate(
                 "A009",
@@ -1050,7 +1051,7 @@ impl AuditSink {
         // two values extracted above.
         // Figure 2's gates run in order: a below-threshold verdict means
         // the counter had not yet passed, any later verdict means it had.
-        if reason == DmaRejectKind::BelowThreshold && points > threshold {
+        if reason == RejectKind::BelowThreshold && points > threshold {
             self.violate(
                 "A002",
                 format!(
@@ -1058,7 +1059,7 @@ impl AuditSink {
                 ),
             );
         }
-        if reason != DmaRejectKind::BelowThreshold && points <= threshold {
+        if reason != RejectKind::BelowThreshold && points <= threshold {
             self.violate(
                 "A002",
                 format!(
@@ -1344,7 +1345,7 @@ impl AuditSink {
 
     /// A014/A015: reject reasons respect the Figure-2-style gate order
     /// and never name a resident prefix.
-    fn on_prefix_reject(&mut self, server: u64, video: u64, reason: DmaRejectKind) {
+    fn on_prefix_reject(&mut self, server: u64, video: u64, reason: RejectKind) {
         self.summary.prefix_verified += 1;
         let mut pending = Vec::new();
         let Some(state) = self.prefixes.get_mut(&server) else {
@@ -1362,7 +1363,7 @@ impl AuditSink {
                 format!("prefix_reject of v{video} whose prefix is resident at proxy {server}"),
             ));
         }
-        if reason == DmaRejectKind::BelowThreshold && points > threshold {
+        if reason == RejectKind::BelowThreshold && points > threshold {
             pending.push((
                 "A015",
                 format!(
@@ -1370,7 +1371,7 @@ impl AuditSink {
                 ),
             ));
         }
-        if reason != DmaRejectKind::BelowThreshold && points <= threshold {
+        if reason != RejectKind::BelowThreshold && points <= threshold {
             pending.push((
                 "A015",
                 format!(
@@ -1386,7 +1387,7 @@ impl AuditSink {
             .residents
             .keys()
             .any(|v| state.points.get(v).copied().unwrap_or(0) < points);
-        if reason == DmaRejectKind::NotPopularEnough && colder {
+        if reason == RejectKind::NotPopularEnough && colder {
             pending.push((
                 "A016",
                 format!(
@@ -1394,7 +1395,7 @@ impl AuditSink {
                 ),
             ));
         }
-        if reason == DmaRejectKind::DoesNotFit && !colder {
+        if reason == RejectKind::DoesNotFit && !colder {
             pending.push((
                 "A016",
                 format!(

@@ -22,8 +22,9 @@ use vod_net::lvn::{LvnComputer, LvnParams};
 use vod_net::node::NodeKind;
 use vod_net::units::Fraction;
 use vod_net::{LinkId, Mbps, NodeId, TopologyBuilder, TrafficSnapshot};
-use vod_obs::{AbortReason, DmaRejectKind, Event, JsonlWriter};
+use vod_obs::{AbortReason, Event, JsonlWriter};
 use vod_sim::{SimDuration, SimTime};
+use vod_storage::dma::RejectKind;
 use vod_storage::VideoId;
 use vod_workload::scenario::Scenario;
 
@@ -196,7 +197,7 @@ fixtures! {
     // The rejection awards the request's point first, so the counter is
     // at 1 > threshold 0 — a `below_threshold` verdict is inconsistent.
     a002_reject_below_threshold_after_passing_it: "A002" => with(preamble(), &[
-        ev! { 10, DmaReject { server: n(0), video: v(2), reason: DmaRejectKind::BelowThreshold } },
+        ev! { 10, DmaReject { server: n(0), video: v(2), reason: RejectKind::BelowThreshold } },
     ]);
     // Video 2 collects two points; video 0 has none — evicting 2 is wrong.
     a003_evicts_a_popular_title: "A003" => with(preamble(), &[
@@ -416,7 +417,7 @@ fn clean_prefix_eviction_audits_green() {
         &[
             prefix_config(3, 0),
             prefix_admit(10, 1, false, 3, 300.0),
-            ev! { 20, PrefixReject { server: n(0), video: v(2), reason: DmaRejectKind::NotPopularEnough } },
+            ev! { 20, PrefixReject { server: n(0), video: v(2), reason: RejectKind::NotPopularEnough } },
             ev! { 30, PrefixEvict { server: n(0), victim: v(1), freed_mb: 300.0 } },
             prefix_admit(30, 2, true, 3, 300.0),
         ],

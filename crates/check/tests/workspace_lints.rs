@@ -3,11 +3,12 @@
 //! member manifest outside `vendor/` adopts `[workspace.lints]` (which
 //! forbids `unsafe_code`), each library root except `vod-bench`'s
 //! denies `unwrap`/`expect`, and the eight simulation crates deny
-//! indexing and the panic macros `clippy.toml` lists. Three rules are
+//! indexing and the panic macros `clippy.toml` lists. Four rules are
 //! not lints and are checked here by a scan of the source: no
 //! `partial_cmp` sort key, serde only on the report `experiments
-//! --metrics` writes, and the taxonomy's counters counted by
-//! `vod_obs::Tally` alone.
+//! --metrics` writes, the taxonomy's counters counted by
+//! `vod_obs::Tally` alone, and every event of the service written
+//! through `EventSink::emit`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -433,5 +434,59 @@ fn tally_scan_catches_a_planted_increment() {
     assert_eq!(
         tally_increments(planted, &names),
         ["2: arrivals", "3: vra_local", "11: retries"]
+    );
+}
+
+/// `line: call` for every way `text` writes a trace event other than
+/// `EventSink::emit`: any `.record(` call, and any `enabled()` call
+/// outside the body of `fn select_source` (whose engine-stats snapshot
+/// guards work for a field of an event, not an event); `//` comments
+/// are skipped.
+fn hand_emissions(text: &str) -> Vec<String> {
+    let mut hits = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let code = line.find("//").map_or(line, |at| &line[..at]);
+        let called = occurrences(code, "record")
+            .iter()
+            .any(|(before, after)| before.ends_with('.') && after.starts_with('('));
+        if called {
+            hits.push(format!("{}: .record(", n + 1));
+        }
+    }
+    for (n, code) in code_outside(text, "fn select_source") {
+        let called = occurrences(code, "enabled")
+            .iter()
+            .any(|(_, after)| after.starts_with("()"));
+        if called {
+            hits.push(format!("{n}: enabled()"));
+        }
+    }
+    hits
+}
+
+/// `vod-core` writes its trace one way: each event is an
+/// `EventSink::emit` whose closure builds it, so a disabled sink never
+/// builds one and no site keeps a guard of its own. The service's tests
+/// may record into sinks directly.
+#[test]
+fn core_writes_every_event_through_emit() {
+    let root = root();
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    files.retain(|path| !path.ends_with("service/tests.rs"));
+    assert!(files.len() > 10, "found only {} source files", files.len());
+    let hits = scan_hits(&files, hand_emissions);
+    assert!(
+        hits.is_empty(),
+        "a trace event written around `EventSink::emit`: {hits:?}"
+    );
+}
+
+#[test]
+fn emit_scan_spares_only_the_select_source_snapshot() {
+    let planted = "fn a(&mut self) {\n    if self.sink.enabled() {\n        self.sink.record(now, &e);\n    }\n}\nfn select_source(&mut self) {\n    let before = if sink.enabled() { s() } else { None };\n}\nfn b(&mut self) {\n    self.sink\n        .record(now, &e); // if sink.enabled()\n    self.sink.emit(now, || e);\n    self.samples.record_n(x, 1);\n    fn enabled(&self) -> bool { self.recorder.is_on() }\n}\n";
+    assert_eq!(
+        hand_emissions(planted),
+        ["3: .record(", "11: .record(", "2: enabled()"]
     );
 }

@@ -8,6 +8,7 @@ use vod_sim::scheduler::Scheduler;
 use vod_sim::SimTime;
 use vod_storage::dma::DmaDecision;
 use vod_storage::prefix::PrefixDecision;
+use vod_storage::striping::StripeLayout;
 use vod_storage::video::VideoId;
 
 use super::model::{find_title, title, Event, ServiceModel};
@@ -23,107 +24,58 @@ impl<S: EventSink> ServiceModel<S> {
             return 0;
         };
         let decision = store.on_request(title(&self.titles, video));
-        let serve = decision.serve_clusters() as usize;
-        if !self.sink.enabled() {
-            return serve;
-        }
-        let occupancy_mb = store.occupied_mb();
-        let stored_mb = store.resident_mb(video);
-        use vod_obs::DmaRejectKind;
-        use vod_storage::prefix::PrefixRejectReason;
+        let sink = &mut self.sink;
+        let admit = |after_eviction: bool, clusters: u32| ObsEvent::PrefixAdmit {
+            server,
+            video,
+            after_eviction,
+            clusters: u64::from(clusters),
+            size_mb: store.resident_mb(video),
+            occupancy_mb: store.occupied_mb(),
+        };
         match &decision {
-            PrefixDecision::Hit { clusters } => {
-                self.sink.record(
-                    now,
-                    &ObsEvent::PrefixHit {
-                        server,
-                        video,
-                        clusters: *clusters as u64,
-                    },
-                );
-            }
+            PrefixDecision::Hit { clusters } => sink.emit(now, || ObsEvent::PrefixHit {
+                server,
+                video,
+                clusters: u64::from(*clusters),
+            }),
             PrefixDecision::HitExtended {
                 from_clusters,
                 to_clusters,
             } => {
                 // The hit reports the served (pre-extension) length; the
                 // extension itself is a separate, auditable event.
-                self.sink.record(
-                    now,
-                    &ObsEvent::PrefixHit {
-                        server,
-                        video,
-                        clusters: *from_clusters as u64,
-                    },
-                );
-                self.sink.record(
-                    now,
-                    &ObsEvent::PrefixExtend {
-                        server,
-                        video,
-                        from_clusters: *from_clusters as u64,
-                        to_clusters: *to_clusters as u64,
-                        occupancy_mb,
-                    },
-                );
+                sink.emit(now, || ObsEvent::PrefixHit {
+                    server,
+                    video,
+                    clusters: u64::from(*from_clusters),
+                });
+                sink.emit(now, || ObsEvent::PrefixExtend {
+                    server,
+                    video,
+                    from_clusters: u64::from(*from_clusters),
+                    to_clusters: u64::from(*to_clusters),
+                    occupancy_mb: store.occupied_mb(),
+                });
             }
-            PrefixDecision::Admitted { clusters } => {
-                self.sink.record(
-                    now,
-                    &ObsEvent::PrefixAdmit {
-                        server,
-                        video,
-                        after_eviction: false,
-                        clusters: *clusters as u64,
-                        size_mb: stored_mb,
-                        occupancy_mb,
-                    },
-                );
-            }
+            PrefixDecision::Admitted { clusters } => sink.emit(now, || admit(false, *clusters)),
             PrefixDecision::AdmittedAfterEviction { evicted, clusters } => {
                 for eviction in evicted {
-                    self.sink.record(
-                        now,
-                        &ObsEvent::PrefixEvict {
-                            server,
-                            victim: eviction.victim,
-                            freed_mb: eviction.freed_mb,
-                        },
-                    );
+                    sink.emit(now, || ObsEvent::PrefixEvict {
+                        server,
+                        victim: eviction.victim,
+                        freed_mb: eviction.freed_mb,
+                    });
                 }
-                self.sink.record(
-                    now,
-                    &ObsEvent::PrefixAdmit {
-                        server,
-                        video,
-                        after_eviction: true,
-                        clusters: *clusters as u64,
-                        size_mb: stored_mb,
-                        occupancy_mb,
-                    },
-                );
+                sink.emit(now, || admit(true, *clusters));
             }
-            PrefixDecision::NotAdmitted { reason } => {
-                let kind = match reason {
-                    PrefixRejectReason::BelowThreshold => DmaRejectKind::BelowThreshold,
-                    PrefixRejectReason::NotPopularEnough => DmaRejectKind::NotPopularEnough,
-                    PrefixRejectReason::DoesNotFit => DmaRejectKind::DoesNotFit,
-                    // PrefixRejectReason is #[non_exhaustive].
-                    _ => return serve,
-                };
-                self.sink.record(
-                    now,
-                    &ObsEvent::PrefixReject {
-                        server,
-                        video,
-                        reason: kind,
-                    },
-                );
-            }
-            // PrefixDecision is #[non_exhaustive].
-            _ => {}
+            PrefixDecision::NotAdmitted { reason } => sink.emit(now, || ObsEvent::PrefixReject {
+                server,
+                video,
+                reason: *reason,
+            }),
         }
-        serve
+        decision.serve_clusters() as usize
     }
 
     pub(super) fn on_arrival(&mut self, now: SimTime, idx: usize, sched: &mut Scheduler<Event>) {
@@ -132,16 +84,11 @@ impl<S: EventSink> ServiceModel<S> {
             reason = "an arrival's `idx` is a position in the trace the input lane walks"
         )]
         let request = self.trace.requests()[idx];
-        if self.sink.enabled() {
-            self.sink.record(
-                now,
-                &ObsEvent::RequestArrival {
-                    request: idx as u64,
-                    client: request.client,
-                    video: request.video,
-                },
-            );
-        }
+        self.sink.emit(now, || ObsEvent::RequestArrival {
+            request: idx as u64,
+            client: request.client,
+            video: request.video,
+        });
         // A client whose home server is down cannot reach the service.
         if self.down.contains_key(&request.client) {
             self.fail_request(now, idx, request.client);
@@ -161,27 +108,17 @@ impl<S: EventSink> ServiceModel<S> {
             .get_mut(&request.client)
             .map(|cache| cache.on_request(meta));
         if let Some(decision) = decision {
-            if self.sink.enabled() {
-                self.emit_dma_decision(now, request.client, video, size.as_f64(), &decision);
-            }
+            self.emit_dma_decision(now, request.client, video, size.as_f64(), &decision);
+            cache_later = matches!(
+                decision,
+                DmaDecision::Admitted { .. } | DmaDecision::AdmittedAfterEviction { .. }
+            );
             match decision {
-                DmaDecision::Hit => {}
-                DmaDecision::Admitted { .. } => {
-                    cache_later = true;
-                }
-                DmaDecision::AdmittedAfterEviction { evicted, .. } => {
-                    cache_later = true;
+                DmaDecision::Hit | DmaDecision::Admitted { .. } => {}
+                DmaDecision::AdmittedAfterEviction { evicted, .. }
+                | DmaDecision::NotAdmitted { evicted, .. } => {
                     self.withdraw_titles(now, request.client, &evicted);
                 }
-                DmaDecision::NotAdmitted {
-                    reason: vod_storage::dma::RejectReason::DoesNotFit { evicted },
-                } => {
-                    self.withdraw_titles(now, request.client, &evicted);
-                }
-                DmaDecision::NotAdmitted { .. } => {}
-                // DmaDecision is #[non_exhaustive]; future variants are
-                // treated as "no catalog change".
-                _ => {}
             }
         }
 
@@ -224,16 +161,11 @@ impl<S: EventSink> ServiceModel<S> {
                     .is_admit()
                 {
                     self.rejected_requests += 1;
-                    if self.sink.enabled() {
-                        self.sink.record(
-                            now,
-                            &ObsEvent::RequestRejected {
-                                request: idx as u64,
-                                client: request.client,
-                                video: request.video,
-                            },
-                        );
-                    }
+                    self.sink.emit(now, || ObsEvent::RequestRejected {
+                        request: idx as u64,
+                        client: request.client,
+                        video: request.video,
+                    });
                     return;
                 }
             }
@@ -254,20 +186,14 @@ impl<S: EventSink> ServiceModel<S> {
     /// Counts and traces an unservable request.
     fn fail_request(&mut self, now: SimTime, idx: usize, client: NodeId) {
         self.failed_requests += 1;
-        if self.sink.enabled() {
-            self.sink.record(
-                now,
-                &ObsEvent::RequestFailed {
-                    request: idx as u64,
-                    client,
-                },
-            );
-        }
+        self.sink.emit(now, || ObsEvent::RequestFailed {
+            request: idx as u64,
+            client,
+        });
     }
 
-    /// Translates a DMA decision into its trace events (hit, admit with
-    /// per-victim evictions, or reject). Only called when the sink is
-    /// enabled.
+    /// Traces a DMA decision: a hit, an admit after its evictions, or a
+    /// reject after the victims a single attempt evicted in vain.
     fn emit_dma_decision(
         &mut self,
         now: SimTime,
@@ -276,80 +202,42 @@ impl<S: EventSink> ServiceModel<S> {
         size_mb: f64,
         decision: &DmaDecision,
     ) {
-        use vod_obs::DmaRejectKind;
-        use vod_storage::dma::RejectReason;
-        use vod_storage::striping::StripeLayout;
+        let ServiceModel { sink, caches, .. } = self;
         // Post-decision occupancy and the admitted stripe, auditable
         // against the cache's capacity and Figure 3's `i mod n` rule.
-        let occupancy_mb = |model: &Self| {
-            model
-                .caches
+        let admit = |after_eviction: bool, layout: &StripeLayout| ObsEvent::DmaAdmit {
+            server,
+            video,
+            after_eviction,
+            size_mb,
+            parts: layout.parts() as u64,
+            stripe: (0..layout.parts())
+                .map(|i| layout.disk_of_part(i) as u32)
+                .collect(),
+            occupancy_mb: caches
                 .get(&server)
                 .map(|c| c.array().total_capacity().as_f64() - c.array().total_free().as_f64())
-                .unwrap_or(0.0)
-        };
-        let stripe_of = |layout: &StripeLayout| -> Vec<u32> {
-            (0..layout.parts())
-                .map(|i| layout.disk_of_part(i) as u32)
-                .collect()
+                .unwrap_or(0.0),
         };
         match decision {
-            DmaDecision::Hit => {
-                self.sink.record(now, &ObsEvent::DmaHit { server, video });
-            }
-            DmaDecision::Admitted { layout } => {
-                let event = ObsEvent::DmaAdmit {
-                    server,
-                    video,
-                    after_eviction: false,
-                    size_mb,
-                    parts: layout.parts() as u64,
-                    stripe: stripe_of(layout),
-                    occupancy_mb: occupancy_mb(self),
-                };
-                self.sink.record(now, &event);
-            }
+            DmaDecision::Hit => sink.emit(now, || ObsEvent::DmaHit { server, video }),
+            DmaDecision::Admitted { layout } => sink.emit(now, || admit(false, layout)),
             DmaDecision::AdmittedAfterEviction { evicted, layout } => {
                 for &victim in evicted {
-                    self.sink
-                        .record(now, &ObsEvent::DmaEvict { server, victim });
+                    sink.emit(now, || ObsEvent::DmaEvict { server, victim });
                 }
-                let event = ObsEvent::DmaAdmit {
+                sink.emit(now, || admit(true, layout));
+            }
+            DmaDecision::NotAdmitted { reason, evicted } => {
+                for &victim in evicted {
+                    sink.emit(now, || ObsEvent::DmaEvict { server, victim });
+                }
+                sink.emit(now, || ObsEvent::DmaReject {
                     server,
                     video,
-                    after_eviction: true,
-                    size_mb,
-                    parts: layout.parts() as u64,
-                    stripe: stripe_of(layout),
-                    occupancy_mb: occupancy_mb(self),
-                };
-                self.sink.record(now, &event);
+                    reason: *reason,
+                });
             }
-            DmaDecision::NotAdmitted { reason } => {
-                let kind = match reason {
-                    RejectReason::BelowThreshold => DmaRejectKind::BelowThreshold,
-                    RejectReason::NotPopularEnough => DmaRejectKind::NotPopularEnough,
-                    RejectReason::DoesNotFit { evicted } => {
-                        for &victim in evicted {
-                            self.sink
-                                .record(now, &ObsEvent::DmaEvict { server, victim });
-                        }
-                        DmaRejectKind::DoesNotFit
-                    }
-                    // RejectReason is #[non_exhaustive].
-                    _ => return,
-                };
-                self.sink.record(
-                    now,
-                    &ObsEvent::DmaReject {
-                        server,
-                        video,
-                        reason: kind,
-                    },
-                );
-            }
-            // DmaDecision is #[non_exhaustive].
-            _ => {}
         }
     }
 }

@@ -29,10 +29,8 @@ impl<S: EventSink> ServiceModel<S> {
         if *depth > 1 {
             return; // already down; deepen the outage only
         }
-        if self.sink.enabled() {
-            self.sink
-                .record(now, &ObsEvent::ServerDown { server: node });
-        }
+        self.sink
+            .emit(now, || ObsEvent::ServerDown { server: node });
         // Withdraw the catalog and retire the cache.
         if let Some(cache) = self.caches.remove(&node) {
             self.retired_dma += cache.stats();
@@ -110,9 +108,7 @@ impl<S: EventSink> ServiceModel<S> {
             return; // an enclosing outage window is still open
         }
         self.down.remove(&node);
-        if self.sink.enabled() {
-            self.sink.record(now, &ObsEvent::ServerUp { server: node });
-        }
+        self.sink.emit(now, || ObsEvent::ServerUp { server: node });
         // The configuration was validated at construction (disk_count is
         // positive), so recreation cannot fail.
         if let Ok(cache) = DmaCache::new(DmaConfig {
@@ -147,9 +143,7 @@ impl<S: EventSink> ServiceModel<S> {
         }
         self.link_admin_epoch += 1;
         self.flows.set_link_admin_down(link, true);
-        if self.sink.enabled() {
-            self.sink.record(now, &ObsEvent::LinkDown { link });
-        }
+        self.sink.emit(now, || ObsEvent::LinkDown { link });
         // Transfers frozen on the dead link re-route mid-cluster, exactly
         // like transfers sourced from a dead server.
         let severed: Vec<(FlowId, SessionId)> = self
@@ -173,9 +167,7 @@ impl<S: EventSink> ServiceModel<S> {
         self.link_down.remove(&link);
         self.link_admin_epoch += 1;
         self.flows.set_link_admin_down(link, false);
-        if self.sink.enabled() {
-            self.sink.record(now, &ObsEvent::LinkUp { link });
-        }
+        self.sink.emit(now, || ObsEvent::LinkUp { link });
     }
 
     /// A degradation window opens: the link's deliverable capacity drops
@@ -185,10 +177,8 @@ impl<S: EventSink> ServiceModel<S> {
     pub(super) fn on_degrade_start(&mut self, now: SimTime, link: LinkId, factor: f64) {
         self.degrade.entry(link).or_default().push(factor);
         self.apply_degrade(link);
-        if self.sink.enabled() {
-            self.sink
-                .record(now, &ObsEvent::LinkDegradeStart { link, factor });
-        }
+        self.sink
+            .emit(now, || ObsEvent::LinkDegradeStart { link, factor });
     }
 
     /// A degradation window closes (removes one instance of `factor`).
@@ -202,10 +192,8 @@ impl<S: EventSink> ServiceModel<S> {
             }
         }
         self.apply_degrade(link);
-        if self.sink.enabled() {
-            self.sink
-                .record(now, &ObsEvent::LinkDegradeEnd { link, factor });
-        }
+        self.sink
+            .emit(now, || ObsEvent::LinkDegradeEnd { link, factor });
     }
 
     /// Re-applies the effective capacity scale of `link` to the fluid
@@ -224,8 +212,8 @@ impl<S: EventSink> ServiceModel<S> {
     /// good view (flagged per skipped poll in the trace).
     pub(super) fn on_snmp_outage_start(&mut self, now: SimTime) {
         self.snmp_outages += 1;
-        if self.snmp_outages == 1 && self.sink.enabled() {
-            self.sink.record(now, &ObsEvent::SnmpOutageStart);
+        if self.snmp_outages == 1 {
+            self.sink.emit(now, || ObsEvent::SnmpOutageStart);
         }
     }
 
@@ -233,8 +221,8 @@ impl<S: EventSink> ServiceModel<S> {
     /// routing view.
     pub(super) fn on_snmp_outage_end(&mut self, now: SimTime) {
         self.snmp_outages = self.snmp_outages.saturating_sub(1);
-        if self.snmp_outages == 0 && self.sink.enabled() {
-            self.sink.record(now, &ObsEvent::SnmpOutageEnd);
+        if self.snmp_outages == 0 {
+            self.sink.emit(now, || ObsEvent::SnmpOutageEnd);
         }
     }
 }

@@ -242,55 +242,45 @@ impl<S: EventSink> VodService<S> {
 
         // Trace preamble: everything an auditor needs to replay the run's
         // decisions without the scenario object.
-        if sink.enabled() {
-            let nodes: Vec<(String, bool)> = topology
+        sink.emit(start, || ObsEvent::TopologySnapshot {
+            nodes: topology
                 .nodes()
                 .map(|n| (n.name().to_string(), n.is_video_server()))
-                .collect();
-            let links: Vec<(NodeId, NodeId, f64)> = topology
+                .collect(),
+            links: topology
                 .links()
                 .map(|l| (l.a(), l.b(), l.capacity().as_f64()))
-                .collect();
-            sink.record(start, &ObsEvent::TopologySnapshot { nodes, links });
-            sink.record(
-                start,
-                &ObsEvent::RunConfig {
-                    selector: selector.name().to_string(),
-                    dynamic_rerouting: config.dynamic_rerouting,
-                    snmp_smoothing: config.snmp_smoothing,
-                    lvn_normalization: selector.lvn_params().map(|p| p.normalization_constant),
-                    retry_max_attempts: config.retry.max_attempts,
-                    retry_backoff_us: config.retry.backoff.as_micros(),
-                    retry_stall_budget_us: config.retry.stall_budget.as_micros(),
-                },
-            );
+                .collect(),
+        });
+        sink.emit(start, || ObsEvent::RunConfig {
+            selector: selector.name().to_string(),
+            dynamic_rerouting: config.dynamic_rerouting,
+            snmp_smoothing: config.snmp_smoothing,
+            lvn_normalization: selector.lvn_params().map(|p| p.normalization_constant),
+            retry_max_attempts: config.retry.max_attempts,
+            retry_backoff_us: config.retry.backoff.as_micros(),
+            retry_stall_budget_us: config.retry.stall_budget.as_micros(),
+        });
+        for &server in &servers {
+            sink.emit(start, || ObsEvent::CacheConfig {
+                server,
+                disks: config.disk_count as u64,
+                capacity_mb: config.disk_capacity.as_f64(),
+                cluster_mb: config.cluster.megabytes().as_f64(),
+                admit_threshold: config.dma_admit_threshold,
+            });
+        }
+        if let Some(tier) = &config.prefix_tier {
             for &server in &servers {
-                sink.record(
-                    start,
-                    &ObsEvent::CacheConfig {
-                        server,
-                        disks: config.disk_count as u64,
-                        capacity_mb: config.disk_capacity.as_f64(),
-                        cluster_mb: config.cluster.megabytes().as_f64(),
-                        admit_threshold: config.dma_admit_threshold,
-                    },
-                );
-            }
-            if let Some(tier) = &config.prefix_tier {
-                for &server in &servers {
-                    sink.record(
-                        start,
-                        &ObsEvent::PrefixCacheConfig {
-                            server,
-                            capacity_mb: tier.capacity.as_f64(),
-                            cluster_mb: config.cluster.megabytes().as_f64(),
-                            admit_threshold: tier.admit_threshold,
-                            base_clusters: tier.base_clusters as u64,
-                            max_clusters: tier.max_clusters as u64,
-                            growth_points: tier.growth_points,
-                        },
-                    );
-                }
+                sink.emit(start, || ObsEvent::PrefixCacheConfig {
+                    server,
+                    capacity_mb: tier.capacity.as_f64(),
+                    cluster_mb: config.cluster.megabytes().as_f64(),
+                    admit_threshold: tier.admit_threshold,
+                    base_clusters: tier.base_clusters as u64,
+                    max_clusters: tier.max_clusters as u64,
+                    growth_points: tier.growth_points,
+                });
             }
         }
 
@@ -343,17 +333,12 @@ impl<S: EventSink> VodService<S> {
                         ))
                     })?;
                     la.add_title(server, video.id())?;
-                    if sink.enabled() {
-                        sink.record(
-                            start,
-                            &ObsEvent::DmaSeed {
-                                server,
-                                video: video.id(),
-                                size_mb: video.size().as_f64(),
-                                parts: layout.parts() as u64,
-                            },
-                        );
-                    }
+                    sink.emit(start, || ObsEvent::DmaSeed {
+                        server,
+                        video: video.id(),
+                        size_mb: video.size().as_f64(),
+                        parts: layout.parts() as u64,
+                    });
                 }
             }
         }

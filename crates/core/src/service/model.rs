@@ -375,7 +375,7 @@ impl<S: EventSink> ServiceModel<S> {
         }
         // Every rebuild is traced: the auditor reconstructs exactly the
         // view the selector works from until the next rebuild.
-        if self.sink.enabled() {
+        self.sink.emit(now, || {
             let links = self.topology.link_count();
             let mut used = Vec::with_capacity(links);
             let mut utilization = Vec::with_capacity(links);
@@ -383,16 +383,13 @@ impl<S: EventSink> ServiceModel<S> {
                 used.push(snap.used(link).as_f64());
                 utilization.push(snap.utilization(&self.topology, link).get());
             }
-            let down: Vec<u64> = self.link_down.keys().map(|l| l.index() as u64).collect();
-            self.sink.record(
-                now,
-                &ObsEvent::LinkState {
-                    used,
-                    utilization,
-                    down,
-                },
-            );
-        }
+            let down = self.link_down.keys().map(|l| l.index() as u64).collect();
+            ObsEvent::LinkState {
+                used,
+                utilization,
+                down,
+            }
+        });
         self.db_snap_cache = Some((key, snap));
     }
 
@@ -508,24 +505,18 @@ impl<S: EventSink> ServiceModel<S> {
         selection: &Selection,
         cache_hit: bool,
     ) {
-        if !self.sink.enabled() {
-            return;
-        }
         if let Some(rec) = self.sessions.get(sid.0) {
             let (home, video) = (rec.session.home(), rec.session.video());
-            self.sink.record(
-                now,
-                &ObsEvent::VraSelect {
-                    session: sid.0,
-                    cluster: idx as u64,
-                    video,
-                    home,
-                    server: selection.server,
-                    cost: selection.route.cost(),
-                    cache_hit,
-                    local: selection.is_local(),
-                },
-            );
+            self.sink.emit(now, || ObsEvent::VraSelect {
+                session: sid.0,
+                cluster: idx as u64,
+                video,
+                home,
+                server: selection.server,
+                cost: selection.route.cost(),
+                cache_hit,
+                local: selection.is_local(),
+            });
         }
     }
 
@@ -545,19 +536,16 @@ impl<S: EventSink> ServiceModel<S> {
         };
         let sess = &mut rec.session;
         let from = sess.current_server();
-        if sess.assign_server(route.target(), route.hops() == 0) && self.sink.enabled() {
+        if sess.assign_server(route.target(), route.hops() == 0) {
             // `from` is always present here: a first assignment is not
             // reported as a switch.
             if let Some(from) = from {
-                self.sink.record(
-                    now,
-                    &ObsEvent::Switch {
-                        session: sid.0,
-                        cluster: idx as u64,
-                        from,
-                        to: route.target(),
-                    },
-                );
+                self.sink.emit(now, || ObsEvent::Switch {
+                    session: sid.0,
+                    cluster: idx as u64,
+                    from,
+                    to: route.target(),
+                });
             }
         }
         let (home, video) = (sess.home(), sess.video());
@@ -623,16 +611,11 @@ impl<S: EventSink> ServiceModel<S> {
                 first_failure,
             });
         }
-        if self.sink.enabled() {
-            self.sink.record(
-                now,
-                &ObsEvent::SessionRetry {
-                    session: sid.0,
-                    attempt: attempt.get(),
-                    backoff,
-                },
-            );
-        }
+        self.sink.emit(now, || ObsEvent::SessionRetry {
+            session: sid.0,
+            attempt: attempt.get(),
+            backoff,
+        });
         sched.schedule(resume_at, Event::RetryFetch(sid));
     }
 
@@ -673,17 +656,12 @@ impl<S: EventSink> ServiceModel<S> {
         );
         self.peak_sessions = self.peak_sessions.max(self.sessions.len());
         if prefix_clusters > 0 {
-            if self.sink.enabled() {
-                self.sink.record(
-                    now,
-                    &ObsEvent::PrefixServe {
-                        session: sid.0,
-                        server: home,
-                        video,
-                        clusters: prefix_clusters as u64,
-                    },
-                );
-            }
+            self.sink.emit(now, || ObsEvent::PrefixServe {
+                session: sid.0,
+                server: home,
+                video,
+                clusters: prefix_clusters as u64,
+            });
             self.launch_prefix_cluster(now, sid, 0, sched);
         }
         sid
@@ -708,15 +686,10 @@ impl<S: EventSink> ServiceModel<S> {
     pub(super) fn abort_session(&mut self, now: SimTime, sid: SessionId, reason: AbortReason) {
         self.close_session(sid);
         self.aborted_sessions += 1;
-        if self.sink.enabled() {
-            self.sink.record(
-                now,
-                &ObsEvent::SessionAborted {
-                    session: sid.0,
-                    reason,
-                },
-            );
-        }
+        self.sink.emit(now, || ObsEvent::SessionAborted {
+            session: sid.0,
+            reason,
+        });
     }
 
     /// Withdraws titles from the shared catalog (evictions, failures),
@@ -724,14 +697,11 @@ impl<S: EventSink> ServiceModel<S> {
     pub(super) fn withdraw_titles(&mut self, now: SimTime, server: NodeId, victims: &[VideoId]) {
         for &victim in victims {
             let removed = self.db.limited_access().remove_title(server, victim);
-            if matches!(removed, Ok(true)) && self.sink.enabled() {
-                self.sink.record(
-                    now,
-                    &ObsEvent::CatalogRemove {
-                        server,
-                        video: victim,
-                    },
-                );
+            if matches!(removed, Ok(true)) {
+                self.sink.emit(now, || ObsEvent::CatalogRemove {
+                    server,
+                    video: victim,
+                });
             }
         }
     }
@@ -815,29 +785,19 @@ impl<S: EventSink> ServiceModel<S> {
             let startup = sess.startup_delay().unwrap_or(SimDuration::ZERO);
             let dt = cluster_play_time(title(&self.titles, sess.video()), self.config.cluster, 0);
             sched.schedule(now + dt, Event::PlayoutTick(sid));
-            if self.sink.enabled() {
-                self.sink.record(
-                    now,
-                    &ObsEvent::SessionStart {
-                        session: sid.0,
-                        startup,
-                    },
-                );
-            }
+            self.sink.emit(now, || ObsEvent::SessionStart {
+                session: sid.0,
+                startup,
+            });
         } else if sess.is_stalled() {
             let stalled_for = sess.resume(now);
             let meta = title(&self.titles, sess.video());
             let dt = cluster_play_time(meta, self.config.cluster, sess.clusters_played());
             sched.schedule(now + dt, Event::PlayoutTick(sid));
-            if self.sink.enabled() {
-                self.sink.record(
-                    now,
-                    &ObsEvent::SessionResume {
-                        session: sid.0,
-                        stalled: stalled_for,
-                    },
-                );
-            }
+            self.sink.emit(now, || ObsEvent::SessionResume {
+                session: sid.0,
+                stalled: stalled_for,
+            });
         }
         Some(sess.fetch_complete())
     }
@@ -859,14 +819,11 @@ impl<S: EventSink> ServiceModel<S> {
             .unwrap_or(false)
         {
             let added = self.db.limited_access().add_title(home, video);
-            if matches!(added, Ok(true)) && self.sink.enabled() {
-                self.sink.record(
-                    now,
-                    &ObsEvent::CatalogAdd {
-                        server: home,
-                        video,
-                    },
-                );
+            if matches!(added, Ok(true)) {
+                self.sink.emit(now, || ObsEvent::CatalogAdd {
+                    server: home,
+                    video,
+                });
             }
         }
     }
@@ -952,17 +909,12 @@ impl<S: EventSink> ServiceModel<S> {
         sess.on_cluster_played();
         if sess.playback_complete() {
             let record = sess.finish(now, title(&self.titles, sess.video()));
-            if self.sink.enabled() {
-                self.sink.record(
-                    now,
-                    &ObsEvent::SessionComplete {
-                        session: sid.0,
-                        stalls: record.stall_count,
-                        stall_time: record.stall_time,
-                        switches: record.switches,
-                    },
-                );
-            }
+            self.sink.emit(now, || ObsEvent::SessionComplete {
+                session: sid.0,
+                stalls: record.stall_count,
+                stall_time: record.stall_time,
+                switches: record.switches,
+            });
             self.records.push(record);
             self.close_session(sid);
         } else if sess.buffered() > 0 {
@@ -971,10 +923,8 @@ impl<S: EventSink> ServiceModel<S> {
             sched.schedule(now + dt, Event::PlayoutTick(sid));
         } else {
             sess.stall(now);
-            if self.sink.enabled() {
-                self.sink
-                    .record(now, &ObsEvent::SessionStall { session: sid.0 });
-            }
+            self.sink
+                .emit(now, || ObsEvent::SessionStall { session: sid.0 });
         }
     }
 
@@ -987,10 +937,8 @@ impl<S: EventSink> ServiceModel<S> {
             // Poller outage: skip the poll. The database's traffic
             // version stalls, so the selector keeps its last-known-good
             // snapshot; the trace flags the growing staleness.
-            if self.sink.enabled() {
-                self.sink
-                    .record(now, &ObsEvent::SnmpStaleView { staleness });
-            }
+            self.sink
+                .emit(now, || ObsEvent::SnmpStaleView { staleness });
         } else {
             // Pull the incrementally-maintained volume integrals into the
             // SNMP counters; between polls nothing iterates the links.
@@ -1002,25 +950,20 @@ impl<S: EventSink> ServiceModel<S> {
                 .poll(&self.topology, &mut self.db, now)
                 .unwrap_or_default();
             self.ticks.readings += readings as u64;
-            if self.sink.enabled() {
-                self.sink.record(
-                    now,
-                    &ObsEvent::SnmpPoll {
-                        readings: readings as u64,
-                        staleness,
-                    },
-                );
-            }
+            self.sink.emit(now, || ObsEvent::SnmpPoll {
+                readings: readings as u64,
+                staleness,
+            });
         }
         // Sample true instantaneous utilization for the report: one scan
         // of the settled loads yields both samples.
         match self.flows.max_and_mean_utilization() {
             Some((max, mean)) => {
-                self.max_util_samples.record(max.get());
-                self.mean_util_samples.record(mean.get());
+                self.max_util_samples.record_n(max.get(), 1);
+                self.mean_util_samples.record_n(mean.get(), 1);
             }
             // No links: no maximum, and a mean of zero.
-            None => self.mean_util_samples.record(0.0),
+            None => self.mean_util_samples.record_n(0.0, 1),
         }
         let interval = self.config.snmp_interval;
         self.rearm_recurring(now, interval, SNMP_POLL_SLOT, Event::SnmpPoll, sched);
@@ -1030,9 +973,7 @@ impl<S: EventSink> ServiceModel<S> {
         self.ticks.refreshes += 1;
         self.ticks.idle_refreshes += u64::from(self.flows.flow_count() == 0);
         self.background.apply(&mut self.flows, now);
-        if self.sink.enabled() {
-            self.sink.record(now, &ObsEvent::BackgroundUpdate);
-        }
+        self.sink.emit(now, || ObsEvent::BackgroundUpdate);
         let interval = self.config.background_interval;
         self.rearm_recurring(
             now,

@@ -22,32 +22,10 @@ use std::fmt::{self, Write as _};
 use serde::Value;
 use vod_net::{LinkId, NodeId};
 use vod_sim::{SimDuration, SimTime};
+use vod_storage::dma::RejectKind;
 use vod_storage::VideoId;
 
 use crate::number;
-
-/// Why the DMA declined to cache a title (mirror of
-/// [`vod_storage::dma::RejectReason`] without the victim payload).
-#[derive(Debug, Copy, Clone, PartialEq, Eq)]
-pub enum DmaRejectKind {
-    /// The title has not yet exceeded the admission threshold.
-    BelowThreshold,
-    /// The title is not more popular than the least popular resident.
-    NotPopularEnough,
-    /// Even after (attempted) eviction the title does not fit.
-    DoesNotFit,
-}
-
-impl DmaRejectKind {
-    /// Stable snake_case label used in the JSONL encoding.
-    pub fn label(self) -> &'static str {
-        match self {
-            DmaRejectKind::BelowThreshold => "below_threshold",
-            DmaRejectKind::NotPopularEnough => "not_popular_enough",
-            DmaRejectKind::DoesNotFit => "does_not_fit",
-        }
-    }
-}
 
 /// Why a session was dropped before completing.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
@@ -388,7 +366,7 @@ event_taxonomy! {
             /// The requested title.
             video: VideoId,
             /// Why it was not cached.
-            reason: DmaRejectKind,
+            reason: RejectKind,
         },
         /// The proxy's prefix store served a request from a resident prefix.
         PrefixHit = "prefix_hit" {
@@ -444,7 +422,7 @@ event_taxonomy! {
             /// The requested title.
             video: VideoId,
             /// Why it was not stored (shares the DMA's label set).
-            reason: DmaRejectKind,
+            reason: RejectKind,
         },
         /// Session startup is streaming a resident prefix from the regional
         /// proxy at local rate while the VRA fetches the suffix from the
@@ -734,7 +712,7 @@ macro_rules! json_value_via_label {
     )*};
 }
 json_value_via_label!(
-    DmaRejectKind [BelowThreshold, NotPopularEnough, DoesNotFit],
+    RejectKind [BelowThreshold, NotPopularEnough, DoesNotFit],
     AbortReason [HomeDown, NoSource, RetryExhausted, StallBudget]
 );
 
@@ -999,7 +977,7 @@ pub(crate) mod tests {
         let reject = Event::PrefixReject {
             server: NodeId::new(1),
             video: VideoId::new(3),
-            reason: DmaRejectKind::BelowThreshold,
+            reason: RejectKind::BelowThreshold,
         };
         assert_eq!(
             reject.to_json(SimTime::ZERO),
@@ -1206,7 +1184,7 @@ pub(crate) mod tests {
                 Event::DmaReject {
                     server: n(1),
                     video: v(17),
-                    reason: DmaRejectKind::DoesNotFit,
+                    reason: RejectKind::DoesNotFit,
                 },
                 r#"{"at_us":7,"kind":"dma_reject","server":1,"video":17,"reason":"does_not_fit"}"#,
             ),
@@ -1251,7 +1229,7 @@ pub(crate) mod tests {
                 Event::PrefixReject {
                     server: n(4),
                     video: v(21),
-                    reason: DmaRejectKind::NotPopularEnough,
+                    reason: RejectKind::NotPopularEnough,
                 },
                 r#"{"at_us":7,"kind":"prefix_reject","server":4,"video":21,"reason":"not_popular_enough"}"#,
             ),
@@ -1492,9 +1470,9 @@ pub(crate) mod tests {
         }
     }
 
-    impl Draw for DmaRejectKind {
+    impl Draw for RejectKind {
         fn draw(g: &mut Gen) -> Self {
-            use DmaRejectKind::*;
+            use RejectKind::*;
             [BelowThreshold, NotPopularEnough, DoesNotFit][g.below(3) as usize]
         }
     }
@@ -1659,11 +1637,8 @@ pub(crate) mod tests {
 
     #[test]
     fn reject_labels() {
-        assert_eq!(DmaRejectKind::BelowThreshold.label(), "below_threshold");
-        assert_eq!(
-            DmaRejectKind::NotPopularEnough.label(),
-            "not_popular_enough"
-        );
-        assert_eq!(DmaRejectKind::DoesNotFit.label(), "does_not_fit");
+        assert_eq!(RejectKind::BelowThreshold.label(), "below_threshold");
+        assert_eq!(RejectKind::NotPopularEnough.label(), "not_popular_enough");
+        assert_eq!(RejectKind::DoesNotFit.label(), "does_not_fit");
     }
 }

@@ -1,10 +1,11 @@
 //! Event sinks: where emitted [`Event`]s go.
 //!
 //! The service is generic over its sink, so the choice is made at
-//! compile time. With [`NullSink`] — the default — `enabled()` is a
-//! constant `false`, every emission site folds away under
-//! monomorphization, and the instrumented service is byte-for-byte the
-//! uninstrumented one. [`RingRecorder`] keeps the last N events in
+//! compile time, and every emission goes through [`EventSink::emit`],
+//! which builds the event only for a sink that wants it. With
+//! [`NullSink`] — the default — `enabled()` is a constant `false`, every
+//! `emit` folds away under monomorphization, and the instrumented
+//! service is byte-for-byte the uninstrumented one. [`RingRecorder`] keeps the last N events in
 //! memory (a flight recorder for post-mortem inspection); [`JsonlWriter`]
 //! streams every event as one JSON line; [`TeeSink`] fans one stream
 //! out to two sinks (e.g. a JSONL trace *and* a
@@ -18,18 +19,17 @@ use crate::event::Event;
 
 /// A consumer of service events.
 ///
-/// Implementations decide what to retain. Emission sites must guard
-/// event construction with [`EventSink::enabled`] so that disabled
-/// sinks cost nothing:
+/// Implementations decide what to retain by implementing
+/// [`EventSink::record`] (and [`EventSink::enabled`] when they can
+/// refuse everything). Emission sites call [`EventSink::emit`] with a
+/// closure that builds the event, so a disabled sink never builds it:
 ///
 /// ```
 /// # use vod_obs::{Event, EventSink, NullSink};
 /// # use vod_sim::SimTime;
 /// # let mut sink = NullSink;
 /// # let (now, server, video) = (SimTime::ZERO, vod_net::NodeId::new(0), vod_storage::VideoId::new(0));
-/// if sink.enabled() {
-///     sink.record(now, &Event::DmaHit { server, video });
-/// }
+/// sink.emit(now, || Event::DmaHit { server, video });
 /// ```
 pub trait EventSink {
     /// Whether this sink wants events at all. Defaults to `true`;
@@ -41,14 +41,26 @@ pub trait EventSink {
 
     /// Consumes one event stamped with the simulated time it occurred.
     fn record(&mut self, at: SimTime, event: &Event);
+
+    /// Builds the event and records it, only when the sink is enabled:
+    /// for [`NullSink`] the closure never runs and the call folds away.
+    #[inline]
+    fn emit(&mut self, at: SimTime, event: impl FnOnce() -> Event)
+    where
+        Self: Sized,
+    {
+        if self.enabled() {
+            self.record(at, &event());
+        }
+    }
 }
 
 /// The no-op sink: tracing compiled out.
 ///
 /// `enabled()` is a constant `false` and `record` does nothing, so a
 /// `VodService<NullSink>` carries zero observability overhead — see
-/// `benches/obs.rs` (`BENCH_obs.json`), which measures the guarded
-/// emission path at ≈0 ns/event.
+/// `benches/obs.rs` (`BENCH_obs.json`), which measures
+/// [`EventSink::emit`] into it at ≈0 ns/event.
 #[derive(Debug, Default, Copy, Clone)]
 pub struct NullSink;
 
@@ -336,6 +348,58 @@ mod tests {
         let (ring, writer) = tee.into_parts();
         let text = String::from_utf8(writer.into_inner().unwrap()).unwrap_or_default();
         assert_eq!(ring.to_jsonl(), text);
+    }
+
+    /// A disabled sink that still counts what reaches `record`.
+    #[derive(Debug, Default)]
+    struct Off {
+        records: u32,
+    }
+    impl EventSink for Off {
+        fn enabled(&self) -> bool {
+            false
+        }
+        fn record(&mut self, _at: SimTime, _event: &Event) {
+            self.records += 1;
+        }
+    }
+
+    /// Emits once into `sink` and returns how often the closure ran.
+    fn emit_count<S: EventSink>(sink: &mut S) -> u32 {
+        let mut built = 0;
+        sink.emit(SimTime::from_secs(3), || {
+            built += 1;
+            event(7)
+        });
+        built
+    }
+
+    #[test]
+    fn emit_never_builds_for_a_disabled_sink() {
+        assert_eq!(emit_count(&mut NullSink), 0);
+        let mut tee = TeeSink::new(Off::default(), Off::default());
+        assert_eq!(emit_count(&mut tee), 0);
+        assert_eq!((tee.first.records, tee.second.records), (0, 0));
+    }
+
+    #[test]
+    fn emit_builds_once_for_an_enabled_sink() {
+        let mut ring = RingRecorder::new(4);
+        assert_eq!(emit_count(&mut ring), 1);
+        assert_eq!(
+            ring.to_jsonl(),
+            "{\"at_us\":3000000,\"kind\":\"server_down\",\"server\":7}\n"
+        );
+    }
+
+    #[test]
+    fn emit_into_a_half_enabled_tee_builds_once_and_feeds_that_side() {
+        let mut tee = TeeSink::new(Off::default(), RingRecorder::new(4));
+        assert_eq!(emit_count(&mut tee), 1);
+        assert_eq!((tee.first.records, tee.second.len()), (0, 1));
+        let mut tee = TeeSink::new(RingRecorder::new(4), Off::default());
+        assert_eq!(emit_count(&mut tee), 1);
+        assert_eq!((tee.first.len(), tee.second.records), (1, 0));
     }
 
     #[test]

@@ -76,27 +76,33 @@ impl Default for DmaConfig {
     }
 }
 
-/// Why a request did not result in the title being cached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RejectReason {
+/// Why a cache declined to store a title: the DMA's three reasons,
+/// which the [prefix tier](crate::prefix) shares.
+#[derive(Debug, Copy, Clone, PartialEq, Eq)]
+pub enum RejectKind {
     /// The title has not yet exceeded the admission threshold.
     BelowThreshold,
-    /// The cache is full and the title is not more popular than the least
-    /// popular resident.
+    /// The cache is full and no resident is less popular than the
+    /// title.
     NotPopularEnough,
-    /// Space was freed (or none could be) but the title still does not
-    /// fit. `evicted` lists any victims deleted in the attempt.
-    DoesNotFit {
-        /// Victims removed during the failed attempt (empty for
-        /// [`EvictionMode::UntilFit`], which never evicts in vain).
-        evicted: Vec<VideoId>,
-    },
+    /// The title does not fit, even after the eviction the cache
+    /// attempted (if any).
+    DoesNotFit,
+}
+
+impl RejectKind {
+    /// Stable snake_case label used in the JSONL encoding.
+    pub fn label(self) -> &'static str {
+        match self {
+            RejectKind::BelowThreshold => "below_threshold",
+            RejectKind::NotPopularEnough => "not_popular_enough",
+            RejectKind::DoesNotFit => "does_not_fit",
+        }
+    }
 }
 
 /// Outcome of one [`DmaCache::on_request`] call.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum DmaDecision {
     /// The title was already resident; it got a point and is served
     /// locally.
@@ -116,7 +122,12 @@ pub enum DmaDecision {
     /// The title was not cached this time.
     NotAdmitted {
         /// Why the title was not cached.
-        reason: RejectReason,
+        reason: RejectKind,
+        /// Victims deleted in vain: a single attempt
+        /// ([`EvictionMode::SingleAttempt`]) that freed too little for
+        /// the title. Empty otherwise — [`EvictionMode::UntilFit`] never
+        /// evicts in vain.
+        evicted: Vec<VideoId>,
     },
 }
 
@@ -327,7 +338,8 @@ impl DmaCache {
         if points <= self.config.admit_threshold {
             self.stats.rejections += 1;
             return DmaDecision::NotAdmitted {
-                reason: RejectReason::BelowThreshold,
+                reason: RejectKind::BelowThreshold,
+                evicted: vec![],
             };
         }
 
@@ -372,13 +384,15 @@ impl DmaCache {
             // larger than the allocated space.
             self.stats.rejections += 1;
             return DmaDecision::NotAdmitted {
-                reason: RejectReason::DoesNotFit { evicted: vec![] },
+                reason: RejectKind::DoesNotFit,
+                evicted: vec![],
             };
         };
         if points <= victim_points {
             self.stats.rejections += 1;
             return DmaDecision::NotAdmitted {
-                reason: RejectReason::NotPopularEnough,
+                reason: RejectKind::NotPopularEnough,
+                evicted: vec![],
             };
         }
         // Dev-run mirror of the auditor's eviction rule (A003): the
@@ -407,9 +421,8 @@ impl DmaCache {
         } else {
             self.stats.rejections += 1;
             DmaDecision::NotAdmitted {
-                reason: RejectReason::DoesNotFit {
-                    evicted: vec![victim],
-                },
+                reason: RejectKind::DoesNotFit,
+                evicted: vec![victim],
             }
         }
     }
@@ -440,11 +453,14 @@ impl DmaCache {
         if !fits {
             self.stats.rejections += 1;
             let reason = if candidates.is_empty() {
-                RejectReason::NotPopularEnough
+                RejectKind::NotPopularEnough
             } else {
-                RejectReason::DoesNotFit { evicted: vec![] }
+                RejectKind::DoesNotFit
             };
-            return DmaDecision::NotAdmitted { reason };
+            return DmaDecision::NotAdmitted {
+                reason,
+                evicted: vec![],
+            };
         }
         for &v in &planned {
             #[expect(clippy::expect_used, reason = "the planned victim is stored")]
@@ -508,7 +524,8 @@ mod tests {
         assert_eq!(
             d,
             DmaDecision::NotAdmitted {
-                reason: RejectReason::NotPopularEnough
+                reason: RejectKind::NotPopularEnough,
+                evicted: vec![],
             }
         );
         assert!(c.contains(VideoId::new(1)));
@@ -551,9 +568,8 @@ mod tests {
         assert_eq!(
             d,
             DmaDecision::NotAdmitted {
-                reason: RejectReason::DoesNotFit {
-                    evicted: vec![VideoId::new(1)]
-                }
+                reason: RejectKind::DoesNotFit,
+                evicted: vec![VideoId::new(1)],
             }
         );
         assert!(!c.contains(VideoId::new(1)));
@@ -606,7 +622,8 @@ mod tests {
         assert_eq!(
             c.on_request(&v),
             DmaDecision::NotAdmitted {
-                reason: RejectReason::BelowThreshold
+                reason: RejectKind::BelowThreshold,
+                evicted: vec![],
             }
         );
         assert!(matches!(c.on_request(&v), DmaDecision::NotAdmitted { .. }));
@@ -621,7 +638,8 @@ mod tests {
         assert_eq!(
             d,
             DmaDecision::NotAdmitted {
-                reason: RejectReason::DoesNotFit { evicted: vec![] }
+                reason: RejectKind::DoesNotFit,
+                evicted: vec![],
             }
         );
     }
@@ -641,7 +659,8 @@ mod tests {
         assert!(DmaDecision::Hit.is_hit());
         assert!(DmaDecision::Hit.is_resident_after());
         let rejected = DmaDecision::NotAdmitted {
-            reason: RejectReason::BelowThreshold,
+            reason: RejectKind::BelowThreshold,
+            evicted: vec![],
         };
         assert!(!rejected.is_hit());
         assert!(!rejected.is_resident_after());
@@ -699,7 +718,8 @@ mod tests {
             }
             if points <= self.config.admit_threshold {
                 return DmaDecision::NotAdmitted {
-                    reason: RejectReason::BelowThreshold,
+                    reason: RejectKind::BelowThreshold,
+                    evicted: vec![],
                 };
             }
             if self.array.can_tolerate(video) {
@@ -711,12 +731,14 @@ mod tests {
                     let rank = |&v: &VideoId| (self.tracker.points(v), v);
                     let Some(victim) = self.array.stored_ids().min_by_key(rank) else {
                         return DmaDecision::NotAdmitted {
-                            reason: RejectReason::DoesNotFit { evicted: vec![] },
+                            reason: RejectKind::DoesNotFit,
+                            evicted: vec![],
                         };
                     };
                     if points <= self.tracker.points(victim) {
                         return DmaDecision::NotAdmitted {
-                            reason: RejectReason::NotPopularEnough,
+                            reason: RejectKind::NotPopularEnough,
+                            evicted: vec![],
                         };
                     }
                     self.array.remove(victim).unwrap();
@@ -728,9 +750,8 @@ mod tests {
                         }
                     } else {
                         DmaDecision::NotAdmitted {
-                            reason: RejectReason::DoesNotFit {
-                                evicted: vec![victim],
-                            },
+                            reason: RejectKind::DoesNotFit,
+                            evicted: vec![victim],
                         }
                     }
                 }
@@ -754,11 +775,14 @@ mod tests {
                     }
                     if !fits {
                         let reason = if candidates.is_empty() {
-                            RejectReason::NotPopularEnough
+                            RejectKind::NotPopularEnough
                         } else {
-                            RejectReason::DoesNotFit { evicted: vec![] }
+                            RejectKind::DoesNotFit
                         };
-                        return DmaDecision::NotAdmitted { reason };
+                        return DmaDecision::NotAdmitted {
+                            reason,
+                            evicted: vec![],
+                        };
                     }
                     for &v in &planned {
                         self.array.remove(v).unwrap();

@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 use serde::Serialize;
 
 use crate::cluster::ClusterSize;
+use crate::dma::RejectKind;
 use crate::error::StorageError;
 use crate::popularity::PopularityTracker;
 use crate::video::{Megabytes, VideoId, VideoMeta};
@@ -69,21 +70,8 @@ impl Default for PrefixConfig {
     }
 }
 
-/// Why a request did not result in the prefix being stored.
-#[derive(Debug, Copy, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum PrefixRejectReason {
-    /// The title has not yet exceeded the admission threshold.
-    BelowThreshold,
-    /// No strictly-less-popular resident prefixes could be evicted.
-    NotPopularEnough,
-    /// Even evicting every colder resident would not free enough space.
-    DoesNotFit,
-}
-
 /// Outcome of one [`PrefixStore::on_request`] call.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum PrefixDecision {
     /// The prefix is resident; serve `clusters` of startup locally.
     Hit {
@@ -115,7 +103,7 @@ pub enum PrefixDecision {
     /// Nothing was stored this time.
     NotAdmitted {
         /// Why the prefix was not stored.
-        reason: PrefixRejectReason,
+        reason: RejectKind,
     },
 }
 
@@ -358,7 +346,7 @@ impl PrefixStore {
         if points <= self.config.admit_threshold {
             self.stats.rejections += 1;
             return PrefixDecision::NotAdmitted {
-                reason: PrefixRejectReason::BelowThreshold,
+                reason: RejectKind::BelowThreshold,
             };
         }
 
@@ -398,9 +386,9 @@ impl PrefixStore {
         if self.free_mb() + freed < need {
             self.stats.rejections += 1;
             let reason = if candidates.is_empty() {
-                PrefixRejectReason::NotPopularEnough
+                RejectKind::NotPopularEnough
             } else {
-                PrefixRejectReason::DoesNotFit
+                RejectKind::DoesNotFit
             };
             return PrefixDecision::NotAdmitted { reason };
         }
@@ -555,7 +543,7 @@ mod tests {
             assert_eq!(
                 s.on_request(&v),
                 PrefixDecision::NotAdmitted {
-                    reason: PrefixRejectReason::BelowThreshold,
+                    reason: RejectKind::BelowThreshold,
                 }
             );
         }
@@ -574,7 +562,7 @@ mod tests {
         assert_eq!(
             s.on_request(&newcomer),
             PrefixDecision::NotAdmitted {
-                reason: PrefixRejectReason::NotPopularEnough,
+                reason: RejectKind::NotPopularEnough,
             }
         );
         // 2 pts: evicts the lowest-id 1-pt resident only.
@@ -624,7 +612,7 @@ mod tests {
         assert_eq!(
             tiny.on_request(&video(3, 700.0)),
             PrefixDecision::NotAdmitted {
-                reason: PrefixRejectReason::NotPopularEnough,
+                reason: RejectKind::NotPopularEnough,
             }
         );
     }
@@ -785,7 +773,7 @@ mod tests {
                 }
                 if points <= self.threshold {
                     return PrefixDecision::NotAdmitted {
-                        reason: PrefixRejectReason::BelowThreshold,
+                        reason: RejectKind::BelowThreshold,
                     };
                 }
                 let need = self.prefix_bytes(size, target);
@@ -808,9 +796,9 @@ mod tests {
                 if free < need {
                     return PrefixDecision::NotAdmitted {
                         reason: if colder.is_empty() {
-                            PrefixRejectReason::NotPopularEnough
+                            RejectKind::NotPopularEnough
                         } else {
-                            PrefixRejectReason::DoesNotFit
+                            RejectKind::DoesNotFit
                         },
                     };
                 }
