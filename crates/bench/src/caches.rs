@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 
 use vod_storage::dma::{DmaCache, DmaDecision};
+use vod_storage::popularity::PopularityTracker;
 use vod_storage::video::{Megabytes, VideoId, VideoMeta};
 
 /// A title cache that can replay a request stream.
@@ -83,14 +84,16 @@ impl TitleCache for LruTitleCache {
     }
 }
 
-/// Least-frequently-used whole-title cache; admits every miss.
+/// Least-frequently-used whole-title cache; admits every miss. Its use
+/// counts and victim order are the DMA's popularity ranking: every
+/// request is a point, and the victim is the least popular resident.
 #[derive(Debug, Clone)]
 pub struct LfuTitleCache {
     capacity: Megabytes,
     used: f64,
-    /// id → (size, use count)
-    entries: BTreeMap<VideoId, (f64, u64)>,
-    counts: BTreeMap<VideoId, u64>,
+    /// id → size
+    entries: BTreeMap<VideoId, f64>,
+    ranking: PopularityTracker,
 }
 
 impl LfuTitleCache {
@@ -100,19 +103,15 @@ impl LfuTitleCache {
             capacity,
             used: 0.0,
             entries: BTreeMap::new(),
-            counts: BTreeMap::new(),
+            ranking: PopularityTracker::new(),
         }
     }
 
     fn evict_until(&mut self, needed: f64) {
         while self.used + needed > self.capacity.as_f64() && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(&id, &(_, c))| (c, id))
-                .map(|(&id, _)| id)
-                .expect("non-empty");
-            let (size, _) = self.entries.remove(&victim).expect("victim exists");
+            let (_, victim) = self.ranking.least().expect("non-empty");
+            self.ranking.evict_first(1);
+            let size = self.entries.remove(&victim).expect("victim exists");
             self.used -= size;
         }
     }
@@ -124,21 +123,17 @@ impl TitleCache for LfuTitleCache {
     }
 
     fn request(&mut self, video: &VideoMeta) -> bool {
-        let count = {
-            let c = self.counts.entry(video.id()).or_insert(0);
-            *c += 1;
-            *c
-        };
+        self.ranking.award(video.id());
         let size = video.size().as_f64();
-        if let Some(entry) = self.entries.get_mut(&video.id()) {
-            entry.1 = count;
+        if self.entries.contains_key(&video.id()) {
             return true;
         }
         if size > self.capacity.as_f64() {
             return false;
         }
         self.evict_until(size);
-        self.entries.insert(video.id(), (size, count));
+        self.entries.insert(video.id(), size);
+        self.ranking.rank(video.id());
         self.used += size;
         false
     }
@@ -233,6 +228,61 @@ mod tests {
         assert!(c.contains(VideoId::new(4)));
         assert!(!c.contains(VideoId::new(1)));
         assert!(!c.contains(VideoId::new(2)));
+    }
+
+    /// The LFU cache before it shared the DMA's ranking: its own count
+    /// map, and the victim found by a `min_by_key` scan of its entries.
+    #[derive(Default)]
+    struct ScanLfu {
+        used: f64,
+        /// id → (size, use count)
+        entries: BTreeMap<VideoId, (f64, u64)>,
+        counts: BTreeMap<VideoId, u64>,
+    }
+
+    impl ScanLfu {
+        fn request(&mut self, video: &VideoMeta, capacity: f64) -> bool {
+            let count = self.counts.entry(video.id()).or_insert(0);
+            *count += 1;
+            let (count, size) = (*count, video.size().as_f64());
+            if let Some(entry) = self.entries.get_mut(&video.id()) {
+                entry.1 = count;
+                return true;
+            }
+            if size > capacity {
+                return false;
+            }
+            while self.used + size > capacity && !self.entries.is_empty() {
+                let scan = self.entries.iter().min_by_key(|(&id, &(_, c))| (c, id));
+                let victim = *scan.unwrap().0;
+                self.used -= self.entries.remove(&victim).unwrap().0;
+            }
+            self.entries.insert(video.id(), (size, count));
+            self.used += size;
+            false
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every request is a hit or a miss for both, and both hold the
+        /// same titles, in the same space, after it.
+        #[test]
+        fn lfu_victims_are_the_scans(
+            requests in proptest::collection::vec(0u32..24, 1..400),
+            sizes in proptest::collection::vec(20.0f64..300.0, 1..8),
+            capacity in 100.0f64..900.0,
+        ) {
+            let mut ranked = LfuTitleCache::new(Megabytes::new(capacity));
+            let mut scan = ScanLfu::default();
+            for &id in &requests {
+                let v = video(id, sizes[id as usize % sizes.len()]);
+                proptest::prop_assert_eq!(ranked.request(&v), scan.request(&v, capacity));
+                proptest::prop_assert!(ranked.entries.keys().eq(scan.entries.keys()));
+                proptest::prop_assert_eq!(ranked.used.to_bits(), scan.used.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The trace invariant auditor: rules `A000`–`A016` over typed events.
+//! The trace invariant auditor: rules `A000`–`A016` over typed events,
+//! and the `A017` replica-floor counter.
 //!
 //! A trace written by `vod-obs`'s `JsonlWriter` is *self-auditing*: it
 //! opens with the topology, the run configuration, each server's DMA
@@ -29,6 +30,7 @@
 //! | A014 | prefix-store occupancy/residency: replayed occupancy matches the traced `occupancy_mb`, never exceeds the proxy's capacity, and hits/serves/extensions only touch resident prefixes |
 //! | A015 | prefix admission sizing: admits only after points exceed the threshold, stored lengths never exceed the popularity target `min(base + (points−1)/growth, max)`, sizes fit the cluster geometry, and reject reasons respect the gate order |
 //! | A016 | prefix eviction discipline: victims are the least-popular residents (ties to the lowest id), strictly colder than the admitted newcomer, freed space matches the replayed resident size, and every eviction run is immediately followed by its admission |
+//! | A017 | replica floor, *counted, not a finding*: a `catalog_remove` that leaves its title with no advertising holder while its server is up ([`AuditSummary::last_copy_removals`]). Figure 2's single attempt deletes the network's last copy by design, so this baselines the defect until a replica-floor policy lands |
 //!
 //! The replayed DMA popularity counter exploits that every `dma_*`
 //! decision event corresponds to exactly one `on_request` call, which
@@ -76,6 +78,11 @@ pub struct AuditSummary {
     /// trace from a newer writer must still replay under the invariants
     /// known here), but counted.
     pub unknown_kinds: usize,
+    /// A017: `catalog_remove` events that left their title with no
+    /// advertising holder while their server was up — a cache eviction
+    /// of the network's last copy, not an outage. Counted, not a
+    /// finding.
+    pub last_copy_removals: usize,
     /// The replayed events' per-kind counts, which rule A013 reconciles
     /// a series against.
     pub tally: Tally,
@@ -227,7 +234,12 @@ pub struct AuditSink {
     servers: BTreeMap<u64, ServerState>,
     prefixes: BTreeMap<u64, PrefixState>,
     prefix_pending_evicts: Vec<PendingPrefixEvict>,
+    /// Advertised replicas as `(video, server)`: a title's holders are
+    /// one range, in node order.
     catalog: BTreeSet<(u64, u64)>,
+    /// Servers inside an outage, replayed from `server_down` /
+    /// `server_up` (emitted at depth edges only, like the link events).
+    down_servers: BTreeSet<u64>,
     snapshot: Option<TrafficSnapshot>,
     /// session → (current server, last selected cluster, video).
     sessions: BTreeMap<u64, (u64, u64, u64)>,
@@ -608,6 +620,7 @@ impl AuditSink {
                 self.on_session_aborted(*session, *reason);
             }
             Event::ServerDown { server } => {
+                self.down_servers.insert(server.raw());
                 // The cache is retired with the server; a recovering
                 // server starts cold (fresh points, empty disks).
                 if let Some(state) = self.servers.get_mut(&server.raw()) {
@@ -627,12 +640,16 @@ impl AuditSink {
             Event::RequestArrival { .. }
             | Event::RequestFailed { .. }
             | Event::RequestRejected { .. } => {}
+            // A recovering server is replayed cold already; it only
+            // leaves the outage set A017 spares.
+            Event::ServerUp { server } => {
+                self.down_servers.remove(&server.raw());
+            }
             // SNMP, outage, degradation and background markers only
             // explain the link states that A005, A008 and A010 verify
-            // directly; a recovering server is replayed cold already.
+            // directly.
             Event::SnmpPoll { .. }
             | Event::BackgroundUpdate
-            | Event::ServerUp { .. }
             | Event::LinkDegradeStart { .. }
             | Event::LinkDegradeEnd { .. }
             | Event::SnmpOutageStart
@@ -683,24 +700,36 @@ impl AuditSink {
             ));
         }
         self.flush(pending);
-        if !self.catalog.insert((server, video)) {
+        if !self.catalog.insert((video, server)) {
             self.violate("A009", format!("seed re-advertises v{video} at {server}"));
         }
     }
 
     fn on_catalog(&mut self, server: u64, video: u64, add: bool) {
-        if add && !self.catalog.insert((server, video)) {
+        if add && !self.catalog.insert((video, server)) {
             self.violate(
                 "A009",
                 format!("catalog_add of already-advertised v{video} at server {server}"),
             );
         }
-        if !add && !self.catalog.remove(&(server, video)) {
-            self.violate(
-                "A009",
-                format!("catalog_remove of unadvertised v{video} at server {server}"),
-            );
+        if !add {
+            if !self.catalog.remove(&(video, server)) {
+                self.violate(
+                    "A009",
+                    format!("catalog_remove of unadvertised v{video} at server {server}"),
+                );
+            } else if self.holders(video).next().is_none() && !self.down_servers.contains(&server) {
+                // A017: a live server gave up the title's last copy.
+                self.summary.last_copy_removals += 1;
+            }
         }
+    }
+
+    /// The servers advertising `video`, in node order.
+    fn holders(&self, video: u64) -> impl Iterator<Item = u64> + '_ {
+        self.catalog
+            .range((video, 0)..=(video, u64::MAX))
+            .map(|&(_, server)| server)
     }
 
     fn on_link_state(&mut self, used: &[f64], utilization: &[f64], down: &[u64]) {
@@ -1501,7 +1530,7 @@ impl AuditSink {
         }
 
         // A009: the chosen server must advertise the title.
-        if !self.catalog.contains(&(server, video)) {
+        if !self.catalog.contains(&(video, server)) {
             self.violate(
                 "A009",
                 format!("selected server {server} does not advertise v{video}"),
@@ -1551,12 +1580,7 @@ impl AuditSink {
         norm: f64,
     ) {
         self.summary.selections_verified += 1;
-        let candidates: Vec<u64> = self
-            .catalog
-            .iter()
-            .filter(|&&(_, v)| v == video)
-            .map(|&(s, _)| s)
-            .collect();
+        let candidates: Vec<u64> = self.holders(video).collect();
         if candidates.contains(&home) {
             if !local || server != home || cost != 0.0 {
                 self.violate(

@@ -30,6 +30,8 @@ SUBCOMMANDS:
     audit     Replays a JSONL trace against reference implementations of
               the paper's invariants (A000-A016); --series reconciles a
               time-series export against the same run's trace (A013).
+              A017 counts (and does not report) every catalog_remove
+              that takes a title's last holder at a live server.
               A007 holds each session's lifecycle in order: at most one
               session_start; session_complete only after it; before it,
               a switch only at the first cluster to fetch; no event
@@ -144,7 +146,8 @@ fn run_audit(args: &[String]) -> ExitCode {
     }
 
     let mut findings: Vec<Finding> = Vec::new();
-    let mut stats = AuditStats::default();
+    let mut stats = trace_stats(&AuditSummary::default()).map(|(name, _)| (name, 0));
+    let mut series_stats = [("windows", 0), ("totals_verified", 0)];
     // The last run audited, for --series to reconcile against.
     let mut series_trace: Option<(String, AuditSummary)> = None;
     if grnet {
@@ -177,8 +180,8 @@ fn run_audit(args: &[String]) -> ExitCode {
             series_trace.expect("audit requires --grnet or a trace before this point");
         let label = format!("{} vs {trace_label}", series_path.display());
         let summary = audit_series(&series_text, &trace);
-        stats.windows += summary.windows;
-        stats.totals_verified += summary.totals_verified;
+        series_stats[0].1 += summary.windows;
+        series_stats[1].1 += summary.totals_verified;
         for v in &summary.violations {
             findings.push(Finding {
                 rule: v.rule.to_string(),
@@ -200,33 +203,22 @@ fn run_audit(args: &[String]) -> ExitCode {
         }
     }
     if json {
-        print_json(
-            &findings,
-            &[
-                ("traces", stats.traces),
-                ("events", stats.events),
-                ("selections_verified", stats.selections_verified),
-                ("admits_verified", stats.admits_verified),
-                ("evictions_verified", stats.evictions_verified),
-                ("prefix_verified", stats.prefix_verified),
-                ("windows", stats.windows),
-                ("totals_verified", stats.totals_verified),
-            ],
-        );
+        print_json(&findings, &[&stats[..], &series_stats[..]].concat());
     }
     verdict(findings.len())
 }
 
-#[derive(Default)]
-struct AuditStats {
-    traces: usize,
-    events: usize,
-    selections_verified: usize,
-    admits_verified: usize,
-    evictions_verified: usize,
-    prefix_verified: usize,
-    windows: usize,
-    totals_verified: usize,
+/// One trace audit's counts, as `--json` names and sums them.
+fn trace_stats(summary: &AuditSummary) -> [(&'static str, usize); 7] {
+    [
+        ("traces", 1),
+        ("events", summary.events),
+        ("selections_verified", summary.selections_verified),
+        ("admits_verified", summary.admits_verified),
+        ("evictions_verified", summary.evictions_verified),
+        ("prefix_verified", summary.prefix_verified),
+        ("last_copy_removals", summary.last_copy_removals),
+    ]
 }
 
 /// Folds one trace's audit into the unified findings and stats; prints
@@ -235,15 +227,12 @@ fn collect_audit(
     label: &str,
     summary: &AuditSummary,
     findings: &mut Vec<Finding>,
-    stats: &mut AuditStats,
+    stats: &mut [(&str, usize); 7],
     json: bool,
 ) {
-    stats.traces += 1;
-    stats.events += summary.events;
-    stats.selections_verified += summary.selections_verified;
-    stats.admits_verified += summary.admits_verified;
-    stats.evictions_verified += summary.evictions_verified;
-    stats.prefix_verified += summary.prefix_verified;
+    for (total, (_, n)) in stats.iter_mut().zip(trace_stats(summary)) {
+        total.1 += n;
+    }
     for v in &summary.violations {
         findings.push(Finding {
             rule: v.rule.to_string(),
@@ -257,13 +246,14 @@ fn collect_audit(
             println!("{label}:{}: [{}] {}", v.line, v.rule, v.message);
         }
         println!(
-            "vod-check audit {label}: {} events, {} selections / {} admits / {} evictions / {} prefix decisions verified, {} violations",
+            "vod-check audit {label}: {} events, {} selections / {} admits / {} evictions / {} prefix decisions verified, {} violations; {} last-copy removals (A017, counted)",
             summary.events,
             summary.selections_verified,
             summary.admits_verified,
             summary.evictions_verified,
             summary.prefix_verified,
-            summary.violations.len()
+            summary.violations.len(),
+            summary.last_copy_removals
         );
     }
 }

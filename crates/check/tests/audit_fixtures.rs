@@ -1,7 +1,8 @@
 //! Injected-violation fixtures for the trace auditor: one trace per
 //! fixture, each asserting that exactly its rule fires (`A000`–`A016`;
-//! `A013` is `series_fixtures.rs`'s), plus clean fixtures and property
-//! tests that every trace the real service writes audits green.
+//! `A013` is `series_fixtures.rs`'s), plus clean fixtures, the `A017`
+//! counter's fixture, and property tests that every trace the real
+//! service writes audits green.
 //!
 //! Fixture lines are typed events rendered by `Event::to_json` and read
 //! back through `audit_trace`; only the `A000` line-level fixtures are
@@ -428,6 +429,34 @@ fn clean_prefix_eviction_audits_green() {
         "clean prefix eviction fixture should audit green, got {:?}",
         summary.violations
     );
+}
+
+/// A017 counts a removal of a title's last advertised copy at a live
+/// server, and reports nothing: Figure 2 deletes last copies by design.
+/// A removal that leaves another holder, or that an outage caused, is
+/// not counted.
+#[test]
+fn a017_last_copy_removal_is_counted_not_reported() {
+    let t = with(
+        preamble(),
+        &[
+            ev! { 10, CatalogAdd { server: n(0), video: v(1) } },
+            // S0 still holds video 1.
+            ev! { 20, CatalogRemove { server: n(1), video: v(1) } },
+            // Video 0's only holder evicts it: counted.
+            ev! { 30, CatalogRemove { server: n(0), video: v(0) } },
+            // The outage takes video 1's last copy: not counted.
+            ev! { 40, ServerDown { server: n(0) } },
+            ev! { 40, CatalogRemove { server: n(0), video: v(1) } },
+            ev! { 50, ServerUp { server: n(0) } },
+            ev! { 60, CatalogAdd { server: n(0), video: v(1) } },
+            // Back up, the server is no longer spared: counted.
+            ev! { 70, CatalogRemove { server: n(0), video: v(1) } },
+        ],
+    );
+    let summary = audit(&t);
+    assert!(summary.is_clean(), "{:?}", summary.violations);
+    assert_eq!(summary.last_copy_removals, 2);
 }
 
 #[test]

@@ -20,7 +20,7 @@ impl<S: EventSink> ServiceModel<S> {
     /// session (0 = prefix miss or tier disabled). `video` is a library
     /// title.
     fn prefix_decision(&mut self, now: SimTime, server: NodeId, video: VideoId) -> usize {
-        let Some(store) = self.prefix_stores.get_mut(&server) else {
+        let Some(store) = self.stores.get_mut(&server).and_then(|s| s.prefix.as_mut()) else {
             return 0;
         };
         let decision = store.on_request(title(&self.titles, video));
@@ -104,9 +104,9 @@ impl<S: EventSink> ServiceModel<S> {
         // every request.
         let mut cache_later = false;
         let decision = self
-            .caches
+            .stores
             .get_mut(&request.client)
-            .map(|cache| cache.on_request(meta));
+            .map(|store| store.dma.on_request(meta));
         if let Some(decision) = decision {
             self.emit_dma_decision(now, request.client, video, size.as_f64(), &decision);
             cache_later = matches!(
@@ -202,7 +202,7 @@ impl<S: EventSink> ServiceModel<S> {
         size_mb: f64,
         decision: &DmaDecision,
     ) {
-        let ServiceModel { sink, caches, .. } = self;
+        let ServiceModel { sink, stores, .. } = self;
         // Post-decision occupancy and the admitted stripe, auditable
         // against the cache's capacity and Figure 3's `i mod n` rule.
         let admit = |after_eviction: bool, layout: &StripeLayout| ObsEvent::DmaAdmit {
@@ -214,9 +214,11 @@ impl<S: EventSink> ServiceModel<S> {
             stripe: (0..layout.parts())
                 .map(|i| layout.disk_of_part(i) as u32)
                 .collect(),
-            occupancy_mb: caches
+            occupancy_mb: stores
                 .get(&server)
-                .map(|c| c.array().total_capacity().as_f64() - c.array().total_free().as_f64())
+                .map(|s| {
+                    s.dma.array().total_capacity().as_f64() - s.dma.array().total_free().as_f64()
+                })
                 .unwrap_or(0.0),
         };
         match decision {

@@ -7,10 +7,8 @@ use vod_obs::{AbortReason, Event as ObsEvent, EventSink};
 use vod_sim::flow::FlowId;
 use vod_sim::scheduler::Scheduler;
 use vod_sim::SimTime;
-use vod_storage::dma::{DmaCache, DmaConfig};
-use vod_storage::prefix::PrefixStore;
 
-use super::model::{Event, InFlight, ServiceModel};
+use super::model::{Event, InFlight, ServerStore, ServiceModel};
 use crate::session::SessionId;
 
 impl<S: EventSink> ServiceModel<S> {
@@ -31,15 +29,15 @@ impl<S: EventSink> ServiceModel<S> {
         }
         self.sink
             .emit(now, || ObsEvent::ServerDown { server: node });
-        // Withdraw the catalog and retire the cache.
-        if let Some(cache) = self.caches.remove(&node) {
-            self.retired_dma += cache.stats();
-            self.withdraw_titles(now, node, &cache.resident_ids());
-        }
-        // The co-located prefix store dies with the server; its stats
-        // fold into the retired bucket and it rejoins cold.
-        if let Some(store) = self.prefix_stores.remove(&node) {
-            self.retired_prefix += store.stats();
+        // Withdraw the catalog and retire the cache and the co-located
+        // prefix store: their stats fold into the retired pair, and the
+        // server rejoins cold.
+        if let Some(store) = self.stores.remove(&node) {
+            self.retired.0 += store.dma.stats();
+            if let Some(prefix) = &store.prefix {
+                self.retired.1 += prefix.stats();
+            }
+            self.withdraw_titles(now, node, &store.dma.resident_ids());
         }
         // Also withdraw titles listed in the DB but not in the cache
         // (initial seeding differences).
@@ -109,22 +107,12 @@ impl<S: EventSink> ServiceModel<S> {
         }
         self.down.remove(&node);
         self.sink.emit(now, || ObsEvent::ServerUp { server: node });
-        // The configuration was validated at construction (disk_count is
-        // positive), so recreation cannot fail.
-        if let Ok(cache) = DmaCache::new(DmaConfig {
-            disk_count: self.config.disk_count,
-            disk_capacity: self.config.disk_capacity,
-            cluster_size: self.config.cluster,
-            admit_threshold: self.config.dma_admit_threshold,
-            eviction: self.config.dma_eviction,
-        }) {
-            self.caches.insert(node, cache);
-        }
-        if let Some(tier) = self.config.prefix_tier {
-            if let Ok(store) = PrefixStore::new(tier.store_config(self.config.cluster)) {
-                self.prefix_stores.insert(node, store);
-            }
-        }
+        #[expect(
+            clippy::expect_used,
+            reason = "setup built every server's storage from this configuration"
+        )]
+        let store = ServerStore::new(&self.config).expect("setup built storage from this config");
+        self.stores.insert(node, store);
     }
 
     /// A link goes administratively down: it carries no traffic, routing

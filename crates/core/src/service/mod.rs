@@ -9,8 +9,8 @@
 //! * an [`SnmpSystem`] periodically averages link counters into the
 //!   limited-access [`Database`] (so the routing application always works
 //!   from *slightly stale* state, as in the real service);
-//! * one [`DmaCache`] per video server runs the Disk Manipulation
-//!   Algorithm on every incoming request;
+//! * one [`DmaCache`](vod_storage::dma::DmaCache) per video server runs
+//!   the Disk Manipulation Algorithm on every incoming request;
 //! * a pluggable [`ServerSelector`] (the VRA or a baseline) picks the
 //!   source server — re-evaluated before *every cluster* when dynamic
 //!   re-routing is on, which is the paper's headline feature;
@@ -47,14 +47,12 @@ use vod_sim::fault::FaultKind;
 use vod_sim::flow::FlowNetwork;
 use vod_sim::{IdWindow, SimTime};
 use vod_snmp::SnmpSystem;
-use vod_storage::dma::{DmaCache, DmaConfig, DmaStats};
-use vod_storage::prefix::{PrefixStats, PrefixStore};
 use vod_storage::video::VideoMeta;
 use vod_workload::scenario::Scenario;
 
 use config::DRAIN_GRACE;
 pub use config::{PrefixTierConfig, RetryPolicy, ServiceConfig};
-use model::{Event, ServiceModel, BACKGROUND_SLOT, SNMP_POLL_SLOT};
+use model::{Event, ServerStore, ServiceModel, BACKGROUND_SLOT, SNMP_POLL_SLOT};
 
 use crate::error::CoreError;
 use crate::qos::{ServiceReport, TickStats};
@@ -286,30 +284,12 @@ impl<S: EventSink> VodService<S> {
 
         let mut db = Database::from_topology(&topology, scenario.library().clone());
 
-        // Per-server DMA caches.
-        let mut caches: BTreeMap<NodeId, DmaCache> = BTreeMap::new();
+        // Per-server storage: a DMA cache, and a prefix store when the
+        // tier is on (it starts cold — prefixes are earned by demand,
+        // never seeded).
+        let mut stores: BTreeMap<NodeId, ServerStore> = BTreeMap::new();
         for &n in &servers {
-            let cache = DmaCache::new(DmaConfig {
-                disk_count: config.disk_count,
-                disk_capacity: config.disk_capacity,
-                cluster_size: config.cluster,
-                admit_threshold: config.dma_admit_threshold,
-                eviction: config.dma_eviction,
-            })
-            .map_err(|e| CoreError::InvalidConfig(format!("unusable DMA configuration: {e}")))?;
-            caches.insert(n, cache);
-        }
-
-        // Per-proxy prefix stores (tier enabled only; starts cold —
-        // prefixes are earned by demand, never seeded).
-        let mut prefix_stores: BTreeMap<NodeId, PrefixStore> = BTreeMap::new();
-        if let Some(tier) = &config.prefix_tier {
-            for &n in &servers {
-                let store = PrefixStore::new(tier.store_config(config.cluster)).map_err(|e| {
-                    CoreError::InvalidConfig(format!("unusable prefix tier configuration: {e}"))
-                })?;
-                prefix_stores.insert(n, store);
-            }
+            stores.insert(n, ServerStore::new(&config)?);
         }
 
         // Service initialization: seed titles round-robin.
@@ -324,10 +304,10 @@ impl<S: EventSink> VodService<S> {
                         reason = "`% servers.len()` keeps the index in range, and `servers` is non-empty"
                     )]
                     let server = servers[(i + k) % servers.len()];
-                    let Some(cache) = caches.get_mut(&server) else {
+                    let Some(store) = stores.get_mut(&server) else {
                         continue;
                     };
-                    let layout = cache.preload(video).map_err(|e| {
+                    let layout = store.dma.preload(video).map_err(|e| {
                         CoreError::InvalidConfig(format!(
                             "seeded titles must fit the configured disks: {e}"
                         ))
@@ -378,7 +358,7 @@ impl<S: EventSink> VodService<S> {
             db_snap_cache: None,
             snmp,
             db,
-            caches,
+            stores,
             selector,
             background,
             trace: scenario.trace().clone(),
@@ -387,14 +367,12 @@ impl<S: EventSink> VodService<S> {
             sessions: IdWindow::new(),
             flow_owner: IdWindow::new(),
             candidates: Vec::new(),
-            prefix_stores,
             down: BTreeMap::new(),
             link_down: BTreeMap::new(),
             degrade: BTreeMap::new(),
             snmp_outages: 0,
             link_admin_epoch: 0,
-            retired_dma: DmaStats::default(),
-            retired_prefix: PrefixStats::default(),
+            retired: Default::default(),
             prefix_served_clusters: 0,
             prefix_served_mbit: 0.0,
             full_prefix_sessions: 0,
@@ -434,7 +412,7 @@ impl<S: EventSink> VodService<S> {
         for window in plan.windows() {
             let (start_ev, end_ev) = match window.kind {
                 FaultKind::ServerOutage { node } => {
-                    if !sim.model().caches.contains_key(&node) {
+                    if !sim.model().stores.contains_key(&node) {
                         return Err(CoreError::InvalidConfig(
                             "only video servers can fail".into(),
                         ));

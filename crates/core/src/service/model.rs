@@ -15,13 +15,15 @@ use vod_sim::scheduler::Scheduler;
 use vod_sim::traffic::BackgroundModel;
 use vod_sim::{IdWindow, SimDuration, SimTime};
 use vod_snmp::SnmpSystem;
-use vod_storage::dma::{DmaCache, DmaStats};
+use vod_storage::dma::{DmaCache, DmaConfig, DmaStats};
+use vod_storage::error::StorageError;
 use vod_storage::io_model::DiskIoModel;
 use vod_storage::prefix::{PrefixStats, PrefixStore};
 use vod_storage::video::{VideoId, VideoMeta};
 use vod_workload::trace::RequestTrace;
 
 use super::config::ServiceConfig;
+use crate::error::CoreError;
 use crate::qos::{QosRecord, TickStats};
 use crate::selection::{Selection, SelectionContext, ServerSelector};
 use crate::session::{cluster_play_time, cluster_volume_mbit, Session, SessionId};
@@ -56,22 +58,56 @@ pub(super) fn title(titles: &[VideoMeta], video: VideoId) -> &VideoMeta {
 /// configured ceiling. Falls back to the ceiling when the layout is unknown (title
 /// still being assembled).
 fn local_serve_rate(
-    caches: &BTreeMap<NodeId, DmaCache>,
+    stores: &BTreeMap<NodeId, ServerStore>,
     titles: &[VideoMeta],
     config: &ServiceConfig,
     home: NodeId,
     video: VideoId,
 ) -> Mbps {
     let ceiling = config.local_rate.as_f64();
-    let disk_mbps = caches
+    let disk_mbps = stores
         .get(&home)
-        .and_then(|c| c.array().layout(video))
+        .and_then(|s| s.dma.array().layout(video))
         .map(|layout| {
             let size = title(titles, video).size();
             DiskIoModel::default().striped_throughput_mb_per_s(layout, size) * 8.0
         })
         .unwrap_or(ceiling);
     Mbps::new(disk_mbps.min(ceiling).max(0.0))
+}
+
+/// A live video server's storage: its DMA cache and, with the prefix
+/// tier on, its regional proxy's prefix store. Both die with the server
+/// and rejoin cold.
+pub(super) struct ServerStore {
+    pub(super) dma: DmaCache,
+    pub(super) prefix: Option<PrefixStore>,
+}
+
+impl ServerStore {
+    /// Empty storage for one server, as `config` sizes it: at setup and
+    /// when a failed server revives.
+    pub(super) fn new(config: &ServiceConfig) -> Result<Self, CoreError> {
+        let unusable = |what: &str, e: StorageError| {
+            CoreError::InvalidConfig(format!("unusable {what} configuration: {e}"))
+        };
+        let dma = DmaCache::new(DmaConfig {
+            disk_count: config.disk_count,
+            disk_capacity: config.disk_capacity,
+            cluster_size: config.cluster,
+            admit_threshold: config.dma_admit_threshold,
+            eviction: config.dma_eviction,
+        })
+        .map_err(|e| unusable("DMA", e))?;
+        let prefix = config
+            .prefix_tier
+            .map(|tier| tier.store_config(config.cluster));
+        let prefix = prefix.map(PrefixStore::new).transpose();
+        Ok(ServerStore {
+            dma,
+            prefix: prefix.map_err(|e| unusable("prefix tier", e))?,
+        })
+    }
 }
 
 /// The scheduler's timer slot of the SNMP poll.
@@ -222,7 +258,8 @@ pub(super) struct ServiceModel<S: EventSink> {
     pub(super) flows: FlowNetwork,
     pub(super) snmp: SnmpSystem,
     pub(super) db: Database,
-    pub(super) caches: BTreeMap<NodeId, DmaCache>,
+    /// The live servers' storage; a server's entry vanishes with it.
+    pub(super) stores: BTreeMap<NodeId, ServerStore>,
     pub(super) selector: Box<dyn ServerSelector>,
     pub(super) background: BackgroundModel,
     pub(super) trace: RequestTrace,
@@ -245,9 +282,6 @@ pub(super) struct ServiceModel<S: EventSink> {
     pub(super) flow_owner: IdWindow<SessionId>,
     /// Reused buffer for the replica holders handed to the selector.
     pub(super) candidates: Vec<NodeId>,
-    /// Per-proxy prefix stores (empty when the tier is disabled; a
-    /// store vanishes with its server and rejoins cold, like the DMA).
-    pub(super) prefix_stores: BTreeMap<NodeId, PrefixStore>,
     /// Outage depth per down server: overlapping windows nest, and a
     /// server only revives when its depth returns to zero.
     pub(super) down: BTreeMap<NodeId, u32>,
@@ -267,9 +301,9 @@ pub(super) struct ServiceModel<S: EventSink> {
     /// epoch token stays stable and the VRA's routing engine serves them
     /// from its weight and shortest-path caches.
     pub(super) db_snap_cache: Option<((u64, u64), vod_net::TrafficSnapshot)>,
-    pub(super) retired_dma: DmaStats,
-    /// Stats of prefix stores retired by server failures.
-    pub(super) retired_prefix: PrefixStats,
+    /// Stats of the DMA caches and prefix stores retired by server
+    /// failures.
+    pub(super) retired: (DmaStats, PrefixStats),
     /// Clusters streamed by the proxies over the whole run.
     pub(super) prefix_served_clusters: u64,
     /// Megabits the proxies streamed — volume the backbone never saw.
@@ -557,7 +591,7 @@ impl<S: EventSink> ServiceModel<S> {
         // library titles.
         let cluster = idx as u32;
         if route.hops() == 0 {
-            let rate = local_serve_rate(&self.caches, &self.titles, &self.config, home, video);
+            let rate = local_serve_rate(&self.stores, &self.titles, &self.config, home, video);
             let session = sid;
             sched.schedule(
                 now + transfer_time(volume, rate),
@@ -813,9 +847,9 @@ impl<S: EventSink> ServiceModel<S> {
         }
         let (home, video) = (rec.session.home(), rec.session.video());
         if self
-            .caches
+            .stores
             .get(&home)
-            .map(|c| c.contains(video))
+            .map(|s| s.dma.contains(video))
             .unwrap_or(false)
         {
             let added = self.db.limited_access().add_title(home, video);

@@ -15,26 +15,23 @@ impl<S: EventSink> ServiceModel<S> {
     /// scheduler's counters live with the engine, not the model, so the
     /// caller passes them in.
     pub(super) fn into_report_full(self, scheduler: SchedulerStats) -> (ServiceReport, S) {
-        let mut dma = self.retired_dma;
+        let (mut dma, mut prefix_stats) = self.retired;
         let per_server_dma: Vec<(NodeId, DmaStats)> = self
-            .caches
+            .stores
             .iter()
-            .map(|(&node, cache)| (node, cache.stats()))
+            .map(|(&node, store)| (node, store.dma.stats()))
             .collect();
         for &(_, stats) in &per_server_dma {
             dma += stats;
         }
-        let prefix = self.config.prefix_tier.map(|_| {
-            let mut stats = self.retired_prefix;
-            for store in self.prefix_stores.values() {
-                stats += store.stats();
-            }
-            PrefixTierReport {
-                stats,
-                served_clusters: self.prefix_served_clusters,
-                served_mbit: self.prefix_served_mbit,
-                full_prefix_sessions: self.full_prefix_sessions,
-            }
+        for prefix in self.stores.values().filter_map(|s| s.prefix.as_ref()) {
+            prefix_stats += prefix.stats();
+        }
+        let prefix = self.config.prefix_tier.map(|_| PrefixTierReport {
+            stats: prefix_stats,
+            served_clusters: self.prefix_served_clusters,
+            served_mbit: self.prefix_served_mbit,
+            full_prefix_sessions: self.full_prefix_sessions,
         });
         // Sized for every request at construction; the report keeps only
         // what completed.

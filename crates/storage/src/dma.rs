@@ -23,6 +23,11 @@
 //! over a certain number of times") and the eviction mode (the
 //! pseudocode's single eviction attempt vs. evicting until the newcomer
 //! fits).
+//!
+//! The victims, in both modes, come from the head of the cache's
+//! [`PopularityTracker`] ranking, which the prefix tier
+//! ([`crate::prefix`]) shares; the until-fit mode is its
+//! [`PopularityTracker::plan_until_fit`].
 
 use serde::Serialize;
 
@@ -201,14 +206,9 @@ impl DmaStats {
 pub struct DmaCache {
     config: DmaConfig,
     array: DiskArray,
+    /// Points per title, and the residents ranked by them: kept in
+    /// step with `array` by every store and removal.
     tracker: PopularityTracker,
-    /// The residents ascending by `(points, id)`, each at the points it
-    /// had when it was last ranked. Points only grow, so those are a
-    /// lower bound: a hit costs nothing here, and an eviction re-ranks
-    /// the entries it reads until they are current (`least_popular`,
-    /// `colder_than`). Kept in step with `array` by every store and
-    /// removal.
-    ranked: Vec<(u64, VideoId)>,
     stats: DmaStats,
 }
 
@@ -225,7 +225,6 @@ impl DmaCache {
             config,
             array,
             tracker: PopularityTracker::new(),
-            ranked: Vec::new(),
             stats: DmaStats::default(),
         })
     }
@@ -264,64 +263,17 @@ impl DmaCache {
     /// not fit.
     pub fn preload(&mut self, video: &VideoMeta) -> Result<StripeLayout, StorageError> {
         let layout = self.array.store(video)?;
-        self.rank(video.id(), self.tracker.points(video.id()));
+        self.tracker.rank(video.id());
         Ok(layout)
     }
 
-    /// Stores `video`, which the caller made sure fits, as a resident of
-    /// `points` points.
-    fn admit(&mut self, video: &VideoMeta, points: u64) -> StripeLayout {
+    /// Stores `video`, which the caller made sure fits, and ranks it.
+    fn admit(&mut self, video: &VideoMeta) -> StripeLayout {
         #[expect(clippy::expect_used, reason = "the caller checked the fit")]
         let layout = self.array.store(video).expect("the caller checked the fit");
-        self.rank(video.id(), points);
+        self.tracker.rank(video.id());
         self.stats.admissions += 1;
         layout
-    }
-
-    /// Ranks a new resident.
-    fn rank(&mut self, video: VideoId, points: u64) {
-        let key = (points, video);
-        let at = self.ranked.partition_point(|&ranked| ranked < key);
-        self.ranked.insert(at, key);
-    }
-
-    /// Moves the entry at `at` to its place if its title was awarded
-    /// points since it was ranked: whether it moved, or `None` past the
-    /// end. A moved entry only moves up, past `at`'s successors.
-    fn rerank_at(&mut self, at: usize) -> Option<bool> {
-        let &(ranked, video) = self.ranked.get(at)?;
-        let points = self.tracker.points(video);
-        if points == ranked {
-            return Some(false);
-        }
-        self.ranked.remove(at);
-        self.rank(video, points);
-        Some(true)
-    }
-
-    /// The least popular resident and its points — lowest points, ties
-    /// to the lowest id: the ranking's first entry, once it is current
-    /// (every later entry's points are at least its ranked ones).
-    fn least_popular(&mut self) -> Option<(u64, VideoId)> {
-        while self.rerank_at(0)? {}
-        self.ranked.first().copied()
-    }
-
-    /// How many residents have fewer than `points` points. They lead the
-    /// ranking afterwards, current and in `(points, id)` order; every
-    /// entry past them was ranked at `points` or more.
-    fn colder_than(&mut self, points: u64) -> usize {
-        let mut at = 0;
-        while self
-            .ranked
-            .get(at)
-            .is_some_and(|&(ranked, _)| ranked < points)
-        {
-            if self.rerank_at(at) != Some(true) {
-                at += 1;
-            }
-        }
-        at
     }
 
     /// Processes one request for `video` — the body of Figure 2's loop.
@@ -336,25 +288,62 @@ impl DmaCache {
         }
 
         if points <= self.config.admit_threshold {
-            self.stats.rejections += 1;
-            return DmaDecision::NotAdmitted {
-                reason: RejectKind::BelowThreshold,
-                evicted: vec![],
-            };
+            return self.reject(RejectKind::BelowThreshold, vec![]);
         }
 
         if self.array.can_tolerate(video) {
-            let layout = self.admit(video, points);
+            let layout = self.admit(video);
             self.debug_check_occupancy();
             return DmaDecision::Admitted { layout };
         }
 
-        let decision = match self.config.eviction {
-            EvictionMode::SingleAttempt => self.evict_single_attempt(video, points),
-            EvictionMode::UntilFit => self.evict_until_fit(video, points),
+        // How many of the coldest residents to evict: Figure 2 tries
+        // exactly one, strictly colder than the title, even if deleting
+        // it frees too little; the ablation plans until the title fits
+        // on a scratch copy of the array, or evicts nothing.
+        let plan = match self.config.eviction {
+            EvictionMode::SingleAttempt => match self.tracker.least() {
+                // An empty cache the title still does not fit: it is
+                // simply larger than the allocated space.
+                None => Err(RejectKind::DoesNotFit),
+                Some((coldest, _)) if points <= coldest => Err(RejectKind::NotPopularEnough),
+                Some(_) => Ok(1),
+            },
+            EvictionMode::UntilFit => {
+                let mut scratch = self.array.clone();
+                self.tracker.plan_until_fit(points, |victim| {
+                    #[expect(clippy::expect_used, reason = "a ranked title is stored")]
+                    scratch.remove(victim).expect("a ranked title is stored");
+                    scratch.can_tolerate(video)
+                })
+            }
+        };
+        let evicted = match plan {
+            Ok(victims) => self.tracker.evict_first(victims),
+            Err(reason) => return self.reject(reason, vec![]),
+        };
+        for &victim in &evicted {
+            #[expect(clippy::expect_used, reason = "a ranked title is stored")]
+            self.array.remove(victim).expect("a ranked title is stored");
+            self.stats.evictions += 1;
+        }
+        let decision = if self.array.can_tolerate(video) {
+            DmaDecision::AdmittedAfterEviction {
+                layout: self.admit(video),
+                evicted,
+            }
+        } else {
+            self.reject(RejectKind::DoesNotFit, evicted)
         };
         self.debug_check_occupancy();
         decision
+    }
+
+    /// Counts and returns a refusal, after the victims a single
+    /// attempt evicted in vain.
+    fn reject(&mut self, reason: RejectKind, evicted: Vec<VideoId>) -> DmaDecision {
+        self.stats.rejections += 1;
+        DmaDecision::NotAdmitted { reason, evicted }
     }
 
     /// Dev-run mirror of the auditor's capacity rule (`vod-check audit`
@@ -371,119 +360,12 @@ impl DmaCache {
             self.array.total_free().as_f64()
         );
     }
-
-    /// Figure 2 verbatim: one comparison against the least popular
-    /// resident, one deletion, one re-check.
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "debug mirror of audit rule A003: the victim is a least-popular resident, colder than the newcomer"
-    )]
-    fn evict_single_attempt(&mut self, video: &VideoMeta, points: u64) -> DmaDecision {
-        let Some((victim_points, victim)) = self.least_popular() else {
-            // Empty cache but the video still doesn't fit: it is simply
-            // larger than the allocated space.
-            self.stats.rejections += 1;
-            return DmaDecision::NotAdmitted {
-                reason: RejectKind::DoesNotFit,
-                evicted: vec![],
-            };
-        };
-        if points <= victim_points {
-            self.stats.rejections += 1;
-            return DmaDecision::NotAdmitted {
-                reason: RejectKind::NotPopularEnough,
-                evicted: vec![],
-            };
-        }
-        // Dev-run mirror of the auditor's eviction rule (A003): the
-        // victim is a least-popular resident, strictly colder than the
-        // newcomer.
-        debug_assert!(
-            self.array
-                .stored_ids()
-                .all(|v| self.tracker.points(victim) <= self.tracker.points(v)),
-            "eviction victim {victim} is not least popular"
-        );
-        debug_assert!(
-            self.tracker.points(victim) < points,
-            "eviction victim {victim} is not colder than the newcomer"
-        );
-        #[expect(clippy::expect_used, reason = "the victim is ranked, so resident")]
-        self.array.remove(victim).expect("the victim is resident");
-        self.ranked.remove(0);
-        self.stats.evictions += 1;
-        if self.array.can_tolerate(video) {
-            let layout = self.admit(video, points);
-            DmaDecision::AdmittedAfterEviction {
-                evicted: vec![victim],
-                layout,
-            }
-        } else {
-            self.stats.rejections += 1;
-            DmaDecision::NotAdmitted {
-                reason: RejectKind::DoesNotFit,
-                evicted: vec![victim],
-            }
-        }
-    }
-
-    /// Ablation variant: evict less-popular residents (ascending
-    /// popularity) until the newcomer fits; evict nothing if it can never
-    /// fit.
-    fn evict_until_fit(&mut self, video: &VideoMeta, points: u64) -> DmaDecision {
-        // Candidates strictly less popular than the newcomer, worst first:
-        // a prefix of the ranking.
-        let colder = self.colder_than(points);
-        let candidates: Vec<VideoId> = self.ranked.iter().take(colder).map(|&(_, v)| v).collect();
-
-        // Feasibility check on a scratch copy: would evicting all of them
-        // make room?
-        let mut scratch = self.array.clone();
-        let mut planned = Vec::new();
-        let mut fits = scratch.can_tolerate(video);
-        for &v in &candidates {
-            if fits {
-                break;
-            }
-            #[expect(clippy::expect_used, reason = "the candidate is stored")]
-            scratch.remove(v).expect("candidate is stored");
-            planned.push(v);
-            fits = scratch.can_tolerate(video);
-        }
-        if !fits {
-            self.stats.rejections += 1;
-            let reason = if candidates.is_empty() {
-                RejectKind::NotPopularEnough
-            } else {
-                RejectKind::DoesNotFit
-            };
-            return DmaDecision::NotAdmitted {
-                reason,
-                evicted: vec![],
-            };
-        }
-        for &v in &planned {
-            #[expect(clippy::expect_used, reason = "the planned victim is stored")]
-            self.array.remove(v).expect("planned victim is stored");
-            self.stats.evictions += 1;
-        }
-        // The victims are the ranking's first.
-        self.ranked.drain(..planned.len());
-        // Feasibility was simulated on a copy.
-        let layout = self.admit(video, points);
-        if planned.is_empty() {
-            DmaDecision::Admitted { layout }
-        } else {
-            DmaDecision::AdmittedAfterEviction {
-                evicted: planned,
-                layout,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn video(id: u32, mb: f64) -> VideoMeta {
@@ -691,12 +573,12 @@ mod tests {
         assert_eq!(err, StorageError::NoDisks);
     }
 
-    /// Figure 2 with the victim found by a scan of every resident: the
-    /// DMA as it was before it kept its residents ranked.
+    /// Figure 2 with the victims found by sorting every resident by its
+    /// own points map: the DMA before it kept its residents ranked.
     struct ScanDma {
         config: DmaConfig,
         array: DiskArray,
-        tracker: PopularityTracker,
+        points: BTreeMap<VideoId, u64>,
     }
 
     impl ScanDma {
@@ -707,104 +589,77 @@ mod tests {
             ScanDma {
                 config,
                 array,
-                tracker: PopularityTracker::new(),
+                points: BTreeMap::new(),
             }
         }
 
+        fn points(&self, video: VideoId) -> u64 {
+            self.points.get(&video).copied().unwrap_or(0)
+        }
+
         fn on_request(&mut self, video: &VideoMeta) -> DmaDecision {
-            let points = self.tracker.award(video.id());
+            let p = self.points.entry(video.id()).or_insert(0);
+            *p += 1;
+            let points = *p;
+            let reject = |reason, evicted| DmaDecision::NotAdmitted { reason, evicted };
             if self.array.contains(video.id()) {
                 return DmaDecision::Hit;
             }
             if points <= self.config.admit_threshold {
-                return DmaDecision::NotAdmitted {
-                    reason: RejectKind::BelowThreshold,
-                    evicted: vec![],
-                };
+                return reject(RejectKind::BelowThreshold, vec![]);
             }
             if self.array.can_tolerate(video) {
                 let layout = self.array.store(video).unwrap();
                 return DmaDecision::Admitted { layout };
             }
-            match self.config.eviction {
-                EvictionMode::SingleAttempt => {
-                    let rank = |&v: &VideoId| (self.tracker.points(v), v);
-                    let Some(victim) = self.array.stored_ids().min_by_key(rank) else {
-                        return DmaDecision::NotAdmitted {
-                            reason: RejectKind::DoesNotFit,
-                            evicted: vec![],
-                        };
-                    };
-                    if points <= self.tracker.points(victim) {
-                        return DmaDecision::NotAdmitted {
-                            reason: RejectKind::NotPopularEnough,
-                            evicted: vec![],
-                        };
+            let mut colder: Vec<VideoId> = self.array.stored_ids().collect();
+            colder.sort_by_key(|&v| (self.points(v), v));
+            let evicted = match self.config.eviction {
+                EvictionMode::SingleAttempt => match colder.first() {
+                    None => return reject(RejectKind::DoesNotFit, vec![]),
+                    Some(&victim) if points <= self.points(victim) => {
+                        return reject(RejectKind::NotPopularEnough, vec![]);
                     }
-                    self.array.remove(victim).unwrap();
-                    if self.array.can_tolerate(video) {
-                        let layout = self.array.store(video).unwrap();
-                        DmaDecision::AdmittedAfterEviction {
-                            evicted: vec![victim],
-                            layout,
-                        }
-                    } else {
-                        DmaDecision::NotAdmitted {
-                            reason: RejectKind::DoesNotFit,
-                            evicted: vec![victim],
-                        }
-                    }
-                }
+                    Some(&victim) => vec![victim],
+                },
                 EvictionMode::UntilFit => {
-                    let mut candidates: Vec<VideoId> = self
-                        .array
-                        .stored_ids()
-                        .filter(|&v| self.tracker.points(v) < points)
-                        .collect();
-                    candidates.sort_by_key(|&v| (self.tracker.points(v), v));
+                    colder.retain(|&v| self.points(v) < points);
                     let mut scratch = self.array.clone();
                     let mut planned = Vec::new();
-                    let mut fits = scratch.can_tolerate(video);
-                    for &v in &candidates {
-                        if fits {
-                            break;
-                        }
+                    for &v in &colder {
                         scratch.remove(v).unwrap();
                         planned.push(v);
-                        fits = scratch.can_tolerate(video);
+                        if scratch.can_tolerate(video) {
+                            break;
+                        }
                     }
-                    if !fits {
-                        let reason = if candidates.is_empty() {
+                    if !scratch.can_tolerate(video) {
+                        let reason = if colder.is_empty() {
                             RejectKind::NotPopularEnough
                         } else {
                             RejectKind::DoesNotFit
                         };
-                        return DmaDecision::NotAdmitted {
-                            reason,
-                            evicted: vec![],
-                        };
+                        return reject(reason, vec![]);
                     }
-                    for &v in &planned {
-                        self.array.remove(v).unwrap();
-                    }
-                    let layout = self.array.store(video).unwrap();
-                    if planned.is_empty() {
-                        DmaDecision::Admitted { layout }
-                    } else {
-                        DmaDecision::AdmittedAfterEviction {
-                            evicted: planned,
-                            layout,
-                        }
-                    }
+                    planned
                 }
+            };
+            for &v in &evicted {
+                self.array.remove(v).unwrap();
+            }
+            if self.array.can_tolerate(video) {
+                let layout = self.array.store(video).unwrap();
+                DmaDecision::AdmittedAfterEviction { evicted, layout }
+            } else {
+                reject(RejectKind::DoesNotFit, evicted)
             }
         }
     }
 
     /// Runs one request stream through the ranked DMA and the scan:
     /// every decision, victims included, must be the same, and after
-    /// every request the ranking must hold each resident once, sorted,
-    /// at no more points than it has.
+    /// every request the ranking must hold exactly the residents (its
+    /// order is `popularity`'s proptest's).
     fn ranked_against_scan(
         eviction: EvictionMode,
         admit_threshold: u64,
@@ -831,13 +686,9 @@ mod tests {
             let a = ranked.on_request(&title(id));
             let b = scan.on_request(&title(id));
             proptest::prop_assert_eq!(a, b);
-            let mut ids: Vec<VideoId> = ranked.ranked.iter().map(|&(_, v)| v).collect();
+            let mut ids: Vec<VideoId> = ranked.tracker.ranked().iter().map(|&(_, v)| v).collect();
             ids.sort_unstable();
             proptest::prop_assert_eq!(ids, scan.array.stored_ids().collect::<Vec<_>>());
-            proptest::prop_assert!(ranked.ranked.windows(2).all(|w| w[0] < w[1]));
-            for &(points, v) in &ranked.ranked {
-                proptest::prop_assert!(points <= scan.tracker.points(v));
-            }
         }
         Ok(())
     }

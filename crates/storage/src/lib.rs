@@ -11,8 +11,11 @@
 //! * [`dma`] — the **Disk Manipulation Algorithm** (Figure 2): a
 //!   popularity-point cache that admits requested titles while space
 //!   lasts and then replaces the least-popular resident title;
-//! * [`popularity`] — the request-point bookkeeping behind the
-//!   "most popular" concept;
+//! * [`popularity`] — the request points behind the "most popular"
+//!   concept, and the one ranking of residents by them that the DMA,
+//!   the prefix tier and E1's LFU baseline all evict from, with the
+//!   never-in-vain planner the DMA's `UntilFit` mode and the prefix
+//!   tier share;
 //! * [`prefix`] — popularity-sized title *prefixes* for regional proxy
 //!   servers: serve session startup locally, fetch the rest from the
 //!   origin;

@@ -16,10 +16,14 @@
 //!   `max_clusters` and at the title's own length;
 //! * a non-resident title is admitted once its points exceed
 //!   `admit_threshold` and the store can free enough space by evicting
-//!   strictly-less-popular prefixes (never in vain, like the DMA's
-//!   `UntilFit` mode);
+//!   strictly-less-popular prefixes, coldest first and never in vain;
 //! * a resident title whose target has outgrown its stored prefix is
 //!   extended in place when free space allows — extension never evicts.
+//!
+//! The store shares the DMA's ranking and planner: its points and its
+//! residents' victim order are a [`PopularityTracker`], and an eviction
+//! is planned by [`PopularityTracker::plan_until_fit`], as in the DMA's
+//! `UntilFit` mode.
 //!
 //! Every [`PrefixStore::on_request`] call returns exactly one
 //! [`PrefixDecision`]; serving always uses the *pre-extension* length
@@ -208,6 +212,8 @@ impl PrefixStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefixStore {
     config: PrefixConfig,
+    /// Points per title, and the resident prefixes ranked by them: kept
+    /// in step with `residents` by every admission and eviction.
     tracker: PopularityTracker,
     /// Resident prefix per title: length in clusters plus the exact
     /// megabytes it occupies (a whole-title prefix ends on the title's
@@ -355,56 +361,51 @@ impl PrefixStore {
             clusters: target,
             mb: need,
         };
-        if self.free_mb() >= need {
-            self.residents.insert(video.id(), stored);
-            self.occupied_mb += need;
-            self.stats.admissions += 1;
-            self.debug_check_occupancy();
+        let free = self.free_mb();
+        if free >= need {
+            self.admit(video.id(), stored);
             return PrefixDecision::Admitted { clusters: target };
         }
 
-        // Evict strictly-colder prefixes (ascending popularity, ties by
-        // id) until the newcomer fits — or nothing, if it never would.
-        let mut candidates: Vec<VideoId> = self
-            .residents
-            .keys()
-            .copied()
-            .filter(|&v| self.tracker.points(v) < points)
-            .collect();
-        candidates.sort_by_key(|&v| (self.tracker.points(v), v));
-
+        // Evict strictly-colder prefixes, coldest first, until the
+        // newcomer fits — or nothing, if it never would.
+        let mut evicted = Vec::new();
         let mut freed = 0.0;
-        let mut planned = Vec::new();
-        for &victim in &candidates {
-            if self.free_mb() + freed >= need {
-                break;
-            }
-            let freed_mb = self.resident_mb(victim);
+        let residents = &self.residents;
+        let plan = self.tracker.plan_until_fit(points, |victim| {
+            let freed_mb = residents.get(&victim).map_or(0.0, |r| r.mb);
             freed += freed_mb;
-            planned.push(PrefixEviction { victim, freed_mb });
+            evicted.push(PrefixEviction { victim, freed_mb });
+            free + freed >= need
+        });
+        let victims = match plan {
+            Ok(victims) => victims,
+            Err(reason) => {
+                self.stats.rejections += 1;
+                return PrefixDecision::NotAdmitted { reason };
+            }
+        };
+        for victim in self.tracker.evict_first(victims) {
+            self.residents.remove(&victim);
         }
-        if self.free_mb() + freed < need {
-            self.stats.rejections += 1;
-            let reason = if candidates.is_empty() {
-                RejectKind::NotPopularEnough
-            } else {
-                RejectKind::DoesNotFit
-            };
-            return PrefixDecision::NotAdmitted { reason };
-        }
-        for eviction in &planned {
+        for eviction in &evicted {
             self.occupied_mb = (self.occupied_mb - eviction.freed_mb).max(0.0);
-            self.residents.remove(&eviction.victim);
             self.stats.evictions += 1;
         }
-        self.residents.insert(video.id(), stored);
-        self.occupied_mb += need;
-        self.stats.admissions += 1;
-        self.debug_check_occupancy();
+        self.admit(video.id(), stored);
         PrefixDecision::AdmittedAfterEviction {
-            evicted: planned,
+            evicted,
             clusters: target,
         }
+    }
+
+    /// Stores a prefix the caller made room for, and ranks its title.
+    fn admit(&mut self, video: VideoId, stored: ResidentPrefix) {
+        self.residents.insert(video, stored);
+        self.tracker.rank(video);
+        self.occupied_mb += stored.mb;
+        self.stats.admissions += 1;
+        self.debug_check_occupancy();
     }
 
     /// Free space in megabytes.
@@ -713,7 +714,9 @@ mod tests {
     /// A001-style differential check: an independent, deliberately naive
     /// reimplementation of the prefix discipline replays random request
     /// streams and must agree with [`PrefixStore`] decision for
-    /// decision, byte for byte of occupancy.
+    /// decision, byte for byte of occupancy. Every eviction so carries
+    /// the megabytes its victim held just before the request, and the
+    /// store counts each one.
     mod replay_properties {
         use super::*;
 
@@ -853,6 +856,7 @@ mod tests {
                     points: BTreeMap::new(),
                     resident: BTreeMap::new(),
                 };
+                let mut evictions = 0;
                 for &(id, half_clusters) in &requests {
                     // Sizes land on half-cluster boundaries so partial
                     // trailing clusters are exercised.
@@ -861,6 +865,12 @@ mod tests {
                     let got = store.on_request(&v);
                     let want = naive.request(id, size);
                     prop_assert_eq!(&got, &want, "decision diverged for v{} ({} MB)", id, size);
+                    if let PrefixDecision::AdmittedAfterEviction { evicted, .. } = &got {
+                        evictions += evicted.len() as u64;
+                        for e in evicted {
+                            prop_assert_eq!(store.resident_clusters(e.victim), None);
+                        }
+                    }
                     prop_assert!(
                         (store.occupied_mb() - naive.occupied()).abs() < 1e-6,
                         "occupancy diverged: {} vs {}",
@@ -869,6 +879,7 @@ mod tests {
                     );
                     prop_assert!(store.occupied_mb() <= capacity + 1e-9);
                 }
+                prop_assert_eq!(store.stats().evictions, evictions);
             }
         }
     }
