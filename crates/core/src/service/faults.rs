@@ -39,10 +39,23 @@ impl<S: EventSink> ServiceModel<S> {
             }
             self.withdraw_titles(now, node, &store.dma.resident_ids());
         }
-        // Also withdraw titles listed in the DB but not in the cache
-        // (initial seeding differences).
-        let listed = self.db.full_access().titles_at(node).unwrap_or_default();
-        self.withdraw_titles(now, node, &listed);
+        // The catalog lists a title at a server only while its DMA holds
+        // it: seeding preloads both, and an assembled title is listed
+        // once resident.
+        #[expect(
+            clippy::disallowed_macros,
+            reason = "debug check: the catalog listed only the DMA residents just withdrawn"
+        )]
+        {
+            debug_assert!(
+                self.db
+                    .full_access()
+                    .titles_at(node)
+                    .unwrap_or_default()
+                    .is_empty(),
+                "the catalog lists titles the dead server's DMA did not hold"
+            );
+        }
 
         // Sessions homed at the dead server lose their client
         // connection, in ascending `SessionId`.

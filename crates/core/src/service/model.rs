@@ -271,8 +271,9 @@ pub(super) struct ServiceModel<S: EventSink> {
     /// session reads at every cluster boundary (see [`title`]).
     pub(super) titles: Vec<VideoMeta>,
     /// Live sessions by `SessionId.0`, inline: the window holds a slot
-    /// for every id between the oldest and the newest live session.
-    /// With many sessions that span is the live set itself (400 801 on
+    /// for every id between the oldest and the newest live session, in
+    /// 256-slot chunks that go back to the system as they drain. With
+    /// many sessions that span is the live set itself (400 801 on
     /// `local_scale`); with few, a long session widens it (2 108 slots
     /// for 166 live on `steady_traced`). Boxing would add a pointer and
     /// a heap chunk to every live record to save bytes in dead slots.

@@ -12,15 +12,14 @@
 //! slab. A drained chunk goes on a free list, and the lowest free chunk
 //! is the next tail's, so the chunks in use gather at the slab's start:
 //! as the queue drains, the slab is cut after the last chunk in use and
-//! hands its end back. The slab is a mapping of its own, which the
-//! allocator returns to the system as it shrinks and at the fold, not a
-//! scatter of chunks left behind on its heap under whatever is allocated
-//! next.
+//! hands its end back (see [`slab`](crate::slab) for why that end goes
+//! back to the system), not a scatter of chunks left behind on the heap.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 use super::RadixKey;
+use crate::slab;
 
 /// At most this many streams are live. A random push sequence opens
 /// streams without end (over a thousand live at 400 000 entries of the
@@ -30,17 +29,6 @@ pub(super) const MAX_STREAMS: usize = 16;
 
 /// Slots per chunk.
 pub(super) const CHUNK: usize = 1024;
-
-/// Bytes the slab reserves when its first chunk is taken: more than
-/// glibc ever serves from its heap, so the slab is a mapping of its own
-/// from the start, and stays one as it is resized. Only the slots in use
-/// are ever touched.
-const SLAB_RESERVE: usize = 32 << 20;
-
-/// Slots past the slab's end that are handed back to the allocator at
-/// once; the slab grows by half as many, so a slab whose end moves by a
-/// chunk neither shrinks nor grows.
-const SLAB_SLACK: usize = 16 * CHUNK;
 
 /// One sorted stream: its chunks of the slab, the slots of its head
 /// and past its tail, and their radixes, which settle most comparisons
@@ -180,15 +168,7 @@ impl<K: RadixKey> Streams<K> {
         if let Some(Reverse(chunk)) = self.free.pop() {
             return chunk;
         }
-        if self.slab.capacity() == 0 {
-            let slots = SLAB_RESERVE / size_of::<Option<K>>().max(1);
-            self.slab.reserve_exact(slots.max(CHUNK));
-        } else if self.slab.len() == self.slab.capacity() {
-            self.slab.reserve_exact(SLAB_SLACK / 2);
-        }
-        let chunk = self.slab.len() / CHUNK;
-        self.slab.resize_with(self.slab.len() + CHUNK, || None);
-        chunk
+        slab::grow(&mut self.slab, CHUNK)
     }
 
     /// Frees `chunks`, which no stream holds any more. Once the slab's
@@ -205,11 +185,8 @@ impl<K: RadixKey> Streams<K> {
         }
         let held = self.live.iter().flat_map(|s| s.chunks.iter().copied());
         let end = held.max().map_or(0, |chunk| (chunk + 1) * CHUNK);
-        self.slab.truncate(end);
+        slab::cut(&mut self.slab, end, CHUNK);
         self.free.retain(|&Reverse(chunk)| chunk * CHUNK < end);
-        if self.slab.capacity() - end >= SLAB_SLACK {
-            self.slab.shrink_to(end + SLAB_SLACK / 2);
-        }
     }
 
     /// Removes and returns the least head; a stream that empties

@@ -72,6 +72,7 @@ pub mod flow;
 pub mod idwindow;
 pub mod metrics;
 pub mod scheduler;
+mod slab;
 pub mod time;
 pub mod traffic;
 
