@@ -9,6 +9,15 @@
 //! that justifies leaving the instrumentation compiled into the
 //! paper-exact binaries.
 //!
+//! `obs/emit/jsonl_writer` times the caller's side of a `JsonlWriter`
+//! whose formatter thread is running (on a host with more than one
+//! CPU): the clone into the batch and the write-back of returned lines.
+//! The bench records far faster than one worker formats, so the caller
+//! blocks whenever two batches are out and the row reads the sustained
+//! rate of the pair, not the caller's cost inside a service run, where
+//! the simulation between events leaves the worker time to keep up.
+//! `obs/serialize/*` gate the formatter itself.
+//!
 //! `obs/emit/time_series_sink` emits at one fixed instant, so it never
 //! seals a window: it is the cost of a counter update. `obs/series/
 //! sparse_year` is the other end — a year of one-minute windows with

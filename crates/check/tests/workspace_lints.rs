@@ -7,8 +7,8 @@
 //! not lints and are checked here by a scan of the source: no
 //! `partial_cmp` sort key, serde only on the report `experiments
 //! --metrics` writes, the taxonomy's counters counted by
-//! `vod_obs::Tally` alone, and every event of the service written
-//! through `EventSink::emit`.
+//! `vod_obs::Tally` alone, every event of the service written
+//! through `EventSink::emit`, and threads only in the JSONL writer.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -488,5 +488,79 @@ fn emit_scan_spares_only_the_select_source_snapshot() {
     assert_eq!(
         hand_emissions(planted),
         ["3: .record(", "11: .record(", "2: enabled()"]
+    );
+}
+
+/// The one file that may start a thread: `JsonlWriter`'s formatter.
+const THREAD_HOME: &str = "crates/obs/src/sink.rs";
+
+/// `line: name` for every thread, channel or cross-thread wait
+/// primitive `text` names; `//` comments are skipped.
+fn thread_uses(text: &str) -> Vec<String> {
+    const NAMES: [&str; 6] = [
+        "thread::spawn",
+        "thread::Builder",
+        "thread::scope",
+        "mpsc::",
+        "Condvar",
+        "Barrier",
+    ];
+    let mut hits = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let code = line.find("//").map_or(line, |at| &line[..at]);
+        for name in NAMES {
+            let bare = name.trim_end_matches(':');
+            if occurrences(code, bare)
+                .iter()
+                .any(|(_, after)| !name.ends_with("::") || after.starts_with("::"))
+            {
+                hits.push(format!("{}: {name}", n + 1));
+            }
+        }
+    }
+    hits
+}
+
+/// The simulation is single-threaded, so scheduling order can never
+/// reach a trace or report. The one exception is the JSONL writer's
+/// formatter: a single worker fed in record order by the caller, which
+/// writes its lines back in that order, cannot reorder a byte. Clippy
+/// holds the calls (`clippy.toml`); this holds the names, so a new
+/// `Condvar` or `Barrier` handshake needs a place here too.
+#[test]
+fn threads_live_only_in_the_jsonl_writer() {
+    let root = root();
+    let mut files = Vec::new();
+    for dir in crate_dirs(&root) {
+        rust_files(&dir.join("src"), &mut files);
+    }
+    assert!(files.len() > 50, "found only {} source files", files.len());
+    let home = root.join(THREAD_HOME);
+    assert!(files.contains(&home), "{THREAD_HOME} is scanned");
+    assert!(
+        !thread_uses(&fs::read_to_string(&home).expect("sink.rs is readable")).is_empty(),
+        "the scan still sees the writer's own thread"
+    );
+    files.retain(|path| *path != home);
+    let hits = scan_hits(&files, thread_uses);
+    assert!(
+        hits.is_empty(),
+        "a thread primitive outside {THREAD_HOME}: {hits:?}"
+    );
+}
+
+#[test]
+fn thread_scan_catches_planted_primitives() {
+    let planted = "use std::sync::{mpsc, Condvar};\nfn f() {\n    std::thread::spawn(|| ());\n    let b = thread::Builder::new();\n    thread::scope(|s| ());\n    let (tx, rx) = mpsc::channel();\n    let bar = Barrier::new(2); // Condvar in a comment\n    let my_thread_spawn = spawner::spawn();\n    let c = MyCondvarLike;\n}\n";
+    assert_eq!(
+        thread_uses(planted),
+        [
+            "1: Condvar",
+            "3: thread::spawn",
+            "4: thread::Builder",
+            "5: thread::scope",
+            "6: mpsc::",
+            "7: Barrier",
+        ]
     );
 }

@@ -1381,7 +1381,7 @@ pub(crate) mod tests {
 
     /// A deterministic stream of field values for [`Event::random`]
     /// (splitmix64).
-    pub(crate) struct Gen(u64);
+    pub(crate) struct Gen(pub(crate) u64);
 
     impl Gen {
         fn next(&mut self) -> u64 {

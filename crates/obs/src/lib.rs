@@ -13,7 +13,9 @@
 //! * [`EventSink`] — where events go, chosen at compile time:
 //!   [`NullSink`] (tracing compiled out, ≈0 ns/event), [`RingRecorder`]
 //!   (bounded in-memory flight recorder), or [`JsonlWriter`] (streaming
-//!   JSON Lines);
+//!   JSON Lines; past its first 1 024 events it formats batches on one
+//!   worker thread and writes their lines back in record order, the only
+//!   thread in the workspace);
 //! * [`TimeSeriesSink`] / [`SeriesReport`] — fixed-width sim-time
 //!   windows aggregated online (concurrent sessions, per-link
 //!   utilization, admissions/aborts/retries, DMA hit ratio, VRA
@@ -45,7 +47,10 @@
 //! byte: shortest round-trip digits for floats, with `Display`'s layout
 //! and its round-half-up tie rule. The writer's tests hold it to
 //! `Display` over millions of inputs; the golden test in
-//! `tests/tests/observability.rs` pins the trace end to end.
+//! `tests/tests/observability.rs` pins the trace end to end. The
+//! simulation never runs off the caller's thread: [`JsonlWriter`]'s
+//! worker only renders events already recorded, in the order recorded,
+//! and the caller writes them in that order.
 //!
 //! # Zero overhead when disabled
 //!
